@@ -99,7 +99,7 @@ impl<T: Any + Send + Sync + Clone> DeferHandle<T> {
     /// return the results in `handles` order.
     ///
     /// One transaction reads all the handles, so a fan-out of N deferred
-    /// operations (say, a burst of `ad-kv` `put_async` writes under its
+    /// operations (say, a burst of `ad-kv` `write_batch_async` writes under its
     /// `Async` sync policy) resolves through a single blocking call
     /// instead of N sequential [`wait`](DeferHandle::wait)s: while any
     /// handle is still empty the transaction parks on its `retry` watch

@@ -43,8 +43,7 @@
 //! with respect to the cut, never racing live writers (the safe-
 //! privatization discipline, DESIGN.md §13.3).
 
-use std::io::{self, Write};
-use std::path::PathBuf;
+use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,9 +53,9 @@ use ad_support::hist::{Histogram, HistogramSnapshot};
 use ad_support::sync::atomic::{AtomicU64, Ordering};
 use ad_support::sync::Mutex;
 
+use crate::disk::{Disk, SNAP_CUR, SNAP_PREV, SNAP_TMP};
 use crate::memtable::MemTable;
-use crate::wal::{fsync_dir_of, Wal, MEMDISK_SNAP_CUR, MEMDISK_SNAP_PREV, MEMDISK_SNAP_TMP};
-use crate::MemDisk;
+use crate::wal::Wal;
 
 /// Snapshot header magic: `b"ADSN"` little-endian.
 pub const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"ADSN");
@@ -151,66 +150,21 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<(u64, crate::memtable::KeyMap)> {
     }
 }
 
-/// Where published snapshots live. The store is handed the fully
-/// serialized bytes and must make them the new `snapshot.cur` via the
-/// write-tmp / fsync / rename / fsync-dir protocol — never in place.
-pub trait SnapshotStore: Send {
-    /// Durably publish `bytes` as the current snapshot, demoting the
-    /// old current to the previous slot.
-    fn write_and_publish(&mut self, bytes: &[u8]) -> io::Result<()>;
-}
-
-/// Snapshot file paths derived from the WAL base path `base`:
-/// `{base}.ckpt.tmp` / `.cur` / `.prev`.
-pub(crate) fn snapshot_paths(base: &std::path::Path) -> (PathBuf, PathBuf, PathBuf) {
-    let with = |suffix: &str| {
-        let mut s = base.as_os_str().to_os_string();
-        s.push(suffix);
-        PathBuf::from(s)
-    };
-    (with(".ckpt.tmp"), with(".ckpt.cur"), with(".ckpt.prev"))
-}
-
-/// File-backed [`SnapshotStore`] beside the WAL at `base`.
-pub struct FileSnapshots {
-    base: PathBuf,
-}
-
-impl FileSnapshots {
-    /// Snapshots named `{base}.ckpt.*`.
-    pub fn new(base: PathBuf) -> Self {
-        FileSnapshots { base }
+/// Durably publish `bytes` as the current snapshot on `disk`, demoting
+/// the old current to the previous slot — **the** publish protocol of the
+/// module docs, steps 1–4, for every disk. Never writes in place.
+pub fn publish_snapshot(disk: &dyn Disk, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = disk.create(SNAP_TMP)?;
+    tmp.append(bytes)?;
+    tmp.sync()?;
+    drop(tmp);
+    match disk.rename(SNAP_CUR, SNAP_PREV) {
+        // First checkpoint: there is no current snapshot to demote.
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+        other => other?,
     }
-}
-
-impl SnapshotStore for FileSnapshots {
-    fn write_and_publish(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let (tmp, cur, prev) = snapshot_paths(&self.base);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
-        }
-        if cur.exists() {
-            std::fs::rename(&cur, &prev)?;
-        }
-        std::fs::rename(&tmp, &cur)?;
-        fsync_dir_of(&cur)
-    }
-}
-
-impl SnapshotStore for MemDisk {
-    fn write_and_publish(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.await_publish_gate();
-        self.create(MEMDISK_SNAP_TMP);
-        self.append_file(MEMDISK_SNAP_TMP, bytes);
-        self.sync_file(MEMDISK_SNAP_TMP);
-        if self.read_file(MEMDISK_SNAP_CUR).is_some() {
-            self.rename_file(MEMDISK_SNAP_CUR, MEMDISK_SNAP_PREV);
-        }
-        self.rename_file(MEMDISK_SNAP_TMP, MEMDISK_SNAP_CUR);
-        Ok(())
-    }
+    disk.rename(SNAP_TMP, SNAP_CUR)?;
+    disk.sync_dir()
 }
 
 /// When checkpoints run.
@@ -288,48 +242,40 @@ impl CkptStats {
     }
 }
 
-struct RunState {
-    snaps: Box<dyn SnapshotStore>,
-    last_cut: u64,
-}
-
 /// Publishes `{snapshot, WAL cut}` pairs; one checkpoint at a time.
 /// All of its I/O happens here — on the caller's thread or the store's
 /// background trigger thread — never inside an atomic section.
 pub struct Checkpointer {
     wal: Arc<Wal>,
     memtable: Arc<MemTable>,
-    run: Mutex<RunState>,
+    disk: Arc<dyn Disk>,
+    /// Serializes checkpoints; holds the cut of the last published one.
+    last_cut: Mutex<u64>,
     counters: CkptCounters,
-    auto: Option<(u64, u64)>,
+    policy: CkptPolicy,
     bytes_mark: AtomicU64,
     records_mark: AtomicU64,
 }
 
 impl Checkpointer {
-    /// A checkpointer over `wal` + `memtable`, publishing to `snaps`.
-    /// `last_cut` is the cut of the snapshot recovery loaded (0 if
-    /// none); `policy` configures the background trigger thresholds.
+    /// A checkpointer over `wal` + `memtable`, publishing to `disk`
+    /// (the one the WAL's segments live on). `last_cut` is the cut of the
+    /// snapshot recovery loaded (0 if none); `policy` configures the
+    /// background trigger thresholds.
     pub fn new(
         wal: Arc<Wal>,
         memtable: Arc<MemTable>,
-        snaps: Box<dyn SnapshotStore>,
+        disk: Arc<dyn Disk>,
         last_cut: u64,
         policy: CkptPolicy,
     ) -> Self {
-        let auto = match policy {
-            CkptPolicy::Manual => None,
-            CkptPolicy::Auto {
-                wal_bytes,
-                wal_records,
-            } => Some((wal_bytes, wal_records)),
-        };
         Checkpointer {
             wal,
             memtable,
-            run: Mutex::new(RunState { snaps, last_cut }),
+            disk,
+            last_cut: Mutex::new(last_cut),
             counters: CkptCounters::default(),
-            auto,
+            policy,
             bytes_mark: AtomicU64::new(0),
             records_mark: AtomicU64::new(0),
         }
@@ -339,13 +285,13 @@ impl Checkpointer {
     /// Serialized: a second caller blocks until the first finishes,
     /// then usually observes nothing new and returns a skipped report.
     pub fn run(&self, rt: &Runtime) -> io::Result<CkptReport> {
-        let mut run = self.run.lock();
+        let mut last_cut = self.last_cut.lock();
         let t0 = Instant::now();
         let durable = self.wal.durable_seq();
-        if durable <= run.last_cut {
+        if durable <= *last_cut {
             return Ok(CkptReport {
                 performed: false,
-                cut: run.last_cut,
+                cut: *last_cut,
                 keys: 0,
                 snapshot_bytes: 0,
                 wal_bytes_dropped: 0,
@@ -364,14 +310,14 @@ impl Checkpointer {
         let keys = frozen.len() as u64;
         let bytes = encode_snapshot(cut, frozen.iter());
         // 4. Durable, atomic publish.
-        run.snaps.write_and_publish(&bytes)?;
+        publish_snapshot(&*self.disk, &bytes)?;
         rt.trace_app(EventKind::CkptPublish, bytes.len() as u64);
         // 5. Only now is it safe to drop the covered segments.
         let freed = self.wal.drop_rotated()?;
         rt.trace_app(EventKind::WalTruncate, freed);
         // 6. Fold the frozen delta into the memtable base.
         self.memtable.compact_through(cut);
-        run.last_cut = cut;
+        *last_cut = cut;
 
         self.bytes_mark
             .store(self.wal.bytes_appended(), Ordering::Relaxed);
@@ -400,14 +346,22 @@ impl Checkpointer {
     /// Cheap threshold check for the background trigger (two relaxed
     /// loads; called from deferred ops, so it must not block).
     pub fn should_trigger(&self) -> bool {
-        match self.auto {
-            None => false,
-            Some((max_bytes, max_records)) => {
+        match self.policy {
+            CkptPolicy::Manual => false,
+            CkptPolicy::Auto {
+                wal_bytes,
+                wal_records,
+            } => {
                 let b = self.wal.bytes_appended() - self.bytes_mark.load(Ordering::Relaxed);
                 let r = self.wal.records_appended() - self.records_mark.load(Ordering::Relaxed);
-                b >= max_bytes || r >= max_records
+                b >= wal_bytes || r >= wal_records
             }
         }
+    }
+
+    /// The policy this checkpointer was opened with.
+    pub fn policy(&self) -> CkptPolicy {
+        self.policy
     }
 
     /// Snapshot the checkpoint counters.

@@ -12,7 +12,9 @@
 //!    access subscribes to the shard's implicit `TxLock`).
 //! 2. The same transaction calls `atomic_defer` over the touched shards
 //!    with an operation that appends the pre-encoded redo record to the
-//!    write-ahead log and waits for the covering `fsync`.
+//!    write-ahead log and waits for the covering `fsync` — the one-step
+//!    plan of [`KvStore::commit`], the single commit pipeline every
+//!    mutation (including `ad-shard`'s two-phase commit) goes through.
 //! 3. At commit the shard locks become visible atomically with the
 //!    updates; the deferred append then runs *outside* the transaction —
 //!    no quiescence stall, no serial-mode irrevocability — while the locks
@@ -60,6 +62,7 @@
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
+pub mod disk;
 pub mod memtable;
 pub mod recover;
 pub mod store;
@@ -72,14 +75,13 @@ pub mod wal;
 #[cfg(all(test, loom))]
 mod verify;
 
-pub use checkpoint::{
-    Checkpointer, CkptPolicy, CkptReport, CkptStats, FileSnapshots, SnapshotStore,
-};
+pub use checkpoint::{Checkpointer, CkptPolicy, CkptReport, CkptStats};
+pub use disk::{Disk, DiskFile, FileDisk, MemDisk};
 pub use memtable::MemTable;
 pub use recover::{RecoveryReport, RedoKind, RedoOps, RedoRecord, ScanEnd, SnapshotSource};
-pub use store::{Durability, KvConfig, KvStore, RemoteSlice, WriteBatch};
-pub use wal::{FileMedium, MemDisk, MemMedium, SyncPolicy, Wal, WalMedium, WalStats};
+pub use store::{CommitStep, Durability, KvConfig, KvStore, WriteBatch};
+pub use wal::{SyncPolicy, Wal, WalStats};
 
 // Re-exported so connection-facing callers (`ad-net`) can name the handle
-// the `*_async` write methods return without depending on `ad-defer`.
+// `commit` / `write_batch_async` return without depending on `ad-defer`.
 pub use ad_defer::DeferHandle;

@@ -147,27 +147,17 @@ impl RecoveryReport {
     }
 }
 
+/// Encode a single-shard transaction's payload ([`RedoKind::Local`]).
+pub fn encode_redo(txid: u64, ops: &[(String, Option<Vec<u8>>)]) -> Vec<u8> {
+    encode_record(RedoKind::Local, txid, ops)
+}
+
 /// Encode a redo payload:
 /// `kind: u8 | [gid: u64 when kind != 0] | txid: u64 | nops: u32 | ops*`,
 /// each op `klen: u32 | key | tag: u8 (0 delete, 1 put) | [vlen: u32 | value]`.
 /// Kind bytes: 0 [`RedoKind::Local`], 1 [`RedoKind::Prepare`],
-/// 2 [`RedoKind::Decided`]. This function emits kind 0; the cross-shard
-/// kinds come from [`encode_prepare`] / [`encode_decided`].
-pub fn encode_redo(txid: u64, ops: &[(String, Option<Vec<u8>>)]) -> Vec<u8> {
-    encode_kinded(RedoKind::Local, txid, ops)
-}
-
-/// Encode a staged cross-shard slice ([`RedoKind::Prepare`]).
-pub fn encode_prepare(gid: u64, txid: u64, ops: &[(String, Option<Vec<u8>>)]) -> Vec<u8> {
-    encode_kinded(RedoKind::Prepare { gid }, txid, ops)
-}
-
-/// Encode a decided cross-shard slice ([`RedoKind::Decided`]).
-pub fn encode_decided(gid: u64, txid: u64, ops: &[(String, Option<Vec<u8>>)]) -> Vec<u8> {
-    encode_kinded(RedoKind::Decided { gid }, txid, ops)
-}
-
-fn encode_kinded(kind: RedoKind, txid: u64, ops: &[(String, Option<Vec<u8>>)]) -> Vec<u8> {
+/// 2 [`RedoKind::Decided`].
+pub fn encode_record(kind: RedoKind, txid: u64, ops: &[(String, Option<Vec<u8>>)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         21 + ops
             .iter()
@@ -202,8 +192,7 @@ fn encode_kinded(kind: RedoKind, txid: u64, ops: &[(String, Option<Vec<u8>>)]) -
     out
 }
 
-/// Decode a redo payload produced by [`encode_redo`] /
-/// [`encode_prepare`] / [`encode_decided`]. `None` on any structural
+/// Decode a redo payload produced by [`encode_record`]. `None` on any structural
 /// error (recovery treats that record as the torn tail).
 pub fn decode_redo(payload: &[u8]) -> Option<(RedoKind, u64, RedoOps)> {
     fn take<'a>(b: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
@@ -490,12 +479,12 @@ mod tests {
     fn cross_shard_kinds_roundtrip_with_gid() {
         let ops = vec![("k".to_string(), Some(b"v".to_vec()))];
         let gid = (3u64 << 48) | 7;
-        let enc = encode_prepare(gid, 5, &ops);
+        let enc = encode_record(RedoKind::Prepare { gid }, 5, &ops);
         assert_eq!(
             decode_redo(&enc),
             Some((RedoKind::Prepare { gid }, 5, ops.clone()))
         );
-        let enc = encode_decided(gid, 5, &ops);
+        let enc = encode_record(RedoKind::Decided { gid }, 5, &ops);
         assert_eq!(decode_redo(&enc), Some((RedoKind::Decided { gid }, 5, ops)));
         assert_eq!(RedoKind::Prepare { gid }.gid(), Some(gid));
         assert_eq!(RedoKind::Local.gid(), None);
@@ -505,8 +494,16 @@ mod tests {
     fn decode_rejects_truncation_and_garbage() {
         for enc in [
             encode_redo(1, &[("k".to_string(), Some(b"v".to_vec()))]),
-            encode_prepare(9, 1, &[("k".to_string(), Some(b"v".to_vec()))]),
-            encode_decided(9, 1, &[("k".to_string(), Some(b"v".to_vec()))]),
+            encode_record(
+                RedoKind::Prepare { gid: 9 },
+                1,
+                &[("k".to_string(), Some(b"v".to_vec()))],
+            ),
+            encode_record(
+                RedoKind::Decided { gid: 9 },
+                1,
+                &[("k".to_string(), Some(b"v".to_vec()))],
+            ),
         ] {
             for cut in 0..enc.len() {
                 assert_eq!(decode_redo(&enc[..cut]), None, "accepted prefix {cut}");

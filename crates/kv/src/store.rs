@@ -3,11 +3,13 @@
 //!
 //! ## Data layout
 //!
-//! Keys hash (FNV-1a) to one of `shards` shards; within a shard, to one of
-//! `buckets_per_shard` buckets. A bucket is an immutable sorted
-//! `Arc<Vec<(key, value)>>` held in a `TVar` — updates clone-and-replace
-//! the vector, which keeps `TVar`'s `Clone` cheap (an `Arc` bump) for
-//! readers and gives point lookups a binary search.
+//! Keys hash (FNV-1a; finalized for the shard index, so that it is
+//! independent of a shard router partitioning on the same hash) to one of
+//! `shards` shards; within a shard, to one of `buckets_per_shard` buckets. A bucket
+//! is an immutable sorted `Arc<Vec<(key, value)>>` held in a `TVar` —
+//! updates clone-and-replace the vector, which keeps `TVar`'s `Clone`
+//! cheap (an `Arc` bump) for readers and gives point lookups a binary
+//! search.
 //!
 //! Each shard (not each bucket) is a [`Defer`]-wrapped object: transactions
 //! reach the bucket `TVar`s through [`Defer::with`], which subscribes to
@@ -19,39 +21,38 @@
 //!
 //! ## Write protocol
 //!
-//! [`KvStore::write_batch`] encodes the redo record *before* entering the
-//! transaction (re-execution on conflict must not re-serialize), then in
-//! one transaction: `atomic_defer` over the touched shards (first, per the
-//! ordering discipline for potentially-irrevocable transactions), then the
-//! bucket updates. The deferred operation appends to the WAL and blocks
-//! until its covering fsync returns — so `write_batch` acks only durable
-//! writes, and the shard locks make commit + durability one atomic step as
-//! far as any other transaction can tell.
+//! Every mutation is one call of [`KvStore::commit`] with a *plan*: an
+//! ordered list of [`CommitStep`]s. The plan is lowered *before* entering
+//! the transaction (records encoded once — re-execution on conflict must
+//! not re-serialize), then in one transaction: `atomic_defer` over the
+//! touched shards (first, per the ordering discipline for
+//! potentially-irrevocable transactions), then the bucket updates. The
+//! single deferred operation runs the steps in order. This is the paper's
+//! two-phase-locking argument, stated once: every shard `TxLock` is
+//! acquired by the commit point and afterwards only released — when the
+//! last step returns — so commit + every step is one atomic event as far
+//! as any other transaction can tell. A plain write is the one-step plan
+//! `[Log(Local)]`: append the redo record and block until its covering
+//! fsync returns, so [`KvStore::write_batch`] acks only durable writes.
+//! The cross-shard protocol (`ad-shard`) is three longer plans over the
+//! same two step kinds.
 
-use std::collections::BTreeMap;
-use std::fs::OpenOptions;
-use std::io::{self, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::collections::{BTreeMap, HashSet};
+use std::io;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use ad_defer::{atomic_defer, atomic_defer_tracked, Defer, DeferHandle, Deferrable};
-use ad_stm::{EventKind, Runtime, StmResult, TVar, TmConfig, Tx};
+use ad_stm::{Runtime, StmResult, TVar, TmConfig, Tx};
+use ad_support::hash::{fnv1a64, mix64};
 use ad_support::sync::atomic::{AtomicU64, Ordering};
-
 use ad_support::sync::{Condvar, Mutex};
 
-use crate::checkpoint::{
-    snapshot_paths, Checkpointer, CkptPolicy, CkptReport, CkptStats, FileSnapshots, SnapshotStore,
-};
-use crate::memtable::MemTable;
-use crate::recover::{
-    encode_decided, encode_prepare, encode_redo, recover_two_tier, scan, RecoveryReport, RedoKind,
-    RedoRecord,
-};
-use crate::wal::{
-    fsync_dir_of, segment_path, FileMedium, MemDisk, SyncPolicy, Wal, WalMedium, WalStats,
-    MEMDISK_SNAP_CUR, MEMDISK_SNAP_PREV, MEMDISK_SNAP_TMP, MEMDISK_WAL,
-};
+use crate::checkpoint::{Checkpointer, CkptPolicy, CkptReport, CkptStats};
+use crate::disk::{Disk, FileDisk, MemDisk};
+use crate::memtable::{KeyMap, MemOp, MemTable};
+use crate::recover::{encode_record, RecoveryReport, RedoKind, RedoRecord};
+use crate::wal::{SyncPolicy, Wal, WalStats};
 
 /// Whether (and how) the store persists writes.
 #[derive(Debug, Clone)]
@@ -77,8 +78,7 @@ pub struct KvConfig {
     pub buckets_per_shard: usize,
     /// Persistence mode.
     pub durability: Durability,
-    /// Checkpoint policy (only meaningful for durable stores whose
-    /// medium supports segment rotation — file-backed and [`MemDisk`]).
+    /// Checkpoint policy (only meaningful for durable stores).
     pub ckpt: CkptPolicy,
 }
 
@@ -174,6 +174,65 @@ impl WriteBatch {
     }
 }
 
+/// One step of a commit plan — see [`KvStore::commit`]. Steps run in
+/// order, once, after the transaction committed, while the `TxLock` of
+/// every shard the batch touches is still held.
+#[derive(Clone)]
+pub enum CommitStep {
+    /// Encode the batch as a record of this kind, append it to the WAL and
+    /// block for its covering fsync. A [`RedoKind::Local`] or
+    /// [`RedoKind::Decided`] record then exposes the batch to the durable
+    /// tier ([`KvStore::read_uncommitted`]); a [`RedoKind::Prepare`]
+    /// record only stages it — durable, never visible. A volatile store
+    /// has no log, so there the step is nothing.
+    Log(RedoKind),
+    /// Run a callback. It may block (on a peer, a channel): the shard
+    /// locks wait with it. `Arc<dyn Fn>` because the transaction body may
+    /// re-run on conflict — the deferred operation holding the callback is
+    /// rebuilt per attempt and runs once, post-commit.
+    Call(Arc<dyn Fn() + Send + Sync>),
+}
+
+impl CommitStep {
+    /// A [`CommitStep::Call`] of `f`.
+    pub fn call(f: impl Fn() + Send + Sync + 'static) -> Self {
+        CommitStep::Call(Arc::new(f))
+    }
+}
+
+/// A [`CommitStep`] lowered for one batch: the record already encoded, the
+/// store's durable tier already resolved.
+enum Lowered {
+    Append {
+        log: Arc<DurableTier>,
+        payload: Vec<u8>,
+        expose: bool,
+    },
+    Call(Arc<dyn Fn() + Send + Sync>),
+}
+
+/// The deferred half of [`KvStore::commit`]: every step, in order. Built
+/// outside the `atomically` closure so that what blocks here is — also
+/// lexically — not part of the retryable transaction body.
+fn run_steps(
+    rt: Arc<Runtime>,
+    plan: Arc<[Lowered]>,
+    ops: Arc<Vec<MemOp>>,
+) -> impl FnOnce() + Send + 'static {
+    move || {
+        for step in plan.iter() {
+            match step {
+                Lowered::Append {
+                    log,
+                    payload,
+                    expose,
+                } => log.append(payload, if *expose { &ops } else { &[] }, &rt),
+                Lowered::Call(f) => f(),
+            }
+        }
+    }
+}
+
 /// A sorted immutable bucket; updates clone-and-replace.
 type Bucket = Arc<Vec<(Arc<str>, Arc<[u8]>)>>;
 
@@ -183,11 +242,28 @@ struct Shard {
     buckets: Vec<TVar<Bucket>>,
 }
 
+/// `(shard, bucket)` of `key`. The shard index — which `TxLock` — comes
+/// from the finalized hash: taken from `fnv1a64(key)` itself it would
+/// correlate with `fnv1a64(key) % n`, the shard router's partition
+/// function, and a store behind a 2-way router would see keys on only half
+/// of its shard locks. The bucket index keeps the raw high bits: spreading
+/// it as well is a measured change of its own (it reshapes every
+/// transaction's write set, and with it what the STM's reclamation holds
+/// back — ROADMAP, carried-over items).
+fn locate(key: &str, shards: usize, buckets_per_shard: usize) -> (usize, usize) {
+    let h = fnv1a64(key.as_bytes());
+    (
+        (mix64(h) as u32 as usize) % shards,
+        ((h >> 32) as usize) % buckets_per_shard,
+    )
+}
+
 /// Wakeup channel between deferred ops (which notice the WAL crossed a
 /// threshold) and the background checkpoint thread (which does the I/O;
 /// running a checkpoint *inside* a deferred op would self-deadlock — it
 /// waits for a memtable watermark that includes the caller's own
 /// not-yet-applied record).
+#[derive(Default)]
 struct CkptSignal {
     state: Mutex<CkptWake>,
     cv: Condvar,
@@ -199,32 +275,42 @@ struct CkptWake {
     kicked: bool,
 }
 
-struct CkptWorker {
-    handle: Option<std::thread::JoinHandle<()>>,
-    signal: Arc<CkptSignal>,
+impl CkptSignal {
+    fn wake(&self, set: impl FnOnce(&mut CkptWake)) {
+        set(&mut self.state.lock());
+        self.cv.notify_all();
+    }
 }
 
-/// Everything an open path hands to [`KvStore::build`]: the recovered
-/// durable state (snapshot base + WAL suffix records), the resumed WAL,
-/// and the optional snapshot store that enables checkpointing.
-struct BuildParts {
-    wal: Option<Arc<Wal>>,
-    base: crate::memtable::KeyMap,
-    records: Vec<RedoRecord>,
-    recovery: Option<RecoveryReport>,
-    snaps: Option<Box<dyn SnapshotStore>>,
-    ckpt_policy: CkptPolicy,
+/// Everything a durable store has and a volatile one lacks.
+struct DurableTier {
+    wal: Arc<Wal>,
+    /// Index of recent committed writes, populated post-fsync by the same
+    /// deferred ops that append redo records.
+    memtable: Arc<MemTable>,
+    ckpt: Arc<Checkpointer>,
+    /// Present under [`CkptPolicy::Auto`]: wakes the trigger thread.
+    auto: Option<Arc<CkptSignal>>,
 }
 
-impl BuildParts {
-    fn volatile() -> Self {
-        BuildParts {
-            wal: None,
-            base: BTreeMap::new(),
-            records: Vec::new(),
-            recovery: None,
-            snaps: None,
-            ckpt_policy: CkptPolicy::Manual,
+impl DurableTier {
+    /// Make one record durable, then account it in the durable tier —
+    /// the only place the store logs. `ops` is the batch for a record that
+    /// exposes it and empty for a staged one: the sequence is accounted
+    /// either way, so the watermark (and hence checkpointing) keeps
+    /// advancing, but staged data stays out of the memtable.
+    fn append(&self, payload: &[u8], ops: &[MemOp], rt: &Runtime) {
+        let seq = self.wal.append_durable(payload, rt);
+        // Post-fsync, shard locks still held: the memtable only ever
+        // sees durable bytes (see `memtable` docs).
+        self.memtable.apply(seq, ops);
+        // Checkpoint I/O must not run here (it waits on the memtable
+        // watermark, which includes *this* record up until the `apply`
+        // above) — just wake the worker.
+        if let Some(signal) = &self.auto {
+            if self.ckpt.should_trigger() {
+                signal.wake(|w| w.kicked = true);
+            }
         }
     }
 }
@@ -234,15 +320,9 @@ pub struct KvStore {
     rt: Arc<Runtime>,
     shards: Vec<Defer<Shard>>,
     buckets_per_shard: usize,
-    wal: Option<Arc<Wal>>,
-    /// Durable-tier index of recent committed writes (every durable
-    /// store; populated post-fsync from the same deferred ops that
-    /// append redo records).
-    memtable: Option<Arc<MemTable>>,
-    /// Present when the medium supports rotation and a snapshot store
-    /// exists (file-backed and [`MemDisk`] opens).
-    ckpt: Option<Arc<Checkpointer>>,
-    ckpt_worker: Option<CkptWorker>,
+    durable: Option<Arc<DurableTier>>,
+    /// The [`CkptPolicy::Auto`] trigger thread and its wakeup channel.
+    ckpt_worker: Option<(std::thread::JoinHandle<()>, Arc<CkptSignal>)>,
     next_txid: AtomicU64,
     recovery: Option<RecoveryReport>,
     /// Cross-shard slices staged in the recovered log whose outcome this
@@ -255,41 +335,13 @@ pub struct KvStore {
     recovered_decided: Vec<u64>,
 }
 
-/// One remote participant of a cross-shard batch, as the coordinating
-/// store sees it: opaque callbacks the sharding layer (`ad-shard`) wires
-/// to its transport. Both are `Arc<dyn Fn>` because the coordinating
-/// transaction's body may re-run on conflict — the deferred operations
-/// that call them are rebuilt per attempt and run once, post-commit.
-pub struct RemoteSlice {
-    /// Send the participant its slice of the batch and block until the
-    /// participant acknowledges the slice is *staged durably* on its
-    /// shard. Runs as its own deferred operation, in submission
-    /// (ascending-shard) order.
-    pub prepare: Arc<dyn Fn() + Send + Sync>,
-    /// Tell the participant the decision record is durable — it may now
-    /// expose the slice. Must not block on the participant's apply.
-    pub release: Arc<dyn Fn() + Send + Sync>,
-}
-
 impl Drop for KvStore {
     fn drop(&mut self) {
-        if let Some(w) = self.ckpt_worker.take() {
-            w.signal.state.lock().shutdown = true;
-            w.signal.cv.notify_all();
-            if let Some(h) = w.handle {
-                let _ = h.join();
-            }
+        if let Some((worker, signal)) = self.ckpt_worker.take() {
+            signal.wake(|w| w.shutdown = true);
+            let _ = worker.join();
         }
     }
-}
-
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl KvStore {
@@ -301,238 +353,28 @@ impl KvStore {
     /// and continue appending after it.
     pub fn open(config: KvConfig) -> io::Result<KvStore> {
         match &config.durability {
-            Durability::Volatile => Ok(Self::build(
-                config.shards,
-                config.buckets_per_shard,
-                BuildParts::volatile(),
-            )),
+            Durability::Volatile => Ok(Self::bare(&config, TmConfig::stm(), &BTreeMap::new())),
             Durability::Durable { path, sync } => {
-                let path = path.clone();
-                Self::open_durable(&path, *sync, &config)
+                Self::open_on(&config, *sync, Arc::new(FileDisk::new(path)))
             }
         }
     }
 
-    fn open_durable(path: &Path, sync: SyncPolicy, config: &KvConfig) -> io::Result<KvStore> {
-        // Discover segments: the base file carries the chain from seq 1,
-        // rotated segments are `{base}.seg{first_seq:020}`.
-        let mut segs: Vec<(u64, PathBuf)> = Vec::new();
-        if path.exists() {
-            segs.push((1, path.to_path_buf()));
-        }
-        let fname = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let dir = path
-            .parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .unwrap_or(Path::new("."));
-        if let Ok(rd) = std::fs::read_dir(dir) {
-            for entry in rd.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if let Some(suffix) = name
-                    .strip_prefix(&fname)
-                    .and_then(|s| s.strip_prefix(".seg"))
-                {
-                    if let Ok(id) = suffix.parse::<u64>() {
-                        segs.push((id, entry.path()));
-                    }
-                }
-            }
-        }
-        segs.sort();
-        let mut seg_bytes: Vec<(u64, Vec<u8>)> = Vec::with_capacity(segs.len());
-        for (id, p) in &segs {
-            seg_bytes.push((*id, std::fs::read(p)?));
-        }
-        let (tmp, cur, prev) = snapshot_paths(path);
-        let read_opt = |p: &Path| match std::fs::read(p) {
-            Ok(b) => Ok(Some(b)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e),
-        };
-        let cur_bytes = read_opt(&cur)?;
-        let prev_bytes = read_opt(&prev)?;
-        let t = recover_two_tier(cur_bytes.as_deref(), prev_bytes.as_deref(), &seg_bytes);
-
-        // Sanitize before accepting writes: drop a stale tmp, cut torn
-        // tails, delete unusable segments — durably.
-        let _ = std::fs::remove_file(&tmp);
-        let mut old_segments = Vec::new();
-        let mut active_file = None;
-        for (i, (_, p)) in segs.iter().enumerate() {
-            match t.keep[i] {
-                Some(valid) => {
-                    let mut file = OpenOptions::new().read(true).write(true).open(p)?;
-                    let len = file.metadata()?.len();
-                    if len != valid {
-                        file.set_len(valid)?;
-                        file.sync_data()?;
-                    }
-                    if t.active == Some(i) {
-                        file.seek(SeekFrom::End(0))?;
-                        active_file = Some((file, p.clone()));
-                    } else {
-                        old_segments.push(p.clone());
-                    }
-                }
-                None => match std::fs::remove_file(p) {
-                    Ok(()) | Err(_) => {}
-                },
-            }
-        }
-        let (file, current) = match active_file {
-            Some(fp) => fp,
-            None => {
-                // Fresh store, or recovery discarded every segment:
-                // start a new contiguous segment.
-                let p = if t.next_seq == 1 {
-                    path.to_path_buf()
-                } else {
-                    segment_path(path, t.next_seq)
-                };
-                let f = OpenOptions::new()
-                    .create(true)
-                    .truncate(true)
-                    .read(true)
-                    .write(true)
-                    .open(&p)?;
-                (f, p)
-            }
-        };
-        fsync_dir_of(path)?;
-        let medium = FileMedium::with_segments(file, path.to_path_buf(), current, old_segments);
-        let wal = Arc::new(Wal::new(Box::new(medium), sync, t.next_seq));
-        let snaps: Box<dyn SnapshotStore> = Box::new(FileSnapshots::new(path.to_path_buf()));
-        Ok(Self::build(
-            config.shards,
-            config.buckets_per_shard,
-            BuildParts {
-                wal: Some(wal),
-                base: t.base,
-                records: t.records,
-                recovery: Some(t.report),
-                snaps: Some(snaps),
-                ckpt_policy: config.ckpt,
-            },
-        ))
-    }
-
-    /// Open over an explicit [`WalMedium`], recovering from `existing`
-    /// (a crash image) first. The single-stream testing/bench entry
-    /// point: `MemMedium` here gives byte-exact crash injection without
-    /// touching disk. No snapshot store is attached, so checkpointing is
-    /// unavailable — use [`KvStore::open_on_disk`] for that.
-    pub fn open_on_medium(
-        config: &KvConfig,
-        sync: SyncPolicy,
-        medium: Box<dyn WalMedium>,
-        existing: &[u8],
-    ) -> (KvStore, RecoveryReport) {
-        let (records, report) = scan(existing, 1);
-        let wal = Arc::new(Wal::new(medium, sync, report.last_seq + 1));
-        let store = Self::build(
-            config.shards,
-            config.buckets_per_shard,
-            BuildParts {
-                wal: Some(wal),
-                base: BTreeMap::new(),
-                records,
-                recovery: Some(report.clone()),
-                snaps: None,
-                ckpt_policy: CkptPolicy::Manual,
-            },
-        );
-        (store, report)
-    }
-
-    /// Open on a [`MemDisk`] — the multi-file in-memory medium — with
-    /// full two-tier recovery and checkpoint support. The testing entry
-    /// point for byte-exact crash images across checkpoint boundaries
-    /// ([`MemDisk::crash_image`]).
+    /// Open on a [`MemDisk`] — same recovery, same checkpoint support,
+    /// same protocol code as a file-backed open. The testing entry point
+    /// for byte-exact crash images ([`MemDisk::crash_image`]).
     pub fn open_on_disk(
         config: &KvConfig,
         sync: SyncPolicy,
         disk: MemDisk,
     ) -> (KvStore, RecoveryReport) {
-        let mut segs: Vec<(u64, String)> = disk
-            .file_names()
-            .into_iter()
-            .filter_map(|n| {
-                if n == MEMDISK_WAL {
-                    Some((1, n))
-                } else if let Some(suffix) = n.strip_prefix("wal.seg") {
-                    suffix.parse::<u64>().ok().map(|id| (id, n))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        segs.sort();
-        let seg_bytes: Vec<(u64, Vec<u8>)> = segs
-            .iter()
-            .map(|(id, n)| (*id, disk.read_file(n).unwrap_or_default()))
-            .collect();
-        let cur = disk.read_file(MEMDISK_SNAP_CUR);
-        let prev = disk.read_file(MEMDISK_SNAP_PREV);
-        let t = recover_two_tier(cur.as_deref(), prev.as_deref(), &seg_bytes);
-
-        if disk.read_file(MEMDISK_SNAP_TMP).is_some() {
-            disk.delete_file(MEMDISK_SNAP_TMP);
-        }
-        let mut old_segments = Vec::new();
-        let mut active = None;
-        for (i, (_, name)) in segs.iter().enumerate() {
-            match t.keep[i] {
-                Some(valid) => {
-                    disk.truncate_file(name, valid as usize);
-                    if t.active == Some(i) {
-                        active = Some(name.clone());
-                    } else {
-                        old_segments.push(name.clone());
-                    }
-                }
-                None => {
-                    disk.delete_file(name);
-                }
-            }
-        }
-        let active = active.unwrap_or_else(|| {
-            if t.next_seq == 1 {
-                MEMDISK_WAL.to_string()
-            } else {
-                format!("wal.seg{:020}", t.next_seq)
-            }
-        });
-        disk.set_active_wal(&active, old_segments);
-        let wal = Arc::new(Wal::new(Box::new(disk.clone()), sync, t.next_seq));
-        let report = t.report.clone();
-        let store = Self::build(
-            config.shards,
-            config.buckets_per_shard,
-            BuildParts {
-                wal: Some(wal),
-                base: t.base,
-                records: t.records,
-                recovery: Some(t.report),
-                snaps: Some(Box::new(disk)),
-                ckpt_policy: config.ckpt,
-            },
-        );
+        let store = Self::open_on(config, sync, Arc::new(disk)).expect("MemDisk open");
+        let report = store.recovery.clone().expect("durable open has a report");
         (store, report)
     }
 
-    fn build(shards: usize, buckets_per_shard: usize, parts: BuildParts) -> KvStore {
-        assert!(shards >= 1 && buckets_per_shard >= 1);
-        let BuildParts {
-            wal,
-            base,
-            records,
-            recovery,
-            snaps,
-            ckpt_policy,
-        } = parts;
+    fn open_on(config: &KvConfig, sync: SyncPolicy, disk: Arc<dyn Disk>) -> io::Result<KvStore> {
+        let (wal, t) = Wal::open(Arc::clone(&disk), sync)?;
         // Under SyncPolicy::Async the store's runtime gets a pooled
         // deferred executor: commits return after write-back + quiescence
         // and the WAL append (including the group-commit leader's fsync)
@@ -540,31 +382,121 @@ impl KvStore {
         // transaction's batch owner. Every other policy keeps the default
         // inline executor — the deferred fsync blocks the committer, which
         // is exactly the ack-after-durability contract of `write_batch`.
-        let tm_cfg = match &wal {
-            Some(w) if w.sync_policy() == SyncPolicy::Async => {
-                TmConfig::stm().with_defer_pool(4, 256)
-            }
+        let tm_cfg = match sync {
+            SyncPolicy::Async => TmConfig::stm().with_defer_pool(4, 256),
             _ => TmConfig::stm(),
         };
-        // Bulk-load the snapshot's base image straight into the buckets
-        // (the store is not yet shared, and BTreeMap order means each
-        // bucket's subsequence is already sorted); the WAL suffix then
-        // replays transactionally, one record per transaction, exactly
-        // like the pre-checkpoint recovery path — deterministic replay,
-        // monotonic versions.
+        let mut store = Self::bare(config, tm_cfg, &t.base);
+
+        // The WAL suffix replays transactionally, one record per
+        // transaction — deterministic replay, monotonic versions — and
+        // into the memtable base: snapshot image plus replayed suffix.
+        //
+        // Cross-shard records (DESIGN.md §14): a Decided record anywhere
+        // in this log proves its gid committed; a Prepare record is
+        // *never* replayed directly — its data becomes real only through
+        // a matching Decided record (same log, or appended by
+        // reconciliation). Prepares still lacking a local decision after
+        // replay are parked for the sharding layer; standalone opens
+        // presume them aborted. They stay out of the memtable too — the
+        // durable tier must never show a staged slice.
+        let decided: HashSet<u64> = t
+            .records
+            .iter()
+            .filter_map(|r| match r.kind {
+                RedoKind::Decided { gid } => Some(gid),
+                _ => None,
+            })
+            .collect();
+        let mut mt_base = t.base;
+        let mut max_txid = 0;
+        for rec in &t.records {
+            max_txid = max_txid.max(rec.txid);
+            if matches!(rec.kind, RedoKind::Prepare { .. }) {
+                continue;
+            }
+            store.rt.atomically(|tx| {
+                for (key, value) in &rec.ops {
+                    store.apply_in_tx(tx, key, value.as_deref())?;
+                }
+                Ok(())
+            });
+            for (key, value) in &rec.ops {
+                match value {
+                    Some(v) => mt_base.insert(Arc::from(key.as_str()), Arc::from(v.as_slice())),
+                    None => mt_base.remove(key.as_str()),
+                };
+            }
+        }
+        store.pending_prepares = Mutex::new(
+            t.records
+                .into_iter()
+                .filter(|r| matches!(r.kind, RedoKind::Prepare { gid } if !decided.contains(&gid)))
+                .collect(),
+        );
+        store.recovered_decided = decided.into_iter().collect();
+        store.recovered_decided.sort_unstable();
+        // txids are diagnostic, but keep them monotonic across
+        // checkpointed restarts (snapshotted records' txids are gone;
+        // the cut bounds them because txids are handed out per batch).
+        let snapshot_cut = t.report.snapshot_cut;
+        store.next_txid = AtomicU64::new(max_txid.max(snapshot_cut) + 1);
+        store.recovery = Some(t.report);
+
+        // The watermark starts at the resumed WAL position.
+        let wal = Arc::new(wal);
+        let memtable = Arc::new(MemTable::with_base(mt_base, wal.durable_seq()));
+        let ckpt = Arc::new(Checkpointer::new(
+            Arc::clone(&wal),
+            Arc::clone(&memtable),
+            disk,
+            snapshot_cut,
+            config.ckpt,
+        ));
+        let auto = matches!(config.ckpt, CkptPolicy::Auto { .. }).then(Arc::<CkptSignal>::default);
+        if let Some(signal) = &auto {
+            let (wake, ckpt, rt) = (Arc::clone(signal), Arc::clone(&ckpt), Arc::clone(&store.rt));
+            let worker = std::thread::spawn(move || loop {
+                {
+                    let mut g = wake.state.lock();
+                    while !g.shutdown && !g.kicked {
+                        wake.cv.wait(&mut g);
+                    }
+                    if g.shutdown {
+                        return;
+                    }
+                    g.kicked = false;
+                }
+                if let Err(e) = ckpt.run(&rt) {
+                    eprintln!("ad-kv: background checkpoint failed: {e}");
+                }
+            });
+            store.ckpt_worker = Some((worker, Arc::clone(signal)));
+        }
+        store.durable = Some(Arc::new(DurableTier {
+            wal,
+            memtable,
+            ckpt,
+            auto,
+        }));
+        Ok(store)
+    }
+
+    /// A store with no durable tier whose buckets hold `base`.
+    fn bare(config: &KvConfig, tm_cfg: TmConfig, base: &KeyMap) -> KvStore {
+        let (shards, buckets_per_shard) = (config.shards, config.buckets_per_shard);
+        assert!(shards >= 1 && buckets_per_shard >= 1);
+        // Bulk-load straight into the buckets: the store is not yet
+        // shared, and BTreeMap order means each bucket's subsequence is
+        // already sorted.
         type BucketLoad = Vec<(Arc<str>, Arc<[u8]>)>;
         let mut bucket_data: Vec<Vec<BucketLoad>> =
             vec![vec![Vec::new(); buckets_per_shard]; shards];
-        for (k, v) in &base {
-            let h = fnv1a64(k.as_bytes());
-            let (si, bi) = (
-                (h as u32 as usize) % shards,
-                ((h >> 32) as usize) % buckets_per_shard,
-            );
+        for (k, v) in base {
+            let (si, bi) = locate(k, shards, buckets_per_shard);
             bucket_data[si][bi].push((Arc::clone(k), Arc::clone(v)));
         }
-        let snapshot_cut = recovery.as_ref().map_or(0, |r| r.snapshot_cut);
-        let store = KvStore {
+        KvStore {
             rt: Arc::new(Runtime::new(tm_cfg)),
             shards: bucket_data
                 .into_iter()
@@ -578,129 +510,17 @@ impl KvStore {
                 })
                 .collect(),
             buckets_per_shard,
-            wal,
-            memtable: None,
-            ckpt: None,
+            durable: None,
             ckpt_worker: None,
             next_txid: AtomicU64::new(1),
-            recovery,
+            recovery: None,
             pending_prepares: Mutex::new(Vec::new()),
             recovered_decided: Vec::new(),
-        };
-        // Cross-shard records (DESIGN.md §14): a Decided record anywhere
-        // in this log proves its gid committed; a Prepare record is
-        // *never* replayed directly — its data becomes real only through
-        // a matching Decided record (same log, or appended by
-        // reconciliation after `resolve_prepared`). Prepares still
-        // lacking a local decision after replay are parked for the
-        // sharding layer; standalone opens presume them aborted.
-        let decided: std::collections::HashSet<u64> = records
-            .iter()
-            .filter_map(|r| match r.kind {
-                RedoKind::Decided { gid } => Some(gid),
-                _ => None,
-            })
-            .collect();
-        let mut max_txid = 0;
-        for rec in &records {
-            max_txid = max_txid.max(rec.txid);
-            if matches!(rec.kind, RedoKind::Prepare { .. }) {
-                continue;
-            }
-            store.rt.atomically(|tx| {
-                for (key, value) in &rec.ops {
-                    store.apply_in_tx(tx, key, value.as_deref())?;
-                }
-                Ok(())
-            });
         }
-        *store.pending_prepares.lock() = records
-            .iter()
-            .filter(|r| matches!(r.kind, RedoKind::Prepare { gid } if !decided.contains(&gid)))
-            .cloned()
-            .collect();
-        let mut store = store;
-        store.recovered_decided = decided.into_iter().collect();
-        store.recovered_decided.sort_unstable();
-        let store = store;
-        // txids are diagnostic, but keep them monotonic across
-        // checkpointed restarts (snapshotted records' txids are gone;
-        // the cut bounds them because txids are handed out per batch).
-        store
-            .next_txid
-            .store(max_txid.max(snapshot_cut) + 1, Ordering::Relaxed);
-        let mut store = store;
-        if let Some(wal) = &store.wal {
-            // The memtable base is the recovered durable state: snapshot
-            // image plus replayed suffix; the watermark starts at the
-            // resumed WAL position. Undecided prepares stay out — the
-            // durable tier must never show a staged slice.
-            let mut mt_base = base;
-            for rec in &records {
-                if matches!(rec.kind, RedoKind::Prepare { .. }) {
-                    continue;
-                }
-                for (key, value) in &rec.ops {
-                    match value {
-                        Some(v) => {
-                            mt_base.insert(Arc::from(key.as_str()), Arc::from(v.as_slice()));
-                        }
-                        None => {
-                            mt_base.remove(key.as_str());
-                        }
-                    }
-                }
-            }
-            let memtable = Arc::new(MemTable::with_base(mt_base, wal.durable_seq()));
-            if let Some(snaps) = snaps {
-                let ckpt = Arc::new(Checkpointer::new(
-                    Arc::clone(wal),
-                    Arc::clone(&memtable),
-                    snaps,
-                    snapshot_cut,
-                    ckpt_policy,
-                ));
-                if matches!(ckpt_policy, CkptPolicy::Auto { .. }) {
-                    let signal = Arc::new(CkptSignal {
-                        state: Mutex::new(CkptWake::default()),
-                        cv: Condvar::new(),
-                    });
-                    let worker_sig = Arc::clone(&signal);
-                    let worker_ckpt = Arc::clone(&ckpt);
-                    let worker_rt = Arc::clone(&store.rt);
-                    let handle = std::thread::spawn(move || loop {
-                        {
-                            let mut g = worker_sig.state.lock();
-                            while !g.shutdown && !g.kicked {
-                                worker_sig.cv.wait(&mut g);
-                            }
-                            if g.shutdown {
-                                return;
-                            }
-                            g.kicked = false;
-                        }
-                        if let Err(e) = worker_ckpt.run(&worker_rt) {
-                            eprintln!("ad-kv: background checkpoint failed: {e}");
-                        }
-                    });
-                    store.ckpt_worker = Some(CkptWorker {
-                        handle: Some(handle),
-                        signal,
-                    });
-                }
-                store.ckpt = Some(ckpt);
-            }
-            store.memtable = Some(memtable);
-        }
-        store
     }
 
     fn locate(&self, key: &str) -> (usize, usize) {
-        let h = fnv1a64(key.as_bytes());
-        (
-            (h as u32 as usize) % self.shards.len(),
-            ((h >> 32) as usize) % self.buckets_per_shard,
-        )
+        locate(key, self.shards.len(), self.buckets_per_shard)
     }
 
     fn read_in_tx(&self, tx: &mut Tx, key: &str) -> StmResult<Option<Arc<[u8]>>> {
@@ -766,16 +586,17 @@ impl KvStore {
         self.write_batch(&WriteBatch::new().delete(key));
     }
 
-    /// Apply an atomic multi-key batch. With an inline executor (every
-    /// policy but [`SyncPolicy::Async`]), returns only after the batch's
-    /// single redo record is fsync-covered. Under `Async` it returns at
-    /// commit, with durability pending on the executor — the touched
-    /// shards stay locked from commit to durability either way, so no
-    /// transaction ever observes an acked-but-volatile (or partially
-    /// applied) batch. Use [`write_batch_async`](Self::write_batch_async)
-    /// when the caller needs to know when durability lands.
+    /// Apply an atomic multi-key batch: the plan `[Log(Local)]` (see
+    /// [`commit`](Self::commit)). With an inline executor (every policy
+    /// but [`SyncPolicy::Async`]), returns only after the batch's single
+    /// redo record is fsync-covered. Under `Async` it returns at commit,
+    /// with durability pending on the executor — the touched shards stay
+    /// locked from commit to durability either way, so no transaction
+    /// ever observes an acked-but-volatile (or partially applied) batch.
+    /// Use [`write_batch_async`](Self::write_batch_async) when the caller
+    /// needs to know when durability lands.
     pub fn write_batch(&self, batch: &WriteBatch) {
-        self.write_batch_inner(batch, false);
+        self.run_commit(batch, &[CommitStep::Log(RedoKind::Local)], false);
     }
 
     /// Like [`write_batch`](Self::write_batch), but returns a handle
@@ -787,26 +608,71 @@ impl KvStore {
     /// durability are decoupled; with an inline executor the returned
     /// handle is already complete.
     pub fn write_batch_async(&self, batch: &WriteBatch) -> Option<DeferHandle<()>> {
-        self.write_batch_inner(batch, true)
+        self.commit(batch, &[CommitStep::Log(RedoKind::Local)])
     }
 
-    fn write_batch_inner(&self, batch: &WriteBatch, tracked: bool) -> Option<DeferHandle<()>> {
+    /// **The** commit pipeline — every mutation of the store is a call of
+    /// this function. In one transaction: `atomic_defer` over the shards
+    /// `batch` touches, then apply `batch` to the buckets. The single
+    /// deferred operation then runs `steps` in order.
+    ///
+    /// The shard `TxLock`s are acquired by the commit point and released
+    /// only when the last step returned (two-phase locking, PAPER.md §1):
+    /// to every other transaction, commit and all steps are one atomic
+    /// event. In particular a transactional read of a touched key blocks
+    /// until the last step has run — it returns only values of
+    /// transactions whose commit has completed, log records included —
+    /// and [`read_uncommitted`](Self::read_uncommitted), which skips the
+    /// locks, sees the batch only once a step logged it as
+    /// [`RedoKind::Local`] or [`RedoKind::Decided`].
+    ///
+    /// Returns a handle tracking the deferred operation, or `None` when
+    /// nothing was deferred: an empty batch touches no shard and runs no
+    /// step, and on a volatile store a plan of only [`CommitStep::Log`]
+    /// steps has nothing to do after the commit.
+    pub fn commit(&self, batch: &WriteBatch, steps: &[CommitStep]) -> Option<DeferHandle<()>> {
+        self.run_commit(batch, steps, true)
+    }
+
+    fn run_commit(
+        &self,
+        batch: &WriteBatch,
+        steps: &[CommitStep],
+        tracked: bool,
+    ) -> Option<DeferHandle<()>> {
         if batch.ops.is_empty() {
             return None;
         }
         let txid = self.next_txid.fetch_add(1, Ordering::Relaxed);
-        // Encode once, outside the transaction: conflict re-execution must
-        // not redo the serialization work (zero-allocation retry
-        // discipline), and the deferred closure clones only an Arc.
-        let payload: Option<Arc<[u8]>> = self
-            .wal
-            .as_ref()
-            .map(|_| Arc::from(encode_redo(txid, &batch.ops).into_boxed_slice()));
-        // Pre-convert the ops once for the memtable apply inside the
-        // deferred closure (same zero-allocation-on-retry discipline as
-        // the payload).
-        let applied = self.mem_ops_of(batch);
-        let handles = self.touched_shards(batch);
+        // Lower the plan once, outside the transaction: conflict
+        // re-execution must not redo the serialization work
+        // (zero-allocation retry discipline) — it clones only `Arc`s.
+        let plan: Vec<Lowered> = steps
+            .iter()
+            .filter_map(|step| match step {
+                CommitStep::Call(f) => Some(Lowered::Call(Arc::clone(f))),
+                CommitStep::Log(kind) => self.durable.as_ref().map(|d| Lowered::Append {
+                    log: Arc::clone(d),
+                    payload: encode_record(*kind, txid, &batch.ops),
+                    expose: !matches!(kind, RedoKind::Prepare { .. }),
+                }),
+            })
+            .collect();
+        let deferred = (!plan.is_empty()).then(|| {
+            let ops: Vec<MemOp> = match &self.durable {
+                Some(_) => batch
+                    .ops
+                    .iter()
+                    .map(|(k, v)| (Arc::from(k.as_str()), v.as_deref().map(Arc::from)))
+                    .collect(),
+                None => Vec::new(),
+            };
+            (
+                Arc::<[Lowered]>::from(plan),
+                Arc::new(ops),
+                self.touched_shards(batch),
+            )
+        });
 
         self.rt.atomically(|tx| {
             // Deferral first (lock acquisitions are transactional writes on
@@ -814,40 +680,10 @@ impl KvStore {
             // manager escalates this transaction to irrevocable, blocking
             // lock acquisition after an eager write would be fatal).
             let mut handle = None;
-            if let (Some(wal), Some(payload)) = (&self.wal, &payload) {
+            if let Some((plan, ops, locks)) = &deferred {
                 let refs: Vec<&dyn Deferrable> =
-                    handles.iter().map(|s| s as &dyn Deferrable).collect();
-                let wal2 = Arc::clone(wal);
-                let bytes = Arc::clone(payload);
-                let runtime = Arc::clone(&self.rt);
-                let mt = self.memtable.clone();
-                let ops = applied.clone();
-                let trigger = match (&self.ckpt, &self.ckpt_worker) {
-                    (Some(ck), Some(w)) => Some((Arc::clone(ck), Arc::clone(&w.signal))),
-                    _ => None,
-                };
-                let op = move || {
-                    let seq = wal2.append_durable(&bytes, &runtime);
-                    // Post-fsync, shard locks still held: the memtable
-                    // only ever sees durable bytes (see `memtable` docs).
-                    if let (Some(mt), Some(ops)) = (&mt, &ops) {
-                        mt.apply(seq, ops);
-                    }
-                    // Checkpoint I/O must not run here (it waits on the
-                    // memtable watermark, which includes *this* record up
-                    // until the `apply` above) — just wake the worker.
-                    if let Some((ck, sig)) = &trigger {
-                        if ck.should_trigger() {
-                            // This closure is the *deferred op* (bound to a
-                            // variable before `atomic_defer`, so the lint's
-                            // lexical scoping can't see its legal home);
-                            // the lock is post-commit, never retried.
-                            // ad-lint: allow(blocking-in-atomic)
-                            sig.state.lock().kicked = true;
-                            sig.cv.notify_all();
-                        }
-                    }
-                };
+                    locks.iter().map(|s| s as &dyn Deferrable).collect();
+                let op = run_steps(Arc::clone(&self.rt), Arc::clone(plan), Arc::clone(ops));
                 if tracked {
                     handle = Some(atomic_defer_tracked(tx, &refs, op)?);
                 } else {
@@ -861,155 +697,20 @@ impl KvStore {
         })
     }
 
-    /// Commit this store's slice of a cross-shard batch as the
-    /// **coordinator** (DESIGN.md §14). In one transaction: apply `batch`
-    /// to the buckets and queue, over the touched shards, one deferred
-    /// prepare per entry of `remotes` (in submission order — the caller
-    /// passes participants in ascending shard order, which is what makes
-    /// the protocol deadlock-free) followed by the decision operation:
-    /// append this shard's gid-tagged [`RedoKind::Decided`] record and
-    /// block for its covering fsync — **the commit point of the entire
-    /// cross-shard batch** — then apply it to the memtable and broadcast
-    /// release. The shard locks are held from commit until the decision
-    /// op returns, so no reader on this shard observes the slice before
-    /// every participant staged durably and the decision itself is
-    /// durable.
-    ///
-    /// Requires the inline deferred executor (any policy but
-    /// [`SyncPolicy::Async`]): the protocol depends on the prepare ops
-    /// and the decision op running in submission order.
-    pub fn write_batch_coordinated(&self, gid: u64, batch: &WriteBatch, remotes: &[RemoteSlice]) {
-        assert!(!batch.ops.is_empty(), "coordinator slice cannot be empty");
-        assert!(
-            self.sync_policy() != Some(SyncPolicy::Async),
-            "cross-shard coordination requires the inline deferred executor"
-        );
-        let txid = self.next_txid.fetch_add(1, Ordering::Relaxed);
-        let payload: Option<Arc<[u8]>> = self
-            .wal
-            .as_ref()
-            .map(|_| Arc::from(encode_decided(gid, txid, &batch.ops).into_boxed_slice()));
-        let applied = self.mem_ops_of(batch);
-        let handles = self.touched_shards(batch);
-
-        self.rt.atomically(|tx| {
-            let refs: Vec<&dyn Deferrable> = handles.iter().map(|s| s as &dyn Deferrable).collect();
-            for r in remotes {
-                let p = Arc::clone(&r.prepare);
-                let rt2 = Arc::clone(&self.rt);
-                atomic_defer(tx, &refs, move || {
-                    rt2.trace_app(EventKind::ShardPrepare, gid);
-                    p();
-                    rt2.trace_app(EventKind::ShardAck, gid);
-                })?;
-            }
-            let wal = self.wal.clone();
-            let bytes = payload.clone();
-            let runtime = Arc::clone(&self.rt);
-            let mt = self.memtable.clone();
-            let ops = applied.clone();
-            let releases: Vec<Arc<dyn Fn() + Send + Sync>> =
-                remotes.iter().map(|r| Arc::clone(&r.release)).collect();
-            atomic_defer(tx, &refs, move || {
-                if let (Some(wal), Some(bytes)) = (&wal, &bytes) {
-                    let seq = wal.append_durable(bytes, &runtime);
-                    if let (Some(mt), Some(ops)) = (&mt, &ops) {
-                        mt.apply(seq, ops);
-                    }
-                }
-                runtime.trace_app(EventKind::ShardRelease, gid);
-                for release in &releases {
-                    release();
-                }
-            })?;
-            for (key, value) in &batch.ops {
-                self.apply_in_tx(tx, key, value.as_deref())?;
-            }
-            Ok(())
-        });
-    }
-
-    /// Stage and apply one shard's slice of a cross-shard batch as a
-    /// **participant** (DESIGN.md §14). In one transaction: apply `batch`
-    /// to the buckets and `atomic_defer`, over the touched shards, an
-    /// operation that (1) appends the gid-tagged [`RedoKind::Prepare`]
-    /// record and blocks for its covering fsync, (2) calls `ack` — the
-    /// stage is durable, the coordinator may count this shard, (3) blocks
-    /// in `wait_release` until the coordinator says the decision is
-    /// durable, and (4) appends this shard's own [`RedoKind::Decided`]
-    /// record and applies it to the memtable. The shard locks are held
-    /// from commit through (4): neither a transactional read nor a
-    /// durable-tier read ([`read_uncommitted`](Self::read_uncommitted),
-    /// which skips locks but only ever sees the memtable) can observe
-    /// the slice before the whole batch is decided.
-    ///
-    /// Returns after (4). Volatile stores skip the WAL steps but keep
-    /// the same lock window.
-    pub fn apply_prepared<A, R>(&self, gid: u64, batch: &WriteBatch, ack: A, wait_release: R)
-    where
-        A: Fn() + Send + Sync + 'static,
-        R: Fn() + Send + Sync + 'static,
-    {
-        assert!(!batch.ops.is_empty(), "participant slice cannot be empty");
-        let txid = self.next_txid.fetch_add(1, Ordering::Relaxed);
-        let prepare_bytes: Option<Arc<[u8]>> = self
-            .wal
-            .as_ref()
-            .map(|_| Arc::from(encode_prepare(gid, txid, &batch.ops).into_boxed_slice()));
-        let decided_bytes: Option<Arc<[u8]>> = self
-            .wal
-            .as_ref()
-            .map(|_| Arc::from(encode_decided(gid, txid, &batch.ops).into_boxed_slice()));
-        let applied = self.mem_ops_of(batch);
-        let handles = self.touched_shards(batch);
-        let ack = Arc::new(ack);
-        let wait_release = Arc::new(wait_release);
-
-        self.rt.atomically(|tx| {
-            let refs: Vec<&dyn Deferrable> = handles.iter().map(|s| s as &dyn Deferrable).collect();
-            let wal = self.wal.clone();
-            let prepare_bytes = prepare_bytes.clone();
-            let decided_bytes = decided_bytes.clone();
-            let runtime = Arc::clone(&self.rt);
-            let mt = self.memtable.clone();
-            let ops = applied.clone();
-            let ack = Arc::clone(&ack);
-            let wait_release = Arc::clone(&wait_release);
-            atomic_defer(tx, &refs, move || {
-                runtime.trace_app(EventKind::ShardPrepare, gid);
-                if let (Some(wal), Some(bytes)) = (&wal, &prepare_bytes) {
-                    let seq = wal.append_durable(bytes, &runtime);
-                    // Account the sequence so the watermark (and hence
-                    // checkpointing) keeps advancing, but with no ops:
-                    // staged data must stay out of the durable tier.
-                    if let Some(mt) = &mt {
-                        mt.apply(seq, &[]);
-                    }
-                }
-                runtime.trace_app(EventKind::ShardAck, gid);
-                ack();
-                wait_release();
-                runtime.trace_app(EventKind::ShardRelease, gid);
-                if let (Some(wal), Some(bytes)) = (&wal, &decided_bytes) {
-                    let seq = wal.append_durable(bytes, &runtime);
-                    if let (Some(mt), Some(ops)) = (&mt, &ops) {
-                        mt.apply(seq, ops);
-                    }
-                }
-            })?;
-            for (key, value) in &batch.ops {
-                self.apply_in_tx(tx, key, value.as_deref())?;
-            }
-            Ok(())
-        });
+    /// The deduplicated, index-ordered `Defer` handles of the shards a
+    /// batch touches — the lock set for its deferred operation.
+    fn touched_shards(&self, batch: &WriteBatch) -> Vec<Defer<Shard>> {
+        let mut touched: Vec<usize> = batch.ops.iter().map(|(k, _)| self.locate(k).0).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        touched.iter().map(|&i| self.shards[i].clone()).collect()
     }
 
     /// gids of cross-shard slices staged in this store's recovered log
     /// that its own log cannot prove committed. The sharding layer
     /// resolves each against the other shards' logs
-    /// ([`resolve_prepared`](Self::resolve_prepared) /
-    /// [`abort_prepared`](Self::abort_prepared)); a store opened
-    /// standalone leaves them parked — presumed aborted, never applied.
+    /// ([`take_prepared`](Self::take_prepared)); a store opened standalone
+    /// leaves them parked — presumed aborted, never applied.
     pub fn pending_prepared_gids(&self) -> Vec<u64> {
         self.pending_prepares
             .lock()
@@ -1025,102 +726,20 @@ impl KvStore {
         &self.recovered_decided
     }
 
-    /// Resolve a recovered pending prepare as committed: apply its ops
-    /// and append this shard's own Decided record durably, so the next
-    /// recovery needs no cross-shard evidence. Returns `false` if no
-    /// pending prepare with `gid` exists.
-    pub fn resolve_prepared(&self, gid: u64) -> bool {
-        let rec = {
-            let mut pending = self.pending_prepares.lock();
-            let Some(i) = pending.iter().position(|r| r.kind.gid() == Some(gid)) else {
-                return false;
-            };
-            pending.remove(i)
-        };
-        let batch = WriteBatch {
-            ops: rec.ops.clone(),
-        };
-        let payload: Option<Arc<[u8]>> = self
-            .wal
-            .as_ref()
-            .map(|_| Arc::from(encode_decided(gid, rec.txid, &rec.ops).into_boxed_slice()));
-        let applied = self.mem_ops_of(&batch);
-        let handles = self.touched_shards(&batch);
-        self.rt.atomically(|tx| {
-            let refs: Vec<&dyn Deferrable> = handles.iter().map(|s| s as &dyn Deferrable).collect();
-            if let (Some(wal), Some(payload)) = (&self.wal, &payload) {
-                let wal = Arc::clone(wal);
-                let bytes = Arc::clone(payload);
-                let runtime = Arc::clone(&self.rt);
-                let mt = self.memtable.clone();
-                let ops = applied.clone();
-                atomic_defer(tx, &refs, move || {
-                    let seq = wal.append_durable(&bytes, &runtime);
-                    if let (Some(mt), Some(ops)) = (&mt, &ops) {
-                        mt.apply(seq, ops);
-                    }
-                })?;
-            }
-            for (key, value) in &batch.ops {
-                self.apply_in_tx(tx, key, value.as_deref())?;
-            }
-            Ok(())
-        });
-        true
-    }
-
-    /// Drop a recovered pending prepare (presumed abort: no shard's log
-    /// proves the gid committed). The staged record stays in the WAL but
-    /// is never applied — and is gone after the next checkpoint. Returns
-    /// `false` if no pending prepare with `gid` exists.
-    pub fn abort_prepared(&self, gid: u64) -> bool {
+    /// Remove the recovered pending prepare of `gid` and return its staged
+    /// batch (`None` if there is none). The caller either commits the
+    /// batch with a [`RedoKind::Decided`] log step — some shard's log
+    /// proves the gid committed — or drops it: presumed abort. The staged
+    /// record stays in the WAL but is never applied, and is gone after the
+    /// next checkpoint.
+    pub fn take_prepared(&self, gid: u64) -> Option<WriteBatch> {
         let mut pending = self.pending_prepares.lock();
-        match pending.iter().position(|r| r.kind.gid() == Some(gid)) {
-            Some(i) => {
-                pending.remove(i);
-                true
-            }
-            None => false,
-        }
+        let i = pending.iter().position(|r| r.kind.gid() == Some(gid))?;
+        Some(WriteBatch::from_ops(pending.remove(i).ops))
     }
 
-    /// Pre-convert a batch for memtable apply inside a deferred closure
-    /// (allocation happens once, outside the transaction — conflict
-    /// re-execution clones only `Arc`s).
-    fn mem_ops_of(&self, batch: &WriteBatch) -> Option<Arc<Vec<crate::memtable::MemOp>>> {
-        self.memtable.as_ref().map(|_| {
-            Arc::new(
-                batch
-                    .ops
-                    .iter()
-                    .map(|(k, v)| (Arc::from(k.as_str()), v.as_deref().map(Arc::from)))
-                    .collect(),
-            )
-        })
-    }
-
-    /// The deduplicated, index-ordered `Defer` handles of the shards a
-    /// batch touches — the lock set for its deferred durability ops.
-    fn touched_shards(&self, batch: &WriteBatch) -> Vec<Defer<Shard>> {
-        let mut touched: Vec<usize> = batch.ops.iter().map(|(k, _)| self.locate(k).0).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        touched.iter().map(|&i| self.shards[i].clone()).collect()
-    }
-
-    /// Insert or overwrite one key, returning a durability handle — see
-    /// [`write_batch_async`](Self::write_batch_async).
-    pub fn put_async(&self, key: &str, value: &[u8]) -> Option<DeferHandle<()>> {
-        self.write_batch_async(&WriteBatch::new().put(key, value))
-    }
-
-    /// Delete one key, returning a durability handle — see
-    /// [`write_batch_async`](Self::write_batch_async).
-    pub fn delete_async(&self, key: &str) -> Option<DeferHandle<()>> {
-        self.write_batch_async(&WriteBatch::new().delete(key))
-    }
-
-    /// Block until `handle` (from one of the `*_async` methods) resolves,
+    /// Block until `handle` (from [`commit`](Self::commit) or
+    /// [`write_batch_async`](Self::write_batch_async)) resolves,
     /// i.e. until that batch's redo record is fsync-covered. Connection
     /// handlers use this as the ack gate: respond to the client only after
     /// `wait_durable` returns (see `ad-net` and PROTOCOL.md §6).
@@ -1215,25 +834,25 @@ impl KvStore {
 
     /// WAL counters, if durable.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.wal.as_ref().map(|w| w.stats())
+        self.durable.as_ref().map(|d| d.wal.stats())
     }
 
     /// Take a checkpoint now: atomically publish a snapshot of the
     /// committed-durable state at a quiescent WAL cut and drop the WAL
     /// segments it covers. Returns `CkptReport { performed: false, .. }`
     /// when nothing new is durable since the last checkpoint, and
-    /// `ErrorKind::Unsupported` when the store has no snapshot tier
-    /// (volatile, or opened via [`KvStore::open_on_medium`]).
+    /// `ErrorKind::Unsupported` on a volatile store, which has no
+    /// durable tier to snapshot.
     ///
     /// Serving continues throughout: writers keep appending to the
     /// post-rotation segment and readers are never blocked (the snapshot
     /// is serialized from an `Arc`-shared frozen copy of the memtable).
     pub fn checkpoint(&self) -> io::Result<CkptReport> {
-        match &self.ckpt {
-            Some(ck) => ck.run(&self.rt),
+        match &self.durable {
+            Some(d) => d.ckpt.run(&self.rt),
             None => Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "store has no checkpoint tier (volatile or single-stream medium)",
+                "a volatile store has no checkpoint tier",
             )),
         }
     }
@@ -1241,7 +860,7 @@ impl KvStore {
     /// Checkpoint counters and the checkpoint-duration histogram, if
     /// this store has a checkpoint tier.
     pub fn ckpt_stats(&self) -> Option<CkptStats> {
-        self.ckpt.as_ref().map(|c| c.stats())
+        self.durable.as_ref().map(|d| d.ckpt.stats())
     }
 
     /// Point lookup against the durable tier only — the memtable of
@@ -1256,8 +875,8 @@ impl KvStore {
     /// record's covering fsync. Volatile stores fall back to
     /// [`KvStore::get`].
     pub fn read_uncommitted(&self, key: &str) -> Option<Arc<[u8]>> {
-        match &self.memtable {
-            Some(mt) => mt.get(key),
+        match &self.durable {
+            Some(d) => d.memtable.get(key),
             None => self.get(key),
         }
     }
@@ -1266,15 +885,21 @@ impl KvStore {
     /// same caveats) as [`KvStore::read_uncommitted`]. Volatile stores
     /// fall back to [`KvStore::scan_from`].
     pub fn scan_uncommitted(&self, start: &str, limit: usize) -> Vec<(Arc<str>, Arc<[u8]>)> {
-        match &self.memtable {
-            Some(mt) => mt.scan_from(start, limit),
+        match &self.durable {
+            Some(d) => d.memtable.scan_from(start, limit),
             None => self.scan_from(start, limit),
         }
     }
 
     /// The WAL's sync policy, or `None` for a volatile store.
     pub fn sync_policy(&self) -> Option<SyncPolicy> {
-        self.wal.as_ref().map(|w| w.sync_policy())
+        self.durable.as_ref().map(|d| d.wal.sync_policy())
+    }
+
+    /// The checkpoint policy the store was opened with, or `None` for a
+    /// volatile store.
+    pub fn ckpt_policy(&self) -> Option<CkptPolicy> {
+        self.durable.as_ref().map(|d| d.ckpt.policy())
     }
 
     /// One JSON object with everything a monitoring endpoint wants:
@@ -1307,7 +932,15 @@ impl KvStore {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::wal::MemMedium;
+    use crate::disk::WAL_BASE;
+
+    fn open_mem(sync: SyncPolicy, disk: &MemDisk) -> (KvStore, RecoveryReport) {
+        KvStore::open_on_disk(&KvConfig::default(), sync, disk.clone())
+    }
+
+    fn written(disk: &MemDisk) -> Vec<u8> {
+        disk.read(WAL_BASE).unwrap().unwrap_or_default()
+    }
 
     #[test]
     fn put_get_delete_roundtrip() {
@@ -1349,42 +982,30 @@ mod tests {
 
     #[test]
     fn durable_put_is_synced_before_ack() {
-        let mem = MemMedium::new();
-        let (store, report) = KvStore::open_on_medium(
-            &KvConfig::default(),
-            SyncPolicy::GroupCommit,
-            Box::new(mem.clone()),
-            &[],
-        );
+        let mem = MemDisk::new();
+        let (store, report) = open_mem(SyncPolicy::GroupCommit, &mem);
         assert_eq!(report.records, 0);
         store.put("k", b"v");
         // The ack contract: by the time put() returned, the record is in
         // the *synced* prefix, not merely written.
-        assert!(!mem.synced().is_empty());
-        assert_eq!(mem.synced().len(), mem.written().len());
+        assert!(!mem.synced(WAL_BASE).is_empty());
+        assert_eq!(mem.synced(WAL_BASE), written(&mem));
         let stats = store.wal_stats().unwrap();
         assert_eq!(stats.records, 1);
     }
 
     #[test]
     fn reopen_recovers_committed_state() {
-        let mem = MemMedium::new();
-        let cfg = KvConfig::default();
-        let (store, _) =
-            KvStore::open_on_medium(&cfg, SyncPolicy::GroupCommit, Box::new(mem.clone()), &[]);
+        let mem = MemDisk::new();
+        let (store, _) = open_mem(SyncPolicy::GroupCommit, &mem);
         store.put("a", b"1");
         store.write_batch(&WriteBatch::new().put("b", b"2").put("c", b"3"));
         store.delete("a");
         let before = store.dump();
         drop(store);
 
-        let image = mem.synced();
-        let (reopened, report) = KvStore::open_on_medium(
-            &cfg,
-            SyncPolicy::GroupCommit,
-            Box::new(MemMedium::new()),
-            &image,
-        );
+        let image = mem.crash_image(mem.journal_len(), 0, true);
+        let (reopened, report) = open_mem(SyncPolicy::GroupCommit, &image);
         assert_eq!(report.records, 3);
         assert!(!report.torn());
         assert_eq!(reopened.dump(), before);
@@ -1429,7 +1050,7 @@ mod tests {
         drop(store);
         // Simulate a crash after Wal::rotate but before the snapshot
         // publish: the empty post-cut segment exists, no snapshot does.
-        std::fs::File::create(segment_path(&path, 3)).unwrap();
+        std::fs::File::create(dir.join("store.wal.seg00000000000000000003")).unwrap();
 
         // Recovery resumes appends on that segment; the next checkpoint
         // rotates at the same cut and must reuse it — not rotate into it
@@ -1468,20 +1089,15 @@ mod tests {
 
     #[test]
     fn async_handles_resolve_and_stats_json_is_balanced() {
-        let mem = MemMedium::new();
-        let (store, _) = KvStore::open_on_medium(
-            &KvConfig::default(),
-            SyncPolicy::GroupCommit,
-            Box::new(mem.clone()),
-            &[],
-        );
+        let mem = MemDisk::new();
+        let (store, _) = open_mem(SyncPolicy::GroupCommit, &mem);
         let h = store
-            .put_async("k", b"v")
+            .write_batch_async(&WriteBatch::new().put("k", b"v"))
             .expect("durable put yields a handle");
         store.wait_durable(&h);
-        assert!(!mem.synced().is_empty());
+        assert!(!mem.synced(WAL_BASE).is_empty());
         let h = store
-            .delete_async("k")
+            .write_batch_async(&WriteBatch::new().delete("k"))
             .expect("durable delete yields a handle");
         store.wait_durable(&h);
         assert!(store.is_empty());
@@ -1501,58 +1117,33 @@ mod tests {
 
         let volatile = KvStore::open(KvConfig::volatile()).unwrap();
         assert_eq!(volatile.sync_policy(), None);
-        assert!(volatile.put_async("k", b"v").is_none());
+        assert!(volatile
+            .write_batch_async(&WriteBatch::new().put("k", b"v"))
+            .is_none());
         assert!(volatile.stats_json().contains("\"wal\":null"));
-    }
-
-    /// A medium whose fsync blocks while a gate flag is held: the test
-    /// can freeze a write inside its committed-but-not-yet-durable
-    /// window and probe what each read path observes.
-    struct GatedMedium {
-        inner: MemMedium,
-        gate: Arc<(Mutex<bool>, Condvar)>,
-    }
-
-    impl WalMedium for GatedMedium {
-        fn append(&mut self, data: &[u8]) {
-            self.inner.append(data);
-        }
-        fn sync(&mut self) {
-            let (flag, cv) = &*self.gate;
-            let mut held = flag.lock();
-            while *held {
-                cv.wait(&mut held);
-            }
-            drop(held);
-            self.inner.sync();
-        }
     }
 
     #[test]
     fn read_uncommitted_never_observes_volatile_bytes() {
-        let gate = Arc::new((Mutex::new(true), Condvar::new()));
-        let mem = MemMedium::new();
-        let medium = GatedMedium {
-            inner: mem.clone(),
-            gate: Arc::clone(&gate),
-        };
-        // Async: put_async returns at commit; the append + gated fsync
+        // Hold the disk's fsync: the test freezes a write inside its
+        // committed-but-not-yet-durable window and probes what each read
+        // path observes.
+        let mem = MemDisk::new();
+        // Async: the write returns at commit; the append + held fsync
         // run on a pool worker while the shard lock stays held.
-        let (store, _) = KvStore::open_on_medium(
-            &KvConfig::default(),
-            SyncPolicy::Async,
-            Box::new(medium),
-            &[],
-        );
-        let h = store.put_async("k", b"v").expect("durable handle");
+        let (store, _) = open_mem(SyncPolicy::Async, &mem);
+        mem.hold_syncs();
+        let h = store
+            .write_batch_async(&WriteBatch::new().put("k", b"v"))
+            .expect("durable handle");
         for _ in 0..2000 {
-            if !mem.written().is_empty() {
+            if !written(&mem).is_empty() {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
-        assert!(!mem.written().is_empty(), "append reached the medium");
-        assert!(mem.synced().is_empty(), "fsync is gated");
+        assert!(!written(&mem).is_empty(), "append reached the disk");
+        assert!(mem.synced(WAL_BASE).is_empty(), "fsync is held");
         assert!(!h.is_done());
         // The committed write exists in the TVars (shard-locked) and in
         // the kernel-buffered WAL — but the durable tier must not show
@@ -1564,10 +1155,9 @@ mod tests {
         );
         assert!(store.scan_uncommitted("", 10).is_empty());
 
-        *gate.0.lock() = false;
-        gate.1.notify_all();
+        mem.release_syncs();
         store.wait_durable(&h);
-        assert_eq!(mem.synced().len(), mem.written().len());
+        assert_eq!(mem.synced(WAL_BASE), written(&mem));
         assert_eq!(store.read_uncommitted("k").as_deref(), Some(&b"v"[..]));
         let scanned = store.scan_uncommitted("", 10);
         assert_eq!(scanned.len(), 1);
@@ -1583,15 +1173,29 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop_and_logs_nothing() {
-        let mem = MemMedium::new();
-        let (store, _) = KvStore::open_on_medium(
-            &KvConfig::default(),
-            SyncPolicy::PerCommit,
-            Box::new(mem.clone()),
-            &[],
-        );
+        let mem = MemDisk::new();
+        let (store, _) = open_mem(SyncPolicy::PerCommit, &mem);
         store.write_batch(&WriteBatch::new());
-        assert!(mem.written().is_empty());
+        assert!(written(&mem).is_empty());
         assert_eq!(store.wal_stats().unwrap().records, 0);
+    }
+
+    #[test]
+    fn lock_striping_is_independent_of_a_router_partition() {
+        // A 2-way or 4-way router partitions on `fnv1a64(key) % n`; the
+        // keys it sends to its shard 0 must still spread over all 16 of
+        // that store's shard locks, not the 8 (or 4) a placement taken
+        // from the same hash bits would reach.
+        for n in [2u64, 4] {
+            let mut seen = [false; 16];
+            let on_shard_0 = (0..)
+                .map(|i| format!("key-{i}"))
+                .filter(|k| fnv1a64(k.as_bytes()).is_multiple_of(n))
+                .take(10_000);
+            for key in on_shard_0 {
+                seen[locate(&key, 16, 64).0] = true;
+            }
+            assert_eq!(seen, [true; 16], "{n}-way partition");
+        }
     }
 }

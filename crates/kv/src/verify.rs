@@ -4,13 +4,13 @@
 //! The contract under test is the conjunction recovery relies on:
 //!
 //! 1. **Ack implies durable** — when [`Wal::append_durable`] returns, the
-//!    record's bytes are inside the medium's *synced* prefix (the part of
+//!    record's bytes are inside the segment's *synced* prefix (the part of
 //!    the log that survives any crash), no matter how appenders and the
 //!    group-commit leader interleave.
 //! 2. **Crash images are whole-record prefixes** — the synced prefix
 //!    always scans cleanly (no torn record, contiguous sequence numbers),
 //!    because leaders write a batch and advance the durable mark in one
-//!    medium-lock critical section.
+//!    segment-lock critical section.
 //!
 //! [`group_commit_acks_are_durable`] checks both over every interleaving
 //! the scheduler can find of two concurrent appenders plus a concurrent
@@ -28,12 +28,14 @@ use std::sync::Arc;
 use ad_stm::{Runtime, TmConfig};
 use ad_support::model::{check, check_expect_violation, CheckOpts, Exec};
 
+use crate::disk::{Disk, MemDisk, WAL_BASE};
 use crate::recover::{encode_redo, scan, ScanEnd};
-use crate::wal::{frame_record, MemMedium, SyncPolicy, Wal, WalMedium};
+use crate::wal::{frame_record, SyncPolicy, Wal};
 
 fn group_commit_scenario(e: &mut Exec) {
-    let mem = MemMedium::new();
-    let wal = Arc::new(Wal::new(Box::new(mem.clone()), SyncPolicy::GroupCommit, 1));
+    let mem = MemDisk::new();
+    let wal = Wal::new(Arc::new(mem.clone()), SyncPolicy::GroupCommit, 1).expect("MemDisk");
+    let wal = Arc::new(wal);
     let rt = Arc::new(Runtime::new(TmConfig::stm()));
 
     for t in 0..2u64 {
@@ -43,7 +45,7 @@ fn group_commit_scenario(e: &mut Exec) {
             let seq = wal.append_durable(&payload, &rt);
             // Ack implies durable: our record is in the synced prefix the
             // moment append_durable returns.
-            let (_, report) = scan(&mem.synced(), 1);
+            let (_, report) = scan(&mem.synced(WAL_BASE), 1);
             assert!(
                 report.last_seq >= seq,
                 "acked seq {seq} missing from durable prefix (last durable: {})",
@@ -56,7 +58,7 @@ fn group_commit_scenario(e: &mut Exec) {
     // whole records, contiguous seqs, nothing torn.
     e.spawn(move || {
         for _ in 0..2 {
-            let (records, report) = scan(&mem.synced(), 1);
+            let (records, report) = scan(&mem.synced(WAL_BASE), 1);
             assert_eq!(
                 report.end,
                 ScanEnd::Clean,
@@ -85,12 +87,13 @@ fn group_commit_acks_are_durable() {
 }
 
 fn buggy_ack_scenario(e: &mut Exec) {
-    let mem = MemMedium::new();
+    let mem = MemDisk::new();
+    let mut writer = mem.create(WAL_BASE).expect("MemDisk");
+    let mut flusher = mem.open_append(WAL_BASE).expect("MemDisk");
 
     // BUG (deliberate): write the record, then ack — leaving the fsync to
     // a background flusher, as a naive "async durability" WAL would.
-    let mut writer_mem = mem.clone();
-    let check_mem = mem.clone();
+    let check_mem = mem;
     e.spawn(move || {
         let mut framed = Vec::new();
         frame_record(
@@ -98,9 +101,9 @@ fn buggy_ack_scenario(e: &mut Exec) {
             1,
             &encode_redo(1, &[("k".into(), Some(vec![1]))]),
         );
-        writer_mem.append(&framed);
+        writer.append(&framed).expect("MemDisk");
         // "Ack": the caller is told the write is durable now.
-        let (_, report) = scan(&check_mem.synced(), 1);
+        let (_, report) = scan(&check_mem.synced(WAL_BASE), 1);
         assert!(
             report.last_seq >= 1,
             "acked seq 1 missing from durable prefix (last durable: {})",
@@ -110,9 +113,8 @@ fn buggy_ack_scenario(e: &mut Exec) {
 
     // Background flusher: syncs at its own pace. When it wins the race the
     // bug is masked; the model must find the schedule where it loses.
-    let mut flusher_mem = mem;
     e.spawn(move || {
-        flusher_mem.sync();
+        flusher.sync().expect("MemDisk");
     });
 }
 

@@ -12,30 +12,35 @@
 
 #![cfg(not(loom))]
 
-use ad_kv::{KvConfig, KvStore, MemMedium, SyncPolicy, WriteBatch};
+use ad_kv::disk::WAL_BASE;
+use ad_kv::{DeferHandle, Disk, KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch};
 use std::sync::Arc;
 
-fn async_store() -> (KvStore, MemMedium) {
-    let mem = MemMedium::new();
-    let (store, _) = KvStore::open_on_medium(
-        &KvConfig::default(),
-        SyncPolicy::Async,
-        Box::new(mem.clone()),
-        &[],
-    );
+fn async_store() -> (KvStore, MemDisk) {
+    let mem = MemDisk::new();
+    let (store, _) = KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::Async, mem.clone());
     (store, mem)
+}
+
+fn put_async(store: &KvStore, key: &str, value: &[u8]) -> Option<DeferHandle<()>> {
+    store.write_batch_async(&WriteBatch::new().put(key, value))
+}
+
+/// True when every byte appended to the WAL is inside its synced prefix.
+fn all_synced(mem: &MemDisk) -> bool {
+    mem.synced(WAL_BASE) == mem.read(WAL_BASE).unwrap().unwrap_or_default()
 }
 
 #[test]
 fn handle_wait_means_durable() {
     let (store, mem) = async_store();
-    let handle = store.put_async("k", b"v").expect("durable store");
+    let handle = put_async(&store, "k", b"v").expect("durable store");
     handle.wait(store.runtime());
     assert!(handle.is_done());
     // Durability, not just buffering: the record is inside the synced
     // prefix by the time the handle completes.
-    assert!(!mem.synced().is_empty());
-    assert_eq!(mem.synced().len(), mem.written().len());
+    assert!(!mem.synced(WAL_BASE).is_empty());
+    assert!(all_synced(&mem));
     assert_eq!(store.wal_stats().unwrap().records, 1);
 }
 
@@ -49,7 +54,7 @@ fn reads_never_observe_acked_but_volatile_state() {
     assert_eq!(store.get("k").as_deref(), Some(&b"v"[..]));
     let stats = store.wal_stats().unwrap();
     assert_eq!(stats.records, 1, "read completed before durability");
-    assert!(!mem.synced().is_empty());
+    assert!(!mem.synced(WAL_BASE).is_empty());
 }
 
 #[test]
@@ -61,7 +66,7 @@ fn sync_is_a_durability_barrier() {
     store.sync();
     let stats = store.wal_stats().unwrap();
     assert_eq!(stats.records, 20);
-    assert_eq!(mem.synced().len(), mem.written().len());
+    assert!(all_synced(&mem));
 }
 
 #[test]
@@ -72,7 +77,7 @@ fn batch_handle_tracks_the_whole_batch() {
         .expect("durable store");
     handle.wait(store.runtime());
     assert_eq!(store.wal_stats().unwrap().records, 1, "one redo record");
-    assert!(!mem.synced().is_empty());
+    assert!(!mem.synced(WAL_BASE).is_empty());
     assert_eq!(store.get("b").as_deref(), Some(&b"2"[..]));
     assert_eq!(store.get("a"), None);
 }
@@ -83,18 +88,14 @@ fn fanout_of_async_puts_resolves_via_one_wait_all() {
     // call is the durability barrier for the whole fan-out.
     let (store, mem) = async_store();
     let handles: Vec<_> = (0..10)
-        .map(|i| {
-            store
-                .put_async(&format!("k{i}"), b"v")
-                .expect("durable store")
-        })
+        .map(|i| put_async(&store, &format!("k{i}"), b"v").expect("durable store"))
         .collect();
     let results = ad_defer::DeferHandle::wait_all(store.runtime(), &handles);
     assert_eq!(results.len(), 10);
     assert!(handles.iter().all(|h| h.is_done()));
     assert_eq!(store.wal_stats().unwrap().records, 10);
     // Durability, not just buffering: every appended byte is synced.
-    assert_eq!(mem.synced().len(), mem.written().len());
+    assert!(all_synced(&mem));
 }
 
 #[test]
@@ -102,7 +103,7 @@ fn empty_or_volatile_writes_have_no_handle() {
     let (store, _) = async_store();
     assert!(store.write_batch_async(&WriteBatch::new()).is_none());
     let volatile = KvStore::open(KvConfig::volatile()).unwrap();
-    assert!(volatile.put_async("k", b"v").is_none());
+    assert!(put_async(&volatile, "k", b"v").is_none());
     assert_eq!(volatile.get("k").as_deref(), Some(&b"v"[..]));
     volatile.sync(); // no-op, must not block
 }
@@ -111,24 +112,8 @@ fn empty_or_volatile_writes_have_no_handle() {
 fn concurrent_async_writers_coalesce_fsyncs() {
     // Worker-led group commit still coalesces: a slow sync makes appends
     // pile up behind the in-flight leader.
-    struct SlowSync(MemMedium);
-    impl ad_kv::WalMedium for SlowSync {
-        fn append(&mut self, data: &[u8]) {
-            self.0.append(data);
-        }
-        fn sync(&mut self) {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            self.0.sync();
-        }
-    }
-
-    let mem = MemMedium::new();
-    let (store, _) = KvStore::open_on_medium(
-        &KvConfig::default(),
-        SyncPolicy::Async,
-        Box::new(SlowSync(mem.clone())),
-        &[],
-    );
+    let (store, mem) = async_store();
+    mem.set_sync_delay(std::time::Duration::from_millis(2));
     let store = Arc::new(store);
     std::thread::scope(|s| {
         for t in 0..8 {
@@ -149,7 +134,7 @@ fn concurrent_async_writers_coalesce_fsyncs() {
         stats.batches,
         stats.records
     );
-    assert_eq!(mem.synced().len(), mem.written().len());
+    assert!(all_synced(&mem));
 }
 
 #[test]
@@ -162,11 +147,10 @@ fn reopen_after_sync_recovers_everything() {
     let before = store.dump();
     drop(store);
 
-    let (reopened, report) = KvStore::open_on_medium(
+    let (reopened, report) = KvStore::open_on_disk(
         &KvConfig::default(),
         SyncPolicy::Async,
-        Box::new(MemMedium::new()),
-        &mem.synced(),
+        mem.crash_image(mem.journal_len(), 0, true),
     );
     assert_eq!(report.records, 3);
     assert!(!report.torn());
@@ -175,28 +159,12 @@ fn reopen_after_sync_recovers_everything() {
 
 #[test]
 fn commit_latency_does_not_include_fsync() {
-    // The headline behavior: with a slow medium, the async ack is fast and
+    // The headline behavior: with a slow disk, the async ack is fast and
     // the handle wait absorbs the fsync time.
-    struct VerySlowSync(MemMedium);
-    impl ad_kv::WalMedium for VerySlowSync {
-        fn append(&mut self, data: &[u8]) {
-            self.0.append(data);
-        }
-        fn sync(&mut self) {
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            self.0.sync();
-        }
-    }
-
-    let mem = MemMedium::new();
-    let (store, _) = KvStore::open_on_medium(
-        &KvConfig::default(),
-        SyncPolicy::Async,
-        Box::new(VerySlowSync(mem.clone())),
-        &[],
-    );
+    let (store, mem) = async_store();
+    mem.set_sync_delay(std::time::Duration::from_millis(50));
     let t0 = std::time::Instant::now();
-    let handle = store.put_async("k", b"v").unwrap();
+    let handle = put_async(&store, "k", b"v").unwrap();
     let ack = t0.elapsed();
     handle.wait(store.runtime());
     let durable = t0.elapsed();

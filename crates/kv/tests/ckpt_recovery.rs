@@ -31,7 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use ad_kv::{CkptPolicy, KvConfig, KvStore, MemDisk, SnapshotSource, SyncPolicy, WriteBatch};
+use ad_kv::{CkptPolicy, Disk, KvConfig, KvStore, MemDisk, SnapshotSource, SyncPolicy, WriteBatch};
 
 fn cfg() -> KvConfig {
     let mut c = KvConfig::volatile().with_shards(2);
@@ -271,8 +271,9 @@ fn corrupt_current_snapshot_falls_back_to_previous() {
     // gone (truncated by checkpoint #2), so the chain rules discard the
     // stale-looking segments and the store recovers to snapshot #1.
     let img = disk.crash_image(disk.journal_len(), 0, false);
-    let bytes = img.read_file("snapshot.cur").unwrap();
-    img.truncate_file("snapshot.cur", bytes.len() - 1);
+    let bytes = img.read("snapshot.cur").unwrap().unwrap();
+    img.truncate("snapshot.cur", bytes.len() as u64 - 1)
+        .unwrap();
     let (re, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, img);
     assert_eq!(report.snapshot_source, SnapshotSource::Previous);
     assert_eq!(report.snapshot_cut, 1);
@@ -280,7 +281,7 @@ fn corrupt_current_snapshot_falls_back_to_previous() {
 }
 
 #[test]
-fn volatile_and_single_stream_stores_report_unsupported() {
+fn volatile_stores_report_unsupported() {
     let store = KvStore::open(KvConfig::volatile()).unwrap();
     let err = store.checkpoint().unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);

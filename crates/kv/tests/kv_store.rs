@@ -5,8 +5,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use ad_kv::{KvConfig, KvStore, MemMedium, SyncPolicy, WriteBatch};
+use ad_kv::{KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch};
 use ad_support::sync::atomic::{AtomicBool, Ordering};
+
+/// The image a crash leaves when every unsynced byte is lost.
+fn synced_image(disk: &MemDisk) -> MemDisk {
+    disk.crash_image(disk.journal_len(), 0, true)
+}
 
 /// Observers must never see half of a cross-shard batch. The writer keeps
 /// two keys equal (they hash to different shards with overwhelming
@@ -52,9 +57,8 @@ fn cross_shard_batches_are_atomic_to_readers() {
 #[test]
 fn concurrent_durable_writes_all_survive_recovery() {
     let cfg = KvConfig::default();
-    let mem = MemMedium::new();
-    let (store, _) =
-        KvStore::open_on_medium(&cfg, SyncPolicy::GroupCommit, Box::new(mem.clone()), &[]);
+    let mem = MemDisk::new();
+    let (store, _) = KvStore::open_on_disk(&cfg, SyncPolicy::GroupCommit, mem.clone());
     let store = Arc::new(store);
 
     let threads = 8;
@@ -73,12 +77,8 @@ fn concurrent_durable_writes_all_survive_recovery() {
     let live = store.dump();
     assert_eq!(live.len(), (threads * per) as usize);
 
-    let (recovered, report) = KvStore::open_on_medium(
-        &cfg,
-        SyncPolicy::GroupCommit,
-        Box::new(MemMedium::new()),
-        &mem.synced(),
-    );
+    let (recovered, report) =
+        KvStore::open_on_disk(&cfg, SyncPolicy::GroupCommit, synced_image(&mem));
     assert!(!report.torn(), "synced image must be a clean log");
     assert_eq!(report.records, u64::from(threads * per));
     assert_eq!(recovered.dump(), live);
@@ -86,27 +86,13 @@ fn concurrent_durable_writes_all_survive_recovery() {
 
 /// Group commit coalesces through the whole stack: concurrent committers'
 /// deferred appends share fsyncs (batches < records), and the observability
-/// counters agree with the medium.
+/// counters agree with the disk.
 #[test]
 fn group_commit_coalesces_through_the_store() {
-    struct SlowSync(MemMedium);
-    impl ad_kv::WalMedium for SlowSync {
-        fn append(&mut self, data: &[u8]) {
-            self.0.append(data);
-        }
-        fn sync(&mut self) {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            self.0.sync();
-        }
-    }
-    let mem = MemMedium::new();
+    let mem = MemDisk::new();
+    mem.set_sync_delay(std::time::Duration::from_millis(1));
     let cfg = KvConfig::default();
-    let (store, _) = KvStore::open_on_medium(
-        &cfg,
-        SyncPolicy::GroupCommit,
-        Box::new(SlowSync(mem.clone())),
-        &[],
-    );
+    let (store, _) = KvStore::open_on_disk(&cfg, SyncPolicy::GroupCommit, mem.clone());
     let store = Arc::new(store);
     std::thread::scope(|s| {
         for t in 0..8 {
@@ -137,8 +123,8 @@ fn sync_policies_are_semantically_equivalent() {
     let cfg = KvConfig::default();
     type Dump = BTreeMap<String, Vec<u8>>;
     let run = |sync: SyncPolicy| -> (Dump, Dump, u64) {
-        let mem = MemMedium::new();
-        let (store, _) = KvStore::open_on_medium(&cfg, sync, Box::new(mem.clone()), &[]);
+        let mem = MemDisk::new();
+        let (store, _) = KvStore::open_on_disk(&cfg, sync, mem.clone());
         for i in 0..30u32 {
             match i % 3 {
                 0 => store.put(&format!("k{}", i % 10), &i.to_le_bytes()),
@@ -151,8 +137,7 @@ fn sync_policies_are_semantically_equivalent() {
             }
         }
         let live = store.dump();
-        let (rec, _) =
-            KvStore::open_on_medium(&cfg, sync, Box::new(MemMedium::new()), &mem.synced());
+        let (rec, _) = KvStore::open_on_disk(&cfg, sync, synced_image(&mem));
         (live, rec.dump(), mem.sync_count())
     };
     let (live_g, rec_g, syncs_g) = run(SyncPolicy::GroupCommit);

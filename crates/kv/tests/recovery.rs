@@ -4,16 +4,41 @@
 //! The contract (DESIGN.md §9): after a crash, the store recovers
 //! **exactly a committed prefix** of its write history — every acked write
 //! whose bytes reached the durable prefix, never a partially-applied
-//! transaction, never a record that follows a hole. `MemMedium` makes this
-//! checkable exhaustively: tests run a real store, grab the written byte
-//! stream, and re-open from *every* possible crash image.
+//! transaction, never a record that follows a hole. `MemDisk` makes this
+//! checkable exhaustively: tests run a real store on it, then re-open
+//! from *every* crash image its operation journal can rebuild.
 
 use std::collections::BTreeMap;
 
+use ad_kv::disk::WAL_BASE;
 use ad_kv::recover::{encode_redo, scan, ScanEnd};
 use ad_kv::wal::frame_record;
-use ad_kv::{KvConfig, KvStore, MemMedium, SyncPolicy, Wal, WriteBatch};
+use ad_kv::{Disk, KvConfig, KvStore, MemDisk, RecoveryReport, SyncPolicy, Wal, WriteBatch};
 use ad_stm::{Runtime, TmConfig};
+
+fn open(sync: SyncPolicy, disk: &MemDisk) -> (KvStore, RecoveryReport) {
+    KvStore::open_on_disk(&KvConfig::default(), sync, disk.clone())
+}
+
+/// Everything written to the WAL so far (synced or not).
+fn written(disk: &MemDisk) -> Vec<u8> {
+    disk.read(WAL_BASE).unwrap().unwrap_or_default()
+}
+
+/// Every byte-level truncation of the WAL stream `disk` saw, as
+/// `(cut, image)` pairs: each journal prefix, plus every partial length of
+/// each append (torn writes). Unsynced bytes survive — the optimistic
+/// images, which contain the pessimistic ones as shorter cuts.
+fn byte_cuts(disk: &MemDisk) -> Vec<(usize, MemDisk)> {
+    let mut out = Vec::new();
+    for ev in 0..=disk.journal_len() {
+        for partial in 0..disk.event_append_len(ev).unwrap_or(1) {
+            let img = disk.crash_image(ev, partial, false);
+            out.push((written(&img).len(), img));
+        }
+    }
+    out
+}
 
 /// One batch = one redo record = one transaction.
 type Ops = Vec<(String, Option<Vec<u8>>)>;
@@ -72,25 +97,27 @@ fn history() -> Vec<Ops> {
 /// batches — never a torn record, never half a multi-key batch.
 #[test]
 fn every_crash_point_recovers_exactly_a_committed_prefix() {
-    let cfg = KvConfig::default();
     let batches = history();
-    let mem = MemMedium::new();
-    let (store, _) =
-        KvStore::open_on_medium(&cfg, SyncPolicy::GroupCommit, Box::new(mem.clone()), &[]);
+    let mem = MemDisk::new();
+    let (store, _) = open(SyncPolicy::GroupCommit, &mem);
     for ops in &batches {
         store.write_batch(&batch_of(ops));
     }
-    let full = mem.written();
-    assert_eq!(mem.synced(), full, "all acked writes must be synced");
+    let full = written(&mem);
+    assert_eq!(
+        mem.synced(WAL_BASE),
+        full,
+        "all acked writes must be synced"
+    );
 
-    for cut in 0..=full.len() {
-        let image = &full[..cut];
-        let (recovered, report) = KvStore::open_on_medium(
-            &cfg,
-            SyncPolicy::GroupCommit,
-            Box::new(MemMedium::new()),
-            image,
-        );
+    let images = byte_cuts(&mem);
+    let cuts: std::collections::BTreeSet<usize> = images.iter().map(|(cut, _)| *cut).collect();
+    assert!(
+        cuts.into_iter().eq(0..=full.len()),
+        "the images cover every byte cut of the stream"
+    );
+    for (cut, image) in images {
+        let (recovered, report) = open(SyncPolicy::GroupCommit, &image);
         let n = report.records as usize;
         assert!(n <= batches.len(), "cut={cut}: recovered too many records");
         assert_eq!(
@@ -110,25 +137,17 @@ fn every_crash_point_recovers_exactly_a_committed_prefix() {
 /// never surface a subset of its keys.
 #[test]
 fn crash_never_yields_a_partial_batch() {
-    let cfg = KvConfig::default();
     let batch: Ops = vec![
         ("k1".into(), Some(b"v1".to_vec())),
         ("k2".into(), Some(b"v2".to_vec())),
         ("k3".into(), Some(b"v3".to_vec())),
     ];
-    let mem = MemMedium::new();
-    let (store, _) =
-        KvStore::open_on_medium(&cfg, SyncPolicy::GroupCommit, Box::new(mem.clone()), &[]);
+    let mem = MemDisk::new();
+    let (store, _) = open(SyncPolicy::GroupCommit, &mem);
     store.write_batch(&batch_of(&batch));
-    let full = mem.written();
 
-    for cut in 0..=full.len() {
-        let (recovered, _) = KvStore::open_on_medium(
-            &cfg,
-            SyncPolicy::GroupCommit,
-            Box::new(MemMedium::new()),
-            &full[..cut],
-        );
+    for (cut, image) in byte_cuts(&mem) {
+        let (recovered, _) = open(SyncPolicy::GroupCommit, &image);
         let dump = recovered.dump();
         assert!(
             dump.is_empty() || dump.len() == 3,
@@ -168,13 +187,7 @@ fn fixture_torn_tail_mid_record() {
     assert_eq!(report.valid_bytes as usize, intact);
     assert!(report.torn());
 
-    let cfg = KvConfig::default();
-    let (store, rep) = KvStore::open_on_medium(
-        &cfg,
-        SyncPolicy::GroupCommit,
-        Box::new(MemMedium::new()),
-        &log,
-    );
+    let (store, rep) = open(SyncPolicy::GroupCommit, &MemDisk::with_file(WAL_BASE, &log));
     assert_eq!(rep.records, 2);
     assert_eq!(store.len(), 2);
     assert_eq!(store.get("c"), None);
@@ -207,12 +220,7 @@ fn fixture_corrupt_record_drops_suffix() {
     assert_eq!(records.len(), 1);
     assert_eq!(report.end, ScanEnd::BadChecksum);
 
-    let (store, _) = KvStore::open_on_medium(
-        &KvConfig::default(),
-        SyncPolicy::GroupCommit,
-        Box::new(MemMedium::new()),
-        &log,
-    );
+    let (store, _) = open(SyncPolicy::GroupCommit, &MemDisk::with_file(WAL_BASE, &log));
     assert_eq!(store.dump().keys().collect::<Vec<_>>(), vec!["a"]);
 }
 
@@ -220,8 +228,9 @@ fn fixture_corrupt_record_drops_suffix() {
 /// truncation: the synced prefix is a clean log.
 #[test]
 fn crash_between_group_commit_batches_is_clean() {
-    let mem = MemMedium::new();
-    let wal = std::sync::Arc::new(Wal::new(Box::new(mem.clone()), SyncPolicy::GroupCommit, 1));
+    let mem = MemDisk::new();
+    let wal = Wal::new(std::sync::Arc::new(mem.clone()), SyncPolicy::GroupCommit, 1);
+    let wal = std::sync::Arc::new(wal.unwrap());
     let rt = std::sync::Arc::new(Runtime::new(TmConfig::stm()));
     std::thread::scope(|s| {
         for t in 0..4 {
@@ -237,7 +246,7 @@ fn crash_between_group_commit_batches_is_clean() {
         }
     });
     // Crash image = exactly the durable prefix.
-    let image = mem.synced();
+    let image = mem.synced(WAL_BASE);
     let (records, report) = scan(&image, 1);
     assert_eq!(records.len(), 20);
     assert_eq!(report.end, ScanEnd::Clean);
@@ -278,10 +287,8 @@ fn crash_mid_batch_keeps_whole_record_prefix() {
 /// truncated.
 #[test]
 fn acked_writes_survive_any_loss_of_unsynced_tail() {
-    let cfg = KvConfig::default();
-    let mem = MemMedium::new();
-    let (store, _) =
-        KvStore::open_on_medium(&cfg, SyncPolicy::GroupCommit, Box::new(mem.clone()), &[]);
+    let mem = MemDisk::new();
+    let (store, _) = open(SyncPolicy::GroupCommit, &mem);
     let mut acked = Vec::new();
     for i in 0..10u32 {
         let key = format!("key{i:02}");
@@ -290,13 +297,11 @@ fn acked_writes_survive_any_loss_of_unsynced_tail() {
     }
     // The kernel may persist any amount of post-sync garbage after the
     // durable prefix; emulate by recovering from synced() + junk.
-    let mut image = mem.synced();
+    let mut image = mem.synced(WAL_BASE);
     image.extend_from_slice(b"\xde\xad\xbe\xef torn garbage");
-    let (recovered, report) = KvStore::open_on_medium(
-        &cfg,
+    let (recovered, report) = open(
         SyncPolicy::GroupCommit,
-        Box::new(MemMedium::new()),
-        &image,
+        &MemDisk::with_file(WAL_BASE, &image),
     );
     assert!(report.torn());
     let dump = recovered.dump();
@@ -309,22 +314,18 @@ fn acked_writes_survive_any_loss_of_unsynced_tail() {
 /// policy changes batching, never the on-disk format or the contract).
 #[test]
 fn per_commit_history_recovers_identically() {
-    let cfg = KvConfig::default();
     let batches = history();
-    let mem = MemMedium::new();
-    let (store, _) =
-        KvStore::open_on_medium(&cfg, SyncPolicy::PerCommit, Box::new(mem.clone()), &[]);
+    let mem = MemDisk::new();
+    let (store, _) = open(SyncPolicy::PerCommit, &mem);
     for ops in &batches {
         store.write_batch(&batch_of(ops));
     }
     let expected = store.dump();
     assert_eq!(expected, model(&batches, batches.len()));
 
-    let (recovered, report) = KvStore::open_on_medium(
-        &cfg,
+    let (recovered, report) = open(
         SyncPolicy::PerCommit,
-        Box::new(MemMedium::new()),
-        &mem.synced(),
+        &mem.crash_image(mem.journal_len(), 0, true),
     );
     assert_eq!(report.records as usize, batches.len());
     assert_eq!(recovered.dump(), expected);

@@ -3,7 +3,7 @@
 //! (DESIGN.md §14). Three sites must be flagged as
 //! `cross-runtime-access`: a nested transaction on another named
 //! runtime, a store `write_batch` inside a live atomic closure, and an
-//! `apply_prepared` inside one. Same-runtime nesting, router-mediated
+//! plan `commit` inside one. Same-runtime nesting, router-mediated
 //! access under the allow-marker, and store calls outside any region
 //! stay clean.
 
@@ -19,7 +19,7 @@ fn nested_entry_on_another_runtime(rt_a: &Runtime, rt_b: &Runtime, v: TVar<u64>)
 fn store_entry_points_inside_a_transaction(rt: &Runtime, store: &KvStore, part: &KvStore) {
     rt.atomically(|tx| {
         store.write_batch(&WriteBatch::new().put("k", b"v")); // FLAG: own runtime, own commit
-        part.apply_prepared(7, &batch, ack, rel); // FLAG: stages on the participant runtime
+        part.commit(&batch, &plan); // FLAG: stages on the participant runtime
         Ok(())
     });
 }

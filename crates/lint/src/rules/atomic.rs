@@ -33,8 +33,9 @@ pub fn direct_access(name: &str, args: &Group) -> Option<String> {
 /// `write_all`, `flush`, `read_exact`; synchronization: `lock`, `join`,
 /// channel `recv`/`recv_timeout`; checkpointing (`ad-kv`, each an
 /// fsync-plus-rename or an unbounded wait under the hood):
-/// `checkpoint`, `write_and_publish`, `rotate`, `drop_rotated`,
-/// `wait_applied_through`.
+/// `checkpoint`, `rotate`, `drop_rotated`, `sync_dir`,
+/// `wait_applied_through` (the snapshot publish itself is a free
+/// function — see [`blocking_fn`]).
 pub fn blocking_method(name: &str) -> Option<String> {
     const BLOCKING: &[&str] = &[
         "sync_all",
@@ -49,9 +50,9 @@ pub fn blocking_method(name: &str) -> Option<String> {
         "recv",
         "recv_timeout",
         "checkpoint",
-        "write_and_publish",
         "rotate",
         "drop_rotated",
+        "sync_dir",
         "wait_applied_through",
     ];
     BLOCKING.contains(&name).then(|| {
@@ -87,12 +88,7 @@ pub fn cross_runtime_entry_msg(entry: &str, host: &str, other: &str) -> String {
 /// store-specific names only: generic container methods (`get`, `insert`)
 /// must not match.
 pub fn cross_runtime_store(name: &str) -> Option<String> {
-    const STORE_ENTRY: &[&str] = &[
-        "write_batch",
-        "write_batch_coordinated",
-        "apply_prepared",
-        "get_many",
-    ];
+    const STORE_ENTRY: &[&str] = &["write_batch", "write_batch_async", "commit", "get_many"];
     STORE_ENTRY.contains(&name).then(|| {
         format!(
             "store entry point `.{name}(...)` inside an atomic closure: it \
@@ -104,12 +100,25 @@ pub fn cross_runtime_store(name: &str) -> Option<String> {
     })
 }
 
-/// `thread::sleep` (free-function form) inside an `atomically` closure.
-pub fn sleep_msg() -> String {
-    "`sleep` inside an `atomically` closure: the closure may re-execute on \
-     conflict and the sleep multiplies the window for conflicting writers; \
-     defer the delay or use `synchronized`"
-        .to_string()
+/// Blocking *free functions* inside an `atomically` closure:
+/// `thread::sleep`, and `ad-kv`'s one snapshot publish
+/// (`publish_snapshot`: write tmp, fsync, rename, fsync the directory).
+pub fn blocking_fn(name: &str) -> Option<String> {
+    match name {
+        "sleep" => Some(
+            "`sleep` inside an `atomically` closure: the closure may re-execute on \
+             conflict and the sleep multiplies the window for conflicting writers; \
+             defer the delay or use `synchronized`"
+                .to_string(),
+        ),
+        "publish_snapshot" => Some(
+            "`publish_snapshot` inside an `atomically` closure: it writes, fsyncs and \
+             renames files, and the closure may re-execute on conflict; checkpoint from \
+             outside any transaction"
+                .to_string(),
+        ),
+        _ => None,
+    }
 }
 
 fn mentions_ident(g: &Group, needle: &str) -> bool {

@@ -59,7 +59,7 @@ pub const RULE_DEFER_AFTER_WRITE: &str = "defer-after-write";
 /// Rule: a live atomic closure touches state owned by a *different*
 /// runtime — `other.atomically(...)` whose named receiver differs from
 /// the region's host runtime, or a store entry point (`write_batch`,
-/// `apply_prepared`, ...) that opens its own transaction on its own
+/// `commit`, ...) that opens its own transaction on its own
 /// runtime. Every runtime is its own island (clock, quiescence, TxLocks):
 /// the inner commit is invisible to the outer validation, the outer
 /// closure can retry and repeat the inner (already-committed) effect, and

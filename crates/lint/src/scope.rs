@@ -550,15 +550,14 @@ impl Analyzer<'_> {
                     recv_tx_name.as_deref(),
                 );
             }
-            "sleep" if self.innermost() == Some(RegionKind::Atomically) => {
-                self.push(
-                    line,
-                    rules::RULE_BLOCKING_IN_ATOMIC,
-                    rules::atomic::sleep_msg(),
-                );
+            _ => {
+                if self.innermost() == Some(RegionKind::Atomically) {
+                    if let Some(msg) = rules::atomic::blocking_fn(name) {
+                        self.push(line, rules::RULE_BLOCKING_IN_ATOMIC, msg);
+                    }
+                }
                 self.walk_call_args(args, None, recv_tx_name.as_deref());
             }
-            _ => self.walk_call_args(args, None, recv_tx_name.as_deref()),
         }
     }
 

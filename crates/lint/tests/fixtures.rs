@@ -101,7 +101,7 @@ fn defer_after_write_fixture_is_rejected() {
 #[test]
 fn cross_runtime_fixture_is_rejected() {
     // Nested entry on a foreign named runtime, a store write_batch, and
-    // an apply_prepared inside live atomic closures — with same-runtime
+    // a plan commit inside live atomic closures — with same-runtime
     // nesting, the allow-annotated router call, and store calls outside
     // any region all clean.
     assert_eq!(fixture("cross_runtime.rs"), vec![RULE_CROSS_RUNTIME; 3]);

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ad_kv::{DeferHandle, KvStore, WriteBatch};
+use ad_kv::{KvStore, WriteBatch};
 use ad_stm::EventKind;
 use ad_support::pool::Pool;
 use ad_support::sync::atomic::{AtomicBool, Ordering};
@@ -236,26 +236,9 @@ fn serve(inner: &Inner, frame: &Frame) -> Response {
     let store = &inner.store;
     match request {
         Request::Get { key } => Response::Value(store.get(&key).map(|v| v.to_vec())),
-        Request::Put { key, value } => {
-            ack_durable(store, frame.req_id, store.put_async(&key, &value));
-            Response::Applied(1)
-        }
-        Request::Del { key } => {
-            ack_durable(store, frame.req_id, store.delete_async(&key));
-            Response::Applied(1)
-        }
-        Request::Batch { ops } => {
-            let mut batch = WriteBatch::new();
-            let count = ops.len() as u32;
-            for (key, value) in ops {
-                batch = match value {
-                    Some(v) => batch.put(key, v),
-                    None => batch.delete(key),
-                };
-            }
-            ack_durable(store, frame.req_id, store.write_batch_async(&batch));
-            Response::Applied(count)
-        }
+        Request::Put { key, value } => write(store, frame.req_id, vec![(key, Some(value))]),
+        Request::Del { key } => write(store, frame.req_id, vec![(key, None)]),
+        Request::Batch { ops } => write(store, frame.req_id, ops),
         Request::Sync => {
             store.sync();
             Response::Synced
@@ -268,14 +251,17 @@ fn serve(inner: &Inner, frame: &Frame) -> Response {
     }
 }
 
-/// The ack gate: block until the batch's redo record is fsync-covered,
-/// then mark the timeline. `None` (volatile store or empty batch) has no
-/// durability to wait for.
-fn ack_durable(store: &KvStore, req_id: u32, handle: Option<DeferHandle<()>>) {
-    if let Some(h) = handle {
+/// Every mutating request is one batch through the ack gate: commit, then
+/// block until the batch's redo record is fsync-covered, then mark the
+/// timeline. No handle (volatile store or empty batch) means no durability
+/// to wait for.
+fn write(store: &KvStore, req_id: u32, ops: ad_kv::RedoOps) -> Response {
+    let count = ops.len() as u32;
+    if let Some(h) = store.write_batch_async(&WriteBatch::from_ops(ops)) {
         store.wait_durable(&h);
         store
             .runtime()
             .trace_app(EventKind::NetAckDurable, u64::from(req_id));
     }
+    Response::Applied(count)
 }

@@ -1,5 +1,5 @@
 //! End-to-end loopback tests: every opcode over a real socket, the
-//! durability contract against a byte-exact in-memory WAL medium, and
+//! durability contract against a byte-exact in-memory disk, and
 //! the failure modes a server must shrug off — half-sent frames, killed
 //! connections, unknown opcodes, wrong protocol versions.
 
@@ -7,7 +7,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use ad_kv::{KvConfig, KvStore, MemDisk, MemMedium, SyncPolicy, WriteBatch};
+use ad_kv::{KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch};
 use ad_net::{Client, Decoder, Frame, Opcode, Response, Server, ServerConfig, VERSION};
 use ad_support::crc32::crc32;
 
@@ -16,16 +16,12 @@ fn volatile_server() -> Server {
     Server::start(store, "127.0.0.1:0", ServerConfig::default()).unwrap()
 }
 
-fn durable_server() -> (Server, MemMedium) {
-    let medium = MemMedium::new();
-    let (store, _report) = KvStore::open_on_medium(
-        &KvConfig::default(),
-        SyncPolicy::GroupCommit,
-        Box::new(medium.clone()),
-        &[],
-    );
+fn durable_server() -> (Server, MemDisk) {
+    let disk = MemDisk::new();
+    let (store, _report) =
+        KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::GroupCommit, disk.clone());
     let server = Server::start(Arc::new(store), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    (server, medium)
+    (server, disk)
 }
 
 /// Read one response frame from a raw socket (for tests that bypass
@@ -73,7 +69,7 @@ fn every_opcode_round_trips() {
     assert_eq!(stats.matches('{').count(), stats.matches('}').count());
 }
 
-/// The wire-level durability contract against a byte-exact medium: when
+/// The wire-level durability contract against a byte-exact disk: when
 /// the PUT ack arrives, the redo record is already inside the *synced*
 /// prefix of the WAL — not just written.
 #[test]
@@ -81,9 +77,9 @@ fn put_ack_implies_synced_wal_bytes() {
     let (server, medium) = durable_server();
     let mut c = Client::connect(server.local_addr()).unwrap();
 
-    assert!(medium.synced().is_empty(), "no writes yet");
+    assert!(medium.synced("wal").is_empty(), "no writes yet");
     c.put("durable-key", b"durable-value").unwrap();
-    let synced = medium.synced();
+    let synced = medium.synced("wal");
     assert!(
         !synced.is_empty(),
         "PUT was acked but the WAL synced prefix is empty — ack did not imply durable"
@@ -204,7 +200,7 @@ fn killed_connection_after_full_batch_releases_locks() {
         std::thread::yield_now();
     }
     assert_eq!(c.get("orphan-2").unwrap().as_deref(), Some(&b"b"[..]));
-    assert!(!medium.synced().is_empty());
+    assert!(!medium.synced("wal").is_empty());
 }
 
 /// Unknown opcode: answered with `ERR_UNKNOWN_OPCODE` (status error, not

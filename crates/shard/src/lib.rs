@@ -9,20 +9,24 @@
 //!
 //! ## The protocol in one paragraph
 //!
-//! The lowest touched shard coordinates. Its transaction applies the
-//! local slice and `atomic_defer`s, over its own shard locks, one
-//! *prepare* operation per remote participant (ascending shard order)
-//! plus a final *decision* operation. Each prepare sends the
-//! participant its slice over the [`Transport`] and blocks until the
-//! participant acks — and a participant acks only after its slice is
-//! staged in its own WAL ([`ad_kv::RedoKind::Prepare`]) and fsynced,
-//! with its own shard locks held. The decision operation appends the
+//! The lowest touched shard coordinates. It commits its local slice
+//! through the store's one commit pipeline ([`ad_kv::KvStore::commit`])
+//! with a [`plan`]: a list of steps that a single deferred operation runs
+//! in order, the slice's shard locks held from the commit until the last
+//! step returns. The coordinator's plan is one *prepare* step per remote
+//! participant (ascending shard order), the *decision* record, and a
+//! *release* step. Each prepare sends the participant its slice over the
+//! [`Transport`] and blocks until the participant acks — and a
+//! participant, whose own plan starts by staging the slice in its own WAL
+//! ([`ad_kv::RedoKind::Prepare`]), acks only after that record is
+//! fsynced, with its own shard locks held. The decision step appends the
 //! coordinator's gid-tagged [`ad_kv::RedoKind::Decided`] record — the
-//! commit point of the whole batch — and broadcasts release; each
-//! participant then re-logs its slice as decided and unlocks. Locks are
-//! held everywhere from commit to release: **a reader on any shard can
-//! never observe a partial cross-shard batch**, and when the
-//! coordinator's call returns, the batch is durable on every shard.
+//! commit point of the whole batch — and the release step broadcasts
+//! release; each participant then re-logs its slice as decided and its
+//! plan ends. Locks are held everywhere from commit to release: **a
+//! reader on any shard can never observe a partial cross-shard batch**,
+//! and when the coordinator's call returns, the batch is durable on every
+//! shard.
 //!
 //! Crashes recover by presumed abort: a staged slice whose gid no
 //! surviving log proves decided is never applied
@@ -48,6 +52,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod plan;
 pub mod router;
 pub mod transport;
 

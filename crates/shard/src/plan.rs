@@ -1,0 +1,68 @@
+//! The two-phase commit, written as data: the three [`CommitStep`] plans
+//! the router hands to [`ad_kv::KvStore::commit`].
+//!
+//! The store's commit pipeline holds the touched shard locks from the
+//! commit point until the last step returned (DESIGN.md §9). Everything
+//! the cross-shard protocol needs from a store follows from *which* steps
+//! run inside that window, so each side of the protocol is one short list:
+//!
+//! | plan          | steps                                                        |
+//! |---------------|--------------------------------------------------------------|
+//! | coordinator   | `Call(prepare_1) … Call(prepare_p)`, `Log(Decided)`, `Call(release_all)` |
+//! | participant   | `Log(Prepare)`, `Call(ack)`, `Call(wait_release)`, `Log(Decided)` |
+//! | resolve       | `Log(Decided)`                                               |
+//!
+//! The callbacks are the transport: what they send and wait for is the
+//! router's business ([`crate::router`]); the tests substitute gates.
+
+use std::sync::Arc;
+
+use ad_kv::{CommitStep, RedoKind};
+
+/// A plan callback, shareable across the re-executions of a transaction
+/// body.
+pub type Callback = Arc<dyn Fn() + Send + Sync>;
+
+/// The coordinator's plan for batch `gid`. Each of `prepares` sends one
+/// participant its slice and blocks until that participant acked — its
+/// slice is staged durably. They run in the order given; ascending shard
+/// order is what makes the protocol deadlock-free. Then the coordinator's
+/// own gid-tagged decided record becomes durable — **the commit point of
+/// the entire cross-shard batch** — and `release_all` tells every
+/// participant (it must not block on their applies). The coordinator's
+/// shard locks span all of it, so no reader on this shard observes the
+/// slice before every participant staged durably and the decision itself
+/// is durable.
+pub fn coordinator(
+    gid: u64,
+    prepares: impl IntoIterator<Item = Callback>,
+    release_all: Callback,
+) -> Vec<CommitStep> {
+    let mut steps: Vec<CommitStep> = prepares.into_iter().map(CommitStep::Call).collect();
+    steps.push(CommitStep::Log(RedoKind::Decided { gid }));
+    steps.push(CommitStep::Call(release_all));
+    steps
+}
+
+/// A participant's plan for its slice of batch `gid`: stage the slice
+/// durably ([`RedoKind::Prepare`] — logged, never exposed), `ack` — the
+/// coordinator may count this shard — block in `wait_release` until the
+/// coordinator says the decision is durable, then re-log the slice as
+/// decided, which exposes it to the durable tier. The shard locks are held
+/// throughout: neither a transactional read nor a durable-tier read can
+/// observe the slice before the whole batch is decided.
+pub fn participant(gid: u64, ack: Callback, wait_release: Callback) -> Vec<CommitStep> {
+    vec![
+        CommitStep::Log(RedoKind::Prepare { gid }),
+        CommitStep::Call(ack),
+        CommitStep::Call(wait_release),
+        CommitStep::Log(RedoKind::Decided { gid }),
+    ]
+}
+
+/// Recovery's plan for a staged slice some shard's log proves committed:
+/// apply it and log this shard's own decided record, so the next recovery
+/// needs no cross-shard evidence.
+pub fn resolve(gid: u64) -> Vec<CommitStep> {
+    vec![CommitStep::Log(RedoKind::Decided { gid })]
+}

@@ -7,12 +7,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ad_kv::{
-    CkptReport, KvConfig, KvStore, MemDisk, RecoveryReport, RemoteSlice, SyncPolicy, WriteBatch,
+    CkptPolicy, CkptReport, KvConfig, KvStore, MemDisk, RecoveryReport, SyncPolicy, WriteBatch,
 };
-use ad_stm::{StatsReport, Trace};
+use ad_stm::{EventKind, StatsReport, Trace};
+use ad_support::hash::fnv1a64;
 use ad_support::sync::atomic::{AtomicU64, Ordering};
 use ad_support::sync::{Condvar, Mutex, RwLock};
 
+use crate::plan::{self, Callback};
 use crate::transport::{Frame, LocalTransport, Transport};
 
 /// Low 48 bits of a gid: the per-router sequence. The high 16 bits name
@@ -54,15 +56,6 @@ impl SignalTable {
             self.cv.wait(&mut g);
         }
     }
-}
-
-fn fnv1a64(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// A key space partitioned over N independent [`KvStore`]s (each with
@@ -130,9 +123,24 @@ impl ShardRouter {
     /// everything else is presumed aborted and never applied. The gid
     /// sequence resumes above every gid seen in any log, so a lingering
     /// aborted prepare can never collide with a fresh transaction.
+    ///
+    /// # Panics
+    ///
+    /// On a store opened with [`CkptPolicy::Auto`]: a per-store background
+    /// checkpoint can truncate a decision record another shard's staged
+    /// slice still needs (DESIGN.md §14.4) — routed stores checkpoint only
+    /// through [`ShardRouter::checkpoint_all`].
     pub fn from_stores(stores: Vec<Arc<KvStore>>) -> ShardRouter {
         assert!(!stores.is_empty(), "a router needs at least one shard");
         assert!(stores.len() <= u16::MAX as usize, "shard ids are u16");
+        for (s, store) in stores.iter().enumerate() {
+            assert!(
+                !matches!(store.ckpt_policy(), Some(CkptPolicy::Auto { .. })),
+                "shard {s} was opened with CkptPolicy::Auto: a background checkpoint could \
+                 truncate a decision record a staged slice still needs (DESIGN.md §14.4); \
+                 open routed stores with CkptPolicy::Manual and use checkpoint_all"
+            );
+        }
 
         let mut decided: HashSet<u64> = HashSet::new();
         let mut max_seen = 0u64;
@@ -147,11 +155,11 @@ impl ShardRouter {
         }
         for store in &stores {
             for gid in store.pending_prepared_gids() {
+                let staged = store.take_prepared(gid).expect("listed as pending");
                 if decided.contains(&gid) {
-                    store.resolve_prepared(gid);
-                } else {
-                    store.abort_prepared(gid);
+                    store.commit(&staged, &plan::resolve(gid));
                 }
+                // Otherwise presumed aborted: the staged slice is dropped.
             }
         }
 
@@ -162,8 +170,8 @@ impl ShardRouter {
         let mut workers = Vec::with_capacity(2 * n);
         for (s, shard_store) in stores.iter().enumerate() {
             // Data worker: runs the participant side. It blocks inside
-            // `apply_prepared` for the prepare→release window, which
-            // serializes staged slices per shard.
+            // `commit` for the prepare→release window, which serializes
+            // staged slices per shard.
             let store = Arc::clone(shard_store);
             let rx = Arc::clone(&local);
             let tx = Arc::clone(&sender);
@@ -172,13 +180,22 @@ impl ShardRouter {
                 match rx.recv_data(s) {
                     Frame::Prepare { gid, from, ops } => {
                         let me = s as u16;
-                        let ack_tx = Arc::clone(&tx);
-                        let rel_sig = Arc::clone(&sig);
-                        store.apply_prepared(
-                            gid,
+                        let (ack_rt, ack_tx) = (Arc::clone(store.runtime()), Arc::clone(&tx));
+                        let (rel_rt, rel_sig) = (Arc::clone(store.runtime()), Arc::clone(&sig));
+                        store.runtime().trace_app(EventKind::ShardPrepare, gid);
+                        store.commit(
                             &WriteBatch::from_ops(ops),
-                            move || ack_tx.send(from, Frame::Ack { gid, from: me }),
-                            move || rel_sig.wait(SIG_RELEASE, gid, me),
+                            &plan::participant(
+                                gid,
+                                Arc::new(move || {
+                                    ack_rt.trace_app(EventKind::ShardAck, gid);
+                                    ack_tx.send(from, Frame::Ack { gid, from: me });
+                                }),
+                                Arc::new(move || {
+                                    rel_sig.wait(SIG_RELEASE, gid, me);
+                                    rel_rt.trace_app(EventKind::ShardRelease, gid);
+                                }),
+                            ),
                         );
                     }
                     Frame::Barrier { id, from } => {
@@ -299,31 +316,40 @@ impl ShardRouter {
         };
         let mut it = slices.into_iter();
         let (coord, coord_ops) = it.next().expect("nonempty");
-        let remotes: Vec<RemoteSlice> = it
+        let store = &self.stores[coord];
+        // The call below returning is the ack for *every* shard, so the
+        // plan must have run to its end by then: inline executor only.
+        assert!(
+            store.sync_policy() != Some(SyncPolicy::Async),
+            "cross-shard coordination requires the inline deferred executor"
+        );
+        let from = coord as u16;
+        let mut participants: Vec<u16> = Vec::new();
+        let prepares: Vec<Callback> = it
             .map(|(p, ops)| {
-                let p = p as u16;
-                let from = coord as u16;
-                let ops = Arc::new(ops);
-                let prep_tx = Arc::clone(&self.sender);
-                let prep_sig = Arc::clone(&self.signals);
-                let rel_tx = Arc::clone(&self.sender);
-                RemoteSlice {
-                    prepare: Arc::new(move || {
-                        prep_tx.send(
-                            p,
-                            Frame::Prepare {
-                                gid,
-                                from,
-                                ops: (*ops).clone(),
-                            },
-                        );
-                        prep_sig.wait(SIG_ACK, gid, p);
-                    }),
-                    release: Arc::new(move || rel_tx.send(p, Frame::Release { gid })),
-                }
+                let (p, ops, rt) = (p as u16, Arc::new(ops), Arc::clone(store.runtime()));
+                let (tx, sig) = (Arc::clone(&self.sender), Arc::clone(&self.signals));
+                participants.push(p);
+                Arc::new(move || {
+                    rt.trace_app(EventKind::ShardPrepare, gid);
+                    let ops = (*ops).clone();
+                    tx.send(p, Frame::Prepare { gid, from, ops });
+                    sig.wait(SIG_ACK, gid, p);
+                    rt.trace_app(EventKind::ShardAck, gid);
+                }) as Callback
             })
             .collect();
-        self.stores[coord].write_batch_coordinated(gid, &WriteBatch::from_ops(coord_ops), &remotes);
+        let (tx, rt) = (Arc::clone(&self.sender), Arc::clone(store.runtime()));
+        let release_all: Callback = Arc::new(move || {
+            rt.trace_app(EventKind::ShardRelease, gid);
+            for &p in &participants {
+                tx.send(p, Frame::Release { gid });
+            }
+        });
+        store.commit(
+            &WriteBatch::from_ops(coord_ops),
+            &plan::coordinator(gid, prepares, release_all),
+        );
     }
 
     /// Block until every shard's deferred durability work has drained.
@@ -469,6 +495,22 @@ mod tests {
         router.write_batch(&WriteBatch::new().delete(a.as_str()).put(c.as_str(), b"C2"));
         assert_eq!(router.get(&a), None);
         assert_eq!(router.get(&c).as_deref(), Some(&b"C2"[..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "DESIGN.md §14.4")]
+    fn auto_checkpointing_stores_are_refused() {
+        let cfg = KvConfig::volatile().with_ckpt(CkptPolicy::Auto {
+            wal_bytes: 1 << 20,
+            wal_records: 1000,
+        });
+        let (auto, _) = KvStore::open_on_disk(&cfg, SyncPolicy::GroupCommit, MemDisk::new());
+        let (manual, _) = KvStore::open_on_disk(
+            &KvConfig::volatile(),
+            SyncPolicy::GroupCommit,
+            MemDisk::new(),
+        );
+        ShardRouter::from_stores(vec![Arc::new(manual), Arc::new(auto)]);
     }
 
     #[test]

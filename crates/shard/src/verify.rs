@@ -10,11 +10,12 @@
 //! exist anywhere durable — the partial cross-shard state the whole
 //! design exists to rule out.
 //!
-//! [`commit_holds_until_all_acks`] runs the *real* store primitives —
-//! [`KvStore::write_batch_coordinated`] and [`KvStore::apply_prepared`]
-//! on two volatile stores, full STM underneath — under the model
-//! scheduler, with the transport replaced by model-aware gates. An
-//! observer asserts, on every schedule the scheduler can find:
+//! [`commit_holds_until_all_acks`] runs the *real* primitives —
+//! [`KvStore::commit`] with the router's own [`plan::coordinator`] and
+//! [`plan::participant`] plans on two volatile stores, full STM
+//! underneath — under the model scheduler, with the transport replaced
+//! by model-aware gates. An observer asserts, on every schedule the
+//! scheduler can find:
 //!
 //! 1. coordinator slice visible ⇒ the participant has staged and acked;
 //! 2. participant slice visible ⇒ the decision ran (release was sent).
@@ -29,10 +30,12 @@
 
 use std::sync::Arc;
 
-use ad_kv::{KvConfig, KvStore, RemoteSlice, WriteBatch};
+use ad_kv::{KvConfig, KvStore, WriteBatch};
 use ad_support::model::{check, check_expect_violation, CheckOpts, Exec};
 use ad_support::sync::atomic::{AtomicBool, Ordering};
 use ad_support::sync::{Condvar, Mutex};
+
+use crate::plan;
 
 /// A model-aware one-shot gate (the stand-in for transport delivery).
 struct Gate {
@@ -92,7 +95,10 @@ fn scenario(e: &mut Exec, buggy: bool) {
                 ack_gate.open();
             };
             let rel = move || rel_gate.wait();
-            part.apply_prepared(GID, &batch, ack, rel);
+            part.commit(
+                &batch,
+                &plan::participant(GID, Arc::new(ack), Arc::new(rel)),
+            );
         });
     }
 
@@ -119,14 +125,8 @@ fn scenario(e: &mut Exec, buggy: bool) {
                         rel_gate.open();
                     }
                 };
-                coord_store.write_batch_coordinated(
-                    GID,
-                    &batch,
-                    &[RemoteSlice {
-                        prepare: Arc::new(move || ack_gate.wait()),
-                        release: Arc::new(rel),
-                    }],
-                );
+                let prepare: plan::Callback = Arc::new(move || ack_gate.wait());
+                coord_store.commit(&batch, &plan::coordinator(GID, [prepare], Arc::new(rel)));
             }
         });
     }

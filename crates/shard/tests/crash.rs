@@ -27,8 +27,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use ad_kv::{CkptPolicy, KvConfig, KvStore, MemDisk, RemoteSlice, SyncPolicy, WriteBatch};
-use ad_shard::ShardRouter;
+use ad_kv::{CkptPolicy, KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch};
+use ad_shard::{plan, ShardRouter};
 
 fn cfg() -> KvConfig {
     let mut c = KvConfig::volatile().with_shards(2);
@@ -221,22 +221,26 @@ fn build_window() -> Window {
         let release = Arc::clone(&release);
         std::thread::spawn(move || {
             let batch = WriteBatch::new().put("cross-b", b"vb");
-            sb.apply_prepared(GID, &batch, move || acked.open(), move || release.wait());
+            sb.commit(
+                &batch,
+                &plan::participant(
+                    GID,
+                    Arc::new(move || acked.open()),
+                    Arc::new(move || release.wait()),
+                ),
+            );
         })
     };
     acked.wait();
     let part_staged = disk_b.crash_image(disk_b.journal_len(), 0, true);
 
     // Coordinator side: the participant already staged and acked, so
-    // its prepare closure is a no-op; release opens the gate.
+    // its prepare callback is a no-op; release opens the gate.
     let rel = Arc::clone(&release);
-    sa.write_batch_coordinated(
-        GID,
+    let prepare: plan::Callback = Arc::new(|| {});
+    sa.commit(
         &WriteBatch::new().put("cross-a", b"va"),
-        &[RemoteSlice {
-            prepare: Arc::new(|| {}),
-            release: Arc::new(move || rel.open()),
-        }],
+        &plan::coordinator(GID, [prepare], Arc::new(move || rel.open())),
     );
     let coord_decision_ev = last_append(&disk_a).0;
     let coord_after = disk_a.crash_image(disk_a.journal_len(), 0, true);

@@ -20,6 +20,8 @@
 //!   `hdrhistogram` stand-in) backing the `ad-stm` observability layer.
 //! * [`crc32`] — table-driven CRC-32 (IEEE), the `ad-kv` WAL record
 //!   checksum (a `crc32fast` stand-in).
+//! * [`hash`] — FNV-1a and a 64-bit finalizer: the one key hash shared by
+//!   the shard router's partition function and the store's lock striping.
 //! * [`model`] — a vendored loom-style concurrency model checker (token
 //!   scheduler, instrumented primitives, poison registry) backing the
 //!   `--cfg loom` face of [`sync`] and the `verify` model suites.
@@ -50,6 +52,7 @@
 pub mod channel;
 pub mod crc32;
 pub mod crit;
+pub mod hash;
 pub mod hist;
 pub mod model;
 #[cfg(not(loom))]

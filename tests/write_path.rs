@@ -1,0 +1,122 @@
+//! Tier-1 coverage of the write path: `cargo test` at the root runs only
+//! the root package, so the commit pipeline and the storage protocols get
+//! one end-to-end check here, through public API only. The exhaustive
+//! matrices live beside the crates (`ad-kv` `tests/recovery.rs`,
+//! `tests/ckpt_recovery.rs`, `ad-shard` `tests/crash.rs`).
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use ad_kv::{KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch};
+use ad_shard::ShardRouter;
+
+type Model = BTreeMap<String, Vec<u8>>;
+
+fn open(disk: &MemDisk) -> KvStore {
+    KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::PerCommit, disk.clone()).0
+}
+
+/// Batches around a checkpoint, then every crash image of the disk — each
+/// journal prefix, optimistic and pessimistic, and every byte cut inside
+/// every append — must recover to a whole number of batches.
+#[test]
+fn every_crash_image_of_a_checkpointed_history_is_a_committed_prefix() {
+    let batches = [
+        WriteBatch::new().put("a", "1"),
+        WriteBatch::new().put("b", "2").put("c", "3"),
+        WriteBatch::new().delete("a").put("b", "22"),
+        WriteBatch::new().put("d", "4").delete("c"),
+    ];
+    let disk = MemDisk::new();
+    let store = open(&disk);
+    let mut model = Model::new();
+    let mut prefixes = vec![model.clone()];
+    for (i, batch) in batches.iter().enumerate() {
+        store.write_batch(batch);
+        for (key, value) in batch.ops() {
+            match value {
+                Some(v) => model.insert(key.to_string(), v.to_vec()),
+                None => model.remove(key),
+            };
+        }
+        prefixes.push(model.clone());
+        if i == 1 {
+            assert!(store.checkpoint().expect("checkpoint").performed);
+        }
+    }
+    assert_eq!(store.dump(), model);
+    drop(store);
+
+    let mut images = 0;
+    for ev in 0..=disk.journal_len() {
+        let mut check = |image: MemDisk, what: &str| {
+            let dump = open(&image).dump();
+            assert!(
+                prefixes.contains(&dump),
+                "event {ev} {what}: {dump:?} is no committed prefix"
+            );
+            images += 1;
+        };
+        check(disk.crash_image(ev, 0, true), "synced only");
+        for cut in 0..disk.event_append_len(ev).unwrap_or(1) {
+            check(disk.crash_image(ev, cut, false), "byte cut");
+        }
+    }
+    assert!(images > 100, "sweep too small: {images}");
+    // The last image is the whole history.
+    let last = disk.crash_image(disk.journal_len(), 0, true);
+    assert_eq!(open(&last).dump(), model);
+}
+
+/// A cross-shard batch through the router, a crash of both shards, and a
+/// reconcile by `from_stores`: acked batches are whole on every shard, and
+/// a slice staged without any durable decision is dropped everywhere.
+#[test]
+fn cross_shard_batches_survive_a_crash_and_reconcile_whole() {
+    let disks = [MemDisk::new(), MemDisk::new()];
+    let router = ShardRouter::from_stores(disks.iter().map(|d| Arc::new(open(d))).collect());
+    let key_on = |shard: usize, prefix: &str| {
+        (0..)
+            .map(|i| format!("{prefix}{i}"))
+            .find(|k| router.shard_of(k) == shard)
+            .expect("some key lands on every shard")
+    };
+    let (a, b) = (key_on(0, "a"), key_on(1, "b"));
+    router.write_batch(&WriteBatch::new().put(a.as_str(), "1").put(b.as_str(), "1"));
+    // Journal lengths with the first batch acked: the aligned crash point.
+    let acked: Vec<usize> = disks.iter().map(MemDisk::journal_len).collect();
+    router.write_batch(&WriteBatch::new().put(a.as_str(), "2").put(b.as_str(), "2"));
+    router.quiesce();
+    let whole: Model = router.dump();
+    drop(router);
+
+    let reopen = |cuts: &[usize]| {
+        let stores = disks
+            .iter()
+            .zip(cuts)
+            .map(|(d, &cut)| Arc::new(open(&d.crash_image(cut, 0, true))))
+            .collect();
+        ShardRouter::from_stores(stores).dump()
+    };
+    let first: Model = [(a.clone(), b"1".to_vec()), (b.clone(), b"1".to_vec())].into();
+    assert_eq!(reopen(&acked), first, "crash after the first ack");
+    let ends: Vec<usize> = disks.iter().map(MemDisk::journal_len).collect();
+    assert_eq!(reopen(&ends), whole, "crash at the end");
+    // The coordinator logs its decision only after the participant staged
+    // durably, and the participant re-logs its slice as decided only after
+    // that decision is durable. So the crash states that can occur are:
+    // coordinator without the decision and participant at most staged —
+    // presumed abort — or coordinator with it and participant at least
+    // staged — the batch on both shards. Both keys always move together.
+    let relog = (0..ends[1])
+        .rev()
+        .find(|&ev| disks[1].event_append_len(ev).is_some())
+        .expect("the participant appended");
+    let undecided = (acked[1]..=relog).map(|part| (acked[0], part));
+    let decided = (relog..=ends[1]).map(|part| (ends[0], part));
+    for (coord, part) in undecided.chain(decided) {
+        let dump = reopen(&[coord, part]);
+        let want = if coord == ends[0] { &whole } else { &first };
+        assert_eq!(&dump, want, "cuts ({coord}, {part})");
+    }
+}
