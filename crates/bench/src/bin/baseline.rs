@@ -14,7 +14,7 @@
 //! cargo run --release -p ad-bench --bin baseline -- --stats-json /tmp/stats.json
 //! ```
 //!
-//! `--clock {gv2,sloppy,sharded}` selects the commit-clock policy
+//! `--clock {gv2,sharded}` selects the commit-clock policy
 //! (DESIGN.md §11) for every cell's runtime. The tracked
 //! `BENCH_stm_ops.json` is taken with `sharded` — the scalable clock that
 //! keeps the write/contended curves from inverting with cores — so that is
@@ -22,9 +22,9 @@
 //! numbers (the library default, `TmConfig::stm()`, remains `Gv2`).
 //!
 //! `--smoke` shrinks the run for CI and asserts the scalability gate: under
-//! a scalable policy (`sloppy`/`sharded`), 8-thread `write` throughput must
+//! the scalable policy (`sharded`), 8-thread `write` throughput must
 //! be ≥ 0.9× the 1-thread value. `gv2` is exempt — collapsing under its
-//! clock-line contention is exactly the pathology the policies exist to fix.
+//! clock-line contention is exactly the pathology the policy exists to fix.
 //! The 0.9× curve gate only makes sense when 8 threads have 8 cores: with
 //! fewer, the dominant 8-thread cost is lock-holder preemption (a committer
 //! descheduled mid-commit stalls quiescence), which no clock policy can
@@ -157,7 +157,7 @@ fn main() {
     let stats_out = arg_value("--stats-json");
     let clock_name = arg_value("--clock").unwrap_or_else(|| "sharded".to_string());
     let clock = ClockPolicy::parse(&clock_name)
-        .unwrap_or_else(|| panic!("unknown --clock {clock_name} (gv2|sloppy|sharded)"));
+        .unwrap_or_else(|| panic!("unknown --clock {clock_name} (gv2|sharded)"));
     let dur = Duration::from_millis(ms);
     println!("baseline: clock={}, {ms}ms per cell", clock.name());
 
@@ -188,7 +188,7 @@ fn main() {
 
     // The CI scalability gate: a scalable clock must not let per-core
     // write throughput collapse. Checked in smoke runs only (full runs are
-    // for recording numbers, not gating), and only for sloppy/sharded —
+    // for recording numbers, not gating), and only for sharded —
     // gv2's collapse under clock-line contention is the known pathology.
     if smoke {
         // Gate on best-of-3 re-measurements, not the table rows: on a

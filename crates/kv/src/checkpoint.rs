@@ -47,7 +47,7 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ad_stm::{EventKind, Runtime};
+use ad_stm::{AppEvent, Runtime};
 use ad_support::crc32::crc32;
 use ad_support::hist::{Histogram, HistogramSnapshot};
 use ad_support::sync::atomic::{AtomicU64, Ordering};
@@ -56,6 +56,19 @@ use ad_support::sync::Mutex;
 use crate::disk::{Disk, SNAP_CUR, SNAP_PREV, SNAP_TMP};
 use crate::memtable::MemTable;
 use crate::wal::Wal;
+
+/// Trace event: a checkpoint started; `arg` = the durable WAL sequence at
+/// the moment the checkpointer woke up — the cut will be at least this.
+pub static CKPT_BEGIN: AppEvent = AppEvent::new("ckpt_begin", "arg");
+
+/// Trace event: a checkpoint's snapshot was durably published (tmp
+/// written, fsynced, renamed over current, directory fsynced); `arg` = the
+/// snapshot's size in bytes.
+pub static CKPT_PUBLISH: AppEvent = AppEvent::new("ckpt_publish", "arg");
+
+/// Trace event: WAL segments covered by a published snapshot were
+/// deleted; `arg` = bytes freed.
+pub static WAL_TRUNCATE: AppEvent = AppEvent::new("wal_truncate", "arg");
 
 /// Snapshot header magic: `b"ADSN"` little-endian.
 pub const SNAP_MAGIC: u32 = u32::from_le_bytes(*b"ADSN");
@@ -298,7 +311,7 @@ impl Checkpointer {
                 duration_ns: 0,
             });
         }
-        rt.trace_app(EventKind::CkptBegin, durable);
+        rt.trace_app(&CKPT_BEGIN, durable);
         // 1. Quiescent cut + fresh segment: records > cut land in the
         //    new segment, the old ones become immutable.
         let cut = self.wal.rotate()?;
@@ -311,10 +324,10 @@ impl Checkpointer {
         let bytes = encode_snapshot(cut, frozen.iter());
         // 4. Durable, atomic publish.
         publish_snapshot(&*self.disk, &bytes)?;
-        rt.trace_app(EventKind::CkptPublish, bytes.len() as u64);
+        rt.trace_app(&CKPT_PUBLISH, bytes.len() as u64);
         // 5. Only now is it safe to drop the covered segments.
         let freed = self.wal.drop_rotated()?;
-        rt.trace_app(EventKind::WalTruncate, freed);
+        rt.trace_app(&WAL_TRUNCATE, freed);
         // 6. Fold the frozen delta into the memtable base.
         self.memtable.compact_through(cut);
         *last_cut = cut;

@@ -75,12 +75,14 @@ pub mod wal;
 #[cfg(all(test, loom))]
 mod verify;
 
-pub use checkpoint::{Checkpointer, CkptPolicy, CkptReport, CkptStats};
+pub use checkpoint::{
+    Checkpointer, CkptPolicy, CkptReport, CkptStats, CKPT_BEGIN, CKPT_PUBLISH, WAL_TRUNCATE,
+};
 pub use disk::{Disk, DiskFile, FileDisk, MemDisk};
 pub use memtable::MemTable;
 pub use recover::{RecoveryReport, RedoKind, RedoOps, RedoRecord, ScanEnd, SnapshotSource};
 pub use store::{CommitStep, Durability, KvConfig, KvStore, WriteBatch};
-pub use wal::{SyncPolicy, Wal, WalStats};
+pub use wal::{SyncPolicy, Wal, WalStats, WAL_APPEND, WAL_FSYNC};
 
 // Re-exported so connection-facing callers (`ad-net`) can name the handle
 // `commit` / `write_batch_async` return without depending on `ad-defer`.

@@ -36,7 +36,7 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ad_stm::{EventKind, Runtime};
+use ad_stm::{AppEvent, Runtime};
 use ad_support::crc32::crc32;
 use ad_support::hist::{Histogram, HistogramSnapshot};
 use ad_support::sync::atomic::{AtomicU64, Ordering};
@@ -44,6 +44,16 @@ use ad_support::sync::{Condvar, Mutex};
 
 use crate::disk::{segment_first_seq, segment_name, Disk, DiskFile, SNAP_CUR, SNAP_PREV, SNAP_TMP};
 use crate::recover::{recover_two_tier, TwoTier};
+
+/// Trace event: a WAL record was framed into the group-commit buffer
+/// (recorded from the deferred operation); `arg` = the framed record's
+/// size in bytes.
+pub static WAL_APPEND: AppEvent = AppEvent::new("wal_append", "bytes");
+
+/// Trace event: a WAL fsync batch completed; `arg` = the number of records
+/// the batch made durable (1 under fsync-per-commit; >1 means group commit
+/// coalesced concurrent transactions into one sync).
+pub static WAL_FSYNC: AppEvent = AppEvent::new("wal_fsync", "records");
 
 /// Frame magic: `b"ADKV"` little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"ADKV");
@@ -296,7 +306,7 @@ impl Wal {
         st.next_seq += 1;
         let framed = frame_record(&mut st.pending, seq, payload);
         st.pending_records += 1;
-        rt.trace_app(EventKind::WalAppend, framed as u64);
+        rt.trace_app(&WAL_APPEND, framed as u64);
 
         match self.sync_policy {
             SyncPolicy::PerCommit => {
@@ -362,7 +372,7 @@ impl Wal {
         self.counters
             .bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
-        rt.trace_app(EventKind::WalFsync, records);
+        rt.trace_app(&WAL_FSYNC, records);
     }
 
     /// Highest sequence number known durable.

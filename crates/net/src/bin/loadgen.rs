@@ -48,8 +48,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ad_bench::{arg_flag, arg_num, arg_value};
-use ad_kv::{KvConfig, KvStore, SyncPolicy, WriteBatch};
-use ad_net::{Client, Server, ServerConfig};
+use ad_kv::{KvConfig, KvStore, SyncPolicy, WriteBatch, WAL_APPEND};
+use ad_net::{Client, Server, ServerConfig, ACK_AFTER_DURABLE};
 use ad_stm::EventKind;
 use ad_support::hist::Histogram;
 use ad_support::prng::Rng;
@@ -366,11 +366,11 @@ fn smoke(dir: &Path, use_async: bool) {
     // Async the append runs on a defer-pool worker, so only the global
     // record count is checked there.
     let trace = store.runtime().take_trace();
-    let acks: Vec<_> = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::NetAckDurable)
-        .collect();
+    let (append, ack) = (
+        EventKind::App(&WAL_APPEND),
+        EventKind::App(&ACK_AFTER_DURABLE),
+    );
+    let acks: Vec<_> = trace.events.iter().filter(|e| e.kind == ack).collect();
     let expected_acks = (CONNS * (PUTS + 2)) as u64; // puts + batch + del
     assert_eq!(acks.len() as u64, expected_acks, "ack_after_durable count");
     if !use_async && trace.dropped == 0 {
@@ -378,16 +378,14 @@ fn smoke(dir: &Path, use_async: bool) {
         for t in threads {
             let (mut appends, mut acks_seen) = (0u64, 0u64);
             for e in trace.thread_events(t) {
-                match e.kind {
-                    EventKind::WalAppend => appends += 1,
-                    EventKind::NetAckDurable => {
-                        acks_seen += 1;
-                        assert!(
-                            appends >= acks_seen,
-                            "ack #{acks_seen} on thread {t} not preceded by its wal_append"
-                        );
-                    }
-                    _ => {}
+                if e.kind == append {
+                    appends += 1;
+                } else if e.kind == ack {
+                    acks_seen += 1;
+                    assert!(
+                        appends >= acks_seen,
+                        "ack #{acks_seen} on thread {t} not preceded by its wal_append"
+                    );
                 }
             }
         }

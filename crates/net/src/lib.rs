@@ -49,5 +49,5 @@ pub mod stats;
 pub use client::Client;
 pub use frame::{Decoder, Frame, FrameError, MAX_FRAME_LEN, VERSION};
 pub use proto::{Opcode, Request, Response};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, ACK_AFTER_DURABLE};
 pub use stats::{NetStats, NetStatsSnapshot};

@@ -29,7 +29,7 @@
 //! response. The response bytes therefore cannot reach the socket until
 //! the redo record's covering fsync returned — "acked ⇒ durable" as a
 //! *wire* property (PROTOCOL.md §6). The handler marks the moment with an
-//! [`EventKind::NetAckDurable`] trace event, which `ad-kv-loadgen --smoke`
+//! [`ACK_AFTER_DURABLE`] trace event, which `ad-kv-loadgen --smoke`
 //! checks against the `wal_fsync` timeline.
 
 use std::io::{self, Read, Write};
@@ -39,7 +39,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ad_kv::{KvStore, WriteBatch};
-use ad_stm::EventKind;
+use ad_stm::AppEvent;
 use ad_support::pool::Pool;
 use ad_support::sync::atomic::{AtomicBool, Ordering};
 use ad_support::tsc;
@@ -52,6 +52,15 @@ use crate::stats::{NetStats, NetStatsSnapshot};
 /// shutdown flag. Bounds how stale a shutdown can go unnoticed; invisible
 /// to clients (a timeout just loops).
 const READ_TICK: Duration = Duration::from_millis(250);
+
+/// Trace event: the server emitted a client acknowledgement *after* the
+/// request's deferred durability work resolved (between
+/// `DeferHandle::wait` returning and the response bytes being written);
+/// `arg` = the request id being acked. On a merged timeline every one of
+/// these must causally follow the `wal_fsync` that covered the request's
+/// redo record — the wire-level restatement of the store's "ack ⇒ durable"
+/// contract, asserted by `ad-kv-loadgen --smoke`.
+pub static ACK_AFTER_DURABLE: AppEvent = AppEvent::new("ack_after_durable", "req_id");
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -261,7 +270,7 @@ fn write(store: &KvStore, req_id: u32, ops: ad_kv::RedoOps) -> Response {
         store.wait_durable(&h);
         store
             .runtime()
-            .trace_app(EventKind::NetAckDurable, u64::from(req_id));
+            .trace_app(&ACK_AFTER_DURABLE, u64::from(req_id));
     }
     Response::Applied(count)
 }

@@ -63,5 +63,5 @@ pub mod transport;
 #[cfg(all(test, loom))]
 mod verify;
 
-pub use router::ShardRouter;
+pub use router::{ShardRouter, SHARD_ACK, SHARD_PREPARE, SHARD_RELEASE};
 pub use transport::{Frame, LocalTransport, Transport};

@@ -9,13 +9,30 @@ use std::thread::JoinHandle;
 use ad_kv::{
     CkptPolicy, CkptReport, KvConfig, KvStore, MemDisk, RecoveryReport, SyncPolicy, WriteBatch,
 };
-use ad_stm::{EventKind, StatsReport, Trace};
+use ad_stm::{AppEvent, StatsReport, Trace};
 use ad_support::hash::fnv1a64;
 use ad_support::sync::atomic::{AtomicU64, Ordering};
 use ad_support::sync::{Condvar, Mutex, RwLock};
 
 use crate::plan::{self, Callback};
 use crate::transport::{Frame, LocalTransport, Transport};
+
+/// Trace event: a cross-shard coordinator sent (or a participant began
+/// applying) a prepare frame for a global batch; `arg` = the global batch
+/// id's low bits.
+pub static SHARD_PREPARE: AppEvent = AppEvent::new("shard_prepare", "gid");
+
+/// Trace event: a participant acknowledged a prepare as durable on its
+/// shard; `arg` = the global batch id's low bits. On a merged timeline
+/// this must causally follow the participant's `wal_fsync` covering the
+/// prepare record.
+pub static SHARD_ACK: AppEvent = AppEvent::new("shard_ack", "gid");
+
+/// Trace event: the coordinator released a cross-shard batch after every
+/// participant acked (commit record durable); `arg` = the global batch
+/// id's low bits. Participant-side locks are held until their runtime
+/// observes this — the hold-until-all-ack invariant.
+pub static SHARD_RELEASE: AppEvent = AppEvent::new("shard_release", "gid");
 
 /// Low 48 bits of a gid: the per-router sequence. The high 16 bits name
 /// the coordinator shard, so recovery can say who held the decision.
@@ -182,18 +199,18 @@ impl ShardRouter {
                         let me = s as u16;
                         let (ack_rt, ack_tx) = (Arc::clone(store.runtime()), Arc::clone(&tx));
                         let (rel_rt, rel_sig) = (Arc::clone(store.runtime()), Arc::clone(&sig));
-                        store.runtime().trace_app(EventKind::ShardPrepare, gid);
+                        store.runtime().trace_app(&SHARD_PREPARE, gid);
                         store.commit(
                             &WriteBatch::from_ops(ops),
                             &plan::participant(
                                 gid,
                                 Arc::new(move || {
-                                    ack_rt.trace_app(EventKind::ShardAck, gid);
+                                    ack_rt.trace_app(&SHARD_ACK, gid);
                                     ack_tx.send(from, Frame::Ack { gid, from: me });
                                 }),
                                 Arc::new(move || {
                                     rel_sig.wait(SIG_RELEASE, gid, me);
-                                    rel_rt.trace_app(EventKind::ShardRelease, gid);
+                                    rel_rt.trace_app(&SHARD_RELEASE, gid);
                                 }),
                             ),
                         );
@@ -331,17 +348,17 @@ impl ShardRouter {
                 let (tx, sig) = (Arc::clone(&self.sender), Arc::clone(&self.signals));
                 participants.push(p);
                 Arc::new(move || {
-                    rt.trace_app(EventKind::ShardPrepare, gid);
+                    rt.trace_app(&SHARD_PREPARE, gid);
                     let ops = (*ops).clone();
                     tx.send(p, Frame::Prepare { gid, from, ops });
                     sig.wait(SIG_ACK, gid, p);
-                    rt.trace_app(EventKind::ShardAck, gid);
+                    rt.trace_app(&SHARD_ACK, gid);
                 }) as Callback
             })
             .collect();
         let (tx, rt) = (Arc::clone(&self.sender), Arc::clone(store.runtime()));
         let release_all: Callback = Arc::new(move || {
-            rt.trace_app(EventKind::ShardRelease, gid);
+            rt.trace_app(&SHARD_RELEASE, gid);
             for &p in &participants {
                 tx.send(p, Frame::Release { gid });
             }

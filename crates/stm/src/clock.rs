@@ -12,14 +12,6 @@
 //!   fast path, but every commit does a cross-core RMW on the same cache
 //!   line — the single point all write curves collapse onto as threads are
 //!   added. Kept as the paper-faithful default for A/B runs.
-//! * [`ClockPolicy::Sloppy`] — GV5/GV7-style: a committing writer *reads*
-//!   the shared word and stamps its write set at `max(now, rv, pre) + 2`
-//!   without an RMW. The shared word only moves when a reader's snapshot
-//!   extension witnesses a version above it (a CAS-max "bump"), so
-//!   uncontended commits do zero cross-core stores on the clock line.
-//!   Timestamps are *not* unique — two concurrent writers may stamp equal
-//!   versions — which is safe for disjoint write sets (see the opacity
-//!   argument below) but rules out the Gv2 fast path.
 //! * [`ClockPolicy::Sharded`] — per-thread, cache-line-padded clock cells.
 //!   A committing writer scans all cells (after locking its write set),
 //!   takes the max plus 2, and publishes its new timestamp to its own cell
@@ -28,30 +20,28 @@
 //!   on a validation miss, and advanced for free to the thread's own last
 //!   write version after each commit.
 //!
-//! ## Why sloppy/sharded timestamps preserve opacity
+//! ## Why sharded timestamps preserve opacity
 //!
 //! TL2's safety needs exactly one clock property: if a transaction's read
 //! version satisfies `rv >= wv` for some writer, then that writer had
 //! already locked its entire write set before the reader began — so the
 //! reader observes each written variable either locked (and retries) or
 //! fully stamped, never a torn mix. Under `Gv2` this follows from the RMW
-//! total order. Under `Sloppy`, `rv >= wv` means the shared word advanced
-//! past the writer's post-lock read before the reader's begin, which
-//! orders the writer's locks before the reader. Under `Sharded`, the
-//! writer publishes `wv` to its cell (a `SeqCst` max) after locking and
-//! before stamping, so any merge that returns `rv >= wv` read that cell
-//! after the publish — again ordering the locks first. Per-variable
-//! monotonicity (no ABA on version words) is kept by folding each locked
-//! variable's pre-lock version into the stamp: `wv >= pre + 2`.
+//! total order. Under `Sharded`, the writer publishes `wv` to its cell (a
+//! `SeqCst` max) after locking and before stamping, so any merge that
+//! returns `rv >= wv` read that cell after the publish — again ordering
+//! the locks first. Sharded stamps are *not* unique — two concurrent
+//! writers may stamp equal versions — which is safe for disjoint write
+//! sets but rules out the Gv2 fast path. Per-variable monotonicity (no ABA
+//! on version words) is kept by folding each locked variable's pre-lock
+//! version into the stamp: `wv >= pre + 2`.
 //!
 //! The thread-local cached bound is only ever *stale-low*, which is always
 //! safe: a too-small `rv` merely triggers extra snapshot extensions.
 //! Advancing the cache to the thread's own `wv` after a sharded commit is
 //! sound because any writer whose `wv' <= wv` scanned this thread's cell
 //! before the publish of `wv`, hence locked before this thread's next
-//! transaction begins. (The same boost would be *unsound* under `Sloppy`:
-//! two sloppy writers can share a `wv` with neither ordered before the
-//! other's next begin.)
+//! transaction begins.
 //!
 //! Non-transactional stores ([`nontx_tick`]) use one policy-independent
 //! stamp — max-merge over the shared word (and the shard cells once any
@@ -63,16 +53,13 @@ use ad_support::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::cell::Cell;
 
 /// Which commit-clock algorithm a runtime's transactions use. See the
-/// module docs for the three algorithms and their trade-offs.
+/// module docs for the two algorithms and their trade-offs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockPolicy {
     /// TL2's GV2: `fetch_add(2, SeqCst)` per writer commit. Unique
     /// timestamps, validation fast path, but a global RMW hotspot.
     #[default]
     Gv2,
-    /// GV5/GV7-style sloppy stamps: read-only commits on the clock line;
-    /// the shared word is bumped only on a reader's validation miss.
-    Sloppy,
     /// Cache-line-padded per-thread clock cells, max-merged on demand and
     /// amortized through a thread-local cached read bound.
     Sharded,
@@ -83,7 +70,6 @@ impl ClockPolicy {
     pub fn name(self) -> &'static str {
         match self {
             ClockPolicy::Gv2 => "gv2",
-            ClockPolicy::Sloppy => "sloppy",
             ClockPolicy::Sharded => "sharded",
         }
     }
@@ -92,7 +78,6 @@ impl ClockPolicy {
     pub fn parse(s: &str) -> Option<ClockPolicy> {
         match s {
             "gv2" => Some(ClockPolicy::Gv2),
-            "sloppy" => Some(ClockPolicy::Sloppy),
             "sharded" => Some(ClockPolicy::Sharded),
             _ => None,
         }
@@ -158,19 +143,6 @@ fn read_merged() -> u64 {
     m
 }
 
-/// Advance the shared word to at least `target` (CAS-max). Returns true if
-/// this call moved it — the `clock_bumps` statistic.
-fn bump_to(target: u64) -> bool {
-    let mut cur = GLOBAL_CLOCK.load(Ordering::Relaxed);
-    while cur < target {
-        match GLOBAL_CLOCK.compare_exchange(cur, target, Ordering::SeqCst, Ordering::Relaxed) {
-            Ok(_) => return true,
-            Err(seen) => cur = seen,
-        }
-    }
-    false
-}
-
 /// Record that a runtime using `policy` exists, so policy-independent paths
 /// (non-transactional stamps) account for it.
 pub(crate) fn note_policy_in_use(policy: ClockPolicy) {
@@ -179,7 +151,7 @@ pub(crate) fn note_policy_in_use(policy: ClockPolicy) {
     }
 }
 
-/// Current shared-word value (always even). Under `Gv2`/`Sloppy` this is
+/// Current shared-word value (always even). Under `Gv2` this is
 /// the transaction read version; under `Sharded` it may lag the shard
 /// cells, which is still a valid (stale-low) lower bound.
 ///
@@ -199,7 +171,7 @@ pub fn now() -> u64 {
 #[inline]
 pub(crate) fn begin(policy: ClockPolicy) -> u64 {
     match policy {
-        ClockPolicy::Gv2 | ClockPolicy::Sloppy => now(),
+        ClockPolicy::Gv2 => now(),
         // The cached bound is stale-low by construction; fall back to the
         // shared word during thread teardown.
         ClockPolicy::Sharded => CACHED_RV.try_with(Cell::get).unwrap_or_else(|_| now()),
@@ -210,7 +182,7 @@ pub(crate) fn begin(policy: ClockPolicy) -> u64 {
 /// *after* the write set is locked; `rv` is the transaction's (possibly
 /// extended) read version and `max_pre` the maximum pre-lock version among
 /// the locked variables (keeps per-variable version words monotone under
-/// the non-unique policies).
+/// `Sharded`'s non-unique stamps).
 #[inline]
 pub(crate) fn tick(policy: ClockPolicy, rv: u64, max_pre: u64) -> u64 {
     match policy {
@@ -218,14 +190,6 @@ pub(crate) fn tick(policy: ClockPolicy, rv: u64, max_pre: u64) -> u64 {
             let wv = GLOBAL_CLOCK.fetch_add(2, Ordering::SeqCst) + 2;
             debug_assert!(wv > max_pre);
             wv
-        }
-        ClockPolicy::Sloppy => {
-            // The fence orders the write-set lock CASes before this load in
-            // the SeqCst total order (insurance on weaker hardware; the
-            // verify models run under SC where it is a no-op).
-            ad_support::sync::atomic::fence(Ordering::SeqCst);
-            let now = GLOBAL_CLOCK.load(Ordering::SeqCst);
-            now.max(rv).max(max_pre) + 2
         }
         ClockPolicy::Sharded => {
             let wv = read_merged().max(rv).max(max_pre) + 2;
@@ -238,11 +202,9 @@ pub(crate) fn tick(policy: ClockPolicy, rv: u64, max_pre: u64) -> u64 {
 }
 
 /// Compute a new read version for snapshot extension, guaranteed to be at
-/// least `witness` (the version that exceeded the old `rv`). Returns
-/// `(new_rv, bumped)` where `bumped` reports whether this call advanced
-/// the shared clock word (the `Sloppy` policy's lazy clock progress).
+/// least `witness` (the version that exceeded the old `rv`).
 #[inline]
-pub(crate) fn refresh(policy: ClockPolicy, witness: u64) -> (u64, bool) {
+pub(crate) fn refresh(policy: ClockPolicy, witness: u64) -> u64 {
     match policy {
         ClockPolicy::Gv2 => {
             // Gv2 stamps come from the shared word's RMW, and nontx stamps
@@ -250,16 +212,7 @@ pub(crate) fn refresh(policy: ClockPolicy, witness: u64) -> (u64, bool) {
             // the witness.
             let rv = now();
             debug_assert!(rv >= witness);
-            (rv, false)
-        }
-        ClockPolicy::Sloppy => {
-            // Sloppy stamps live *above* the shared word until someone
-            // witnesses them: push the word up so this and future readers
-            // get rv >= witness.
-            let bumped = bump_to(witness);
-            let rv = GLOBAL_CLOCK.load(Ordering::SeqCst);
-            debug_assert!(rv >= witness);
-            (rv, bumped)
+            rv
         }
         ClockPolicy::Sharded => {
             // Writers publish to their cell before stamping, so the merge
@@ -267,14 +220,14 @@ pub(crate) fn refresh(policy: ClockPolicy, witness: u64) -> (u64, bool) {
             let rv = read_merged();
             debug_assert!(rv >= witness);
             let _ = CACHED_RV.try_with(|c| c.set(rv));
-            (rv, false)
+            rv
         }
     }
 }
 
 /// Hook for a successfully committed writer: under `Sharded`, advance this
 /// thread's cached read bound to its own `wv` (sound — see module docs;
-/// the same boost is unsound under `Sloppy` and a no-op under `Gv2`).
+/// a no-op under `Gv2`).
 #[inline]
 pub(crate) fn note_commit(policy: ClockPolicy, wv: u64) {
     if policy == ClockPolicy::Sharded {
@@ -367,8 +320,8 @@ mod tests {
 
     #[test]
     fn concurrent_gv2_ticks_are_unique() {
-        // Uniqueness is a Gv2-only property (sloppy/sharded stamps may
-        // collide by design); it is what the validation fast path rests on.
+        // Uniqueness is a Gv2-only property (sharded stamps may collide by
+        // design); it is what the validation fast path rests on.
         let mut handles = Vec::new();
         for _ in 0..8 {
             handles.push(std::thread::spawn(|| {
@@ -389,43 +342,11 @@ mod tests {
 
     #[test]
     fn policy_names_roundtrip() {
-        for p in [ClockPolicy::Gv2, ClockPolicy::Sloppy, ClockPolicy::Sharded] {
+        for p in [ClockPolicy::Gv2, ClockPolicy::Sharded] {
             assert_eq!(ClockPolicy::parse(p.name()), Some(p));
         }
         assert_eq!(ClockPolicy::parse("gv7"), None);
         assert_eq!(ClockPolicy::Gv2, ClockPolicy::default());
-    }
-
-    #[test]
-    fn sloppy_tick_does_not_move_the_shared_word() {
-        let before = now();
-        let wv = tick(ClockPolicy::Sloppy, before, 0);
-        assert!(wv >= before + 2);
-        assert_eq!(wv % 2, 0);
-        assert_eq!(now(), before, "sloppy tick must not RMW the clock");
-    }
-
-    #[test]
-    fn sloppy_tick_exceeds_rv_and_pre_lock_versions() {
-        let base = now();
-        // A stale word plus a fresher pre-lock version: the stamp must
-        // clear both, or version words would go non-monotone (ABA).
-        let wv = tick(ClockPolicy::Sloppy, base, base + 40);
-        assert!(wv >= base + 42);
-        let wv2 = tick(ClockPolicy::Sloppy, base + 100, base);
-        assert!(wv2 >= base + 102);
-    }
-
-    #[test]
-    fn sloppy_refresh_bumps_shared_word_to_witness() {
-        let witness = now() + 1000;
-        let (rv, bumped) = refresh(ClockPolicy::Sloppy, witness);
-        assert!(rv >= witness);
-        assert!(bumped, "a witness above the word must advance it");
-        assert!(now() >= witness);
-        // Re-witnessing the same version is not another bump.
-        let (_, bumped_again) = refresh(ClockPolicy::Sloppy, witness);
-        assert!(!bumped_again);
     }
 
     #[test]
@@ -435,7 +356,7 @@ mod tests {
         let merged = model_hooks::merged();
         assert!(merged >= wv, "tick must publish before returning");
         // A refresh (full merge) must therefore cover the new stamp.
-        let (rv, _) = refresh(ClockPolicy::Sharded, wv);
+        let rv = refresh(ClockPolicy::Sharded, wv);
         assert!(rv >= wv);
         // And the commit hook advances this thread's cached begin bound.
         note_commit(ClockPolicy::Sharded, wv);
@@ -454,7 +375,10 @@ mod tests {
         // The seeded clock-skew bug: dropping one shard from the merge can
         // lose that shard's freshest stamp. This is the defect the loom
         // regression model must catch end-to-end.
-        let wv = tick(ClockPolicy::Sharded, model_hooks::merged(), 0);
+        // The clock is process-wide and the neighbouring tests tick it: the
+        // stamp is taken far enough ahead that none of them can cover it
+        // between the tick and the skewed merge.
+        let wv = tick(ClockPolicy::Sharded, model_hooks::merged() + 1_000_000, 0);
         let me = model_hooks::my_shard_index();
         assert!(model_hooks::merged() >= wv);
         assert!(
@@ -482,6 +406,8 @@ mod tests {
         // The cached sharded bound never exceeds what a full merge returns.
         let rv = begin(ClockPolicy::Sharded);
         assert!(rv <= model_hooks::merged());
-        assert!(begin(ClockPolicy::Gv2) == now());
+        // Gv2 begins at the shared word itself. A neighbouring test's tick
+        // can land between the two loads, so one attempt may miss.
+        assert!((0..1000).any(|_| begin(ClockPolicy::Gv2) == now()));
     }
 }

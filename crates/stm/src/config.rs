@@ -81,34 +81,12 @@ pub enum DeferExecCfg {
         /// Bounded queue capacity in batches (clamped to at least 1).
         queue_cap: usize,
     },
-    /// Like [`DeferExecCfg::Pool`], but the worker count autoscales within
-    /// `[min_workers, max_workers]` from queue-depth feedback: a submit
-    /// that finds queued batches outnumbering parked workers spawns one
-    /// more (saturation — the condition that makes `defer_queue_wait_ns`
-    /// climb), and a surplus worker idle past `idle_timeout_ms` with an
-    /// empty queue retires itself. Backpressure is unchanged: a full queue
-    /// still runs the batch inline on the committer.
-    AutoPool {
-        /// Worker-count floor (clamped to at least 1); spawned at startup.
-        min_workers: usize,
-        /// Worker-count ceiling (clamped to at least `min_workers`).
-        max_workers: usize,
-        /// Bounded queue capacity in batches (clamped to at least 1).
-        queue_cap: usize,
-        /// How long a surplus worker idles before retiring, in
-        /// milliseconds.
-        idle_timeout_ms: u64,
-    },
 }
 
 impl DeferExecCfg {
-    /// True when deferred ops are offloaded to a worker pool (fixed or
-    /// autoscaling).
+    /// True when deferred ops are offloaded to a worker pool.
     pub fn is_pool(&self) -> bool {
-        matches!(
-            self,
-            DeferExecCfg::Pool { .. } | DeferExecCfg::AutoPool { .. }
-        )
+        matches!(self, DeferExecCfg::Pool { .. })
     }
 }
 
@@ -147,9 +125,8 @@ pub struct TmConfig {
     /// thread (default) or offloaded to a bounded worker pool.
     pub defer_exec: DeferExecCfg,
     /// Commit-clock policy: how writer commits acquire version timestamps.
-    /// `Gv2` (default) is the paper-faithful TL2 clock; `Sloppy` and
-    /// `Sharded` trade timestamp uniqueness for commit-path scalability
-    /// (DESIGN.md §11).
+    /// `Gv2` (default) is the paper-faithful TL2 clock; `Sharded` trades
+    /// timestamp uniqueness for commit-path scalability (DESIGN.md §11).
     pub clock: ClockPolicy,
 }
 
@@ -234,25 +211,6 @@ impl TmConfig {
         self
     }
 
-    /// Builder-style switch to the *autoscaling* worker-pool executor:
-    /// worker count floats in `[min_workers, max_workers]` on queue-depth
-    /// feedback with a 100 ms idle-retirement timeout (see
-    /// [`DeferExecCfg::AutoPool`] for the policy).
-    pub fn with_defer_autoscale(
-        mut self,
-        min_workers: usize,
-        max_workers: usize,
-        queue_cap: usize,
-    ) -> Self {
-        self.defer_exec = DeferExecCfg::AutoPool {
-            min_workers,
-            max_workers,
-            queue_cap,
-            idle_timeout_ms: 100,
-        };
-        self
-    }
-
     /// Builder-style override of the deferred-op executor.
     pub fn with_defer_exec(mut self, exec: DeferExecCfg) -> Self {
         self.defer_exec = exec;
@@ -312,9 +270,9 @@ mod tests {
             .with_htm_capacity(1024)
             .with_trace_ring(256)
             .with_defer_pool(2, 32)
-            .with_clock(ClockPolicy::Sloppy);
+            .with_clock(ClockPolicy::Sharded);
         assert_eq!(c.serialize_after, 5);
-        assert_eq!(c.clock, ClockPolicy::Sloppy);
+        assert_eq!(c.clock, ClockPolicy::Sharded);
         assert!(c.quiesce);
         assert_eq!(c.retry_policy, RetryPolicy::Park);
         assert_eq!(c.trace_ring_events, 256);
@@ -329,21 +287,6 @@ mod tests {
             Mode::HtmSim(h) => assert_eq!(h.capacity_bytes, 1024),
             _ => panic!("expected HTM mode"),
         }
-    }
-
-    #[test]
-    fn autoscale_builder_sets_bounds() {
-        let c = TmConfig::stm().with_defer_autoscale(1, 8, 64);
-        assert!(c.defer_exec.is_pool());
-        assert_eq!(
-            c.defer_exec,
-            DeferExecCfg::AutoPool {
-                min_workers: 1,
-                max_workers: 8,
-                queue_cap: 64,
-                idle_timeout_ms: 100
-            }
-        );
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub use config::{DeferExecCfg, HtmConfig, Mode, RetryPolicy, TmConfig};
 pub use error::{StmError, StmResult};
 pub use runtime::{atomically, synchronized, Runtime};
 pub use stats::{StatsReport, StatsSnapshot};
-pub use trace::{ContentionEntry, ContentionReport, EventKind, Trace, TraceEvent};
+pub use trace::{AppEvent, ContentionEntry, ContentionReport, EventKind, Trace, TraceEvent};
 pub use tx::{PostCommitFn, Tx};
 pub use var::TVar;
 

@@ -13,7 +13,7 @@ use crate::config::{RetryPolicy, TmConfig};
 use crate::error::{StmError, StmResult};
 use crate::registry::{ActivitySlot, Registry};
 use crate::stats::{Stats, StatsReport, StatsSnapshot};
-use crate::trace::{cause, EventKind, Trace, TraceSink};
+use crate::trace::{cause, AppEvent, EventKind, Trace, TraceSink};
 use crate::tx::{CommitOutput, Tx, TxBuffers};
 
 static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
@@ -115,17 +115,6 @@ impl Runtime {
                     crate::config::DeferExecCfg::Pool { workers, queue_cap } => {
                         Some(ad_support::pool::Pool::new(workers, queue_cap))
                     }
-                    crate::config::DeferExecCfg::AutoPool {
-                        min_workers,
-                        max_workers,
-                        queue_cap,
-                        idle_timeout_ms,
-                    } => Some(ad_support::pool::Pool::with_limits(
-                        min_workers,
-                        max_workers,
-                        queue_cap,
-                        std::time::Duration::from_millis(idle_timeout_ms),
-                    )),
                 },
             }),
         }
@@ -231,14 +220,28 @@ impl Runtime {
 
     /// Record an application-level event on this runtime's timeline from
     /// *outside* any transaction — deferred operations, I/O helper threads.
-    /// A no-op (one relaxed load) when tracing is off. This is how `ad-kv`
-    /// puts its [`EventKind::WalAppend`]/[`EventKind::WalFsync`] points
-    /// next to the STM lifecycle events; inside a transaction use
-    /// [`Tx::trace`] instead, which caches the toggle.
+    /// A no-op (one relaxed load) when tracing is off. The event is a
+    /// `static` [`AppEvent`] declared by the crate that emits it — this is
+    /// how a storage layer puts its append/fsync points next to the STM
+    /// lifecycle events without `ad-stm` knowing its name:
+    ///
+    /// ```
+    /// use ad_stm::{AppEvent, Runtime, TmConfig};
+    ///
+    /// static LOG_FLUSH: AppEvent = AppEvent::new("log_flush", "records");
+    ///
+    /// let rt = Runtime::new(TmConfig::stm());
+    /// rt.set_tracing(true);
+    /// rt.trace_app(&LOG_FLUSH, 3);
+    /// assert!(rt.take_trace().render().contains("log_flush        records=3"));
+    /// ```
+    ///
+    /// Inside a transaction use [`Tx::trace`] instead, which caches the
+    /// toggle.
     #[inline]
-    pub fn trace_app(&self, kind: EventKind, arg: u64) {
+    pub fn trace_app(&self, event: &'static AppEvent, arg: u64) {
         if self.inner.sink.enabled() {
-            self.trace_event(kind, arg);
+            self.trace_event(EventKind::App(event), arg);
         }
     }
 
@@ -600,17 +603,6 @@ impl Runtime {
         true
     }
 
-    /// Live worker count of the `Pool`/`AutoPool` executor (0 under
-    /// `Inline`). On an autoscaling pool this floats between the
-    /// configured min and max with load.
-    pub fn defer_worker_count(&self) -> usize {
-        #[cfg(not(loom))]
-        if let Some(pool) = &self.inner.defer_pool {
-            return pool.worker_count();
-        }
-        0
-    }
-
     /// Would blocking on *this* runtime's deferred work from the calling
     /// thread tie up a worker of some **other** pool? True when the caller
     /// is a pool worker but not one of this runtime's own — the
@@ -652,7 +644,9 @@ impl Runtime {
             return false;
         }
         self.inner.stats.on_defer_remote_wait_hazard();
-        self.trace_app(EventKind::DeferRemoteWaitHazard, self.inner.id);
+        if self.inner.sink.enabled() {
+            self.trace_event(EventKind::DeferRemoteWaitHazard, self.inner.id);
+        }
         true
     }
 

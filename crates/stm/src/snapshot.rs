@@ -844,6 +844,19 @@ mod tests {
         free_garbage(garbage);
     }
 
+    /// Repeat `safe_point` until `done` holds (or a generous deadline
+    /// passes). The epoch and the participant list are process-wide, so a
+    /// neighbouring test's thread descheduled while pinned stalls every
+    /// advance for as long as it sleeps: progress of *this* thread's
+    /// retirements has to be awaited, not counted in iterations.
+    fn reclaim_until(mut safe_point: impl FnMut(), done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !done() && std::time::Instant::now() < deadline {
+            safe_point();
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn load_store_roundtrip() {
         let cell = SnapshotCell::new(new_value(7u64));
@@ -893,13 +906,13 @@ mod tests {
         for _ in 0..4 {
             cell.store(new_value(Counted(Arc::clone(&drops))));
         }
-        // Each collect advances the epoch by at most one; many idle flushes
-        // fire several periodic collections, which is enough for the tags
-        // to age past the two-epoch horizon (other tests' transient pins
-        // may delay advancement, hence the generous iteration count).
-        for _ in 0..(FLUSH_PERIOD * 8) {
-            flush();
-        }
+        // Each collect advances the epoch by at most one; idle flushes
+        // fire periodic collections until the tags age past the two-epoch
+        // horizon.
+        reclaim_until(
+            || (0..FLUSH_PERIOD).for_each(|_| flush()),
+            || drops.load(Ordering::SeqCst) >= 1,
+        );
         assert!(
             drops.load(Ordering::SeqCst) >= 1,
             "periodic flush never freed a below-threshold bag"
@@ -925,17 +938,13 @@ mod tests {
             cell.store(new_value(Counted));
             flush();
         }
-        for _ in 0..4 {
-            force_collect();
-        }
+        reclaim_until(force_collect, || DROPS.load(Ordering::SeqCst) >= n / 4);
         drop(cell);
         // n values were superseded +1 final value freed by Drop; some of
         // the superseded ones may still sit in this thread's bag, but at
         // least everything from completed collections is gone.
         let dropped = DROPS.load(Ordering::SeqCst);
         assert!(dropped <= n + 1, "double free: {dropped} > {}", n + 1);
-        // Concurrent tests may pin participants and delay some advances,
-        // so only require that a solid majority of collections succeeded.
         assert!(
             dropped >= n / 4,
             "reclamation never freed anything: {dropped}"
@@ -960,16 +969,19 @@ mod tests {
         for _ in 0..n {
             cell.store(new_value(Counted(Arc::clone(&drops))));
         }
-        // Each collect frees a bounded slice; other tests' transient pins
-        // may stall some epoch advances, so iterate generously and check
-        // both the per-collect bound and overall progress.
+        // Each collect frees a bounded slice. `drops` counts only this
+        // test's own values (all of them in this thread's bag), so neither
+        // the per-collect bound nor the progress check sees a neighbour's
+        // retirements or adopted orphans.
         let mut max_delta = 0usize;
-        for _ in 0..64 {
-            let before = drops.load(Ordering::SeqCst);
-            force_collect();
-            let delta = drops.load(Ordering::SeqCst) - before;
-            max_delta = max_delta.max(delta);
-        }
+        reclaim_until(
+            || {
+                let before = drops.load(Ordering::SeqCst);
+                force_collect();
+                max_delta = max_delta.max(drops.load(Ordering::SeqCst) - before);
+            },
+            || drops.load(Ordering::SeqCst) >= n,
+        );
         assert!(
             max_delta <= FREE_BATCH_CAP,
             "one collect freed {max_delta} > cap {FREE_BATCH_CAP}"

@@ -35,7 +35,6 @@ pub struct Stats {
     pub(crate) defer_inline_fallbacks: AtomicU64,
     pub(crate) defer_self_wait_hazards: AtomicU64,
     pub(crate) defer_remote_wait_hazards: AtomicU64,
-    pub(crate) clock_bumps: AtomicU64,
     pub(crate) validation_extends: AtomicU64,
     /// The latency histograms, boxed as one block: `Stats` lives inside the
     /// runtime's hot `RtInner`, and keeping it counter-sized preserves the
@@ -91,7 +90,6 @@ impl Stats {
         on_defer_inline_fallback => defer_inline_fallbacks,
         on_defer_self_wait_hazard => defer_self_wait_hazards,
         on_defer_remote_wait_hazard => defer_remote_wait_hazards,
-        on_clock_bump => clock_bumps,
         on_validation_extend => validation_extends,
     }
 
@@ -140,7 +138,6 @@ impl Stats {
             defer_inline_fallbacks: self.defer_inline_fallbacks.load(Ordering::Relaxed),
             defer_self_wait_hazards: self.defer_self_wait_hazards.load(Ordering::Relaxed),
             defer_remote_wait_hazards: self.defer_remote_wait_hazards.load(Ordering::Relaxed),
-            clock_bumps: self.clock_bumps.load(Ordering::Relaxed),
             validation_extends: self.validation_extends.load(Ordering::Relaxed),
             trace_spilled_events: 0,
         }
@@ -174,7 +171,6 @@ impl Stats {
             &self.defer_inline_fallbacks,
             &self.defer_self_wait_hazards,
             &self.defer_remote_wait_hazards,
-            &self.clock_bumps,
             &self.validation_extends,
         ] {
             c.store(0, Ordering::Relaxed);
@@ -237,10 +233,6 @@ pub struct StatsSnapshot {
     /// nonzero value is where to look when two runtimes' pools starve
     /// each other.
     pub defer_remote_wait_hazards: u64,
-    /// Shared clock-word advances forced by snapshot extensions under the
-    /// `Sloppy` commit-clock policy (always 0 under `Gv2`/`Sharded`): how
-    /// often a reader had to pay the CAS the writers skipped.
-    pub clock_bumps: u64,
     /// Successful snapshot extensions (a read witnessed a version above
     /// `rv` and the whole read set revalidated at a fresher timestamp).
     pub validation_extends: u64,
@@ -281,7 +273,6 @@ impl StatsSnapshot {
             defer_self_wait_hazards: self.defer_self_wait_hazards - earlier.defer_self_wait_hazards,
             defer_remote_wait_hazards: self.defer_remote_wait_hazards
                 - earlier.defer_remote_wait_hazards,
-            clock_bumps: self.clock_bumps - earlier.clock_bumps,
             validation_extends: self.validation_extends - earlier.validation_extends,
             trace_spilled_events: self.trace_spilled_events - earlier.trace_spilled_events,
         }
@@ -297,7 +288,6 @@ impl StatsSnapshot {
              \"quiesce_waits\":{},\"quiesce_ns\":{},\"deferred_ops\":{},\
              \"defer_offloads\":{},\"defer_inline_fallbacks\":{},\
              \"defer_self_wait_hazards\":{},\"defer_remote_wait_hazards\":{},\
-             \"clock_bumps\":{},\
              \"validation_extends\":{},\"trace_spilled_events\":{}}}",
             self.starts,
             self.commits,
@@ -314,7 +304,6 @@ impl StatsSnapshot {
             self.defer_inline_fallbacks,
             self.defer_self_wait_hazards,
             self.defer_remote_wait_hazards,
-            self.clock_bumps,
             self.validation_extends,
             self.trace_spilled_events,
         )
@@ -333,7 +322,7 @@ impl fmt::Display for StatsSnapshot {
              quiesce_waits={} deferred_ops={} defer_offloads={} \
              defer_inline_fallbacks={} defer_self_wait_hazards={} \
              defer_remote_wait_hazards={} \
-             clock_bumps={} validation_extends={} trace_spilled_events={}] \
+             validation_extends={} trace_spilled_events={}] \
              durations[quiesce_ns={} ({:.1}ms)]",
             self.total_commits(),
             self.serial_commits,
@@ -349,7 +338,6 @@ impl fmt::Display for StatsSnapshot {
             self.defer_inline_fallbacks,
             self.defer_self_wait_hazards,
             self.defer_remote_wait_hazards,
-            self.clock_bumps,
             self.validation_extends,
             self.trace_spilled_events,
             self.quiesce_ns,
@@ -441,7 +429,6 @@ impl StatsReport {
         c.defer_inline_fallbacks += o.defer_inline_fallbacks;
         c.defer_self_wait_hazards += o.defer_self_wait_hazards;
         c.defer_remote_wait_hazards += o.defer_remote_wait_hazards;
-        c.clock_bumps += o.clock_bumps;
         c.validation_extends += o.validation_extends;
         c.trace_spilled_events += o.trace_spilled_events;
         self.commit_latency_ns.merge(&other.commit_latency_ns);
@@ -586,7 +573,6 @@ mod tests {
             "\"defer_inline_fallbacks\":0",
             "\"defer_self_wait_hazards\":0",
             "\"defer_remote_wait_hazards\":0",
-            "\"clock_bumps\":0",
             "\"validation_extends\":0",
             "\"trace_spilled_events\":0",
         ] {

@@ -44,57 +44,183 @@ use crate::fxhash::FxHashMap;
 /// realistic ones.
 pub(crate) const DEFAULT_RING_CAP: usize = 1 << 14;
 
-/// What happened. The discriminants are stable — they appear in JSON
-/// exports and `txtrace` output — so add variants only at the end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum EventKind {
+/// An application-level trace event, described by the crate that emits
+/// it: declare one `static` per event and pass it to
+/// [`Runtime::trace_app`] (or, inside a transaction, to [`Tx::trace`] as
+/// [`EventKind::App`]) — both show a declaration. `ad-stm` knows nothing
+/// about its clients' events beyond this descriptor — the name and the
+/// argument's label are what [`TraceEvent`]'s `Display`, [`Trace::render`]
+/// and [`Trace::to_chrome_json`] print.
+///
+/// Two events are the same event iff they are the same `static`: traces
+/// merge across runtimes, so identity is process-wide, and a descriptor
+/// needs no registration with any runtime.
+///
+/// [`Runtime::trace_app`]: crate::Runtime::trace_app
+/// [`Tx::trace`]: crate::Tx::trace
+pub struct AppEvent {
+    name: &'static str,
+    arg_label: &'static str,
+    /// The ring-slot code, interned process-wide on first emit (0 = not
+    /// yet emitted). A byte's worth; the atomics facade has no `AtomicU8`.
+    code: AtomicU32,
+}
+
+/// First slot code handed to an [`AppEvent`]; codes below it belong to the
+/// core [`EventKind`] variants.
+const APP_CODE_BASE: u32 = 64;
+
+/// Every [`AppEvent`] emitted so far, indexed by `code - APP_CODE_BASE`.
+static APP_EVENTS: Mutex<Vec<&'static AppEvent>> = Mutex::new(Vec::new());
+
+impl AppEvent {
+    /// Describe an event: its stable lowercase `name` and the label its
+    /// argument renders under (`bytes`, `gid`, … or plain `arg`).
+    pub const fn new(name: &'static str, arg_label: &'static str) -> AppEvent {
+        AppEvent {
+            name,
+            arg_label,
+            code: AtomicU32::new(0),
+        }
+    }
+
+    /// Stable lowercase name (JSON / txtrace output).
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    #[inline]
+    fn code(&'static self) -> u8 {
+        // Acquire pairs with the Release in `intern`: whoever sees a code
+        // also sees the table entry it indexes.
+        match self.code.load(Ordering::Acquire) {
+            0 => self.intern(),
+            code => code as u8,
+        }
+    }
+
+    #[cold]
+    fn intern(&'static self) -> u8 {
+        let mut table = APP_EVENTS.lock();
+        // Another thread's first emit of this descriptor may have won.
+        let mut code = self.code.load(Ordering::Relaxed);
+        if code == 0 {
+            code = APP_CODE_BASE + table.len() as u32;
+            assert!(code <= u32::from(u8::MAX), "too many AppEvent statics");
+            table.push(self);
+            self.code.store(code, Ordering::Release);
+        }
+        code as u8
+    }
+
+    /// The descriptors emitted so far, in code order. A drain copies the
+    /// table once per ring and decodes every slot against the copy, so
+    /// decoding takes no lock per event.
+    fn interned() -> Vec<&'static AppEvent> {
+        APP_EVENTS.lock().clone()
+    }
+}
+
+impl PartialEq for AppEvent {
+    fn eq(&self, other: &AppEvent) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+impl Eq for AppEvent {}
+
+impl fmt::Debug for AppEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name)
+    }
+}
+
+/// Declares [`EventKind`] from one table — variant, ring-slot code, name —
+/// so the three cannot drift apart.
+macro_rules! core_events {
+    ($($(#[$doc:meta])* $variant:ident = $code:literal, $name:literal;)*) => {
+        /// What happened. The core variants are the lifecycle of `ad-stm`
+        /// and `ad-defer` themselves; every other layer's events are
+        /// [`EventKind::App`]. Names are stable — they appear in JSON
+        /// exports and `txtrace` output.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum EventKind {
+            $($(#[$doc])* $variant,)*
+            /// An application event: the emitting crate's descriptor
+            /// says what it is called and what `arg` means.
+            App(&'static AppEvent),
+        }
+
+        impl EventKind {
+            /// Stable lowercase name (JSON / txtrace output).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$variant => $name,)*
+                    EventKind::App(event) => event.name,
+                }
+            }
+
+            /// The kind's code in the top byte of a ring slot.
+            #[inline]
+            fn code(self) -> u8 {
+                match self {
+                    $(EventKind::$variant => $code,)*
+                    EventKind::App(event) => event.code(),
+                }
+            }
+
+            /// Inverse of [`EventKind::code`]; `apps` is
+            /// [`AppEvent::interned`].
+            fn from_code(code: u8, apps: &[&'static AppEvent]) -> Option<EventKind> {
+                match code {
+                    $($code => Some(EventKind::$variant),)*
+                    _ => {
+                        let index = u32::from(code).checked_sub(APP_CODE_BASE)?;
+                        apps.get(index as usize).copied().map(EventKind::App)
+                    }
+                }
+            }
+        }
+    };
+}
+
+core_events! {
     /// A transaction attempt started; `arg` = its read version (`rv`).
-    Begin = 1,
+    Begin = 1, "begin";
     /// The read set grew to a power-of-two size; `arg` = the new length.
     /// (Power-of-two sampling keeps large read-only transactions from
     /// flooding the ring with one event per read.)
-    ReadSetGrow = 2,
+    ReadSetGrow = 2, "read_set_grow";
     /// Snapshot extension or commit-time validation failed; `arg` = the
     /// id of the variable that failed (0 when unknown).
-    ValidateFail = 3,
+    ValidateFail = 3, "validate_fail";
     /// The attempt aborted; `arg` = cause (1 conflict, 2 capacity,
     /// 3 unsupported — [`EventKind::abort_cause_name`]).
-    Abort = 4,
+    Abort = 4, "abort";
     /// The attempt committed; `arg` = 0 speculative, 1 serial/irrevocable.
-    Commit = 5,
+    Commit = 5, "commit";
     /// A writer commit entered quiescence and actually waited for older
     /// transactions; `arg` = its write version. Zero-wait quiescence (no
     /// older transaction in flight) emits no enter/exit pair.
-    QuiesceEnter = 6,
+    QuiesceEnter = 6, "quiesce_enter";
     /// Quiescence finished; `arg` = nanoseconds spent waiting.
-    QuiesceExit = 7,
+    QuiesceExit = 7, "quiesce_exit";
     /// `defer_post_commit` queued a deferred operation inside the
     /// transaction; `arg` = the operation's queue index within it.
-    DeferEnqueue = 8,
+    DeferEnqueue = 8, "defer_enqueue";
     /// A deferred operation started executing post-commit; `arg` = its
     /// queue index (pairs with the committing transaction's
     /// [`EventKind::DeferEnqueue`] of the same index).
-    DeferExecStart = 9,
+    DeferExecStart = 9, "defer_exec_start";
     /// A deferred operation finished; `arg` = its queue index.
-    DeferExecEnd = 10,
+    DeferExecEnd = 10, "defer_exec_end";
     /// A transaction subscribed to a `TxLock` (`ad-defer`); `arg` = the
     /// lock's id (its owner `TVar`'s id).
-    LockSubscribe = 11,
+    LockSubscribe = 11, "lock_subscribe";
     /// A transaction buffered a `TxLock` acquisition; `arg` = the lock id.
-    LockAcquire = 12,
+    LockAcquire = 12, "lock_acquire";
     /// The runner backed off after a failed attempt; `arg` = nanoseconds.
-    Backoff = 13,
-    /// A WAL record was framed into the group-commit buffer (`ad-kv`,
-    /// recorded from the deferred operation via [`Runtime::trace_app`]);
-    /// `arg` = the framed record's size in bytes.
-    ///
-    /// [`Runtime::trace_app`]: crate::Runtime::trace_app
-    WalAppend = 14,
-    /// A WAL fsync batch completed; `arg` = the number of records the
-    /// batch made durable (1 under fsync-per-commit; >1 means group commit
-    /// coalesced concurrent transactions into one sync).
-    WalFsync = 15,
+    Backoff = 13, "backoff";
     /// A committed transaction's deferred-op batch was handed to the
     /// `Pool` executor instead of running inline (`DeferExecCfg::Pool`);
     /// `arg` = the executor queue depth at submission (batches already
@@ -102,25 +228,10 @@ pub enum EventKind {
     /// keeping up and commits are about to feel backpressure). Emitted by
     /// the committing thread; the matching `defer_exec_start`/`_end` pair
     /// appears on the worker's timeline row.
-    DeferOffload = 16,
-    /// A snapshot extension advanced the shared clock word under the
-    /// `Sloppy` commit-clock policy (the reader paid the CAS the writers
-    /// skipped); `arg` = the new clock value.
-    ClockBump = 17,
+    DeferOffload = 16, "defer_offload";
     /// A snapshot extension succeeded: the whole read set revalidated at a
     /// fresher timestamp; `arg` = the new read version.
-    ValidationExtend = 18,
-    /// A network server emitted a client acknowledgement *after* the
-    /// request's deferred durability work resolved (`ad-net`, recorded via
-    /// [`Runtime::trace_app`] between `DeferHandle::wait` returning and the
-    /// response bytes being written); `arg` = the request id being acked.
-    /// On a merged timeline every one of these must causally follow the
-    /// `wal_fsync` that covered the request's redo record — the wire-level
-    /// restatement of the store's "ack ⇒ durable" contract, asserted by
-    /// `ad-kv-loadgen --smoke`.
-    ///
-    /// [`Runtime::trace_app`]: crate::Runtime::trace_app
-    NetAckDurable = 19,
+    ValidationExtend = 18, "validation_extend";
     /// A `DeferHandle::wait`/`wait_all` was entered on the sole worker of
     /// this runtime's own deferred-op pool — the self-deadlock hazard of
     /// DESIGN.md §10 (i): the waited-on op may be queued behind the job
@@ -128,18 +239,7 @@ pub enum EventKind {
     /// that can never be dispatched while this one blocks). Emitted (with
     /// the `defer_self_wait_hazards` counter bump) just before the wait
     /// blocks; in debug builds a `debug_assert!` fires as well.
-    DeferSelfWaitHazard = 20,
-    /// A checkpoint started (application event, `ad-kv`). `arg` = the
-    /// durable WAL sequence at the moment the checkpointer woke up — the
-    /// cut will be at least this.
-    CkptBegin = 21,
-    /// A checkpoint's snapshot was durably published (tmp written,
-    /// fsynced, renamed over current, directory fsynced). `arg` = the
-    /// snapshot's size in bytes.
-    CkptPublish = 22,
-    /// WAL segments covered by a published snapshot were deleted.
-    /// `arg` = bytes freed.
-    WalTruncate = 23,
+    DeferSelfWaitHazard = 20, "defer_self_wait_hazard";
     /// A `DeferHandle::wait`/`wait_all` was entered on a worker thread of
     /// a *different* runtime's deferred-op pool — the cross-runtime cousin
     /// of [`EventKind::DeferSelfWaitHazard`] (DESIGN.md §14): a shard
@@ -151,59 +251,10 @@ pub enum EventKind {
     /// blocks; unlike the self-wait hazard it does not `debug_assert!`,
     /// because ad-shard's ascending-shard prepare order makes a bounded
     /// remote wait legal — the event is for audit, not prohibition.
-    DeferRemoteWaitHazard = 24,
-    /// A cross-shard coordinator sent (or a participant began applying) a
-    /// prepare frame for a global batch (`ad-shard`, recorded via
-    /// [`Runtime::trace_app`]); `arg` = the global batch id's low bits.
-    ///
-    /// [`Runtime::trace_app`]: crate::Runtime::trace_app
-    ShardPrepare = 25,
-    /// A participant acknowledged a prepare as durable on its shard;
-    /// `arg` = the global batch id's low bits. On a merged timeline this
-    /// must causally follow the participant's `wal_fsync` covering the
-    /// prepare record.
-    ShardAck = 26,
-    /// The coordinator released a cross-shard batch after every
-    /// participant acked (commit record durable); `arg` = the global
-    /// batch id's low bits. Participant-side locks are held until their
-    /// runtime observes this — the hold-until-all-ack invariant.
-    ShardRelease = 27,
+    DeferRemoteWaitHazard = 24, "defer_remote_wait_hazard";
 }
 
 impl EventKind {
-    /// Stable lowercase name (JSON / txtrace output).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Begin => "begin",
-            EventKind::ReadSetGrow => "read_set_grow",
-            EventKind::ValidateFail => "validate_fail",
-            EventKind::Abort => "abort",
-            EventKind::Commit => "commit",
-            EventKind::QuiesceEnter => "quiesce_enter",
-            EventKind::QuiesceExit => "quiesce_exit",
-            EventKind::DeferEnqueue => "defer_enqueue",
-            EventKind::DeferExecStart => "defer_exec_start",
-            EventKind::DeferExecEnd => "defer_exec_end",
-            EventKind::LockSubscribe => "lock_subscribe",
-            EventKind::LockAcquire => "lock_acquire",
-            EventKind::Backoff => "backoff",
-            EventKind::WalAppend => "wal_append",
-            EventKind::WalFsync => "wal_fsync",
-            EventKind::DeferOffload => "defer_offload",
-            EventKind::ClockBump => "clock_bump",
-            EventKind::ValidationExtend => "validation_extend",
-            EventKind::NetAckDurable => "ack_after_durable",
-            EventKind::DeferSelfWaitHazard => "defer_self_wait_hazard",
-            EventKind::CkptBegin => "ckpt_begin",
-            EventKind::CkptPublish => "ckpt_publish",
-            EventKind::WalTruncate => "wal_truncate",
-            EventKind::DeferRemoteWaitHazard => "defer_remote_wait_hazard",
-            EventKind::ShardPrepare => "shard_prepare",
-            EventKind::ShardAck => "shard_ack",
-            EventKind::ShardRelease => "shard_release",
-        }
-    }
-
     /// Name of an [`EventKind::Abort`] event's cause argument.
     pub fn abort_cause_name(arg: u64) -> &'static str {
         match arg {
@@ -212,39 +263,6 @@ impl EventKind {
             3 => "unsupported",
             _ => "unknown",
         }
-    }
-
-    fn from_code(code: u8) -> Option<EventKind> {
-        Some(match code {
-            1 => EventKind::Begin,
-            2 => EventKind::ReadSetGrow,
-            3 => EventKind::ValidateFail,
-            4 => EventKind::Abort,
-            5 => EventKind::Commit,
-            6 => EventKind::QuiesceEnter,
-            7 => EventKind::QuiesceExit,
-            8 => EventKind::DeferEnqueue,
-            9 => EventKind::DeferExecStart,
-            10 => EventKind::DeferExecEnd,
-            11 => EventKind::LockSubscribe,
-            12 => EventKind::LockAcquire,
-            13 => EventKind::Backoff,
-            14 => EventKind::WalAppend,
-            15 => EventKind::WalFsync,
-            16 => EventKind::DeferOffload,
-            17 => EventKind::ClockBump,
-            18 => EventKind::ValidationExtend,
-            19 => EventKind::NetAckDurable,
-            20 => EventKind::DeferSelfWaitHazard,
-            21 => EventKind::CkptBegin,
-            22 => EventKind::CkptPublish,
-            23 => EventKind::WalTruncate,
-            24 => EventKind::DeferRemoteWaitHazard,
-            25 => EventKind::ShardPrepare,
-            26 => EventKind::ShardAck,
-            27 => EventKind::ShardRelease,
-            _ => return None,
-        })
     }
 }
 
@@ -318,16 +336,11 @@ impl fmt::Display for TraceEvent {
             EventKind::QuiesceExit | EventKind::Backoff => {
                 write!(f, " waited={:.1}us", self.arg as f64 / 1e3)
             }
-            EventKind::WalAppend => write!(f, " bytes={}", self.arg),
-            EventKind::WalFsync => write!(f, " records={}", self.arg),
             EventKind::DeferOffload | EventKind::DeferSelfWaitHazard => {
                 write!(f, " queue_depth={}", self.arg)
             }
             EventKind::DeferRemoteWaitHazard => write!(f, " remote_runtime={}", self.arg),
-            EventKind::ShardPrepare | EventKind::ShardAck | EventKind::ShardRelease => {
-                write!(f, " gid={}", self.arg)
-            }
-            EventKind::NetAckDurable => write!(f, " req_id={}", self.arg),
+            EventKind::App(event) => write!(f, " {}={}", event.arg_label, self.arg),
             _ => write!(f, " arg={}", self.arg),
         }
     }
@@ -585,33 +598,22 @@ impl Trace {
                         &[("index", e.arg.to_string())],
                     ),
                 },
-                EventKind::DeferOffload => w.push(
-                    "defer_offload",
-                    'i',
-                    e.runtime,
-                    e.thread,
-                    e.ts_ns,
-                    None,
-                    &[("queue_depth", e.arg.to_string())],
-                ),
-                EventKind::ShardPrepare | EventKind::ShardAck | EventKind::ShardRelease => w.push(
-                    e.kind.name(),
-                    'i',
-                    e.runtime,
-                    e.thread,
-                    e.ts_ns,
-                    None,
-                    &[("gid", e.arg.to_string())],
-                ),
-                _ => w.push(
-                    e.kind.name(),
-                    'i',
-                    e.runtime,
-                    e.thread,
-                    e.ts_ns,
-                    None,
-                    &[("arg", e.arg.to_string())],
-                ),
+                _ => {
+                    let label = match e.kind {
+                        EventKind::DeferOffload => "queue_depth",
+                        EventKind::App(event) => event.arg_label,
+                        _ => "arg",
+                    };
+                    w.push(
+                        e.kind.name(),
+                        'i',
+                        e.runtime,
+                        e.thread,
+                        e.ts_ns,
+                        None,
+                        &[(label, e.arg.to_string())],
+                    )
+                }
             }
         }
         w.out.push_str("\n]}\n");
@@ -723,6 +725,13 @@ struct Slot {
 const ARG_BITS: u32 = 56;
 const ARG_MASK: u64 = (1 << ARG_BITS) - 1;
 
+/// A [`Slot`]'s three words copied out, not yet decoded.
+struct RawEvent {
+    seq: u64,
+    ts: u64,
+    packed: u64,
+}
+
 /// A single-writer ring buffer of trace events, owned by one thread and
 /// readable (racily but safely) by the merger.
 pub(crate) struct TraceBuf {
@@ -736,7 +745,7 @@ pub(crate) struct TraceBuf {
     /// Ring-overflow rescue (`TmConfig::trace_spill`): events the owner is
     /// about to overwrite land here instead of being dropped. Touched only
     /// on overflow, so the keeping-up hot path never takes the lock.
-    spill: Option<Mutex<Vec<TraceEvent>>>,
+    spill: Option<Mutex<Vec<RawEvent>>>,
     /// Total events ever spilled by the owner (monotone, never reset —
     /// feeds the `trace_spilled_events` counter).
     spilled: AtomicU64,
@@ -776,23 +785,18 @@ impl TraceBuf {
     pub(crate) fn push(&self, ts: u64, kind: EventKind, arg: u64) {
         let head = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(head as usize) & (self.slots.len() - 1)];
-        // Spill the event this push is about to overwrite. Owner-side
-        // reads need no seqlock dance — only the owner writes slots.
+        // Spill the event this push is about to overwrite, undecoded: the
+        // drain decodes it. Owner-side reads need no seqlock dance — only
+        // the owner writes slots.
         if let Some(spill) = &self.spill {
-            let old_seq = slot.seq.load(Ordering::Relaxed);
-            if old_seq != 0 {
-                let old_packed = slot.packed.load(Ordering::Relaxed);
-                if let Some(old_kind) = EventKind::from_code((old_packed >> ARG_BITS) as u8) {
-                    spill.lock().push(TraceEvent {
-                        ts_ns: slot.ts.load(Ordering::Relaxed),
-                        runtime: self.runtime,
-                        thread: self.thread,
-                        seq: old_seq,
-                        kind: old_kind,
-                        arg: old_packed & ARG_MASK,
-                    });
-                    self.spilled.fetch_add(1, Ordering::Relaxed);
-                }
+            let seq = slot.seq.load(Ordering::Relaxed);
+            if seq != 0 {
+                spill.lock().push(RawEvent {
+                    seq,
+                    ts: slot.ts.load(Ordering::Relaxed),
+                    packed: slot.packed.load(Ordering::Relaxed),
+                });
+                self.spilled.fetch_add(1, Ordering::Relaxed);
             }
         }
         // Invalidate first so a concurrent reader can't pair the old seq
@@ -800,7 +804,7 @@ impl TraceBuf {
         slot.seq.store(0, Ordering::Relaxed);
         slot.ts.store(ts, Ordering::Relaxed);
         slot.packed.store(
-            ((kind as u64) << ARG_BITS) | (arg & ARG_MASK),
+            (u64::from(kind.code()) << ARG_BITS) | (arg & ARG_MASK),
             Ordering::Relaxed,
         );
         slot.seq.store(head + 1, Ordering::Release);
@@ -812,13 +816,11 @@ impl TraceBuf {
     /// `dropped == 0` because every overwritten event was rescued.
     fn drain_into(&self, out: &mut Vec<TraceEvent>) -> (u64, u64) {
         let head = self.head.load(Ordering::Acquire);
-        let mut spilled_now = 0u64;
-        if let Some(spill) = &self.spill {
-            let mut g = spill.lock();
-            spilled_now = g.len() as u64;
-            out.append(&mut g);
-        }
-        let mut readable = 0u64;
+        let mut raw = match &self.spill {
+            Some(spill) => std::mem::take(&mut *spill.lock()),
+            None => Vec::new(),
+        };
+        let spilled_now = raw.len() as u64;
         for slot in self.slots.iter() {
             let s1 = slot.seq.load(Ordering::Acquire);
             if s1 == 0 {
@@ -830,20 +832,30 @@ impl TraceBuf {
             if s1 != s2 {
                 continue; // overwritten mid-read; counts as dropped
             }
-            let Some(kind) = EventKind::from_code((packed >> ARG_BITS) as u8) else {
-                continue;
-            };
-            readable += 1;
-            out.push(TraceEvent {
-                ts_ns: ts,
-                runtime: self.runtime,
-                thread: self.thread,
+            raw.push(RawEvent {
                 seq: s1,
-                kind,
-                arg: packed & ARG_MASK,
+                ts,
+                packed,
             });
         }
-        (head.saturating_sub(readable + spilled_now), spilled_now)
+        // Copied after the slots: an emitter interns its descriptor before
+        // it fills a slot, so the copy covers every code read above.
+        let apps = AppEvent::interned();
+        let before = out.len();
+        out.extend(raw.into_iter().filter_map(|r| {
+            Some(TraceEvent {
+                ts_ns: r.ts,
+                runtime: self.runtime,
+                thread: self.thread,
+                seq: r.seq,
+                kind: EventKind::from_code((r.packed >> ARG_BITS) as u8, &apps)?,
+                arg: r.packed & ARG_MASK,
+            })
+        }));
+        (
+            head.saturating_sub((out.len() - before) as u64),
+            spilled_now,
+        )
     }
 
     /// Clear all slots (merger side; racing writers may lose the event
@@ -1049,11 +1061,13 @@ mod tests {
     fn spill_rescues_overflow_instead_of_dropping() {
         // The same 10-events-into-a-4-slot-ring overload, but with spill
         // on: nothing is dropped, the 6 overwritten events are rescued to
-        // the heap and merged back in order.
+        // the heap and merged back in order. Every other event is an
+        // application event: a spilled slot decodes like a ring slot.
         let sink = TraceSink::new(4, true);
         sink.set_enabled(true);
+        let kinds = [EventKind::App(&TEST_APPEND), EventKind::ReadSetGrow];
         for i in 0..10 {
-            sink.push(9007, now_ns(), EventKind::ReadSetGrow, i);
+            sink.push(9007, now_ns(), kinds[i as usize % 2], i);
         }
         assert_eq!(sink.spilled_total(), 6);
         let t = sink.take();
@@ -1064,6 +1078,7 @@ mod tests {
         assert_eq!(seqs, (1..=10).collect::<Vec<u64>>());
         let args: Vec<u64> = t.events.iter().map(|e| e.arg).collect();
         assert_eq!(args, (0..10).collect::<Vec<u64>>());
+        assert!(t.events.iter().all(|e| e.kind == kinds[e.arg as usize % 2]));
         // Drained: the next take carries nothing over, but the monotone
         // spilled total survives for the stats counter.
         let t2 = sink.take();
@@ -1115,6 +1130,10 @@ mod tests {
         assert!(t.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     }
 
+    /// Descriptors standing in for a client crate's events.
+    static TEST_APPEND: AppEvent = AppEvent::new("test_append", "bytes");
+    static TEST_SYNC: AppEvent = AppEvent::new("test_sync", "records");
+
     #[test]
     fn event_kind_codes_roundtrip() {
         for k in [
@@ -1131,26 +1150,25 @@ mod tests {
             EventKind::LockSubscribe,
             EventKind::LockAcquire,
             EventKind::Backoff,
-            EventKind::WalAppend,
-            EventKind::WalFsync,
             EventKind::DeferOffload,
-            EventKind::ClockBump,
             EventKind::ValidationExtend,
-            EventKind::NetAckDurable,
             EventKind::DeferSelfWaitHazard,
-            EventKind::CkptBegin,
-            EventKind::CkptPublish,
-            EventKind::WalTruncate,
             EventKind::DeferRemoteWaitHazard,
-            EventKind::ShardPrepare,
-            EventKind::ShardAck,
-            EventKind::ShardRelease,
+            EventKind::App(&TEST_APPEND),
         ] {
-            assert_eq!(EventKind::from_code(k as u8), Some(k));
+            let code = k.code();
+            assert_eq!(EventKind::from_code(code, &AppEvent::interned()), Some(k));
             assert!(!k.name().is_empty());
         }
-        assert_eq!(EventKind::from_code(0), None);
-        assert_eq!(EventKind::from_code(200), None);
+        assert_eq!(EventKind::from_code(0, &AppEvent::interned()), None);
+        assert_eq!(EventKind::from_code(200, &AppEvent::interned()), None);
+        // An interned app code is stable, lives above every core code, and
+        // two descriptors never share one.
+        let code = EventKind::App(&TEST_APPEND).code();
+        assert_eq!(EventKind::App(&TEST_APPEND).code(), code);
+        assert!(u32::from(code) >= APP_CODE_BASE);
+        assert_ne!(EventKind::App(&TEST_SYNC).code(), code);
+        assert_ne!(EventKind::App(&TEST_SYNC), EventKind::App(&TEST_APPEND));
     }
 
     #[test]
@@ -1180,10 +1198,11 @@ mod tests {
             runtime: 2,
             thread: 1,
             seq: 3,
-            kind: EventKind::ShardAck,
+            kind: EventKind::App(&TEST_APPEND),
             arg: 41,
         };
-        assert!(g.to_string().contains("gid=41"), "{g}");
+        assert!(g.to_string().contains("test_append"), "{g}");
+        assert!(g.to_string().contains("bytes=41"), "{g}");
     }
 
     #[test]
@@ -1196,8 +1215,8 @@ mod tests {
         sink.push(9100, now_ns(), EventKind::DeferEnqueue, 0);
         sink.push(9100, now_ns(), EventKind::Commit, 0);
         sink.push(9100, now_ns(), EventKind::DeferExecStart, 0);
-        sink.push(9100, now_ns(), EventKind::WalAppend, 64);
-        sink.push(9100, now_ns(), EventKind::WalFsync, 3);
+        sink.push(9100, now_ns(), EventKind::App(&TEST_APPEND), 64);
+        sink.push(9100, now_ns(), EventKind::App(&TEST_SYNC), 3);
         sink.push(9100, now_ns(), EventKind::DeferExecEnd, 0);
         let j = sink.take().to_chrome_json();
         assert!(j.starts_with("{\"traceEvents\":["), "bad envelope: {j}");
@@ -1210,8 +1229,8 @@ mod tests {
         assert!(!j.contains("\"name\":\"commit\""), "{j}");
         // ...and unpaired events stay as instants.
         assert!(j.contains("\"name\":\"defer_enqueue\",\"ph\":\"i\""), "{j}");
-        assert!(j.contains("\"name\":\"wal_append\",\"ph\":\"i\""), "{j}");
-        assert!(j.contains("\"name\":\"wal_fsync\",\"ph\":\"i\""), "{j}");
+        assert!(j.contains("\"name\":\"test_append\",\"ph\":\"i\""), "{j}");
+        assert!(j.contains("\"name\":\"test_sync\",\"ph\":\"i\""), "{j}");
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
     }

@@ -506,17 +506,9 @@ impl<'rt> Tx<'rt> {
     /// Snapshot extension: move `rv` forward if the entire read set still
     /// validates; otherwise the snapshot is broken and the transaction
     /// conflicts. `witness` is the version that exceeded the old `rv`; the
-    /// clock policy guarantees the refreshed `rv` covers it (under `Sloppy`
-    /// by bumping the shared clock word — the policy's lazy progress).
+    /// clock policy guarantees the refreshed `rv` covers it.
     fn extend_snapshot(&mut self, witness: u64) -> StmResult<()> {
-        let (new_rv, bumped) = clock::refresh(self.cfg_clock, witness);
-        if bumped {
-            self.rt.stats_ref().on_clock_bump();
-            if self.obs {
-                self.rt
-                    .trace_event(crate::trace::EventKind::ClockBump, new_rv);
-            }
-        }
+        let new_rv = clock::refresh(self.cfg_clock, witness);
         for (core, seen) in &self.bufs.read_set {
             let cur = core.version();
             if clock::is_locked(cur) || cur != *seen {
@@ -618,14 +610,14 @@ impl<'rt> Tx<'rt> {
         }
 
         // Phase 2: acquire a write version under the configured clock
-        // policy (after locking: sloppy/sharded stamps must cover the
-        // locked cells' pre-lock versions to stay per-variable monotone).
+        // policy (after locking: sharded stamps must cover the locked
+        // cells' pre-lock versions to stay per-variable monotone).
         let wv = clock::tick(self.cfg_clock, self.rv, max_pre);
 
         // Phase 3: validate the read set (unless nobody else committed
         // since our snapshot — the TL2 fast path). `wv == rv + 2` only
         // implies that under Gv2, whose RMW makes timestamps unique;
-        // sloppy/sharded writers may share `wv` and must always validate.
+        // sharded writers may share `wv` and must always validate.
         if self.cfg_clock != ClockPolicy::Gv2 || wv != self.rv + 2 {
             for (core, seen) in read_set.iter() {
                 let ok = match entries.binary_search_by_key(&core.id(), |(id, _, _)| *id) {
@@ -717,7 +709,23 @@ impl<'rt> Tx<'rt> {
     /// no-op when tracing is off). This is how sibling crates put their own
     /// lifecycle points next to the STM's — `ad-defer` uses it for
     /// [`EventKind::LockSubscribe`](crate::EventKind::LockSubscribe) and
-    /// [`EventKind::LockAcquire`](crate::EventKind::LockAcquire).
+    /// [`EventKind::LockAcquire`](crate::EventKind::LockAcquire); any other
+    /// crate declares its own [`AppEvent`](crate::AppEvent) descriptor:
+    ///
+    /// ```
+    /// use ad_stm::{AppEvent, EventKind, Runtime, TVar, TmConfig};
+    ///
+    /// static CACHE_MISS: AppEvent = AppEvent::new("cache_miss", "key");
+    ///
+    /// let rt = Runtime::new(TmConfig::stm());
+    /// rt.set_tracing(true);
+    /// let v = TVar::new(0u64);
+    /// rt.atomically(|tx| {
+    ///     tx.trace(EventKind::App(&CACHE_MISS), 7);
+    ///     tx.write(&v, 1)
+    /// });
+    /// assert!(rt.take_trace().render().contains("cache_miss       key=7"));
+    /// ```
     #[inline]
     pub fn trace(&self, kind: crate::trace::EventKind, arg: u64) {
         if self.obs {

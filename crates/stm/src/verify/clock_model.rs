@@ -1,20 +1,14 @@
-//! Models: commit-clock publish/merge ordering for the non-RMW policies.
+//! Models: commit-clock publish/merge ordering for the non-RMW policy.
 //!
-//! The sloppy and sharded clocks drop TL2's one-RMW-per-commit, so their
-//! safety rests on ordering claims instead of a total CAS order
-//! (`clock.rs` module docs, "Why sloppy/sharded timestamps preserve
-//! opacity"):
+//! The sharded clock drops TL2's one-RMW-per-commit, so its safety rests
+//! on an ordering claim instead of a total CAS order (`clock.rs` module
+//! docs, "Why sharded timestamps preserve opacity"): a committing writer
+//! publishes `wv` to its shard cell *before* stamping any variable, so the
+//! full max-merge covers every version a reader can witness — and an `rv`
+//! that covers a writer's `wv` must also observe that writer's pre-tick
+//! write-set locks.
 //!
-//! * **Sloppy**: a stamp lives *above* the shared word until witnessed; a
-//!   reader that witnesses it must, via [`clock::refresh`], push the word
-//!   up so its new `rv` covers the stamp — and an `rv` that covers a
-//!   writer's `wv` must also observe that writer's pre-tick write-set
-//!   locks.
-//! * **Sharded**: a committing writer publishes `wv` to its shard cell
-//!   *before* stamping any variable, so the full max-merge covers every
-//!   version a reader can witness.
-//!
-//! Each scenario models a variable as a (lock word, stamped version word)
+//! The scenario models a variable as a (lock word, stamped version word)
 //! pair: the writer takes the lock, ticks, then stamps — the same order
 //! `Tx::commit` uses. The reader witnesses the stamp and asserts the
 //! clock covers it.
@@ -56,31 +50,18 @@ impl Var {
     }
 }
 
-/// Spawn a writer that locks `var`, ticks `policy`, and stamps. Commits
-/// under the non-unique policies may collide on `wv`; that is by design.
-fn spawn_writer(e: &mut Exec, var: &Arc<Var>, policy: ClockPolicy) {
-    let var = Arc::clone(var);
-    e.spawn(move || {
-        let rv = clock::now();
-        var.lock.store(1, Ordering::SeqCst);
-        let wv = clock::tick(policy, rv, 0);
-        var.stamp.store(wv, Ordering::SeqCst);
-    });
-}
-
 /// Reader-side validation of one witnessed stamp: extending through
 /// `refresh` must produce `rv >= witness`, and an `rv` that covers the
 /// stamp must also observe the writer's pre-tick lock (the property that
 /// lets TL2 readers accept `version <= rv` without revalidating).
-/// Returns the witnessed stamp (0 if the writer had not stamped yet).
-fn validate_witness(var: &Var, policy: ClockPolicy) -> u64 {
+fn validate_witness(var: &Var) {
     let witness = var.stamp.load(Ordering::SeqCst);
     if witness == 0 {
         // The writer has not stamped yet in this interleaving; a real
         // reader would accept the pre-commit version. Nothing to check.
-        return 0;
+        return;
     }
-    let (rv, _) = clock::refresh(policy, witness);
+    let rv = clock::refresh(ClockPolicy::Sharded, witness);
     assert!(
         rv >= witness,
         "refresh returned rv {rv} below witnessed stamp {witness}"
@@ -90,38 +71,6 @@ fn validate_witness(var: &Var, policy: ClockPolicy) -> u64 {
         1,
         "rv covers a writer's wv but its pre-tick write-set lock is not visible"
     );
-    witness
-}
-
-/// Sloppy clock: two writers stamp without an RMW (their `wv`s may be
-/// equal); a reader that witnesses either stamp extends through `refresh`,
-/// which must CAS-bump the shared word up to the witness.
-fn sloppy_witness_extends(e: &mut Exec) {
-    let a = Var::new();
-    let b = Var::new();
-
-    spawn_writer(e, &a, ClockPolicy::Sloppy);
-    spawn_writer(e, &b, ClockPolicy::Sloppy);
-
-    e.spawn(move || {
-        let wa = validate_witness(&a, ClockPolicy::Sloppy);
-        let wb = validate_witness(&b, ClockPolicy::Sloppy);
-        // Lazy clock progress: once a stamp is witnessed, the shared word
-        // itself (not just this reader's rv) covers it, so later readers
-        // start with a covering rv for free. (Only stamps this reader
-        // actually witnessed count — a writer may stamp after the loads
-        // above.)
-        assert!(
-            clock::now() >= wa.max(wb),
-            "a witnessed sloppy stamp was not bumped into the shared word"
-        );
-    });
-}
-
-#[test]
-fn sloppy_witnessed_stamps_are_covered_by_refresh() {
-    let _g = serialize();
-    check("sloppy-witness-extends", opts(), sloppy_witness_extends);
 }
 
 /// Sharded clock: the writer publishes `wv` to its shard cell inside
@@ -161,7 +110,7 @@ fn sharded_merge_covers_stamp(e: &mut Exec, skip_writer_shard: bool) {
                  the merge does not cover a published wv"
             );
         } else {
-            validate_witness(&var, ClockPolicy::Sharded);
+            validate_witness(&var);
         }
     });
 }

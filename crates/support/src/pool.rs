@@ -22,13 +22,6 @@
 //!   workers* (the last `Runtime` handle can die inside a queued job). Drop
 //!   joins every worker except the current thread, which is detached —
 //!   joining yourself would deadlock.
-//! * **Autoscaling (optional).** [`Pool::with_limits`] bounds the worker
-//!   count to `[min, max]` instead of fixing it: a submit that finds jobs
-//!   queued and every worker busy spawns one more worker (queue-depth
-//!   feedback — the same signal `defer_queue_wait_ns` integrates over
-//!   time), and a worker idle past the configured timeout with the queue
-//!   empty retires itself down to `min`. [`Pool::new`] is the degenerate
-//!   `min == max` pool, which never scales and never takes a timed wait.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -36,7 +29,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use crate::sync::{Condvar, Mutex};
 
@@ -57,12 +49,6 @@ struct State {
     /// Jobs submitted but not yet completed (queued + running).
     pending: usize,
     shutdown: bool,
-    /// Worker threads currently alive (spawned and not yet retired).
-    live: usize,
-    /// Workers parked in `work.wait` right now. Scale-up triggers when a
-    /// submit leaves jobs queued with nobody parked — every live worker is
-    /// mid-job, so depth can only shrink by growing the pool.
-    idle_workers: usize,
 }
 
 struct Shared {
@@ -74,31 +60,13 @@ struct Shared {
     /// Signals drainers: pending hit zero.
     idle: Condvar,
     capacity: usize,
-    /// Worker-count floor: scale-down never retires below this.
-    min_workers: usize,
-    /// Worker-count ceiling: scale-up never spawns above this.
-    max_workers: usize,
-    /// How long a surplus worker (live > min) idles before retiring.
-    /// Irrelevant when `min == max` — fixed pools use untimed waits.
-    idle_timeout: Duration,
     panics: AtomicU64,
 }
 
-impl Shared {
-    fn autoscales(&self) -> bool {
-        self.min_workers != self.max_workers
-    }
-}
-
-/// A worker pool over a bounded FIFO job queue. Fixed-size via
-/// [`Pool::new`], or autoscaling within `[min, max]` via
-/// [`Pool::with_limits`].
+/// A fixed-size worker pool over a bounded FIFO job queue.
 pub struct Pool {
     shared: Arc<Shared>,
-    /// Join handles of every worker ever spawned (retired ones join
-    /// instantly at drop). Guarded: autoscale submits push new handles
-    /// through `&self`.
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Pool {
@@ -106,65 +74,22 @@ impl Pool {
     /// room for `queue_cap` waiting jobs (clamped to at least 1). The
     /// worker count stays fixed for the pool's lifetime.
     pub fn new(workers: usize, queue_cap: usize) -> Pool {
-        let n = workers.max(1);
-        Pool::with_limits(n, n, queue_cap, Duration::from_millis(100))
-    }
-
-    /// Spawn an autoscaling pool: `min_workers` (clamped to at least 1)
-    /// start immediately; saturation — a submit that leaves jobs queued
-    /// while every live worker is busy — grows the pool one worker at a
-    /// time up to `max_workers`; a worker idle for `idle_timeout` with an
-    /// empty queue retires itself back down to `min_workers`.
-    pub fn with_limits(
-        min_workers: usize,
-        max_workers: usize,
-        queue_cap: usize,
-        idle_timeout: Duration,
-    ) -> Pool {
-        let min = min_workers.max(1);
-        let max = max_workers.max(min);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 pending: 0,
                 shutdown: false,
-                live: min,
-                idle_workers: 0,
             }),
             work: Condvar::new(),
             room: Condvar::new(),
             idle: Condvar::new(),
             capacity: queue_cap.max(1),
-            min_workers: min,
-            max_workers: max,
-            idle_timeout,
             panics: AtomicU64::new(0),
         });
-        let workers = (0..min)
+        let workers = (0..workers.max(1))
             .map(|i| spawn_worker(&shared, i))
-            .collect::<Vec<_>>();
-        Pool {
-            shared,
-            workers: Mutex::new(workers),
-        }
-    }
-
-    /// Scale-up check, called after a job lands in the queue: if queued
-    /// jobs outnumber the workers parked to receive them, some job will
-    /// sit until a busy worker finishes — spawn one more (up to the
-    /// ceiling). `st` is the state lock, still held; `live` is bumped
-    /// under it so concurrent submits cannot overshoot `max_workers`.
-    fn maybe_grow(&self, st: &mut crate::sync::MutexGuard<'_, State>) {
-        if !self.shared.autoscales()
-            || st.queue.len() <= st.idle_workers
-            || st.live >= self.shared.max_workers
-        {
-            return;
-        }
-        st.live += 1;
-        let id = st.live - 1;
-        let handle = spawn_worker(&self.shared, id);
-        self.workers.lock().push(handle);
+            .collect();
+        Pool { shared, workers }
     }
 
     /// Queue a job, blocking while the queue is at capacity. Returns the
@@ -178,7 +103,6 @@ impl Pool {
         let depth = st.queue.len();
         st.queue.push_back(job);
         st.pending += 1;
-        self.maybe_grow(&mut st);
         drop(st);
         self.shared.work.notify_one();
         depth
@@ -199,7 +123,6 @@ impl Pool {
         let depth = st.queue.len();
         st.queue.push_back(job);
         st.pending += 1;
-        self.maybe_grow(&mut st);
         drop(st);
         self.shared.work.notify_one();
         Ok(depth)
@@ -230,21 +153,9 @@ impl Pool {
         self.shared.panics.load(Ordering::Relaxed)
     }
 
-    /// Number of live worker threads right now (racy snapshot; varies
-    /// between the configured min and max on an autoscaling pool).
+    /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
-        self.shared.state.lock().live
-    }
-
-    /// The configured worker-count floor (equals the ceiling on a fixed
-    /// pool).
-    pub fn min_workers(&self) -> usize {
-        self.shared.min_workers
-    }
-
-    /// The configured worker-count ceiling.
-    pub fn max_workers(&self) -> usize {
-        self.shared.max_workers
+        self.workers.len()
     }
 
     /// Is the calling thread one of *this* pool's workers — i.e. is it
@@ -259,12 +170,10 @@ impl Pool {
 
     /// Would the calling thread deadlock by blocking until some *other*
     /// queued job of this pool completes? True exactly when the caller is
-    /// this pool's sole *live* worker: whatever it waits for sits behind
-    /// the job it is running and can never be dispatched. (Scale-up cannot
-    /// rescue the wait — growth triggers on submit, and the waited-on job
-    /// is already queued.)
+    /// this pool's sole worker: whatever it waits for sits behind the job
+    /// it is running and can never be dispatched.
     pub fn wait_would_self_deadlock(&self) -> bool {
-        self.current_thread_is_worker() && self.shared.state.lock().live == 1
+        self.current_thread_is_worker() && self.workers.len() == 1
     }
 
     /// Is the calling thread a worker of *any* pool (not necessarily this
@@ -320,33 +229,9 @@ fn worker_loop(shared: &Arc<Shared>) {
                     break job;
                 }
                 if st.shutdown {
-                    st.live -= 1;
                     return;
                 }
-                st.idle_workers += 1;
-                // Fixed pools wait untimed; surplus workers of an
-                // autoscaling pool retire after idling out. The timed wait
-                // is cfg-gated: the loom facade has no real clock (the
-                // pool is never exercised under the model checker anyway —
-                // it spawns OS threads).
-                #[cfg(not(loom))]
-                let timed_out = if shared.autoscales() {
-                    shared.work.wait_timeout(&mut st, shared.idle_timeout)
-                } else {
-                    shared.work.wait(&mut st);
-                    false
-                };
-                #[cfg(loom)]
-                let timed_out = {
-                    shared.work.wait(&mut st);
-                    false
-                };
-                st.idle_workers -= 1;
-                if timed_out && st.queue.is_empty() && !st.shutdown && st.live > shared.min_workers
-                {
-                    st.live -= 1;
-                    return;
-                }
+                shared.work.wait(&mut st);
             }
         };
         // A slot opened up; wake one blocked submitter.
@@ -376,7 +261,7 @@ impl Drop for Pool {
         }
         self.shared.work.notify_all();
         let me = std::thread::current().id();
-        for h in self.workers.get_mut().drain(..) {
+        for h in self.workers.drain(..) {
             if h.thread().id() != me {
                 let _ = h.join();
             }
@@ -578,73 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn autoscale_grows_under_saturated_queue() {
-        // min=1, max=4. Park every worker on a gate; each further submit
-        // finds jobs queued and nobody idle, so the pool must grow one
-        // worker at a time until it pins at max.
-        let pool = Pool::with_limits(1, 4, 64, Duration::from_secs(3600));
-        assert_eq!(pool.worker_count(), 1);
-        assert_eq!(pool.min_workers(), 1);
-        assert_eq!(pool.max_workers(), 4);
-        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        let gate_rx = Arc::new(Mutex::new(gate_rx));
-        // 8 gated jobs: enough to saturate 4 workers twice over.
-        for _ in 0..8 {
-            let gate_rx = Arc::clone(&gate_rx);
-            pool.submit(Box::new(move || {
-                let g = gate_rx.lock();
-                g.recv().unwrap();
-            }));
-        }
-        // Growth happens synchronously inside submit, so the count is
-        // already pinned at the ceiling.
-        assert_eq!(pool.worker_count(), 4, "saturated queue must scale to max");
-        for _ in 0..8 {
-            gate_tx.send(()).unwrap();
-        }
-        pool.drain();
-        assert_eq!(pool.worker_count(), 4, "no retirement before idle timeout");
-    }
-
-    #[test]
-    fn autoscale_shrinks_back_to_min_at_idle() {
-        let pool = Pool::with_limits(1, 4, 64, Duration::from_millis(10));
-        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-        let gate_rx = Arc::new(Mutex::new(gate_rx));
-        for _ in 0..6 {
-            let gate_rx = Arc::clone(&gate_rx);
-            pool.submit(Box::new(move || {
-                let g = gate_rx.lock();
-                g.recv().unwrap();
-            }));
-        }
-        assert_eq!(pool.worker_count(), 4);
-        for _ in 0..6 {
-            gate_tx.send(()).unwrap();
-        }
-        pool.drain();
-        // Surplus workers idle out; poll until the pool is back at min.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while pool.worker_count() > 1 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "pool stuck at {} workers",
-                pool.worker_count()
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(pool.worker_count(), 1, "idle pool must shrink to min");
-        // The shrunken pool still serves jobs.
-        let n = Arc::new(AtomicUsize::new(0));
-        let n2 = Arc::clone(&n);
-        pool.submit(Box::new(move || {
-            n2.fetch_add(1, Ordering::Relaxed);
-        }));
-        pool.drain();
-        assert_eq!(n.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
     fn fixed_pool_never_scales() {
         let pool = Pool::new(2, 8);
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
@@ -656,7 +474,7 @@ mod tests {
                 g.recv().unwrap();
             }));
         }
-        assert_eq!(pool.worker_count(), 2, "Pool::new is min == max");
+        assert_eq!(pool.worker_count(), 2);
         for _ in 0..6 {
             gate_tx.send(()).unwrap();
         }

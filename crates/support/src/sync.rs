@@ -213,28 +213,6 @@ mod std_impl {
             guard.0 = Some(unpoison(self.0.wait(inner)));
         }
 
-        /// Like [`Condvar::wait`], but give up after `timeout`. Returns
-        /// `true` when the wait timed out (the lock is re-acquired either
-        /// way). Not available under `--cfg loom` — the model clock has no
-        /// real time, so timed-wait call sites must be `cfg`-gated (the
-        /// pool's idle scale-down is).
-        pub fn wait_timeout<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            timeout: std::time::Duration,
-        ) -> bool {
-            let inner = guard.0.take().expect("guard already taken");
-            let (inner, res) = match self.0.wait_timeout(inner, timeout) {
-                Ok((g, r)) => (g, r),
-                Err(p) => {
-                    let (g, r) = p.into_inner();
-                    (g, r)
-                }
-            };
-            guard.0 = Some(inner);
-            res.timed_out()
-        }
-
         /// Wake one waiting thread.
         pub fn notify_one(&self) {
             self.0.notify_one();
