@@ -63,6 +63,7 @@
 
 pub mod checkpoint;
 pub mod disk;
+mod index;
 pub mod memtable;
 pub mod recover;
 pub mod store;

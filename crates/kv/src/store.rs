@@ -11,6 +11,21 @@
 //! cheap (an `Arc` bump) for readers and gives point lookups a binary
 //! search.
 //!
+//! Hashing scatters neighbouring keys, so beside the buckets the store
+//! keeps an ordered *key index* (`index.rs`): a `TVar` directory of
+//! sorted leaves holding every live key — the buckets' own `Arc<str>`s —
+//! and no values. A range read walks the index for its keys and then reads
+//! only the buckets that hold them; a point read never touches it, and
+//! neither does a write that only overwrites, since the set of keys did
+//! not change. The index has no lock of its own. Its leaves are written
+//! only by the transaction of [`KvStore::commit`] — the one that acquires
+//! the `TxLock` of every shard whose keys appear or disappear — and read
+//! only by transactions that first subscribed to *every* shard, so an
+//! index entry is exactly as visible as the bucket entry it names: a scan
+//! cannot learn that a key came or went before the batch that did it is
+//! durable. (Subscribing to just the shards of the keys a scan finds
+//! would miss the shard of a key it no longer finds.)
+//!
 //! Each shard (not each bucket) is a [`Defer`]-wrapped object: transactions
 //! reach the bucket `TVar`s through [`Defer::with`], which subscribes to
 //! the shard's implicit `TxLock`. That is the granularity at which deferred
@@ -50,6 +65,7 @@ use ad_support::sync::{Condvar, Mutex};
 
 use crate::checkpoint::{Checkpointer, CkptPolicy, CkptReport, CkptStats};
 use crate::disk::{Disk, FileDisk, MemDisk};
+use crate::index::{Index, KeyDelta};
 use crate::memtable::{KeyMap, MemOp, MemTable};
 use crate::recover::{encode_record, RecoveryReport, RedoKind, RedoRecord};
 use crate::wal::{SyncPolicy, Wal, WalStats};
@@ -233,8 +249,13 @@ fn run_steps(
     }
 }
 
+type Entry = (Arc<str>, Arc<[u8]>);
+
 /// A sorted immutable bucket; updates clone-and-replace.
-type Bucket = Arc<Vec<(Arc<str>, Arc<[u8]>)>>;
+type Bucket = Arc<Vec<Entry>>;
+
+/// Where one op of a batch lands: `(shard, bucket, position in the batch)`.
+type Placed = (usize, usize, usize);
 
 /// One shard: the deferrable unit. Its implicit `TxLock` (via `Defer`)
 /// is what deferred WAL appends hold.
@@ -249,13 +270,39 @@ struct Shard {
 /// of its shard locks. The bucket index keeps the raw high bits: spreading
 /// it as well is a measured change of its own (it reshapes every
 /// transaction's write set, and with it what the STM's reclamation holds
-/// back — ROADMAP, carried-over items).
+/// back — ROADMAP, carried-over items). Key *order* is the index's business
+/// (`index.rs`), not the placement's.
 fn locate(key: &str, shards: usize, buckets_per_shard: usize) -> (usize, usize) {
     let h = fnv1a64(key.as_bytes());
     (
         (mix64(h) as u32 as usize) % shards,
         ((h >> 32) as usize) % buckets_per_shard,
     )
+}
+
+/// Append to `delta` the keys in `new` but not in `old` (appeared) and in
+/// `old` but not in `new` (disappeared).
+fn diff_keys(old: &[Entry], new: &[Entry], delta: &mut Vec<KeyDelta>) {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let (mut o, mut n) = (0, 0);
+    while o < old.len() || n < new.len() {
+        let order = match (old.get(o), new.get(n)) {
+            (Some((a, _)), Some((b, _))) => a.cmp(b),
+            (Some(_), None) => Less,
+            (None, _) => Greater,
+        };
+        match order {
+            Less => {
+                delta.push((Arc::clone(&old[o].0), false));
+                o += 1;
+            }
+            Greater => {
+                delta.push((Arc::clone(&new[n].0), true));
+                n += 1;
+            }
+            Equal => (o, n) = (o + 1, n + 1),
+        }
+    }
 }
 
 /// Wakeup channel between deferred ops (which notice the WAL crossed a
@@ -320,6 +367,9 @@ pub struct KvStore {
     rt: Arc<Runtime>,
     shards: Vec<Defer<Shard>>,
     buckets_per_shard: usize,
+    /// Every live key, in key order — guarded by the shard locks (module
+    /// docs, "Data layout").
+    index: Index,
     durable: Option<Arc<DurableTier>>,
     /// The [`CkptPolicy::Auto`] trigger thread and its wakeup channel.
     ckpt_worker: Option<(std::thread::JoinHandle<()>, Arc<CkptSignal>)>,
@@ -415,12 +465,10 @@ impl KvStore {
             if matches!(rec.kind, RedoKind::Prepare { .. }) {
                 continue;
             }
-            store.rt.atomically(|tx| {
-                for (key, value) in &rec.ops {
-                    store.apply_in_tx(tx, key, value.as_deref())?;
-                }
-                Ok(())
-            });
+            let placed = store.place(&rec.ops);
+            store
+                .rt
+                .atomically(|tx| store.apply_batch(tx, &rec.ops, &placed));
             for (key, value) in &rec.ops {
                 match value {
                     Some(v) => mt_base.insert(Arc::from(key.as_str()), Arc::from(v.as_slice())),
@@ -489,8 +537,7 @@ impl KvStore {
         // Bulk-load straight into the buckets: the store is not yet
         // shared, and BTreeMap order means each bucket's subsequence is
         // already sorted.
-        type BucketLoad = Vec<(Arc<str>, Arc<[u8]>)>;
-        let mut bucket_data: Vec<Vec<BucketLoad>> =
+        let mut bucket_data: Vec<Vec<Vec<Entry>>> =
             vec![vec![Vec::new(); buckets_per_shard]; shards];
         for (k, v) in base {
             let (si, bi) = locate(k, shards, buckets_per_shard);
@@ -510,6 +557,7 @@ impl KvStore {
                 })
                 .collect(),
             buckets_per_shard,
+            index: Index::bulk_load(base.keys().cloned().collect()),
             durable: None,
             ckpt_worker: None,
             next_txid: AtomicU64::new(1),
@@ -534,27 +582,74 @@ impl KvStore {
         })
     }
 
-    fn apply_in_tx(&self, tx: &mut Tx, key: &str, value: Option<&[u8]>) -> StmResult<()> {
-        let (si, bi) = self.locate(key);
-        self.shards[si].with(tx, |shard, tx| {
-            let var = &shard.buckets[bi];
-            let bucket = tx.read(var)?;
-            let mut entries = (*bucket).clone();
-            match entries.binary_search_by(|(k, _)| (**k).cmp(key)) {
-                Ok(pos) => match value {
-                    Some(v) => entries[pos].1 = Arc::from(v),
-                    None => {
-                        entries.remove(pos);
-                    }
-                },
-                Err(pos) => {
-                    if let Some(v) = value {
-                        entries.insert(pos, (Arc::from(key), Arc::from(v)));
+    /// Where each op of a batch lands, grouped by bucket; a key's ops stay
+    /// in batch order (they share a bucket, and the position sorts last).
+    fn place(&self, ops: &[(String, Option<Vec<u8>>)]) -> Vec<Placed> {
+        let mut placed: Vec<Placed> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, (key, _))| {
+                let (si, bi) = self.locate(key);
+                (si, bi, i)
+            })
+            .collect();
+        placed.sort_unstable();
+        placed
+    }
+
+    /// The one place the store's contents change: apply `ops` — placed by
+    /// [`place`](Self::place) — to the buckets and the index. Each touched
+    /// bucket is cloned and replaced once; the keys that appeared or
+    /// disappeared are collected on the way and each index leaf they fall
+    /// in is rewritten once. A batch that only overwrites collects nothing
+    /// and never reads the index.
+    fn apply_batch(
+        &self,
+        tx: &mut Tx,
+        ops: &[(String, Option<Vec<u8>>)],
+        placed: &[Placed],
+    ) -> StmResult<()> {
+        let mut delta: Vec<KeyDelta> = Vec::new();
+        for group in placed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (si, bi, _) = group[0];
+            self.shards[si].with(tx, |shard, tx| {
+                let var = &shard.buckets[bi];
+                let old = tx.read(var)?;
+                let mut entries = (*old).clone();
+                let mut keys_changed = false;
+                for &(_, _, i) in group {
+                    let (key, value) = &ops[i];
+                    let pos = entries.binary_search_by(|(k, _)| (**k).cmp(key));
+                    match (pos, value) {
+                        (Ok(pos), Some(v)) => entries[pos].1 = Arc::from(v.as_slice()),
+                        (Ok(pos), None) => {
+                            entries.remove(pos);
+                            keys_changed = true;
+                        }
+                        (Err(pos), Some(v)) => {
+                            entries.insert(pos, (Arc::from(key.as_str()), Arc::from(v.as_slice())));
+                            keys_changed = true;
+                        }
+                        (Err(_), None) => {}
                     }
                 }
-            }
-            tx.write(var, Arc::new(entries))
-        })
+                if keys_changed {
+                    diff_keys(&old, &entries, &mut delta);
+                }
+                tx.write(var, Arc::new(entries))
+            })?;
+        }
+        delta.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.index.apply(tx, &delta)
+    }
+
+    /// Subscribe to every shard: what a transaction does before it reads
+    /// the index, which any shard's writer may have changed.
+    fn subscribe_all(&self, tx: &mut Tx) -> StmResult<()> {
+        for shard in &self.shards {
+            shard.with(tx, |_, _| Ok(()))?;
+        }
+        Ok(())
     }
 
     /// Point lookup (one transaction, subscribes to the key's shard — so a
@@ -644,6 +739,7 @@ impl KvStore {
             return None;
         }
         let txid = self.next_txid.fetch_add(1, Ordering::Relaxed);
+        let placed = self.place(&batch.ops);
         // Lower the plan once, outside the transaction: conflict
         // re-execution must not redo the serialization work
         // (zero-allocation retry discipline) — it clones only `Arc`s.
@@ -670,7 +766,7 @@ impl KvStore {
             (
                 Arc::<[Lowered]>::from(plan),
                 Arc::new(ops),
-                self.touched_shards(batch),
+                self.touched_shards(&placed),
             )
         });
 
@@ -690,20 +786,18 @@ impl KvStore {
                     atomic_defer(tx, &refs, op)?;
                 }
             }
-            for (key, value) in &batch.ops {
-                self.apply_in_tx(tx, key, value.as_deref())?;
-            }
+            self.apply_batch(tx, &batch.ops, &placed)?;
             Ok(handle)
         })
     }
 
-    /// The deduplicated, index-ordered `Defer` handles of the shards a
-    /// batch touches — the lock set for its deferred operation.
-    fn touched_shards(&self, batch: &WriteBatch) -> Vec<Defer<Shard>> {
-        let mut touched: Vec<usize> = batch.ops.iter().map(|(k, _)| self.locate(k).0).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        touched.iter().map(|&i| self.shards[i].clone()).collect()
+    /// The `Defer` handles of the shards a batch touches, each once, in
+    /// shard order — the lock set for its deferred operation.
+    fn touched_shards(&self, placed: &[Placed]) -> Vec<Defer<Shard>> {
+        placed
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|shard| self.shards[shard[0].0].clone())
+            .collect()
     }
 
     /// gids of cross-shard slices staged in this store's recovered log
@@ -759,25 +853,28 @@ impl KvStore {
     /// order, at most `limit` of them — one consistent snapshot across
     /// every shard.
     pub fn scan_from(&self, start: &str, limit: usize) -> Vec<(Arc<str>, Arc<[u8]>)> {
-        self.rt.atomically(|tx| {
-            let mut all = Vec::new();
-            for shard in &self.shards {
-                shard.with(tx, |s, tx| {
-                    for var in &s.buckets {
-                        let bucket = tx.read(var)?;
-                        for (k, v) in bucket.iter() {
-                            if k.as_ref() >= start {
-                                all.push((Arc::clone(k), Arc::clone(v)));
-                            }
-                        }
-                    }
-                    Ok(())
-                })?;
+        if limit == 0 {
+            return Vec::new();
+        }
+        self.rt.atomically(|tx| self.scan_in_tx(tx, start, limit))
+    }
+
+    /// [`scan_from`](Self::scan_from)'s transaction: every shard's lock,
+    /// the index for the keys, then only the buckets that hold them.
+    fn scan_in_tx(&self, tx: &mut Tx, start: &str, limit: usize) -> StmResult<Vec<Entry>> {
+        self.subscribe_all(tx)?;
+        let keys = self.index.keys_from(tx, start, limit)?;
+        let mut rows = Vec::with_capacity(keys.len());
+        for key in keys {
+            let value = self.read_in_tx(tx, &key)?;
+            debug_assert!(value.is_some(), "indexed key {key:?} has no value");
+            // Index and buckets change in one transaction; should they
+            // ever disagree, the buckets are the truth.
+            if let Some(value) = value {
+                rows.push((key, value));
             }
-            all.sort_by(|a, b| a.0.cmp(&b.0));
-            all.truncate(limit);
-            Ok(std::mem::take(&mut all))
-        })
+        }
+        Ok(rows)
     }
 
     /// Full contents as an ordered map — one consistent snapshot. Test and
@@ -800,19 +897,12 @@ impl KvStore {
         })
     }
 
-    /// Number of live keys (consistent snapshot).
+    /// Number of live keys (consistent snapshot) — counted on the index,
+    /// so a monitoring poll is not a full-table read.
     pub fn len(&self) -> usize {
         self.rt.atomically(|tx| {
-            let mut n = 0;
-            for shard in &self.shards {
-                shard.with(tx, |s, tx| {
-                    for var in &s.buckets {
-                        n += tx.read(var)?.len();
-                    }
-                    Ok(())
-                })?;
-            }
-            Ok(std::mem::replace(&mut n, 0))
+            self.subscribe_all(tx)?;
+            self.index.len(tx)
         })
     }
 
@@ -940,6 +1030,14 @@ mod tests {
 
     fn written(disk: &MemDisk) -> Vec<u8> {
         disk.read(WAL_BASE).unwrap().unwrap_or_default()
+    }
+
+    fn spin_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "never: {what}");
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -1169,6 +1267,83 @@ mod tests {
         volatile.put("a", b"1");
         assert_eq!(volatile.read_uncommitted("a").as_deref(), Some(&b"1"[..]));
         assert_eq!(volatile.scan_uncommitted("", 10).len(), 1);
+    }
+
+    #[test]
+    fn scan_waits_for_the_index_changes_of_a_volatile_batch() {
+        fn keys(rows: &[Entry]) -> Vec<&str> {
+            rows.iter().map(|(k, _)| &**k).collect()
+        }
+        let mem = MemDisk::new();
+        let (store, _) = open_mem(SyncPolicy::Async, &mem);
+        let store = Arc::new(store);
+        // The batch below touches "r1" and "r9" and leaves a key between
+        // them alone, on a shard of its own: once "r1" is out of the
+        // index, nothing but the subscription to every shard stands
+        // between a one-row scan and that key.
+        let shard = |k: &str| store.locate(k).0;
+        let mid = (2..9)
+            .map(|i| format!("r{i}"))
+            .find(|k| shard(k) != shard("r1") && shard(k) != shard("r9"))
+            .expect("some key lands on a third shard");
+        store.write_batch(&WriteBatch::new().put("r1", b"1").put(mid.as_str(), b"m"));
+        store.sync();
+        let durable = written(&mem).len();
+
+        // One batch takes "r1" out of the range and puts "r9" into it; its
+        // transaction commits, its fsync is held.
+        mem.hold_syncs();
+        let h = store
+            .write_batch_async(&WriteBatch::new().delete("r1").put("r9", b"9"))
+            .expect("durable handle");
+        spin_until("the record is written", || written(&mem).len() > durable);
+        assert_eq!(mem.synced(WAL_BASE).len(), durable, "fsync is held");
+
+        // A scan over the range parks on the batch's shard locks (the
+        // runtime counts its retry): neither index change is observable.
+        let retries = || store.runtime().snapshot_stats().counters.retries;
+        let before = retries();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let scanner = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                tx.send(store.scan_from("r", 1)).unwrap();
+                tx.send(store.scan_from("r", 10)).unwrap();
+            })
+        };
+        spin_until("the scan parks", || retries() > before);
+        assert!(rx.try_recv().is_err(), "scan returned under a held fsync");
+        assert_eq!(keys(&store.scan_uncommitted("r", 10)), ["r1", &mid]);
+
+        mem.release_syncs();
+        store.wait_durable(&h);
+        assert_eq!(keys(&rx.recv().unwrap()), [&mid]);
+        assert_eq!(keys(&rx.recv().unwrap()), [&mid, "r9"]);
+        scanner.join().unwrap();
+        assert_eq!(keys(&store.scan_uncommitted("r", 10)), [&mid, "r9"]);
+    }
+
+    #[test]
+    fn scan_reads_the_same_number_of_variables_on_any_store_size() {
+        let read_set = |n: usize| {
+            let store = KvStore::open(KvConfig::volatile()).unwrap();
+            for chunk in (0..n).collect::<Vec<_>>().chunks(1000) {
+                let batch = chunk.iter().fold(WriteBatch::new(), |b, i| {
+                    b.put(format!("k{i:08}"), b"v".as_slice())
+                });
+                store.write_batch(&batch);
+            }
+            store.rt.atomically(|tx| {
+                let rows = store.scan_in_tx(tx, "k00000500", 10)?;
+                assert_eq!(rows.len(), 10);
+                Ok(tx.read_set_len())
+            })
+        };
+        let (small, large) = (read_set(1_000), read_set(50_000));
+        assert_eq!(small, large);
+        // Every shard lock, the directory, a leaf or two, at most ten
+        // buckets — not the 1 024 buckets.
+        assert!(small <= 16 + 1 + 2 + 10, "{small} variables read");
     }
 
     #[test]

@@ -16,6 +16,20 @@ fn open(disk: &MemDisk) -> KvStore {
     KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::PerCommit, disk.clone()).0
 }
 
+/// `dump()` of a recovered store, after checking that its rebuilt key index
+/// — what `scan_from` walks — lists exactly the keys its buckets hold.
+fn dump_checked(store: &KvStore, what: &str) -> Model {
+    let dump = store.dump();
+    let scanned = store.scan_from("", usize::MAX);
+    assert!(
+        scanned.iter().map(|(k, _)| &**k).eq(dump.keys()),
+        "{what}: scan keys differ from dump keys {:?}",
+        dump.keys()
+    );
+    assert_eq!(store.len(), dump.len(), "{what}: len");
+    dump
+}
+
 /// Batches around a checkpoint, then every crash image of the disk — each
 /// journal prefix, optimistic and pessimistic, and every byte cut inside
 /// every append — must recover to a whole number of batches.
@@ -50,7 +64,7 @@ fn every_crash_image_of_a_checkpointed_history_is_a_committed_prefix() {
     let mut images = 0;
     for ev in 0..=disk.journal_len() {
         let mut check = |image: MemDisk, what: &str| {
-            let dump = open(&image).dump();
+            let dump = dump_checked(&open(&image), &format!("event {ev} {what}"));
             assert!(
                 prefixes.contains(&dump),
                 "event {ev} {what}: {dump:?} is no committed prefix"
@@ -65,7 +79,7 @@ fn every_crash_image_of_a_checkpointed_history_is_a_committed_prefix() {
     assert!(images > 100, "sweep too small: {images}");
     // The last image is the whole history.
     let last = disk.crash_image(disk.journal_len(), 0, true);
-    assert_eq!(open(&last).dump(), model);
+    assert_eq!(dump_checked(&open(&last), "whole history"), model);
 }
 
 /// A cross-shard batch through the router, a crash of both shards, and a
@@ -91,12 +105,17 @@ fn cross_shard_batches_survive_a_crash_and_reconcile_whole() {
     drop(router);
 
     let reopen = |cuts: &[usize]| {
-        let stores = disks
+        let stores: Vec<Arc<KvStore>> = disks
             .iter()
             .zip(cuts)
             .map(|(d, &cut)| Arc::new(open(&d.crash_image(cut, 0, true))))
             .collect();
-        ShardRouter::from_stores(stores).dump()
+        let router = ShardRouter::from_stores(stores.clone());
+        // Reconciliation went through the stores' commit pipeline.
+        for store in &stores {
+            dump_checked(store, &format!("cuts {cuts:?}"));
+        }
+        router.dump()
     };
     let first: Model = [(a.clone(), b"1".to_vec()), (b.clone(), b"1".to_vec())].into();
     assert_eq!(reopen(&acked), first, "crash after the first ack");
