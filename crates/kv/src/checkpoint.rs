@@ -35,13 +35,14 @@
 //! ## Quiescent cut
 //!
 //! The cut is `durable_seq` taken by [`Wal::rotate`] with no group
-//! leader in flight, so segment contents split exactly at the cut; the
-//! checkpointer then waits until the memtable has applied everything up
-//! to the cut ([`MemTable::wait_applied_through`]) before freezing.
-//! Every applier of a record `<= cut` is already past its fsync, so the
-//! wait is bounded and never deadlocks — the snapshot is taken at rest
-//! with respect to the cut, never racing live writers (the safe-
-//! privatization discipline, DESIGN.md §13.3).
+//! leader in flight and the pending buffer flushed, so segment contents
+//! split exactly at the cut and no record — forced or not — exists only
+//! in memory at it; the checkpointer then waits until the memtable has
+//! applied everything up to the cut ([`MemTable::wait_applied_through`])
+//! before freezing. Every applier of a record `<= cut` is already past
+//! its append or fsync, so the wait is bounded and never deadlocks — the
+//! snapshot is taken at rest with respect to the cut, never racing live
+//! writers (the safe-privatization discipline, DESIGN.md §13.3).
 
 use std::io;
 use std::sync::Arc;
@@ -300,7 +301,9 @@ impl Checkpointer {
     pub fn run(&self, rt: &Runtime) -> io::Result<CkptReport> {
         let mut last_cut = self.last_cut.lock();
         let t0 = Instant::now();
-        let durable = self.wal.durable_seq();
+        // Flush first: an unforced record still in the pending buffer is
+        // new data too, and the cut below must cover it.
+        let durable = self.wal.flush(rt);
         if durable <= *last_cut {
             return Ok(CkptReport {
                 performed: false,
@@ -314,7 +317,7 @@ impl Checkpointer {
         rt.trace_app(&CKPT_BEGIN, durable);
         // 1. Quiescent cut + fresh segment: records > cut land in the
         //    new segment, the old ones become immutable.
-        let cut = self.wal.rotate()?;
+        let cut = self.wal.rotate(rt)?;
         // 2. The memtable catches up to the cut (bounded: every record
         //    <= cut is durable, so its applier is past the fsync).
         self.memtable.wait_applied_through(cut);

@@ -31,6 +31,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ad_support::sync::atomic::{AtomicU64, Ordering};
 use ad_support::sync::{Condvar, Mutex};
 
 /// Logical name of the initial WAL segment.
@@ -242,6 +243,9 @@ enum Gate {
 struct MemDiskInner {
     files: BTreeMap<String, MemFile>,
     journal: Vec<DiskEvent>,
+    /// `stamps[i]`: when `journal[i]` happened, on a clock shared by every
+    /// `MemDisk` of the process.
+    stamps: Vec<u64>,
     /// Test affordances: while `held[gate]`, operations reaching that gate
     /// block (`waiting[gate]` counts them); every sync first sleeps
     /// `sync_delay`.
@@ -280,8 +284,10 @@ impl MemDiskInner {
 
     /// Apply `ev` to the live files and journal it.
     fn record(&mut self, ev: DiskEvent) {
+        static CLOCK: AtomicU64 = AtomicU64::new(0);
         self.apply(&ev, None);
         self.journal.push(ev);
+        self.stamps.push(CLOCK.fetch_add(1, Ordering::Relaxed));
     }
 }
 
@@ -365,6 +371,14 @@ impl MemDisk {
     /// Number of journaled disk operations so far.
     pub fn journal_len(&self) -> usize {
         self.inner.state.lock().journal.len()
+    }
+
+    /// When each journal entry happened, on a clock all the process's
+    /// disks share — so a test can merge several journals into the one
+    /// order a protocol spanning them ran in, and cut every disk at the
+    /// same instant.
+    pub fn event_stamps(&self) -> Vec<u64> {
+        self.inner.state.lock().stamps.clone()
     }
 
     /// If journal entry `i` is an append, its byte length (so tests can

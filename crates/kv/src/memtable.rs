@@ -7,9 +7,13 @@
 //! sequence number it was assigned, *while the shard `TxLock`s are still
 //! held*. Two consequences fall out of that ordering by construction:
 //!
-//! - every entry in the memtable is durable (its redo record is inside
-//!   the synced WAL prefix), so a reader of the memtable can never
-//!   observe volatile bytes; and
+//! - every entry in the memtable survives a crash: its redo record is
+//!   inside the synced WAL prefix, *or* it is a cross-shard slice applied
+//!   at its unforced `Decided` append ([`Wal::append`]), whose `Prepare`
+//!   is inside the synced prefix and whose decision is durable in the
+//!   coordinator's log — recovery rebuilds it from those two. Either way
+//!   a reader of the memtable can never observe bytes a crash could take
+//!   back; and
 //! - per key, applies arrive in WAL-sequence order (two records touching
 //!   the same key serialize on the shard lock, and WAL sequence order
 //!   agrees with commit order), so last-writer-wins by `seq` is exact.
@@ -22,6 +26,7 @@
 //! [`MemTable::compact_through`].
 //!
 //! [`Wal::append_durable`]: crate::wal::Wal::append_durable
+//! [`Wal::append`]: crate::wal::Wal::append
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -87,7 +92,9 @@ impl MemTable {
 
     /// Record the ops of the redo record `seq`. Called from the deferred
     /// op *after* `append_durable` returned, so every applied entry is
-    /// already inside the synced WAL prefix.
+    /// already inside the synced WAL prefix — or after an unforced
+    /// `append` of a record whose content is durable elsewhere (module
+    /// docs).
     pub fn apply(&self, seq: u64, ops: &[MemOp]) {
         let mut g = self.inner.lock();
         for (key, value) in ops {
@@ -177,7 +184,8 @@ impl MemTable {
     /// Block until every sequence `<= seq` has been applied. The
     /// checkpointer calls this after picking a cut: every record at or
     /// below the cut is durable, so its applier is already past the
-    /// fsync and will reach `apply` without waiting on us.
+    /// fsync (or never waited for one) and will reach `apply` without
+    /// waiting on us.
     pub fn wait_applied_through(&self, seq: u64) {
         let mut g = self.inner.lock();
         while g.watermark < seq {

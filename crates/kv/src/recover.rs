@@ -138,6 +138,13 @@ pub struct RecoveryReport {
     /// `seq > snapshot_cut`. Always `<= records` — a post-checkpoint
     /// reopen replays only the WAL suffix, not full history.
     pub replayed: u64,
+    /// Cross-shard slices this log stages ([`RedoKind::Prepare`]) without
+    /// a [`RedoKind::Decided`] of its own — parked, not applied. Nonzero
+    /// after a crash that lost a participant's unforced `Decided`: the
+    /// shard router resolves them against the other shards' logs, and a
+    /// store left standalone presumes them aborted. Filled in by
+    /// [`KvStore::open`](crate::KvStore::open); a bare scan reports 0.
+    pub pending_prepares: u64,
 }
 
 impl RecoveryReport {
@@ -310,6 +317,7 @@ pub fn scan(bytes: &[u8], first_seq: u64) -> (Vec<RedoRecord>, RecoveryReport) {
         snapshot_keys: 0,
         snapshot_source: SnapshotSource::None,
         replayed: records.len() as u64,
+        pending_prepares: 0,
     };
     (records, report)
 }
@@ -436,6 +444,7 @@ pub(crate) fn recover_two_tier(
         snapshot_keys: base.len() as u64,
         snapshot_source: source,
         replayed,
+        pending_prepares: 0,
     };
     TwoTier {
         base,

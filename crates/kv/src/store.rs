@@ -50,7 +50,7 @@
 //! `[Log(Local)]`: append the redo record and block until its covering
 //! fsync returns, so [`KvStore::write_batch`] acks only durable writes.
 //! The cross-shard protocol (`ad-shard`) is three longer plans over the
-//! same two step kinds.
+//! same step kinds, one of which ends in a log step that does not wait.
 
 use std::collections::{BTreeMap, HashSet};
 use std::io;
@@ -202,6 +202,15 @@ pub enum CommitStep {
     /// record only stages it — durable, never visible. A volatile store
     /// has no log, so there the step is nothing.
     Log(RedoKind),
+    /// [`Log`](Self::Log) without the wait: the record takes its place in
+    /// the WAL's order and the batch is exposed to the durable tier, but
+    /// the step returns before any fsync — the record is written with the
+    /// next batch on this log, a checkpoint, or the store's drop. Only for
+    /// a record a crash can afford to lose because its content is durable
+    /// elsewhere: a participant's [`RedoKind::Decided`], whose
+    /// [`RedoKind::Prepare`] is in this log and whose decision is in the
+    /// coordinator's (`ad-shard`, DESIGN.md §14).
+    LogUnforced(RedoKind),
     /// Run a callback. It may block (on a peer, a channel): the shard
     /// locks wait with it. `Arc<dyn Fn>` because the transaction body may
     /// re-run on conflict — the deferred operation holding the callback is
@@ -223,6 +232,7 @@ enum Lowered {
         log: Arc<DurableTier>,
         payload: Vec<u8>,
         expose: bool,
+        forced: bool,
     },
     Call(Arc<dyn Fn() + Send + Sync>),
 }
@@ -242,7 +252,8 @@ fn run_steps(
                     log,
                     payload,
                     expose,
-                } => log.append(payload, if *expose { &ops } else { &[] }, &rt),
+                    forced,
+                } => log.append(payload, if *expose { &ops } else { &[] }, *forced, &rt),
                 Lowered::Call(f) => f(),
             }
         }
@@ -332,8 +343,9 @@ impl CkptSignal {
 /// Everything a durable store has and a volatile one lacks.
 struct DurableTier {
     wal: Arc<Wal>,
-    /// Index of recent committed writes, populated post-fsync by the same
-    /// deferred ops that append redo records.
+    /// Index of recent committed writes, populated by the same deferred
+    /// ops that append redo records — post-fsync, or for an unforced
+    /// record post-append (see `memtable` docs).
     memtable: Arc<MemTable>,
     ckpt: Arc<Checkpointer>,
     /// Present under [`CkptPolicy::Auto`]: wakes the trigger thread.
@@ -341,15 +353,20 @@ struct DurableTier {
 }
 
 impl DurableTier {
-    /// Make one record durable, then account it in the durable tier —
-    /// the only place the store logs. `ops` is the batch for a record that
-    /// exposes it and empty for a staged one: the sequence is accounted
-    /// either way, so the watermark (and hence checkpointing) keeps
-    /// advancing, but staged data stays out of the memtable.
-    fn append(&self, payload: &[u8], ops: &[MemOp], rt: &Runtime) {
-        let seq = self.wal.append_durable(payload, rt);
-        // Post-fsync, shard locks still held: the memtable only ever
-        // sees durable bytes (see `memtable` docs).
+    /// Log one record — durably when `forced`, else merely in order — then
+    /// account it in the durable tier: the only place the store logs.
+    /// `ops` is the batch for a record that exposes it and empty for a
+    /// staged one: the sequence is accounted either way, so the watermark
+    /// (and hence checkpointing) keeps advancing, but staged data stays
+    /// out of the memtable.
+    fn append(&self, payload: &[u8], ops: &[MemOp], forced: bool, rt: &Runtime) {
+        let seq = if forced {
+            self.wal.append_durable(payload, rt)
+        } else {
+            self.wal.append(payload, rt)
+        };
+        // Shard locks still held: the memtable sees a record once it is
+        // durable here or recoverable from elsewhere (see `memtable` docs).
         self.memtable.apply(seq, ops);
         // Checkpoint I/O must not run here (it waits on the memtable
         // watermark, which includes *this* record up until the `apply`
@@ -390,6 +407,13 @@ impl Drop for KvStore {
         if let Some((worker, signal)) = self.ckpt_worker.take() {
             signal.wake(|w| w.shutdown = true);
             let _ = worker.join();
+        }
+        // A clean close leaves nothing only in memory: an unforced record
+        // is written here, so the log reopens needing no other shard's.
+        // Not while unwinding — a WAL write error panics, and a second
+        // panic would abort; what is lost then is what a crash loses.
+        if let (Some(d), false) = (&self.durable, std::thread::panicking()) {
+            d.wal.flush(&self.rt);
         }
     }
 }
@@ -476,20 +500,22 @@ impl KvStore {
                 };
             }
         }
-        store.pending_prepares = Mutex::new(
-            t.records
-                .into_iter()
-                .filter(|r| matches!(r.kind, RedoKind::Prepare { gid } if !decided.contains(&gid)))
-                .collect(),
-        );
+        let pending: Vec<RedoRecord> = t
+            .records
+            .into_iter()
+            .filter(|r| matches!(r.kind, RedoKind::Prepare { gid } if !decided.contains(&gid)))
+            .collect();
+        let mut report = t.report;
+        report.pending_prepares = pending.len() as u64;
+        store.pending_prepares = Mutex::new(pending);
         store.recovered_decided = decided.into_iter().collect();
         store.recovered_decided.sort_unstable();
         // txids are diagnostic, but keep them monotonic across
         // checkpointed restarts (snapshotted records' txids are gone;
         // the cut bounds them because txids are handed out per batch).
-        let snapshot_cut = t.report.snapshot_cut;
+        let snapshot_cut = report.snapshot_cut;
         store.next_txid = AtomicU64::new(max_txid.max(snapshot_cut) + 1);
-        store.recovery = Some(t.report);
+        store.recovery = Some(report);
 
         // The watermark starts at the resumed WAL position.
         let wal = Arc::new(wal);
@@ -747,11 +773,14 @@ impl KvStore {
             .iter()
             .filter_map(|step| match step {
                 CommitStep::Call(f) => Some(Lowered::Call(Arc::clone(f))),
-                CommitStep::Log(kind) => self.durable.as_ref().map(|d| Lowered::Append {
-                    log: Arc::clone(d),
-                    payload: encode_record(*kind, txid, &batch.ops),
-                    expose: !matches!(kind, RedoKind::Prepare { .. }),
-                }),
+                CommitStep::Log(kind) | CommitStep::LogUnforced(kind) => {
+                    self.durable.as_ref().map(|d| Lowered::Append {
+                        log: Arc::clone(d),
+                        payload: encode_record(*kind, txid, &batch.ops),
+                        expose: !matches!(kind, RedoKind::Prepare { .. }),
+                        forced: matches!(step, CommitStep::Log(_)),
+                    })
+                }
             })
             .collect();
         let deferred = (!plan.is_empty()).then(|| {
@@ -842,11 +871,16 @@ impl KvStore {
     }
 
     /// Block until every deferred durability operation issued so far has
-    /// completed. A no-op for inline-executor stores (their writes are
-    /// durable at ack); under [`SyncPolicy::Async`] this is the barrier a
-    /// caller uses before e.g. reporting a checkpoint.
+    /// completed and everything they logged is on disk. With an inline
+    /// executor the first half is a no-op (writes are durable at ack) and
+    /// the second writes out any [`CommitStep::LogUnforced`] record still
+    /// pending; under [`SyncPolicy::Async`] this is the barrier a caller
+    /// uses before e.g. reporting a checkpoint.
     pub fn sync(&self) {
         self.rt.drain_deferred();
+        if let Some(d) = &self.durable {
+            d.wal.flush(&self.rt);
+        }
     }
 
     /// Range scan: all `(key, value)` pairs with `key >= start`, in key
@@ -954,15 +988,18 @@ impl KvStore {
     }
 
     /// Point lookup against the durable tier only — the memtable of
-    /// fsynced writes — skipping the transactional read path and its
+    /// crash-proof writes — skipping the transactional read path and its
     /// shard subscription entirely.
     ///
     /// **Weaker than opacity**: this read does not serialize with
     /// in-flight transactions, so it can miss a write that committed
     /// (acked) a moment ago on another thread, and a sequence of calls
     /// is not a consistent snapshot. What it can **never** do is return
-    /// volatile bytes: the memtable is populated strictly after the redo
-    /// record's covering fsync. Volatile stores fall back to
+    /// bytes a crash could take back: the memtable is populated strictly
+    /// after the redo record's covering fsync — or, for a cross-shard
+    /// slice logged with [`CommitStep::LogUnforced`], once its staged
+    /// copy here and its decision on the coordinator are both fsynced,
+    /// from which recovery rebuilds it. Volatile stores fall back to
     /// [`KvStore::get`].
     pub fn read_uncommitted(&self, key: &str) -> Option<Arc<[u8]>> {
         match &self.durable {

@@ -14,7 +14,10 @@
 //!
 //! [`group_commit_acks_are_durable`] checks both over every interleaving
 //! the scheduler can find of two concurrent appenders plus a concurrent
-//! observer taking crash images mid-flight.
+//! observer taking crash images mid-flight. One appender precedes its
+//! forced record with an *unforced* one ([`Wal::append`]): nothing waits
+//! for it, yet whichever leader's batch makes the forced record durable
+//! carries it too — contiguity of the durable prefix is the check.
 //!
 //! The regression model [`model_catches_ack_before_fsync`] re-creates the
 //! classic WAL bug the protocol exists to prevent: an appender that acks
@@ -42,6 +45,9 @@ fn group_commit_scenario(e: &mut Exec) {
         let (wal, rt, mem) = (Arc::clone(&wal), Arc::clone(&rt), mem.clone());
         e.spawn(move || {
             let payload = encode_redo(t + 1, &[(format!("k{t}"), Some(vec![t as u8]))]);
+            if t == 0 {
+                wal.append(&payload, &rt);
+            }
             let seq = wal.append_durable(&payload, &rt);
             // Ack implies durable: our record is in the synced prefix the
             // moment append_durable returns.

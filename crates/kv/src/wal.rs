@@ -20,7 +20,10 @@
 //!
 //! [`Wal::append_durable`] is called from *deferred operations*
 //! (`atomic_defer`), after the calling transaction has committed, while
-//! the shards it touched are still locked. Under
+//! the shards it touched are still locked. It is [`Wal::append`] — take a
+//! sequence number, frame the record into the pending buffer — followed by
+//! [`Wal::sync_through`]; an *unforced* append stops after the first half
+//! and its record rides whichever batch is written next. Under
 //! [`SyncPolicy::GroupCommit`] concurrent callers frame their records into
 //! one shared pending buffer; the first to need durability becomes the
 //! *leader*, takes the whole buffer, writes it as a single `write` +
@@ -40,7 +43,7 @@ use ad_stm::{AppEvent, Runtime};
 use ad_support::crc32::crc32;
 use ad_support::hist::{Histogram, HistogramSnapshot};
 use ad_support::sync::atomic::{AtomicU64, Ordering};
-use ad_support::sync::{Condvar, Mutex};
+use ad_support::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::disk::{segment_first_seq, segment_name, Disk, DiskFile, SNAP_CUR, SNAP_PREV, SNAP_TMP};
 use crate::recover::{recover_two_tier, TwoTier};
@@ -115,7 +118,8 @@ struct WalCounters {
     records: AtomicU64,
     batches: AtomicU64,
     bytes: AtomicU64,
-    /// `append_durable` total latency: framing + queueing + fsync wait, ns.
+    /// Forced appends (`append_durable`) only: framing + queueing + fsync
+    /// wait, ns. An unforced append waits for nothing and records nothing.
     append_ns: Histogram,
     /// Leader-side `write` + `fsync` latency per batch, ns.
     fsync_ns: Histogram,
@@ -125,13 +129,15 @@ struct WalCounters {
 /// the same hand-rolled JSON the rest of the workspace uses.
 #[derive(Debug, Clone, Default)]
 pub struct WalStats {
-    /// Records made durable.
+    /// Records made durable — counted when the batch carrying them is
+    /// written, forced and unforced appends alike.
     pub records: u64,
     /// fsync batches issued (== fsync calls).
     pub batches: u64,
     /// Bytes written to the medium.
     pub bytes: u64,
-    /// `append_durable` call latency (enqueue → durable ack), ns.
+    /// Forced appends' call latency (enqueue → durable ack), ns. Unforced
+    /// appends are not in it, so `append_ns − fsync_ns` stays a wait.
     pub append_ns: HistogramSnapshot,
     /// Batch write+fsync latency, ns.
     pub fsync_ns: HistogramSnapshot,
@@ -290,8 +296,9 @@ impl Wal {
         self.sync_policy
     }
 
-    /// Append `payload` as the next record and block until it is durable
-    /// (its covering fsync returned). Returns the record's sequence
+    /// Append `payload` as the next record and block until it is durable:
+    /// [`append`](Self::append) + [`sync_through`](Self::sync_through)
+    /// under one hold of the state lock. Returns the record's sequence
     /// number. `rt` is the runtime whose observability timeline receives
     /// the `wal_append`/`wal_fsync` events.
     ///
@@ -302,68 +309,104 @@ impl Wal {
     pub fn append_durable(&self, payload: &[u8], rt: &Runtime) -> u64 {
         let t0 = Instant::now();
         let mut st = self.state.lock();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let framed = frame_record(&mut st.pending, seq, payload);
-        st.pending_records += 1;
-        rt.trace_app(&WAL_APPEND, framed as u64);
-
-        match self.sync_policy {
-            SyncPolicy::PerCommit => {
-                // Serial baseline: write + sync our own record while
-                // holding the state lock (state → segments lock order,
-                // same as the group path's leader).
-                let batch = std::mem::take(&mut st.pending);
-                let records = std::mem::take(&mut st.pending_records);
-                let ts = Instant::now();
-                self.write_batch(&batch);
-                self.note_batch(records, batch.len(), ts, rt);
-                st.durable_seq = seq;
-            }
-            SyncPolicy::GroupCommit | SyncPolicy::Async => loop {
-                if st.durable_seq >= seq {
-                    break;
-                }
-                if !st.leader_active {
-                    // Become leader: take everything framed so far (our
-                    // record plus any concurrent appenders'), write and
-                    // sync it as one batch.
-                    st.leader_active = true;
-                    let batch = std::mem::take(&mut st.pending);
-                    let records = std::mem::take(&mut st.pending_records);
-                    let batch_hi = st.next_seq - 1;
-                    drop(st);
-                    let ts = Instant::now();
-                    self.write_batch(&batch);
-                    self.note_batch(records, batch.len(), ts, rt);
-                    st = self.state.lock();
-                    st.durable_seq = batch_hi;
-                    st.leader_active = false;
-                    self.durable_cv.notify_all();
-                } else {
-                    // A leader's batch is in flight; it may or may not
-                    // include our record. Wait for durable_seq to move.
-                    self.durable_cv.wait(&mut st);
-                }
-            },
-        }
-        drop(st);
+        let seq = self.frame(&mut st, payload, rt);
+        drop(self.sync_locked(st, seq, rt));
         self.counters
             .append_ns
             .record(t0.elapsed().as_nanos() as u64);
         seq
     }
 
-    /// One framed batch to the active segment: a write and its covering
-    /// fsync. An I/O error here is fatal — the caller holds shard locks
-    /// for records it can no longer make durable.
-    fn write_batch(&self, batch: &[u8]) {
-        let mut seg = self.segments.lock();
-        seg.active.append(batch).expect("WAL append failed");
-        seg.active.sync().expect("WAL fsync failed");
+    /// Unforced append: assign the next sequence number, frame `payload`
+    /// into the pending buffer and return — nothing is written. The record
+    /// reaches the disk with the next batch anyone writes on this log (a
+    /// leader takes the whole buffer), so every later durable record
+    /// implies it; [`rotate`](Self::rotate) and [`flush`](Self::flush)
+    /// write it out themselves. For records whose loss a crash can repair
+    /// from elsewhere — a participant's `Decided` echo of a decision that
+    /// is durable on its coordinator.
+    pub fn append(&self, payload: &[u8], rt: &Runtime) -> u64 {
+        self.frame(&mut self.state.lock(), payload, rt)
     }
 
-    fn note_batch(&self, records: u64, bytes: usize, started: Instant, rt: &Runtime) {
+    /// Block until every record through `seq` is durable: wait for the
+    /// leader whose batch carries it, or become that leader.
+    pub fn sync_through(&self, seq: u64, rt: &Runtime) {
+        drop(self.sync_locked(self.state.lock(), seq, rt));
+    }
+
+    /// Make every record appended so far durable; returns the highest
+    /// durable sequence number.
+    pub fn flush(&self, rt: &Runtime) -> u64 {
+        let st = self.state.lock();
+        let last = st.next_seq - 1;
+        self.sync_locked(st, last, rt).durable_seq
+    }
+
+    fn frame(&self, st: &mut WalState, payload: &[u8], rt: &Runtime) -> u64 {
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        let framed = frame_record(&mut st.pending, seq, payload);
+        st.pending_records += 1;
+        rt.trace_app(&WAL_APPEND, framed as u64);
+        seq
+    }
+
+    fn sync_locked<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, WalState>,
+        seq: u64,
+        rt: &Runtime,
+    ) -> MutexGuard<'a, WalState> {
+        while st.durable_seq < seq {
+            if st.leader_active {
+                // A leader's batch is in flight; it may or may not
+                // include `seq`. Wait for durable_seq to move.
+                self.durable_cv.wait(&mut st);
+            } else if self.sync_policy == SyncPolicy::PerCommit {
+                // Serial baseline: write + sync while holding the state
+                // lock (state → segments lock order, same as the group
+                // path's leader), so nobody frames behind this write.
+                self.write_pending(&mut st, rt);
+            } else {
+                // Become leader: take everything framed so far (the
+                // caller's record plus any concurrent or unforced
+                // appenders'), write and sync it as one batch.
+                st.leader_active = true;
+                let batch = std::mem::take(&mut st.pending);
+                let records = std::mem::take(&mut st.pending_records);
+                let batch_hi = st.next_seq - 1;
+                drop(st);
+                self.write_batch(&batch, records, rt);
+                st = self.state.lock();
+                st.durable_seq = batch_hi;
+                st.leader_active = false;
+                self.durable_cv.notify_all();
+            }
+        }
+        st
+    }
+
+    /// Write the pending buffer with the state lock held.
+    fn write_pending(&self, st: &mut WalState, rt: &Runtime) {
+        let batch = std::mem::take(&mut st.pending);
+        let records = std::mem::take(&mut st.pending_records);
+        self.write_batch(&batch, records, rt);
+        st.durable_seq = st.next_seq - 1;
+    }
+
+    /// One framed batch to the active segment: a write and its covering
+    /// fsync, then the accounting — records and bytes are counted here,
+    /// when they are written, however they were appended. An I/O error is
+    /// fatal — the caller holds shard locks for records it can no longer
+    /// make durable.
+    fn write_batch(&self, batch: &[u8], records: u64, rt: &Runtime) {
+        let started = Instant::now();
+        {
+            let mut seg = self.segments.lock();
+            seg.active.append(batch).expect("WAL append failed");
+            seg.active.sync().expect("WAL fsync failed");
+        }
         self.counters
             .fsync_ns
             .record(started.elapsed().as_nanos() as u64);
@@ -371,7 +414,7 @@ impl Wal {
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         rt.trace_app(&WAL_FSYNC, records);
     }
 
@@ -381,12 +424,15 @@ impl Wal {
     }
 
     /// Rotate the log at a quiescent cut: waits out any in-flight group
-    /// leader, then starts a fresh segment whose first record will be
-    /// `cut + 1`. Returns the cut — the highest durable sequence; every
-    /// record `<= cut` is in pre-rotation segments, every record `> cut`
-    /// (including any already framed into the pending buffer) lands in
-    /// the new segment. The old segments survive until
-    /// [`Wal::drop_rotated`].
+    /// leader, writes out whatever is still pending, then starts a fresh
+    /// segment whose first record will be `cut + 1`. Returns the cut — the
+    /// highest durable sequence, which is also the highest *assigned* one:
+    /// every record framed before the cut is in pre-rotation segments,
+    /// durable, and every later record lands in the new segment. (Without
+    /// the flush an unforced record could sit in memory above the cut
+    /// while the checkpoint truncates the records it supersedes — a
+    /// `Decided` above, its `Prepare` below.) The old segments survive
+    /// until [`Wal::drop_rotated`].
     ///
     /// Idempotent at the cut: when appends already go to the segment named
     /// for `cut + 1` (it then holds no records — the cut is quiescent, so
@@ -395,14 +441,16 @@ impl Wal {
     /// file for deletion. This happens after recovering from a crash
     /// between rotation and the snapshot publish, and when a checkpoint is
     /// retried after a failed publish with no intervening appends.
-    pub fn rotate(&self) -> io::Result<u64> {
+    pub fn rotate(&self, rt: &Runtime) -> io::Result<u64> {
         let mut st = self.state.lock();
-        // Wait out an in-flight leader: once none is active, every
-        // pending framed record has seq > durable_seq, so the cut is
-        // exact. (PerCommit appends hold the state lock throughout, so
-        // holding it here is already exclusive.)
+        // Wait out an in-flight leader, then flush with the lock held:
+        // nobody frames until the new segment is in place, so the cut is
+        // exact and nothing is pending at it.
         while st.leader_active {
             self.durable_cv.wait(&mut st);
+        }
+        if st.pending_records > 0 {
+            self.write_pending(&mut st, rt);
         }
         let cut = st.durable_seq;
         let name = segment_name(cut + 1);
@@ -555,6 +603,66 @@ mod tests {
     }
 
     #[test]
+    fn an_unforced_append_writes_nothing_and_rides_the_next_batch() {
+        for sync in [SyncPolicy::PerCommit, SyncPolicy::GroupCommit] {
+            let disk = MemDisk::new();
+            let wal = wal_on(&disk, sync, 1);
+            let rt = Runtime::new(TmConfig::stm());
+            assert_eq!(wal.append(b"lazy", &rt), 1);
+            assert!(read(&disk, WAL_BASE).unwrap().is_empty(), "{sync:?}");
+            assert_eq!(wal.durable_seq(), 0);
+            let s = wal.stats();
+            // Not written, so not counted; never waited, so never timed.
+            assert_eq!((s.records, s.batches, s.bytes), (0, 0, 0));
+            assert_eq!(s.append_ns.count(), 0);
+
+            // The next forced append's batch carries it, in order.
+            assert_eq!(wal.append_durable(b"forced", &rt), 2);
+            assert_eq!(disk.sync_count(), 1, "{sync:?}: one write for both");
+            let mut both = Vec::new();
+            frame_record(&mut both, 1, b"lazy");
+            frame_record(&mut both, 2, b"forced");
+            assert_eq!(disk.synced(WAL_BASE), both);
+            assert_eq!(wal.durable_seq(), 2);
+            let s = wal.stats();
+            assert_eq!((s.records, s.batches), (2, 1), "counted once, when written");
+            assert_eq!(s.bytes, both.len() as u64);
+            assert_eq!(s.append_ns.count(), 1, "forced appends only");
+        }
+    }
+
+    #[test]
+    fn sync_through_flush_and_rotate_write_pending_records() {
+        let disk = MemDisk::new();
+        let wal = wal_on(&disk, SyncPolicy::GroupCommit, 1);
+        let rt = Runtime::new(TmConfig::stm());
+        let seq = wal.append(b"one", &rt);
+        wal.sync_through(seq, &rt);
+        assert_eq!(wal.durable_seq(), 1);
+        wal.sync_through(seq, &rt);
+        assert_eq!(disk.sync_count(), 1, "already durable: nothing to do");
+
+        wal.append(b"two", &rt);
+        wal.append(b"three", &rt);
+        assert_eq!(wal.flush(&rt), 3);
+        assert_eq!(wal.stats().batches, 2);
+
+        // The cut covers a record that was only in memory when the
+        // rotation began: it is in the old segment, durable, not above
+        // the cut in the new one.
+        wal.append(b"four", &rt);
+        assert_eq!(wal.rotate(&rt).unwrap(), 4);
+        let mut all = Vec::new();
+        for (i, payload) in [&b"one"[..], b"two", b"three", b"four"].iter().enumerate() {
+            frame_record(&mut all, i as u64 + 1, payload);
+        }
+        assert_eq!(disk.synced(WAL_BASE), all);
+        assert!(read(&disk, "wal.seg00000000000000000005")
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
     fn seq_numbers_resume_after_recovery_point() {
         let wal = wal_on(&MemDisk::new(), SyncPolicy::GroupCommit, 42);
         let rt = Runtime::new(TmConfig::stm());
@@ -570,7 +678,7 @@ mod tests {
         wal.append_durable(b"before-1", &rt);
         wal.append_durable(b"before-2", &rt);
 
-        let cut = wal.rotate().unwrap();
+        let cut = wal.rotate(&rt).unwrap();
         assert_eq!(cut, 2);
         wal.append_durable(b"after-3", &rt);
 
@@ -594,11 +702,11 @@ mod tests {
         let wal = wal_on(&disk, SyncPolicy::GroupCommit, 1);
         let rt = Runtime::new(TmConfig::stm());
         wal.append_durable(b"r1", &rt);
-        assert_eq!(wal.rotate().unwrap(), 1);
+        assert_eq!(wal.rotate(&rt).unwrap(), 1);
         // Checkpoint retry after a failed publish (no intervening
         // appends): the second rotate targets the segment appends
         // already go to and must not queue it for deletion.
-        assert_eq!(wal.rotate().unwrap(), 1);
+        assert_eq!(wal.rotate(&rt).unwrap(), 1);
         let seg = "wal.seg00000000000000000002";
         assert!(read(&disk, seg).is_some());
         let freed = wal.drop_rotated().unwrap();

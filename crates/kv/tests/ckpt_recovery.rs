@@ -31,7 +31,10 @@
 
 use std::collections::BTreeMap;
 
-use ad_kv::{CkptPolicy, Disk, KvConfig, KvStore, MemDisk, SnapshotSource, SyncPolicy, WriteBatch};
+use ad_kv::{
+    CkptPolicy, CommitStep, Disk, KvConfig, KvStore, MemDisk, RedoKind, SnapshotSource, SyncPolicy,
+    WriteBatch,
+};
 
 fn cfg() -> KvConfig {
     let mut c = KvConfig::volatile().with_shards(2);
@@ -253,6 +256,70 @@ fn checkpoint_with_nothing_new_is_skipped() {
     assert!(!again.performed, "no new durable records since the cut");
     assert_eq!(again.cut, 1);
     assert_eq!(store.ckpt_stats().unwrap().count, 1);
+}
+
+/// A cross-shard participant's plan ends with an *unforced* `Decided`: the
+/// record is in memory, its `Prepare` on disk. A checkpoint taken then
+/// must flush before it cuts — a cut at the `Prepare` would snapshot
+/// without the slice, truncate the `Prepare`, and leave the `Decided`
+/// where a crash loses it. At every crash image of the checkpoint the
+/// slice is either applied or still staged, never neither.
+#[test]
+fn a_checkpoint_with_an_unforced_decided_pending_never_loses_the_slice() {
+    const GID: u64 = 9;
+    for sync in [SyncPolicy::PerCommit, SyncPolicy::GroupCommit] {
+        let disk = MemDisk::new();
+        let (store, _) = KvStore::open_on_disk(&cfg(), sync, disk.clone());
+        store.put("seed", b"s");
+        store.commit(
+            &WriteBatch::new().put("slice", b"v"),
+            &[
+                CommitStep::Log(RedoKind::Prepare { gid: GID }),
+                CommitStep::LogUnforced(RedoKind::Decided { gid: GID }),
+            ],
+        );
+        assert_eq!(store.read_uncommitted("slice").as_deref(), Some(&b"v"[..]));
+        let before = disk.journal_len();
+        assert!(store.checkpoint().expect("checkpoint").performed);
+        let after = disk.journal_len();
+        drop(store);
+
+        let mut staged = 0;
+        let mut check = |img: MemDisk, what: String| {
+            let (re, report) = KvStore::open_on_disk(&cfg(), sync, img);
+            assert_eq!(re.get("seed").as_deref(), Some(&b"s"[..]), "{what}");
+            match (re.get("slice").as_deref(), report.pending_prepares) {
+                (Some(b"v"), 0) => {}
+                (None, 1) => {
+                    assert_eq!(re.pending_prepared_gids(), [GID], "{what}");
+                    staged += 1;
+                }
+                other => panic!("{what}: slice neither applied nor staged: {other:?}\n{report:?}"),
+            }
+        };
+        for ev in before..=after {
+            for synced_only in [false, true] {
+                check(
+                    disk.crash_image(ev, 0, synced_only),
+                    format!("{sync:?} event {ev} synced_only={synced_only}"),
+                );
+            }
+            for cut in 1..disk.event_append_len(ev).unwrap_or(0) {
+                check(
+                    disk.crash_image(ev, cut, false),
+                    format!("{sync:?} event {ev} byte {cut}"),
+                );
+            }
+        }
+        assert!(
+            staged > 0,
+            "{sync:?}: the decided record was pending at the start"
+        );
+        // The end state needs no log at all: the slice is in the snapshot.
+        let (re, report) = KvStore::open_on_disk(&cfg(), sync, disk.clone());
+        assert_eq!((report.replayed, report.pending_prepares), (0, 0));
+        assert_eq!(re.get("slice").as_deref(), Some(&b"v"[..]));
+    }
 }
 
 #[test]

@@ -43,9 +43,9 @@ fn wal_script(disk: Arc<dyn Disk>) -> Vec<(&'static str, Listing)> {
     wal.append_durable(b"two", &rt);
     stage("append+sync", &*disk);
 
-    assert_eq!(wal.rotate().unwrap(), 2);
+    assert_eq!(wal.rotate(&rt).unwrap(), 2);
     stage("rotate", &*disk);
-    assert_eq!(wal.rotate().unwrap(), 2);
+    assert_eq!(wal.rotate(&rt).unwrap(), 2);
     stage("re-rotate at the same cut", &*disk);
 
     publish(2);
@@ -54,7 +54,7 @@ fn wal_script(disk: Arc<dyn Disk>) -> Vec<(&'static str, Listing)> {
     stage("drop_rotated", &*disk);
 
     wal.append_durable(b"three", &rt);
-    assert_eq!(wal.rotate().unwrap(), 3);
+    assert_eq!(wal.rotate(&rt).unwrap(), 3);
     publish(3);
     stage("second publish (cur -> prev)", &*disk);
     wal.drop_rotated().unwrap();

@@ -22,16 +22,24 @@
 //! fsynced, with its own shard locks held. The decision step appends the
 //! coordinator's gid-tagged [`ad_kv::RedoKind::Decided`] record — the
 //! commit point of the whole batch — and the release step broadcasts
-//! release; each participant then re-logs its slice as decided and its
-//! plan ends. Locks are held everywhere from commit to release: **a
-//! reader on any shard can never observe a partial cross-shard batch**,
-//! and when the coordinator's call returns, the batch is durable on every
-//! shard.
+//! release; each participant then appends its slice as decided —
+//! *unforced*: the record rides that shard's next fsync — and its plan
+//! ends. Two fsyncs are on a batch's path, the prepares' and the
+//! decision's, and every lock hold ends at the second. Locks are held
+//! everywhere from commit to release: **a reader on any shard can never
+//! observe a partial cross-shard batch**, and when the coordinator's call
+//! returns, the batch is durable on every shard — as a staged slice in
+//! each participant's log plus the decision in the coordinator's.
 //!
 //! Crashes recover by presumed abort: a staged slice whose gid no
-//! surviving log proves decided is never applied
+//! surviving log proves decided is never applied; one whose gid any log
+//! proves decided is applied — which is how a participant that crashed
+//! before its own decided record reached the disk, the normal state
+//! shortly after an ack, gets its slice back
 //! ([`ShardRouter::from_stores`] reconciles; see DESIGN.md §14 for the
 //! killed-coordinator / killed-participant matrix).
+//! [`ShardRouter::checkpoint_all`] forces every shard's log before any
+//! shard truncates one, so the decision never exists only in memory.
 //!
 //! ## Why it cannot deadlock
 //!

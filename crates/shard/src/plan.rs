@@ -9,8 +9,13 @@
 //! | plan          | steps                                                        |
 //! |---------------|--------------------------------------------------------------|
 //! | coordinator   | `Call(prepare_1) … Call(prepare_p)`, `Log(Decided)`, `Call(release_all)` |
-//! | participant   | `Log(Prepare)`, `Call(ack)`, `Call(wait_release)`, `Log(Decided)` |
+//! | participant   | `Log(Prepare)`, `Call(ack)`, `Call(wait_release)`, `LogUnforced(Decided)` |
 //! | resolve       | `Log(Decided)`                                               |
+//!
+//! A cross-shard batch costs two fsyncs on its critical path — the
+//! participants' `Prepare`s (in parallel) and the coordinator's `Decided`
+//! — and every lock hold ends at the second: the participant's own
+//! `Decided` is appended, not forced.
 //!
 //! The callbacks are the transport: what they send and wait for is the
 //! router's business ([`crate::router`]); the tests substitute gates.
@@ -51,18 +56,31 @@ pub fn coordinator(
 /// decided, which exposes it to the durable tier. The shard locks are held
 /// throughout: neither a transactional read nor a durable-tier read can
 /// observe the slice before the whole batch is decided.
+///
+/// The re-log is *unforced*. Once `wait_release` returns the batch is
+/// durable everywhere — this log holds the slice (`Prepare`, fsynced
+/// before the ack), the coordinator's holds the decision — so the local
+/// `Decided` only saves the next recovery a look at another shard's log,
+/// and nothing waits for it: it is written with the next batch on this
+/// WAL, and the locks are released one fsync earlier. A crash before then
+/// leaves a pending prepare that [`ShardRouter::from_stores`] resolves
+/// against the coordinator's record; [`ShardRouter::checkpoint_all`]
+/// writes it out on every shard before any shard truncates one.
+///
+/// [`ShardRouter::from_stores`]: crate::ShardRouter::from_stores
+/// [`ShardRouter::checkpoint_all`]: crate::ShardRouter::checkpoint_all
 pub fn participant(gid: u64, ack: Callback, wait_release: Callback) -> Vec<CommitStep> {
     vec![
         CommitStep::Log(RedoKind::Prepare { gid }),
         CommitStep::Call(ack),
         CommitStep::Call(wait_release),
-        CommitStep::Log(RedoKind::Decided { gid }),
+        CommitStep::LogUnforced(RedoKind::Decided { gid }),
     ]
 }
 
 /// Recovery's plan for a staged slice some shard's log proves committed:
-/// apply it and log this shard's own decided record, so the next recovery
-/// needs no cross-shard evidence.
+/// apply it and log this shard's own decided record — forced, so a
+/// router, once assembled, rests on no evidence it has not made local.
 pub fn resolve(gid: u64) -> Vec<CommitStep> {
     vec![CommitStep::Log(RedoKind::Decided { gid })]
 }

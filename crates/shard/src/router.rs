@@ -369,7 +369,9 @@ impl ShardRouter {
         );
     }
 
-    /// Block until every shard's deferred durability work has drained.
+    /// Block until every shard's deferred durability work has drained and
+    /// every record any shard appended — a participant's unforced
+    /// `Decided` included — is on its disk ([`KvStore::sync`]).
     pub fn sync(&self) {
         for store in &self.stores {
             store.sync();
@@ -378,8 +380,9 @@ impl ShardRouter {
 
     /// Block until every shard's transport data queue has drained: every
     /// participant slice for a batch whose `write_batch` already returned
-    /// has finished its release-side work (decided re-log, apply, trace
-    /// instants). The participant half of a cross-shard commit runs
+    /// has finished its release-side work (apply, trace instants, its
+    /// `Decided` record *appended* — not necessarily written: that takes
+    /// [`sync`](Self::sync)). The participant half of a cross-shard commit runs
     /// asynchronously on the transport worker, so callers that want to
     /// *observe* a completed commit — drain a merged trace, compare
     /// dumps — quiesce first. New commits are not gated out; callers
@@ -397,13 +400,17 @@ impl ShardRouter {
 
     /// Checkpoint every shard at a cross-shard-quiescent point: new
     /// cross-shard commits are gated out, a barrier drains every
-    /// shard's staged-but-unreleased slices, and only then does each
-    /// shard snapshot and truncate. Without the quiesce, a coordinator
-    /// could truncate the decision record a participant's staged slice
-    /// still needs at its next recovery (DESIGN.md §14).
+    /// shard's staged-but-unreleased slices, **every** shard's WAL is
+    /// forced, and only then does **any** shard snapshot and truncate.
+    /// Without the quiesce, a coordinator could truncate the decision
+    /// record a participant's staged slice still needs at its next
+    /// recovery; without the flush-all it could truncate the only durable
+    /// `Decided` of a gid whose participant still holds its own in memory
+    /// (DESIGN.md §14.4).
     pub fn checkpoint_all(&self) -> io::Result<Vec<CkptReport>> {
         let _gate = self.ckpt_gate.write();
         self.quiesce();
+        self.sync();
         self.stores.iter().map(|s| s.checkpoint()).collect()
     }
 

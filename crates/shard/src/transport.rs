@@ -92,7 +92,8 @@ impl Queue {
 
     fn push(&self, frame: Frame) {
         self.frames.lock().push_back(frame);
-        self.cv.notify_all();
+        // One consumer per queue (a router worker).
+        self.cv.notify_one();
     }
 
     fn pop_blocking(&self) -> Frame {

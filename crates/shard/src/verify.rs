@@ -20,6 +20,11 @@
 //! 1. coordinator slice visible ⇒ the participant has staged and acked;
 //! 2. participant slice visible ⇒ the decision ran (release was sent).
 //!
+//! The participant's plan ends at the release: its `Decided` re-log is
+//! unforced, so nothing holds its locks past `wait_release` — invariant 2
+//! is exactly the licence for that (a reader may see the slice once the
+//! global decision exists, not once the local echo of it is on disk).
+//!
 //! [`model_catches_release_before_last_ack`] is the seeded regression:
 //! a coordinator that commits its slice in a plain transaction and only
 //! *then* runs the prepare round — the classic commit-before-coordinate
@@ -27,10 +32,14 @@
 //! at commit, before any ack, and the checker must find the schedule
 //! where the observer catches invariant 1 broken. If it stops finding
 //! it, the green model has rotted into always-green.
+//! [`model_catches_release_before_the_decision`] is its twin on the other
+//! side: a participant whose plan ends at the ack — one step too early,
+//! the mistake "shorten the participant's lock hold" invites — must be
+//! caught breaking invariant 2.
 
 use std::sync::Arc;
 
-use ad_kv::{KvConfig, KvStore, WriteBatch};
+use ad_kv::{CommitStep, KvConfig, KvStore, RedoKind, WriteBatch};
 use ad_support::model::{check, check_expect_violation, CheckOpts, Exec};
 use ad_support::sync::atomic::{AtomicBool, Ordering};
 use ad_support::sync::{Condvar, Mutex};
@@ -72,10 +81,20 @@ fn store() -> Arc<KvStore> {
 
 const GID: u64 = 1;
 
-/// Wire up one coordinator, one participant, and one observer. When
-/// `buggy` is set, the coordinator commits its slice *before* running
-/// the prepare round instead of deferring the round over its locks.
-fn scenario(e: &mut Exec, buggy: bool) {
+/// The seeded protocol bugs.
+#[derive(Clone, Copy, PartialEq)]
+enum Bug {
+    None,
+    /// The coordinator commits its slice *before* running the prepare
+    /// round instead of deferring the round over its locks.
+    CommitBeforeCoordinate,
+    /// The participant's plan ends at the ack: its locks are released
+    /// before it has heard of any decision.
+    ReleaseBeforeDecision,
+}
+
+/// Wire up one coordinator, one participant, and one observer.
+fn scenario(e: &mut Exec, bug: Bug) {
     let coord = store();
     let part = store();
     let acked = Arc::new(AtomicBool::new(false));
@@ -95,10 +114,18 @@ fn scenario(e: &mut Exec, buggy: bool) {
                 ack_gate.open();
             };
             let rel = move || rel_gate.wait();
-            part.commit(
-                &batch,
-                &plan::participant(GID, Arc::new(ack), Arc::new(rel)),
-            );
+            if bug == Bug::ReleaseBeforeDecision {
+                // BUG (deliberate): the plan stops after the ack — the
+                // shard locks release there — and only then waits.
+                let staged = CommitStep::Log(RedoKind::Prepare { gid: GID });
+                part.commit(&batch, &[staged, CommitStep::call(ack)]);
+                rel();
+            } else {
+                part.commit(
+                    &batch,
+                    &plan::participant(GID, Arc::new(ack), Arc::new(rel)),
+                );
+            }
         });
     }
 
@@ -109,7 +136,7 @@ fn scenario(e: &mut Exec, buggy: bool) {
         let rel_gate = Arc::clone(&rel_gate);
         e.spawn(move || {
             let batch = WriteBatch::new().put("ka", b"va");
-            if buggy {
+            if bug == Bug::CommitBeforeCoordinate {
                 // BUG (deliberate): plain commit first — the shard locks
                 // release here — then the prepare/ack round and release.
                 coord_store.write_batch(&batch);
@@ -163,7 +190,7 @@ fn commit_holds_until_all_acks() {
             seeds: 400,
             max_steps: 500_000,
         },
-        |e| scenario(e, false),
+        |e| scenario(e, Bug::None),
     );
 }
 
@@ -177,12 +204,32 @@ fn model_catches_release_before_last_ack() {
             seeds: 400,
             max_steps: 500_000,
         },
-        |e| scenario(e, true),
+        |e| scenario(e, Bug::CommitBeforeCoordinate),
     );
     let (seed, msg) =
         violation.expect("the commit-before-coordinate variant no longer races; re-tune the model");
     assert!(
         msg.contains("before every participant acked"),
         "expected a hold-until-ack violation, got (seed {seed}): {msg}"
+    );
+}
+
+/// Seeded regression: a participant that lets go of its locks before
+/// `wait_release` returned must be caught exposing its slice with no
+/// decision anywhere (invariant 2).
+#[test]
+fn model_catches_release_before_the_decision() {
+    let violation = check_expect_violation(
+        CheckOpts {
+            seeds: 400,
+            max_steps: 500_000,
+        },
+        |e| scenario(e, Bug::ReleaseBeforeDecision),
+    );
+    let (seed, msg) =
+        violation.expect("the release-before-decision variant no longer races; re-tune the model");
+    assert!(
+        msg.contains("before the decision"),
+        "expected a hold-until-release violation, got (seed {seed}): {msg}"
     );
 }

@@ -16,18 +16,27 @@
 //!    level primitives stage a real prepare on one disk while the
 //!    coordinator's decision is either withheld, torn mid-append, or
 //!    completed, producing the exact mid-protocol disk images a crash
-//!    leaves behind (including byte-level cuts inside the decision and
-//!    re-log records). Recovery must apply the batch everywhere when
-//!    any surviving log proves it decided, and nowhere otherwise.
+//!    leaves behind (including byte-level cuts inside the decision record
+//!    and inside the later write that carries the participant's unforced
+//!    `Decided`). Recovery must apply the batch everywhere when any
+//!    surviving log proves it decided, and nowhere otherwise. A
+//!    participant whose `Decided` never reached its disk is the *normal*
+//!    image right after an ack, not a race.
 //!
-//! 3. **Concurrent readers** — while cross-shard batches commit, a
+//! 3. **Checkpoints** — a crash at every disk event of
+//!    `checkpoint_all`, all disks cut at the same instant: every shard's
+//!    WAL is forced before any shard truncates.
+//!
+//! 4. **Concurrent readers** — while cross-shard batches commit, a
 //!    reader hammering both shards must never observe one key of a
 //!    batch's per-shard slice without its sibling.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
 
-use ad_kv::{CkptPolicy, KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch};
+use ad_kv::disk::WAL_BASE;
+use ad_kv::recover::scan;
+use ad_kv::{CkptPolicy, KvConfig, KvStore, MemDisk, RedoKind, SyncPolicy, WriteBatch};
 use ad_shard::{plan, ShardRouter};
 
 fn cfg() -> KvConfig {
@@ -165,12 +174,12 @@ impl Gate {
     }
 }
 
-/// Index and byte length of the last append event in a disk's journal
-/// (later events are syncs and other non-append operations).
-fn last_append(d: &MemDisk) -> (usize, usize) {
+/// Index of the last append event in a disk's journal (later events are
+/// syncs and other non-append operations).
+fn last_append(d: &MemDisk) -> usize {
     (0..d.journal_len())
         .rev()
-        .find_map(|i| d.event_append_len(i).map(|len| (i, len)))
+        .find(|&i| d.event_append_len(i).is_some())
         .expect("disk has at least one append")
 }
 
@@ -181,10 +190,14 @@ struct Window {
     /// Participant disk, synced prefix, taken after ack but before
     /// release: exactly what a killed participant leaves behind.
     part_staged: MemDisk,
-    /// Participant disk after the full protocol (decided re-log done).
-    part_full: MemDisk,
-    /// Live participant disk (for byte cuts into the re-log append).
+    /// Live participant disk.
     part_live: MemDisk,
+    /// Its journal length when the participant's plan had ended — locks
+    /// released, `Decided` appended but never written.
+    part_released: usize,
+    /// Journal index of the participant's next write, which carries that
+    /// `Decided` followed by the record of a later local put.
+    part_relog_ev: usize,
     /// Coordinator disk before the decision was ever attempted.
     coord_before: MemDisk,
     /// Coordinator disk with the decision record durable.
@@ -242,16 +255,19 @@ fn build_window() -> Window {
         &WriteBatch::new().put("cross-a", b"va"),
         &plan::coordinator(GID, [prepare], Arc::new(move || rel.open())),
     );
-    let coord_decision_ev = last_append(&disk_a).0;
+    let coord_decision_ev = last_append(&disk_a);
     let coord_after = disk_a.crash_image(disk_a.journal_len(), 0, true);
     part.join().expect("participant thread");
-    let part_full = disk_b.crash_image(disk_b.journal_len(), 0, true);
+    let part_released = disk_b.journal_len();
+    sb.put("later-b", b"lb");
+    let part_relog_ev = last_append(&disk_b);
 
     drop(sa);
     Window {
         part_staged,
-        part_full,
         part_live: disk_b,
+        part_released,
+        part_relog_ev,
         coord_before,
         coord_after,
         coord_live: disk_a,
@@ -289,19 +305,61 @@ fn killed_participant_after_ack_recovers_the_whole_batch() {
     // coordinator's decision record is durable. Reconciliation must
     // prove the gid decided and apply the slice on the participant.
     assert_atomic(&recover(&w.coord_after, &w.part_staged), true);
+}
 
-    // Torn re-log: byte-level cuts inside the participant's decided
-    // re-log append. The scan drops the torn record, the staged prepare
-    // is still pending, and the coordinator's decision still resolves it.
-    let (ev, len) = last_append(&w.part_live);
-    for cut in [1, len / 2, len - 1] {
-        assert_atomic(
-            &recover(&w.coord_after, &w.part_live.crash_image(ev, cut, false)),
-            true,
-        );
+#[test]
+fn an_acked_batch_whose_participant_decided_was_never_written_recovers_whole() {
+    let w = build_window();
+    // The participant's plan has ended and its locks are released; its
+    // `Decided` is in memory only. This is what every crash shortly after
+    // an ack looks like, whether or not unsynced bytes survive.
+    assert_eq!(
+        w.part_released, w.part_relog_ev,
+        "the participant wrote nothing between its prepare and its next commit"
+    );
+    for synced_only in [true, false] {
+        let part = w.part_live.crash_image(w.part_released, 0, synced_only);
+        let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, part.clone());
+        assert_eq!(report.pending_prepares, 1, "synced_only={synced_only}");
+        assert_eq!(solo.get("cross-b"), None, "standalone: presumed abort");
+        drop(solo);
+        assert_atomic(&recover(&w.coord_after, &part), true);
     }
-    // And the clean end state.
-    assert_atomic(&recover(&w.coord_after, &w.part_full), true);
+}
+
+#[test]
+fn a_torn_write_carrying_the_unforced_decided_and_a_later_record_recovers_whole() {
+    let w = build_window();
+    // One append holds the participant's `Decided` and then the record of
+    // `later-b`. Cut it at every byte: the scan keeps whole records only,
+    // so the cut leaves neither, the `Decided` alone, or both — and the
+    // batch is whole in each, from this log or from the coordinator's.
+    let len = w
+        .part_live
+        .event_append_len(w.part_relog_ev)
+        .expect("an append");
+    let mut pending = [0, 0];
+    for cut in 0..=len {
+        let part = w.part_live.crash_image(w.part_relog_ev, cut, false);
+        let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, part.clone());
+        pending[report.pending_prepares as usize] += 1;
+        // `later-b` was acked after the batch: never without it.
+        if solo.get("later-b").is_some() {
+            assert_eq!(
+                report.pending_prepares, 0,
+                "cut {cut}: later record, no decided"
+            );
+            assert_eq!(cut, len, "cut {cut}: a torn record was replayed");
+        }
+        drop(solo);
+        let dump = recover(&w.coord_after, &part);
+        assert_atomic(&dump, true);
+        assert_eq!(dump.contains_key("later-b"), cut == len, "cut {cut}");
+    }
+    assert!(
+        pending[0] > 1 && pending[1] > 1,
+        "cuts on both sides of the decided record: {pending:?}"
+    );
 }
 
 #[test]
@@ -339,12 +397,22 @@ fn reconciliation_relogs_so_the_next_recovery_is_self_contained() {
         Some(&b"vb"[..]),
         "first recovery resolved the staged slice"
     );
-    drop(re);
     // The participant re-logged its slice as decided during the first
-    // recovery, so its disk alone — no coordinator evidence — now
+    // recovery — forced, unlike a live participant's: the record is in
+    // the synced prefix while the router is still open.
+    let synced = scan(&imgs[1].synced(WAL_BASE), 1).0;
+    assert!(
+        synced
+            .iter()
+            .any(|r| r.kind == RedoKind::Decided { gid: GID }),
+        "resolution did not force its decided record"
+    );
+    drop(re);
+    // So the participant's disk alone — no coordinator evidence — now
     // recovers the slice. (A store outside a router replays the same
     // records.)
-    let (solo, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, imgs[1].clone());
+    let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, imgs[1].clone());
+    assert_eq!(report.pending_prepares, 0);
     assert_eq!(
         solo.get("cross-b").as_deref(),
         Some(&b"vb"[..]),
@@ -374,7 +442,114 @@ fn aborted_prepare_does_not_block_later_writes_or_recoveries() {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: concurrent readers during live cross-shard commits.
+// Layer 3: closing and checkpointing with unforced records pending.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_clean_close_is_self_contained_and_a_crash_reports_its_pending_prepare() {
+    let disks = [MemDisk::new(), MemDisk::new()];
+    let (router, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &disks);
+    let (a, b) = (key_on(&router, "a", 0), key_on(&router, "b", 1));
+    router.write_batch(&WriteBatch::new().put(&a, b"1").put(&b, b"1"));
+    let whole = BTreeMap::from([(a, b"1".to_vec()), (b.clone(), b"1".to_vec())]);
+
+    // Crash right after the ack, unsynced bytes lost: the participant has
+    // its prepare and no decision of its own, and says so.
+    let imgs: Vec<MemDisk> = disks
+        .iter()
+        .map(|d| d.crash_image(d.journal_len(), 0, true))
+        .collect();
+    let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, imgs[1].clone());
+    assert_eq!(report.pending_prepares, 1);
+    assert_eq!(solo.get(&b), None, "standalone: presumed abort, reported");
+    drop(solo);
+    let (re, reports) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
+    assert_eq!(
+        reports.iter().map(|r| r.pending_prepares).sum::<u64>(),
+        1,
+        "one staged slice to resolve"
+    );
+    assert_eq!(re.dump(), whole, "resolved against the coordinator's log");
+    drop(re);
+
+    // A clean close writes the pending record out: the participant's disk
+    // reopens on its own, nothing parked, nothing lost.
+    drop(router);
+    let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disks[1].clone());
+    assert_eq!(report.pending_prepares, 0);
+    assert_eq!(solo.get(&b).as_deref(), Some(&b"1"[..]));
+}
+
+#[test]
+fn checkpoint_all_forces_every_wal_before_any_shard_truncates() {
+    const SHARDS: usize = 3;
+    for sync in [SyncPolicy::PerCommit, SyncPolicy::GroupCommit] {
+        let disks: Vec<MemDisk> = (0..SHARDS).map(|_| MemDisk::new()).collect();
+        let (router, _) = ShardRouter::open_on_disks(&cfg(), sync, &disks);
+        let keys: Vec<String> = (0..SHARDS).map(|s| key_on(&router, "k", s)).collect();
+        // Every shard coordinates once and participates once; the last
+        // batch leaves an unwritten `Decided` on shards 1 and 2 whose only
+        // durable twin is in the log shard 0 checkpoints first.
+        for (round, touched) in [vec![1, 2], vec![0, 2], vec![0, 1, 2]].iter().enumerate() {
+            let mut batch = WriteBatch::new();
+            for &s in touched {
+                batch = batch.put(&keys[s], [round as u8]);
+            }
+            router.write_batch(&batch);
+        }
+        router.quiesce();
+        let model = router.dump();
+        let before: Vec<usize> = disks.iter().map(MemDisk::journal_len).collect();
+        router.checkpoint_all().expect("checkpoint_all");
+        drop(router);
+
+        // The disk events of the checkpoint, all disks, in the order they
+        // happened: crash before each of them, and inside each append.
+        let stamps: Vec<Vec<u64>> = disks.iter().map(MemDisk::event_stamps).collect();
+        let mut instants: Vec<u64> = (0..SHARDS)
+            .flat_map(|d| stamps[d][before[d]..].iter().copied())
+            .collect();
+        instants.sort_unstable();
+        assert!(
+            instants.len() > 6 * SHARDS,
+            "flush + rotate + publish + drop on every shard"
+        );
+        let mut images = 0;
+        // (`u64::MAX`: after the last of them.)
+        for &t in instants.iter().chain([&u64::MAX]) {
+            let lens: Vec<usize> = stamps
+                .iter()
+                .map(|s| s.partition_point(|&s| s < t))
+                .collect();
+            let next = (0..SHARDS)
+                .find(|&d| stamps[d].get(lens[d]) == Some(&t))
+                .unwrap_or(0);
+            let len = disks[next].event_append_len(lens[next]).unwrap_or(0);
+            for cut in [0, 1, len / 2, len.saturating_sub(1)] {
+                for synced_only in [false, true] {
+                    let imgs: Vec<MemDisk> = (0..SHARDS)
+                        .map(|d| {
+                            let bytes = if d == next { cut.min(len) } else { 0 };
+                            disks[d].crash_image(lens[d], bytes, synced_only)
+                        })
+                        .collect();
+                    let (re, reports) = ShardRouter::open_on_disks(&cfg(), sync, &imgs);
+                    assert_eq!(
+                        re.dump(),
+                        model,
+                        "{sync:?}: crash at {lens:?} (+{cut} bytes on disk {next}), \
+                         synced_only={synced_only}\nreports: {reports:?}"
+                    );
+                    images += 1;
+                }
+            }
+        }
+        assert!(images > 100, "matrix too small: {images}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Layer 4: concurrent readers during live cross-shard commits.
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -82,9 +82,11 @@ fn every_crash_image_of_a_checkpointed_history_is_a_committed_prefix() {
     assert_eq!(dump_checked(&open(&last), "whole history"), model);
 }
 
-/// A cross-shard batch through the router, a crash of both shards, and a
-/// reconcile by `from_stores`: acked batches are whole on every shard, and
-/// a slice staged without any durable decision is dropped everywhere.
+/// Cross-shard batches through the router, crashes of both shards, and a
+/// reconcile by `from_stores`: acked batches are whole on every shard, a
+/// slice staged without any durable decision is dropped everywhere, and a
+/// participant's own `Decided` — which it never forces — is needed by
+/// nobody, before, during or after a checkpoint.
 #[test]
 fn cross_shard_batches_survive_a_crash_and_reconcile_whole() {
     let disks = [MemDisk::new(), MemDisk::new()];
@@ -95,47 +97,92 @@ fn cross_shard_batches_survive_a_crash_and_reconcile_whole() {
             .find(|k| router.shard_of(k) == shard)
             .expect("some key lands on every shard")
     };
+    let lens = || -> Vec<usize> { disks.iter().map(MemDisk::journal_len).collect() };
     let (a, b) = (key_on(0, "a"), key_on(1, "b"));
     router.write_batch(&WriteBatch::new().put(a.as_str(), "1").put(b.as_str(), "1"));
     // Journal lengths with the first batch acked: the aligned crash point.
-    let acked: Vec<usize> = disks.iter().map(MemDisk::journal_len).collect();
+    let acked = lens();
     router.write_batch(&WriteBatch::new().put(a.as_str(), "2").put(b.as_str(), "2"));
     router.quiesce();
     let whole: Model = router.dump();
+    // Both batches acked, the participant's plan over: its second `Decided`
+    // is in memory, and the first went to disk inside the second
+    // `Prepare`'s write.
+    let ends = lens();
+    router.checkpoint_all().expect("checkpoint_all");
+    let ckpt = lens();
     drop(router);
 
+    // Pessimistic images, one cut per disk: the slices the participant's
+    // log stages without a decision of its own, and the dump once the
+    // router reconciled.
     let reopen = |cuts: &[usize]| {
         let stores: Vec<Arc<KvStore>> = disks
             .iter()
             .zip(cuts)
             .map(|(d, &cut)| Arc::new(open(&d.crash_image(cut, 0, true))))
             .collect();
+        let pending = stores[1].pending_prepared_gids();
+        let reported = stores[1]
+            .recovery_report()
+            .expect("durable")
+            .pending_prepares;
+        assert_eq!(pending.len() as u64, reported, "cuts {cuts:?}");
         let router = ShardRouter::from_stores(stores.clone());
         // Reconciliation went through the stores' commit pipeline.
         for store in &stores {
             dump_checked(store, &format!("cuts {cuts:?}"));
         }
-        router.dump()
+        (router.dump(), pending)
     };
     let first: Model = [(a.clone(), b"1".to_vec()), (b.clone(), b"1".to_vec())].into();
-    assert_eq!(reopen(&acked), first, "crash after the first ack");
-    let ends: Vec<usize> = disks.iter().map(MemDisk::journal_len).collect();
-    assert_eq!(reopen(&ends), whole, "crash at the end");
+    let (dump, gid1) = reopen(&acked);
+    assert_eq!(
+        (dump, gid1.len()),
+        (first.clone(), 1),
+        "crash after the first ack"
+    );
+    let (dump, gid2) = reopen(&ends);
+    assert_eq!(
+        (dump, gid2.len()),
+        (whole.clone(), 1),
+        "crash after the second ack"
+    );
+    assert_ne!(
+        gid1, gid2,
+        "the first batch's decided record rode the second prepare"
+    );
+    assert_eq!(
+        reopen(&ckpt),
+        (whole.clone(), vec![]),
+        "crash after the checkpoint"
+    );
+
     // The coordinator logs its decision only after the participant staged
-    // durably, and the participant re-logs its slice as decided only after
-    // that decision is durable. So the crash states that can occur are:
-    // coordinator without the decision and participant at most staged —
-    // presumed abort — or coordinator with it and participant at least
-    // staged — the batch on both shards. Both keys always move together.
-    let relog = (0..ends[1])
-        .rev()
-        .find(|&ev| disks[1].event_append_len(ev).is_some())
-        .expect("the participant appended");
-    let undecided = (acked[1]..=relog).map(|part| (acked[0], part));
-    let decided = (relog..=ends[1]).map(|part| (ends[0], part));
-    for (coord, part) in undecided.chain(decided) {
-        let dump = reopen(&[coord, part]);
-        let want = if coord == ends[0] { &whole } else { &first };
-        assert_eq!(&dump, want, "cuts ({coord}, {part})");
+    // durably. So the crash states that can occur are: coordinator without
+    // the decision and participant anywhere up to staged — presumed abort —
+    // or coordinator with it and participant at least staged — the batch
+    // on both shards. The participant's own decided record is in neither
+    // description: no cut needs it. Both keys always move together.
+    let staged = (acked[1]..=ends[1])
+        .find(|&part| reopen(&[acked[0], part]).1 == gid2)
+        .expect("the second prepare becomes durable");
+    for part in acked[1]..=ends[1] {
+        assert_eq!(
+            reopen(&[acked[0], part]).0,
+            first,
+            "undecided, cuts ({}, {part})",
+            acked[0]
+        );
+    }
+    // ... on through the participant's flush and its whole checkpoint,
+    // while the coordinator still holds the decision in its log.
+    for part in staged..=ckpt[1] {
+        assert_eq!(
+            reopen(&[ends[0], part]).0,
+            whole,
+            "decided, cuts ({}, {part})",
+            ends[0]
+        );
     }
 }
