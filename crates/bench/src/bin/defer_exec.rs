@@ -178,12 +178,19 @@ fn main() {
         "pool arm never offloaded"
     );
     if smoke {
-        // CI floor: looser than the tracked 5x so scheduling noise on
-        // loaded runners doesn't flake, but still proof the pool moved the
-        // op cost off the commit path (the op alone is `op_us`).
+        // The structural fact, on medians: inline, the op runs before
+        // `atomically` returns, so half the commits cannot be shorter than
+        // the op; pooled, a commit does not contain it. The p99 ratio above
+        // is a ratio of two single samples at smoke size — report-only.
+        let op_ns = op_us * 1000;
+        let (inline_p50, pool_p50) = (cells[0].commit_p50_ns, cells[1].commit_p50_ns);
         assert!(
-            speedup >= 2.0,
-            "pool executor did not reduce commit p99: inline {inline_p99}ns, pool {pool_p99}ns"
+            inline_p50 >= op_ns,
+            "inline commit p50 {inline_p50}ns is shorter than the {op_ns}ns op it runs"
+        );
+        assert!(
+            pool_p50 < op_ns / 2,
+            "pool executor left the {op_ns}ns op on the commit path: commit p50 {pool_p50}ns"
         );
         println!("smoke ok");
         return;

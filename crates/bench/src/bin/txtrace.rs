@@ -69,7 +69,7 @@ fn shard_mode(shards: usize, ops: usize) {
         std::hint::black_box(router.get(&keys[round % n]));
     }
     // Participants finish their release-side work asynchronously on the
-    // transport workers; quiesce so the drain sees every protocol
+    // shards' workers; quiesce so the drain sees every protocol
     // instant — (5*(n-1)+1) per batch — without racing a live writer.
     router.quiesce();
     router.set_tracing(false);

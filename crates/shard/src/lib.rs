@@ -15,16 +15,18 @@
 //! in order, the slice's shard locks held from the commit until the last
 //! step returns. The coordinator's plan is one *prepare* step per remote
 //! participant (ascending shard order), the *decision* record, and a
-//! *release* step. Each prepare sends the participant its slice over the
-//! [`Transport`] and blocks until the participant acks — and a
+//! *release* step. Each prepare pushes the participant's slice onto that
+//! shard's job queue — the in-process hop: one FIFO and one worker per
+//! shard, and a one-shot gate for each answer, opened directly by the
+//! side that gives it — and blocks until the participant acks — and a
 //! participant, whose own plan starts by staging the slice in its own WAL
 //! ([`ad_kv::RedoKind::Prepare`]), acks only after that record is
 //! fsynced, with its own shard locks held. The decision step appends the
 //! coordinator's gid-tagged [`ad_kv::RedoKind::Decided`] record — the
-//! commit point of the whole batch — and the release step broadcasts
-//! release; each participant then appends its slice as decided —
-//! *unforced*: the record rides that shard's next fsync — and its plan
-//! ends. Two fsyncs are on a batch's path, the prepares' and the
+//! commit point of the whole batch — and the release step opens every
+//! participant's release gate; each participant then appends its slice
+//! as decided — *unforced*: the record rides that shard's next fsync —
+//! and its plan ends. Two fsyncs are on a batch's path, the prepares' and the
 //! decision's, and every lock hold ends at the second. Locks are held
 //! everywhere from commit to release: **a reader on any shard can never
 //! observe a partial cross-shard batch**, and when the coordinator's call
@@ -62,7 +64,7 @@
 
 pub mod plan;
 pub mod router;
-pub mod transport;
+mod transport;
 
 /// Loom-style model of the hold-until-all-ack invariant: a coordinator
 /// and participants exchanging prepare/ack/release while an observer
@@ -72,4 +74,3 @@ pub mod transport;
 mod verify;
 
 pub use router::{ShardRouter, SHARD_ACK, SHARD_PREPARE, SHARD_RELEASE};
-pub use transport::{Frame, LocalTransport, Transport};

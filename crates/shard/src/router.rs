@@ -12,10 +12,10 @@ use ad_kv::{
 use ad_stm::{AppEvent, StatsReport, Trace};
 use ad_support::hash::fnv1a64;
 use ad_support::sync::atomic::{AtomicU64, Ordering};
-use ad_support::sync::{Condvar, Mutex, RwLock};
+use ad_support::sync::RwLock;
 
 use crate::plan::{self, Callback};
-use crate::transport::{Frame, LocalTransport, Transport};
+use crate::transport::{Gate, Job, JobQueue};
 
 /// Trace event: a cross-shard coordinator sent (or a participant began
 /// applying) a prepare frame for a global batch; `arg` = the global batch
@@ -38,43 +38,6 @@ pub static SHARD_RELEASE: AppEvent = AppEvent::new("shard_release", "gid");
 /// the coordinator shard, so recovery can say who held the decision.
 const GID_SEQ_MASK: u64 = (1 << 48) - 1;
 
-/// Barrier handshake ids live above the gid space.
-const BARRIER_BASE: u64 = 1 << 63;
-
-/// Signal kinds — the tag keeps a participant's release wait from
-/// consuming its own just-sent ack (both are keyed by `(gid, shard)`).
-const SIG_ACK: u8 = 0;
-const SIG_RELEASE: u8 = 1;
-const SIG_BARRIER: u8 = 2;
-
-/// One-shot signals between transport workers and protocol waiters:
-/// `wait` blocks until a matching `signal` arrived, then consumes it.
-struct SignalTable {
-    set: Mutex<HashSet<(u8, u64, u16)>>,
-    cv: Condvar,
-}
-
-impl SignalTable {
-    fn new() -> Self {
-        SignalTable {
-            set: Mutex::new(HashSet::new()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn signal(&self, kind: u8, id: u64, shard: u16) {
-        self.set.lock().insert((kind, id, shard));
-        self.cv.notify_all();
-    }
-
-    fn wait(&self, kind: u8, id: u64, shard: u16) {
-        let mut g = self.set.lock();
-        while !g.remove(&(kind, id, shard)) {
-            self.cv.wait(&mut g);
-        }
-    }
-}
-
 /// A key space partitioned over N independent [`KvStore`]s (each with
 /// its own runtime and WAL), with cross-shard write batches committed
 /// by the 2-phase protocol of DESIGN.md §14.
@@ -85,15 +48,14 @@ impl SignalTable {
 /// round trip per remote participant plus the decision fsync.
 pub struct ShardRouter {
     stores: Vec<Arc<KvStore>>,
-    sender: Arc<dyn Transport>,
-    signals: Arc<SignalTable>,
+    /// `queues[s]` feeds `workers[s]`, which runs shard `s`'s participant
+    /// side.
+    queues: Vec<Arc<JobQueue>>,
     /// Readers: in-flight cross-shard commits. Writer:
     /// [`ShardRouter::checkpoint_all`], which must not truncate a
     /// decision record some shard's staged slice still depends on.
     ckpt_gate: RwLock<()>,
     next_seq: AtomicU64,
-    next_barrier: AtomicU64,
-    local: Arc<LocalTransport>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -146,7 +108,11 @@ impl ShardRouter {
     /// On a store opened with [`CkptPolicy::Auto`]: a per-store background
     /// checkpoint can truncate a decision record another shard's staged
     /// slice still needs (DESIGN.md §14.4) — routed stores checkpoint only
-    /// through [`ShardRouter::checkpoint_all`].
+    /// through [`ShardRouter::checkpoint_all`]. On a store opened with
+    /// [`SyncPolicy::Async`]: its commit plans run on the defer pool, so
+    /// `commit` returning says nothing — a coordinator would ack a batch
+    /// no participant staged, and a participant's worker would answer a
+    /// barrier with a slice still staged (DESIGN.md §14.4).
     pub fn from_stores(stores: Vec<Arc<KvStore>>) -> ShardRouter {
         assert!(!stores.is_empty(), "a router needs at least one shard");
         assert!(stores.len() <= u16::MAX as usize, "shard ids are u16");
@@ -156,6 +122,12 @@ impl ShardRouter {
                 "shard {s} was opened with CkptPolicy::Auto: a background checkpoint could \
                  truncate a decision record a staged slice still needs (DESIGN.md §14.4); \
                  open routed stores with CkptPolicy::Manual and use checkpoint_all"
+            );
+            assert!(
+                store.sync_policy() != Some(SyncPolicy::Async),
+                "shard {s} was opened with SyncPolicy::Async: a commit plan must have run to \
+                 its end when `commit` returns — that return is the coordinator's ack and the \
+                 worker's licence to answer a barrier (DESIGN.md §14.4)"
             );
         }
 
@@ -180,72 +152,21 @@ impl ShardRouter {
             }
         }
 
-        let n = stores.len();
-        let local = Arc::new(LocalTransport::new(n));
-        let sender: Arc<dyn Transport> = Arc::clone(&local) as Arc<dyn Transport>;
-        let signals = Arc::new(SignalTable::new());
-        let mut workers = Vec::with_capacity(2 * n);
-        for (s, shard_store) in stores.iter().enumerate() {
-            // Data worker: runs the participant side. It blocks inside
-            // `commit` for the prepare→release window, which serializes
-            // staged slices per shard.
-            let store = Arc::clone(shard_store);
-            let rx = Arc::clone(&local);
-            let tx = Arc::clone(&sender);
-            let sig = Arc::clone(&signals);
-            workers.push(std::thread::spawn(move || loop {
-                match rx.recv_data(s) {
-                    Frame::Prepare { gid, from, ops } => {
-                        let me = s as u16;
-                        let (ack_rt, ack_tx) = (Arc::clone(store.runtime()), Arc::clone(&tx));
-                        let (rel_rt, rel_sig) = (Arc::clone(store.runtime()), Arc::clone(&sig));
-                        store.runtime().trace_app(&SHARD_PREPARE, gid);
-                        store.commit(
-                            &WriteBatch::from_ops(ops),
-                            &plan::participant(
-                                gid,
-                                Arc::new(move || {
-                                    ack_rt.trace_app(&SHARD_ACK, gid);
-                                    ack_tx.send(from, Frame::Ack { gid, from: me });
-                                }),
-                                Arc::new(move || {
-                                    rel_sig.wait(SIG_RELEASE, gid, me);
-                                    rel_rt.trace_app(&SHARD_RELEASE, gid);
-                                }),
-                            ),
-                        );
-                    }
-                    Frame::Barrier { id, from } => {
-                        tx.send(from, Frame::BarrierAck { id, from: s as u16 });
-                    }
-                    Frame::Shutdown => return,
-                    _ => {}
-                }
-            }));
-            // Control worker: never blocks on protocol progress — it
-            // only flips signals, so releases and acks overtake any
-            // parked prepare.
-            let rx = Arc::clone(&local);
-            let sig = Arc::clone(&signals);
-            workers.push(std::thread::spawn(move || loop {
-                match rx.recv_ctl(s) {
-                    Frame::Ack { gid, from } => sig.signal(SIG_ACK, gid, from),
-                    Frame::Release { gid } => sig.signal(SIG_RELEASE, gid, s as u16),
-                    Frame::BarrierAck { id, from } => sig.signal(SIG_BARRIER, id, from),
-                    Frame::Shutdown => return,
-                    _ => {}
-                }
-            }));
-        }
+        let queues: Vec<Arc<JobQueue>> = stores.iter().map(|_| JobQueue::new()).collect();
+        let workers = stores
+            .iter()
+            .zip(&queues)
+            .map(|(store, queue)| {
+                let (store, queue) = (Arc::clone(store), Arc::clone(queue));
+                std::thread::spawn(move || participate(&store, &queue))
+            })
+            .collect();
 
         ShardRouter {
             stores,
-            sender,
-            signals,
+            queues,
             ckpt_gate: RwLock::new(()),
             next_seq: AtomicU64::new(max_seen + 1),
-            next_barrier: AtomicU64::new(0),
-            local,
             workers,
         }
     }
@@ -334,34 +255,33 @@ impl ShardRouter {
         let mut it = slices.into_iter();
         let (coord, coord_ops) = it.next().expect("nonempty");
         let store = &self.stores[coord];
-        // The call below returning is the ack for *every* shard, so the
-        // plan must have run to its end by then: inline executor only.
-        assert!(
-            store.sync_policy() != Some(SyncPolicy::Async),
-            "cross-shard coordination requires the inline deferred executor"
-        );
-        let from = coord as u16;
-        let mut participants: Vec<u16> = Vec::new();
+        let mut releases: Vec<Arc<Gate>> = Vec::new();
         let prepares: Vec<Callback> = it
             .map(|(p, ops)| {
-                let (p, ops, rt) = (p as u16, Arc::new(ops), Arc::clone(store.runtime()));
-                let (tx, sig) = (Arc::clone(&self.sender), Arc::clone(&self.signals));
-                participants.push(p);
+                let (queue, ops, rt) = (
+                    Arc::clone(&self.queues[p]),
+                    Arc::new(ops),
+                    Arc::clone(store.runtime()),
+                );
+                let (acked, released) = (Gate::new(), Gate::new());
+                releases.push(Arc::clone(&released));
                 Arc::new(move || {
                     rt.trace_app(&SHARD_PREPARE, gid);
-                    let ops = (*ops).clone();
-                    tx.send(p, Frame::Prepare { gid, from, ops });
-                    sig.wait(SIG_ACK, gid, p);
+                    queue.push(Job::Prepare {
+                        gid,
+                        ops: (*ops).clone(),
+                        acked: Arc::clone(&acked),
+                        released: Arc::clone(&released),
+                    });
+                    acked.wait();
                     rt.trace_app(&SHARD_ACK, gid);
                 }) as Callback
             })
             .collect();
-        let (tx, rt) = (Arc::clone(&self.sender), Arc::clone(store.runtime()));
+        let rt = Arc::clone(store.runtime());
         let release_all: Callback = Arc::new(move || {
             rt.trace_app(&SHARD_RELEASE, gid);
-            for &p in &participants {
-                tx.send(p, Frame::Release { gid });
-            }
+            releases.iter().for_each(|released| released.open());
         });
         store.commit(
             &WriteBatch::from_ops(coord_ops),
@@ -378,24 +298,31 @@ impl ShardRouter {
         }
     }
 
-    /// Block until every shard's transport data queue has drained: every
+    /// Block until every shard's job queue has drained: every
     /// participant slice for a batch whose `write_batch` already returned
     /// has finished its release-side work (apply, trace instants, its
     /// `Decided` record *appended* — not necessarily written: that takes
     /// [`sync`](Self::sync)). The participant half of a cross-shard commit runs
-    /// asynchronously on the transport worker, so callers that want to
+    /// asynchronously on the shard's worker, so callers that want to
     /// *observe* a completed commit — drain a merged trace, compare
     /// dumps — quiesce first. New commits are not gated out; callers
     /// needing a frozen world ([`ShardRouter::checkpoint_all`]) hold the
     /// checkpoint gate around this.
     pub fn quiesce(&self) {
-        let id = BARRIER_BASE | self.next_barrier.fetch_add(1, Ordering::Relaxed);
-        for s in 0..self.stores.len() {
-            self.sender.send(s as u16, Frame::Barrier { id, from: 0 });
-        }
-        for s in 0..self.stores.len() {
-            self.signals.wait(SIG_BARRIER, id, s as u16);
-        }
+        // Every barrier is queued before the first wait: shards drain in
+        // parallel.
+        let barriers: Vec<Arc<Gate>> = self
+            .queues
+            .iter()
+            .map(|queue| {
+                let drained = Gate::new();
+                queue.push(Job::Barrier {
+                    drained: Arc::clone(&drained),
+                });
+                drained
+            })
+            .collect();
+        barriers.iter().for_each(|drained| drained.wait());
     }
 
     /// Checkpoint every shard at a cross-shard-quiescent point: new
@@ -461,10 +388,47 @@ impl ShardRouter {
     }
 }
 
+/// A shard's one worker: the participant side of every batch that
+/// touches `store` from another coordinator. It blocks inside `commit`
+/// for the prepare→release window, which serializes staged slices per
+/// shard; acks and releases never pass through `queue`.
+fn participate(store: &KvStore, queue: &JobQueue) {
+    loop {
+        match queue.pop_blocking() {
+            Job::Prepare {
+                gid,
+                ops,
+                acked,
+                released,
+            } => {
+                let rt = store.runtime();
+                let (ack_rt, rel_rt) = (Arc::clone(rt), Arc::clone(rt));
+                rt.trace_app(&SHARD_PREPARE, gid);
+                store.commit(
+                    &WriteBatch::from_ops(ops),
+                    &plan::participant(
+                        gid,
+                        Arc::new(move || {
+                            ack_rt.trace_app(&SHARD_ACK, gid);
+                            acked.open();
+                        }),
+                        Arc::new(move || {
+                            released.wait();
+                            rel_rt.trace_app(&SHARD_RELEASE, gid);
+                        }),
+                    ),
+                );
+            }
+            Job::Barrier { drained } => drained.open(),
+            Job::Shutdown => return,
+        }
+    }
+}
+
 impl Drop for ShardRouter {
     fn drop(&mut self) {
-        for s in 0..self.stores.len() {
-            self.local.shutdown(s);
+        for queue in &self.queues {
+            queue.push(Job::Shutdown);
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -488,6 +452,7 @@ mod tests {
     #[test]
     fn single_shard_batches_and_reads_route_by_key() {
         let router = ShardRouter::open_volatile(4);
+        assert_eq!(router.workers.len(), 4, "one thread per shard");
         router.put("alpha", b"1");
         router.put("beta", b"2");
         assert_eq!(router.get("alpha").as_deref(), Some(&b"1"[..]));
@@ -535,6 +500,16 @@ mod tests {
             MemDisk::new(),
         );
         ShardRouter::from_stores(vec![Arc::new(manual), Arc::new(auto)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "SyncPolicy::Async")]
+    fn async_stores_are_refused() {
+        let open = |sync| KvStore::open_on_disk(&KvConfig::volatile(), sync, MemDisk::new()).0;
+        ShardRouter::from_stores(vec![
+            Arc::new(open(SyncPolicy::GroupCommit)),
+            Arc::new(open(SyncPolicy::Async)),
+        ]);
     }
 
     #[test]
@@ -586,7 +561,7 @@ mod tests {
                 .put(b.as_str(), b"2"),
         );
         // The participant's release-side events land asynchronously (its
-        // re-log runs on the transport worker after the coordinator's
+        // re-log runs on the shard's worker after the coordinator's
         // call returned): quiesce so the drain below races no writer —
         // draining a *live* ring can lose the event being written.
         router.quiesce();

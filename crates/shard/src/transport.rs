@@ -1,18 +1,24 @@
-//! The frame protocol between shards, and its in-process implementation.
+//! The in-process hop between shards: one job queue per shard, and the
+//! one-shot gates a sender hands the other side.
 //!
-//! [`Transport`] is deliberately tiny — fire-and-forget frame delivery —
-//! so a wire implementation (ad-net style: length-prefixed, CRC-guarded)
-//! can slot in later without touching the router. [`LocalTransport`]
-//! backs it with in-process queues, two per shard:
+//! Each shard has **one** unbounded FIFO of [`Job`]s and **one** worker
+//! (spawned by the router) consuming it. The worker runs the participant
+//! side of a prepare and may block for that gid's whole prepare→release
+//! window, which serializes staged slices per shard — exactly the
+//! exclusion the participant's shard locks would enforce anyway.
 //!
-//! - the **data** queue carries [`Frame::Prepare`] (and barriers). Its
-//!   consumer may block for the full prepare→release window of a gid,
-//!   which serializes staged slices per shard — exactly the exclusion
-//!   the participant's shard locks would enforce anyway.
-//! - the **control** queue carries [`Frame::Ack`] / [`Frame::Release`] /
-//!   [`Frame::BarrierAck`]. Its consumer never blocks on protocol
-//!   progress, so acks and releases overtake a parked prepare — without
-//!   this split, a participant waiting for release could never hear it.
+//! Nothing travels back through a queue. Whoever will wait creates a
+//! [`Gate`] and sends it along; the other side opens it directly: the
+//! participant's ack step opens `acked`, the coordinator's release step
+//! opens each `released`, a dequeued barrier opens `drained`. A release
+//! therefore overtakes any prepare parked in the FIFO by construction —
+//! it is never queued — and a participant waiting for release can always
+//! hear it.
+//!
+//! The FIFO is hand-rolled because `ad_support::channel` is bounded and a
+//! push must never block on protocol progress: the router's liveness
+//! argument (wait-for edges only ascend in shard id) counts protocol
+//! waits, not queue-full waits.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -20,150 +26,83 @@ use std::sync::Arc;
 use ad_kv::RedoOps;
 use ad_support::sync::{Condvar, Mutex};
 
-/// One protocol message. `Prepare`/`Ack`/`Release` are the 2-phase
-/// commit itself; `Barrier`/`BarrierAck` are the quiesce handshake
-/// [`crate::ShardRouter::checkpoint_all`] uses; `Shutdown` is local
-/// queue control (a wire transport would map it to connection close).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
-    /// Coordinator → participant: stage this slice of batch `gid`
-    /// durably, ack, and hold it invisible until release.
-    Prepare {
-        /// Global cross-shard transaction id (coordinator shard in the
-        /// high 16 bits).
-        gid: u64,
-        /// Coordinator shard index — where the ack goes back to.
-        from: u16,
-        /// The participant's slice, in application order.
-        ops: RedoOps,
-    },
-    /// Participant → coordinator: the slice of `gid` is staged durably.
-    Ack {
-        /// The acked transaction.
-        gid: u64,
-        /// Participant shard index.
-        from: u16,
-    },
-    /// Coordinator → participant: the decision record for `gid` is
-    /// durable — expose the slice.
-    Release {
-        /// The decided transaction.
-        gid: u64,
-    },
-    /// Drain marker: answered with [`Frame::BarrierAck`] only after
-    /// every earlier data frame fully resolved.
-    Barrier {
-        /// Caller-chosen handshake id.
-        id: u64,
-        /// Shard whose control queue receives the ack.
-        from: u16,
-    },
-    /// Answer to [`Frame::Barrier`].
-    BarrierAck {
-        /// The handshake id being answered.
-        id: u64,
-        /// The shard that drained.
-        from: u16,
-    },
-    /// Stop the receiving worker (in-process control).
-    Shutdown,
-}
-
-/// Fire-and-forget frame delivery to a shard. Sends must not block on
-/// protocol progress (queueing is fine; waiting for the peer to act is
-/// not) — the router's liveness argument depends on it.
-pub trait Transport: Send + Sync {
-    /// Deliver `frame` to shard `to`.
-    fn send(&self, to: u16, frame: Frame);
-}
-
-struct Queue {
-    frames: Mutex<VecDeque<Frame>>,
+/// A one-shot latch: [`wait`](Gate::wait) returns once
+/// [`open`](Gate::open) has been called, whichever happens first.
+pub(crate) struct Gate {
+    open: Mutex<bool>,
     cv: Condvar,
 }
 
-impl Queue {
-    fn new() -> Self {
-        Queue {
-            frames: Mutex::new(VecDeque::new()),
+impl Gate {
+    pub(crate) fn new() -> Arc<Gate> {
+        Arc::new(Gate {
+            open: Mutex::new(false),
             cv: Condvar::new(),
-        }
+        })
     }
 
-    fn push(&self, frame: Frame) {
-        self.frames.lock().push_back(frame);
-        // One consumer per queue (a router worker).
-        self.cv.notify_one();
+    pub(crate) fn open(&self) {
+        *self.open.lock() = true;
+        self.cv.notify_all();
     }
 
-    fn pop_blocking(&self) -> Frame {
-        let mut g = self.frames.lock();
-        loop {
-            if let Some(f) = g.pop_front() {
-                return f;
-            }
+    pub(crate) fn wait(&self) {
+        let mut g = self.open.lock();
+        while !*g {
             self.cv.wait(&mut g);
         }
     }
 }
 
-/// In-process [`Transport`]: one data + one control queue per shard,
-/// consumed by the router's worker threads.
-pub struct LocalTransport {
-    data: Vec<Arc<Queue>>,
-    ctl: Vec<Arc<Queue>>,
+/// One unit of work for a shard's worker.
+pub(crate) enum Job {
+    /// Stage this slice of batch `gid` durably, open `acked`, hold the
+    /// slice invisible until `released` opens, then expose it.
+    Prepare {
+        /// Global cross-shard transaction id (coordinator shard in the
+        /// high 16 bits).
+        gid: u64,
+        /// The participant's slice, in application order.
+        ops: RedoOps,
+        /// Opened by the participant: the slice is staged durably.
+        acked: Arc<Gate>,
+        /// Opened by the coordinator: the decision for `gid` is durable.
+        released: Arc<Gate>,
+    },
+    /// Drain marker: `drained` opens only after every earlier job on this
+    /// queue ran to its end.
+    Barrier { drained: Arc<Gate> },
+    /// Stop the worker.
+    Shutdown,
 }
 
-impl LocalTransport {
-    /// Queues for `n` shards.
-    pub fn new(n: usize) -> Self {
-        LocalTransport {
-            data: (0..n).map(|_| Arc::new(Queue::new())).collect(),
-            ctl: (0..n).map(|_| Arc::new(Queue::new())).collect(),
-        }
-    }
-
-    /// Number of shards this transport serves.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when built for zero shards (degenerate; routers refuse it).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Blocking receive on shard `s`'s data queue (prepares, barriers).
-    pub(crate) fn recv_data(&self, s: usize) -> Frame {
-        self.data[s].pop_blocking()
-    }
-
-    /// Blocking receive on shard `s`'s control queue (acks, releases).
-    pub(crate) fn recv_ctl(&self, s: usize) -> Frame {
-        self.ctl[s].pop_blocking()
-    }
+/// A shard's unbounded job FIFO: any number of senders, one consumer.
+pub(crate) struct JobQueue {
+    jobs: Mutex<VecDeque<Job>>,
+    cv: Condvar,
 }
 
-impl Transport for LocalTransport {
-    fn send(&self, to: u16, frame: Frame) {
-        let to = to as usize;
-        match frame {
-            Frame::Prepare { .. } | Frame::Barrier { .. } => self.data[to].push(frame),
-            Frame::Ack { .. } | Frame::Release { .. } | Frame::BarrierAck { .. } => {
-                self.ctl[to].push(frame)
+impl JobQueue {
+    pub(crate) fn new() -> Arc<JobQueue> {
+        Arc::new(JobQueue {
+            jobs: Mutex::new(VecDeque::new()),
+            cv: Condvar::new(),
+        })
+    }
+
+    pub(crate) fn push(&self, job: Job) {
+        self.jobs.lock().push_back(job);
+        self.cv.notify_one();
+    }
+
+    pub(crate) fn pop_blocking(&self) -> Job {
+        let mut g = self.jobs.lock();
+        loop {
+            if let Some(job) = g.pop_front() {
+                return job;
             }
-            // Shutdown is broadcast by the router to both queues
-            // explicitly; a bare send targets data.
-            Frame::Shutdown => self.data[to].push(frame),
+            self.cv.wait(&mut g);
         }
-    }
-}
-
-impl LocalTransport {
-    /// Push [`Frame::Shutdown`] to both of shard `s`'s queues.
-    pub(crate) fn shutdown(&self, s: usize) {
-        self.data[s].push(Frame::Shutdown);
-        self.ctl[s].push(Frame::Shutdown);
     }
 }
 
@@ -172,31 +111,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frames_route_to_the_right_queue() {
-        let t = LocalTransport::new(2);
-        t.send(
-            1,
-            Frame::Prepare {
-                gid: 7,
-                from: 0,
-                ops: vec![("k".into(), None)],
-            },
-        );
-        t.send(1, Frame::Release { gid: 7 });
-        t.send(0, Frame::Ack { gid: 7, from: 1 });
-        // Control frames are readable even though a prepare is still
-        // queued on data — the split that keeps release deliverable.
-        assert_eq!(t.recv_ctl(1), Frame::Release { gid: 7 });
-        assert_eq!(t.recv_ctl(0), Frame::Ack { gid: 7, from: 1 });
-        match t.recv_data(1) {
-            Frame::Prepare {
-                gid: 7,
-                from: 0,
-                ops,
-            } => {
-                assert_eq!(ops, vec![("k".to_string(), None)]);
-            }
-            other => panic!("unexpected frame {other:?}"),
-        }
+    fn a_gate_opened_before_the_wait_does_not_block() {
+        let gate = Gate::new();
+        gate.open();
+        gate.wait();
+    }
+
+    /// What `checkpoint_all`'s barrier rests on.
+    #[test]
+    fn jobs_leave_in_the_order_they_were_pushed() {
+        let q = JobQueue::new();
+        q.push(Job::Prepare {
+            gid: 7,
+            ops: vec![("k".into(), None)],
+            acked: Gate::new(),
+            released: Gate::new(),
+        });
+        q.push(Job::Barrier {
+            drained: Gate::new(),
+        });
+        assert!(matches!(q.pop_blocking(), Job::Prepare { gid: 7, .. }));
+        assert!(matches!(q.pop_blocking(), Job::Barrier { .. }));
     }
 }

@@ -13,9 +13,11 @@
 //! [`commit_holds_until_all_acks`] runs the *real* primitives —
 //! [`KvStore::commit`] with the router's own [`plan::coordinator`] and
 //! [`plan::participant`] plans on two volatile stores, full STM
-//! underneath — under the model scheduler, with the transport replaced
-//! by model-aware gates. An observer asserts, on every schedule the
-//! scheduler can find:
+//! underneath — under the model scheduler, with the hop made of the
+//! router's own [`Gate`]s (model-aware through `ad_support::sync`): the
+//! ack and the release are the gate opens production performs; only the
+//! job queue between them is left out. An observer asserts, on every
+//! schedule the scheduler can find:
 //!
 //! 1. coordinator slice visible ⇒ the participant has staged and acked;
 //! 2. participant slice visible ⇒ the decision ran (release was sent).
@@ -42,36 +44,9 @@ use std::sync::Arc;
 use ad_kv::{CommitStep, KvConfig, KvStore, RedoKind, WriteBatch};
 use ad_support::model::{check, check_expect_violation, CheckOpts, Exec};
 use ad_support::sync::atomic::{AtomicBool, Ordering};
-use ad_support::sync::{Condvar, Mutex};
 
 use crate::plan;
-
-/// A model-aware one-shot gate (the stand-in for transport delivery).
-struct Gate {
-    open: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new() -> Arc<Self> {
-        Arc::new(Gate {
-            open: Mutex::new(false),
-            cv: Condvar::new(),
-        })
-    }
-
-    fn open(&self) {
-        *self.open.lock() = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut g = self.open.lock();
-        while !*g {
-            self.cv.wait(&mut g);
-        }
-    }
-}
+use crate::transport::Gate;
 
 fn store() -> Arc<KvStore> {
     let mut cfg = KvConfig::volatile().with_shards(1);

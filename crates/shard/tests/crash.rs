@@ -29,7 +29,10 @@
 //!
 //! 4. **Concurrent readers** — while cross-shard batches commit, a
 //!    reader hammering both shards must never observe one key of a
-//!    batch's per-shard slice without its sibling.
+//!    batch's per-shard slice without its sibling; and the same under
+//!    four concurrent coordinators on three shards, where a shard is
+//!    participant and coordinator at once and prepares queue behind a
+//!    parked one.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Condvar, Mutex};
@@ -609,4 +612,104 @@ fn concurrent_reader_never_observes_a_partial_batch() {
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let distinct: usize = readers.into_iter().map(|r| r.join().unwrap()).sum();
     assert!(distinct >= 2, "readers never caught the store mid-flight");
+}
+
+#[test]
+fn concurrent_coordinators_on_three_shards_finish_and_never_show_a_partial_batch() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    const WRITERS: u64 = 4;
+    const ROUNDS: u64 = 100;
+    // Shard 1 coordinates {1,2} while it participates in {0,1} and
+    // {0,1,2}, so its worker parks on one release with other prepares
+    // queued behind it, and shard 2 is every coordinator's last stop.
+    const SETS: [&[usize]; 4] = [&[0, 1], &[0, 2], &[1, 2], &[0, 1, 2]];
+    // Writers start on different sets, so all four shapes are in flight
+    // together.
+    let touched = |w: u64, round: u64| SETS[((w + round) % 4) as usize];
+    let stamp = |w: u64, round: u64| (((w + 1) << 32) | round).to_le_bytes();
+    // One marker per batch and touched shard, never overwritten: what the
+    // whole-batch check at the end counts.
+    let marker = |router: &ShardRouter, w: u64, round: u64, s: usize| {
+        key_on(router, &format!("m{w}.{round}."), s)
+    };
+
+    let router = Arc::new(ShardRouter::open_volatile(3));
+    // Two keys per shard, always written together with one batch's stamp.
+    let pairs: Vec<[String; 2]> = (0..3)
+        .map(|s| [key_on(&router, "p", s), key_on(&router, "q", s)])
+        .collect();
+    for key in pairs.iter().flatten() {
+        router.put(key, &0u64.to_le_bytes());
+    }
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..2)
+        .map(|_| {
+            let (router, pairs, stop) = (Arc::clone(&router), pairs.clone(), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let keys: Vec<&str> = pairs.iter().flatten().map(String::as_str).collect();
+                while !stop.load(Ordering::Relaxed) {
+                    for (s, pair) in router.get_many(&keys).chunks(2).enumerate() {
+                        assert_eq!(pair[0], pair[1], "partial batch on shard {s}");
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let (router, pairs, done) = (Arc::clone(&router), pairs.clone(), done_tx.clone());
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    let v = stamp(w, round);
+                    let mut batch = WriteBatch::new();
+                    for &s in touched(w, round) {
+                        batch = batch
+                            .put(&pairs[s][0], v)
+                            .put(&pairs[s][1], v)
+                            .put(marker(&router, w, round, s), v);
+                    }
+                    router.write_batch(&batch);
+                }
+                done.send(()).expect("the test is still waiting");
+            })
+        })
+        .collect();
+
+    // A lost wake-up or a release stuck behind a parked prepare shows as a
+    // hang; fail instead (the stuck threads die with the test process).
+    let deadline = Instant::now() + Duration::from_secs(120);
+    for finished in 0..WRITERS {
+        let left = deadline.saturating_duration_since(Instant::now());
+        done_rx.recv_timeout(left).unwrap_or_else(|_| {
+            panic!("cross-shard commits stopped making progress: {finished}/{WRITERS} writers done")
+        });
+    }
+    stop.store(true, Ordering::Relaxed);
+    for t in writers.into_iter().chain(readers) {
+        t.join().expect("no writer or reader panicked");
+    }
+
+    router.quiesce();
+    let dump = router.dump();
+    for (s, [p, q]) in pairs.iter().enumerate() {
+        assert_eq!(dump[p], dump[q], "shard {s} ended on a partial batch");
+    }
+    // Every acked batch is whole: one marker on each shard it touched,
+    // carrying that batch's stamp.
+    let mut markers = 0;
+    for w in 0..WRITERS {
+        for round in 0..ROUNDS {
+            for &s in touched(w, round) {
+                let got = dump.get(&marker(&router, w, round, s));
+                assert_eq!(got.map(Vec::as_slice), Some(&stamp(w, round)[..]));
+                markers += 1;
+            }
+        }
+    }
+    assert_eq!(dump.len(), 6 + markers, "a key no batch wrote");
 }
