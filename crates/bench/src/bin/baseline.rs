@@ -52,8 +52,8 @@ use ad_support::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ad_bench::{arg_flag, arg_num, arg_value};
 use ad_stm::{ClockPolicy, Runtime, StatsReport, TVar, TmConfig};
+use ad_support::args::{arg_flag, arg_num, arg_value};
 use ad_support::prng::Rng;
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];

@@ -34,9 +34,9 @@
 
 use std::time::{Duration, Instant};
 
-use ad_bench::{arg_flag, arg_num, arg_value};
 use ad_defer::{atomic_defer, Defer};
 use ad_stm::{Runtime, StatsReport, TVar, TmConfig};
+use ad_support::args::{arg_flag, arg_num, arg_value};
 use ad_support::hist::Histogram;
 use ad_support::sync::atomic::{AtomicU64, Ordering};
 

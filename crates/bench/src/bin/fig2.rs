@@ -14,7 +14,7 @@
 //! `--trace-json PATH` (capture the Defer cell at max threads with tracing
 //! on and export its event timeline as chrome://tracing JSON).
 
-use ad_bench::{arg_flag, arg_num, arg_value};
+use ad_support::args::{arg_flag, arg_num, arg_value};
 use ad_workloads::{
     print_csv, print_time_table, run_iobench_traced, stats_json, IoBenchConfig, Variant,
 };

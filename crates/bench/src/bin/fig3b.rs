@@ -12,9 +12,8 @@
 //! the highest thread count) with tracing enabled and exports its event
 //! timeline as chrome://tracing JSON.
 
-use ad_bench::{
-    arg_flag, arg_num, arg_value, make_corpus, run_dedup_cell_traced, DedupRunParams, DedupSeries,
-};
+use ad_bench::{make_corpus, run_dedup_cell_traced, DedupRunParams, DedupSeries};
+use ad_support::args::{arg_flag, arg_num, arg_value};
 use ad_workloads::{print_csv, print_time_table, stats_json};
 
 fn main() {

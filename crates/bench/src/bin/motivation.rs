@@ -20,7 +20,8 @@
 //! as chrome://tracing JSON (the `defer_enqueue`/`defer_exec_*` spans show
 //! the long operation running after T1's commit while T2/T3 proceed).
 
-use ad_bench::{arg_num, arg_value, motivation_arms};
+use ad_bench::motivation_arms;
+use ad_support::args::{arg_num, arg_value};
 use ad_workloads::{stats_json, Measurement};
 use std::time::Duration;
 

@@ -37,9 +37,9 @@
 
 use ad_support::sync::atomic::{AtomicU64, Ordering};
 
-use ad_bench::{arg_flag, arg_num, arg_value};
 use ad_defer::{atomic_defer, Defer};
 use ad_stm::{Runtime, TVar, TmConfig};
+use ad_support::args::{arg_flag, arg_num, arg_value};
 use ad_workloads::run_fixed_work;
 
 /// `--shards N`: run cross-shard batches on a volatile router and

@@ -9,7 +9,7 @@
 //! cargo run --release -p ad-bench --bin usecases [-- --ops 20000 --max-threads 8 --csv]
 //! ```
 
-use ad_bench::{arg_flag, arg_num};
+use ad_support::args::{arg_flag, arg_num};
 use ad_workloads::{
     print_csv, print_time_table, run_logbench, run_poolbench, LogBenchConfig, LogVariant,
     PoolBenchConfig, PoolVariant,

@@ -277,26 +277,6 @@ fn backend_sink_path(_b: &dyn Backend) -> Option<std::path::PathBuf> {
     None
 }
 
-/// Simple CLI argument lookup: `--name value`.
-pub fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Simple CLI flag lookup: `--name`.
-pub fn arg_flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
-
-/// Parse `--name value` as a number with a default.
-pub fn arg_num<T: std::str::FromStr>(name: &str, default: T) -> T {
-    arg_value(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Outcome of one arm (inline or deferred) of the Figure 1 motivation
 /// experiment.
 #[derive(Debug, Clone)]

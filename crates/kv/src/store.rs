@@ -32,7 +32,8 @@
 //! WAL appends exclude observers — fine enough that writers to different
 //! shards coalesce their fsyncs concurrently, coarse enough that the lock
 //! table stays small. `trace::contention_report` on a traced run shows
-//! whether the default shard count spreads load (see `kv_bench`).
+//! whether the default shard count spreads load (see
+//! `concurrent_durable_writes_all_survive_recovery` in `tests/kv_store.rs`).
 //!
 //! ## Write protocol
 //!
@@ -74,7 +75,7 @@ use crate::wal::{SyncPolicy, Wal, WalStats};
 #[derive(Debug, Clone)]
 pub enum Durability {
     /// No WAL: pure in-memory transactional store. The baseline that
-    /// isolates STM cost from I/O cost in `kv_bench`.
+    /// isolates STM cost from I/O cost (`benchmark/`'s `kv_volatile`).
     Volatile,
     /// Write-ahead log at `path`, recovered on open, synced per `sync`.
     Durable {
@@ -126,7 +127,7 @@ impl KvConfig {
         }
     }
 
-    /// Override the shard count (and proportionally the bucket count).
+    /// Override the shard count; `buckets_per_shard` is left as it is.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self

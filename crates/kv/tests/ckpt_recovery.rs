@@ -30,11 +30,14 @@
 //! must preserve both the recovered prefix and the new write.
 
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
+use ad_kv::disk::SNAP_CUR;
 use ad_kv::{
     CkptPolicy, CommitStep, Disk, KvConfig, KvStore, MemDisk, RedoKind, SnapshotSource, SyncPolicy,
     WriteBatch,
 };
+use ad_support::prng::Rng;
 
 fn cfg() -> KvConfig {
     let mut c = KvConfig::volatile().with_shards(2);
@@ -320,6 +323,89 @@ fn a_checkpoint_with_an_unforced_decided_pending_never_loses_the_slice() {
         assert_eq!((report.replayed, report.pending_prepares), (0, 0));
         assert_eq!(re.get("slice").as_deref(), Some(&b"v"[..]));
     }
+}
+
+/// `CkptPolicy::Auto` under load. Nobody calls `checkpoint()` while the
+/// writers run, so a nonzero count means a deferred append saw the WAL
+/// cross the threshold and woke the trigger thread. Then the contract the
+/// tier exists for: the live log is smaller than what was appended, and a
+/// reopen loads the newest snapshot and replays only the records past it.
+#[test]
+fn auto_checkpoints_fire_under_load_and_bound_the_log_and_the_replay() {
+    const KEYS: usize = 1_000;
+    const OPS_PER_THREAD: u64 = 300;
+    let config = KvConfig::default().with_ckpt(CkptPolicy::Auto {
+        wal_bytes: 64 << 10,
+        wal_records: u64::MAX,
+    });
+    let disk = MemDisk::new();
+    let (store, _) = KvStore::open_on_disk(&config, SyncPolicy::GroupCommit, disk.clone());
+    let key = |i: usize| format!("key{i:05}");
+    // The preload alone appends more than the threshold.
+    for base in (0..KEYS).step_by(100) {
+        let batch = (base..base + 100).fold(WriteBatch::new(), |b, i| b.put(key(i), [0u8; 64]));
+        store.write_batch(&batch);
+    }
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (store, key) = (&store, &key);
+            s.spawn(move || {
+                let mut rng = Rng::seed_from_u64(0xC4B7 + t);
+                for op in 0..OPS_PER_THREAD {
+                    let k = key(rng.random_range(0..KEYS));
+                    if rng.random_bool(0.5) {
+                        let mut value = [t as u8; 64];
+                        value[..8].copy_from_slice(&op.to_le_bytes());
+                        store.put(&k, &value);
+                    } else {
+                        store.get(&k);
+                    }
+                }
+            });
+        }
+    });
+
+    // The trigger thread runs beside the writers: await it, don't guess.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while store.ckpt_stats().expect("ckpt tier").count == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the WAL passed the Auto threshold and no checkpoint ever ran"
+        );
+        std::thread::yield_now();
+    }
+
+    // One manual checkpoint on top makes the accounting deterministic.
+    store.sync();
+    let report = store.checkpoint().expect("manual checkpoint");
+    let wal = store.wal_stats().expect("durable store");
+    assert!(
+        disk.wal_bytes() < wal.bytes,
+        "checkpointing never truncated: live {} >= appended {}",
+        disk.wal_bytes(),
+        wal.bytes
+    );
+    assert!(
+        disk.read(SNAP_CUR).unwrap().is_some(),
+        "no published snapshot"
+    );
+
+    let live = store.dump();
+    drop(store);
+    let image = disk.crash_image(disk.journal_len(), 0, true);
+    let (reopened, rr) = KvStore::open_on_disk(&config, SyncPolicy::GroupCommit, image);
+    assert!(!rr.torn(), "clean shutdown left a torn WAL");
+    assert_eq!(
+        rr.snapshot_cut, report.cut,
+        "reopen did not use the newest snapshot"
+    );
+    assert!(
+        rr.replayed <= wal.records - rr.snapshot_cut,
+        "replayed {} > records-after-cut {}",
+        rr.replayed,
+        wal.records - rr.snapshot_cut
+    );
+    assert_eq!(reopened.dump(), live);
 }
 
 #[test]

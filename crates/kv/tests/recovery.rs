@@ -330,3 +330,85 @@ fn per_commit_history_recovers_identically() {
     assert_eq!(report.records as usize, batches.len());
     assert_eq!(recovered.dump(), expected);
 }
+
+/// Everything an observer can ask a store about its contents, plus what
+/// recovery said it did to get there.
+type Observed = (
+    BTreeMap<String, Vec<u8>>,
+    Vec<(String, Vec<u8>)>,
+    usize,
+    RecoveryReport,
+);
+
+fn observe(store: &KvStore, report: RecoveryReport) -> Observed {
+    let scan = store
+        .scan_from("", usize::MAX)
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v.to_vec()))
+        .collect();
+    (store.dump(), scan, store.len(), report)
+}
+
+/// Deterministic replay: the same bytes recover to the same store, every
+/// time. One history — puts, deletes, a key written twice in one batch, a
+/// 200-key batch, and a checkpoint in the middle so recovery is snapshot +
+/// suffix — one synced crash image taken twice; two independent opens
+/// agree on every observation and on the whole [`RecoveryReport`]
+/// (`records`, `replayed`, `snapshot_cut`, `last_seq`, `pending_prepares`
+/// among its fields), and a close + reopen of the first changes nothing.
+#[test]
+fn replaying_the_same_log_twice_gives_the_same_store() {
+    let wide: Ops = (0..200u8)
+        .map(|i| (format!("wide{i:03}"), Some(vec![i; 8])))
+        .collect();
+    let batches: Vec<Ops> = vec![
+        vec![
+            ("a".into(), Some(b"1".to_vec())),
+            ("b".into(), Some(b"2".to_vec())),
+        ],
+        wide,
+        vec![("a".into(), None)],
+        // -- checkpoint here --
+        vec![
+            ("twice".into(), Some(b"first".to_vec())),
+            ("twice".into(), Some(b"second".to_vec())),
+        ],
+        vec![("wide007".into(), None), ("b".into(), Some(b"22".to_vec()))],
+        vec![("c".into(), Some(b"3".to_vec()))],
+    ];
+    const BEFORE_CKPT: usize = 3;
+
+    let mem = MemDisk::new();
+    let (store, _) = open(SyncPolicy::GroupCommit, &mem);
+    for (i, ops) in batches.iter().enumerate() {
+        if i == BEFORE_CKPT {
+            assert!(store.checkpoint().expect("checkpoint").performed);
+        }
+        store.write_batch(&batch_of(ops));
+    }
+    let live = store.dump();
+    assert_eq!(live, model(&batches, batches.len()));
+    drop(store);
+
+    let image = || mem.crash_image(mem.journal_len(), 0, true);
+    let (first_disk, second_disk) = (image(), image());
+    let (first, report) = open(SyncPolicy::GroupCommit, &first_disk);
+    assert_eq!(report.snapshot_cut, BEFORE_CKPT as u64);
+    assert_eq!(report.replayed, (batches.len() - BEFORE_CKPT) as u64);
+    assert_eq!(report.last_seq, batches.len() as u64);
+    assert_eq!(report.pending_prepares, 0);
+    let first_seen = observe(&first, report);
+    assert_eq!(first_seen.0, live);
+    assert_eq!(first_seen.2, live.len());
+
+    let (second, report) = open(SyncPolicy::GroupCommit, &second_disk);
+    assert_eq!(observe(&second, report), first_seen, "two opens disagree");
+
+    drop(first);
+    let (again, report) = open(SyncPolicy::GroupCommit, &first_disk);
+    assert_eq!(
+        observe(&again, report),
+        first_seen,
+        "close + reopen changed the recovered store"
+    );
+}

@@ -14,9 +14,13 @@
 //!   volatile (no durability, mutating requests ack immediately).
 //! * `--sync group|percommit|async` — WAL sync policy when `--wal` is
 //!   given (default `group`). See DESIGN.md §9.
-//! * `--shards N` — store shard count (default 16).
+//! * `--shards N` — store shard count (default 16, at least 1).
 //! * `--trace` — enable the runtime event ring (OBSERVABILITY.md); the
 //!   STATS opcode then returns filled histograms.
+//!
+//! A flag whose value is missing or does not parse is an error (exit
+//! status 2), never a silent default: `--wal` with the path forgotten must
+//! not serve a volatile store.
 //!
 //! The wire protocol is specified in `PROTOCOL.md`; with a WAL the server
 //! acks a mutating request only after its redo record is fsync-covered
@@ -24,14 +28,18 @@
 
 use std::sync::Arc;
 
-use ad_bench::{arg_flag, arg_num, arg_value};
 use ad_kv::{KvConfig, KvStore, SyncPolicy};
 use ad_net::{Server, ServerConfig};
+use ad_support::args::{arg_flag, arg_num, arg_value};
 
 fn main() {
     let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:4790".to_string());
     let workers: usize = arg_num("--workers", 4);
     let shards: usize = arg_num("--shards", 16);
+    if shards == 0 {
+        eprintln!("--shards: expected a count of at least 1");
+        std::process::exit(2);
+    }
     let sync = match arg_value("--sync").as_deref() {
         None | Some("group") => SyncPolicy::GroupCommit,
         Some("percommit") => SyncPolicy::PerCommit,

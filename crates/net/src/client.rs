@@ -1,8 +1,8 @@
 //! A minimal blocking client for the `ad-kv` wire protocol.
 //!
 //! One request in flight at a time (the protocol allows pipelining via
-//! `req_id`; this client doesn't use it — the load generator gets its
-//! concurrency from connection count instead, which also matches how the
+//! `req_id`; this client doesn't use it — `benchmark/`'s net workloads get
+//! their concurrency from connection count instead, which also matches how the
 //! server allocates one worker per connection). Every method maps a
 //! protocol error onto `io::ErrorKind::InvalidData` so callers can treat
 //! "broken peer" and "broken pipe" uniformly.

@@ -15,13 +15,11 @@
 //! [`stats`] the server's observability counters (OBSERVABILITY.md
 //! "Network counters").
 //!
-//! Two binaries ship with the crate:
-//!
-//! * `ad-kv-server` — serve a store over TCP (`--addr`, `--workers`,
-//!   `--wal`, `--sync`);
-//! * `ad-kv-loadgen` — drive a server (loopback by default) with
-//!   configurable connections / key skew / mix and emit
-//!   `BENCH_kv_net.json` (README "Serving the KV store").
+//! One binary ships with the crate: `ad-kv-server` — serve a store over
+//! TCP (`--addr`, `--workers`, `--wal`, `--sync`; README "Serving the KV
+//! store"). Load is generated, and the server measured, by `benchmark/`'s
+//! `net_update` and `net_read` workloads; the wire contract is gated by
+//! `tests/server.rs`.
 //!
 //! ## Example (loopback)
 //!

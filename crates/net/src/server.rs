@@ -29,8 +29,9 @@
 //! response. The response bytes therefore cannot reach the socket until
 //! the redo record's covering fsync returned — "acked ⇒ durable" as a
 //! *wire* property (PROTOCOL.md §6). The handler marks the moment with an
-//! [`ACK_AFTER_DURABLE`] trace event, which `ad-kv-loadgen --smoke`
-//! checks against the `wal_fsync` timeline.
+//! [`ACK_AFTER_DURABLE`] trace event, which
+//! `tests/server.rs::every_ack_follows_its_wal_append_on_the_wire` checks
+//! against the `wal_append` timeline.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -59,7 +60,7 @@ const READ_TICK: Duration = Duration::from_millis(250);
 /// `arg` = the request id being acked. On a merged timeline every one of
 /// these must causally follow the `wal_fsync` that covered the request's
 /// redo record — the wire-level restatement of the store's "ack ⇒ durable"
-/// contract, asserted by `ad-kv-loadgen --smoke`.
+/// contract, asserted by `tests/server.rs`.
 pub static ACK_AFTER_DURABLE: AppEvent = AppEvent::new("ack_after_durable", "req_id");
 
 /// Server configuration.

@@ -3,12 +3,16 @@
 //! the failure modes a server must shrug off — half-sent frames, killed
 //! connections, unknown opcodes, wrong protocol versions.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use ad_kv::{KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch};
-use ad_net::{Client, Decoder, Frame, Opcode, Response, Server, ServerConfig, VERSION};
+use ad_kv::{KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch, WAL_APPEND};
+use ad_net::{
+    Client, Decoder, Frame, Opcode, Response, Server, ServerConfig, ACK_AFTER_DURABLE, VERSION,
+};
+use ad_stm::{EventKind, Trace};
 use ad_support::crc32::crc32;
 
 fn volatile_server() -> Server {
@@ -91,6 +95,108 @@ fn put_ack_implies_synced_wal_bytes() {
     assert!(find(&synced, b"durable-value"));
     drop(c);
     drop(server);
+}
+
+/// Two traced connections, each: 10 PUTs, 3 GETs that must read their
+/// own writes, one 3-op BATCH, a DEL, SYNC and STATS — 17 requests, 12 of
+/// them mutations. Checks the request accounting and that every mutation
+/// produced exactly one `ack_after_durable` and at least one WAL record;
+/// returns the server-side timeline for the ordering check.
+fn traced_session(sync: SyncPolicy) -> Trace {
+    const CONNS: u64 = 2;
+    const PUTS: usize = 10;
+    let (store, _) = KvStore::open_on_disk(&KvConfig::default(), sync, MemDisk::new());
+    let store = Arc::new(store);
+    store.runtime().set_tracing(true);
+    let server = Server::start(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+
+    std::thread::scope(|s| {
+        for c in 0..CONNS {
+            s.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for i in 0..PUTS {
+                    let value = format!("v{c}-{i}");
+                    client.put(&format!("k{c}-{i}"), value.as_bytes()).unwrap();
+                }
+                for i in (0..PUTS).step_by(4) {
+                    let got = client.get(&format!("k{c}-{i}")).unwrap();
+                    assert_eq!(
+                        got.as_deref(),
+                        Some(format!("v{c}-{i}").as_bytes()),
+                        "read-your-writes violated for k{c}-{i}"
+                    );
+                }
+                let batch = WriteBatch::new()
+                    .put(format!("batch{c}-a"), &b"1"[..])
+                    .put(format!("batch{c}-b"), &b"2"[..])
+                    .delete(format!("k{c}-0"));
+                assert_eq!(client.batch(&batch).unwrap(), 3, "batch not fully applied");
+                client.del(&format!("k{c}-1")).unwrap();
+                client.sync().unwrap();
+                let stats = client.stats().unwrap();
+                assert!(stats.contains("\"net_requests\""), "stats: {stats}");
+            });
+        }
+    });
+
+    let snap = server.stats();
+    assert_eq!(snap.net_requests, CONNS * 17);
+    assert_eq!((snap.net_frame_errors, snap.net_status_errors), (0, 0));
+    assert!(snap.net_accepts >= CONNS);
+    drop(server);
+
+    let trace = store.runtime().take_trace();
+    let ack = EventKind::App(&ACK_AFTER_DURABLE);
+    let acks = trace.events.iter().filter(|e| e.kind == ack).count() as u64;
+    assert_eq!(acks, CONNS * 12, "one ack_after_durable per mutation");
+    let wal = store.wal_stats().expect("durable store");
+    assert!(
+        wal.records >= acks,
+        "fewer WAL records ({}) than durable acks ({acks})",
+        wal.records
+    );
+    trace
+}
+
+/// Ack-after-durable as a wire property (PROTOCOL.md §6): on every
+/// handler thread the *k*-th `ack_after_durable` has at least *k*
+/// `wal_append`s before it — the inline executor runs a request's append
+/// on the thread that then acks it, so an ack emitted before its commit
+/// shows up as an ack with too few appends behind it.
+#[test]
+fn every_ack_follows_its_wal_append_on_the_wire() {
+    let trace = traced_session(SyncPolicy::GroupCommit);
+    if trace.dropped > 0 {
+        return; // the ring wrapped: counts were checked, order is unknowable
+    }
+    let (append, ack) = (
+        EventKind::App(&WAL_APPEND),
+        EventKind::App(&ACK_AFTER_DURABLE),
+    );
+    // Per handler thread: (wal_appends, ack_after_durables) seen so far.
+    let mut seen: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    for e in &trace.events {
+        let (appends, acks) = seen.entry(e.thread).or_default();
+        if e.kind == append {
+            *appends += 1;
+        } else if e.kind == ack {
+            *acks += 1;
+            assert!(
+                appends >= acks,
+                "ack #{acks} on thread {} has only {appends} wal_append(s) before it",
+                e.thread
+            );
+        }
+    }
+}
+
+/// The same session under `SyncPolicy::Async`: appends run on defer-pool
+/// workers, so only the counts are checked — one ack per mutation, never
+/// more acks than WAL records.
+#[test]
+fn async_acks_are_counted_one_per_mutation() {
+    traced_session(SyncPolicy::Async);
 }
 
 /// The server keeps answering — reads *and* durable writes — while a

@@ -390,8 +390,8 @@ impl StatsReport {
     /// the *same* runtime, `earlier` taken first. Counters subtract via
     /// [`StatsSnapshot::delta_since`]; histograms subtract per bucket (their
     /// `max` stays the whole-run max, an upper bound for the interval).
-    /// This is how `kv_bench` separates warm-up from steady state without
-    /// resetting the runtime mid-run.
+    /// This is how a harness (`benchmark/`) separates warm-up from steady
+    /// state without resetting the runtime mid-run.
     pub fn delta(&self, earlier: &StatsReport) -> StatsReport {
         StatsReport {
             counters: self.counters.delta_since(&earlier.counters),

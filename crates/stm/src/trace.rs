@@ -624,8 +624,9 @@ impl Trace {
     /// report: the top-`n` hottest variables by failed-validation count.
     /// `validate_fail` carries the offending variable's id (0 when the
     /// failure could not be attributed), so this table pinpoints which
-    /// shared variables cause aborts — `kv_bench` uses it to validate its
-    /// shard count, `txtrace` prints it after the timeline.
+    /// shared variables cause aborts — `ad-kv`'s eight-writer test uses it
+    /// to validate the store's shard count, `txtrace` prints it after the
+    /// timeline.
     pub fn contention_report(&self, n: usize) -> ContentionReport {
         let mut by_var: FxHashMap<u64, u64> = FxHashMap::default();
         let mut total = 0u64;

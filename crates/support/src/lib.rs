@@ -5,6 +5,9 @@
 //! crate provides the small, well-understood subsets the workspace actually
 //! uses:
 //!
+//! * [`args`] — `--name value` command-line lookup for the workspace's
+//!   binaries (a `clap` stand-in) that exits with status 2 on a forgotten
+//!   or unparsable value instead of falling back to the default.
 //! * [`sync`] — `Mutex`, `RwLock`, and `Condvar` with the `parking_lot`
 //!   calling convention (no poisoning, `lock()` returns the guard directly),
 //!   implemented over `std::sync`.
@@ -49,6 +52,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod args;
 pub mod channel;
 pub mod crc32;
 pub mod crit;
