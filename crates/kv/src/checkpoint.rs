@@ -32,17 +32,21 @@
 //! both recover to a committed prefix — see the crash matrix in
 //! `tests/ckpt_recovery.rs` and DESIGN.md §13.
 //!
-//! ## Quiescent cut
+//! ## A checkpoint is recovery, re-encoded
 //!
 //! The cut is `durable_seq` taken by [`Wal::rotate`] with no group
 //! leader in flight and the pending buffer flushed, so segment contents
 //! split exactly at the cut and no record — forced or not — exists only
-//! in memory at it; the checkpointer then waits until the memtable has
-//! applied everything up to the cut ([`MemTable::wait_applied_through`])
-//! before freezing. Every applier of a record `<= cut` is already past
-//! its append or fsync, so the wait is bounded and never deadlocks — the
-//! snapshot is taken at rest with respect to the cut, never racing live
-//! writers (the safe-privatization discipline, DESIGN.md §13.3).
+//! in memory at it. What lies below the cut is then a set of closed
+//! files — the published snapshots and the rotated-out segments — that no
+//! transaction writes again, and the checkpointer reads them with the
+//! scan [`KvStore::open`](crate::KvStore::open) runs. The scan must end
+//! clean, exactly at the cut; otherwise the checkpoint publishes nothing,
+//! deletes nothing and returns [`io::ErrorKind::InvalidData`]. The
+//! snapshot is the old snapshot with every record through the cut folded
+//! in — the *exact* committed state at the cut — so `snapshot + suffix`
+//! is what a reopen of the same disk without the checkpoint would have
+//! rebuilt (DESIGN.md §13.1).
 
 use std::io;
 use std::sync::Arc;
@@ -55,7 +59,7 @@ use ad_support::sync::atomic::{AtomicU64, Ordering};
 use ad_support::sync::Mutex;
 
 use crate::disk::{Disk, SNAP_CUR, SNAP_PREV, SNAP_TMP};
-use crate::memtable::MemTable;
+use crate::recover::{KeyMap, ScanEnd};
 use crate::wal::Wal;
 
 /// Trace event: a checkpoint started; `arg` = the durable WAL sequence at
@@ -113,7 +117,7 @@ where
 /// Decode and validate a snapshot. All-or-nothing: any CRC failure,
 /// truncation, count mismatch, or missing footer rejects the whole
 /// snapshot (`None`) and the caller falls back to the previous one.
-pub fn decode_snapshot(bytes: &[u8]) -> Option<(u64, crate::memtable::KeyMap)> {
+pub fn decode_snapshot(bytes: &[u8]) -> Option<(u64, KeyMap)> {
     fn take<'a>(bytes: &'a [u8], at: &mut usize, n: usize) -> Option<&'a [u8]> {
         let end = at.checked_add(n)?;
         let s = bytes.get(*at..end)?;
@@ -187,12 +191,10 @@ pub enum CkptPolicy {
     /// Only when [`crate::KvStore::checkpoint`] is called.
     Manual,
     /// A background thread checkpoints whenever the WAL has grown past
-    /// either threshold since the last cut (whichever trips first).
+    /// the threshold since the last cut.
     Auto {
         /// Checkpoint after this many WAL bytes since the last cut.
         wal_bytes: u64,
-        /// Checkpoint after this many WAL records since the last cut.
-        wal_records: u64,
     },
 }
 
@@ -261,37 +263,28 @@ impl CkptStats {
 /// background trigger thread — never inside an atomic section.
 pub struct Checkpointer {
     wal: Arc<Wal>,
-    memtable: Arc<MemTable>,
     disk: Arc<dyn Disk>,
     /// Serializes checkpoints; holds the cut of the last published one.
     last_cut: Mutex<u64>,
     counters: CkptCounters,
     policy: CkptPolicy,
+    /// [`Wal::bytes_appended`] at the last cut.
     bytes_mark: AtomicU64,
-    records_mark: AtomicU64,
 }
 
 impl Checkpointer {
-    /// A checkpointer over `wal` + `memtable`, publishing to `disk`
-    /// (the one the WAL's segments live on). `last_cut` is the cut of the
-    /// snapshot recovery loaded (0 if none); `policy` configures the
-    /// background trigger thresholds.
-    pub fn new(
-        wal: Arc<Wal>,
-        memtable: Arc<MemTable>,
-        disk: Arc<dyn Disk>,
-        last_cut: u64,
-        policy: CkptPolicy,
-    ) -> Self {
+    /// A checkpointer over `wal`, publishing to `disk` (the one the WAL's
+    /// segments live on). `last_cut` is the cut of the snapshot recovery
+    /// loaded (0 if none); `policy` configures the background trigger
+    /// threshold.
+    pub fn new(wal: Arc<Wal>, disk: Arc<dyn Disk>, last_cut: u64, policy: CkptPolicy) -> Self {
         Checkpointer {
             wal,
-            memtable,
             disk,
             last_cut: Mutex::new(last_cut),
             counters: CkptCounters::default(),
             policy,
             bytes_mark: AtomicU64::new(0),
-            records_mark: AtomicU64::new(0),
         }
     }
 
@@ -318,27 +311,33 @@ impl Checkpointer {
         // 1. Quiescent cut + fresh segment: records > cut land in the
         //    new segment, the old ones become immutable.
         let cut = self.wal.rotate(rt)?;
-        // 2. The memtable catches up to the cut (bounded: every record
-        //    <= cut is durable, so its applier is past the fsync).
-        self.memtable.wait_applied_through(cut);
-        // 3. Freeze and serialize outside any store lock.
-        let frozen = self.memtable.freeze_through(cut);
-        let keys = frozen.len() as u64;
-        let bytes = encode_snapshot(cut, frozen.iter());
+        self.bytes_mark
+            .store(self.wal.bytes_appended(), Ordering::Relaxed);
+        // 2. Recover the closed prefix. A scan that stops anywhere but
+        //    cleanly at the cut found a damaged file: refuse — nothing is
+        //    published, no segment is deleted.
+        let prefix = self.wal.recover_rotated()?;
+        if prefix.report.end != ScanEnd::Clean || prefix.report.last_seq != cut {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "checkpoint at cut {cut}: the closed log prefix scans to {} ({:?})",
+                    prefix.report.last_seq, prefix.report.end
+                ),
+            ));
+        }
+        // 3. Fold it the way open replays it, and serialize.
+        let image = prefix.into_image();
+        let keys = image.len() as u64;
+        let bytes = encode_snapshot(cut, image.iter());
         // 4. Durable, atomic publish.
         publish_snapshot(&*self.disk, &bytes)?;
         rt.trace_app(&CKPT_PUBLISH, bytes.len() as u64);
         // 5. Only now is it safe to drop the covered segments.
         let freed = self.wal.drop_rotated()?;
         rt.trace_app(&WAL_TRUNCATE, freed);
-        // 6. Fold the frozen delta into the memtable base.
-        self.memtable.compact_through(cut);
         *last_cut = cut;
 
-        self.bytes_mark
-            .store(self.wal.bytes_appended(), Ordering::Relaxed);
-        self.records_mark
-            .store(self.wal.records_appended(), Ordering::Relaxed);
         self.counters.count.fetch_add(1, Ordering::Relaxed);
         self.counters
             .bytes
@@ -364,13 +363,8 @@ impl Checkpointer {
     pub fn should_trigger(&self) -> bool {
         match self.policy {
             CkptPolicy::Manual => false,
-            CkptPolicy::Auto {
-                wal_bytes,
-                wal_records,
-            } => {
-                let b = self.wal.bytes_appended() - self.bytes_mark.load(Ordering::Relaxed);
-                let r = self.wal.records_appended() - self.records_mark.load(Ordering::Relaxed);
-                b >= wal_bytes || r >= wal_records
+            CkptPolicy::Auto { wal_bytes } => {
+                self.wal.bytes_appended() - self.bytes_mark.load(Ordering::Relaxed) >= wal_bytes
             }
         }
     }

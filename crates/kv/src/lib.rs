@@ -41,10 +41,10 @@
 //!
 //! Without checkpoints the WAL grows forever and recovery replays
 //! everything. [`KvStore::checkpoint`] (or [`CkptPolicy::Auto`]) publishes
-//! an atomic snapshot of the committed-durable state — built from the
-//! [`memtable`], which the same deferred ops populate post-fsync — and
-//! then drops the WAL segments the snapshot covers: bounded log, bounded
-//! recovery ([`checkpoint`]).
+//! an atomic snapshot of the committed-durable state — recovery's own
+//! scan over the closed files below a quiescent cut of the log,
+//! re-encoded — and then drops the WAL segments the snapshot covers:
+//! bounded log, bounded recovery ([`checkpoint`]).
 //!
 //! ## Example
 //!
@@ -64,7 +64,6 @@
 pub mod checkpoint;
 pub mod disk;
 mod index;
-pub mod memtable;
 pub mod recover;
 pub mod store;
 pub mod wal;
@@ -80,7 +79,6 @@ pub use checkpoint::{
     Checkpointer, CkptPolicy, CkptReport, CkptStats, CKPT_BEGIN, CKPT_PUBLISH, WAL_TRUNCATE,
 };
 pub use disk::{Disk, DiskFile, FileDisk, MemDisk};
-pub use memtable::MemTable;
 pub use recover::{RecoveryReport, RedoKind, RedoOps, RedoRecord, ScanEnd, SnapshotSource};
 pub use store::{CommitStep, Durability, KvConfig, KvStore, WriteBatch};
 pub use wal::{SyncPolicy, Wal, WalStats, WAL_APPEND, WAL_FSYNC};

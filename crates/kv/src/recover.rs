@@ -18,6 +18,7 @@
 //! intact, but replaying across a hole would reorder same-key updates.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ad_support::crc32::crc32;
 
@@ -322,13 +323,17 @@ pub fn scan(bytes: &[u8], first_seq: u64) -> (Vec<RedoRecord>, RecoveryReport) {
     (records, report)
 }
 
+/// A sorted image of the committed key space: a decoded snapshot, or a
+/// snapshot with the records past its cut folded in.
+pub type KeyMap = BTreeMap<Arc<str>, Arc<[u8]>>;
+
 /// The full two-tier recovery result: the snapshot's base image, the
 /// WAL-suffix records to replay on top of it, and instructions for
 /// sanitizing the on-disk segments before appending resumes.
 pub(crate) struct TwoTier {
     /// Committed state as of `report.snapshot_cut` (empty without a
     /// snapshot).
-    pub base: crate::memtable::KeyMap,
+    pub base: KeyMap,
     /// Accepted records with `seq > snapshot_cut`, in sequence order.
     pub records: Vec<RedoRecord>,
     /// Provenance and scan outcome.
@@ -341,6 +346,29 @@ pub(crate) struct TwoTier {
     /// Index of the segment appends resume on (`None` → start a fresh
     /// segment at `next_seq`).
     pub active: Option<usize>,
+}
+
+impl TwoTier {
+    /// The committed state as of `report.last_seq`: `base` with `records`
+    /// replayed over it, the way [`KvStore::open`](crate::KvStore::open)
+    /// replays them into the buckets — a [`RedoKind::Prepare`] is never
+    /// applied, its slice becomes real only through the
+    /// [`RedoKind::Decided`] record that carries it again.
+    pub fn into_image(self) -> KeyMap {
+        let mut image = self.base;
+        for rec in self.records {
+            if matches!(rec.kind, RedoKind::Prepare { .. }) {
+                continue;
+            }
+            for (key, value) in rec.ops {
+                match value {
+                    Some(v) => image.insert(Arc::from(key), Arc::from(v)),
+                    None => image.remove(key.as_str()),
+                };
+            }
+        }
+        image
+    }
 }
 
 /// Two-tier recovery: load the newest valid snapshot (`cur`, falling
@@ -458,8 +486,6 @@ pub(crate) fn recover_two_tier(
 
 #[cfg(all(test, not(loom)))]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::wal::frame_record;
 
@@ -619,19 +645,30 @@ mod tests {
 
     #[test]
     fn two_tier_replays_only_the_suffix() {
-        // Snapshot at cut 2; suffix segment carries 3..=4.
+        // Snapshot at cut 2; suffix segment carries 3..=5, the last one a
+        // staged slice nothing decides.
         let mut seg = record(3, 3, &[("c", Some(b"3"))]);
         seg.extend(record(4, 4, &[("a", None)]));
+        let staged = [("staged".to_string(), Some(b"s".to_vec()))];
+        frame_record(
+            &mut seg,
+            5,
+            &encode_record(RedoKind::Prepare { gid: 9 }, 5, &staged),
+        );
         let cur = snap(2, &[("a", b"1"), ("b", b"2")]);
         let t = recover_two_tier(Some(&cur), None, &[(3, seg)]);
         assert_eq!(t.report.snapshot_cut, 2);
         assert_eq!(t.report.snapshot_source, SnapshotSource::Current);
         assert_eq!(t.report.snapshot_keys, 2);
-        assert_eq!(t.report.replayed, 2);
-        assert_eq!(t.records.len(), 2);
+        assert_eq!(t.report.replayed, 3);
+        assert_eq!(t.records.len(), 3);
         assert_eq!(t.base.len(), 2);
-        assert_eq!(t.next_seq, 5);
+        assert_eq!(t.next_seq, 6);
         assert_eq!(t.active, Some(0));
+        // The image at seq 5: the put and the delete applied, the prepare not.
+        let image = t.into_image();
+        let keys: Vec<&str> = image.keys().map(|k| &**k).collect();
+        assert_eq!(keys, ["b", "c"]);
     }
 
     #[test]

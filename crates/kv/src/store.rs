@@ -67,8 +67,7 @@ use ad_support::sync::{Condvar, Mutex};
 use crate::checkpoint::{Checkpointer, CkptPolicy, CkptReport, CkptStats};
 use crate::disk::{Disk, FileDisk, MemDisk};
 use crate::index::{Index, KeyDelta};
-use crate::memtable::{KeyMap, MemOp, MemTable};
-use crate::recover::{encode_record, RecoveryReport, RedoKind, RedoRecord};
+use crate::recover::{encode_record, KeyMap, RecoveryReport, RedoKind, RedoRecord};
 use crate::wal::{SyncPolicy, Wal, WalStats};
 
 /// Whether (and how) the store persists writes.
@@ -197,20 +196,20 @@ impl WriteBatch {
 #[derive(Clone)]
 pub enum CommitStep {
     /// Encode the batch as a record of this kind, append it to the WAL and
-    /// block for its covering fsync. A [`RedoKind::Local`] or
-    /// [`RedoKind::Decided`] record then exposes the batch to the durable
-    /// tier ([`KvStore::read_uncommitted`]); a [`RedoKind::Prepare`]
-    /// record only stages it — durable, never visible. A volatile store
-    /// has no log, so there the step is nothing.
+    /// block for its covering fsync. Recovery replays a
+    /// [`RedoKind::Local`] or [`RedoKind::Decided`] record; a
+    /// [`RedoKind::Prepare`] record only stages the batch — durable, never
+    /// replayed. A volatile store has no log, so there the step is
+    /// nothing.
     Log(RedoKind),
     /// [`Log`](Self::Log) without the wait: the record takes its place in
-    /// the WAL's order and the batch is exposed to the durable tier, but
-    /// the step returns before any fsync — the record is written with the
-    /// next batch on this log, a checkpoint, or the store's drop. Only for
-    /// a record a crash can afford to lose because its content is durable
-    /// elsewhere: a participant's [`RedoKind::Decided`], whose
-    /// [`RedoKind::Prepare`] is in this log and whose decision is in the
-    /// coordinator's (`ad-shard`, DESIGN.md §14).
+    /// the WAL's order, but the step returns before any fsync — the record
+    /// is written with the next batch on this log, a checkpoint, or the
+    /// store's drop. Only for a record a crash can afford to lose because
+    /// its content is durable elsewhere: a participant's
+    /// [`RedoKind::Decided`], whose [`RedoKind::Prepare`] is in this log
+    /// and whose decision is in the coordinator's (`ad-shard`, DESIGN.md
+    /// §14).
     LogUnforced(RedoKind),
     /// Run a callback. It may block (on a peer, a channel): the shard
     /// locks wait with it. `Arc<dyn Fn>` because the transaction body may
@@ -232,7 +231,6 @@ enum Lowered {
     Append {
         log: Arc<DurableTier>,
         payload: Vec<u8>,
-        expose: bool,
         forced: bool,
     },
     Call(Arc<dyn Fn() + Send + Sync>),
@@ -241,20 +239,15 @@ enum Lowered {
 /// The deferred half of [`KvStore::commit`]: every step, in order. Built
 /// outside the `atomically` closure so that what blocks here is — also
 /// lexically — not part of the retryable transaction body.
-fn run_steps(
-    rt: Arc<Runtime>,
-    plan: Arc<[Lowered]>,
-    ops: Arc<Vec<MemOp>>,
-) -> impl FnOnce() + Send + 'static {
+fn run_steps(rt: Arc<Runtime>, plan: Arc<[Lowered]>) -> impl FnOnce() + Send + 'static {
     move || {
         for step in plan.iter() {
             match step {
                 Lowered::Append {
                     log,
                     payload,
-                    expose,
                     forced,
-                } => log.append(payload, if *expose { &ops } else { &[] }, *forced, &rt),
+                } => log.append(payload, *forced, &rt),
                 Lowered::Call(f) => f(),
             }
         }
@@ -318,10 +311,9 @@ fn diff_keys(old: &[Entry], new: &[Entry], delta: &mut Vec<KeyDelta>) {
 }
 
 /// Wakeup channel between deferred ops (which notice the WAL crossed a
-/// threshold) and the background checkpoint thread (which does the I/O;
-/// running a checkpoint *inside* a deferred op would self-deadlock — it
-/// waits for a memtable watermark that includes the caller's own
-/// not-yet-applied record).
+/// threshold) and the background checkpoint thread (which does the I/O: a
+/// checkpoint reads and writes whole files, and a deferred op runs with
+/// shard locks held — every reader of those shards would wait for it).
 #[derive(Default)]
 struct CkptSignal {
     state: Mutex<CkptWake>,
@@ -344,34 +336,22 @@ impl CkptSignal {
 /// Everything a durable store has and a volatile one lacks.
 struct DurableTier {
     wal: Arc<Wal>,
-    /// Index of recent committed writes, populated by the same deferred
-    /// ops that append redo records — post-fsync, or for an unforced
-    /// record post-append (see `memtable` docs).
-    memtable: Arc<MemTable>,
     ckpt: Arc<Checkpointer>,
     /// Present under [`CkptPolicy::Auto`]: wakes the trigger thread.
     auto: Option<Arc<CkptSignal>>,
 }
 
 impl DurableTier {
-    /// Log one record — durably when `forced`, else merely in order — then
-    /// account it in the durable tier: the only place the store logs.
-    /// `ops` is the batch for a record that exposes it and empty for a
-    /// staged one: the sequence is accounted either way, so the watermark
-    /// (and hence checkpointing) keeps advancing, but staged data stays
-    /// out of the memtable.
-    fn append(&self, payload: &[u8], ops: &[MemOp], forced: bool, rt: &Runtime) {
-        let seq = if forced {
-            self.wal.append_durable(payload, rt)
+    /// Log one record — durably when `forced`, else merely in order: the
+    /// only place the store logs.
+    fn append(&self, payload: &[u8], forced: bool, rt: &Runtime) {
+        if forced {
+            self.wal.append_durable(payload, rt);
         } else {
-            self.wal.append(payload, rt)
-        };
-        // Shard locks still held: the memtable sees a record once it is
-        // durable here or recoverable from elsewhere (see `memtable` docs).
-        self.memtable.apply(seq, ops);
-        // Checkpoint I/O must not run here (it waits on the memtable
-        // watermark, which includes *this* record up until the `apply`
-        // above) — just wake the worker.
+            self.wal.append(payload, rt);
+        }
+        // Shard locks still held: checkpoint I/O must not run here — just
+        // wake the worker.
         if let Some(signal) = &self.auto {
             if self.ckpt.should_trigger() {
                 signal.wake(|w| w.kicked = true);
@@ -464,8 +444,7 @@ impl KvStore {
         let mut store = Self::bare(config, tm_cfg, &t.base);
 
         // The WAL suffix replays transactionally, one record per
-        // transaction — deterministic replay, monotonic versions — and
-        // into the memtable base: snapshot image plus replayed suffix.
+        // transaction — deterministic replay, monotonic versions.
         //
         // Cross-shard records (DESIGN.md §14): a Decided record anywhere
         // in this log proves its gid committed; a Prepare record is
@@ -473,8 +452,7 @@ impl KvStore {
         // a matching Decided record (same log, or appended by
         // reconciliation). Prepares still lacking a local decision after
         // replay are parked for the sharding layer; standalone opens
-        // presume them aborted. They stay out of the memtable too — the
-        // durable tier must never show a staged slice.
+        // presume them aborted.
         let decided: HashSet<u64> = t
             .records
             .iter()
@@ -483,7 +461,6 @@ impl KvStore {
                 _ => None,
             })
             .collect();
-        let mut mt_base = t.base;
         let mut max_txid = 0;
         for rec in &t.records {
             max_txid = max_txid.max(rec.txid);
@@ -494,12 +471,6 @@ impl KvStore {
             store
                 .rt
                 .atomically(|tx| store.apply_batch(tx, &rec.ops, &placed));
-            for (key, value) in &rec.ops {
-                match value {
-                    Some(v) => mt_base.insert(Arc::from(key.as_str()), Arc::from(v.as_slice())),
-                    None => mt_base.remove(key.as_str()),
-                };
-            }
         }
         let pending: Vec<RedoRecord> = t
             .records
@@ -518,12 +489,9 @@ impl KvStore {
         store.next_txid = AtomicU64::new(max_txid.max(snapshot_cut) + 1);
         store.recovery = Some(report);
 
-        // The watermark starts at the resumed WAL position.
         let wal = Arc::new(wal);
-        let memtable = Arc::new(MemTable::with_base(mt_base, wal.durable_seq()));
         let ckpt = Arc::new(Checkpointer::new(
             Arc::clone(&wal),
-            Arc::clone(&memtable),
             disk,
             snapshot_cut,
             config.ckpt,
@@ -548,12 +516,7 @@ impl KvStore {
             });
             store.ckpt_worker = Some((worker, Arc::clone(signal)));
         }
-        store.durable = Some(Arc::new(DurableTier {
-            wal,
-            memtable,
-            ckpt,
-            auto,
-        }));
+        store.durable = Some(Arc::new(DurableTier { wal, ckpt, auto }));
         Ok(store)
     }
 
@@ -741,12 +704,9 @@ impl KvStore {
     /// The shard `TxLock`s are acquired by the commit point and released
     /// only when the last step returned (two-phase locking, PAPER.md §1):
     /// to every other transaction, commit and all steps are one atomic
-    /// event. In particular a transactional read of a touched key blocks
-    /// until the last step has run — it returns only values of
-    /// transactions whose commit has completed, log records included —
-    /// and [`read_uncommitted`](Self::read_uncommitted), which skips the
-    /// locks, sees the batch only once a step logged it as
-    /// [`RedoKind::Local`] or [`RedoKind::Decided`].
+    /// event. In particular a read of a touched key blocks until the last
+    /// step has run — it returns only values of transactions whose commit
+    /// has completed, log records included.
     ///
     /// Returns a handle tracking the deferred operation, or `None` when
     /// nothing was deferred: an empty batch touches no shard and runs no
@@ -778,27 +738,13 @@ impl KvStore {
                     self.durable.as_ref().map(|d| Lowered::Append {
                         log: Arc::clone(d),
                         payload: encode_record(*kind, txid, &batch.ops),
-                        expose: !matches!(kind, RedoKind::Prepare { .. }),
                         forced: matches!(step, CommitStep::Log(_)),
                     })
                 }
             })
             .collect();
-        let deferred = (!plan.is_empty()).then(|| {
-            let ops: Vec<MemOp> = match &self.durable {
-                Some(_) => batch
-                    .ops
-                    .iter()
-                    .map(|(k, v)| (Arc::from(k.as_str()), v.as_deref().map(Arc::from)))
-                    .collect(),
-                None => Vec::new(),
-            };
-            (
-                Arc::<[Lowered]>::from(plan),
-                Arc::new(ops),
-                self.touched_shards(&placed),
-            )
-        });
+        let deferred = (!plan.is_empty())
+            .then(|| (Arc::<[Lowered]>::from(plan), self.touched_shards(&placed)));
 
         self.rt.atomically(|tx| {
             // Deferral first (lock acquisitions are transactional writes on
@@ -806,10 +752,10 @@ impl KvStore {
             // manager escalates this transaction to irrevocable, blocking
             // lock acquisition after an eager write would be fatal).
             let mut handle = None;
-            if let Some((plan, ops, locks)) = &deferred {
+            if let Some((plan, locks)) = &deferred {
                 let refs: Vec<&dyn Deferrable> =
                     locks.iter().map(|s| s as &dyn Deferrable).collect();
-                let op = run_steps(Arc::clone(&self.rt), Arc::clone(plan), Arc::clone(ops));
+                let op = run_steps(Arc::clone(&self.rt), Arc::clone(plan));
                 if tracked {
                     handle = Some(atomic_defer_tracked(tx, &refs, op)?);
                 } else {
@@ -965,13 +911,16 @@ impl KvStore {
     /// Take a checkpoint now: atomically publish a snapshot of the
     /// committed-durable state at a quiescent WAL cut and drop the WAL
     /// segments it covers. Returns `CkptReport { performed: false, .. }`
-    /// when nothing new is durable since the last checkpoint, and
+    /// when nothing new is durable since the last checkpoint,
+    /// `ErrorKind::InvalidData` — having published and deleted nothing —
+    /// when the closed log prefix no longer reads back whole, and
     /// `ErrorKind::Unsupported` on a volatile store, which has no
     /// durable tier to snapshot.
     ///
     /// Serving continues throughout: writers keep appending to the
     /// post-rotation segment and readers are never blocked (the snapshot
-    /// is serialized from an `Arc`-shared frozen copy of the memtable).
+    /// is folded from the closed files below the cut, which no transaction
+    /// writes).
     pub fn checkpoint(&self) -> io::Result<CkptReport> {
         match &self.durable {
             Some(d) => d.ckpt.run(&self.rt),
@@ -986,37 +935,6 @@ impl KvStore {
     /// this store has a checkpoint tier.
     pub fn ckpt_stats(&self) -> Option<CkptStats> {
         self.durable.as_ref().map(|d| d.ckpt.stats())
-    }
-
-    /// Point lookup against the durable tier only — the memtable of
-    /// crash-proof writes — skipping the transactional read path and its
-    /// shard subscription entirely.
-    ///
-    /// **Weaker than opacity**: this read does not serialize with
-    /// in-flight transactions, so it can miss a write that committed
-    /// (acked) a moment ago on another thread, and a sequence of calls
-    /// is not a consistent snapshot. What it can **never** do is return
-    /// bytes a crash could take back: the memtable is populated strictly
-    /// after the redo record's covering fsync — or, for a cross-shard
-    /// slice logged with [`CommitStep::LogUnforced`], once its staged
-    /// copy here and its decision on the coordinator are both fsynced,
-    /// from which recovery rebuilds it. Volatile stores fall back to
-    /// [`KvStore::get`].
-    pub fn read_uncommitted(&self, key: &str) -> Option<Arc<[u8]>> {
-        match &self.durable {
-            Some(d) => d.memtable.get(key),
-            None => self.get(key),
-        }
-    }
-
-    /// Range scan against the durable tier only — same contract (and
-    /// same caveats) as [`KvStore::read_uncommitted`]. Volatile stores
-    /// fall back to [`KvStore::scan_from`].
-    pub fn scan_uncommitted(&self, start: &str, limit: usize) -> Vec<(Arc<str>, Arc<[u8]>)> {
-        match &self.durable {
-            Some(d) => d.memtable.scan_from(start, limit),
-            None => self.scan_from(start, limit),
-        }
     }
 
     /// The WAL's sync policy, or `None` for a volatile store.
@@ -1260,54 +1178,6 @@ mod tests {
     }
 
     #[test]
-    fn read_uncommitted_never_observes_volatile_bytes() {
-        // Hold the disk's fsync: the test freezes a write inside its
-        // committed-but-not-yet-durable window and probes what each read
-        // path observes.
-        let mem = MemDisk::new();
-        // Async: the write returns at commit; the append + held fsync
-        // run on a pool worker while the shard lock stays held.
-        let (store, _) = open_mem(SyncPolicy::Async, &mem);
-        mem.hold_syncs();
-        let h = store
-            .write_batch_async(&WriteBatch::new().put("k", b"v"))
-            .expect("durable handle");
-        for _ in 0..2000 {
-            if !written(&mem).is_empty() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(!written(&mem).is_empty(), "append reached the disk");
-        assert!(mem.synced(WAL_BASE).is_empty(), "fsync is held");
-        assert!(!h.is_done());
-        // The committed write exists in the TVars (shard-locked) and in
-        // the kernel-buffered WAL — but the durable tier must not show
-        // it: the memtable applies strictly after the covering fsync.
-        assert_eq!(
-            store.read_uncommitted("k"),
-            None,
-            "durable-tier read observed volatile bytes"
-        );
-        assert!(store.scan_uncommitted("", 10).is_empty());
-
-        mem.release_syncs();
-        store.wait_durable(&h);
-        assert_eq!(mem.synced(WAL_BASE), written(&mem));
-        assert_eq!(store.read_uncommitted("k").as_deref(), Some(&b"v"[..]));
-        let scanned = store.scan_uncommitted("", 10);
-        assert_eq!(scanned.len(), 1);
-        assert_eq!(scanned[0].0.as_ref(), "k");
-
-        // Volatile stores have no durable tier: both fall back to the
-        // transactional paths.
-        let volatile = KvStore::open(KvConfig::volatile()).unwrap();
-        volatile.put("a", b"1");
-        assert_eq!(volatile.read_uncommitted("a").as_deref(), Some(&b"1"[..]));
-        assert_eq!(volatile.scan_uncommitted("", 10).len(), 1);
-    }
-
-    #[test]
     fn scan_waits_for_the_index_changes_of_a_volatile_batch() {
         fn keys(rows: &[Entry]) -> Vec<&str> {
             rows.iter().map(|(k, _)| &**k).collect()
@@ -1351,14 +1221,13 @@ mod tests {
         };
         spin_until("the scan parks", || retries() > before);
         assert!(rx.try_recv().is_err(), "scan returned under a held fsync");
-        assert_eq!(keys(&store.scan_uncommitted("r", 10)), ["r1", &mid]);
 
         mem.release_syncs();
         store.wait_durable(&h);
         assert_eq!(keys(&rx.recv().unwrap()), [&mid]);
         assert_eq!(keys(&rx.recv().unwrap()), [&mid, "r9"]);
         scanner.join().unwrap();
-        assert_eq!(keys(&store.scan_uncommitted("r", 10)), [&mid, "r9"]);
+        assert_eq!(store.get("r1"), None);
     }
 
     #[test]

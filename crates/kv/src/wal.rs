@@ -178,6 +178,20 @@ struct Segments {
     old: Vec<String>,
 }
 
+/// Read the snapshots and the segments `segs` — `(first_seq, name)` in
+/// sequence order — off `disk` and run two-tier recovery over them.
+/// Returns each segment's length on disk beside the result.
+fn recover_from(disk: &dyn Disk, segs: &[(u64, String)]) -> io::Result<(Vec<u64>, TwoTier)> {
+    let mut seg_bytes: Vec<(u64, Vec<u8>)> = Vec::with_capacity(segs.len());
+    for (first, name) in segs {
+        seg_bytes.push((*first, disk.read(name)?.unwrap_or_default()));
+    }
+    let (cur, prev) = (disk.read(SNAP_CUR)?, disk.read(SNAP_PREV)?);
+    let t = recover_two_tier(cur.as_deref(), prev.as_deref(), &seg_bytes);
+    let lens = seg_bytes.iter().map(|(_, b)| b.len() as u64).collect();
+    Ok((lens, t))
+}
+
 /// The write-ahead log. Shared by every shard's deferred operations;
 /// see the module docs for the coalescing protocol.
 pub struct Wal {
@@ -251,12 +265,7 @@ impl Wal {
             .filter_map(|name| segment_first_seq(&name).map(|first| (first, name)))
             .collect();
         segs.sort();
-        let mut seg_bytes: Vec<(u64, Vec<u8>)> = Vec::with_capacity(segs.len());
-        for (first, name) in &segs {
-            seg_bytes.push((*first, disk.read(name)?.unwrap_or_default()));
-        }
-        let (cur, prev) = (disk.read(SNAP_CUR)?, disk.read(SNAP_PREV)?);
-        let t = recover_two_tier(cur.as_deref(), prev.as_deref(), &seg_bytes);
+        let (seg_lens, t) = recover_from(&*disk, &segs)?;
 
         disk.delete(SNAP_TMP)?;
         let mut old = Vec::new();
@@ -264,7 +273,7 @@ impl Wal {
         for (i, (_, name)) in segs.iter().enumerate() {
             match t.keep[i] {
                 Some(valid) => {
-                    if seg_bytes[i].1.len() as u64 != valid {
+                    if seg_lens[i] != valid {
                         disk.truncate(name, valid)?;
                     }
                     if t.active == Some(i) {
@@ -471,6 +480,21 @@ impl Wal {
         Ok(cut)
     }
 
+    /// Recover the closed prefix of the log — the snapshots and the
+    /// rotated-out segments [`drop_rotated`](Self::drop_rotated) will
+    /// delete, files no append reaches any more — with the scan
+    /// [`open`](Self::open) runs over the whole disk.
+    pub(crate) fn recover_rotated(&self) -> io::Result<TwoTier> {
+        let old: Vec<(u64, String)> = self
+            .segments
+            .lock()
+            .old
+            .iter()
+            .filter_map(|name| segment_first_seq(name).map(|first| (first, name.clone())))
+            .collect();
+        Ok(recover_from(&*self.disk, &old)?.1)
+    }
+
     /// Delete pre-rotation segments (call only after the snapshot
     /// covering them is durably published). Returns bytes freed.
     pub fn drop_rotated(&self) -> io::Result<u64> {
@@ -481,11 +505,6 @@ impl Wal {
         }
         self.disk.sync_dir()?;
         Ok(freed)
-    }
-
-    /// Cumulative records appended (relaxed; for checkpoint triggers).
-    pub fn records_appended(&self) -> u64 {
-        self.counters.records.load(Ordering::Relaxed)
     }
 
     /// Cumulative bytes appended (relaxed; for checkpoint triggers).

@@ -32,7 +32,8 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use ad_kv::disk::SNAP_CUR;
+use ad_kv::checkpoint::decode_snapshot;
+use ad_kv::disk::{segment_name, SNAP_CUR, SNAP_PREV};
 use ad_kv::{
     CkptPolicy, CommitStep, Disk, KvConfig, KvStore, MemDisk, RedoKind, SnapshotSource, SyncPolicy,
     WriteBatch,
@@ -102,6 +103,15 @@ fn run_history(steps: &[Step]) -> History {
                 assert!(report.performed, "scripted checkpoints have new data");
                 assert_eq!(report.cut, records, "PerCommit: cut == acked records");
                 last_cut = report.cut;
+                // The published image is the *exact* state at its cut.
+                let published = disk.read(SNAP_CUR).unwrap().expect("published snapshot");
+                let (cut, image) = decode_snapshot(&published).expect("valid snapshot");
+                assert_eq!(cut, report.cut);
+                let image: BTreeMap<String, Vec<u8>> = image
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_vec()))
+                    .collect();
+                assert_eq!(image, models[report.cut as usize], "snapshot at cut {cut}");
             }
         }
     }
@@ -281,7 +291,7 @@ fn a_checkpoint_with_an_unforced_decided_pending_never_loses_the_slice() {
                 CommitStep::LogUnforced(RedoKind::Decided { gid: GID }),
             ],
         );
-        assert_eq!(store.read_uncommitted("slice").as_deref(), Some(&b"v"[..]));
+        assert_eq!(store.get("slice").as_deref(), Some(&b"v"[..]));
         let before = disk.journal_len();
         assert!(store.checkpoint().expect("checkpoint").performed);
         let after = disk.journal_len();
@@ -336,7 +346,6 @@ fn auto_checkpoints_fire_under_load_and_bound_the_log_and_the_replay() {
     const OPS_PER_THREAD: u64 = 300;
     let config = KvConfig::default().with_ckpt(CkptPolicy::Auto {
         wal_bytes: 64 << 10,
-        wal_records: u64::MAX,
     });
     let disk = MemDisk::new();
     let (store, _) = KvStore::open_on_disk(&config, SyncPolicy::GroupCommit, disk.clone());
@@ -406,6 +415,71 @@ fn auto_checkpoints_fire_under_load_and_bound_the_log_and_the_replay() {
         wal.records - rr.snapshot_cut
     );
     assert_eq!(reopened.dump(), live);
+}
+
+/// A checkpoint folds what the disk holds below its cut, so a closed prefix
+/// that no longer reads back whole — its last record cut in half, its last
+/// record gone, bytes after its last record — is refused: nothing is
+/// published, nothing is deleted, and the store keeps serving from memory.
+#[test]
+fn a_checkpoint_refuses_a_damaged_closed_prefix_and_touches_nothing() {
+    type Damage = fn(&MemDisk, &str, usize);
+    let damages: [(&str, Damage); 3] = [
+        ("last record cut in half", |disk, seg, len| {
+            disk.truncate(seg, len as u64 - 5).unwrap()
+        }),
+        ("last record gone", |disk, seg, len| {
+            disk.truncate(seg, len as u64 / 2).unwrap()
+        }),
+        ("bytes after the last record", |disk, seg, _| {
+            disk.open_append(seg).unwrap().append(b"junk").unwrap()
+        }),
+    ];
+    let files = |disk: &MemDisk| -> BTreeMap<String, Vec<u8>> {
+        let names = disk.list().unwrap();
+        names
+            .into_iter()
+            .map(|name| {
+                let bytes = disk.read(&name).unwrap().unwrap();
+                (name, bytes)
+            })
+            .collect()
+    };
+    for (what, damage) in damages {
+        let disk = MemDisk::new();
+        let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, disk.clone());
+        store.put("a", b"1");
+        store.checkpoint().expect("first checkpoint");
+        store.put("b", b"2");
+        store.checkpoint().expect("second checkpoint");
+        // Two records of one length on the live segment.
+        store.put("c", b"3");
+        store.put("d", b"4");
+        let live = segment_name(3);
+        damage(&disk, &live, disk.read(&live).unwrap().unwrap().len());
+
+        let before = files(&disk);
+        assert!(before.contains_key(SNAP_CUR) && before.contains_key(SNAP_PREV));
+        let err = match store.checkpoint() {
+            Err(err) => err,
+            Ok(report) => panic!("{what}: published over a damaged prefix: {report:?}"),
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+
+        // The listing differs only by the rotation's new, empty segment.
+        let mut after = files(&disk);
+        assert_eq!(after.remove(&segment_name(5)), Some(Vec::new()), "{what}");
+        assert_eq!(
+            after, before,
+            "{what}: a refused checkpoint changed the disk"
+        );
+        let stats = store.ckpt_stats().expect("ckpt tier");
+        assert_eq!((stats.count, stats.last_cut), (2, 2), "{what}");
+        // Transactional reads still answer from memory, writes still land.
+        assert_eq!(store.get("d").as_deref(), Some(&b"4"[..]), "{what}");
+        store.put("e", b"5");
+        assert_eq!(store.len(), 5, "{what}");
+    }
 }
 
 #[test]

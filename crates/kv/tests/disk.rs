@@ -32,7 +32,7 @@ fn wal_script(disk: Arc<dyn Disk>) -> Vec<(&'static str, Listing)> {
     let mut stages = Vec::new();
     let mut stage = |name, disk: &dyn Disk| stages.push((name, listing(disk)));
     let publish = |cut: u64| {
-        // A checkpoint's publish step, minus the memtable.
+        // A checkpoint's publish step, minus the fold of the closed prefix.
         let key: Arc<str> = Arc::from("k");
         let value: Arc<[u8]> = Arc::from(&cut.to_le_bytes()[..]);
         publish_snapshot(&*disk, &encode_snapshot(cut, [(&key, &value)])).unwrap();

@@ -4,9 +4,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ad_kv::{KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch};
-use ad_support::sync::atomic::{AtomicBool, Ordering};
+use ad_support::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// The image a crash leaves when every unsynced byte is lost.
 fn synced_image(disk: &MemDisk) -> MemDisk {
@@ -16,39 +17,56 @@ fn synced_image(disk: &MemDisk) -> MemDisk {
 /// Observers must never see half of a cross-shard batch. The writer keeps
 /// two keys equal (they hash to different shards with overwhelming
 /// probability across 64 names); `get_many` reads both in one transaction.
+/// The writer awaits its own progress: it stops once it has written 200
+/// batches *and* every observer has checked 100 pairs beside them.
 #[test]
 fn cross_shard_batches_are_atomic_to_readers() {
+    const BATCHES: u32 = 200;
+    const PAIRS: u64 = 100;
     let store = Arc::new(KvStore::open(KvConfig::volatile()).unwrap());
     store.write_batch(&WriteBatch::new().put("left", "0").put("right", "0"));
     let stop = Arc::new(AtomicBool::new(false));
 
     let observers: Vec<_> = (0..3)
         .map(|_| {
-            let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut checked = 0u64;
+            let checked = Arc::new(AtomicU64::new(0));
+            let (store, stop, seen) = (Arc::clone(&store), Arc::clone(&stop), checked.clone());
+            let thread = std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     let pair = store.get_many(&["left", "right"]);
-                    assert_eq!(
-                        pair[0], pair[1],
-                        "torn batch observed after {checked} reads"
-                    );
-                    checked += 1;
+                    assert_eq!(pair[0], pair[1], "torn batch observed");
+                    seen.fetch_add(1, Ordering::Relaxed);
                 }
-                checked
-            })
+            });
+            (thread, checked)
         })
         .collect();
 
-    for i in 1..=200u32 {
-        let v = i.to_string();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut written = 0u32;
+    // An observer that died is not waited for: the join below reports it.
+    let lagging = || {
+        observers.iter().any(|(thread, checked)| {
+            !thread.is_finished() && checked.load(Ordering::Relaxed) < PAIRS
+        })
+    };
+    while written < BATCHES || lagging() {
+        assert!(
+            Instant::now() < deadline,
+            "after {written} batches some observer has not checked {PAIRS} pairs"
+        );
+        written += 1;
+        let v = written.to_string();
         store.write_batch(&WriteBatch::new().put("left", v.clone()).put("right", v));
     }
     stop.store(true, Ordering::Relaxed);
-    let total: u64 = observers.into_iter().map(|o| o.join().unwrap()).sum();
-    assert!(total > 0, "observers never ran");
-    assert_eq!(store.get("left").as_deref(), Some("200".as_bytes()));
+    for (thread, _) in observers {
+        thread.join().expect("an observer saw a torn batch");
+    }
+    assert_eq!(
+        store.get("left").as_deref(),
+        Some(written.to_string().as_bytes())
+    );
 }
 
 /// Hammer a durable store from 8 threads; every acked write must be in

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use ad_kv::disk::WAL_BASE;
+use ad_kv::disk::{SNAP_CUR, WAL_BASE};
 use ad_kv::recover::{encode_redo, scan, ScanEnd};
 use ad_kv::wal::frame_record;
 use ad_kv::{Disk, KvConfig, KvStore, MemDisk, RecoveryReport, SyncPolicy, Wal, WriteBatch};
@@ -410,5 +410,17 @@ fn replaying_the_same_log_twice_gives_the_same_store() {
         observe(&again, report),
         first_seen,
         "close + reopen changed the recovered store"
+    );
+
+    // One more input: the same image checkpointed twice. A checkpoint is
+    // that replay, re-encoded, so the two snapshots agree byte for byte.
+    for store in [&again, &second] {
+        assert!(store.checkpoint().expect("checkpoint").performed);
+    }
+    let snapshot = |disk: &MemDisk| disk.read(SNAP_CUR).unwrap().expect("published");
+    assert_eq!(
+        snapshot(&first_disk),
+        snapshot(&second_disk),
+        "two checkpoints of one image wrote different snapshots"
     );
 }

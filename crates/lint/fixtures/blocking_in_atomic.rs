@@ -1,10 +1,9 @@
 //! Fixture: blocking calls inside a *retryable* `atomically` closure.
-//! Eight sites must be flagged as `blocking-in-atomic`: fsync, stream
-//! write, channel recv, mutex lock, a thread sleep, and three
-//! checkpoint-tier helpers (a store checkpoint, a WAL rotation, a
-//! memtable watermark wait). The `tx.write`, the blocking work inside
-//! the deferred closure, and the whole `synchronized` section are legal
-//! and must stay clean.
+//! Seven sites must be flagged as `blocking-in-atomic`: fsync, stream
+//! write, channel recv, mutex lock, a thread sleep, and two
+//! checkpoint-tier helpers (a store checkpoint, a WAL rotation). The
+//! `tx.write`, the blocking work inside the deferred closure, and the
+//! whole `synchronized` section are legal and must stay clean.
 
 fn hot_path(rt: &Runtime, file: std::fs::File, sock: Socket, m: Mutex<u8>, rx: Receiver<u8>) {
     rt.atomically(|tx| {
@@ -18,12 +17,11 @@ fn hot_path(rt: &Runtime, file: std::fs::File, sock: Socket, m: Mutex<u8>, rx: R
     });
 }
 
-fn checkpoint_tier(rt: &Runtime, store: KvStore, wal: Wal, mt: MemTable) {
+fn checkpoint_tier(rt: &Runtime, store: KvStore, wal: Wal) {
     rt.atomically(|tx| {
         tx.write(&COUNTER, 2)?; // transactional write: not I/O
-        store.checkpoint().ok(); // FLAG: snapshot write + fsync + rename
+        store.checkpoint().ok(); // FLAG: log read, snapshot write + fsync + rename
         wal.rotate().ok(); // FLAG: waits out the group-commit leader
-        mt.wait_applied_through(7); // FLAG: unbounded watermark wait
         Ok(())
     });
 }

@@ -31,11 +31,11 @@ pub fn direct_access(name: &str, args: &Group) -> Option<String> {
 ///
 /// Durability: `sync_all`/`sync_data`/`fsync`; stream I/O: `write`,
 /// `write_all`, `flush`, `read_exact`; synchronization: `lock`, `join`,
-/// channel `recv`/`recv_timeout`; checkpointing (`ad-kv`, each an
-/// fsync-plus-rename or an unbounded wait under the hood):
-/// `checkpoint`, `rotate`, `drop_rotated`, `sync_dir`,
-/// `wait_applied_through` (the snapshot publish itself is a free
-/// function — see [`blocking_fn`]).
+/// channel `recv`/`recv_timeout`; checkpointing (`ad-kv`, each a
+/// whole-file read, an fsync-plus-rename or a wait for the group-commit
+/// leader under the hood): `checkpoint`, `rotate`, `drop_rotated`,
+/// `sync_dir` (the snapshot publish itself is a free function — see
+/// [`blocking_fn`]).
 pub fn blocking_method(name: &str) -> Option<String> {
     const BLOCKING: &[&str] = &[
         "sync_all",
@@ -53,7 +53,6 @@ pub fn blocking_method(name: &str) -> Option<String> {
         "rotate",
         "drop_rotated",
         "sync_dir",
-        "wait_applied_through",
     ];
     BLOCKING.contains(&name).then(|| {
         format!(

@@ -59,12 +59,12 @@ fn raw_atomic_fixture_is_rejected() {
 #[test]
 fn blocking_in_atomic_fixture_is_rejected() {
     // fsync, stream write, channel recv, lock, sleep, plus the
-    // checkpoint-tier helpers (store checkpoint, WAL rotate, memtable
-    // watermark wait) — and nothing from the deferred-op /
-    // `synchronized` homes where blocking is legal.
+    // checkpoint-tier helpers (store checkpoint, WAL rotate) — and
+    // nothing from the deferred-op / `synchronized` homes where blocking
+    // is legal.
     assert_eq!(
         fixture("blocking_in_atomic.rs"),
-        vec![RULE_BLOCKING_IN_ATOMIC; 8]
+        vec![RULE_BLOCKING_IN_ATOMIC; 7]
     );
 }
 

@@ -11,7 +11,9 @@
 //! * `--workers N` — connection-handler workers, i.e. the maximum number
 //!   of concurrent connections (default 4).
 //! * `--wal PATH` — write-ahead log file; without it the store is
-//!   volatile (no durability, mutating requests ack immediately).
+//!   volatile (no durability, mutating requests ack immediately). With
+//!   it the store checkpoints itself every 8 MiB of log, so neither the
+//!   log nor a restart's replay grows without bound (DESIGN.md §13).
 //! * `--sync group|percommit|async` — WAL sync policy when `--wal` is
 //!   given (default `group`). See DESIGN.md §9.
 //! * `--shards N` — store shard count (default 16, at least 1).
@@ -28,13 +30,16 @@
 
 use std::sync::Arc;
 
-use ad_kv::{KvConfig, KvStore, SyncPolicy};
+use ad_kv::{CkptPolicy, KvConfig, KvStore, SyncPolicy};
 use ad_net::{Server, ServerConfig};
 use ad_support::args::{arg_flag, arg_num, arg_value};
 
+/// WAL growth, in MiB, between two checkpoints of a served durable store.
+const CKPT_WAL_MIB: u64 = 8;
+
 fn main() {
     let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:4790".to_string());
-    let workers: usize = arg_num("--workers", 4);
+    let workers = arg_num("--workers", 4usize).max(1);
     let shards: usize = arg_num("--shards", 16);
     if shards == 0 {
         eprintln!("--shards: expected a count of at least 1");
@@ -50,11 +55,16 @@ fn main() {
         }
     };
 
-    let config = match arg_value("--wal") {
-        Some(path) => KvConfig::durable(path, sync).with_shards(shards),
-        None => KvConfig::volatile().with_shards(shards),
+    let (config, mode) = match arg_value("--wal") {
+        Some(path) => (
+            KvConfig::durable(path, sync).with_ckpt(CkptPolicy::Auto {
+                wal_bytes: CKPT_WAL_MIB << 20,
+            }),
+            format!("durable: ack implies fsynced, checkpoint every {CKPT_WAL_MIB} MiB of log"),
+        ),
+        None => (KvConfig::volatile(), "volatile".to_string()),
     };
-    let durable = !matches!(config.durability, ad_kv::Durability::Volatile);
+    let config = config.with_shards(shards);
     let store = Arc::new(KvStore::open(config).unwrap_or_else(|e| {
         eprintln!("opening store: {e}");
         std::process::exit(1);
@@ -73,7 +83,7 @@ fn main() {
         store,
         addr.as_str(),
         ServerConfig {
-            workers: workers.max(1),
+            workers,
             ..ServerConfig::default()
         },
     )
@@ -82,14 +92,8 @@ fn main() {
         std::process::exit(1);
     });
     println!(
-        "ad-kv-server listening on {} ({} workers, {})",
+        "ad-kv-server listening on {} ({workers} workers, {mode})",
         server.local_addr(),
-        workers.max(1),
-        if durable {
-            "durable: ack implies fsynced"
-        } else {
-            "volatile"
-        }
     );
 
     // Serve until killed. The accept loop and handlers run on their own

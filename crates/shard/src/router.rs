@@ -489,10 +489,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "DESIGN.md §14.4")]
     fn auto_checkpointing_stores_are_refused() {
-        let cfg = KvConfig::volatile().with_ckpt(CkptPolicy::Auto {
-            wal_bytes: 1 << 20,
-            wal_records: 1000,
-        });
+        let cfg = KvConfig::volatile().with_ckpt(CkptPolicy::Auto { wal_bytes: 1 << 20 });
         let (auto, _) = KvStore::open_on_disk(&cfg, SyncPolicy::GroupCommit, MemDisk::new());
         let (manual, _) = KvStore::open_on_disk(
             &KvConfig::volatile(),

@@ -12,8 +12,10 @@
 //!    a `LogUnforced` step parks nowhere and writes nothing: its record
 //!    is exposed when the plan ends but reaches the disk only with the
 //!    store's next write, here a `sync`;
-//! 2. [`KvStore::read_uncommitted`] shows the batch only once a `Local` or
-//!    `Decided` step has run — never after `Prepare` alone;
+//! 2. a store reopened from the synced bytes — what a crash at this step
+//!    leaves — shows the batch only once a `Local` or `Decided` record is
+//!    among them, and after `Prepare` alone reports exactly one pending
+//!    prepare;
 //! 3. a concurrent `get` of the touched key, already parked on the shard
 //!    lock, has not returned — it returns only after the *last* step;
 //! 4. `Call` steps run in submission order.
@@ -22,8 +24,7 @@ use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 
 use ad_kv::disk::WAL_BASE;
-use ad_kv::recover::{encode_record, scan};
-use ad_kv::wal::frame_record;
+use ad_kv::recover::scan;
 use ad_kv::{CommitStep, Disk, KvConfig, KvStore, MemDisk, RedoKind, SyncPolicy, WriteBatch};
 use ad_shard::plan::{self, Callback};
 
@@ -112,17 +113,18 @@ fn parked_reader(store: &Arc<KvStore>) -> Receiver<Option<Arc<[u8]>>> {
 
 fn run(row: &Row) {
     let name = row.name;
-    let disk = if row.staged {
-        let ops = [(KEY.to_string(), Some(VALUE.to_vec()))];
-        let mut log = Vec::new();
-        frame_record(&mut log, 1, &encode_record(PREPARE, 1, &ops));
-        MemDisk::with_file(WAL_BASE, &log)
-    } else {
-        MemDisk::new()
-    };
-    let (store, _) =
-        KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::PerCommit, disk.clone());
-    let store = Arc::new(store);
+    let open =
+        |disk: MemDisk| KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::PerCommit, disk);
+    let disk = MemDisk::new();
+    if row.staged {
+        // A participant that stopped after its prepare.
+        let (crashed, _) = open(disk.clone());
+        crashed.commit(
+            &WriteBatch::new().put(KEY, VALUE),
+            &[CommitStep::Log(PREPARE)],
+        );
+    }
+    let store = Arc::new(open(disk.clone()).0);
     let batch = if row.staged {
         store
             .take_prepared(GID)
@@ -189,13 +191,17 @@ fn run(row: &Row) {
             logged,
             "{name}: durable records at step {i}"
         );
-        let exposed = logged
-            .iter()
-            .any(|k| !matches!(k, RedoKind::Prepare { .. }));
+        let synced = kinds(&disk.synced(WAL_BASE));
+        let (crashed, report) = open(disk.crash_image(disk.journal_len(), 0, true));
         assert_eq!(
-            store.read_uncommitted(KEY).is_some(),
-            exposed,
-            "{name}: durable-tier visibility at step {i} after {logged:?}"
+            crashed.get(KEY).is_some(),
+            synced.iter().any(|k| *k != PREPARE),
+            "{name}: a crash at step {i} after {synced:?}"
+        );
+        assert_eq!(
+            report.pending_prepares,
+            u64::from(synced == [PREPARE]),
+            "{name}: pending prepares of a crash at step {i} after {synced:?}"
         );
         match step {
             CommitStep::Call(_) => go_tx.send(()).unwrap(),
@@ -214,11 +220,6 @@ fn run(row: &Row) {
         got.as_deref(),
         Some(VALUE),
         "{name}: get after the last step"
-    );
-    assert_eq!(
-        store.read_uncommitted(KEY).as_deref(),
-        Some(VALUE),
-        "{name}"
     );
     // The plan is over and its locks are released: the forced records are
     // durable, an unforced one is still only in memory.
