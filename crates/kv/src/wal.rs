@@ -22,7 +22,7 @@
 //! (`atomic_defer`), after the calling transaction has committed, while
 //! the shards it touched are still locked. It is [`Wal::append`] — take a
 //! sequence number, frame the record into the pending buffer — followed by
-//! [`Wal::sync_through`]; an *unforced* append stops after the first half
+//! `Wal::sync_locked`; an *unforced* append stops after the first half
 //! and its record rides whichever batch is written next. Under
 //! [`SyncPolicy::GroupCommit`] concurrent callers frame their records into
 //! one shared pending buffer; the first to need durability becomes the
@@ -306,7 +306,7 @@ impl Wal {
     }
 
     /// Append `payload` as the next record and block until it is durable:
-    /// [`append`](Self::append) + [`sync_through`](Self::sync_through)
+    /// [`append`](Self::append) + `sync_locked`
     /// under one hold of the state lock. Returns the record's sequence
     /// number. `rt` is the runtime whose observability timeline receives
     /// the `wal_append`/`wal_fsync` events.
@@ -338,12 +338,6 @@ impl Wal {
         self.frame(&mut self.state.lock(), payload, rt)
     }
 
-    /// Block until every record through `seq` is durable: wait for the
-    /// leader whose batch carries it, or become that leader.
-    pub fn sync_through(&self, seq: u64, rt: &Runtime) {
-        drop(self.sync_locked(self.state.lock(), seq, rt));
-    }
-
     /// Make every record appended so far durable; returns the highest
     /// durable sequence number.
     pub fn flush(&self, rt: &Runtime) -> u64 {
@@ -361,6 +355,8 @@ impl Wal {
         seq
     }
 
+    /// Block until every record through `seq` is durable: wait for the
+    /// leader whose batch carries it, or become that leader.
     fn sync_locked<'a>(
         &'a self,
         mut st: MutexGuard<'a, WalState>,
@@ -656,9 +652,9 @@ mod tests {
         let wal = wal_on(&disk, SyncPolicy::GroupCommit, 1);
         let rt = Runtime::new(TmConfig::stm());
         let seq = wal.append(b"one", &rt);
-        wal.sync_through(seq, &rt);
+        drop(wal.sync_locked(wal.state.lock(), seq, &rt));
         assert_eq!(wal.durable_seq(), 1);
-        wal.sync_through(seq, &rt);
+        drop(wal.sync_locked(wal.state.lock(), seq, &rt));
         assert_eq!(disk.sync_count(), 1, "already durable: nothing to do");
 
         wal.append(b"two", &rt);

@@ -17,8 +17,10 @@
 //! — and every lock hold ends at the second: the participant's own
 //! `Decided` is appended, not forced.
 //!
-//! The callbacks are the transport: what they send and wait for is the
-//! router's business ([`crate::router`]); the tests substitute gates.
+//! The `Call` steps are the hop between shards. The router's callbacks
+//! ([`crate::router`]) push `Job`s on a shard's queue and wait on the
+//! `Gate`s the other side opens (`crate::transport`); the tests substitute
+//! callbacks that park until the test lets them go.
 
 use std::sync::Arc;
 

@@ -112,15 +112,6 @@ pub struct TmConfig {
     /// Smaller rings cost less memory per thread, larger ones survive
     /// longer gaps between `Runtime::take_trace` calls. Default 16384.
     pub trace_ring_events: usize,
-    /// Spill ring overflow to the heap instead of dropping it: when a
-    /// thread's ring wraps between drains, the overwritten event is
-    /// copied into an unbounded per-thread heap vector (mutex-guarded,
-    /// touched only on overflow) and merged back in by
-    /// `Runtime::take_trace` — lossless tracing at the cost of
-    /// unbounded memory on a runaway gap. Off by default: the ring's
-    /// fixed footprint and drop accounting are the production posture;
-    /// spill is for capture-everything debugging and short experiments.
-    pub trace_spill: bool,
     /// Where deferred operations run after commit: inline on the committing
     /// thread (default) or offloaded to a bounded worker pool.
     pub defer_exec: DeferExecCfg,
@@ -141,7 +132,6 @@ impl TmConfig {
             retry_policy: RetryPolicy::Spin,
             max_backoff_spins: 1 << 14,
             trace_ring_events: 1 << 14,
-            trace_spill: false,
             defer_exec: DeferExecCfg::Inline,
             clock: ClockPolicy::Gv2,
         }
@@ -157,7 +147,6 @@ impl TmConfig {
             retry_policy: RetryPolicy::Spin,
             max_backoff_spins: 1 << 10,
             trace_ring_events: 1 << 14,
-            trace_spill: false,
             defer_exec: DeferExecCfg::Inline,
             clock: ClockPolicy::Gv2,
         }
@@ -194,13 +183,6 @@ impl TmConfig {
     /// events; rounded up to a power of two, minimum 2, at ring creation).
     pub fn with_trace_ring(mut self, events: usize) -> Self {
         self.trace_ring_events = events;
-        self
-    }
-
-    /// Builder-style override of the ring-overflow spill (see
-    /// [`TmConfig::trace_spill`]).
-    pub fn with_trace_spill(mut self, on: bool) -> Self {
-        self.trace_spill = on;
         self
     }
 

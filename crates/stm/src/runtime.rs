@@ -108,7 +108,7 @@ impl Runtime {
                 serial: RwLock::new(()),
                 registry: Registry::default(),
                 stats: Stats::default(),
-                sink: TraceSink::new(cfg.trace_ring_events, cfg.trace_spill),
+                sink: TraceSink::new(cfg.trace_ring_events),
                 #[cfg(not(loom))]
                 defer_pool: match cfg.defer_exec {
                     crate::config::DeferExecCfg::Inline => None,
@@ -145,12 +145,7 @@ impl Runtime {
 
     /// Snapshot of this runtime's statistics counters.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut s = self.inner.stats.snapshot();
-        // Spill accounting lives in the trace sink (per-thread monotone
-        // counters), not the Stats block; overlay it here so consumers
-        // see one coherent snapshot.
-        s.trace_spilled_events = self.inner.sink.spilled_total();
-        s
+        self.inner.stats.snapshot()
     }
 
     /// Full observability report: the counters plus the four latency
@@ -160,9 +155,7 @@ impl Runtime {
     /// histograms only fill while [`Runtime::set_tracing`] is on; the
     /// quiescence histogram is always live.
     pub fn snapshot_stats(&self) -> StatsReport {
-        let mut r = self.inner.stats.report();
-        r.counters.trace_spilled_events = self.inner.sink.spilled_total();
-        r
+        self.inner.stats.report()
     }
 
     /// Zero the statistics counters and histograms.

@@ -139,7 +139,6 @@ impl Stats {
             defer_self_wait_hazards: self.defer_self_wait_hazards.load(Ordering::Relaxed),
             defer_remote_wait_hazards: self.defer_remote_wait_hazards.load(Ordering::Relaxed),
             validation_extends: self.validation_extends.load(Ordering::Relaxed),
-            trace_spilled_events: 0,
         }
     }
 
@@ -236,11 +235,6 @@ pub struct StatsSnapshot {
     /// Successful snapshot extensions (a read witnessed a version above
     /// `rv` and the whole read set revalidated at a fresher timestamp).
     pub validation_extends: u64,
-    /// Trace events rescued from ring wrap-around by the heap spill
-    /// (`TmConfig::trace_spill`; always 0 with spill off). Maintained by
-    /// the trace sink and overlaid by `Runtime::stats` /
-    /// `Runtime::snapshot_stats` — `Stats::snapshot` alone reports 0.
-    pub trace_spilled_events: u64,
 }
 
 impl StatsSnapshot {
@@ -274,7 +268,6 @@ impl StatsSnapshot {
             defer_remote_wait_hazards: self.defer_remote_wait_hazards
                 - earlier.defer_remote_wait_hazards,
             validation_extends: self.validation_extends - earlier.validation_extends,
-            trace_spilled_events: self.trace_spilled_events - earlier.trace_spilled_events,
         }
     }
 
@@ -288,7 +281,7 @@ impl StatsSnapshot {
              \"quiesce_waits\":{},\"quiesce_ns\":{},\"deferred_ops\":{},\
              \"defer_offloads\":{},\"defer_inline_fallbacks\":{},\
              \"defer_self_wait_hazards\":{},\"defer_remote_wait_hazards\":{},\
-             \"validation_extends\":{},\"trace_spilled_events\":{}}}",
+             \"validation_extends\":{}}}",
             self.starts,
             self.commits,
             self.serial_commits,
@@ -305,7 +298,6 @@ impl StatsSnapshot {
             self.defer_self_wait_hazards,
             self.defer_remote_wait_hazards,
             self.validation_extends,
-            self.trace_spilled_events,
         )
     }
 }
@@ -322,7 +314,7 @@ impl fmt::Display for StatsSnapshot {
              quiesce_waits={} deferred_ops={} defer_offloads={} \
              defer_inline_fallbacks={} defer_self_wait_hazards={} \
              defer_remote_wait_hazards={} \
-             validation_extends={} trace_spilled_events={}] \
+             validation_extends={}] \
              durations[quiesce_ns={} ({:.1}ms)]",
             self.total_commits(),
             self.serial_commits,
@@ -339,7 +331,6 @@ impl fmt::Display for StatsSnapshot {
             self.defer_self_wait_hazards,
             self.defer_remote_wait_hazards,
             self.validation_extends,
-            self.trace_spilled_events,
             self.quiesce_ns,
             self.quiesce_ns as f64 / 1e6,
         )
@@ -430,7 +421,6 @@ impl StatsReport {
         c.defer_self_wait_hazards += o.defer_self_wait_hazards;
         c.defer_remote_wait_hazards += o.defer_remote_wait_hazards;
         c.validation_extends += o.validation_extends;
-        c.trace_spilled_events += o.trace_spilled_events;
         self.commit_latency_ns.merge(&other.commit_latency_ns);
         self.quiesce_wait_ns.merge(&other.quiesce_wait_ns);
         self.retry_backoff_ns.merge(&other.retry_backoff_ns);
@@ -574,7 +564,6 @@ mod tests {
             "\"defer_self_wait_hazards\":0",
             "\"defer_remote_wait_hazards\":0",
             "\"validation_extends\":0",
-            "\"trace_spilled_events\":0",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");
         }

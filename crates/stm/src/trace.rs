@@ -294,8 +294,7 @@ pub struct TraceEvent {
     /// Id of the [`Runtime`] whose sink recorded the event
     /// ([`Runtime::id`]) — what makes events from different runtimes
     /// distinguishable after [`Trace::merge`]. Thread ids are dense *per
-    /// runtime*, so `(runtime, thread, seq)` is the global event identity;
-    /// `(thread, seq)` alone collides across runtimes.
+    /// runtime*, so `(thread, seq)` alone collides across runtimes.
     ///
     /// [`Runtime`]: crate::Runtime
     /// [`Runtime::id`]: crate::Runtime::id
@@ -304,7 +303,9 @@ pub struct TraceEvent {
     /// order; not an OS tid).
     pub thread: u32,
     /// Per-thread event sequence number (gap-free while the ring keeps up;
-    /// gaps mean the ring wrapped).
+    /// gaps mean the ring wrapped). It restarts at 1 after every
+    /// `Runtime::take_trace`, so `(runtime, thread, seq)` identifies an
+    /// event only within one take.
     pub seq: u64,
     /// What happened.
     pub kind: EventKind,
@@ -355,10 +356,6 @@ pub struct Trace {
     pub events: Vec<TraceEvent>,
     /// Events lost to ring wrap-around (oldest-first overwrite).
     pub dropped: u64,
-    /// Events rescued from ring wrap-around by the heap spill
-    /// (`TmConfig::trace_spill`) and merged into `events`; always 0 with
-    /// spill off.
-    pub spilled: u64,
 }
 
 impl Trace {
@@ -388,34 +385,26 @@ impl Trace {
         ids
     }
 
-    /// Merge several per-runtime traces (each from its own
-    /// `Runtime::take_trace`) into one timeline.
+    /// Merge several traces (each from a `Runtime::take_trace`) into one
+    /// timeline.
     ///
     /// This is how a multi-runtime system — ad-shard's router, or any
     /// embedding running one runtime per partition — renders a cross-shard
-    /// commit as *one* story: events keep their `runtime` tag, duplicates
-    /// are collapsed by the global event identity `(runtime, thread, seq)`
-    /// (a spill-enabled ring can hand the same event to two consecutive
-    /// drains that race a writer), and the result is re-sorted on the
-    /// common timestamp axis exactly like a single-runtime take.
-    /// `dropped`/`spilled` sum over the inputs.
+    /// commit as *one* story: events keep their `runtime` tag and the
+    /// result is re-sorted on the common timestamp axis exactly like a
+    /// single-runtime take. Every input event is kept: `seq` restarts at
+    /// every take, so two takes of one runtime repeat
+    /// `(runtime, thread, seq)` for different events. `dropped` sums over
+    /// the inputs.
     pub fn merge(traces: impl IntoIterator<Item = Trace>) -> Trace {
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        let mut spilled = 0u64;
         for t in traces {
             events.extend(t.events);
             dropped += t.dropped;
-            spilled += t.spilled;
         }
-        events.sort_unstable_by_key(|e| (e.runtime, e.thread, e.seq));
-        events.dedup_by_key(|e| (e.runtime, e.thread, e.seq));
         events.sort_unstable_by_key(|e| (e.ts_ns, e.runtime, e.thread, e.seq));
-        Trace {
-            events,
-            dropped,
-            spilled,
-        }
+        Trace { events, dropped }
     }
 
     /// Render the timeline as line-oriented text (one event per line).
@@ -427,9 +416,6 @@ impl Trace {
         }
         if self.dropped > 0 {
             s.push_str(&format!("({} events dropped to ring wrap)\n", self.dropped));
-        }
-        if self.spilled > 0 {
-            s.push_str(&format!("({} events spilled to heap)\n", self.spilled));
         }
         s
     }
@@ -740,22 +726,16 @@ pub(crate) struct TraceBuf {
     /// event it emits, so merged traces keep their provenance.
     runtime: u64,
     thread: u32,
-    /// Total events ever written by the owner (monotone).
+    /// Events written by the owner since the last drain (monotone between
+    /// drains).
     head: AtomicU64,
     slots: Box<[Slot]>,
-    /// Ring-overflow rescue (`TmConfig::trace_spill`): events the owner is
-    /// about to overwrite land here instead of being dropped. Touched only
-    /// on overflow, so the keeping-up hot path never takes the lock.
-    spill: Option<Mutex<Vec<RawEvent>>>,
-    /// Total events ever spilled by the owner (monotone, never reset —
-    /// feeds the `trace_spilled_events` counter).
-    spilled: AtomicU64,
 }
 
 impl TraceBuf {
     /// `capacity` is rounded up to a power of two (minimum 2) so the ring
     /// index stays a mask of the monotone head counter.
-    fn new(runtime: u64, thread: u32, capacity: usize, spill: bool) -> Arc<TraceBuf> {
+    fn new(runtime: u64, thread: u32, capacity: usize) -> Arc<TraceBuf> {
         let cap = capacity.max(2).next_power_of_two();
         Arc::new(TraceBuf {
             runtime,
@@ -768,12 +748,6 @@ impl TraceBuf {
                     packed: AtomicU64::new(0),
                 })
                 .collect(),
-            spill: if spill {
-                Some(Mutex::new(Vec::new()))
-            } else {
-                None
-            },
-            spilled: AtomicU64::new(0),
         })
     }
 
@@ -786,20 +760,6 @@ impl TraceBuf {
     pub(crate) fn push(&self, ts: u64, kind: EventKind, arg: u64) {
         let head = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(head as usize) & (self.slots.len() - 1)];
-        // Spill the event this push is about to overwrite, undecoded: the
-        // drain decodes it. Owner-side reads need no seqlock dance — only
-        // the owner writes slots.
-        if let Some(spill) = &self.spill {
-            let seq = slot.seq.load(Ordering::Relaxed);
-            if seq != 0 {
-                spill.lock().push(RawEvent {
-                    seq,
-                    ts: slot.ts.load(Ordering::Relaxed),
-                    packed: slot.packed.load(Ordering::Relaxed),
-                });
-                self.spilled.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         // Invalidate first so a concurrent reader can't pair the old seq
         // with the new payload, then publish payload before the new seq.
         slot.seq.store(0, Ordering::Relaxed);
@@ -812,16 +772,11 @@ impl TraceBuf {
         self.head.store(head + 1, Ordering::Release);
     }
 
-    /// Copy out every readable event, spilled ones first. Returns
-    /// `(dropped, spilled_now)` — with spill on, a kept-up drain reports
-    /// `dropped == 0` because every overwritten event was rescued.
-    fn drain_into(&self, out: &mut Vec<TraceEvent>) -> (u64, u64) {
+    /// Copy out every readable event. Returns how many events were written
+    /// but could not be read (overwritten by wrap-around or mid-read).
+    fn drain_into(&self, out: &mut Vec<TraceEvent>) -> u64 {
         let head = self.head.load(Ordering::Acquire);
-        let mut raw = match &self.spill {
-            Some(spill) => std::mem::take(&mut *spill.lock()),
-            None => Vec::new(),
-        };
-        let spilled_now = raw.len() as u64;
+        let mut raw = Vec::new();
         for slot in self.slots.iter() {
             let s1 = slot.seq.load(Ordering::Acquire);
             if s1 == 0 {
@@ -853,10 +808,7 @@ impl TraceBuf {
                 arg: r.packed & ARG_MASK,
             })
         }));
-        (
-            head.saturating_sub((out.len() - before) as u64),
-            spilled_now,
-        )
+        head.saturating_sub((out.len() - before) as u64)
     }
 
     /// Clear all slots (merger side; racing writers may lose the event
@@ -877,28 +829,23 @@ pub(crate) struct TraceSink {
     /// Per-thread ring capacity in events (already a power of two ≥ 2);
     /// applied to each ring as it registers.
     ring_cap: usize,
-    /// Whether rings spill overflow to the heap (`TmConfig::trace_spill`);
-    /// applied to each ring as it registers.
-    spill: bool,
     bufs: Mutex<Vec<Arc<TraceBuf>>>,
 }
 
 impl Default for TraceSink {
     fn default() -> Self {
-        TraceSink::new(DEFAULT_RING_CAP, false)
+        TraceSink::new(DEFAULT_RING_CAP)
     }
 }
 
 impl TraceSink {
     /// Create a sink whose per-thread rings hold `ring_cap` events
-    /// (rounded up to a power of two, minimum 2) and spill overflow to
-    /// the heap when `spill` is on.
-    pub(crate) fn new(ring_cap: usize, spill: bool) -> Self {
+    /// (rounded up to a power of two, minimum 2).
+    pub(crate) fn new(ring_cap: usize) -> Self {
         TraceSink {
             enabled: AtomicBool::new(false),
             next_thread: AtomicU32::new(0),
             ring_cap: ring_cap.max(2).next_power_of_two(),
-            spill,
             bufs: Mutex::new(Vec::new()),
         }
     }
@@ -948,7 +895,6 @@ impl TraceSink {
                         runtime_id,
                         self.next_thread.fetch_add(1, Ordering::Relaxed),
                         self.ring_cap,
-                        self.spill,
                     );
                     self.bufs.lock().push(Arc::clone(&buf));
                     buf
@@ -961,43 +907,18 @@ impl TraceSink {
             .ok();
     }
 
-    /// Total events ever spilled to the heap across every thread's ring
-    /// (monotone; feeds the `trace_spilled_events` counter).
-    pub(crate) fn spilled_total(&self) -> u64 {
-        self.bufs
-            .lock()
-            .iter()
-            .map(|b| b.spilled.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Merge every thread's ring into one timeline and clear the rings.
     pub(crate) fn take(&self) -> Trace {
         let bufs = self.bufs.lock();
         let mut events = Vec::new();
         let mut dropped = 0u64;
-        let mut spilled = 0u64;
         for buf in bufs.iter() {
-            let (d, s) = buf.drain_into(&mut events);
-            dropped += d;
-            spilled += s;
+            dropped += buf.drain_into(&mut events);
             buf.clear();
         }
         drop(bufs);
-        if self.spill {
-            // An event the merger drains from the ring can also be spilled
-            // by a racing owner overwriting its slot before `clear` lands;
-            // (runtime, thread, seq) identifies the event, so collapse
-            // duplicates.
-            events.sort_unstable_by_key(|e| (e.runtime, e.thread, e.seq));
-            events.dedup_by_key(|e| (e.runtime, e.thread, e.seq));
-        }
         events.sort_unstable_by_key(|e| (e.ts_ns, e.runtime, e.thread, e.seq));
-        Trace {
-            events,
-            dropped,
-            spilled,
-        }
+        Trace { events, dropped }
     }
 }
 
@@ -1043,7 +964,7 @@ mod tests {
         // A configured 4-event ring receiving 10 events keeps the newest 4
         // and reports the other 6 dropped — the runtime-configurable ring
         // size must not break the drop accounting.
-        let sink = TraceSink::new(4, false);
+        let sink = TraceSink::new(4);
         sink.set_enabled(true);
         for i in 0..10 {
             sink.push(9005, now_ns(), EventKind::ReadSetGrow, i);
@@ -1051,7 +972,6 @@ mod tests {
         let t = sink.take();
         assert_eq!(t.events.len(), 4);
         assert_eq!(t.dropped, 6);
-        assert_eq!(t.spilled, 0);
         let seqs: Vec<u64> = t.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9, 10]);
         let args: Vec<u64> = t.events.iter().map(|e| e.arg).collect();
@@ -1059,40 +979,10 @@ mod tests {
     }
 
     #[test]
-    fn spill_rescues_overflow_instead_of_dropping() {
-        // The same 10-events-into-a-4-slot-ring overload, but with spill
-        // on: nothing is dropped, the 6 overwritten events are rescued to
-        // the heap and merged back in order. Every other event is an
-        // application event: a spilled slot decodes like a ring slot.
-        let sink = TraceSink::new(4, true);
-        sink.set_enabled(true);
-        let kinds = [EventKind::App(&TEST_APPEND), EventKind::ReadSetGrow];
-        for i in 0..10 {
-            sink.push(9007, now_ns(), kinds[i as usize % 2], i);
-        }
-        assert_eq!(sink.spilled_total(), 6);
-        let t = sink.take();
-        assert_eq!(t.events.len(), 10, "spill keeps every event");
-        assert_eq!(t.dropped, 0);
-        assert_eq!(t.spilled, 6);
-        let seqs: Vec<u64> = t.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (1..=10).collect::<Vec<u64>>());
-        let args: Vec<u64> = t.events.iter().map(|e| e.arg).collect();
-        assert_eq!(args, (0..10).collect::<Vec<u64>>());
-        assert!(t.events.iter().all(|e| e.kind == kinds[e.arg as usize % 2]));
-        // Drained: the next take carries nothing over, but the monotone
-        // spilled total survives for the stats counter.
-        let t2 = sink.take();
-        assert!(t2.events.is_empty());
-        assert_eq!(t2.spilled, 0);
-        assert_eq!(sink.spilled_total(), 6);
-    }
-
-    #[test]
     fn ring_capacity_rounds_up_to_power_of_two() {
         // Requesting 3 events rounds the ring up to 4: pushing 4 must not
         // drop anything, pushing a 5th drops exactly one.
-        let sink = TraceSink::new(3, false);
+        let sink = TraceSink::new(3);
         sink.set_enabled(true);
         for i in 0..4 {
             sink.push(9006, now_ns(), EventKind::Begin, i);
@@ -1284,10 +1174,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_runtimes_and_dedups_by_identity() {
+    fn merge_combines_runtimes() {
         // Two sinks standing in for two runtimes: events interleave on the
-        // shared timestamp axis, keep their runtime tags, and overlapping
-        // drains (same (runtime, thread, seq) twice) collapse to one.
+        // shared timestamp axis and keep their runtime tags.
         let a = TraceSink::default();
         let b = TraceSink::default();
         a.set_enabled(true);
@@ -1296,13 +1185,8 @@ mod tests {
         b.push(2, now_ns(), EventKind::Begin, 0);
         a.push(1, now_ns(), EventKind::Commit, 0);
         b.push(2, now_ns(), EventKind::Commit, 0);
-        let ta = a.take();
-        let tb = b.take();
-        // Simulate a duplicated event across two drains of the same ring.
-        let mut tb_dup = tb.clone();
-        tb_dup.events.extend(tb.events.iter().copied());
-        let m = Trace::merge([ta, tb_dup]);
-        assert_eq!(m.events.len(), 4, "duplicates collapsed: {:#?}", m.events);
+        let m = Trace::merge([a.take(), b.take()]);
+        assert_eq!(m.events.len(), 4, "{:#?}", m.events);
         assert_eq!(m.runtime_ids(), vec![1, 2]);
         assert!(m.events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
         assert_eq!(m.runtime_thread_events(1, 0).count(), 2);
@@ -1321,28 +1205,20 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_dropped_and_spilled() {
-        let a = TraceSink::new(4, true);
+    fn merge_sums_dropped() {
+        let a = TraceSink::new(4);
         a.set_enabled(true);
         for i in 0..10 {
             a.push(5, now_ns(), EventKind::ReadSetGrow, i);
         }
-        let b = TraceSink::new(4, false);
+        let b = TraceSink::new(4);
         b.set_enabled(true);
-        for i in 0..10 {
+        for i in 0..7 {
             b.push(6, now_ns(), EventKind::ReadSetGrow, i);
         }
         let m = Trace::merge([a.take(), b.take()]);
-        assert_eq!(m.spilled, 6, "runtime 5's rescued overflow");
-        assert_eq!(m.dropped, 6, "runtime 6's lost overflow");
-        // The spill-enabled runtime stays gap-free after the merge.
-        let seqs: Vec<u64> = m
-            .events
-            .iter()
-            .filter(|e| e.runtime == 5)
-            .map(|e| e.seq)
-            .collect();
-        assert_eq!(seqs, (1..=10).collect::<Vec<u64>>());
+        assert_eq!(m.dropped, 6 + 3, "both runtimes' lost overflow");
+        assert_eq!(m.events.len(), 4 + 4, "both rings' survivors");
     }
 
     #[test]

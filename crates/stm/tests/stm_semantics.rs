@@ -666,128 +666,3 @@ fn configured_tiny_trace_ring_reports_drops() {
     assert_eq!(v.load(), 50);
     assert_eq!(w.load(), 50);
 }
-
-#[test]
-fn trace_spill_makes_a_tiny_ring_lossless() {
-    // The same overloaded 4-event ring, but with `with_trace_spill(true)`:
-    // overwritten events are rescued to the heap, so the drained trace
-    // reports zero drops and the spill shows up in both `Trace::spilled`
-    // and the `trace_spilled_events` stats counter.
-    let rt = Runtime::new(TmConfig::stm().with_trace_ring(4).with_trace_spill(true));
-    rt.set_tracing(true);
-    let v = TVar::new(0u64);
-    for _ in 0..50 {
-        let v2 = v.clone();
-        rt.atomically(move |tx| {
-            let x = tx.read(&v2)?;
-            tx.write(&v2, x + 1)
-        });
-    }
-    let t = rt.take_trace();
-    assert_eq!(t.dropped, 0, "spill must rescue every overwritten event");
-    assert!(
-        t.spilled > 0,
-        "50 transactions must overflow a 4-event ring"
-    );
-    assert!(t.events.len() >= 100, "all lifecycle events survive");
-    // Per-thread sequences are gap-free — nothing was silently lost.
-    let seqs: Vec<u64> = t
-        .events
-        .iter()
-        .filter(|e| e.thread == t.events[0].thread)
-        .map(|e| e.seq)
-        .collect();
-    assert_eq!(seqs, (1..=seqs.len() as u64).collect::<Vec<u64>>());
-    assert_eq!(rt.stats().trace_spilled_events, t.spilled);
-    assert!(rt
-        .snapshot_stats()
-        .to_json()
-        .contains("\"trace_spilled_events\""));
-    assert_eq!(v.load(), 50);
-}
-
-#[test]
-fn cross_runtime_merge_with_a_spilled_ring_stays_deduplicated_and_gap_free() {
-    // The multi-runtime contract `ad-shard` relies on: merging one
-    // runtime whose tiny ring spilled with a second, roomy runtime must
-    // (a) keep both runtimes' provenance tags, (b) lose nothing from the
-    // spilled runtime — per-thread sequences stay contiguous from 1 —
-    // and (c) contain no duplicate `(runtime, thread, seq)` identity even
-    // though a spill-enabled ring can hand the same event to the spill
-    // rescue *and* a drain (the documented double-report race).
-    use ad_stm::Trace;
-
-    let spilly = Runtime::new(TmConfig::stm().with_trace_ring(4).with_trace_spill(true));
-    let roomy = Runtime::new(TmConfig::stm());
-    spilly.set_tracing(true);
-    roomy.set_tracing(true);
-    let v = TVar::new(0u64);
-    let w = TVar::new(0u64);
-    // Interleave commits on the two runtimes, draining the spilled one
-    // mid-stream so the final merge has to collapse overlapping drains.
-    let mut partial = Vec::new();
-    for i in 0..50u64 {
-        let v2 = v.clone();
-        spilly.atomically(move |tx| {
-            let x = tx.read(&v2)?;
-            tx.write(&v2, x + 1)
-        });
-        let w2 = w.clone();
-        roomy.atomically(move |tx| {
-            let x = tx.read(&w2)?;
-            tx.write(&w2, x + 1)
-        });
-        if i == 25 {
-            partial.push(spilly.take_trace());
-        }
-    }
-    partial.push(spilly.take_trace());
-    partial.push(roomy.take_trace());
-    let merged = Trace::merge(partial);
-
-    assert_eq!(
-        merged.runtime_ids().len(),
-        2,
-        "both runtimes tagged in the merged timeline"
-    );
-    assert_eq!(merged.dropped, 0, "spill rescues every overwritten event");
-    assert!(
-        merged.spilled > 0,
-        "100 events must overflow a 4-event ring"
-    );
-
-    // (c) deduplicated: the identity triple is globally unique.
-    let mut ids: Vec<(u64, u32, u64)> = merged
-        .events
-        .iter()
-        .map(|e| (e.runtime, e.thread, e.seq))
-        .collect();
-    let n = ids.len();
-    ids.sort_unstable();
-    ids.dedup();
-    assert_eq!(ids.len(), n, "merge left duplicate event identities");
-
-    // (b) gap-free: within every (runtime, thread) row the sequence runs
-    // 1..=len with no holes.
-    let mut rows: std::collections::BTreeMap<(u64, u32), Vec<u64>> =
-        std::collections::BTreeMap::new();
-    for e in &merged.events {
-        rows.entry((e.runtime, e.thread)).or_default().push(e.seq);
-    }
-    for ((rt_id, thread), mut seqs) in rows {
-        seqs.sort_unstable();
-        assert_eq!(
-            seqs,
-            (1..=seqs.len() as u64).collect::<Vec<u64>>(),
-            "gap in runtime {rt_id} thread {thread}"
-        );
-    }
-
-    // And the merged timeline is on one timestamp axis.
-    assert!(
-        merged.events.windows(2).all(|p| p[0].ts_ns <= p[1].ts_ns),
-        "merged events must be timestamp-sorted"
-    );
-    assert_eq!(v.load(), 50);
-    assert_eq!(w.load(), 50);
-}

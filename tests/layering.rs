@@ -29,20 +29,29 @@ fn foreign_descriptor_survives_emit_merge_and_render() {
     b.set_tracing(true);
     a.trace_app(&PAGE_FLUSH, 3);
     b.trace_app(&PAGE_FLUSH, 5);
-    let merged = Trace::merge([a.take_trace(), b.take_trace()]);
+    let first = a.take_trace();
+    // A second take of `a` restarts its sequence numbers: its one event
+    // has the same (runtime, thread, seq) as the first take's, and the
+    // merge must keep both.
+    a.trace_app(&PAGE_FLUSH, 7);
+    let second = a.take_trace();
+    let merged = Trace::merge([first, b.take_trace(), second]);
 
     assert_eq!(merged.runtime_ids(), vec![a.id(), b.id()]);
-    assert_eq!(merged.events.len(), 2);
-    for (e, arg) in merged.events.iter().zip([3, 5]) {
+    assert_eq!(merged.events.len(), 3);
+    let args: Vec<u64> = merged.events.iter().map(|e| e.arg).collect();
+    assert_eq!(args, [3, 5, 7]);
+    for e in &merged.events {
         assert_eq!(e.kind, EventKind::App(&PAGE_FLUSH));
         assert_eq!(e.kind.name(), "page_flush");
-        assert_eq!(e.arg, arg);
     }
     let text = merged.render();
-    assert!(text.contains("page_flush       pages=3\n"), "{text}");
-    assert!(text.contains("page_flush       pages=5\n"), "{text}");
+    for arg in [3, 5, 7] {
+        let line = format!("page_flush       pages={arg}\n");
+        assert!(text.contains(&line), "{text}");
+    }
     let json = merged.to_chrome_json();
-    for (rt, arg) in [(a.id(), 3), (b.id(), 5)] {
+    for (rt, arg) in [(a.id(), 3), (b.id(), 5), (a.id(), 7)] {
         let head = format!("{{\"name\":\"page_flush\",\"ph\":\"i\",\"pid\":{rt},\"tid\":0,");
         let tail = format!("\"args\":{{\"pages\":{arg}}}}}");
         assert!(
@@ -117,11 +126,7 @@ fn moved_events_rendering_is_pinned_to_the_parent() {
             arg: 41 + i as u64,
         })
         .collect();
-    let trace = Trace {
-        events,
-        dropped: 0,
-        spilled: 0,
-    };
+    let trace = Trace { events, dropped: 0 };
 
     assert_eq!(trace.render(), PARENT_TEXT);
 
