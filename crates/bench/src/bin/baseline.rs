@@ -9,28 +9,10 @@
 //! ```text
 //! cargo run --release -p ad-bench --bin baseline            # write BENCH_stm_ops.json
 //! cargo run --release -p ad-bench --bin baseline -- --ms 500 --out /tmp/b.json
-//! cargo run --release -p ad-bench --bin baseline -- --clock gv2    # A/B the clock
-//! cargo run --release -p ad-bench --bin baseline -- --smoke --clock sharded  # CI gate
 //! cargo run --release -p ad-bench --bin baseline -- --stats-json /tmp/stats.json
 //! ```
 //!
-//! `--clock {gv2,sharded}` selects the commit-clock policy
-//! (DESIGN.md §11) for every cell's runtime. The tracked
-//! `BENCH_stm_ops.json` is taken with `sharded` — the scalable clock that
-//! keeps the write/contended curves from inverting with cores — so that is
-//! the default here; pass `gv2` to reproduce the paper-faithful TL2 clock's
-//! numbers (the library default, `TmConfig::stm()`, remains `Gv2`).
-//!
-//! `--smoke` shrinks the run for CI and asserts the scalability gate: under
-//! the scalable policy (`sharded`), 8-thread `write` throughput must
-//! be ≥ 0.9× the 1-thread value. `gv2` is exempt — collapsing under its
-//! clock-line contention is exactly the pathology the policy exists to fix.
-//! The 0.9× curve gate only makes sense when 8 threads have 8 cores: with
-//! fewer, the dominant 8-thread cost is lock-holder preemption (a committer
-//! descheduled mid-commit stalls quiescence), which no clock policy can
-//! remove. On such hosts the gate degrades to an A/B floor instead — the
-//! scalable policy's 8-thread write throughput must stay within 0.75× of
-//! `gv2`'s, proving the looser clock itself costs nothing.
+//! The tracked `BENCH_stm_ops.json` is taken with `--ms 500`.
 //!
 //! `--stats-json PATH` additionally enables the observability layer on every
 //! cell's runtime and dumps the per-cell [`ad_stm::StatsReport`] (counters +
@@ -52,8 +34,8 @@ use ad_support::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ad_stm::{ClockPolicy, Runtime, StatsReport, TVar, TmConfig};
-use ad_support::args::{arg_flag, arg_num, arg_value};
+use ad_stm::{Runtime, StatsReport, TVar, TmConfig};
+use ad_support::args::{arg_num, arg_value};
 use ad_support::prng::Rng;
 
 const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
@@ -151,15 +133,11 @@ fn bench_contended(rt: &Arc<Runtime>, threads: usize, dur: Duration) -> f64 {
 }
 
 fn main() {
-    let smoke = arg_flag("--smoke");
-    let ms: u64 = arg_num("--ms", if smoke { 150 } else { 300 });
+    let ms: u64 = arg_num("--ms", 300);
     let out = arg_value("--out").unwrap_or_else(|| "BENCH_stm_ops.json".to_string());
     let stats_out = arg_value("--stats-json");
-    let clock_name = arg_value("--clock").unwrap_or_else(|| "sharded".to_string());
-    let clock = ClockPolicy::parse(&clock_name)
-        .unwrap_or_else(|| panic!("unknown --clock {clock_name} (gv2|sharded)"));
     let dur = Duration::from_millis(ms);
-    println!("baseline: clock={}, {ms}ms per cell", clock.name());
+    println!("baseline: {ms}ms per cell");
 
     type ScenarioFn = fn(&Arc<Runtime>, usize, Duration) -> f64;
     let scenarios: [(&'static str, ScenarioFn); 4] = [
@@ -173,7 +151,7 @@ fn main() {
     for (name, f) in scenarios {
         for &threads in &THREAD_COUNTS {
             // A fresh runtime per cell keeps stats and slot lists isolated.
-            let rt = Arc::new(Runtime::new(TmConfig::stm().with_clock(clock)));
+            let rt = Arc::new(Runtime::new(TmConfig::stm()));
             rt.set_tracing(stats_out.is_some());
             let ops_per_sec = f(&rt, threads, dur);
             println!("{name:<10} threads={threads}  {ops_per_sec:>14.0} ops/s");
@@ -186,63 +164,9 @@ fn main() {
         }
     }
 
-    // The CI scalability gate: a scalable clock must not let per-core
-    // write throughput collapse. Checked in smoke runs only (full runs are
-    // for recording numbers, not gating), and only for sharded —
-    // gv2's collapse under clock-line contention is the known pathology.
-    if smoke {
-        // Gate on best-of-3 re-measurements, not the table rows: on a
-        // loaded or oversubscribed runner a single 150ms cell can lose an
-        // entire scheduling quantum and read 10x low.
-        let best = |clk: ClockPolicy, threads: usize| -> f64 {
-            (0..3)
-                .map(|_| {
-                    let rt = Arc::new(Runtime::new(TmConfig::stm().with_clock(clk)));
-                    bench_write(&rt, threads, dur)
-                })
-                .fold(0.0, f64::max)
-        };
-        if clock != ClockPolicy::Gv2 {
-            let (w1, w8) = (best(clock, 1), best(clock, 8));
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            if cores >= 8 {
-                assert!(
-                    w8 >= 0.9 * w1,
-                    "clock={} write curve inverted: 8 threads {w8:.0} ops/s < 0.9x 1 thread {w1:.0} ops/s",
-                    clock.name()
-                );
-                println!(
-                    "smoke ok: clock={} write 8t/1t = {:.2}x",
-                    clock.name(),
-                    w8 / w1.max(1.0)
-                );
-            } else {
-                // Oversubscribed host: the curve gate would measure the
-                // scheduler, not the clock. Gate policy-vs-gv2 parity at
-                // the same thread count instead.
-                let g8 = best(ClockPolicy::Gv2, 8);
-                assert!(
-                    w8 >= 0.75 * g8,
-                    "clock={} regresses 8-thread write vs gv2 on a {cores}-core host: \
-                     {w8:.0} ops/s < 0.75x {g8:.0} ops/s",
-                    clock.name()
-                );
-                println!(
-                    "smoke ok: clock={} write 8t = {:.2}x of gv2 ({cores}-core host, curve gate skipped)",
-                    clock.name(),
-                    w8 / g8.max(1.0)
-                );
-            }
-        } else {
-            println!("smoke ok: clock=gv2 (no scalability gate)");
-        }
-        return;
-    }
-
     // Hand-formatted JSON (no serde in the offline workspace).
     let mut json = String::from("{\n  \"bench\": \"stm_ops_baseline\",\n");
     json.push_str(&format!("  \"duration_ms_per_cell\": {ms},\n"));
-    json.push_str(&format!("  \"clock\": \"{}\",\n", clock.name()));
     json.push_str("  \"results\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

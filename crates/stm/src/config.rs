@@ -3,11 +3,8 @@
 //! A [`TmConfig`] captures the knobs the paper's evaluation varies: STM vs
 //! (simulated) HTM execution, the contention manager's serialization
 //! threshold (GCC defaults: 100 for STM, 2 for HTM — paper §2), whether
-//! writers quiesce for privatization safety (§2), how `retry` waits
-//! (§4.2), and which commit-clock policy stamps write versions
-//! ([`ClockPolicy`], DESIGN.md §11).
-
-pub use crate::clock::ClockPolicy;
+//! writers quiesce for privatization safety (§2), and how `retry` waits
+//! (§4.2).
 
 /// How a transaction waits after `retry`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,7 +16,7 @@ pub enum RetryPolicy {
     Spin,
     /// Park the thread on the read set and let the next conflicting
     /// committer unpark it — the "efficient retry" the paper wishes the C++
-    /// TMTS provided. Exercised by the `retry_ablation` bench.
+    /// TMTS provided. Exercised by the `ablation_retry` bench.
     Park,
 }
 
@@ -115,10 +112,6 @@ pub struct TmConfig {
     /// Where deferred operations run after commit: inline on the committing
     /// thread (default) or offloaded to a bounded worker pool.
     pub defer_exec: DeferExecCfg,
-    /// Commit-clock policy: how writer commits acquire version timestamps.
-    /// `Gv2` (default) is the paper-faithful TL2 clock; `Sharded` trades
-    /// timestamp uniqueness for commit-path scalability (DESIGN.md §11).
-    pub clock: ClockPolicy,
 }
 
 impl TmConfig {
@@ -133,7 +126,6 @@ impl TmConfig {
             max_backoff_spins: 1 << 14,
             trace_ring_events: 1 << 14,
             defer_exec: DeferExecCfg::Inline,
-            clock: ClockPolicy::Gv2,
         }
     }
 
@@ -148,7 +140,6 @@ impl TmConfig {
             max_backoff_spins: 1 << 10,
             trace_ring_events: 1 << 14,
             defer_exec: DeferExecCfg::Inline,
-            clock: ClockPolicy::Gv2,
         }
     }
 
@@ -199,12 +190,6 @@ impl TmConfig {
         self
     }
 
-    /// Builder-style override of the commit-clock policy.
-    pub fn with_clock(mut self, clock: ClockPolicy) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// True when running as simulated HTM.
     pub fn is_htm(&self) -> bool {
         matches!(self.mode, Mode::HtmSim(_))
@@ -232,7 +217,6 @@ mod tests {
             DeferExecCfg::Inline,
             "Inline must stay the default"
         );
-        assert_eq!(c.clock, ClockPolicy::Gv2, "Gv2 must stay the default");
     }
 
     #[test]
@@ -251,10 +235,8 @@ mod tests {
             .with_retry_policy(RetryPolicy::Park)
             .with_htm_capacity(1024)
             .with_trace_ring(256)
-            .with_defer_pool(2, 32)
-            .with_clock(ClockPolicy::Sharded);
+            .with_defer_pool(2, 32);
         assert_eq!(c.serialize_after, 5);
-        assert_eq!(c.clock, ClockPolicy::Sharded);
         assert!(c.quiesce);
         assert_eq!(c.retry_policy, RetryPolicy::Park);
         assert_eq!(c.trace_ring_events, 256);

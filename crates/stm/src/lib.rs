@@ -97,7 +97,6 @@ mod var;
 #[cfg(all(test, loom))]
 mod verify;
 
-pub use clock::ClockPolicy;
 pub use config::{DeferExecCfg, HtmConfig, Mode, RetryPolicy, TmConfig};
 pub use error::{StmError, StmResult};
 pub use runtime::{atomically, synchronized, Runtime};

@@ -9,7 +9,7 @@
 //! parking-based retry the paper wishes for, where the waiting thread
 //! registers on every variable in its read set and is unparked by the next
 //! committer that writes one of them. The difference between the two is an
-//! ablation benchmark (`retry_ablation`).
+//! ablation benchmark (`ablation_retry`).
 
 use ad_support::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -98,9 +98,6 @@ impl Runtime {
             !cfg.defer_exec.is_pool(),
             "DeferExecCfg::Pool spawns OS threads and is not available under --cfg loom"
         );
-        // Non-transactional stamps must merge the shard cells once any
-        // sharded runtime exists (TVars are shared across runtimes).
-        clock::note_policy_in_use(cfg.clock);
         Runtime {
             inner: Arc::new(RtInner {
                 id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),

@@ -25,7 +25,6 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::clock;
-use crate::clock::ClockPolicy;
 use crate::config::Mode;
 use crate::error::{StmError, StmResult};
 use crate::fxhash::FxHashSet;
@@ -166,9 +165,6 @@ pub struct Tx<'rt> {
     cfg_mode: Mode,
     /// Quiescence policy, cached likewise for commit.
     cfg_quiesce: bool,
-    /// Commit-clock policy, cached likewise: decides how `rv`/`wv` are
-    /// acquired and whether the `wv == rv + 2` validation skip is sound.
-    cfg_clock: ClockPolicy,
     /// Read version: the snapshot timestamp (TL2 `rv`).
     rv: u64,
     /// Pooled collections (see [`TxBuffers`]).
@@ -204,14 +200,7 @@ impl<'rt> Tx<'rt> {
         bufs.reset();
         let obs = started.is_some();
         let cfg = rt.config();
-        // Serial transactions access memory directly and only use `rv` for
-        // quiescence bookkeeping; the shared word is a safe (stale-low)
-        // bound under every policy.
-        let rv = if serial {
-            clock::now()
-        } else {
-            clock::begin(cfg.clock)
-        };
+        let rv = clock::now();
         if let Some(t0) = started {
             rt.trace_event_at(t0, crate::trace::EventKind::Begin, rv);
         }
@@ -224,7 +213,6 @@ impl<'rt> Tx<'rt> {
             },
             cfg_mode: cfg.mode,
             cfg_quiesce: cfg.quiesce,
-            cfg_clock: cfg.clock,
             rv,
             bufs,
             footprint: 0,
@@ -282,7 +270,7 @@ impl<'rt> Tx<'rt> {
         }
         let (v1, val) = core.read_consistent();
         if v1 > self.rv {
-            self.extend_snapshot(v1)?;
+            self.extend_snapshot()?;
             debug_assert!(v1 <= self.rv);
         }
         self.bufs.read_set.push((Arc::clone(core), v1));
@@ -505,10 +493,11 @@ impl<'rt> Tx<'rt> {
 
     /// Snapshot extension: move `rv` forward if the entire read set still
     /// validates; otherwise the snapshot is broken and the transaction
-    /// conflicts. `witness` is the version that exceeded the old `rv`; the
-    /// clock policy guarantees the refreshed `rv` covers it.
-    fn extend_snapshot(&mut self, witness: u64) -> StmResult<()> {
-        let new_rv = clock::refresh(self.cfg_clock, witness);
+    /// conflicts. The new `rv` covers any version the caller just read:
+    /// that version's `tick` precedes its write-back in the clock word's
+    /// order.
+    fn extend_snapshot(&mut self) -> StmResult<()> {
+        let new_rv = clock::now();
         for (core, seen) in &self.bufs.read_set {
             let cur = core.version();
             if clock::is_locked(cur) || cur != *seen {
@@ -588,15 +577,9 @@ impl<'rt> Tx<'rt> {
         entries.sort_unstable_by_key(|(id, _, _)| *id);
 
         locked.clear();
-        let mut max_pre = 0u64;
         for (i, (_, core, _)) in entries.iter().enumerate() {
             match core.try_lock() {
-                Some(pre) => {
-                    if pre > max_pre {
-                        max_pre = pre;
-                    }
-                    locked.push(pre)
-                }
+                Some(pre) => locked.push(pre),
                 None => {
                     if obs {
                         rt.trace_event(crate::trace::EventKind::ValidateFail, core.id() as u64);
@@ -609,16 +592,14 @@ impl<'rt> Tx<'rt> {
             }
         }
 
-        // Phase 2: acquire a write version under the configured clock
-        // policy (after locking: sharded stamps must cover the locked
-        // cells' pre-lock versions to stay per-variable monotone).
-        let wv = clock::tick(self.cfg_clock, self.rv, max_pre);
+        // Phase 2: acquire a write version (after locking — clock.rs
+        // module docs).
+        let wv = clock::tick();
 
-        // Phase 3: validate the read set (unless nobody else committed
-        // since our snapshot — the TL2 fast path). `wv == rv + 2` only
-        // implies that under Gv2, whose RMW makes timestamps unique;
-        // sharded writers may share `wv` and must always validate.
-        if self.cfg_clock != ClockPolicy::Gv2 || wv != self.rv + 2 {
+        // Phase 3: validate the read set, unless nobody else took a stamp
+        // since our snapshot — the TL2 fast path, sound because stamps
+        // are unique.
+        if wv != self.rv + 2 {
             for (core, seen) in read_set.iter() {
                 let ok = match entries.binary_search_by_key(&core.id(), |(id, _, _)| *id) {
                     // We hold this lock: compare against its pre-lock version.
@@ -651,9 +632,6 @@ impl<'rt> Tx<'rt> {
         // privatizers, so clear the activity slot *before* quiescing (also
         // prevents two quiescing writers from waiting on each other).
         self.slot.end();
-        // Sharded policy: this thread's next transactions may begin at wv
-        // without scanning (sound — clock.rs module docs).
-        clock::note_commit(self.cfg_clock, wv);
 
         // Phase 5: wake retry-waiters watching the written variables.
         for (_, core, _) in entries.iter() {

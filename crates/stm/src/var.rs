@@ -157,10 +157,10 @@ impl VarCore {
             }
             std::hint::spin_loop();
         };
-        // Policy-independent stamp: covers the shared clock word, any
-        // sharded cells, and this cell's pre-lock version, and publishes
-        // before write-back — safe against readers under every policy.
-        let wv = clock::nontx_tick(pre);
+        // The commit clock, taken after the lock like a committer's: the
+        // stamp is unique and exceeds `pre` (clock.rs module docs).
+        let wv = clock::tick();
+        debug_assert!(wv > pre);
         self.write_back(val, wv);
         self.wake_waiters();
         wv
@@ -348,7 +348,7 @@ mod tests {
         let v = TVar::new(1u32);
         let core = Arc::clone(v.core());
         core.try_lock().unwrap();
-        let wv = crate::clock::tick(crate::clock::ClockPolicy::Gv2, 0, 0);
+        let wv = clock::tick();
         core.write_back(new_value(99u32), wv);
         assert_eq!(v.load(), 99);
         assert_eq!(core.version(), wv);
@@ -387,6 +387,39 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
+    }
+
+    #[test]
+    fn transactional_and_nontransactional_stamps_never_collide() {
+        // Non-transactional stores and commits draw from the one clock
+        // word, so no stamp is handed out twice (clock.rs module docs).
+        let mut stamps: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let v = TVar::new(0u64);
+                        (0..20_000u64)
+                            .map(|i| {
+                                if i % 2 == 0 {
+                                    v.core().direct_write(new_value(i))
+                                } else {
+                                    clock::tick()
+                                }
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        let total = stamps.len();
+        stamps.sort_unstable();
+        stamps.dedup();
+        let dups = total - stamps.len();
+        assert_eq!(dups, 0, "{dups} duplicate stamps");
     }
 
     #[test]

@@ -9,10 +9,6 @@
 //!   asserts the model *catches* it.
 //! * [`quiesce_model`] — a committing writer's quiescence vs. an in-flight
 //!   older transaction's write-back, at the `Registry` protocol level.
-//! * [`clock_model`] — the sharded commit clock's
-//!   publish-before-stamp / merge-covers-witness ordering, plus the seeded
-//!   clock-skew regression (a merge that skips the writer's shard) the
-//!   checker must catch.
 //!
 //! Run with:
 //!
@@ -24,7 +20,6 @@
 
 use std::sync::Mutex;
 
-mod clock_model;
 mod quiesce_model;
 mod snapshot_model;
 
