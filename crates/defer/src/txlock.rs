@@ -99,10 +99,19 @@ impl TxLock {
                     tx.write(&self.owner, None)
                 }
             }
-            other => panic!(
-                "TxLock::release by {me} but lock is held by {other:?}: \
-                 releasing a lock you do not hold"
-            ),
+            other => {
+                // Report what this attempt saw, to diagnose a lock that
+                // seems to have two owners. The depth is kept as a result:
+                // a conflict on it is printed, not retried.
+                let depth = tx.read(&self.depth);
+                panic!(
+                    "TxLock::release by {me} but lock is held by {other:?}: \
+                     releasing a lock you do not hold (lock {}, read version {}, \
+                     depth read {depth:?})",
+                    self.id(),
+                    tx.read_version(),
+                )
+            }
         }
     }
 
@@ -367,10 +376,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "releasing a lock you do not hold")]
     fn releasing_unheld_lock_is_fatal() {
         let l = TxLock::new();
-        l.release_now(rt());
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| l.release_now(rt())))
+            .expect_err("releasing an unheld lock panics");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        for part in [
+            "releasing a lock you do not hold".to_string(),
+            "held by None".to_string(),
+            format!("lock {}", l.id()),
+            "read version ".to_string(),
+            "depth read Ok(0)".to_string(),
+        ] {
+            assert!(msg.contains(&part), "{part:?} missing from {msg:?}");
+        }
     }
 
     #[test]

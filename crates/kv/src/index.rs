@@ -11,7 +11,8 @@
 //! a scan walks over it).
 //!
 //! The index holds keys only, the same `Arc<str>`s the buckets hold;
-//! values stay in the buckets. It has no lock of its own: it lives under
+//! values stay in the keys' cells, which only the buckets name, so an
+//! overwrite changes nothing here. It has no lock of its own: it lives under
 //! the store's shard `TxLock`s (see the "Data layout" section of
 //! [`crate::store`]), and the store subscribes before it calls in here.
 
@@ -161,6 +162,14 @@ impl Index {
             n += tx.read(&e.leaf)?.len();
         }
         Ok(n)
+    }
+
+    /// The directory's and every leaf's identity and version (`TVar`'s
+    /// `Debug`): two equal strings mean nothing in the index was written.
+    #[cfg(test)]
+    pub(crate) fn versions(&self) -> String {
+        let leaves: Vec<_> = self.dir.load().iter().map(|e| e.leaf.clone()).collect();
+        format!("{:?} {leaves:?}", self.dir)
     }
 }
 

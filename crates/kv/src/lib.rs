@@ -7,8 +7,9 @@
 //!
 //! ## How a write becomes durable
 //!
-//! 1. The client's transaction updates the `TVar` buckets of the shards it
-//!    touches (each shard is a [`ad_defer::Defer`]-wrapped object, so every
+//! 1. The client's transaction updates the `TVar`s of the shards it
+//!    touches — a key's value cell, and its bucket when a key comes or
+//!    goes (each shard is a [`ad_defer::Defer`]-wrapped object, so every
 //!    access subscribes to the shard's implicit `TxLock`).
 //! 2. The same transaction calls `atomic_defer` over the touched shards
 //!    with an operation that appends the pre-encoded redo record to the

@@ -6,18 +6,27 @@
 //! Keys hash (FNV-1a; finalized for the shard index, so that it is
 //! independent of a shard router partitioning on the same hash) to one of
 //! `shards` shards; within a shard, to one of `buckets_per_shard` buckets. A bucket
-//! is an immutable sorted `Arc<Vec<(key, value)>>` held in a `TVar` —
-//! updates clone-and-replace the vector, which keeps `TVar`'s `Clone`
-//! cheap (an `Arc` bump) for readers and gives point lookups a binary
-//! search.
+//! is an immutable sorted `Arc<Vec<(key, cell)>>` held in a `TVar`, and a
+//! *cell* is the key's own `TVar` holding its value. A read takes the
+//! bucket (an `Arc` bump), binary-searches it and reads the cell. A put on
+//! a present key writes only that cell, so it conflicts with no reader or
+//! writer of another key in the bucket; the bucket is cloned and replaced
+//! only when one of its keys appears or disappears.
+//!
+//! The cell rule: a cell is reached only through the bucket that names it,
+//! inside the shard's [`Defer::with`] — so a cell is exactly as visible as
+//! its bucket, and everything said below about the shard locks holds for
+//! values unchanged. A deleted key's cell is not written; it is freed with
+//! the last bucket version that names it, and a key put again later gets a
+//! new cell.
 //!
 //! Hashing scatters neighbouring keys, so beside the buckets the store
 //! keeps an ordered *key index* (`index.rs`): a `TVar` directory of
 //! sorted leaves holding every live key — the buckets' own `Arc<str>`s —
 //! and no values. A range read walks the index for its keys and then reads
-//! only the buckets that hold them; a point read never touches it, and
-//! neither does a write that only overwrites, since the set of keys did
-//! not change. The index has no lock of its own. Its leaves are written
+//! only the buckets and cells that hold them; a point read never touches
+//! it, and neither does a write that only overwrites, since the set of
+//! keys did not change. The index has no lock of its own. Its leaves are written
 //! only by the transaction of [`KvStore::commit`] — the one that acquires
 //! the `TxLock` of every shard whose keys appear or disappear — and read
 //! only by transactions that first subscribed to *every* shard, so an
@@ -254,13 +263,23 @@ fn run_steps(rt: Arc<Runtime>, plan: Arc<[Lowered]>) -> impl FnOnce() + Send + '
     }
 }
 
-type Entry = (Arc<str>, Arc<[u8]>);
+/// A key's value, in a `TVar` of its own so that an overwrite writes only
+/// it. Reached only through the bucket that names it (module docs, "Data
+/// layout").
+type Cell = TVar<Arc<[u8]>>;
 
-/// A sorted immutable bucket; updates clone-and-replace.
+type Entry = (Arc<str>, Cell);
+
+/// A sorted immutable bucket of keys and their cells; clone-and-replaced
+/// only when a key comes or goes.
 type Bucket = Arc<Vec<Entry>>;
 
-/// Where one op of a batch lands: `(shard, bucket, position in the batch)`.
-type Placed = (usize, usize, usize);
+/// One row a read returns.
+type Row = (Arc<str>, Arc<[u8]>);
+
+/// The op that wins on one key of a batch — its last — and where it lands:
+/// `(shard, bucket, key, Some(value) for a put or None for a delete)`.
+type Placed<'a> = (usize, usize, &'a str, Option<&'a [u8]>);
 
 /// One shard: the deferrable unit. Its implicit `TxLock` (via `Defer`)
 /// is what deferred WAL appends hold.
@@ -272,11 +291,12 @@ struct Shard {
 /// from the finalized hash: taken from `fnv1a64(key)` itself it would
 /// correlate with `fnv1a64(key) % n`, the shard router's partition
 /// function, and a store behind a 2-way router would see keys on only half
-/// of its shard locks. The bucket index keeps the raw high bits: spreading
-/// it as well is a measured change of its own (it reshapes every
-/// transaction's write set, and with it what the STM's reclamation holds
-/// back — ROADMAP, carried-over items). Key *order* is the index's business
-/// (`index.rs`), not the placement's.
+/// of its shard locks. The bucket index keeps the raw high bits, which
+/// clump: a bucket holds tens of keys. That costs a write nothing — an
+/// overwrite writes its key's cell, and only an insert or delete rewrites
+/// the bucket — while spreading the buckets would make a bulk load touch
+/// most of them and retire as many bucket versions per commit. Key *order*
+/// is the index's business (`index.rs`), not the placement's.
 fn locate(key: &str, shards: usize, buckets_per_shard: usize) -> (usize, usize) {
     let h = fnv1a64(key.as_bytes());
     (
@@ -285,29 +305,30 @@ fn locate(key: &str, shards: usize, buckets_per_shard: usize) -> (usize, usize) 
     )
 }
 
-/// Append to `delta` the keys in `new` but not in `old` (appeared) and in
-/// `old` but not in `new` (disappeared).
-fn diff_keys(old: &[Entry], new: &[Entry], delta: &mut Vec<KeyDelta>) {
-    use std::cmp::Ordering::{Equal, Greater, Less};
-    let (mut o, mut n) = (0, 0);
-    while o < old.len() || n < new.len() {
-        let order = match (old.get(o), new.get(n)) {
-            (Some((a, _)), Some((b, _))) => a.cmp(b),
-            (Some(_), None) => Less,
-            (None, _) => Greater,
-        };
-        match order {
-            Less => {
-                delta.push((Arc::clone(&old[o].0), false));
-                o += 1;
+/// `old` with one bucket's ops applied — `ops` in key order, each key once
+/// — and the keys that appeared or disappeared appended to `delta`. A key
+/// that stays keeps its cell (an overwrite has written it already); a new
+/// key gets a new cell.
+fn merged(old: &[Entry], ops: &[Placed], delta: &mut Vec<KeyDelta>) -> Vec<Entry> {
+    let mut out = Vec::with_capacity(old.len() + ops.len());
+    let mut rest = old.iter().peekable();
+    for &(.., key, value) in ops {
+        while let Some(e) = rest.next_if(|(k, _)| **k < *key) {
+            out.push(e.clone());
+        }
+        match (rest.next_if(|(k, _)| **k == *key), value) {
+            (Some(e), Some(_)) => out.push(e.clone()),
+            (Some((k, _)), None) => delta.push((Arc::clone(k), false)),
+            (None, Some(v)) => {
+                let k: Arc<str> = Arc::from(key);
+                delta.push((Arc::clone(&k), true));
+                out.push((k, TVar::new(Arc::from(v))));
             }
-            Greater => {
-                delta.push((Arc::clone(&new[n].0), true));
-                n += 1;
-            }
-            Equal => (o, n) = (o + 1, n + 1),
+            (None, None) => {}
         }
     }
+    out.extend(rest.cloned());
+    out
 }
 
 /// Wakeup channel between deferred ops (which notice the WAL crossed a
@@ -468,9 +489,7 @@ impl KvStore {
                 continue;
             }
             let placed = store.place(&rec.ops);
-            store
-                .rt
-                .atomically(|tx| store.apply_batch(tx, &rec.ops, &placed));
+            store.rt.atomically(|tx| store.apply_batch(tx, &placed));
         }
         let pending: Vec<RedoRecord> = t
             .records
@@ -531,7 +550,7 @@ impl KvStore {
             vec![vec![Vec::new(); buckets_per_shard]; shards];
         for (k, v) in base {
             let (si, bi) = locate(k, shards, buckets_per_shard);
-            bucket_data[si][bi].push((Arc::clone(k), Arc::clone(v)));
+            bucket_data[si][bi].push((Arc::clone(k), TVar::new(Arc::clone(v))));
         }
         KvStore {
             rt: Arc::new(Runtime::new(tm_cfg)),
@@ -565,68 +584,58 @@ impl KvStore {
         let (si, bi) = self.locate(key);
         self.shards[si].with(tx, |shard, tx| {
             let bucket = tx.read(&shard.buckets[bi])?;
-            Ok(bucket
-                .binary_search_by(|(k, _)| (**k).cmp(key))
-                .ok()
-                .map(|pos| Arc::clone(&bucket[pos].1)))
+            match bucket.binary_search_by(|(k, _)| (**k).cmp(key)) {
+                Ok(pos) => tx.read(&bucket[pos].1).map(Some),
+                Err(_) => Ok(None),
+            }
         })
     }
 
-    /// Where each op of a batch lands, grouped by bucket; a key's ops stay
-    /// in batch order (they share a bucket, and the position sorts last).
-    fn place(&self, ops: &[(String, Option<Vec<u8>>)]) -> Vec<Placed> {
-        let mut placed: Vec<Placed> = ops
+    /// The op that wins on each key of a batch — the last — grouped by
+    /// bucket, in key order within one.
+    fn place<'a>(&self, ops: &'a [(String, Option<Vec<u8>>)]) -> Vec<Placed<'a>> {
+        let mut placed: Vec<(usize, usize, &str, usize)> = ops
             .iter()
             .enumerate()
             .map(|(i, (key, _))| {
                 let (si, bi) = self.locate(key);
-                (si, bi, i)
+                (si, bi, key.as_str(), i)
             })
             .collect();
-        placed.sort_unstable();
+        placed.sort_unstable_by_key(|&(si, bi, key, i)| (si, bi, key, std::cmp::Reverse(i)));
+        placed.dedup_by_key(|p| p.2);
         placed
+            .into_iter()
+            .map(|(si, bi, key, i)| (si, bi, key, ops[i].1.as_deref()))
+            .collect()
     }
 
-    /// The one place the store's contents change: apply `ops` — placed by
-    /// [`place`](Self::place) — to the buckets and the index. Each touched
-    /// bucket is cloned and replaced once; the keys that appeared or
-    /// disappeared are collected on the way and each index leaf they fall
-    /// in is rewritten once. A batch that only overwrites collects nothing
-    /// and never reads the index.
-    fn apply_batch(
-        &self,
-        tx: &mut Tx,
-        ops: &[(String, Option<Vec<u8>>)],
-        placed: &[Placed],
-    ) -> StmResult<()> {
+    /// The one place the store's contents change: apply a batch — placed
+    /// by [`place`](Self::place) — to the cells, the buckets and the
+    /// index. A put on a present key writes only that key's cell. A bucket
+    /// is cloned and replaced, once, only if one of its keys appears or
+    /// disappears; those keys are collected on the way and each index leaf
+    /// they fall in is rewritten once. A batch that only overwrites writes
+    /// no bucket and never reads the index.
+    fn apply_batch(&self, tx: &mut Tx, placed: &[Placed]) -> StmResult<()> {
         let mut delta: Vec<KeyDelta> = Vec::new();
         for group in placed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
-            let (si, bi, _) = group[0];
+            let (si, bi, ..) = group[0];
             self.shards[si].with(tx, |shard, tx| {
                 let var = &shard.buckets[bi];
                 let old = tx.read(var)?;
-                let mut entries = (*old).clone();
-                let mut keys_changed = false;
-                for &(_, _, i) in group {
-                    let (key, value) = &ops[i];
-                    let pos = entries.binary_search_by(|(k, _)| (**k).cmp(key));
-                    match (pos, value) {
-                        (Ok(pos), Some(v)) => entries[pos].1 = Arc::from(v.as_slice()),
-                        (Ok(pos), None) => {
-                            entries.remove(pos);
-                            keys_changed = true;
-                        }
-                        (Err(pos), Some(v)) => {
-                            entries.insert(pos, (Arc::from(key.as_str()), Arc::from(v.as_slice())));
-                            keys_changed = true;
-                        }
+                let mut keys_change = false;
+                for &(.., key, value) in group {
+                    match (old.binary_search_by(|(k, _)| (**k).cmp(key)), value) {
+                        (Ok(pos), Some(v)) => tx.write(&old[pos].1, Arc::from(v))?,
+                        (Ok(_), None) | (Err(_), Some(_)) => keys_change = true,
                         (Err(_), None) => {}
                     }
                 }
-                if keys_changed {
-                    diff_keys(&old, &entries, &mut delta);
+                if keys_change {
+                    tx.write(var, Arc::new(merged(&old, group, &mut delta)))?;
                 }
-                tx.write(var, Arc::new(entries))
+                Ok(())
             })?;
         }
         delta.sort_unstable_by(|a, b| a.0.cmp(&b.0));
@@ -762,7 +771,7 @@ impl KvStore {
                     atomic_defer(tx, &refs, op)?;
                 }
             }
-            self.apply_batch(tx, &batch.ops, &placed)?;
+            self.apply_batch(tx, &placed)?;
             Ok(handle)
         })
     }
@@ -841,8 +850,9 @@ impl KvStore {
     }
 
     /// [`scan_from`](Self::scan_from)'s transaction: every shard's lock,
-    /// the index for the keys, then only the buckets that hold them.
-    fn scan_in_tx(&self, tx: &mut Tx, start: &str, limit: usize) -> StmResult<Vec<Entry>> {
+    /// the index for the keys, then only the buckets that hold them and
+    /// the keys' cells.
+    fn scan_in_tx(&self, tx: &mut Tx, start: &str, limit: usize) -> StmResult<Vec<Row>> {
         self.subscribe_all(tx)?;
         let keys = self.index.keys_from(tx, start, limit)?;
         let mut rows = Vec::with_capacity(keys.len());
@@ -867,8 +877,8 @@ impl KvStore {
                 shard.with(tx, |s, tx| {
                     for var in &s.buckets {
                         let bucket = tx.read(var)?;
-                        for (k, v) in bucket.iter() {
-                            out.insert(k.to_string(), v.to_vec());
+                        for (k, cell) in bucket.iter() {
+                            out.insert(k.to_string(), tx.read(cell)?.to_vec());
                         }
                     }
                     Ok(())
@@ -1035,6 +1045,52 @@ mod tests {
     }
 
     #[test]
+    fn an_overwrite_writes_no_bucket_and_conflicts_no_neighbour() {
+        let store = KvStore::open(KvConfig::volatile()).unwrap();
+        let a = "n0";
+        let b = (1..)
+            .map(|i| format!("n{i}"))
+            .find(|k| store.locate(k) == store.locate(a))
+            .expect("some key shares a's bucket");
+        let b = b.as_str();
+        store.write_batch(&WriteBatch::new().put(a, b"a").put(b, b"b"));
+
+        // An overwrite-only batch writes two cells: not their bucket, not
+        // the index.
+        let (si, bi) = store.locate(a);
+        let bucket = &store.shards[si].peek_unsynchronized().buckets[bi];
+        let versions = || (format!("{bucket:?}"), store.index.versions());
+        let unwritten = versions();
+        store.write_batch(&WriteBatch::new().put(a, b"a2").put(b, b"b2"));
+        assert_eq!(versions(), unwritten);
+        assert_eq!(store.get(b).as_deref(), Some(&b"b2"[..]));
+
+        // A reader and writer of `a` beside a writer of `b`: the bucket both
+        // keys live in is not a data item either transaction conflicts on.
+        let conflicts = || store.runtime().snapshot_stats().counters.aborts_conflict;
+        let before = conflicts();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for i in 0..10_000u32 {
+                    assert!(store.get(a).is_some());
+                    store.put(a, &i.to_le_bytes());
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for i in 0..10_000u32 {
+                    store.put(b, &i.to_le_bytes());
+                }
+            });
+        });
+        assert_eq!(conflicts() - before, 0, "conflict aborts");
+        assert_eq!(store.get(b).as_deref(), Some(&9_999u32.to_le_bytes()[..]));
+        assert_eq!(versions(), unwritten);
+    }
+
+    #[test]
     fn durable_put_is_synced_before_ack() {
         let mem = MemDisk::new();
         let (store, report) = open_mem(SyncPolicy::GroupCommit, &mem);
@@ -1179,7 +1235,7 @@ mod tests {
 
     #[test]
     fn scan_waits_for_the_index_changes_of_a_volatile_batch() {
-        fn keys(rows: &[Entry]) -> Vec<&str> {
+        fn keys(rows: &[Row]) -> Vec<&str> {
             rows.iter().map(|(k, _)| &**k).collect()
         }
         let mem = MemDisk::new();
@@ -1249,8 +1305,8 @@ mod tests {
         let (small, large) = (read_set(1_000), read_set(50_000));
         assert_eq!(small, large);
         // Every shard lock, the directory, a leaf or two, at most ten
-        // buckets — not the 1 024 buckets.
-        assert!(small <= 16 + 1 + 2 + 10, "{small} variables read");
+        // buckets and one value cell per row — not the 1 024 buckets.
+        assert!(small <= 16 + 1 + 2 + 10 + 10, "{small} variables read");
     }
 
     #[test]

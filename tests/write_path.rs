@@ -13,18 +13,24 @@ use ad_shard::ShardRouter;
 type Model = BTreeMap<String, Vec<u8>>;
 
 fn open(disk: &MemDisk) -> KvStore {
-    KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::PerCommit, disk.clone()).0
+    open_with(&KvConfig::default(), disk)
 }
 
-/// `dump()` of a recovered store, after checking that its rebuilt key index
-/// — what `scan_from` walks — lists exactly the keys its buckets hold.
+fn open_with(config: &KvConfig, disk: &MemDisk) -> KvStore {
+    KvStore::open_on_disk(config, SyncPolicy::PerCommit, disk.clone()).0
+}
+
+/// `dump()` of a store, after checking that its key index — what
+/// `scan_from` walks — lists exactly the rows its buckets hold.
 fn dump_checked(store: &KvStore, what: &str) -> Model {
     let dump = store.dump();
     let scanned = store.scan_from("", usize::MAX);
     assert!(
-        scanned.iter().map(|(k, _)| &**k).eq(dump.keys()),
-        "{what}: scan keys differ from dump keys {:?}",
-        dump.keys()
+        scanned
+            .iter()
+            .map(|(k, v)| (&**k, &**v))
+            .eq(dump.iter().map(|(k, v)| (k.as_str(), v.as_slice()))),
+        "{what}: scan rows differ from dump {dump:?}"
     );
     assert_eq!(store.len(), dump.len(), "{what}: len");
     dump
@@ -33,13 +39,34 @@ fn dump_checked(store: &KvStore, what: &str) -> Model {
 /// Batches around a checkpoint, then every crash image of the disk — each
 /// journal prefix, optimistic and pessimistic, and every byte cut inside
 /// every append — must recover to a whole number of batches.
+///
+/// The store has two buckets, one per shard, and the batches take a
+/// bucket through every arm of its update: an overwrite that writes only
+/// the key's value; a key put then deleted, or deleted then put, in one
+/// batch; a delete of an absent key; and — the second of two one-key
+/// inserts while `d` is present — an insert into an occupied bucket.
 #[test]
 fn every_crash_image_of_a_checkpointed_history_is_a_committed_prefix() {
+    let config = KvConfig {
+        shards: 2,
+        buckets_per_shard: 1,
+        ..KvConfig::default()
+    };
+    let open = |disk: &MemDisk| open_with(&config, disk);
     let batches = [
         WriteBatch::new().put("a", "1"),
         WriteBatch::new().put("b", "2").put("c", "3"),
         WriteBatch::new().delete("a").put("b", "22"),
         WriteBatch::new().put("d", "4").delete("c"),
+        WriteBatch::new().put("b", "222").put("d", "44"),
+        WriteBatch::new().put("e", "5").delete("e").delete("zz"),
+        WriteBatch::new()
+            .put("b", "x")
+            .delete("b")
+            .delete("d")
+            .put("d", "444"),
+        WriteBatch::new().put("f", "6"),
+        WriteBatch::new().put("g", "7"),
     ];
     let disk = MemDisk::new();
     let store = open(&disk);
@@ -53,12 +80,12 @@ fn every_crash_image_of_a_checkpointed_history_is_a_committed_prefix() {
                 None => model.remove(key),
             };
         }
+        assert_eq!(dump_checked(&store, &format!("batch {i}")), model);
         prefixes.push(model.clone());
         if i == 1 {
             assert!(store.checkpoint().expect("checkpoint").performed);
         }
     }
-    assert_eq!(store.dump(), model);
     drop(store);
 
     let mut images = 0;
