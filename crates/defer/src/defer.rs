@@ -353,6 +353,35 @@ mod tests {
     }
 
     #[test]
+    fn traced_defer_renders_both_phases_of_the_lock() {
+        let rt = Runtime::new(TmConfig::stm());
+        rt.set_tracing(true);
+        let o = obj();
+        let o2 = o.clone();
+        rt.atomically(move |tx| {
+            let o3 = o2.clone();
+            atomic_defer(tx, &[&o2.clone()], move || o3.locked().a.store(1))
+        });
+        let text = rt.take_trace().render();
+        // Growing phase, commit, the op, and the shrinking phase: the
+        // release is the last thing the deferred action does, so it sits
+        // inside the op's exec span.
+        let id = o.txlock().id();
+        let mut at = 0;
+        for step in [
+            format!("lock_acquire     arg={id}"),
+            "commit ".to_string(),
+            "defer_exec_start ".to_string(),
+            format!("lock_release     lock={id}"),
+            "defer_exec_end ".to_string(),
+        ] {
+            at += text[at..]
+                .find(&step)
+                .unwrap_or_else(|| panic!("{step:?} missing after byte {at}:\n{text}"));
+        }
+    }
+
+    #[test]
     fn unordered_defer_runs_without_locks() {
         let ran = Arc::new(AtomicBool::new(false));
         let r2 = Arc::clone(&ran);

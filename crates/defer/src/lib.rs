@@ -10,10 +10,11 @@
 //!
 //! ## The pieces
 //!
-//! * [`TxLock`] — a transaction-friendly, reentrant mutex whose state lives
-//!   in transactional memory: acquirable/releasable inside transactions
-//!   (deadlock-free, atomic with commit) and *subscribable* — a transaction
-//!   that subscribes conflicts with any later acquisition (Listing 2).
+//! * [`TxLock`] — a transaction-friendly, reentrant mutex whose state is
+//!   one transactional variable: acquirable inside transactions
+//!   (deadlock-free, atomic with commit), released by its holder with one
+//!   store, and *subscribable* — a transaction that subscribes conflicts
+//!   with any later acquisition (Listing 2).
 //! * [`Deferrable`] / [`Defer<T>`] — objects carrying an implicit `TxLock`;
 //!   every transactional accessor subscribes first (the paper's
 //!   `deferrable class` annotation).
@@ -71,4 +72,4 @@ pub use defer::{atomic_defer, atomic_defer_unordered};
 pub use deferrable::{Defer, Deferrable, LockedRef};
 pub use handle::{atomic_defer_tracked, atomic_defer_with_result, DeferHandle};
 pub use owner::OwnerId;
-pub use txlock::TxLock;
+pub use txlock::{TxLock, LOCK_RELEASE};

@@ -1,45 +1,57 @@
 //! Transaction-friendly mutual exclusion locks (paper §4.2, Listing 2).
 //!
-//! A [`TxLock`] is a reentrant mutex whose state (`owner`, `depth`) lives in
-//! transactional variables. That single design decision yields all of its
-//! special properties:
+//! A [`TxLock`] is a reentrant mutex whose state — owner and depth, packed
+//! into one `Option<(OwnerId, u32)>` — lives in a single transactional
+//! variable. That design decision yields all of its special properties:
 //!
-//! * **Acquire/release inside transactions**: the state change is buffered
-//!   like any transactional write and only becomes visible when the
-//!   enclosing transaction commits — so a transaction acquires all of a
-//!   deferred operation's locks *atomically with its commit*, the essence of
-//!   the paper's two-phase-locking argument.
+//! * **Acquire inside transactions**: the state change is buffered like any
+//!   transactional write and only becomes visible when the enclosing
+//!   transaction commits — so a transaction acquires all of a deferred
+//!   operation's locks *atomically with its commit*, the essence of the
+//!   paper's two-phase-locking argument.
 //! * **Deadlock-free multi-lock acquisition**: acquiring several locks
 //!   inside one transaction either commits them all or conflicts/retries as
 //!   a unit; no global lock order is needed.
 //! * **Subscription (lock elision)**: [`TxLock::subscribe`] merely *reads*
-//!   `owner`. Concurrent subscribers do not conflict with each other, but
-//!   any later acquisition makes every subscribed transaction's validation
-//!   fail, aborting it — exactly the conflict the paper relies on to keep
-//!   deferred operations invisible.
+//!   the state word. Concurrent subscribers do not conflict with each
+//!   other, but any later acquisition makes every subscribed transaction's
+//!   validation fail, aborting it — exactly the conflict the paper relies
+//!   on to keep deferred operations invisible.
+//! * **Release by one store**: only the holder ever writes a held lock
+//!   (`acquire` retries on another owner, `subscribe` only reads), so the
+//!   holder's [`TxLock::release_now`] needs no transaction. It is one
+//!   `TVar::store` — version-locked, clock-stamped, waking `retry`
+//!   waiters — after the deferred operation's own writes, which is all the
+//!   shrinking phase of 2PL asks of it (DESIGN.md §5).
 //!
-//! `owner` and `depth` are two separate `TVar`s, as the paper notes they can
-//! be: "since the implementation uses transactions, the owner and depth
-//! fields need not be packed into a single machine word."
+//! The paper allows either layout — "the owner and depth fields need not
+//! be packed into a single machine word" — and packing makes an
+//! acquisition one read and one write of the word subscribers read.
 
-use ad_stm::{EventKind, Runtime, StmResult, TVar, Tx};
+use ad_stm::{AppEvent, EventKind, Runtime, StmResult, TVar, Tx};
 
 use crate::owner::OwnerId;
+
+/// Trace event of the shrinking phase: the holder stored its release;
+/// `arg` = the lock id. Inside a transaction a release is a buffered write
+/// and shows only as that transaction's `commit`.
+pub static LOCK_RELEASE: AppEvent = AppEvent::new("lock_release", "lock");
+
+/// `None` = unheld; `Some((owner, depth))` with `depth >= 1` = held.
+type State = Option<(OwnerId, u32)>;
 
 /// A transaction-friendly, reentrant mutex (paper Listing 2). Cloning
 /// produces another handle to the same lock.
 #[derive(Clone)]
 pub struct TxLock {
-    owner: TVar<Option<OwnerId>>,
-    depth: TVar<u32>,
+    state: TVar<State>,
 }
 
 impl TxLock {
     /// Create an unheld lock.
     pub fn new() -> Self {
         TxLock {
-            owner: TVar::new(None),
-            depth: TVar::new(0),
+            state: TVar::new(None),
         }
     }
 
@@ -62,19 +74,15 @@ impl TxLock {
     /// can run the operation and release. Reentrancy is judged against
     /// `me`, preserving the same-transaction reentrant-acquire behavior.
     pub(crate) fn acquire_as(&self, tx: &mut Tx, me: OwnerId) -> StmResult<()> {
-        match tx.read(&self.owner)? {
+        match tx.read(&self.state)? {
             None => {
                 // On the shared timeline (txtrace) this event marks the
                 // *buffered* acquisition; it becomes real at the enclosing
-                // Commit event. The lock's identity is its owner-TVar id.
+                // Commit event.
                 tx.trace(EventKind::LockAcquire, self.id());
-                tx.write(&self.owner, Some(me))?;
-                tx.write(&self.depth, 1)
+                tx.write(&self.state, Some((me, 1)))
             }
-            Some(o) if o == me => {
-                let d = tx.read(&self.depth)?;
-                tx.write(&self.depth, d + 1)
-            }
+            Some((o, d)) if o == me => tx.write(&self.state, Some((me, d + 1))),
             Some(_) => tx.retry(),
         }
     }
@@ -89,25 +97,19 @@ impl TxLock {
     /// enforce this.
     pub fn release(&self, tx: &mut Tx) -> StmResult<()> {
         let me = OwnerId::me();
-        match tx.read(&self.owner)? {
-            Some(o) if o == me => {
-                let d = tx.read(&self.depth)?;
-                if d > 1 {
-                    tx.write(&self.depth, d - 1)
-                } else {
-                    tx.write(&self.depth, 0)?;
-                    tx.write(&self.owner, None)
-                }
-            }
+        match tx.read(&self.state)? {
+            Some((o, d)) if o == me => tx.write(&self.state, released(me, d)),
             other => {
                 // Report what this attempt saw, to diagnose a lock that
-                // seems to have two owners. The depth is kept as a result:
-                // a conflict on it is printed, not retried.
-                let depth = tx.read(&self.depth);
+                // seems to have two owners. The depth comes from a second
+                // read of the word, kept as a result: a conflict on it is
+                // printed, not retried.
+                let depth = tx.read(&self.state).map(|s| s.map_or(0, |(_, d)| d));
                 panic!(
-                    "TxLock::release by {me} but lock is held by {other:?}: \
+                    "TxLock::release by {me} but lock is held by {:?}: \
                      releasing a lock you do not hold (lock {}, read version {}, \
                      depth read {depth:?})",
+                    other.map(|(o, _)| o),
                     self.id(),
                     tx.read_version(),
                 )
@@ -116,10 +118,10 @@ impl TxLock {
     }
 
     /// Subscribe to the lock (`TxLock.Subscribe`): block (via `retry`) until
-    /// the lock is unheld or held by the calling context. Reading `owner`
-    /// puts it in the transaction's read set, so a subsequent acquisition by
-    /// any other thread aborts this transaction — even after `subscribe`
-    /// returns, up to commit.
+    /// the lock is unheld or held by the calling context. Reading the state
+    /// word puts it in the transaction's read set, so a subsequent
+    /// acquisition by any other thread aborts this transaction — even after
+    /// `subscribe` returns, up to commit.
     ///
     /// "Held by the calling context" covers the calling thread (or the
     /// impersonated batch owner, inside a pooled deferred op) *and* the
@@ -130,25 +132,21 @@ impl TxLock {
     pub fn subscribe(&self, tx: &mut Tx) -> StmResult<()> {
         let me = OwnerId::me();
         let my_batch = tx.defer_batch_token_peek().map(OwnerId::batch);
-        match tx.read(&self.owner)? {
-            None => {
+        match tx.read(&self.state)? {
+            Some((o, _)) if o != me && Some(o) != my_batch => tx.retry(),
+            _ => {
                 tx.trace(EventKind::LockSubscribe, self.id());
                 Ok(())
             }
-            Some(o) if o == me || Some(o) == my_batch => {
-                tx.trace(EventKind::LockSubscribe, self.id());
-                Ok(())
-            }
-            Some(_) => tx.retry(),
         }
     }
 
     /// A stable identity for this lock on the observability timeline: the
-    /// id of its `owner` `TVar` (the variable subscribers read, so it is
+    /// id of its state `TVar` (the variable subscribers read, so it is
     /// also the id that shows up in `validate_fail` events when an
     /// acquisition aborts subscribed transactions).
     pub fn id(&self) -> u64 {
-        self.owner.id() as u64
+        self.state.id() as u64
     }
 
     /// Acquire from outside any transaction: runs a small transaction that
@@ -160,14 +158,41 @@ impl TxLock {
     /// Release from outside any transaction (used by the deferral machinery
     /// after a deferred operation completes, and usable directly for
     /// lock-based critical sections that "mix and match" with transactions).
+    ///
+    /// The holder releases with one store of the state word: no other
+    /// context writes a held lock, so there is nothing for a transaction
+    /// to protect. Anyone else — and any caller inside a transaction —
+    /// takes the transactional [`release`](Self::release), whose refusals
+    /// (the nested-transaction panic, the non-holder panic) stand.
+    ///
+    /// # Panics
+    ///
+    /// If the calling context does not hold the lock, or if called from
+    /// inside a transaction.
     pub fn release_now(&self, rt: &Runtime) {
+        if !ad_stm::in_transaction() {
+            if let Some((o, d)) = self.state.load() {
+                if o == OwnerId::me() {
+                    return self.store_release(rt, o, d);
+                }
+            }
+        }
         rt.atomically(|tx| self.release(tx));
+    }
+
+    /// The holder's release: one version-locked, clock-stamped store that
+    /// wakes `retry` waiters. A subscriber either read the old word (and
+    /// waits, or fails validation) or reads the new one with the deferred
+    /// operation's effects already published.
+    fn store_release(&self, rt: &Runtime, holder: OwnerId, depth: u32) {
+        self.state.store(released(holder, depth));
+        rt.trace_app(&LOCK_RELEASE, self.id());
     }
 
     /// Non-transactional snapshot of the owner (diagnostics; immediately
     /// stale).
     pub fn holder(&self) -> Option<OwnerId> {
-        self.owner.load()
+        self.state.load().map(|(o, _)| o)
     }
 
     /// Does the calling thread hold this lock (committed state)?
@@ -177,7 +202,7 @@ impl TxLock {
 
     /// Current reentrancy depth (committed state; diagnostics).
     pub fn depth(&self) -> u32 {
-        self.depth.load()
+        self.state.load().map_or(0, |(_, d)| d)
     }
 
     /// Run `f` as a lock-based critical section: acquire, run, release.
@@ -199,6 +224,11 @@ impl TxLock {
     }
 }
 
+/// The state after `holder` releases one level of a depth-`depth` hold.
+fn released(holder: OwnerId, depth: u32) -> State {
+    (depth > 1).then(|| (holder, depth - 1))
+}
+
 impl Default for TxLock {
     fn default() -> Self {
         TxLock::new()
@@ -211,6 +241,18 @@ impl std::fmt::Debug for TxLock {
             .field("holder", &self.holder())
             .field("depth", &self.depth())
             .finish()
+    }
+}
+
+#[cfg(all(test, loom))]
+impl TxLock {
+    /// A seeded mutant for the model checker: `release_now`'s store path
+    /// with the holder check skipped, so whoever calls it releases the
+    /// lock (verify.rs must catch the torn state this exposes).
+    pub(crate) fn release_now_skipping_holder_check(&self, rt: &Runtime) {
+        if let Some((o, d)) = self.state.load() {
+            self.store_release(rt, o, d);
+        }
     }
 }
 
@@ -390,6 +432,24 @@ mod tests {
         ] {
             assert!(msg.contains(&part), "{part:?} missing from {msg:?}");
         }
+    }
+
+    #[test]
+    fn release_now_inside_a_transaction_is_refused() {
+        let l = TxLock::new();
+        l.acquire_now(rt());
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            atomically(|_tx| {
+                l.release_now(rt());
+                Ok(())
+            })
+        }))
+        .expect_err("a store release inside a transaction would escape its rollback");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains("inside a transaction"), "{msg}");
+        assert!(l.held_by_me(), "the refused release must not have released");
+        l.release_now(rt());
+        assert_eq!(l.holder(), None);
     }
 
     #[test]

@@ -26,22 +26,29 @@
 //!   stop being produced (or observed), the subscription model proves
 //!   nothing.
 //!
-//! Three further models cover the pooled-executor hand-off and multi-object
-//! deferral (the pool itself — OS threads, condvars — cannot run under the
-//! model scheduler, so the hand-off protocol is reconstructed from the same
-//! crate-internal pieces the pool path uses: `acquire_as` under a batch
-//! owner, and `impersonate` on the runner):
+//! Four further models cover the pooled-executor hand-off, the holder's
+//! store release and multi-object deferral (the pool itself — OS threads,
+//! condvars — cannot run under the model scheduler, so the hand-off
+//! protocol is reconstructed from the same crate-internal pieces the pool
+//! path uses: `acquire_as` under a batch owner, and `impersonate` on the
+//! runner):
 //!
 //! * [`deferred_locks_span_thread_handoff`] — green. A committer acquires
 //!   the object's lock under a *batch owner*, atomically with its commit; a
 //!   separate worker thread impersonates that owner, performs the two-step
-//!   (torn-in-between) update, and only then releases. Subscribing readers
-//!   must never commit a torn observation even though commit and operation
-//!   happen on different threads.
+//!   (torn-in-between) update, and only then releases with `release_now`
+//!   — one store, no transaction. Subscribing readers must never commit a
+//!   torn observation even though commit and operation happen on different
+//!   threads.
 //! * [`model_catches_release_before_op_done`] — regression. The worker
 //!   releases *before* running the op (the shrinking phase misordered —
 //!   exactly the bug an executor refactor could introduce), and the model
 //!   must observe a torn pair through a subscribing reader.
+//! * [`model_catches_release_by_non_holder`] — regression. The store
+//!   release is sound only because nobody but the holder writes a held
+//!   lock. A mutant `release_now` that skips the holder check, called by a
+//!   third thread while the worker is mid-op, frees the lock under the op;
+//!   the model must observe a torn pair.
 //! * [`multi_object_defer_is_deadlock_free`] — two transactions defer over
 //!   the same two objects listed in opposite orders. With ordinary mutexes
 //!   this interleaving deadlocks; transactional acquisition aborts and
@@ -50,8 +57,8 @@
 //!
 //! The whole STM stack runs under the model scheduler here — TL2 reads,
 //! commit-time validation, quiescence, the post-commit deferral queue, and
-//! the release-time `atomically` — so an execution is hundreds of
-//! scheduling points; seed counts are sized accordingly.
+//! the holder's store release — so an execution is hundreds of scheduling
+//! points; seed counts are sized accordingly.
 
 use std::sync::Arc;
 
@@ -72,6 +79,16 @@ struct Pair {
     b: AtomicU64,
 }
 
+/// The deferred operation: bump `a`, run `between`, bump `b`. The pair
+/// is torn from the first store to the last.
+fn two_step(p: &Pair, between: impl FnOnce()) {
+    let a = p.a.load(Ordering::SeqCst);
+    p.a.store(a + 1, Ordering::SeqCst);
+    between();
+    let b = p.b.load(Ordering::SeqCst);
+    p.b.store(b + 1, Ordering::SeqCst);
+}
+
 fn scenario(e: &mut Exec, subscribe: bool) {
     let rt = Arc::new(Runtime::new(TmConfig::stm()));
     let obj = Arc::new(Defer::new(Pair {
@@ -88,13 +105,7 @@ fn scenario(e: &mut Exec, subscribe: bool) {
         let inner = Arc::clone(&w_obj);
         w_rt.atomically(move |tx| {
             let op_obj = Arc::clone(&inner);
-            atomic_defer(tx, &[&*inner], move || {
-                let p = op_obj.locked();
-                let a = p.a.load(Ordering::SeqCst);
-                p.a.store(a + 1, Ordering::SeqCst);
-                let b = p.b.load(Ordering::SeqCst);
-                p.b.store(b + 1, Ordering::SeqCst);
-            })
+            atomic_defer(tx, &[&*inner], move || two_step(&op_obj.locked(), || {}))
         });
     });
 
@@ -159,32 +170,33 @@ fn model_catches_unsubscribed_read() {
     );
 }
 
+/// How the hand-off's shrinking phase runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Shrink {
+    /// Op, then the holder's `release_now`: the protocol.
+    OpThenRelease,
+    /// BUG (deliberate): the release completes before the op.
+    ReleaseBeforeOp,
+    /// BUG (deliberate): mid-op, the committer — no longer the holder —
+    /// calls a `release_now` whose store path skips the holder check.
+    ForeignReleaseMidOp,
+}
+
 /// The pooled-executor hand-off, reconstructed from its crate-internal
 /// pieces: a committer acquires the object's lock under a batch owner
 /// (atomically with its commit, as `atomic_defer` does in pool mode), and a
 /// separate worker thread impersonates that owner to run the two-step
 /// update and release. The pool's queue/condvar machinery is replaced by a
 /// post-commit hand-off flag so the whole protocol runs under the model
-/// scheduler.
-///
-/// `release_before_op` misorders the worker's shrinking phase — release
-/// first, then the op — which is the lock-leak-free-but-unserializable bug
-/// an executor refactor could introduce. The green variant must never show
-/// a torn pair to a subscribing reader; the buggy variant must.
-fn handoff_scenario(e: &mut Exec, release_before_op: bool) {
+/// scheduler. The green variant must never show a torn pair to a
+/// subscribing reader; both buggy variants must.
+fn handoff_scenario(e: &mut Exec, shrink: Shrink) {
     let rt = Arc::new(Runtime::new(TmConfig::stm()));
     let obj = Arc::new(Defer::new(Pair {
         a: AtomicU64::new(0),
         b: AtomicU64::new(0),
     }));
     let batch = OwnerId::batch(1);
-
-    fn two_step(p: &Pair) {
-        let a = p.a.load(Ordering::SeqCst);
-        p.a.store(a + 1, Ordering::SeqCst);
-        let b = p.b.load(Ordering::SeqCst);
-        p.b.store(b + 1, Ordering::SeqCst);
-    }
 
     // The hand-off signal. Submission to the pool happens in
     // `run_post_commit`, *after* `commit()` has returned — write-back AND
@@ -195,15 +207,30 @@ fn handoff_scenario(e: &mut Exec, release_before_op: bool) {
     // early lets it observe the torn state. Quiescence is what retires
     // those snapshots before any deferred op may run.
     let handed_off = Arc::new(AtomicU64::new(0));
+    // Worker → committer: "half of the op is done" (1), and back: "the
+    // foreign release is done" (2). Used only by `ForeignReleaseMidOp`.
+    let mid_op = Arc::new(AtomicU64::new(0));
 
     // Committer: the growing phase. The lock becomes owned by the batch —
-    // not this thread — at the commit point, and this thread never touches
-    // the object again. The hand-off flag flips only once `atomically`
-    // has returned (post-quiescence), mirroring `run_post_commit`.
-    let (c_rt, c_obj, c_flag) = (Arc::clone(&rt), Arc::clone(&obj), Arc::clone(&handed_off));
+    // not this thread — at the commit point. The hand-off flag flips only
+    // once `atomically` has returned (post-quiescence), mirroring
+    // `run_post_commit`.
+    let (c_rt, c_obj, c_flag, c_mid) = (
+        Arc::clone(&rt),
+        Arc::clone(&obj),
+        Arc::clone(&handed_off),
+        Arc::clone(&mid_op),
+    );
     e.spawn(move || {
         c_rt.atomically(|tx| c_obj.txlock().acquire_as(tx, batch));
         c_flag.store(1, Ordering::SeqCst);
+        if shrink == Shrink::ForeignReleaseMidOp {
+            while c_mid.load(Ordering::SeqCst) == 0 {
+                yield_point();
+            }
+            c_obj.txlock().release_now_skipping_holder_check(&c_rt);
+            c_mid.store(2, Ordering::SeqCst);
+        }
     });
 
     // Worker: waits for the hand-off, then impersonates the batch owner
@@ -216,13 +243,25 @@ fn handoff_scenario(e: &mut Exec, release_before_op: bool) {
         }
         assert_eq!(w_obj.txlock().holder(), Some(batch));
         let _scope = owner::impersonate(batch);
-        if release_before_op {
-            // BUG (deliberate): shrinking phase completes before the op.
-            w_rt.atomically(|tx| w_obj.txlock().release(tx));
-            two_step(w_obj.peek_unsynchronized());
-        } else {
-            two_step(&w_obj.locked());
-            w_rt.atomically(|tx| w_obj.txlock().release(tx));
+        match shrink {
+            Shrink::OpThenRelease => {
+                two_step(&w_obj.locked(), || {});
+                w_obj.txlock().release_now(&w_rt);
+            }
+            Shrink::ReleaseBeforeOp => {
+                w_obj.txlock().release_now(&w_rt);
+                two_step(w_obj.peek_unsynchronized(), || {});
+            }
+            Shrink::ForeignReleaseMidOp => {
+                // The lock is taken from under the op: nothing is left for
+                // the worker to release.
+                two_step(w_obj.peek_unsynchronized(), || {
+                    mid_op.store(1, Ordering::SeqCst);
+                    while mid_op.load(Ordering::SeqCst) != 2 {
+                        yield_point();
+                    }
+                });
+            }
         }
     });
 
@@ -255,7 +294,24 @@ fn deferred_locks_span_thread_handoff() {
             seeds: 400,
             max_steps: 500_000,
         },
-        |e| handoff_scenario(e, false),
+        |e| handoff_scenario(e, Shrink::OpThenRelease),
+    );
+}
+
+/// Run a buggy hand-off and require the model to catch a torn pair.
+fn expect_torn_pair(shrink: Shrink, what: &str) {
+    let violation = check_expect_violation(
+        CheckOpts {
+            seeds: 400,
+            max_steps: 500_000,
+        },
+        |e| handoff_scenario(e, shrink),
+    );
+    let (seed, msg) = violation
+        .unwrap_or_else(|| panic!("the {what} variant no longer exposes a torn pair; re-tune"));
+    assert!(
+        msg.contains("intermediate state"),
+        "expected a torn-pair observation, got (seed {seed}): {msg}"
     );
 }
 
@@ -263,19 +319,16 @@ fn deferred_locks_span_thread_handoff() {
 /// exposes the torn state, and the model must catch it.
 #[test]
 fn model_catches_release_before_op_done() {
-    let violation = check_expect_violation(
-        CheckOpts {
-            seeds: 400,
-            max_steps: 500_000,
-        },
-        |e| handoff_scenario(e, true),
-    );
-    let (seed, msg) =
-        violation.expect("the release-before-op variant no longer exposes a torn pair; re-tune");
-    assert!(
-        msg.contains("intermediate state"),
-        "expected a torn-pair observation, got (seed {seed}): {msg}"
-    );
+    expect_torn_pair(Shrink::ReleaseBeforeOp, "release-before-op");
+}
+
+/// Regression model: a store release that skips the holder check lets a
+/// non-holder free the lock mid-op, and the model must catch the torn
+/// state that exposes. This is what `release_now`'s holder check (and its
+/// fall-back to the transactional, panicking `release`) prevents.
+#[test]
+fn model_catches_release_by_non_holder() {
+    expect_torn_pair(Shrink::ForeignReleaseMidOp, "non-holder release");
 }
 
 /// Multi-object deferral is deadlock-free by construction: `atomic_defer`

@@ -28,6 +28,14 @@ thread_local! {
     static IN_TRANSACTION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// Is the calling thread inside a transaction attempt (any runtime)?
+/// Starting a transaction here would panic (nesting is flat), so code that
+/// can take a non-transactional shortcut — `ad-defer`'s store release of a
+/// held `TxLock` — checks this first and keeps the refusal.
+pub fn in_transaction() -> bool {
+    IN_TRANSACTION.with(std::cell::Cell::get)
+}
+
 /// Clears the in-transaction marker even on unwind.
 struct InTxGuard;
 

@@ -70,8 +70,9 @@ impl CommitOutput {
 
 /// The reusable allocations of a transaction descriptor. One bundle lives
 /// per thread (in a pool slot); [`Tx::new`] clears it at the start of each
-/// attempt, so retries and subsequent transactions run allocation-free
-/// once the capacities are warm.
+/// attempt and [`put_buffers`] when a commit pools it, so retries and
+/// subsequent transactions run allocation-free once the capacities are
+/// warm.
 pub(crate) struct TxBuffers {
     /// Variables read, with the version observed. In serial mode this only
     /// feeds the `retry` watch list.
@@ -149,8 +150,15 @@ pub(crate) fn take_buffers() -> Box<TxBuffers> {
         .unwrap_or_else(TxBuffers::new_boxed)
 }
 
-/// Return a bundle to the pool for the next transaction on this thread.
-pub(crate) fn put_buffers(bufs: Box<TxBuffers>) {
+/// Return a bundle to the pool for the next transaction on this thread,
+/// cleared: its read and write sets hold `Arc`s of every variable and
+/// value the committed transaction touched, which must not live on until
+/// this thread happens to start another transaction. (A thread whose next
+/// step is no transaction — a deferred op ending in `TVar::store` — would
+/// otherwise keep a dropped structure's cells alive, and its next
+/// transaction would pay for freeing them.)
+pub(crate) fn put_buffers(mut bufs: Box<TxBuffers>) {
+    bufs.reset();
     let _ = POOL.try_with(move |p| *p.borrow_mut() = Some(bufs));
 }
 
@@ -269,11 +277,18 @@ impl<'rt> Tx<'rt> {
             return Ok(val.clone());
         }
         let (v1, val) = core.read_consistent();
+        // Logged before any extension, so the extension validates this
+        // read too: a version newer than `rv` joins the extended snapshot
+        // only if it is still current once the new `rv` is taken. Logged
+        // after, a write landing between the read and the new `rv` would
+        // go unseen — and a commit stamped `rv + 2` skips the validation
+        // that could catch it, losing that write (a `TxLock` with two
+        // owners; `verify::extension_model`).
+        self.bufs.read_set.push((Arc::clone(core), v1));
         if v1 > self.rv {
             self.extend_snapshot()?;
             debug_assert!(v1 <= self.rv);
         }
-        self.bufs.read_set.push((Arc::clone(core), v1));
         self.bufs.read_cache.insert(id, val.clone());
         if self.obs {
             // Sampled at power-of-two sizes from 32 up: a large read-only
@@ -721,5 +736,34 @@ impl std::fmt::Debug for Tx<'_> {
             .field("writes", &self.bufs.write_set.len())
             .field("deferred", &self.bufs.post_commit.len())
             .finish()
+    }
+}
+
+#[cfg(all(test, loom))]
+impl Tx<'_> {
+    /// DELIBERATELY BUGGY read used only by the `verify` models: the read
+    /// joins the read set *after* a snapshot extension it triggered, so
+    /// the extension never validates it. `verify::extension_model` must
+    /// catch the lost update this allows. Speculative mode only, with no
+    /// footprint accounting.
+    pub(crate) fn read_logged_after_extend<T: Any + Send + Sync + Clone>(
+        &mut self,
+        var: &TVar<T>,
+    ) -> StmResult<T> {
+        let core = var.core();
+        let id = core.id();
+        if let Some((_, val)) = self.bufs.write_set.get(id) {
+            return Ok(downcast::<T>(val));
+        }
+        if let Some(val) = self.bufs.read_cache.get(id) {
+            return Ok(downcast::<T>(val));
+        }
+        let (v1, val) = core.read_consistent();
+        if v1 > self.rv {
+            self.extend_snapshot()?;
+        }
+        self.bufs.read_set.push((Arc::clone(core), v1));
+        self.bufs.read_cache.insert(id, val.clone());
+        Ok(downcast::<T>(&val))
     }
 }

@@ -9,6 +9,10 @@
 //!   asserts the model *catches* it.
 //! * [`quiesce_model`] — a committing writer's quiescence vs. an in-flight
 //!   older transaction's write-back, at the `Registry` protocol level.
+//! * [`extension_model`] — snapshot extension vs. a commit to the variable
+//!   whose read triggered it, over the whole runtime; with the regression
+//!   model that logs that read after the extension (the lost update behind
+//!   the two-owner `TxLock` panic) and asserts the model catches it.
 //!
 //! Run with:
 //!
@@ -20,6 +24,7 @@
 
 use std::sync::Mutex;
 
+mod extension_model;
 mod quiesce_model;
 mod snapshot_model;
 

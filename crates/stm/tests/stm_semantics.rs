@@ -591,6 +591,34 @@ fn nested_independent_atomically_is_refused() {
 }
 
 #[test]
+fn in_transaction_reports_the_attempt_in_flight() {
+    assert!(!ad_stm::in_transaction());
+    assert!(atomically(|_tx| Ok(ad_stm::in_transaction())));
+    assert!(ad_stm::synchronized(|_tx| Ok(ad_stm::in_transaction())));
+    assert!(!ad_stm::in_transaction(), "the marker outlived the attempt");
+}
+
+#[test]
+fn a_committed_transaction_keeps_nothing_it_read_alive() {
+    struct Flag(Arc<AtomicBool>);
+    impl Drop for Flag {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let dropped = Arc::new(AtomicBool::new(false));
+    let v = TVar::new(Arc::new(Flag(Arc::clone(&dropped))));
+    atomically(|tx| tx.read(&v).map(drop));
+    // No transaction follows on this thread: nothing but `v` may still
+    // hold the cell or its value.
+    drop(v);
+    assert!(
+        dropped.load(Ordering::SeqCst),
+        "the pooled transaction descriptor kept a read value alive"
+    );
+}
+
+#[test]
 fn transactions_fine_after_guard_panic_unwinds() {
     // The in-transaction marker must be cleared even when the closure
     // panics, or the thread could never transact again.

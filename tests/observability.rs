@@ -139,8 +139,8 @@ fn defer_events_are_ordered_per_committed_transaction() {
         let mut started: Option<u64> = None;
         for e in trace.thread_events(t) {
             match e.kind {
-                // A begin inside a deferred action is the lock-release
-                // transaction; top-level begins discard aborted enqueues.
+                // A begin inside a deferred action is a transaction the
+                // op runs itself; top-level begins discard aborted enqueues.
                 EventKind::Begin if started.is_none() => open_tx.clear(),
                 EventKind::DeferEnqueue => open_tx.push(e.arg),
                 EventKind::Commit if started.is_none() => {
