@@ -13,9 +13,9 @@
 //!   policies: the paper's spin-and-re-execute and an efficient
 //!   parking-based variant.
 //! * **Irrevocability** ([`Runtime::synchronized`], [`Tx::require_irrevocable`]):
-//!   serial execution under a global serial lock, used for operations that
-//!   cannot be rolled back (I/O) and by the contention manager as a last
-//!   resort.
+//!   serial execution — the transaction runs alone in its runtime — used
+//!   for operations that cannot be rolled back (I/O) and by the contention
+//!   manager as a last resort.
 //! * **Quiescence**: writer commits wait for all earlier concurrent
 //!   transactions (privatization safety, paper §2) — the very cost that
 //!   motivates atomic deferral (Figure 1).

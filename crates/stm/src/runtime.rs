@@ -5,14 +5,12 @@
 use ad_support::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use ad_support::sync::RwLock;
-
 use crate::clock;
 use crate::cm::ContentionManager;
 use crate::config::{RetryPolicy, TmConfig};
 use crate::error::{StmError, StmResult};
-use crate::registry::{ActivitySlot, Registry};
-use crate::stats::{Stats, StatsReport, StatsSnapshot};
+use crate::registry::{ActivitySlot, Local, Registry};
+use crate::stats::{Hot, Stats, StatsReport, StatsSnapshot};
 use crate::trace::{cause, AppEvent, EventKind, Trace, TraceSink};
 use crate::tx::{CommitOutput, Tx, TxBuffers};
 
@@ -21,9 +19,10 @@ static NEXT_RUNTIME_ID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// Is this thread currently executing a transaction attempt (any
     /// runtime)? Starting an independent transaction from inside one is a
-    /// deadlock hazard (the serial lock's read side is held, and a queued
-    /// irrevocable writer would block the inner read acquisition forever),
-    /// so the runner refuses it loudly. Nesting is *flat*: nested atomic
+    /// deadlock hazard (the outer attempt's slot is active, so an
+    /// irrevocable transaction waiting for it would never start, and the
+    /// inner attempt would wait for that one forever), so the runner
+    /// refuses it loudly. Nesting is *flat*: nested atomic
     /// blocks simply use the enclosing `Tx`.
     static IN_TRANSACTION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
@@ -63,13 +62,13 @@ impl Drop for InTxGuard {
 pub(crate) struct RtInner {
     id: u64,
     cfg: TmConfig,
-    /// GCC-libitm-style serial lock: every transaction attempt holds the
-    /// read side; serial/irrevocable execution takes the write side,
-    /// excluding all speculation. In simulated-HTM mode this doubles as the
-    /// fallback lock that all hardware transactions implicitly subscribe to.
-    serial: RwLock<()>,
-    registry: Registry,
-    stats: Stats,
+    /// The activity slots, the counters, and the serial flag — the
+    /// GCC-libitm serial lock's replacement: an irrevocable transaction
+    /// runs alone, and no speculative attempt writes a shared word to
+    /// stay out of its way (registry.rs). In simulated-HTM mode the flag
+    /// doubles as the fallback lock that all hardware transactions
+    /// implicitly subscribe to.
+    registry: Arc<Registry>,
     /// Observability: the per-thread event rings plus the master on/off
     /// toggle that also gates the optional hot-path timing (commit latency,
     /// backoff). One relaxed load per attempt when off.
@@ -82,13 +81,13 @@ pub(crate) struct RtInner {
     defer_pool: Option<ad_support::pool::Pool>,
 }
 
-/// A TM runtime: a policy configuration plus the machinery (serial lock,
-/// activity registry, statistics) shared by the transactions that run under
-/// it.
+/// A TM runtime: a policy configuration plus the machinery (activity
+/// registry with its serial flag, statistics) shared by the transactions
+/// that run under it.
 ///
 /// `TVar`s are plain shared memory and are not tied to a runtime, but **all
 /// transactions that access a given set of `TVar`s must use the same
-/// runtime** — the serial lock only excludes speculation within one runtime.
+/// runtime** — irrevocability only excludes speculation within one runtime.
 /// Use [`Runtime::global`] (or the free functions [`atomically`] /
 /// [`synchronized`]) unless an experiment needs custom policy.
 ///
@@ -110,9 +109,7 @@ impl Runtime {
             inner: Arc::new(RtInner {
                 id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
                 cfg,
-                serial: RwLock::new(()),
-                registry: Registry::default(),
-                stats: Stats::default(),
+                registry: Arc::new(Registry::default()),
                 sink: TraceSink::new(cfg.trace_ring_events),
                 #[cfg(not(loom))]
                 defer_pool: match cfg.defer_exec {
@@ -145,12 +142,13 @@ impl Runtime {
     }
 
     pub(crate) fn stats_ref(&self) -> &Stats {
-        &self.inner.stats
+        &self.inner.registry.stats
     }
 
-    /// Snapshot of this runtime's statistics counters.
+    /// Snapshot of this runtime's statistics counters: every thread's,
+    /// including threads that have exited.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot()
+        self.inner.registry.snapshot()
     }
 
     /// Full observability report: the counters plus the four latency
@@ -160,12 +158,12 @@ impl Runtime {
     /// histograms only fill while [`Runtime::set_tracing`] is on; the
     /// quiescence histogram is always live.
     pub fn snapshot_stats(&self) -> StatsReport {
-        self.inner.stats.report()
+        self.inner.registry.report()
     }
 
-    /// Zero the statistics counters and histograms.
+    /// Zero the statistics counters (every thread's) and histograms.
     pub fn reset_stats(&self) {
-        self.inner.stats.reset();
+        self.inner.registry.reset_stats();
     }
 
     /// Turn the observability layer on or off. Off (the default) costs one
@@ -256,8 +254,8 @@ impl Runtime {
     }
 
     /// Run `f` irrevocably from the start (the TMTS `synchronized` block):
-    /// the transaction executes under the serial lock, excluding all other
-    /// transactions in this runtime, and may perform I/O directly.
+    /// the transaction runs alone, excluding all other transactions in this
+    /// runtime, and may perform I/O directly.
     pub fn synchronized<T>(&self, f: impl FnMut(&mut Tx) -> StmResult<T>) -> T {
         self.run(f, true)
     }
@@ -265,7 +263,8 @@ impl Runtime {
     fn run<T>(&self, mut f: impl FnMut(&mut Tx) -> StmResult<T>, start_serial: bool) -> T {
         let cfg = self.inner.cfg;
         let mut cm = ContentionManager::new(cfg.serialize_after, cfg.max_backoff_spins);
-        let slot = self.inner.registry.my_slot(self.inner.id);
+        let local = self.inner.registry.local(self.inner.id);
+        let counters = &local.slot.counters;
         let mut counted_serialization = false;
         // One pooled descriptor bundle for every attempt of this
         // transaction: conflicts and retries re-use its collections
@@ -274,9 +273,9 @@ impl Runtime {
 
         loop {
             let serial = start_serial || cm.should_serialize();
-            self.inner.stats.on_start();
+            counters.bump(Hot::Starts);
             if serial && !counted_serialization {
-                self.inner.stats.on_serialization();
+                self.stats_ref().on_serialization();
                 counted_serialization = true;
             }
 
@@ -293,21 +292,21 @@ impl Runtime {
             };
 
             let outcome = if serial {
-                self.attempt_serial(&mut f, &slot, &mut bufs, started)
+                self.attempt_serial(&mut f, &local, &mut bufs, started)
             } else {
-                self.attempt_speculative(&mut f, &slot, &mut bufs, started)
+                self.attempt_speculative(&mut f, &local, &mut bufs, started)
             };
 
             match outcome {
                 AttemptOutcome::Committed(value, output) => {
                     if serial {
-                        self.inner.stats.on_serial_commit();
+                        self.stats_ref().on_serial_commit();
                     } else {
-                        self.inner.stats.on_commit();
+                        counters.bump(Hot::Commits);
                     }
                     if let Some(t0) = started {
                         let end = crate::trace::now_ns();
-                        self.inner.stats.on_commit_latency(end.saturating_sub(t0));
+                        self.stats_ref().on_commit_latency(end.saturating_sub(t0));
                         self.trace_event_at(end, EventKind::Commit, serial as u64);
                     }
                     // Pool the buffers before running post-commit actions:
@@ -315,16 +314,16 @@ impl Runtime {
                     // this thread and should find them waiting.
                     crate::tx::put_buffers(bufs);
                     // Reclamation safe point (snapshot.rs invariant 5):
-                    // every guard — epoch pin, activity slot, serial lock —
+                    // every guard — epoch pin, activity slot, serial flag —
                     // dropped when the attempt returned, and commit released
                     // all version locks, so freed values may run arbitrary
                     // user Drop code (even transactions) without deadlock.
                     crate::snapshot::flush();
-                    self.run_post_commit(output);
+                    self.run_post_commit(output, &local.slot);
                     return value;
                 }
                 AttemptOutcome::Waiting(watch) => {
-                    self.inner.stats.on_retry();
+                    counters.bump(Hot::Retries);
                     // Safe point before a potentially long park, so this
                     // thread's retired values from earlier commits are not
                     // stranded while it sleeps.
@@ -336,12 +335,12 @@ impl Runtime {
                     bufs.recycle_watch(watch);
                 }
                 AttemptOutcome::Failed(err) => {
-                    match err {
-                        StmError::Conflict => self.inner.stats.on_conflict(),
-                        StmError::Capacity => self.inner.stats.on_capacity(),
-                        StmError::Unsupported => self.inner.stats.on_unsupported(),
+                    counters.bump(match err {
+                        StmError::Conflict => Hot::AbortsConflict,
+                        StmError::Capacity => Hot::AbortsCapacity,
+                        StmError::Unsupported => Hot::AbortsUnsupported,
                         StmError::Retry => unreachable!("retry handled as Waiting"),
-                    }
+                    });
                     if obs {
                         let code = match err {
                             StmError::Conflict => cause::CONFLICT,
@@ -358,7 +357,7 @@ impl Runtime {
                         let b0 = crate::trace::now_ns();
                         cm.on_failure();
                         let ns = crate::trace::now_ns().saturating_sub(b0);
-                        self.inner.stats.on_backoff(ns);
+                        self.stats_ref().on_backoff(ns);
                         self.trace_event(EventKind::Backoff, ns);
                     } else {
                         cm.on_failure();
@@ -371,23 +370,30 @@ impl Runtime {
     fn attempt_speculative<T>(
         &self,
         f: &mut impl FnMut(&mut Tx) -> StmResult<T>,
-        slot: &Arc<ActivitySlot>,
+        local: &Local,
         bufs: &mut TxBuffers,
         started: Option<u64>,
     ) -> AttemptOutcome<T> {
         let _in_tx = InTxGuard::enter("atomically");
-        // Hold the serial lock's read side for the whole attempt, commit
-        // and quiescence included: an irrevocable transaction can only run
-        // once we are completely done.
-        let _guard = self.inner.serial.read();
-        let _slot_guard = SlotGuard(slot);
+        let _slot_guard = SlotGuard(&local.slot);
         // Pin the epoch once for the whole attempt: every snapshot read
-        // inside is then a plain depth increment instead of a fence. The
-        // guard drops before any retry wait, so parked threads never stall
-        // reclamation.
-        let _epoch = crate::snapshot::pin_scope();
-        let mut tx = Tx::new(self, bufs, Arc::clone(slot), false, started);
-        slot.begin(tx.read_version());
+        // inside borrows its value under this pin instead of cloning it.
+        // Then publish the slot and look for an irrevocable transaction —
+        // the speculative half of the serial handshake (registry.rs): while
+        // one is pending, step aside with slot cleared and pin dropped, so
+        // neither it nor reclamation waits for us, and start over with a
+        // fresh snapshot.
+        let (pin, rv) = loop {
+            let pin = crate::snapshot::pin_scope();
+            let rv = clock::now();
+            if self.begin_unless_serial(&local.slot, rv) {
+                break (pin, rv);
+            }
+            local.slot.end();
+            drop(pin);
+            self.inner.registry.wait_serial();
+        };
+        let mut tx = Tx::new(self, bufs, local, &pin, rv, false, started);
 
         match f(&mut tx) {
             Ok(value) => match tx.commit() {
@@ -399,19 +405,37 @@ impl Runtime {
         }
     }
 
+    /// Publish `rv` in the slot (`SeqCst`), *then* load the serial flag
+    /// (`SeqCst`); true when no irrevocable transaction is pending. The
+    /// order is the handshake: an irrevocable transaction that set the flag
+    /// after our load sees our slot active and waits for us.
+    #[inline]
+    fn begin_unless_serial(&self, slot: &ActivitySlot, rv: u64) -> bool {
+        #[cfg(all(test, loom))]
+        if crate::verify::FLAG_BEFORE_SLOT.with(std::cell::Cell::get) {
+            // DELIBERATELY BUGGY order for `verify::serial_model`'s mutant.
+            let pending = self.inner.registry.serial_pending();
+            slot.begin(rv);
+            return !pending;
+        }
+        slot.begin(rv);
+        !self.inner.registry.serial_pending()
+    }
+
     fn attempt_serial<T>(
         &self,
         f: &mut impl FnMut(&mut Tx) -> StmResult<T>,
-        slot: &Arc<ActivitySlot>,
+        local: &Local,
         bufs: &mut TxBuffers,
         started: Option<u64>,
     ) -> AttemptOutcome<T> {
         let _in_tx = InTxGuard::enter("synchronized/serial execution");
-        let _guard = self.inner.serial.write();
-        let _slot_guard = SlotGuard(slot);
-        let _epoch = crate::snapshot::pin_scope();
-        let mut tx = Tx::new(self, bufs, Arc::clone(slot), true, started);
-        slot.begin(clock::now());
+        let _serial = self.inner.registry.enter_serial(local);
+        let _slot_guard = SlotGuard(&local.slot);
+        let pin = crate::snapshot::pin_scope();
+        let rv = clock::now();
+        let mut tx = Tx::new(self, bufs, local, &pin, rv, true, started);
+        local.slot.begin(rv);
 
         match f(&mut tx) {
             Ok(value) => {
@@ -441,7 +465,8 @@ impl Runtime {
 
     /// Hand one committed transaction's post-commit work to the configured
     /// executor — the tail of the paper's `TxEnd` (Listing 1). Runs with no
-    /// locks held (the serial guard is released).
+    /// locks held (the serial flag, if it was ours, is cleared). `slot` is
+    /// the committing thread's, for the inline executor's counts.
     ///
     /// `Inline` (default): the batch runs here, on the committing thread, in
     /// commit order, before `atomically` returns. `Pool`: the batch is
@@ -456,7 +481,7 @@ impl Runtime {
     /// lock-acquisition order — the later committer's lock acquisition
     /// conflicts until the earlier batch releases — so the fallback running
     /// ahead of still-queued batches cannot reorder conflicting ops.
-    fn run_post_commit(&self, output: CommitOutput) {
+    fn run_post_commit(&self, output: CommitOutput, slot: &ActivitySlot) {
         if output.is_empty() {
             // The common no-defer transaction never touches the executor.
             return;
@@ -473,34 +498,35 @@ impl Runtime {
             let job = Box::new(move || {
                 if let Some(t0) = t_submit {
                     let waited = crate::trace::now_ns().saturating_sub(t0);
-                    rt.inner.stats.on_defer_queue_wait(waited);
+                    rt.stats_ref().on_defer_queue_wait(waited);
                 }
-                rt.run_batch(output);
+                let local = rt.inner.registry.local(rt.inner.id);
+                rt.run_batch(output, &local.slot);
             });
             match pool.try_submit(job) {
                 Ok(depth) => {
-                    self.inner.stats.on_defer_offload();
+                    self.stats_ref().on_defer_offload();
                     if obs {
                         self.trace_event(EventKind::DeferOffload, depth as u64);
                     }
                 }
                 Err(job) => {
                     // Queue full: degrade to inline execution.
-                    self.inner.stats.on_defer_inline_fallback();
+                    self.stats_ref().on_defer_inline_fallback();
                     job();
                 }
             }
             return;
         }
-        self.run_batch(output);
+        self.run_batch(output, slot);
     }
 
     /// Execute one committed batch: deferred operations in call order, then
     /// deferred frees. Called on the committing thread (`Inline`) or on a
     /// pool worker (`Pool`); deferred operations may start transactions of
     /// their own in either venue (workers are ordinary threads with no
-    /// transaction in flight).
-    fn run_batch(&self, output: CommitOutput) {
+    /// transaction in flight). Counts into the running thread's `slot`.
+    fn run_batch(&self, output: CommitOutput, slot: &ActivitySlot) {
         let CommitOutput {
             actions,
             drops,
@@ -508,7 +534,7 @@ impl Runtime {
         } = output;
         let obs = self.inner.sink.enabled();
         for (i, action) in actions.into_iter().enumerate() {
-            self.inner.stats.on_deferred_op();
+            slot.counters.bump(Hot::DeferredOps);
             if obs {
                 self.trace_event(EventKind::DeferExecStart, i as u64);
             }
@@ -520,8 +546,7 @@ impl Runtime {
                 // populated when the committing attempt ran with obs on.
                 if let Some(&t_enq) = enqueue_ts.get(i) {
                     let done = crate::trace::now_ns();
-                    self.inner
-                        .stats
+                    self.stats_ref()
                         .on_defer_latency(done.saturating_sub(t_enq));
                 }
             }
@@ -581,7 +606,7 @@ impl Runtime {
         if !self.defer_wait_would_self_deadlock() {
             return false;
         }
-        self.inner.stats.on_defer_self_wait_hazard();
+        self.stats_ref().on_defer_self_wait_hazard();
         #[cfg(not(loom))]
         {
             let depth = self
@@ -641,7 +666,7 @@ impl Runtime {
         if !self.defer_wait_is_remote_from_worker() {
             return false;
         }
-        self.inner.stats.on_defer_remote_wait_hazard();
+        self.stats_ref().on_defer_remote_wait_hazard();
         if self.inner.sink.enabled() {
             self.trace_event(EventKind::DeferRemoteWaitHazard, self.inner.id);
         }
@@ -671,7 +696,7 @@ enum AttemptOutcome<T> {
 
 /// Ensures a panicking closure cannot leave its activity slot marked active,
 /// which would hang every future quiescing writer.
-struct SlotGuard<'a>(&'a Arc<ActivitySlot>);
+struct SlotGuard<'a>(&'a ActivitySlot);
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {

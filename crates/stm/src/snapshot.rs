@@ -13,12 +13,16 @@
 //!
 //! [`SnapshotCell`] replaces the lock with a single `AtomicPtr` to a
 //! heap-allocated `Value` (an `Arc<dyn Any + Send + Sync>`). Readers load
-//! the pointer and clone the `Arc` behind it; writers (who already hold the
-//! cell's version lock, so there is exactly one at a time) swap in a new
-//! pointer. The old allocation cannot be freed immediately — a reader may
-//! have loaded the pointer and not yet finished cloning — so retired
-//! pointers go through a small epoch-based reclamation scheme
-//! (`crossbeam-epoch`-style, hand-rolled because this build is offline).
+//! the pointer under an epoch pin ([`EpochGuard`]) and borrow the value
+//! behind it ([`Pinned`]) — no `Arc` clone, so a read writes no shared
+//! cache line; writers (who already hold the cell's version lock, so there
+//! is exactly one at a time) swap in a new pointer. The old allocation
+//! cannot be freed immediately — a pinned reader may still borrow it — so
+//! retired pointers go through a small epoch-based reclamation scheme
+//! (`crossbeam-epoch`-style, hand-rolled because this build is offline). A
+//! transaction attempt holds one pin for its whole life, so the values it
+//! read stay valid until it ends, and its read log ([`ReadLog`]) caches
+//! pointers, not clones.
 //!
 //! ## The epoch scheme
 //!
@@ -26,8 +30,9 @@
 //!   has observed the current epoch.
 //! * Each thread registers a participant slot. A reader *pins* (publishes
 //!   the global epoch into its slot, with a `SeqCst` fence so the publish
-//!   cannot reorder after the subsequent pointer load), performs the load +
-//!   clone, then *unpins* (stores the `INACTIVE` sentinel).
+//!   cannot reorder after the subsequent pointer loads), performs its
+//!   loads and uses the values, then *unpins* (stores the `INACTIVE`
+//!   sentinel).
 //! * A writer retires the old pointer into a thread-local bag. The
 //!   retirement runs *pinned* (so it works on the non-transactional
 //!   `direct_write` path too, which carries no transaction-scope pin) and
@@ -70,9 +75,11 @@
 //!    (`Box::into_raw` or a recycled allocation of the same layout) and
 //!    are dropped and released exactly once, either by reclamation or by
 //!    `SnapshotCell::drop`.
-//! 2. A pointer is dereferenced only between a pin and the matching unpin
-//!    of the executing thread's participant (or in `drop`, which has
-//!    exclusive access by `&mut self`).
+//! 2. A pointer is dereferenced only while the executing thread is pinned
+//!    by the [`EpochGuard`] it was loaded under, and its cell is alive: a
+//!    [`Pinned`] borrows both the guard and the cell, and a [`ReadLog`]
+//!    hands out a cached pointer only under the guard whose id it carries,
+//!    while it holds the `Arc<VarCore>` that owns the cell.
 //! 3. `SnapshotCell::store` is only called under the owning cell's version
 //!    lock (odd version), so there is at most one concurrent writer; the
 //!    swap therefore retires each old pointer exactly once. Retirement is
@@ -91,11 +98,14 @@
 use ad_support::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use ad_support::sync::Mutex;
 
-use crate::var::Value;
+use crate::registry::Padded;
+use crate::smallmap::SmallMap;
+use crate::var::{Value, VarCore};
 
 /// Sentinel epoch meaning "not currently pinned".
 const INACTIVE: u64 = u64::MAX;
@@ -152,8 +162,37 @@ pub(crate) fn reclaim_counters() -> (u64, u64) {
 }
 
 /// One per thread: the epoch this thread is pinned at, or [`INACTIVE`].
+/// Padded, so a pin — a store to this word at the start of every
+/// transaction attempt — never shares a line with another thread's pin or
+/// with anything else.
 struct Participant {
-    epoch: AtomicU64,
+    epoch: Padded<AtomicU64>,
+}
+
+impl Participant {
+    /// Register a one-shot participant, pinned at the current epoch: the
+    /// pin of a thread whose `HANDLE` is already destroyed (thread-local
+    /// teardown). Release it with [`unpin_oneshot`](Self::unpin_oneshot).
+    #[cold]
+    fn pin_oneshot() -> Arc<Participant> {
+        let part = Arc::new(Participant {
+            epoch: Padded::new(AtomicU64::new(INACTIVE)),
+        });
+        PARTICIPANTS.lock().push(Arc::clone(&part));
+        let e = EPOCH.load(Ordering::Relaxed);
+        part.epoch.store(e, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        part
+    }
+
+    #[cold]
+    fn unpin_oneshot(self: &Arc<Self>) {
+        self.epoch.store(INACTIVE, Ordering::Release);
+        let mut parts = PARTICIPANTS.lock();
+        if let Some(i) = parts.iter().position(|q| Arc::ptr_eq(q, self)) {
+            parts.swap_remove(i);
+        }
+    }
 }
 
 /// A retired pointer, tagged with the global epoch at retirement.
@@ -182,6 +221,9 @@ struct Handle {
     /// back with monotone tags, freed from the front only.
     bag: VecDeque<Retired>,
     depth: u32,
+    /// Pin scopes opened on this thread so far: the id of the next
+    /// [`EpochGuard`] is this plus one, so ids are unique per thread.
+    scopes: u64,
     free: Vec<*mut Value>,
     /// Monotonic count of [`flush`] calls on this thread, used to trigger
     /// the periodic (below-threshold) collections.
@@ -200,13 +242,14 @@ struct Handle {
 impl Handle {
     fn register() -> Handle {
         let part = Arc::new(Participant {
-            epoch: AtomicU64::new(INACTIVE),
+            epoch: Padded::new(AtomicU64::new(INACTIVE)),
         });
         PARTICIPANTS.lock().push(Arc::clone(&part));
         Handle {
             part,
             bag: VecDeque::new(),
             depth: 0,
+            scopes: 0,
             free: Vec::new(),
             flushes: 0,
             retired_unpublished: 0,
@@ -266,26 +309,175 @@ thread_local! {
     static HANDLE: RefCell<Handle> = RefCell::new(Handle::register());
 }
 
-/// An RAII pin covering a whole transaction attempt: while held, every
-/// [`SnapshotCell::load`] on this thread reuses the already-published pin
-/// (a depth increment) instead of issuing its own `SeqCst` fence. Dropped
-/// before the runner blocks in `retry` waiting, so a parked thread never
-/// stalls reclamation.
+/// An RAII pin: while it lives, this thread is pinned, so every value
+/// [`SnapshotCell::load`] returns under it stays allocated while its cell
+/// lives — however often the cell is overwritten meanwhile. A transaction
+/// attempt holds one for its whole life; the runner drops it before it
+/// blocks in `retry` or behind an irrevocable transaction, so a waiting
+/// thread never stalls reclamation.
 pub(crate) struct EpochGuard {
-    pinned: bool,
+    /// Unique among this thread's guards; tags every [`Pinned`] read under
+    /// this one (the read cache checks it).
+    id: u64,
+    /// The participant that pins this scope when the thread's `HANDLE` is
+    /// already destroyed (thread-local teardown); `None` normally.
+    oneshot: Option<Arc<Participant>>,
+    /// A pin belongs to the thread that took it.
+    _not_send: PhantomData<*const ()>,
 }
 
-/// Pin this thread for the lifetime of the returned guard.
+/// Pin this thread for the lifetime of the returned guard. Nested inside
+/// another guard this is a depth increment; the outermost pin publishes
+/// the epoch with a `SeqCst` fence.
 pub(crate) fn pin_scope() -> EpochGuard {
-    let pinned = HANDLE.try_with(|h| h.borrow_mut().pin()).is_ok();
-    EpochGuard { pinned }
+    let pinned = HANDLE.try_with(|h| {
+        let mut h = h.borrow_mut();
+        h.pin();
+        h.scopes += 1;
+        h.scopes
+    });
+    match pinned {
+        Ok(id) => EpochGuard {
+            id,
+            oneshot: None,
+            _not_send: PhantomData,
+        },
+        Err(_) => {
+            // Teardown ids live in the upper half, apart from every
+            // `Handle`'s count.
+            static TEARDOWN_SCOPES: AtomicU64 = AtomicU64::new(1 << 63);
+            EpochGuard {
+                id: TEARDOWN_SCOPES.fetch_add(1, Ordering::Relaxed),
+                oneshot: Some(Participant::pin_oneshot()),
+                _not_send: PhantomData,
+            }
+        }
+    }
 }
 
 impl Drop for EpochGuard {
     fn drop(&mut self) {
-        if self.pinned {
-            let _ = HANDLE.try_with(|h| h.borrow_mut().unpin());
+        match &self.oneshot {
+            None => {
+                let _ = HANDLE.try_with(|h| h.borrow_mut().unpin());
+            }
+            Some(part) => part.unpin_oneshot(),
         }
+    }
+}
+
+/// A committed value read under an [`EpochGuard`], borrowed for as long as
+/// both the guard and the cell live. Dereferences to the type-erased value.
+#[derive(Clone, Copy)]
+pub(crate) struct Pinned<'a> {
+    val: &'a Value,
+    /// The id of the guard it was read under.
+    scope: u64,
+    /// The address of the cell it was read from.
+    cell: *const SnapshotCell,
+}
+
+impl std::ops::Deref for Pinned<'_> {
+    type Target = Value;
+
+    #[inline]
+    fn deref(&self) -> &Value {
+        self.val
+    }
+}
+
+/// A speculative attempt's read set — each variable read, with the version
+/// read — and its read cache: the pointer each first read borrowed, by
+/// variable id, not an `Arc` clone, so a re-read costs no refcount traffic
+/// on a shared line.
+///
+/// A cached pointer stays valid because the log holds the `Arc<VarCore>`
+/// that owns its cell for as long as it holds the pointer (the two are
+/// added by one [`record`](Self::record) and removed together), and
+/// because the attempt stays pinned: the cache belongs to the pin scope it
+/// was filled under, and a lookup under any other scope finds nothing. The
+/// owner still empties the cache before the pin drops.
+#[derive(Default)]
+pub(crate) struct ReadLog {
+    entries: Vec<(Arc<VarCore>, u64)>,
+    scope: u64,
+    cache: SmallMap<*const Value>,
+}
+
+impl ReadLog {
+    /// The value cached for `id`, if it was read under `pin`.
+    #[inline]
+    pub(crate) fn get<'a>(&'a self, id: usize, pin: &'a EpochGuard) -> Option<Pinned<'a>> {
+        if self.scope != pin.id {
+            return None;
+        }
+        let &p = self.cache.get(id)?;
+        #[cfg(loom)]
+        ad_support::model::assert_not_poisoned(p as usize, "ReadLog::get");
+        // SAFETY: `p` was read under the guard whose id is `self.scope`
+        // (`record`). Ids are unique per thread, and neither the log nor a
+        // guard leaves its thread, so that guard is `pin`: alive, so the
+        // thread has stayed pinned since the read. And `entries` still
+        // holds the `Arc<VarCore>` whose cell `p` was read from, so the
+        // cell has not dropped it either: it is that cell's current value,
+        // or retired and not yet collectable (invariant 2).
+        Some(Pinned {
+            val: unsafe { &*p },
+            scope: pin.id,
+            cell: std::ptr::null(),
+        })
+    }
+
+    /// Log a read of `core` that returned `val` at `version`, and cache
+    /// `val` for re-reads. `val` must have been read from `core`'s cell.
+    #[inline]
+    pub(crate) fn record(&mut self, core: &Arc<VarCore>, version: u64, val: Pinned<'_>) {
+        assert!(
+            std::ptr::eq(val.cell, core.cell()),
+            "ad-stm internal error: a read logged against another variable"
+        );
+        self.entries.push((Arc::clone(core), version));
+        if self.scope != val.scope {
+            self.cache.clear();
+            self.scope = val.scope;
+        }
+        self.cache.insert(core.id(), val.val as *const Value);
+    }
+
+    /// The logged reads, in order.
+    #[inline]
+    pub(crate) fn entries(&self) -> &[(Arc<VarCore>, u64)] {
+        &self.entries
+    }
+
+    /// Log a read without caching it (serial mode re-reads memory).
+    pub(crate) fn push(&mut self, core: &Arc<VarCore>, version: u64) {
+        self.entries.push((Arc::clone(core), version));
+    }
+
+    /// Empty the cache; the entries stay (the read set outlives the pin,
+    /// for commit-time bookkeeping and `retry`).
+    pub(crate) fn clear_cache(&mut self) {
+        self.cache.clear();
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.cache.clear();
+        self.entries.clear();
+    }
+
+    /// Move the entries out (for a `retry` watch list), emptying the log.
+    pub(crate) fn take_entries(&mut self) -> Vec<(Arc<VarCore>, u64)> {
+        self.cache.clear();
+        std::mem::take(&mut self.entries)
+    }
+
+    /// Take back an entry vector from [`take_entries`](Self::take_entries),
+    /// keeping its capacity.
+    pub(crate) fn recycle(&mut self, mut entries: Vec<(Arc<VarCore>, u64)>) {
+        entries.clear();
+        self.cache.clear();
+        self.entries = entries;
     }
 }
 
@@ -459,11 +651,11 @@ fn free_garbage(garbage: Vec<Retired>) {
 /// re-enter this module, read `TVar`s, or start transactions — so `flush`
 /// must only be called with **no version locks held** and outside any
 /// transaction attempt's closure. The two call sites are the runtime's
-/// commit path (after every guard — epoch pin, activity slot, serial lock
-/// — has been released) and `VarCore::direct_write` (after `write_back`
-/// has restored an even version word). `SnapshotCell::store` itself never
-/// frees: a `Drop` impl running under a still-odd version word could spin
-/// forever in `read_consistent`, and a panicking `Drop` would unwind out
+/// commit path (after every guard — epoch pin, activity slot, serial flag
+/// — has been released) and `TVar::store` (after `write_back` has restored
+/// an even version word). `SnapshotCell::store` itself never frees: a
+/// `Drop` impl running under a still-odd version word could spin forever
+/// in `VarCore::read`, and a panicking `Drop` would unwind out
 /// of commit write-back leaving version words locked for good.
 ///
 /// Cheap when idle: one thread-local access and a counter bump.
@@ -512,61 +704,31 @@ impl SnapshotCell {
         }
     }
 
-    /// Snapshot the current value (an `Arc` clone). Lock-free: the only
-    /// shared-memory writes are the participant pin/unpin stores and the
-    /// `Arc` refcount increment — and under an enclosing [`EpochGuard`]
-    /// (the transaction-attempt pin) even those reduce to a thread-local
-    /// depth increment.
+    /// The current value, borrowed for as long as both `pin` and the cell
+    /// live. Lock-free and write-free: one `Acquire` pointer load, no
+    /// refcount, no pin store of its own — the guard already published the
+    /// pin.
     #[inline]
-    pub(crate) fn load(&self) -> Value {
-        HANDLE
-            .try_with(|h| {
-                let mut h = h.borrow_mut();
-                h.pin();
-                let p = self.ptr.load(Ordering::Acquire);
-                // Model builds: a scheduling point *between* the pointer
-                // load and the dereference (exactly the window the epoch
-                // pin must protect), then a use-after-free check against
-                // the poison registry. The `reader_window` turnstile is
-                // inert unless a staged regression scenario armed it.
-                #[cfg(loom)]
-                model_hooks::reader_window();
-                #[cfg(loom)]
-                ad_support::model::assert_not_poisoned(p as usize, "SnapshotCell::load");
-                // SAFETY: `p` was published by `new`/`store` (invariant 1)
-                // and this thread is pinned, so reclamation cannot have
-                // freed it (invariant 2, two-epoch rule).
-                let val = unsafe { (*p).clone() };
-                h.unpin();
-                val
-            })
-            .unwrap_or_else(|_| self.load_slow())
-    }
-
-    /// Fallback for reads during thread-local destruction (the `HANDLE`
-    /// slot is gone): register a one-shot participant so the epoch
-    /// invariant still protects the load.
-    #[cold]
-    fn load_slow(&self) -> Value {
-        let part = Arc::new(Participant {
-            epoch: AtomicU64::new(INACTIVE),
-        });
-        PARTICIPANTS.lock().push(Arc::clone(&part));
-        let e = EPOCH.load(Ordering::Relaxed);
-        part.epoch.store(e, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
+    pub(crate) fn load<'a>(&'a self, pin: &'a EpochGuard) -> Pinned<'a> {
         let p = self.ptr.load(Ordering::Acquire);
+        // Model builds: a scheduling point *between* the pointer load and
+        // the dereference (exactly the window the epoch pin must protect),
+        // then a use-after-free check against the poison registry. The
+        // `reader_window` turnstile is inert unless a staged regression
+        // scenario armed it.
         #[cfg(loom)]
-        ad_support::model::assert_not_poisoned(p as usize, "SnapshotCell::load_slow");
-        // SAFETY: as in `load` — pinned via the temporary participant.
-        let val = unsafe { (*p).clone() };
-        part.epoch.store(INACTIVE, Ordering::Release);
-        let mut parts = PARTICIPANTS.lock();
-        if let Some(i) = parts.iter().position(|q| Arc::ptr_eq(q, &part)) {
-            parts.swap_remove(i);
+        model_hooks::reader_window();
+        #[cfg(loom)]
+        ad_support::model::assert_not_poisoned(p as usize, "SnapshotCell::load");
+        // SAFETY: `p` was published by `new`/`store` (invariant 1). This
+        // thread is pinned until `pin` drops, so reclamation cannot free it
+        // before then (two-epoch rule), and the borrow of `self` keeps the
+        // cell from dropping it (invariant 2).
+        Pinned {
+            val: unsafe { &*p },
+            scope: pin.id,
+            cell: self,
         }
-        drop(parts);
-        val
     }
 
     /// Replace the value, retiring the previous allocation.
@@ -580,38 +742,7 @@ impl SnapshotCell {
     /// version locks. Collection happens later, at a [`flush`] safe point.
     pub(crate) fn store(&self, value: Value) {
         let new = alloc_value(value);
-        let retired = HANDLE.try_with(|h| {
-            let mut h = h.borrow_mut();
-            // Pin for the unlink+retire, so this also holds on the
-            // non-transactional path (`TVar::store` -> `direct_write`,
-            // post-commit deferred ops), which carries no `EpochGuard`.
-            // Under a transaction-attempt pin this is a depth increment.
-            h.pin();
-            let old = self.ptr.swap(new, Ordering::AcqRel);
-            // Tag with an epoch read AFTER a SeqCst fence that follows the
-            // swap (crossbeam's push_bag discipline). This is what makes
-            // the two-epoch rule sound against a concurrent reader R that
-            // loaded `old` just before the swap:
-            //   R publishes its pin epoch e_r, fences SeqCst (F_r), then
-            //   loads the pointer; we swap, fence SeqCst (F_w), then read
-            //   the tag E. If F_w < F_r in the SC order, R's load is
-            //   ordered after the swap and sees `new`, not `old`. If
-            //   F_r < F_w, the monotonic EPOCH gives E >= e_r, and every
-            //   later `try_advance` scan (its fence follows F_w > F_r)
-            //   observes R pinned at e_r <= E — so the epoch cannot pass
-            //   E + 1 while R is pinned, and `old` (freed only once the
-            //   epoch reaches E + 2) outlives R's pin. A stale tag (the
-            //   old `Relaxed` read with no fence) breaks exactly this:
-            //   E could lag e_r and the free could land under R.
-            fence(Ordering::SeqCst);
-            let epoch = EPOCH.load(Ordering::Relaxed);
-            h.bag.push_back(Retired { ptr: old, epoch });
-            h.retired_unpublished += 1;
-            h.unpin();
-        });
-        if retired.is_err() {
-            self.store_teardown_path(new);
-        }
+        retire(|| self.ptr.swap(new, Ordering::AcqRel));
     }
 
     /// DELIBERATELY BUGGY store used only by tests: this is the exact PR-1
@@ -632,7 +763,7 @@ impl SnapshotCell {
             let mut h = h.borrow_mut();
             h.pin();
             // BUG (kept intentionally): tag read before the swap, no
-            // post-swap fence. Compare with `store` above.
+            // post-swap fence. Compare with `retire`.
             let epoch = EPOCH.load(Ordering::Relaxed);
             // The race window the early tag read opens. The turnstile is
             // inert unless a staged regression scenario armed it.
@@ -644,46 +775,78 @@ impl SnapshotCell {
             h.unpin();
         });
         if retired.is_err() {
-            self.store_teardown_path(new);
+            retire_teardown(|| self.ptr.swap(new, Ordering::AcqRel));
         }
     }
+}
 
-    /// Shared slow path for a store during thread-local teardown (no
-    /// `Handle`): unlink with the correctly fenced tag, using a one-shot
-    /// participant as the pin, and donate straight to the orphan list.
-    #[cold]
-    fn store_teardown_path(&self, new: *mut Value) {
-        {
-            let part = Arc::new(Participant {
-                epoch: AtomicU64::new(INACTIVE),
-            });
-            PARTICIPANTS.lock().push(Arc::clone(&part));
-            let e = EPOCH.load(Ordering::Relaxed);
-            part.epoch.store(e, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-            let old = self.ptr.swap(new, Ordering::AcqRel);
-            fence(Ordering::SeqCst);
-            let epoch = EPOCH.load(Ordering::Relaxed);
-            {
-                let mut orphans = ORPHANS.lock();
-                orphans.push(Retired { ptr: old, epoch });
-                HAS_ORPHANS.store(true, Ordering::Relaxed);
-            }
-            RETIRED_TOTAL.fetch_add(1, Ordering::Relaxed);
-            part.epoch.store(INACTIVE, Ordering::Release);
-            let mut parts = PARTICIPANTS.lock();
-            if let Some(i) = parts.iter().position(|q| Arc::ptr_eq(q, &part)) {
-                parts.swap_remove(i);
-            }
+/// Unlink a value with `unlink` (which returns the pointer no new reader
+/// can reach any more) and retire it into this thread's bag.
+///
+/// Runs pinned, so this also holds on the non-transactional path
+/// (`TVar::store` -> `direct_write`, post-commit deferred ops), which
+/// carries no attempt-scope pin; under one, the pin is a depth increment.
+///
+/// The tag is an epoch read AFTER a SeqCst fence that follows the unlink
+/// (crossbeam's push_bag discipline). This is what makes the two-epoch
+/// rule sound against a concurrent reader R that loaded the old pointer
+/// just before the unlink:
+///   R publishes its pin epoch e_r, fences SeqCst (F_r), then loads the
+///   pointer; we unlink, fence SeqCst (F_w), then read the tag E. If
+///   F_w < F_r in the SC order, R's load is ordered after the unlink and
+///   cannot see the old pointer. If F_r < F_w, the monotonic EPOCH gives
+///   E >= e_r, and every later `try_advance` scan (its fence follows
+///   F_w > F_r) observes R pinned at e_r <= E — so the epoch cannot pass
+///   E + 1 while R is pinned, and the old value (freed only once the
+///   epoch reaches E + 2) outlives R's pin. A stale tag (a `Relaxed` read
+///   with no fence, or one taken before the unlink — `store_weak_tag`)
+///   breaks exactly this: E could lag e_r and the free could land under R.
+///
+/// Never frees anything (invariant 5): collection happens later, at a
+/// [`flush`] safe point.
+fn retire(unlink: impl FnOnce() -> *mut Value) {
+    let mut unlink = Some(unlink);
+    let retired = HANDLE.try_with(|h| {
+        let mut h = h.borrow_mut();
+        h.pin();
+        let old = (unlink.take().expect("unlinked once"))();
+        fence(Ordering::SeqCst);
+        let epoch = EPOCH.load(Ordering::Relaxed);
+        h.bag.push_back(Retired { ptr: old, epoch });
+        h.retired_unpublished += 1;
+        h.unpin();
+    });
+    if retired.is_err() {
+        if let Some(unlink) = unlink {
+            retire_teardown(unlink);
         }
     }
+}
+
+/// [`retire`] during thread-local teardown (no `Handle`): the same fenced
+/// tag, pinned by a one-shot participant, donated straight to the orphan
+/// list.
+#[cold]
+fn retire_teardown(unlink: impl FnOnce() -> *mut Value) {
+    let part = Participant::pin_oneshot();
+    let old = unlink();
+    fence(Ordering::SeqCst);
+    let epoch = EPOCH.load(Ordering::Relaxed);
+    {
+        let mut orphans = ORPHANS.lock();
+        orphans.push(Retired { ptr: old, epoch });
+        HAS_ORPHANS.store(true, Ordering::Relaxed);
+    }
+    RETIRED_TOTAL.fetch_add(1, Ordering::Relaxed);
+    part.unpin_oneshot();
 }
 
 impl Drop for SnapshotCell {
     fn drop(&mut self) {
         // `&mut self` proves no concurrent reader exists (a reader must
-        // reach the cell through a live `Arc<VarCore>`), so the current
-        // pointer can be freed directly without going through a bag.
+        // reach the cell through a live `Arc<VarCore>`, and a `Pinned` or
+        // a `ReadLog` entry holds one), so the current pointer can be freed
+        // directly without going through a bag.
         //
         // Model builds leak instead: returning memory to the allocator
         // would let a later allocation land on a poisoned address and
@@ -857,12 +1020,16 @@ mod tests {
         }
     }
 
+    fn load_u64(cell: &SnapshotCell) -> u64 {
+        get_u64(&cell.load(&pin_scope()))
+    }
+
     #[test]
     fn load_store_roundtrip() {
         let cell = SnapshotCell::new(new_value(7u64));
-        assert_eq!(get_u64(&cell.load()), 7);
+        assert_eq!(load_u64(&cell), 7);
         cell.store(new_value(8u64));
-        assert_eq!(get_u64(&cell.load()), 8);
+        assert_eq!(load_u64(&cell), 8);
     }
 
     #[test]
@@ -873,8 +1040,40 @@ mod tests {
         // (`verify::snapshot_model`) rather than a unit test to catch.
         let cell = SnapshotCell::new(new_value(1u64));
         cell.store_weak_tag(new_value(2u64));
-        assert_eq!(get_u64(&cell.load()), 2);
+        assert_eq!(load_u64(&cell), 2);
         flush();
+    }
+
+    #[test]
+    fn a_cached_read_outlives_overwrites_until_unpin() {
+        // A logged read's value stays allocated for as long as its pin,
+        // however many overwrites and collections happen meanwhile; the
+        // cache hands it back only under that pin.
+        let pin = pin_scope();
+        let core = VarCore::new(new_value(1u64));
+        let mut log = ReadLog::default();
+        let (v, first) = core.read(&pin);
+        log.record(&core, v, first);
+        for i in 2..(COLLECT_THRESHOLD as u64 * 4) {
+            core.direct_write(new_value(i));
+            force_collect();
+        }
+        assert_eq!(get_u64(&first), 1);
+        assert_eq!(get_u64(&log.get(core.id(), &pin).expect("cached")), 1);
+        let other = pin_scope();
+        assert!(
+            log.get(core.id(), &other).is_none(),
+            "another pin scope saw the entry"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "another variable")]
+    fn a_read_logged_against_another_variable_is_refused() {
+        let pin = pin_scope();
+        let (a, b) = (VarCore::new(new_value(1u64)), VarCore::new(new_value(2u64)));
+        let (v, val) = a.read(&pin);
+        ReadLog::default().record(&b, v, val);
     }
 
     #[test]
@@ -885,7 +1084,7 @@ mod tests {
         let cell = SnapshotCell::new(new_value(0u64));
         for i in 0..(COLLECT_THRESHOLD as u64 * 8) {
             cell.store(new_value(i));
-            assert_eq!(get_u64(&cell.load()), i);
+            assert_eq!(load_u64(&cell), i);
             flush();
         }
     }
@@ -1003,7 +1202,7 @@ mod tests {
             let stop = Arc::clone(&stop);
             readers.push(std::thread::spawn(move || {
                 while stop.load(Ordering::Relaxed) == 0 {
-                    let _ = cell.load();
+                    let _ = load_u64(&cell);
                 }
             }));
         }
@@ -1017,6 +1216,6 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(get_u64(&cell.load()), 19_999);
+        assert_eq!(load_u64(&cell), 19_999);
     }
 }

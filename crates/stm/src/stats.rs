@@ -18,28 +18,74 @@ use std::fmt;
 
 use ad_support::hist::{Histogram, HistogramSnapshot};
 
-/// Live counters and histograms. All updates are relaxed: the numbers are
-/// diagnostics, not synchronization.
+/// The counters every transaction attempt bumps. They live per thread, in
+/// the thread's activity slot ([`ThreadCounters`]), so bumping one writes
+/// only the thread's own cache line.
+#[derive(Clone, Copy)]
+pub(crate) enum Hot {
+    Starts,
+    Commits,
+    AbortsConflict,
+    AbortsCapacity,
+    AbortsUnsupported,
+    Retries,
+    DeferredOps,
+    ValidationExtends,
+}
+
+const HOT: usize = 8;
+
+/// One thread's [`Hot`] counters for one runtime. Only the owning thread
+/// bumps them, so a bump is a plain load and store, not a read-modify-write.
+/// A reset records the current counts as the baseline instead of storing
+/// zeros, so it never races a bump.
+#[derive(Default)]
+pub(crate) struct ThreadCounters {
+    count: [AtomicU64; HOT],
+    base: [AtomicU64; HOT],
+}
+
+impl ThreadCounters {
+    /// Count one event. Owning thread only.
+    #[inline]
+    pub(crate) fn bump(&self, c: Hot) {
+        let n = &self.count[c as usize];
+        n.store(n.load(Ordering::Relaxed).wrapping_add(1), Ordering::Relaxed);
+    }
+
+    fn get(&self, i: usize) -> u64 {
+        self.count[i]
+            .load(Ordering::Relaxed)
+            .wrapping_sub(self.base[i].load(Ordering::Relaxed))
+    }
+
+    /// Zero the counters as the readers see them.
+    pub(crate) fn reset(&self) {
+        for (n, b) in self.count.iter().zip(&self.base) {
+            b.store(n.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+}
+
+/// A runtime's own counters and histograms: the rare events, plus the
+/// [`Hot`] counts of threads that have left the runtime's registry (folded
+/// in at thread exit). The live threads' hot counts are added when a
+/// snapshot is taken (`Registry::snapshot`). All updates are relaxed: the
+/// numbers are diagnostics, not synchronization.
 #[derive(Default)]
 pub struct Stats {
-    pub(crate) starts: AtomicU64,
-    pub(crate) commits: AtomicU64,
-    pub(crate) aborts_conflict: AtomicU64,
-    pub(crate) aborts_capacity: AtomicU64,
-    pub(crate) aborts_unsupported: AtomicU64,
-    pub(crate) retries: AtomicU64,
+    /// Folded [`Hot`] counts, indexed like [`ThreadCounters`].
+    hot: [AtomicU64; HOT],
     pub(crate) serializations: AtomicU64,
     pub(crate) serial_commits: AtomicU64,
-    pub(crate) deferred_ops: AtomicU64,
     pub(crate) defer_offloads: AtomicU64,
     pub(crate) defer_inline_fallbacks: AtomicU64,
     pub(crate) defer_self_wait_hazards: AtomicU64,
     pub(crate) defer_remote_wait_hazards: AtomicU64,
-    pub(crate) validation_extends: AtomicU64,
-    /// The latency histograms, boxed as one block: `Stats` lives inside the
-    /// runtime's hot `RtInner`, and keeping it counter-sized preserves the
-    /// cache layout of the fields around it (embedding the histograms
-    /// inline measurably slowed uninstrumented transactions).
+    /// The latency histograms, boxed as one block: keeping `Stats`
+    /// counter-sized preserves the cache layout of the fields around it
+    /// (embedding the histograms inline measurably slowed uninstrumented
+    /// transactions).
     hists: Box<LatencyHists>,
 }
 
@@ -77,20 +123,19 @@ macro_rules! bump {
 
 impl Stats {
     bump! {
-        on_start => starts,
-        on_commit => commits,
-        on_conflict => aborts_conflict,
-        on_capacity => aborts_capacity,
-        on_unsupported => aborts_unsupported,
-        on_retry => retries,
         on_serialization => serializations,
         on_serial_commit => serial_commits,
-        on_deferred_op => deferred_ops,
         on_defer_offload => defer_offloads,
         on_defer_inline_fallback => defer_inline_fallbacks,
         on_defer_self_wait_hazard => defer_self_wait_hazards,
         on_defer_remote_wait_hazard => defer_remote_wait_hazards,
-        on_validation_extend => validation_extends,
+    }
+
+    /// Add a departing thread's counts to the runtime's own.
+    pub(crate) fn fold(&self, t: &ThreadCounters) {
+        for (i, n) in self.hot.iter().enumerate() {
+            n.fetch_add(t.get(i), Ordering::Relaxed);
+        }
     }
 
     #[inline]
@@ -118,27 +163,30 @@ impl Stats {
         self.hists.queue_wait.record(ns);
     }
 
-    /// Copy the counters out. (`quiesce_waits`/`quiesce_ns` are derived
-    /// from the quiescence histogram, which replaced the old running sum.)
+    /// Copy the counters out — the runtime's own, without the live
+    /// threads' (`Registry::snapshot` adds those). (`quiesce_waits`/
+    /// `quiesce_ns` are derived from the quiescence histogram, which
+    /// replaced the old running sum.)
     pub fn snapshot(&self) -> StatsSnapshot {
         let q = self.hists.quiesce.snapshot();
+        let hot = |c: Hot| self.hot[c as usize].load(Ordering::Relaxed);
         StatsSnapshot {
-            starts: self.starts.load(Ordering::Relaxed),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts_conflict: self.aborts_conflict.load(Ordering::Relaxed),
-            aborts_capacity: self.aborts_capacity.load(Ordering::Relaxed),
-            aborts_unsupported: self.aborts_unsupported.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
+            starts: hot(Hot::Starts),
+            commits: hot(Hot::Commits),
+            aborts_conflict: hot(Hot::AbortsConflict),
+            aborts_capacity: hot(Hot::AbortsCapacity),
+            aborts_unsupported: hot(Hot::AbortsUnsupported),
+            retries: hot(Hot::Retries),
             serializations: self.serializations.load(Ordering::Relaxed),
             serial_commits: self.serial_commits.load(Ordering::Relaxed),
             quiesce_waits: q.count(),
             quiesce_ns: q.sum(),
-            deferred_ops: self.deferred_ops.load(Ordering::Relaxed),
+            deferred_ops: hot(Hot::DeferredOps),
             defer_offloads: self.defer_offloads.load(Ordering::Relaxed),
             defer_inline_fallbacks: self.defer_inline_fallbacks.load(Ordering::Relaxed),
             defer_self_wait_hazards: self.defer_self_wait_hazards.load(Ordering::Relaxed),
             defer_remote_wait_hazards: self.defer_remote_wait_hazards.load(Ordering::Relaxed),
-            validation_extends: self.validation_extends.load(Ordering::Relaxed),
+            validation_extends: hot(Hot::ValidationExtends),
         }
     }
 
@@ -154,24 +202,17 @@ impl Stats {
         }
     }
 
-    /// Zero all counters and histograms (between benchmark phases).
+    /// Zero the runtime's own counters and histograms (between benchmark
+    /// phases; `Runtime::reset_stats` also resets every live thread's).
     pub fn reset(&self) {
-        for c in [
-            &self.starts,
-            &self.commits,
-            &self.aborts_conflict,
-            &self.aborts_capacity,
-            &self.aborts_unsupported,
-            &self.retries,
+        for c in self.hot.iter().chain([
             &self.serializations,
             &self.serial_commits,
-            &self.deferred_ops,
             &self.defer_offloads,
             &self.defer_inline_fallbacks,
             &self.defer_self_wait_hazards,
             &self.defer_remote_wait_hazards,
-            &self.validation_extends,
-        ] {
+        ]) {
             c.store(0, Ordering::Relaxed);
         }
         self.hists.commit.reset();
@@ -238,6 +279,19 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// Add one live thread's [`Hot`] counts.
+    pub(crate) fn add_thread(&mut self, t: &ThreadCounters) {
+        let hot = |c: Hot| t.get(c as usize);
+        self.starts += hot(Hot::Starts);
+        self.commits += hot(Hot::Commits);
+        self.aborts_conflict += hot(Hot::AbortsConflict);
+        self.aborts_capacity += hot(Hot::AbortsCapacity);
+        self.aborts_unsupported += hot(Hot::AbortsUnsupported);
+        self.retries += hot(Hot::Retries);
+        self.deferred_ops += hot(Hot::DeferredOps);
+        self.validation_extends += hot(Hot::ValidationExtends);
+    }
+
     /// Total commits, speculative + serial.
     pub fn total_commits(&self) -> u64 {
         self.commits + self.serial_commits
@@ -452,6 +506,47 @@ impl fmt::Display for StatsReport {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+
+    /// Count a hot event straight into the runtime-wide fold, as if a
+    /// thread that counted it had exited.
+    macro_rules! fold_one {
+        ($($name:ident => $c:ident),* $(,)?) => {
+            impl Stats {
+                $(
+                    fn $name(&self) {
+                        let t = ThreadCounters::default();
+                        t.bump(Hot::$c);
+                        self.fold(&t);
+                    }
+                )*
+            }
+        };
+    }
+
+    fold_one! {
+        on_start => Starts,
+        on_commit => Commits,
+        on_conflict => AbortsConflict,
+        on_capacity => AbortsCapacity,
+        on_unsupported => AbortsUnsupported,
+        on_retry => Retries,
+        on_deferred_op => DeferredOps,
+    }
+
+    #[test]
+    fn thread_counters_reset_to_a_baseline() {
+        let t = ThreadCounters::default();
+        t.bump(Hot::Commits);
+        t.bump(Hot::Commits);
+        let mut s = StatsSnapshot::default();
+        s.add_thread(&t);
+        assert_eq!(s.commits, 2);
+        t.reset();
+        t.bump(Hot::Retries);
+        let mut s = StatsSnapshot::default();
+        s.add_thread(&t);
+        assert_eq!((s.commits, s.retries), (0, 1));
+    }
 
     #[test]
     fn snapshot_reflects_bumps() {

@@ -5,8 +5,20 @@
 //! Speculative transactions are TL2-style with lazy versioning: reads are
 //! invisible (validated at commit), writes are buffered and written back
 //! under per-variable version locks. Serial transactions (irrevocability,
-//! paper §2) execute with the runtime's serial lock held exclusively and
-//! access memory directly.
+//! paper §2) run alone — the runtime's serial flag keeps every speculative
+//! attempt out (registry.rs) — and access memory directly.
+//!
+//! ## A transaction writes no shared line its data does not need
+//!
+//! An attempt is pinned (epoch reclamation, snapshot.rs) for its whole
+//! life, so a read borrows the committed value instead of cloning its
+//! `Arc`: [`Tx::read`] clones only the `T` it returns, and the read cache
+//! keeps the borrowed pointer, cleared before the pin drops. The attempt
+//! borrows its thread's activity slot, where its counters live too. What a
+//! read still writes is the read set's `Arc<VarCore>` clone: a `TVar` may
+//! be dropped mid-attempt, validation and `retry` need its version word,
+//! and it keeps the cell of a cached pointer alive (`ReadLog`). A read-only transaction on private data thus writes only its own
+//! thread's lines; a writer adds the variables it writes and the clock.
 //!
 //! ## Descriptor reuse
 //!
@@ -16,7 +28,7 @@
 //! a conflict therefore allocates nothing — the read set, read cache,
 //! write set and commit scratch vectors are cleared, not dropped, and
 //! their capacities persist across attempts *and* across transactions on
-//! the same thread. The read and write sets are [`SmallMap`]s: inline
+//! the same thread. The read cache and write set are [`SmallMap`]s: inline
 //! linear scans at the common small sizes, hash maps only when a
 //! transaction grows past [`crate::smallmap::INLINE_CAP`] variables.
 
@@ -28,10 +40,12 @@ use crate::clock;
 use crate::config::Mode;
 use crate::error::{StmError, StmResult};
 use crate::fxhash::FxHashSet;
-use crate::registry::ActivitySlot;
+use crate::registry::Local;
 use crate::retry::WatchList;
 use crate::runtime::Runtime;
 use crate::smallmap::SmallMap;
+use crate::snapshot::{EpochGuard, ReadLog};
+use crate::stats::Hot;
 use crate::var::{downcast, new_value, TVar, Value, VarCore};
 
 /// A post-commit action queued by [`Tx::defer_post_commit`]. Receives the
@@ -44,7 +58,7 @@ pub type PostCommitFn = Box<dyn FnOnce(&Runtime) + Send>;
 enum ExecMode {
     /// Optimistic, abort-and-retry execution.
     Speculative,
-    /// Exclusive, irrevocable execution under the serial lock.
+    /// Exclusive, irrevocable execution under the serial flag.
     Serial,
 }
 
@@ -74,11 +88,11 @@ impl CommitOutput {
 /// subsequent transactions run allocation-free once the capacities are
 /// warm.
 pub(crate) struct TxBuffers {
-    /// Variables read, with the version observed. In serial mode this only
-    /// feeds the `retry` watch list.
-    read_set: Vec<(Arc<VarCore>, u64)>,
-    /// First-read values, so re-reads observe a stable snapshot (opacity).
-    read_cache: SmallMap<Value>,
+    /// Variables read, with the version observed (in serial mode this only
+    /// feeds the `retry` watch list), and the first-read values, so
+    /// re-reads observe a stable snapshot (opacity): pointers borrowed
+    /// under the attempt's pin, not `Arc` clones.
+    reads: ReadLog,
     /// Buffered writes (speculative mode only).
     write_set: SmallMap<(Arc<VarCore>, Value)>,
     /// Deferred operations queued by `atomic_defer` (via ad-defer).
@@ -101,8 +115,7 @@ pub(crate) struct TxBuffers {
 impl TxBuffers {
     fn new_boxed() -> Box<TxBuffers> {
         Box::new(TxBuffers {
-            read_set: Vec::new(),
-            read_cache: SmallMap::default(),
+            reads: ReadLog::default(),
             write_set: SmallMap::default(),
             post_commit: Vec::new(),
             post_commit_ts: Vec::new(),
@@ -115,8 +128,7 @@ impl TxBuffers {
 
     /// Clear every collection, keeping capacities.
     fn reset(&mut self) {
-        self.read_set.clear();
-        self.read_cache.clear();
+        self.reads.clear();
         self.write_set.clear();
         self.post_commit.clear();
         self.post_commit_ts.clear();
@@ -129,8 +141,7 @@ impl TxBuffers {
     /// Take back the read-set vector a [`WatchList`] borrowed from us, so
     /// the retry path keeps its capacity too.
     pub(crate) fn recycle_watch(&mut self, watch: WatchList) {
-        self.read_set = watch.into_entries();
-        self.read_set.clear();
+        self.reads.recycle(watch.into_entries());
     }
 }
 
@@ -191,24 +202,29 @@ pub struct Tx<'rt> {
     /// until the first deferred op asks for it, so transactions that never
     /// defer pay nothing.
     defer_token: Option<u64>,
-    slot: Arc<ActivitySlot>,
+    /// The thread's slot in this runtime, and quiescence's slot list.
+    local: &'rt Local,
+    /// The attempt's epoch pin: every read borrows its value under it.
+    pin: &'rt EpochGuard,
 }
 
 impl<'rt> Tx<'rt> {
-    /// `started`: the attempt-start timestamp when tracing is on (`None`
-    /// exactly when tracing is off) — reused as the `Begin` event's stamp
-    /// so a traced attempt doesn't pay a second clock read here.
+    /// `rv`: the snapshot the runner published in the slot. `started`: the
+    /// attempt-start timestamp when tracing is on (`None` exactly when
+    /// tracing is off) — reused as the `Begin` event's stamp so a traced
+    /// attempt doesn't pay a second clock read here.
     pub(crate) fn new(
         rt: &'rt Runtime,
         bufs: &'rt mut TxBuffers,
-        slot: Arc<ActivitySlot>,
+        local: &'rt Local,
+        pin: &'rt EpochGuard,
+        rv: u64,
         serial: bool,
         started: Option<u64>,
     ) -> Self {
         bufs.reset();
         let obs = started.is_some();
         let cfg = rt.config();
-        let rv = clock::now();
         if let Some(t0) = started {
             rt.trace_event_at(t0, crate::trace::EventKind::Begin, rv);
         }
@@ -228,7 +244,8 @@ impl<'rt> Tx<'rt> {
             obs,
             cfg_defer_pool: cfg.defer_exec.is_pool(),
             defer_token: None,
-            slot,
+            local,
+            pin,
         }
     }
 
@@ -244,8 +261,7 @@ impl<'rt> Tx<'rt> {
 
     /// Read a transactional variable (clones the value out).
     pub fn read<T: Any + Send + Sync + Clone>(&mut self, var: &TVar<T>) -> StmResult<T> {
-        let val = self.read_value(var.core())?;
-        Ok(downcast::<T>(&val))
+        self.read_with(var.core(), downcast::<T>)
     }
 
     /// Read a transactional variable without cloning its contents: returns
@@ -254,29 +270,31 @@ impl<'rt> Tx<'rt> {
     /// The handle stays valid after commit/abort — it is a snapshot, not a
     /// reference into the variable.
     pub fn read_arc<T: Any + Send + Sync>(&mut self, var: &TVar<T>) -> StmResult<Arc<T>> {
-        let val = self.read_value(var.core())?;
-        Ok(val
-            .downcast::<T>()
-            .unwrap_or_else(|_| panic!("ad-stm internal error: TVar value has wrong type")))
+        self.read_with(var.core(), |val| {
+            Arc::clone(val)
+                .downcast::<T>()
+                .unwrap_or_else(|_| panic!("ad-stm internal error: TVar value has wrong type"))
+        })
     }
 
-    /// The common read path: consistent snapshot + read-set bookkeeping,
-    /// returning the type-erased value.
-    fn read_value(&mut self, core: &Arc<VarCore>) -> StmResult<Value> {
+    /// The common read path: consistent snapshot + read-set bookkeeping;
+    /// `f` sees the type-erased value, borrowed, not cloned.
+    fn read_with<R>(&mut self, core: &Arc<VarCore>, f: impl FnOnce(&Value) -> R) -> StmResult<R> {
+        let pin = self.pin;
         if self.mode == ExecMode::Serial {
-            let (v, val) = core.read_consistent();
-            self.bufs.read_set.push((Arc::clone(core), v));
-            return Ok(val);
+            let (v, val) = core.read(pin);
+            self.bufs.reads.push(core, v);
+            return Ok(f(&val));
         }
         let id = core.id();
         self.charge_var_access(id)?;
         if let Some((_, val)) = self.bufs.write_set.get(id) {
-            return Ok(val.clone());
+            return Ok(f(val));
         }
-        if let Some(val) = self.bufs.read_cache.get(id) {
-            return Ok(val.clone());
+        if let Some(val) = self.bufs.reads.get(id, pin) {
+            return Ok(f(&val));
         }
-        let (v1, val) = core.read_consistent();
+        let (v1, val) = core.read(pin);
         // Logged before any extension, so the extension validates this
         // read too: a version newer than `rv` joins the extended snapshot
         // only if it is still current once the new `rv` is taken. Logged
@@ -284,12 +302,11 @@ impl<'rt> Tx<'rt> {
         // go unseen — and a commit stamped `rv + 2` skips the validation
         // that could catch it, losing that write (a `TxLock` with two
         // owners; `verify::extension_model`).
-        self.bufs.read_set.push((Arc::clone(core), v1));
+        self.bufs.reads.record(core, v1, val);
         if v1 > self.rv {
             self.extend_snapshot()?;
             debug_assert!(v1 <= self.rv);
         }
-        self.bufs.read_cache.insert(id, val.clone());
         if self.obs {
             // Sampled at power-of-two sizes from 32 up: a large read-only
             // scan leaves a growth curve, while short transactions — whose
@@ -297,13 +314,13 @@ impl<'rt> Tx<'rt> {
             // event per read (n=1 is a power of two; emitting there added
             // a third ring entry to every single-read transaction, a
             // measurable slice of the tracing-on budget).
-            let n = self.bufs.read_set.len();
+            let n = self.bufs.reads.entries().len();
             if n >= 32 && n.is_power_of_two() {
                 self.rt
                     .trace_event(crate::trace::EventKind::ReadSetGrow, n as u64);
             }
         }
-        Ok(val)
+        Ok(f(&val))
     }
 
     /// Write a transactional variable. Buffered until commit in speculative
@@ -513,7 +530,7 @@ impl<'rt> Tx<'rt> {
     /// order.
     fn extend_snapshot(&mut self) -> StmResult<()> {
         let new_rv = clock::now();
-        for (core, seen) in &self.bufs.read_set {
+        for (core, seen) in self.bufs.reads.entries() {
             let cur = core.version();
             if clock::is_locked(cur) || cur != *seen {
                 if self.obs {
@@ -524,8 +541,8 @@ impl<'rt> Tx<'rt> {
             }
         }
         self.rv = new_rv;
-        self.slot.extend(new_rv);
-        self.rt.stats_ref().on_validation_extend();
+        self.local.slot.extend(new_rv);
+        self.local.slot.counters.bump(Hot::ValidationExtends);
         if self.obs {
             self.rt
                 .trace_event(crate::trace::EventKind::ValidationExtend, new_rv);
@@ -537,7 +554,7 @@ impl<'rt> Tx<'rt> {
     /// set out of the descriptor (no clone); the runner hands the vector
     /// back via [`TxBuffers::recycle_watch`] after the wait.
     pub(crate) fn watch_list(&mut self) -> WatchList {
-        WatchList::new(std::mem::take(&mut self.bufs.read_set))
+        WatchList::new(self.bufs.reads.take_entries())
     }
 
     pub(crate) fn serial_wrote(&self) -> bool {
@@ -551,7 +568,7 @@ impl<'rt> Tx<'rt> {
 
     /// Number of read-set entries (diagnostics/tests).
     pub fn read_set_len(&self) -> usize {
-        self.bufs.read_set.len()
+        self.bufs.reads.entries().len()
     }
 
     /// Attempt to commit a speculative transaction. On success the caller
@@ -571,14 +588,14 @@ impl<'rt> Tx<'rt> {
             // transaction serializes at its (possibly extended) rv. No
             // clock tick, no quiescence (paper §2: only *writing*
             // transactions quiesce).
-            self.slot.end();
+            self.local.slot.end();
             return Ok(self.take_output());
         }
 
         let obs = self.obs;
         let rt = self.rt;
         let TxBuffers {
-            read_set,
+            reads,
             write_set,
             entries,
             locked,
@@ -615,7 +632,7 @@ impl<'rt> Tx<'rt> {
         // since our snapshot — the TL2 fast path, sound because stamps
         // are unique.
         if wv != self.rv + 2 {
-            for (core, seen) in read_set.iter() {
+            for (core, seen) in reads.entries() {
                 let ok = match entries.binary_search_by_key(&core.id(), |(id, _, _)| *id) {
                     // We hold this lock: compare against its pre-lock version.
                     Ok(i) => locked[i] == *seen,
@@ -646,7 +663,7 @@ impl<'rt> Tx<'rt> {
         // The transaction is durably committed: it is no longer a hazard to
         // privatizers, so clear the activity slot *before* quiescing (also
         // prevents two quiescing writers from waiting on each other).
-        self.slot.end();
+        self.local.slot.end();
 
         // Phase 5: wake retry-waiters watching the written variables.
         for (_, core, _) in entries.iter() {
@@ -658,7 +675,7 @@ impl<'rt> Tx<'rt> {
         // transactions that started before wv. Simulated HTM skips this:
         // hardware transactions are never observed mid-cleanup.
         if self.cfg_quiesce {
-            let ns = self.rt.registry().quiesce(wv, &self.slot);
+            let ns = self.rt.registry().quiesce(wv, self.local);
             // Zero-wait quiescence (no older transaction in flight) records
             // nothing: the enter/exit pair exists to witness actual stalls,
             // and on the uncontended fast path two events + stamps would be
@@ -682,11 +699,11 @@ impl<'rt> Tx<'rt> {
     }
 
     /// Complete a serial transaction: writes were applied eagerly, so only
-    /// collect the post-commit work. Must be called while still holding the
-    /// serial write lock.
+    /// collect the post-commit work. Must be called while the serial flag
+    /// is still ours.
     pub(crate) fn finish_serial(&mut self) -> CommitOutput {
         debug_assert_eq!(self.mode, ExecMode::Serial);
-        self.slot.end();
+        self.local.slot.end();
         self.take_output()
     }
 
@@ -727,12 +744,20 @@ impl<'rt> Tx<'rt> {
     }
 }
 
+impl Drop for Tx<'_> {
+    /// The read cache borrows values under the attempt's pin: empty it
+    /// before the pin drops.
+    fn drop(&mut self) {
+        self.bufs.reads.clear_cache();
+    }
+}
+
 impl std::fmt::Debug for Tx<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tx")
             .field("mode", &self.mode)
             .field("rv", &self.rv)
-            .field("reads", &self.bufs.read_set.len())
+            .field("reads", &self.bufs.reads.entries().len())
             .field("writes", &self.bufs.write_set.len())
             .field("deferred", &self.bufs.post_commit.len())
             .finish()
@@ -745,25 +770,26 @@ impl Tx<'_> {
     /// joins the read set *after* a snapshot extension it triggered, so
     /// the extension never validates it. `verify::extension_model` must
     /// catch the lost update this allows. Speculative mode only, with no
-    /// footprint accounting.
+    /// footprint accounting; otherwise the production read, pointer cache
+    /// included.
     pub(crate) fn read_logged_after_extend<T: Any + Send + Sync + Clone>(
         &mut self,
         var: &TVar<T>,
     ) -> StmResult<T> {
         let core = var.core();
         let id = core.id();
+        let pin = self.pin;
         if let Some((_, val)) = self.bufs.write_set.get(id) {
             return Ok(downcast::<T>(val));
         }
-        if let Some(val) = self.bufs.read_cache.get(id) {
-            return Ok(downcast::<T>(val));
+        if let Some(val) = self.bufs.reads.get(id, pin) {
+            return Ok(downcast::<T>(&val));
         }
-        let (v1, val) = core.read_consistent();
+        let (v1, val) = core.read(pin);
         if v1 > self.rv {
             self.extend_snapshot()?;
         }
-        self.bufs.read_set.push((Arc::clone(core), v1));
-        self.bufs.read_cache.insert(id, val.clone());
+        self.bufs.reads.record(core, v1, val);
         Ok(downcast::<T>(&val))
     }
 }

@@ -9,8 +9,8 @@
 //! * the committed value is stored as an `Arc<dyn Any + Send + Sync>` in a
 //!   lock-free [`SnapshotCell`]: an atomic pointer published under the
 //!   version seqlock and reclaimed via epochs (see `snapshot.rs`). Readers
-//!   take a consistent (version-stable) snapshot by cloning the `Arc` —
-//!   no lock, no writer/reader contention beyond the version word itself.
+//!   take a consistent (version-stable) snapshot by borrowing the value
+//!   under an epoch pin — no lock, no refcount, no shared write at all.
 //! * a waiter list supports parking-based `retry`.
 //!
 //! Values must be `Clone`: a read hands the transaction its own copy. For
@@ -27,7 +27,7 @@ use ad_support::sync::Mutex;
 
 use crate::clock;
 use crate::retry::Waiter;
-use crate::snapshot::SnapshotCell;
+use crate::snapshot::{EpochGuard, Pinned, SnapshotCell};
 
 /// Type-erased committed value.
 pub(crate) type Value = Arc<dyn Any + Send + Sync>;
@@ -42,8 +42,7 @@ pub(crate) struct VarCore {
     /// Even = commit timestamp of `value`; odd = write-locked.
     version: AtomicU64,
     /// The committed value: a lock-free atomic pointer, paired with
-    /// `version` by the seqlock read protocol in [`read_consistent`]
-    /// (Self::read_consistent).
+    /// `version` by the seqlock read protocol in [`read`](Self::read).
     value: SnapshotCell,
     /// Threads parked in `retry` watching this variable.
     waiters: Mutex<Vec<Arc<Waiter>>>,
@@ -68,6 +67,12 @@ impl VarCore {
         Arc::as_ptr(self) as usize
     }
 
+    /// The cell holding the committed value (its address identifies the
+    /// variable a [`Pinned`] read came from).
+    pub(crate) fn cell(&self) -> &SnapshotCell {
+        &self.value
+    }
+
     /// Current version word, for validation and watch lists.
     ///
     /// `Acquire` (not `SeqCst`) is enough for TL2 validation: a validator
@@ -84,24 +89,27 @@ impl VarCore {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Take a version-consistent snapshot: returns `(version, value)` such
-    /// that `value` was the committed value at `version` and `version` is
-    /// even. Spins across concurrent commit write-backs (which are short).
+    /// Take a version-consistent snapshot under `pin`: returns
+    /// `(version, value)` such that `value` was the committed value at
+    /// `version` and `version` is even. The value is borrowed, not cloned,
+    /// for as long as `pin` and `self` live. Spins across concurrent commit
+    /// write-backs (which are short).
     ///
-    /// Lock-free: the value load is a single `Acquire` pointer read (plus
-    /// an `Arc` clone) under the even/odd seqlock. If a writer swaps the
+    /// Lock-free and write-free: the value load is a single `Acquire`
+    /// pointer read under the even/odd seqlock. If a writer swaps the
     /// pointer between `v1` and `v2`, the writer's preceding lock CAS (odd
     /// version) or its final version stamp is visible by the time the new
     /// pointer is (both are ordered before the `Release`-swapped pointer),
     /// so `v2 != v1` and the read retries.
-    pub(crate) fn read_consistent(&self) -> (u64, Value) {
+    #[inline]
+    pub(crate) fn read<'a>(&'a self, pin: &'a EpochGuard) -> (u64, Pinned<'a>) {
         loop {
             let v1 = self.version.load(Ordering::Acquire);
             if clock::is_locked(v1) {
                 std::hint::spin_loop();
                 continue;
             }
-            let val = self.value.load();
+            let val = self.value.load(pin);
             let v2 = self.version.load(Ordering::Acquire);
             if v1 == v2 {
                 return (v1, val);
@@ -138,7 +146,7 @@ impl VarCore {
         debug_assert!(!clock::is_locked(wv));
         // Holding the version lock satisfies `SnapshotCell::store`'s
         // single-writer contract; the subsequent `Release` version stamp
-        // publishes value and version together for `read_consistent`.
+        // publishes value and version together for `read`.
         self.value.store(val);
         self.version.store(wv, Ordering::Release);
     }
@@ -236,7 +244,9 @@ impl<T: Any + Send + Sync + Clone> TVar<T> {
 
     /// Non-transactional consistent read of this single variable.
     pub fn load(&self) -> T {
-        let (_, val) = self.core.read_consistent();
+        // A pin of its own: a depth increment inside a transaction attempt.
+        let pin = crate::snapshot::pin_scope();
+        let (_, val) = self.core.read(&pin);
         downcast::<T>(&val)
     }
 

@@ -13,6 +13,10 @@
 //!   whose read triggered it, over the whole runtime; with the regression
 //!   model that logs that read after the extension (the lost update behind
 //!   the two-owner `TxLock` panic) and asserts the model catches it.
+//! * [`serial_model`] — the serial handshake: an irrevocable transaction
+//!   vs. a speculative attempt over a two-variable invariant; with the
+//!   regression model that loads the serial flag before publishing the
+//!   slot, and asserts the model catches the overlap.
 //!
 //! Run with:
 //!
@@ -22,11 +26,20 @@
 //!
 //! See VERIFICATION.md for what each model does and does not prove.
 
+use std::cell::Cell;
 use std::sync::Mutex;
 
 mod extension_model;
 mod quiesce_model;
+mod serial_model;
 mod snapshot_model;
+
+thread_local! {
+    /// Set on a model thread to make its speculative attempts load the
+    /// serial flag *before* publishing their slot — the mutant
+    /// `serial_model` must catch (`Runtime::begin_unless_serial`).
+    pub(crate) static FLAG_BEFORE_SLOT: Cell<bool> = const { Cell::new(false) };
+}
 
 /// The models exercise process-global state (the epoch counter, the
 /// participant registry), so two models exploring interleavings at once

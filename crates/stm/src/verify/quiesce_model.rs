@@ -47,7 +47,8 @@ fn quiesce_vs_writeback(e: &mut Exec, weaken_end_order: bool) {
         Arc::clone(&older_begun),
     );
     e.spawn(move || {
-        let slot = reg_o.my_slot(9101);
+        let me = reg_o.local(9101);
+        let slot = &me.slot;
         slot.begin(2);
         begun_o.store(true, Ordering::SeqCst);
         if weaken_end_order {
@@ -67,14 +68,14 @@ fn quiesce_vs_writeback(e: &mut Exec, weaken_end_order: bool) {
     // inactive (the commit path clears it before quiescing).
     let (reg_q, wb_q, begun_q) = (Arc::clone(&reg), Arc::clone(&writeback), older_begun);
     e.spawn(move || {
-        let slot = reg_q.my_slot(9102);
+        let me = reg_q.local(9102);
         // Clock ordering: rv = 2 < wv = 4 means the older transaction's
         // `begin` happened before this writer's `tick` — model that
         // happens-before by waiting for it.
         while !begun_q.load(Ordering::SeqCst) {
             std::hint::spin_loop();
         }
-        reg_q.quiesce(4, &slot);
+        reg_q.quiesce(4, &me);
         assert_eq!(
             wb_q.load(Ordering::SeqCst),
             1,
@@ -87,8 +88,7 @@ fn quiesce_vs_writeback(e: &mut Exec, weaken_end_order: bool) {
     // it would blow the step budget and fail the execution.
     let reg_n = reg;
     e.spawn(move || {
-        let slot = reg_n.my_slot(9103);
-        slot.begin(6);
+        reg_n.local(9103).slot.begin(6);
     });
 }
 

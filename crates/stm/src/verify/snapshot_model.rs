@@ -16,6 +16,13 @@
 //!   value while the reader still holds it (see the proof comment in
 //!   `SnapshotCell::store`).
 //!
+//! * [`reread_after_overwrites`] — a transaction's re-read comes from its
+//!   read cache, which keeps the pointer its first read borrowed, not an
+//!   `Arc` clone. A writer overwrites the variable twice and collects after
+//!   each, while the reader is pinned between its two reads. The first
+//!   value must still be allocated: the cache lookup asserts its pointer
+//!   is not poisoned, and the re-read must return the first read's value.
+//!
 //! * [`staged_stale_tag`] — the **regression model**: the same machinery
 //!   over `store_weak_tag`, the PR-1 bug (tag read *before* the swap,
 //!   fixed in commit 0b01d8c) reintroduced behind `cfg(test)`. The
@@ -35,10 +42,12 @@
 use std::sync::Arc;
 
 use ad_support::model::{check, check_expect_violation, CheckOpts, Exec};
+use ad_support::sync::atomic::{AtomicBool, Ordering};
 
 use super::serialize;
-use crate::snapshot::{model_hooks, SnapshotCell};
+use crate::snapshot::{model_hooks, pin_scope, SnapshotCell};
 use crate::var::new_value;
+use crate::{Runtime, TVar, TmConfig};
 
 /// Exploration bounds for the green model: 3 threads with a few dozen
 /// scheduling points each, so a few thousand seeds visit the boundary
@@ -70,7 +79,8 @@ fn retire_vs_pin(e: &mut Exec) {
     let r = Arc::clone(&cell);
     e.spawn(move || {
         for _ in 0..2 {
-            let v = r.load();
+            let pin = pin_scope();
+            let v = r.load(&pin);
             let x = *v.downcast_ref::<u64>().expect("cell holds a u64");
             assert!(x == 0 || x == 1, "torn or recycled value: {x}");
         }
@@ -82,6 +92,57 @@ fn retire_vs_pin(e: &mut Exec) {
             model_hooks::advance();
         }
     });
+}
+
+/// A pinned reader's re-read vs. two overwrites, each followed by a
+/// collection, over the real runtime.
+fn reread_after_overwrites(e: &mut Exec) {
+    let rt = Arc::new(Runtime::new(TmConfig::stm()));
+    let x = TVar::new(0u64);
+    let first_read = Arc::new(AtomicBool::new(false));
+    let overwritten = Arc::new(AtomicBool::new(false));
+
+    let (xr, first, over) = (x.clone(), Arc::clone(&first_read), Arc::clone(&overwritten));
+    e.spawn(move || {
+        rt.atomically(|tx| {
+            let a = tx.read(&xr)?;
+            first.store(true, Ordering::SeqCst);
+            while !over.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            let b = tx.read(&xr)?;
+            assert_eq!(a, b, "a re-read returned another value than the first read");
+            Ok(())
+        });
+    });
+
+    e.spawn(move || {
+        while !first_read.load(Ordering::SeqCst) {
+            std::hint::spin_loop();
+        }
+        for v in 1..=2 {
+            x.store(v);
+            model_hooks::force_collect();
+        }
+        overwritten.store(true, Ordering::SeqCst);
+    });
+
+    // Churner: epoch advancement from elsewhere in the system.
+    e.spawn(move || {
+        for _ in 0..3 {
+            model_hooks::advance();
+        }
+    });
+}
+
+#[test]
+fn a_cached_read_outlives_overwrites_until_unpin() {
+    let _g = serialize();
+    check(
+        "snapshot-reread-after-overwrites",
+        opts(),
+        reread_after_overwrites,
+    );
 }
 
 /// The staged regression scenario (see the module docs): drive the PR-1
@@ -113,7 +174,8 @@ fn staged_stale_tag(e: &mut Exec) {
         while !model_hooks::epoch_advanced() {
             std::hint::spin_loop();
         }
-        let _v = r.load();
+        let pin = pin_scope();
+        let _v = r.load(&pin);
     });
 
     // Churner: once the writer sits in its window (pinned, stale tag in

@@ -65,8 +65,11 @@ fn nontx_load_never_tears_against_commits() {
 }
 
 /// Transactional readers must see consistent snapshots too: each
-/// transaction reads the pair twice (exercising the read cache on the
-/// second read) while committers replace it.
+/// transaction reads the pair twice while committers replace it. The
+/// second read comes from the read cache, which keeps the pointer the
+/// first read borrowed under the attempt's pin, not an `Arc` clone: that
+/// value must outlive every overwrite and collection until the attempt
+/// unpins, and the re-read must return it.
 #[test]
 fn transactional_reads_are_opaque_under_write_storm() {
     let rt = Arc::new(Runtime::new(TmConfig::stm()));

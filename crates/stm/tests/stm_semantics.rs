@@ -694,3 +694,60 @@ fn configured_tiny_trace_ring_reports_drops() {
     assert_eq!(v.load(), 50);
     assert_eq!(w.load(), 50);
 }
+
+#[test]
+fn counts_from_an_exited_thread_survive() {
+    let rt = Runtime::new(TmConfig::stm());
+    let v = TVar::new(0u64);
+    let (rt2, v2) = (rt.clone(), v.clone());
+    std::thread::spawn(move || {
+        for _ in 0..5 {
+            rt2.atomically(|tx| tx.modify(&v2, |x| x + 1));
+        }
+    })
+    .join()
+    .unwrap();
+    let s = rt.stats();
+    assert_eq!(s.commits, 5, "{s}");
+    assert_eq!(s.starts, 5, "{s}");
+}
+
+#[test]
+fn reset_stats_zeroes_every_threads_counters() {
+    let rt = Runtime::new(TmConfig::stm());
+    let v = TVar::new(0u64);
+    let go = Arc::new(std::sync::Barrier::new(2));
+    let done = Arc::new(std::sync::Barrier::new(2));
+    let worker = {
+        let (rt, v, go, done) = (rt.clone(), v.clone(), Arc::clone(&go), Arc::clone(&done));
+        std::thread::spawn(move || {
+            rt.atomically(|tx| tx.modify(&v, |x| x + 1));
+            go.wait();
+            done.wait();
+            rt.atomically(|tx| tx.modify(&v, |x| x + 1));
+        })
+    };
+    rt.atomically(|tx| tx.modify(&v, |x| x + 1));
+    go.wait();
+    // Both threads are live and have counted one commit each.
+    assert_eq!(rt.stats().commits, 2);
+    rt.reset_stats();
+    assert_eq!(rt.stats(), ad_stm::StatsSnapshot::default());
+    done.wait();
+    worker.join().unwrap();
+    // Counting resumes from zero on the thread that was reset while live.
+    assert_eq!(rt.stats().commits, 1);
+}
+
+#[test]
+fn two_runtimes_on_one_thread_keep_their_counts_apart() {
+    let (a, b) = (Runtime::new(TmConfig::stm()), Runtime::new(TmConfig::stm()));
+    let v = TVar::new(0u64);
+    for _ in 0..3 {
+        a.atomically(|tx| tx.modify(&v, |x| x + 1));
+    }
+    b.atomically(|tx| tx.read(&v).map(drop));
+    assert_eq!((a.stats().commits, b.stats().commits), (3, 1));
+    a.reset_stats();
+    assert_eq!((a.stats().commits, b.stats().commits), (0, 1));
+}
