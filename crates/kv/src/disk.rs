@@ -26,13 +26,16 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use ad_support::sync::atomic::{AtomicU64, Ordering};
 use ad_support::sync::{Condvar, Mutex};
+
+use crate::wal::PREALLOC_CHUNK;
 
 /// Logical name of the initial WAL segment.
 pub const WAL_BASE: &str = "wal";
@@ -63,14 +66,22 @@ pub fn segment_first_seq(name: &str) -> Option<u64> {
     }
 }
 
-/// An open file accepting appends — what the WAL keeps for its active
-/// segment, so a group-commit batch costs one `append` and one `sync`
-/// with no lookup by name.
+/// An open file written by position — what the WAL keeps for its active
+/// segment, so a group-commit batch costs one `write_at` and one `sync`
+/// with no lookup by name. None of the writes is durable before
+/// [`DiskFile::sync`].
 pub trait DiskFile: Send {
-    /// Write `data` at the end of the file. Durability still requires
-    /// [`DiskFile::sync`].
+    /// Write `data` at the end of the file.
     fn append(&mut self, data: &[u8]) -> io::Result<()>;
-    /// Block until every appended byte is durable.
+    /// Write `data` at byte `off`, which must not lie past the end of the
+    /// file: over what is there, and growing the file where it runs past
+    /// the end.
+    fn write_at(&mut self, off: u64, data: &[u8]) -> io::Result<()>;
+    /// Grow the file by `len` zero bytes, written as data — real blocks,
+    /// not a hole — so a later `write_at` into them changes no file size
+    /// and its sync commits no metadata.
+    fn zero_extend(&mut self, len: u64) -> io::Result<()>;
+    /// Block until every written byte is durable.
     fn sync(&mut self) -> io::Result<()>;
 }
 
@@ -82,17 +93,18 @@ pub trait Disk: Send + Sync {
     /// Full contents of `name`, or `None` when absent.
     fn read(&self, name: &str) -> io::Result<Option<Vec<u8>>>;
     /// Create `name` empty (replacing any existing file) and open it for
-    /// append.
+    /// writing.
     fn create(&self, name: &str) -> io::Result<Box<dyn DiskFile>>;
-    /// Open the existing file `name` for append at its end.
+    /// Open the existing file `name` for writing; [`DiskFile::append`]
+    /// writes at its end.
     fn open_append(&self, name: &str) -> io::Result<Box<dyn DiskFile>>;
     /// Cut `name` to its first `len` bytes, durably.
     fn truncate(&self, name: &str, len: u64) -> io::Result<()>;
     /// Atomically rename `from` to `to`, replacing `to`. A missing `from`
     /// is `ErrorKind::NotFound`.
     fn rename(&self, from: &str, to: &str) -> io::Result<()>;
-    /// Remove `name`; returns the bytes freed (0 when it was absent).
-    fn delete(&self, name: &str) -> io::Result<u64>;
+    /// Remove `name`, if present.
+    fn delete(&self, name: &str) -> io::Result<()>;
     /// Make every metadata change so far durable.
     fn sync_dir(&self) -> io::Result<()>;
 }
@@ -130,15 +142,43 @@ impl FileDisk {
     }
 }
 
-struct FileHandle(File);
+/// The zeros [`DiskFile::zero_extend`] writes on a [`FileDisk`]: static,
+/// so a fill costs no allocation and no resident heap.
+static ZEROS: [u8; PREALLOC_CHUNK] = [0; PREALLOC_CHUNK];
+
+/// An open file and its length. Every write names its offset (`pwrite`);
+/// the fd is never `O_APPEND`, on which Linux `pwrite` ignores the offset
+/// and appends.
+struct FileHandle {
+    file: File,
+    len: u64,
+}
 
 impl DiskFile for FileHandle {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        self.0.write_all(data)
+        self.write_at(self.len, data)
+    }
+
+    fn write_at(&mut self, off: u64, data: &[u8]) -> io::Result<()> {
+        if off > self.len {
+            return Err(past_end(off, self.len));
+        }
+        self.file.write_all_at(data, off)?;
+        self.len = self.len.max(off + data.len() as u64);
+        Ok(())
+    }
+
+    fn zero_extend(&mut self, len: u64) -> io::Result<()> {
+        let end = self.len + len;
+        while self.len < end {
+            let n = (end - self.len).min(ZEROS.len() as u64) as usize;
+            self.write_at(self.len, &ZEROS[..n])?;
+        }
+        Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        self.0.sync_data()
+        self.file.sync_data()
     }
 }
 
@@ -177,12 +217,13 @@ impl Disk for FileDisk {
             .truncate(true)
             .write(true)
             .open(self.path(name))?;
-        Ok(Box::new(FileHandle(file)))
+        Ok(Box::new(FileHandle { file, len: 0 }))
     }
 
     fn open_append(&self, name: &str) -> io::Result<Box<dyn DiskFile>> {
-        let file = OpenOptions::new().append(true).open(self.path(name))?;
-        Ok(Box::new(FileHandle(file)))
+        let file = OpenOptions::new().write(true).open(self.path(name))?;
+        let len = file.metadata()?.len();
+        Ok(Box::new(FileHandle { file, len }))
     }
 
     fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
@@ -195,13 +236,10 @@ impl Disk for FileDisk {
         std::fs::rename(self.path(from), self.path(to))
     }
 
-    fn delete(&self, name: &str) -> io::Result<u64> {
-        let path = self.path(name);
-        let freed = std::fs::metadata(&path).map_or(0, |md| md.len());
-        match std::fs::remove_file(&path) {
-            Ok(()) => Ok(freed),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
-            Err(e) => Err(e),
+    fn delete(&self, name: &str) -> io::Result<()> {
+        match std::fs::remove_file(self.path(name)) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            other => other,
         }
     }
 
@@ -210,24 +248,68 @@ impl Disk for FileDisk {
     }
 }
 
+fn past_end(off: u64, len: u64) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("write at {off} past the end of a {len}-byte file"),
+    )
+}
+
 /// One durability-relevant operation on a [`MemDisk`], journaled so
 /// tests can rebuild the disk as of any prefix — byte-exact crash
 /// images across checkpoint boundaries. Metadata operations (create,
 /// rename, delete) are treated as atomic and durable because the
-/// protocols fsync the directory after each one.
+/// protocols fsync the directory after each one. `Write` is data at
+/// `off` (an append writes at the file's end); `Zeros` is a
+/// [`DiskFile::zero_extend`] of `len` bytes.
 #[derive(Debug, Clone)]
 enum DiskEvent {
-    Append { file: String, bytes: Vec<u8> },
-    Sync { file: String },
-    Create { file: String },
-    Rename { from: String, to: String },
-    Delete { file: String },
+    Write {
+        file: String,
+        off: usize,
+        bytes: Vec<u8>,
+    },
+    Zeros {
+        file: String,
+        len: usize,
+    },
+    Sync {
+        file: String,
+    },
+    Create {
+        file: String,
+    },
+    Rename {
+        from: String,
+        to: String,
+    },
+    Delete {
+        file: String,
+    },
 }
 
+/// A file's bytes and what of them is durable. The zero fill is told
+/// apart from data, so byte counts can leave it out: the file is
+/// `written[..data_len]` — everything [`DiskFile::write_at`] put there —
+/// then zeros. A sync makes the data and the length durable; the WAL
+/// writes only past the synced data, into zeros, so an image that loses
+/// the unsynced writes is the synced data zero-filled to the synced
+/// length.
 #[derive(Debug, Default, Clone)]
 struct MemFile {
     written: Vec<u8>,
+    data_len: usize,
     synced_len: usize,
+    synced_size: usize,
+}
+
+impl MemFile {
+    /// Cut everything unsynced: the pessimistic crash image of the file.
+    fn drop_unsynced(&mut self) {
+        self.written.truncate(self.synced_len);
+        self.written.resize(self.synced_size, 0);
+        self.data_len = self.synced_len;
+    }
 }
 
 /// The two points a test can hold a [`MemDisk`] at.
@@ -260,15 +342,26 @@ impl MemDiskInner {
             DiskEvent::Create { file } => {
                 self.files.insert(file.clone(), MemFile::default());
             }
-            DiskEvent::Append { file, bytes } => {
+            DiskEvent::Write { file, off, bytes } => {
                 let take = limit.unwrap_or(bytes.len()).min(bytes.len());
                 if let Some(f) = self.files.get_mut(file) {
-                    f.written.extend_from_slice(&bytes[..take]);
+                    let end = off + take;
+                    if f.written.len() < end {
+                        f.written.resize(end, 0);
+                    }
+                    f.written[*off..end].copy_from_slice(&bytes[..take]);
+                    f.data_len = f.data_len.max(end);
+                }
+            }
+            DiskEvent::Zeros { file, len } => {
+                if let Some(f) = self.files.get_mut(file) {
+                    f.written.resize(f.written.len() + len, 0);
                 }
             }
             DiskEvent::Sync { file } => {
                 if let Some(f) = self.files.get_mut(file) {
-                    f.synced_len = f.written.len();
+                    f.synced_len = f.data_len;
+                    f.synced_size = f.written.len();
                 }
             }
             DiskEvent::Rename { from, to } => {
@@ -330,25 +423,37 @@ impl MemDisk {
         }
     }
 
-    /// A disk holding one fully synced file `name` with `bytes` — the
-    /// starting point for hand-built or hand-corrupted recovery images.
+    /// A disk holding one fully synced file `name` with `bytes`, all of
+    /// them data — the starting point for hand-built or hand-corrupted
+    /// recovery images.
     pub fn with_file(name: &str, bytes: &[u8]) -> Self {
         let disk = Self::new();
         let file = MemFile {
             written: bytes.to_vec(),
+            data_len: bytes.len(),
             synced_len: bytes.len(),
+            synced_size: bytes.len(),
         };
         disk.inner.state.lock().files.insert(name.to_string(), file);
         disk
     }
 
-    /// The durable prefix of `name`: what survives a crash for certain
-    /// (empty when the file is absent).
+    /// The durable data of `name`: what survives a crash for certain,
+    /// the zero fill after it left out (empty when the file is absent).
     pub fn synced(&self, name: &str) -> Vec<u8> {
         let g = self.inner.state.lock();
         g.files
             .get(name)
             .map_or_else(Vec::new, |f| f.written[..f.synced_len].to_vec())
+    }
+
+    /// The data of `name`, synced or not: what [`Disk::read`] returns,
+    /// the zero fill after it left out (empty when the file is absent).
+    pub fn written(&self, name: &str) -> Vec<u8> {
+        let g = self.inner.state.lock();
+        g.files
+            .get(name)
+            .map_or_else(Vec::new, |f| f.written[..f.data_len].to_vec())
     }
 
     /// Number of file syncs so far.
@@ -358,13 +463,14 @@ impl MemDisk {
         g.journal.iter().filter(is_sync).count() as u64
     }
 
-    /// Total bytes across live WAL segments.
+    /// Total data bytes across live WAL segments — records, not the
+    /// zero fill ahead of them.
     pub fn wal_bytes(&self) -> u64 {
         let g = self.inner.state.lock();
         g.files
             .iter()
             .filter(|(n, _)| segment_first_seq(n).is_some())
-            .map(|(_, f)| f.written.len() as u64)
+            .map(|(_, f)| f.data_len as u64)
             .sum()
     }
 
@@ -381,20 +487,22 @@ impl MemDisk {
         self.inner.state.lock().stamps.clone()
     }
 
-    /// If journal entry `i` is an append, its byte length (so tests can
-    /// enumerate byte-level cuts inside it).
+    /// If journal entry `i` is a data write (an append or a positional
+    /// write), its byte length (so tests can enumerate byte-level cuts
+    /// inside it). A zero fill is not one: any cut of it is a shorter
+    /// zero tail.
     pub fn event_append_len(&self, i: usize) -> Option<usize> {
         match self.inner.state.lock().journal.get(i) {
-            Some(DiskEvent::Append { bytes, .. }) => Some(bytes.len()),
+            Some(DiskEvent::Write { bytes, .. }) => Some(bytes.len()),
             _ => None,
         }
     }
 
     /// Rebuild the disk as it would look after a crash: journal entries
     /// `..events` fully applied, plus the first `partial_bytes` of entry
-    /// `events` if that entry is an append. With `synced_only`, every
-    /// file is additionally truncated to its synced prefix (the
-    /// pessimistic image: unsynced bytes never reached the platter);
+    /// `events` if that entry is a data write. With `synced_only`, every
+    /// file is additionally cut back to what its last sync made durable
+    /// (the pessimistic image: unsynced writes never reached the platter);
     /// otherwise unsynced bytes survive (the optimistic image). Metadata
     /// operations are always durable — the protocols fsync the directory
     /// after each. The journal covers operations since this disk was
@@ -408,14 +516,11 @@ impl MemDisk {
             for ev in journal.iter().take(events) {
                 g.apply(ev, None);
             }
-            if let Some(ev @ DiskEvent::Append { .. }) = journal.get(events) {
+            if let Some(ev @ DiskEvent::Write { .. }) = journal.get(events) {
                 g.apply(ev, Some(partial_bytes));
             }
             if synced_only {
-                for f in g.files.values_mut() {
-                    let keep = f.synced_len;
-                    f.written.truncate(keep);
-                }
+                g.files.values_mut().for_each(MemFile::drop_unsynced);
             }
         }
         img
@@ -480,17 +585,49 @@ struct MemHandle {
     name: String,
 }
 
+impl MemHandle {
+    /// Journal the event `make` builds from the file's current length.
+    fn record(&self, make: impl FnOnce(usize) -> io::Result<DiskEvent>) -> io::Result<()> {
+        let mut g = self.disk.inner.state.lock();
+        let len = match g.files.get(&self.name) {
+            Some(f) => f.written.len(),
+            None => return Err(not_found(&self.name)),
+        };
+        let ev = make(len)?;
+        g.record(ev);
+        Ok(())
+    }
+
+    fn write_event(&self, off: usize, data: &[u8]) -> DiskEvent {
+        DiskEvent::Write {
+            file: self.name.clone(),
+            off,
+            bytes: data.to_vec(),
+        }
+    }
+}
+
 impl DiskFile for MemHandle {
     fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        let mut g = self.disk.inner.state.lock();
-        if !g.files.contains_key(&self.name) {
-            return Err(not_found(&self.name));
-        }
-        g.record(DiskEvent::Append {
-            file: self.name.clone(),
-            bytes: data.to_vec(),
-        });
-        Ok(())
+        self.record(|len| Ok(self.write_event(len, data)))
+    }
+
+    fn write_at(&mut self, off: u64, data: &[u8]) -> io::Result<()> {
+        self.record(|len| {
+            if off > len as u64 {
+                return Err(past_end(off, len as u64));
+            }
+            Ok(self.write_event(off as usize, data))
+        })
+    }
+
+    fn zero_extend(&mut self, len: u64) -> io::Result<()> {
+        self.record(|_| {
+            Ok(DiskEvent::Zeros {
+                file: self.name.clone(),
+                len: len as usize,
+            })
+        })
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -540,8 +677,11 @@ impl Disk for MemDisk {
     fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
         let mut g = self.inner.state.lock();
         let f = g.files.get_mut(name).ok_or_else(|| not_found(name))?;
-        f.written.truncate(len as usize);
-        f.synced_len = f.synced_len.min(len as usize);
+        let len = len as usize;
+        f.written.truncate(len);
+        f.data_len = f.data_len.min(len);
+        f.synced_len = f.synced_len.min(len);
+        f.synced_size = f.synced_size.min(len);
         Ok(())
     }
 
@@ -557,19 +697,90 @@ impl Disk for MemDisk {
         Ok(())
     }
 
-    fn delete(&self, name: &str) -> io::Result<u64> {
+    fn delete(&self, name: &str) -> io::Result<()> {
         let mut g = self.inner.state.lock();
-        let Some(f) = g.files.get(name) else {
-            return Ok(0);
-        };
-        let freed = f.written.len() as u64;
-        g.record(DiskEvent::Delete {
-            file: name.to_string(),
-        });
-        Ok(freed)
+        if g.files.contains_key(name) {
+            g.record(DiskEvent::Delete {
+                file: name.to_string(),
+            });
+        }
+        Ok(())
     }
 
     fn sync_dir(&self) -> io::Result<()> {
         Ok(())
+    }
+}
+
+#[cfg(all(test, not(loom)))]
+mod tests {
+    use super::*;
+
+    /// One script of appends, positional writes, zero fills and a sync
+    /// on `disk`'s file `wal`; returns the file's bytes after it.
+    fn script(disk: &dyn Disk) -> Vec<u8> {
+        let mut f = disk.create(WAL_BASE).unwrap();
+        f.append(b"abcdef").unwrap();
+        f.sync().unwrap();
+        // A second handle on the same file: its writes land where they
+        // say, not at the end — on an `O_APPEND` fd Linux `pwrite`
+        // would append them.
+        let mut g = disk.open_append(WAL_BASE).unwrap();
+        g.write_at(2, b"XY").unwrap();
+        assert_eq!(disk.read(WAL_BASE).unwrap().unwrap(), b"abXYef");
+        g.zero_extend(10).unwrap();
+        g.write_at(6, b"gh").unwrap();
+        let err = g.write_at(17, b"hole").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        g.sync().unwrap();
+        g.append(b"!").unwrap();
+        disk.read(WAL_BASE).unwrap().unwrap()
+    }
+
+    #[test]
+    fn file_and_mem_files_write_by_position_and_zero_extend_alike() {
+        let mut want = b"abXYefgh".to_vec();
+        want.resize(16, 0);
+        want.push(b'!');
+
+        let dir = std::env::temp_dir().join(format!("ad-kv-disk-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(script(&FileDisk::new(dir.join("store.wal"))), want);
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let mem = MemDisk::new();
+        assert_eq!(script(&mem), want);
+        // The zero fill is not data: the synced data ends where the last
+        // write into the fill did. The append after the sync went to the
+        // end of the file, past the rest of the fill.
+        assert_eq!(mem.synced(WAL_BASE), b"abXYefgh");
+        assert_eq!(mem.written(WAL_BASE), want);
+    }
+
+    #[test]
+    fn a_memdisk_crash_image_keeps_the_synced_zero_fill_and_drops_unsynced_writes() {
+        let mem = MemDisk::new();
+        let mut f = mem.create(WAL_BASE).unwrap();
+        f.zero_extend(8).unwrap();
+        f.write_at(0, b"rec1").unwrap();
+        f.sync().unwrap();
+        let synced = mem.journal_len();
+        f.write_at(4, b"rec2").unwrap();
+        f.zero_extend(4).unwrap();
+        let read = |d: &MemDisk| d.read(WAL_BASE).unwrap().unwrap();
+        assert_eq!(read(&mem), b"rec1rec2\0\0\0\0");
+
+        // Pessimistic: the write into the synced fill is undone, the
+        // unsynced fill is gone.
+        let pess = mem.crash_image(mem.journal_len(), 0, true);
+        assert_eq!(read(&pess), b"rec1\0\0\0\0");
+        assert_eq!(pess.written(WAL_BASE), b"rec1");
+        // Optimistic, torn mid-write: half of it, then the fill.
+        let torn = mem.crash_image(synced, 2, false);
+        assert_eq!(read(&torn), b"rec1re\0\0");
+        assert_eq!(torn.written(WAL_BASE), b"rec1re");
+        assert_eq!(mem.event_append_len(synced), Some(4));
+        assert_eq!(mem.event_append_len(synced + 1), None, "a fill is not data");
     }
 }

@@ -12,10 +12,15 @@
 //!
 //! The scan accepts records while: the header is complete, the magic
 //! matches, the length is sane, the payload is complete, the CRC matches,
-//! and the sequence number continues the chain. The first failure marks
-//! the torn tail; everything from that offset on is discarded. This is
-//! deliberately prefix-only — a record *after* a corrupt one may well be
-//! intact, but replaying across a hole would reorder same-key updates.
+//! and the sequence number continues the chain. At a record boundary,
+//! nothing but zero bytes up to the end of the segment is its clean end:
+//! the zero tail the WAL fills ahead of its last record (no record starts
+//! with a zero byte). It is counted as neither valid nor truncated, and
+//! it stays on disk for appends to resume into. Anything else marks the
+//! torn tail — a torn record followed by zeros is still torn; everything
+//! from that offset on is discarded. This is deliberately prefix-only — a
+//! record *after* a corrupt one may well be intact, but replaying across
+//! a hole would reorder same-key updates.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -84,7 +89,8 @@ pub struct RedoRecord {
 /// Why the scan stopped where it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanEnd {
-    /// The log ended exactly on a record boundary.
+    /// The log ended on a record boundary, perhaps followed by nothing
+    /// but zero bytes (the WAL's zero fill).
     Clean,
     /// Fewer bytes than a header (or than the promised payload) remained —
     /// the classic torn tail of a crashed append.
@@ -122,7 +128,7 @@ pub struct RecoveryReport {
     pub ops: u64,
     /// Bytes of valid WAL prefix kept.
     pub valid_bytes: u64,
-    /// Bytes discarded as the torn tail.
+    /// Bytes discarded as the torn tail (a clean zero tail is not one).
     pub truncated_bytes: u64,
     /// Sequence number of the last accepted record (0 if none).
     pub last_seq: u64,
@@ -249,9 +255,9 @@ pub fn decode_redo(payload: &[u8]) -> Option<(RedoKind, u64, RedoOps)> {
 }
 
 /// Scan `bytes` as a WAL image: return the decoded records of the longest
-/// valid prefix, plus a report describing where and why the scan stopped.
-/// `first_seq` is 1 for a whole log (the only case the store produces;
-/// the parameter exists for scanning fixtures).
+/// valid prefix, plus a report describing where and why the scan stopped
+/// — [`ScanEnd::Clean`] when only zero bytes follow it. `first_seq` is
+/// the segment's first sequence number (1 for the log's first segment).
 pub fn scan(bytes: &[u8], first_seq: u64) -> (Vec<RedoRecord>, RecoveryReport) {
     let mut records = Vec::new();
     let mut ops = 0u64;
@@ -260,7 +266,7 @@ pub fn scan(bytes: &[u8], first_seq: u64) -> (Vec<RedoRecord>, RecoveryReport) {
     let end;
     loop {
         let rest = &bytes[off..];
-        if rest.is_empty() {
+        if rest.iter().all(|&b| b == 0) {
             end = ScanEnd::Clean;
             break;
         }
@@ -311,7 +317,10 @@ pub fn scan(bytes: &[u8], first_seq: u64) -> (Vec<RedoRecord>, RecoveryReport) {
         records: records.len() as u64,
         ops,
         valid_bytes: off as u64,
-        truncated_bytes: (bytes.len() - off) as u64,
+        truncated_bytes: match end {
+            ScanEnd::Clean => 0,
+            _ => (bytes.len() - off) as u64,
+        },
         last_seq: expect_seq - 1,
         end,
         snapshot_cut: 0,
@@ -340,9 +349,14 @@ pub(crate) struct TwoTier {
     pub report: RecoveryReport,
     /// Sequence the resumed WAL assigns next.
     pub next_seq: u64,
-    /// Per input segment: `Some(valid_len)` → keep, truncated to that
-    /// length; `None` → delete (beyond a chain break, or unusable).
+    /// Per input segment: `Some(valid_len)` → keep its records, the first
+    /// `valid_len` bytes; `None` → delete (beyond a chain break, or
+    /// unusable).
     pub keep: Vec<Option<u64>>,
+    /// The kept segment the scan stopped in at a torn record: cut it to
+    /// its `keep` length. Every other kept segment ends cleanly, perhaps
+    /// in a zero tail, which stays.
+    pub torn: Option<usize>,
     /// Index of the segment appends resume on (`None` → start a fresh
     /// segment at `next_seq`).
     pub active: Option<usize>,
@@ -403,6 +417,7 @@ pub(crate) fn recover_two_tier(
     let mut end = ScanEnd::Clean;
     let mut keep: Vec<Option<u64>> = vec![None; segments.len()];
     let mut active = None;
+    let mut torn = None;
     let mut expect = segments.first().map_or(1, |(id, _)| *id);
     let mut chain_last = expect - 1;
     let mut broken = false;
@@ -432,6 +447,7 @@ pub(crate) fn recover_two_tier(
         } else {
             broken = true;
             end = rep.end;
+            torn = Some(i);
         }
     }
 
@@ -454,6 +470,7 @@ pub(crate) fn recover_two_tier(
         records.clear();
         keep.iter_mut().for_each(|k| *k = None);
         active = None;
+        torn = None;
         chain_last = cut;
     }
 
@@ -481,6 +498,7 @@ pub(crate) fn recover_two_tier(
         next_seq,
         keep,
         active,
+        torn,
     }
 }
 
@@ -624,6 +642,97 @@ mod tests {
         let (recs, rep) = scan(&garbage, 1);
         assert_eq!(recs.len(), 1);
         assert_eq!(rep.end, ScanEnd::BadMagic);
+    }
+
+    #[test]
+    fn a_zero_tail_at_a_record_boundary_is_a_clean_end() {
+        let mut log = record(1, 1, &[("a", Some(b"1"))]);
+        log.extend(record(2, 2, &[("b", None)]));
+        let records = log.len() as u64;
+        for zeros in [1, HEADER_LEN - 1, HEADER_LEN, 4096] {
+            let mut image = log.clone();
+            image.resize(log.len() + zeros, 0);
+            let (recs, rep) = scan(&image, 1);
+            assert_eq!(recs.len(), 2, "{zeros} zeros");
+            assert_eq!(rep.end, ScanEnd::Clean, "{zeros} zeros");
+            assert_eq!((rep.valid_bytes, rep.truncated_bytes), (records, 0));
+            assert!(!rep.torn());
+            // A segment of nothing but zeros is an empty one.
+            let (recs, rep) = scan(&vec![0; zeros], 1);
+            assert!(recs.is_empty() && rep.end == ScanEnd::Clean && !rep.torn());
+            assert_eq!((rep.valid_bytes, rep.truncated_bytes), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_torn_record_followed_by_zeros_is_still_torn() {
+        let r1 = record(1, 1, &[("a", Some(b"one"))]);
+        let r2 = record(2, 2, &[("b", Some(b"two"))]);
+        // Cut r2 anywhere past its first byte (its magic): zeros after
+        // the cut do not make it whole, nor the tail clean.
+        for cut in 1..r2.len() {
+            let mut image = r1.clone();
+            image.extend_from_slice(&r2[..cut]);
+            image.resize(image.len() + 64, 0);
+            let (recs, rep) = scan(&image, 1);
+            assert_eq!(recs.len(), 1, "cut at {cut}");
+            assert_ne!(rep.end, ScanEnd::Clean, "cut at {cut}");
+            assert!(rep.torn(), "cut at {cut}");
+            assert_eq!(rep.valid_bytes, r1.len() as u64);
+            assert_eq!(rep.truncated_bytes as usize, image.len() - r1.len());
+        }
+        // Nonzero bytes anywhere after a run of zeros: torn as well.
+        let mut image = r1.clone();
+        image.extend_from_slice(&[0; 100]);
+        image.push(1);
+        let (_, rep) = scan(&image, 1);
+        assert_eq!(rep.end, ScanEnd::BadMagic);
+        assert!(rep.torn());
+    }
+
+    #[test]
+    fn two_tier_keeps_zero_tails_on_active_and_rotated_segments_alike() {
+        let zero_tailed = |mut seg: Vec<u8>| {
+            seg.resize(seg.len() + 1000, 0);
+            seg
+        };
+        let seg0 = record(1, 1, &[("a", Some(b"1"))]);
+        let mut seg1 = record(2, 2, &[("b", Some(b"2"))]);
+        seg1.extend(record(3, 3, &[("c", Some(b"3"))]));
+        let lens = [seg0.len() as u64, seg1.len() as u64];
+        let t = recover_two_tier(
+            None,
+            None,
+            &[(1, zero_tailed(seg0)), (2, zero_tailed(seg1.clone()))],
+        );
+        assert_eq!(t.report.end, ScanEnd::Clean);
+        assert!(!t.report.torn());
+        assert_eq!(t.report.records, 3);
+        assert_eq!(t.report.valid_bytes, lens[0] + lens[1]);
+        assert_eq!(t.keep, vec![Some(lens[0]), Some(lens[1])]);
+        assert_eq!((t.active, t.torn), (Some(1), None), "nothing to cut");
+        assert_eq!(t.next_seq, 4);
+
+        // A torn record before the active segment's zeros: that segment,
+        // and only it, is cut back to its last whole record.
+        let mut torn = seg1[..lens[1] as usize - 3].to_vec();
+        torn.resize(torn.len() + 1000, 0);
+        let t = recover_two_tier(
+            None,
+            None,
+            &[
+                (1, zero_tailed(record(1, 1, &[("a", Some(b"1"))]))),
+                (2, torn),
+            ],
+        );
+        assert_eq!(t.report.records, 2);
+        assert!(t.report.torn());
+        assert_eq!((t.active, t.torn), (Some(1), Some(1)));
+        assert_eq!(
+            t.keep[1],
+            Some(record(2, 2, &[("b", Some(b"2"))]).len() as u64)
+        );
+        assert_eq!(t.next_seq, 3);
     }
 
     #[test]

@@ -960,7 +960,7 @@ impl KvStore {
 
     /// One JSON object with everything a monitoring endpoint wants:
     /// `{"shards":..,"keys":..,"wal":{..}|null,"ckpt":{..}|null,"stm":{..}}`
-    /// — the WAL counters ([`WalStats::to_json`]), the checkpoint
+    /// — the WAL counters ([`Wal::stats_json`]), the checkpoint
     /// counters ([`CkptStats::to_json`], `null` when the store has no
     /// checkpoint tier), and the runtime's full stats report
     /// ([`ad_stm::StatsReport::to_json`]). This is the payload of the
@@ -971,8 +971,9 @@ impl KvStore {
             "{{\"shards\":{},\"keys\":{},\"wal\":{},\"ckpt\":{},\"stm\":{}}}",
             self.shards.len(),
             self.len(),
-            self.wal_stats()
-                .map_or_else(|| "null".to_string(), |w| w.to_json()),
+            self.durable
+                .as_ref()
+                .map_or_else(|| "null".to_string(), |d| d.wal.stats_json()),
             self.ckpt_stats()
                 .map_or_else(|| "null".to_string(), |c| c.to_json()),
             self.rt.snapshot_stats().to_json(),
@@ -995,7 +996,7 @@ mod tests {
     }
 
     fn written(disk: &MemDisk) -> Vec<u8> {
-        disk.read(WAL_BASE).unwrap().unwrap_or_default()
+        disk.written(WAL_BASE)
     }
 
     fn spin_until(what: &str, cond: impl Fn() -> bool) {

@@ -13,7 +13,7 @@
 #![cfg(not(loom))]
 
 use ad_kv::disk::WAL_BASE;
-use ad_kv::{DeferHandle, Disk, KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch};
+use ad_kv::{DeferHandle, KvConfig, KvStore, MemDisk, SyncPolicy, WriteBatch};
 use std::sync::Arc;
 
 fn async_store() -> (KvStore, MemDisk) {
@@ -28,7 +28,7 @@ fn put_async(store: &KvStore, key: &str, value: &[u8]) -> Option<DeferHandle<()>
 
 /// True when every byte appended to the WAL is inside its synced prefix.
 fn all_synced(mem: &MemDisk) -> bool {
-    mem.synced(WAL_BASE) == mem.read(WAL_BASE).unwrap().unwrap_or_default()
+    mem.synced(WAL_BASE) == mem.written(WAL_BASE)
 }
 
 #[test]

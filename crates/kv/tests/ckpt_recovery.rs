@@ -456,7 +456,7 @@ fn a_checkpoint_refuses_a_damaged_closed_prefix_and_touches_nothing() {
         store.put("c", b"3");
         store.put("d", b"4");
         let live = segment_name(3);
-        damage(&disk, &live, disk.read(&live).unwrap().unwrap().len());
+        damage(&disk, &live, disk.written(&live).len());
 
         let before = files(&disk);
         assert!(before.contains_key(SNAP_CUR) && before.contains_key(SNAP_PREV));

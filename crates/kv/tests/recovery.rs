@@ -20,9 +20,10 @@ fn open(sync: SyncPolicy, disk: &MemDisk) -> (KvStore, RecoveryReport) {
     KvStore::open_on_disk(&KvConfig::default(), sync, disk.clone())
 }
 
-/// Everything written to the WAL so far (synced or not).
+/// Everything written to the WAL so far (synced or not), the zero fill
+/// ahead of it left out.
 fn written(disk: &MemDisk) -> Vec<u8> {
-    disk.read(WAL_BASE).unwrap().unwrap_or_default()
+    disk.written(WAL_BASE)
 }
 
 /// Every byte-level truncation of the WAL stream `disk` saw, as
@@ -117,6 +118,7 @@ fn every_crash_point_recovers_exactly_a_committed_prefix() {
         "the images cover every byte cut of the stream"
     );
     for (cut, image) in images {
+        let file = image.read(WAL_BASE).unwrap().unwrap_or_default();
         let (recovered, report) = open(SyncPolicy::GroupCommit, &image);
         let n = report.records as usize;
         assert!(n <= batches.len(), "cut={cut}: recovered too many records");
@@ -125,12 +127,75 @@ fn every_crash_point_recovers_exactly_a_committed_prefix() {
             model(&batches, n),
             "cut={cut}: state is not the {n}-batch prefix"
         );
-        assert_eq!(
-            report.valid_bytes + report.truncated_bytes,
-            cut as u64,
-            "cut={cut}: report bytes don't add up"
-        );
+        // A torn tail is cut off with the zero fill after it. A clean
+        // end's zero tail is counted in neither — and a record whose
+        // unwritten last bytes are zeros reads back whole from the fill.
+        let valid = report.valid_bytes as usize;
+        if report.torn() {
+            assert_eq!(
+                valid + report.truncated_bytes as usize,
+                file.len(),
+                "cut={cut}: report bytes don't add up"
+            );
+        } else {
+            assert!(
+                valid >= cut && file[cut..valid].iter().all(|&b| b == 0),
+                "cut={cut}: report bytes don't add up (valid {valid})"
+            );
+        }
     }
+}
+
+/// The zero tail: every byte cut of a record stream, followed by zeros,
+/// recovers exactly what the bare cut does — once the cut is extended by
+/// the zero bytes the stream itself has right after it, which the zero
+/// tail reproduces. (A record whose unwritten last bytes are zeros is
+/// whole.) The history has both kinds of record end: a delete ends in
+/// its zero tag byte, and one value is 200 zero bytes.
+#[test]
+fn every_byte_cut_followed_by_zeros_recovers_what_the_bare_cut_does() {
+    let mut stream = Vec::new();
+    let mut ends = Vec::new();
+    for (i, ops) in history().iter().enumerate() {
+        let seq = i as u64 + 1;
+        frame_record(&mut stream, seq, &encode_redo(seq, ops));
+        ends.push(stream.len());
+    }
+    let recover = |image: &[u8]| {
+        let (store, report) = open(
+            SyncPolicy::GroupCommit,
+            &MemDisk::with_file(WAL_BASE, image),
+        );
+        (store.dump(), report)
+    };
+    let mut completed_by_zeros = 0;
+    for cut in 0..=stream.len() {
+        let ext = cut + stream[cut..].iter().take_while(|&&b| b == 0).count();
+        let mut zeroed = stream[..cut].to_vec();
+        zeroed.resize(stream.len() + 64, 0);
+        let (dump, report) = recover(&zeroed);
+        let (want_dump, want) = recover(&stream[..ext]);
+        assert_eq!(dump, want_dump, "cut={cut}");
+        assert_eq!(
+            (report.records, report.last_seq, report.valid_bytes),
+            (want.records, want.last_seq, want.valid_bytes),
+            "cut={cut}"
+        );
+        assert_eq!(report.torn(), want.torn(), "cut={cut}");
+        assert_eq!(report.end == ScanEnd::Clean, !want.torn(), "cut={cut}");
+        assert_eq!(
+            dump,
+            model(&history(), report.records as usize),
+            "cut={cut}"
+        );
+        if ends[..].contains(&ext) && !ends.contains(&cut) {
+            completed_by_zeros += 1;
+        }
+    }
+    assert!(
+        completed_by_zeros > 0,
+        "no cut had its record completed by the zero tail"
+    );
 }
 
 /// A multi-key batch is one record: a crash can drop it entirely but can

@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 
 use ad_kv::disk::WAL_BASE;
 use ad_kv::recover::scan;
-use ad_kv::{CommitStep, Disk, KvConfig, KvStore, MemDisk, RedoKind, SyncPolicy, WriteBatch};
+use ad_kv::{CommitStep, KvConfig, KvStore, MemDisk, RedoKind, SyncPolicy, WriteBatch};
 use ad_shard::plan::{self, Callback};
 
 const GID: u64 = 7;
@@ -85,7 +85,7 @@ fn kinds(wal: &[u8]) -> Vec<RedoKind> {
 }
 
 fn written(disk: &MemDisk) -> Vec<u8> {
-    disk.read(WAL_BASE).unwrap().unwrap_or_default()
+    disk.written(WAL_BASE)
 }
 
 fn spin_until(what: &str, cond: impl Fn() -> bool) {
