@@ -34,7 +34,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use ad_stm::{StmResult, Tx};
 
 use crate::deferrable::Deferrable;
-use crate::owner::{self, OwnerId};
 use crate::txlock::TxLock;
 
 /// Atomically defer `op` until after the enclosing transaction commits,
@@ -79,29 +78,19 @@ pub fn atomic_defer<F>(tx: &mut Tx, objs: &[&dyn Deferrable], op: F) -> StmResul
 where
     F: FnOnce() + Send + 'static,
 {
-    // Under the pooled executor the operation may run on a worker thread,
-    // so the locks are acquired under the transaction's batch owner rather
-    // than the committing thread's identity; the runner impersonates that
-    // owner. Inline (the default), `batch_owner` is `None` and the locks
-    // belong to the committing thread, exactly as before.
-    let batch_owner = tx.defer_batch_token().map(OwnerId::batch);
-
-    // Growing phase: acquire every lock inside the transaction. A lock held
-    // by another owner makes the whole transaction retry — "use transaction
-    // to acquire locks without deadlock" (Listing 1).
+    // Growing phase: acquire every lock inside the transaction, owned by
+    // the committing thread, which also runs `op`. A lock held by another
+    // owner makes the whole transaction retry — "use transaction to
+    // acquire locks without deadlock" (Listing 1).
     let mut locks: Vec<TxLock> = Vec::with_capacity(objs.len());
     for obj in objs {
-        match batch_owner {
-            Some(owner) => obj.txlock().acquire_as(tx, owner)?,
-            None => obj.txlock().acquire(tx)?,
-        }
+        obj.txlock().acquire(tx)?;
         locks.push(obj.txlock().clone());
     }
     tx.defer_post_commit(Box::new(move |rt| {
-        let _scope = batch_owner.map(owner::impersonate);
         // A panicking operation must not leak its locks forever — that
         // would wedge every later subscriber. Release first, then let the
-        // panic continue (the pool counts it; inline it propagates).
+        // panic propagate out of `atomically`.
         let outcome = catch_unwind(AssertUnwindSafe(op));
         // Shrinking phase: release this operation's locks. Reentrancy means
         // an object shared with a later deferred operation stays held until
@@ -350,6 +339,106 @@ mod tests {
             })
         });
         assert_eq!(o.txlock().holder(), None);
+    }
+
+    #[test]
+    fn subscribe_after_defer_in_same_txn_does_not_self_block() {
+        // The ad-kv write pattern: atomic_defer first (per the
+        // irrevocability ordering discipline), then transactional writes
+        // through the subscribing accessor. The deferral buffered this
+        // thread as the lock's owner; subscribe must take that as its own
+        // acquisition, not block on its own uncommitted write.
+        let o = obj();
+        let o2 = o.clone();
+        atomically(move |tx| {
+            let o3 = o2.clone();
+            atomic_defer(tx, &[&o2.clone()], move || {
+                assert_eq!(o3.locked().a.load(), 5, "op sees the txn's writes");
+                o3.locked().b.store(1);
+            })?;
+            o2.with(tx, |f, tx| tx.write(&f.a, 5))
+        });
+        assert_eq!(o.peek_unsynchronized().a.load(), 5);
+        assert_eq!(o.peek_unsynchronized().b.load(), 1);
+        assert_eq!(o.txlock().holder(), None);
+    }
+
+    #[test]
+    fn panicking_op_releases_its_locks_and_propagates() {
+        let rt = Runtime::new(TmConfig::stm());
+        let o = obj();
+        let o2 = o.clone();
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            rt.atomically(|tx| {
+                atomic_defer(tx, &[&o2.clone()], move || {
+                    panic!("deferred op failed");
+                })
+            })
+        }));
+        assert!(outcome.is_err(), "the op's panic reaches the committer");
+        assert_eq!(
+            o.txlock().holder(),
+            None,
+            "a panicking deferred op must not leak its locks"
+        );
+        // The object and the runtime stay usable afterwards.
+        let o3 = o.clone();
+        rt.atomically(move |tx| o3.with(tx, |f, tx| tx.write(&f.a, 3)));
+        assert_eq!(o.peek_unsynchronized().a.load(), 3);
+    }
+
+    #[test]
+    fn a_panicking_op_leaves_the_rest_of_its_batch_to_run() {
+        // The second op belongs to the same committed transaction and
+        // holds a lock of its own: it still runs, and releases it, before
+        // the first op's panic reaches the committer.
+        let rt = Runtime::new(TmConfig::stm());
+        let (x, y) = (obj(), obj());
+        let (x2, y2) = (x.clone(), y.clone());
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            rt.atomically(|tx| {
+                atomic_defer(tx, &[&x2.clone()], || panic!("first op failed"))?;
+                let y3 = y2.clone();
+                atomic_defer(tx, &[&y2.clone()], move || y3.locked().a.store(2))
+            })
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(y.peek_unsynchronized().a.load(), 2, "the second op ran");
+        assert_eq!(x.txlock().holder(), None);
+        assert_eq!(y.txlock().holder(), None);
+    }
+
+    #[test]
+    fn lock_sharing_ops_serialize_across_threads() {
+        // 4 committer threads × 50 txns, each deferring a read-modify-write
+        // on one of 4 shared objects: ops that share a lock run one at a
+        // time (`locked()` would panic otherwise), so no update is lost
+        // and every lock ends free.
+        let rt = Runtime::new(TmConfig::stm());
+        let objs: Vec<Defer<Obj>> = (0..4).map(|_| obj()).collect();
+        let mut threads = Vec::new();
+        for t in 0..4usize {
+            let (rt, objs) = (rt.clone(), objs.clone());
+            threads.push(std::thread::spawn(move || {
+                for i in 0..50usize {
+                    let ob = objs[(t + i) % objs.len()].clone();
+                    rt.atomically(move |tx| {
+                        let ob2 = ob.clone();
+                        atomic_defer(tx, &[&ob.clone()], move || {
+                            ob2.locked().a.update_locked(|v| v + 1);
+                        })
+                    });
+                }
+            }));
+        }
+        for t in threads {
+            t.join().unwrap();
+        }
+        let sum: u64 = objs.iter().map(|o| o.peek_unsynchronized().a.load()).sum();
+        assert_eq!(sum, 200);
+        for o in &objs {
+            assert_eq!(o.txlock().holder(), None);
+        }
     }
 
     #[test]

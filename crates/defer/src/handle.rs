@@ -65,25 +65,20 @@ impl<T: Any + Send + Sync + Clone> DeferHandle<T> {
     }
 
     /// Block the calling thread, outside any transaction, until the
-    /// deferred operation has completed, and return its result. With the
-    /// pooled executor this is the synchronization point a caller uses
-    /// after its commit returned early; inline the result is already
-    /// published and `wait` returns immediately.
+    /// deferred operation has completed, and return its result. The
+    /// committing thread runs its own deferred operations before
+    /// `atomically` returns, so for it the result is already published and
+    /// `wait` returns immediately; another thread may block here until the
+    /// committer's op finishes.
     ///
-    /// Calling this *from inside a deferred operation* running on a
-    /// single-worker pool is a self-deadlock (the waited-on op is queued
-    /// behind the caller; DESIGN.md §10): the hazard is detected before
-    /// blocking — counted, traced, and `debug_assert!`ed — via
-    /// [`Runtime::check_defer_self_wait`]. Calling it from a worker of a
-    /// *different* runtime's pool (a shard coordinator's deferred op
-    /// waiting on a remote shard's handle) is the distinct cross-runtime
-    /// hazard of DESIGN.md §14, detected via
-    /// [`Runtime::check_defer_remote_wait`] — counted and traced on the
-    /// waited-on runtime, but not asserted: bounded remote waits are how
-    /// ad-shard's 2-phase commit blocks for acks.
+    /// Calling this from a worker of an `ad_support::pool` (an ad-net
+    /// connection worker, say) is the cross-runtime hazard of DESIGN.md
+    /// §14, detected via [`Runtime::check_defer_remote_wait`] — counted and
+    /// traced on the waited-on runtime, but not asserted: bounded waits on
+    /// another runtime's deferred work are how ad-shard's 2-phase commit
+    /// blocks for acks.
     pub fn wait(&self, rt: &Runtime) -> T {
         if !self.is_ready() {
-            rt.check_defer_self_wait();
             rt.check_defer_remote_wait();
         }
         rt.atomically(|tx| self.get(tx))
@@ -99,21 +94,17 @@ impl<T: Any + Send + Sync + Clone> DeferHandle<T> {
     /// return the results in `handles` order.
     ///
     /// One transaction reads all the handles, so a fan-out of N deferred
-    /// operations (say, a burst of `ad-kv` `write_batch_async` writes under its
-    /// `Async` sync policy) resolves through a single blocking call
-    /// instead of N sequential [`wait`](DeferHandle::wait)s: while any
-    /// handle is still empty the transaction parks on its `retry` watch
-    /// list — which covers every handle's cell — wakes as publications
-    /// land, and commits once the last one is in. Handles that are
-    /// already complete cost one transactional read each.
+    /// operations committed by other threads resolves through a single
+    /// blocking call instead of N sequential [`wait`](DeferHandle::wait)s:
+    /// while any handle is still empty the transaction waits on its
+    /// `retry` watch list — which covers every handle's cell — wakes as
+    /// publications land, and commits once the last one is in. Handles
+    /// that are already complete cost one transactional read each.
     ///
-    /// The single-worker self-deadlock check of
-    /// [`wait`](DeferHandle::wait) applies here too: it fires if any
-    /// handle is still unresolved when called from the pool's own sole
-    /// worker.
+    /// The remote-wait check of [`wait`](DeferHandle::wait) applies here
+    /// too.
     pub fn wait_all(rt: &Runtime, handles: &[DeferHandle<T>]) -> Vec<T> {
         if handles.iter().any(|h| !h.is_ready()) {
-            rt.check_defer_self_wait();
             rt.check_defer_remote_wait();
         }
         rt.atomically(|tx| handles.iter().map(|h| h.get(tx)).collect())
@@ -193,11 +184,11 @@ where
 
 /// Like [`atomic_defer`](crate::atomic_defer), but returns a
 /// [`DeferHandle<()>`] tracking the operation's *completion* (rather than a
-/// result). This is the natural commit API under the pooled executor:
-/// commit returns as soon as the transaction is durable in memory, and the
-/// caller holds a handle it can [`wait`](DeferHandle::wait) on — or
-/// [`poll`](DeferHandle::poll) / [`is_done`](DeferHandle::is_done) — when
-/// it actually needs the deferred effect (an fsync, say) to have happened.
+/// result). The committing thread gets it back already complete; the
+/// handle is for *other* threads and later transactions, which can
+/// [`wait`](DeferHandle::wait) on it — or [`poll`](DeferHandle::poll) /
+/// [`is_done`](DeferHandle::is_done) — when they need the deferred effect
+/// (an fsync, say) to have happened.
 pub fn atomic_defer_tracked<F>(
     tx: &mut Tx,
     objs: &[&dyn Deferrable],
@@ -212,7 +203,7 @@ where
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use ad_stm::atomically;
+    use ad_stm::{atomically, TmConfig};
     use std::time::Duration;
 
     struct Obj {
@@ -280,131 +271,133 @@ mod tests {
         assert_eq!(got, Some(1));
     }
 
+    /// Commit, on another thread, a deferred op that publishes `value`
+    /// once `release` says so; return its handle as soon as the commit's
+    /// transaction has built it (the op is then still pending).
+    fn pending_handle<R>(
+        rt: &Runtime,
+        value: u64,
+        release: R,
+    ) -> (DeferHandle<u64>, std::thread::JoinHandle<()>)
+    where
+        R: FnOnce() + Send + 'static,
+    {
+        let slot = std::sync::Arc::new(ad_support::sync::Mutex::new(None));
+        let (rt2, slot2) = (rt.clone(), std::sync::Arc::clone(&slot));
+        let committer = std::thread::spawn(move || {
+            let obj = Defer::new(Obj { v: TVar::new(0) });
+            let release = std::sync::Arc::new(ad_support::sync::Mutex::new(Some(release)));
+            rt2.atomically(|tx| {
+                let (o, release) = (obj.clone(), std::sync::Arc::clone(&release));
+                let h = atomic_defer_with_result(tx, &[&obj.clone()], move || {
+                    if let Some(release) = release.lock().take() {
+                        release();
+                    }
+                    o.locked().v.store(value);
+                    value
+                })?;
+                *slot2.lock() = Some(h);
+                Ok(())
+            });
+        });
+        let handle = loop {
+            if let Some(h) = slot.lock().clone() {
+                break h;
+            }
+            std::thread::yield_now();
+        };
+        (handle, committer)
+    }
+
+    #[test]
+    fn wait_and_poll_track_an_op_still_running_on_its_committer() {
+        let rt = Runtime::new(TmConfig::stm());
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let (handle, committer) = pending_handle(&rt, 9, move || {
+            go_rx.recv().unwrap();
+        });
+        assert_eq!(handle.poll(), None, "the op has not run yet");
+        assert!(!handle.is_done());
+        go_tx.send(()).unwrap();
+        assert_eq!(handle.wait(&rt), 9);
+        assert!(handle.is_done());
+        assert_eq!(handle.poll(), Some(9));
+        committer.join().unwrap();
+        // A plain thread's wait is not a remote-wait hazard.
+        assert_eq!(rt.stats().defer_remote_wait_hazards, 0);
+    }
+
     #[test]
     fn wait_all_collects_a_fanout_in_order() {
-        use ad_stm::{Runtime, TmConfig};
-        // Pooled executor so some ops are genuinely still in flight when
-        // wait_all is called; each op bumps the shared counter under its
-        // lock, so the final count proves all of them ran.
-        let rt = Runtime::new(TmConfig::stm().with_defer_pool(2, 16));
-        let obj = Defer::new(Obj { v: TVar::new(0) });
+        // Each op waits for its own go signal, so every handle is still
+        // unresolved when wait_all is entered and resolves out of order.
+        let rt = Runtime::new(TmConfig::stm());
+        let mut gates = Vec::new();
         let mut handles = Vec::new();
-        for i in 0..8u64 {
-            let o = obj.clone();
-            let h = rt.atomically(move |tx| {
-                let o2 = o.clone();
-                atomic_defer_with_result(tx, &[&o.clone()], move || {
-                    std::thread::sleep(Duration::from_millis(1));
-                    o2.locked().v.update_locked(|v| v + 1);
-                    i * 10
-                })
-            });
+        let mut committers = Vec::new();
+        for i in 0..4u64 {
+            let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+            let (h, c) = pending_handle(&rt, i * 10, move || go_rx.recv().unwrap());
+            gates.push(go_tx);
             handles.push(h);
+            committers.push(c);
         }
+        let releaser = std::thread::spawn(move || {
+            for go in gates.into_iter().rev() {
+                std::thread::sleep(Duration::from_millis(1));
+                go.send(()).unwrap();
+            }
+        });
         let results = DeferHandle::wait_all(&rt, &handles);
-        assert_eq!(results, (0..8).map(|i| i * 10).collect::<Vec<_>>());
+        assert_eq!(results, vec![0, 10, 20, 30]);
         assert!(handles.iter().all(DeferHandle::is_done));
-        assert_eq!(obj.peek_unsynchronized().v.load(), 8);
+        releaser.join().unwrap();
+        for c in committers {
+            c.join().unwrap();
+        }
     }
 
     #[test]
     fn wait_all_on_no_handles_returns_immediately() {
-        use ad_stm::{Runtime, TmConfig};
         let rt = Runtime::new(TmConfig::stm());
         let none: Vec<DeferHandle<u32>> = Vec::new();
         assert_eq!(DeferHandle::wait_all(&rt, &none), Vec::<u32>::new());
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    fn self_wait_on_sole_worker_is_detected_not_deadlocked() {
-        use ad_stm::{Runtime, TmConfig};
-        // A deferred op on a single-worker pool blocks on a handle nobody
-        // has published: without the guard this hangs forever (the op that
-        // could publish would be queued behind the blocked worker). The
-        // guard fires first — counter bump, trace event, debug_assert —
-        // and the pool's catch_unwind turns the assert into a counted
-        // panic instead of a wedged test.
-        let rt = Runtime::new(TmConfig::stm().with_defer_pool(1, 16));
-        let obj = Defer::new(Obj { v: TVar::new(0) });
-        let orphan = DeferHandle::<u32>::default();
-        let rt2 = rt.clone();
-        let o = obj.clone();
-        rt.atomically(move |tx| {
-            let orphan = orphan.clone();
-            let rt2 = rt2.clone();
-            atomic_defer(tx, &[&o.clone()], move || {
-                // Deliberately the §10 (i) mistake this test exists to catch:
-                // ad-lint: allow(defer-waits-on-defer)
-                let _ = orphan.wait(&rt2);
-            })
-        });
-        rt.drain_deferred();
-        assert_eq!(rt.stats().defer_self_wait_hazards, 1);
-    }
-
-    #[test]
-    fn wait_from_submitter_thread_is_not_a_hazard() {
-        use ad_stm::{Runtime, TmConfig};
-        // The legitimate shape: commit returns early, the *submitting*
-        // thread waits. No hazard is counted even on a 1-worker pool.
-        let rt = Runtime::new(TmConfig::stm().with_defer_pool(1, 16));
-        let obj = Defer::new(Obj { v: TVar::new(0) });
-        let o = obj.clone();
-        let handle = rt.atomically(move |tx| {
-            let o2 = o.clone();
-            atomic_defer_with_result(tx, &[&o.clone()], move || {
-                o2.locked().v.store(9);
-                9u64
-            })
-        });
-        assert_eq!(handle.wait(&rt), 9);
-        assert_eq!(rt.stats().defer_self_wait_hazards, 0);
-    }
-
-    #[test]
     fn remote_wait_from_other_pools_worker_is_counted_not_asserted() {
-        use ad_stm::{Runtime, TmConfig};
-        // The cross-shard shape (DESIGN.md §14): a worker of runtime A's
-        // pool blocks on a handle whose progress belongs to runtime B.
-        // That is legal — B's own pool resolves the handle — but it is the
-        // remote-wait hazard: counted and traced on B, never asserted.
-        let rt_a = Runtime::new(TmConfig::stm().with_defer_pool(1, 16));
-        let rt_b = Runtime::new(TmConfig::stm().with_defer_pool(1, 16));
-        let obj_a = Defer::new(Obj { v: TVar::new(0) });
-        let obj_b = Defer::new(Obj { v: TVar::new(0) });
-
-        // Publish a slow op on B so its handle is not yet ready when A's
-        // worker starts waiting on it.
-        let ob = obj_b.clone();
-        let b_handle = rt_b.atomically(move |tx| {
-            atomic_defer_with_result(tx, &[&ob.clone()], move || {
-                std::thread::sleep(Duration::from_millis(30));
-                11u32
-            })
+        // The cross-runtime shape (DESIGN.md §14): a worker of an
+        // `ad_support::pool` blocks on a handle whose progress belongs to
+        // runtime B. That is legal — B's committer resolves the handle —
+        // but it is the remote-wait hazard: counted and traced on B, never
+        // asserted. B's op holds its result back until the count shows, so
+        // the worker's wait is certain to find the handle unresolved.
+        let rt_b = Runtime::new(TmConfig::stm());
+        let rt_seen = rt_b.clone();
+        let (b_handle, committer) = pending_handle(&rt_b, 11, move || {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while rt_seen.stats().defer_remote_wait_hazards == 0
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         });
 
-        let oa = obj_a.clone();
-        let rt_b2 = rt_b.clone();
-        let bh = b_handle.clone();
-        let got = rt_a.atomically(move |tx| {
-            let rt_b2 = rt_b2.clone();
-            let bh = bh.clone();
-            atomic_defer_with_result(tx, &[&oa.clone()], move || {
-                // Cross-runtime wait from a foreign pool worker: the
-                // self-wait guard must NOT fire (it is not B's worker),
-                // the remote-wait guard must.
-                // ad-lint: allow(defer-waits-on-defer)
-                bh.wait(&rt_b2)
-            })
-        });
-        assert_eq!(got.wait(&rt_a), 11);
+        let pool = ad_support::pool::Pool::new(1, 1);
+        let (got_tx, got_rx) = std::sync::mpsc::channel();
+        let (rt_b2, mut job) = (rt_b.clone(), Some(b_handle.clone()));
+        pool.accept_loop(
+            move || job.take(),
+            move |bh: DeferHandle<u64>| {
+                got_tx.send(bh.wait(&rt_b2)).unwrap();
+            },
+        );
+        assert_eq!(got_rx.recv_timeout(Duration::from_secs(20)).unwrap(), 11);
+        committer.join().unwrap();
         assert_eq!(rt_b.stats().defer_remote_wait_hazards, 1);
-        assert_eq!(rt_b.stats().defer_self_wait_hazards, 0);
-        assert_eq!(rt_a.stats().defer_self_wait_hazards, 0);
-        // Submitter-thread waits (the two `.wait` calls above made from
-        // this test thread) never count as remote hazards.
-        assert_eq!(rt_a.stats().defer_remote_wait_hazards, 0);
+        // A submitter-thread wait never counts as a remote hazard.
+        assert_eq!(b_handle.wait(&rt_b), 11);
+        assert_eq!(rt_b.stats().defer_remote_wait_hazards, 1);
     }
 
     #[test]

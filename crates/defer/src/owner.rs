@@ -1,24 +1,10 @@
 //! Stable owner identities for transaction-friendly locks.
 //!
-//! The paper's `TxLock` stores `owner : transaction_id` (Listing 2). Under
-//! the default inline executor we use a process-unique id per OS thread: a
-//! lock acquired inside a transaction is logically held by the *thread*
-//! from commit time until its deferred operations release it.
-//!
-//! Under a pooled executor the committing thread and the thread that runs
-//! the deferred operation differ, so thread identity no longer works as an
-//! owner. The owner space is therefore split in two disjoint halves:
-//!
-//! * **Thread owners** (`me()`): low half, allocated per thread on first
-//!   use — never reused.
-//! * **Batch owners** (`batch(token)`): high half (top bit set), one per
-//!   deferring transaction, derived from the runtime's batch token. The
-//!   locks of a pooled deferral are acquired under the batch owner, and the
-//!   worker that runs the operation *impersonates* that owner for the
-//!   duration ([`impersonate`]) so that `locked()` assertions and the
-//!   shrinking-phase releases see a consistent identity. Correctness never
-//!   depended on thread identity — only on two-phase locking (§4.1) — so
-//!   renaming the owner is semantics-preserving.
+//! The paper's `TxLock` stores `owner : transaction_id` (Listing 2). We use
+//! a process-unique id per OS thread: a lock acquired inside a transaction
+//! is logically held by the committing *thread* from commit time until its
+//! deferred operations — which run on that same thread, before
+//! `atomically` returns — release it.
 
 use ad_support::sync::atomic::{AtomicU64, Ordering};
 use std::cell::Cell;
@@ -26,14 +12,8 @@ use std::fmt;
 
 static NEXT_OWNER: AtomicU64 = AtomicU64::new(1);
 
-/// Top bit of the owner space: set for batch owners, clear for threads.
-const BATCH_BIT: u64 = 1 << 63;
-
 thread_local! {
     static MY_ID: Cell<u64> = const { Cell::new(0) };
-    /// Non-zero while this thread runs a pooled deferred batch and acts as
-    /// that batch's owner. Read by `me()` before the thread id.
-    static IMPERSONATING: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Identity of a (potential) lock owner. `OwnerId` values are never reused
@@ -42,14 +22,8 @@ thread_local! {
 pub struct OwnerId(u64);
 
 impl OwnerId {
-    /// The calling context's identity: the impersonated batch owner if a
-    /// pooled deferred batch is running on this thread, otherwise the
-    /// thread's own id (allocated on first use).
+    /// The calling thread's identity (allocated on first use).
     pub fn me() -> OwnerId {
-        let imp = IMPERSONATING.with(Cell::get);
-        if imp != 0 {
-            return OwnerId(imp);
-        }
         MY_ID.with(|c| {
             let v = c.get();
             if v != 0 {
@@ -61,49 +35,9 @@ impl OwnerId {
         })
     }
 
-    /// The owner identity of a pooled deferred batch. `token` comes from
-    /// `Tx::defer_batch_token` (process-unique, non-zero) and is namespaced
-    /// into the high half of the owner space, so batch owners can never
-    /// collide with thread owners.
-    pub fn batch(token: u64) -> OwnerId {
-        debug_assert!(token != 0, "batch tokens are non-zero");
-        debug_assert!(
-            token & BATCH_BIT == 0,
-            "batch token overflowed the owner namespace"
-        );
-        OwnerId(BATCH_BIT | token)
-    }
-
-    /// Is this a batch owner (as opposed to a thread)?
-    pub fn is_batch(self) -> bool {
-        self.0 & BATCH_BIT != 0
-    }
-
     /// Raw numeric value (diagnostics).
     pub fn as_u64(self) -> u64 {
         self.0
-    }
-}
-
-/// Run the rest of the scope as `owner`: until the returned guard drops,
-/// [`OwnerId::me`] on this thread answers `owner`. Used by the deferral
-/// machinery so a pool worker can run an operation — `locked()` accesses,
-/// nested releases and all — under the batch owner that holds its locks.
-/// The guard restores the previous identity on drop, including during
-/// unwinding, so a panicking operation cannot leak the impersonation.
-pub(crate) fn impersonate(owner: OwnerId) -> ImpersonationGuard {
-    let prev = IMPERSONATING.with(|c| c.replace(owner.0));
-    ImpersonationGuard { prev }
-}
-
-/// RAII guard for [`impersonate`]; restores the previous identity on drop.
-pub(crate) struct ImpersonationGuard {
-    prev: u64,
-}
-
-impl Drop for ImpersonationGuard {
-    fn drop(&mut self) {
-        IMPERSONATING.with(|c| c.set(self.prev));
     }
 }
 
@@ -134,43 +68,5 @@ mod tests {
         let id = OwnerId::me();
         assert!(id.as_u64() > 0);
         assert!(id.to_string().starts_with("owner#"));
-    }
-
-    #[test]
-    fn batch_owners_live_in_a_disjoint_namespace() {
-        let b = OwnerId::batch(7);
-        assert!(b.is_batch());
-        assert!(!OwnerId::me().is_batch());
-        assert_ne!(b, OwnerId::me());
-        assert_eq!(OwnerId::batch(7), OwnerId::batch(7));
-        assert_ne!(OwnerId::batch(7), OwnerId::batch(8));
-    }
-
-    #[test]
-    fn impersonation_is_scoped_and_nests() {
-        let me = OwnerId::me();
-        let a = OwnerId::batch(100);
-        let b = OwnerId::batch(101);
-        {
-            let _g = impersonate(a);
-            assert_eq!(OwnerId::me(), a);
-            {
-                let _g2 = impersonate(b);
-                assert_eq!(OwnerId::me(), b);
-            }
-            assert_eq!(OwnerId::me(), a);
-        }
-        assert_eq!(OwnerId::me(), me);
-    }
-
-    #[test]
-    fn impersonation_unwinds_with_a_panic() {
-        let me = OwnerId::me();
-        let r = std::panic::catch_unwind(|| {
-            let _g = impersonate(OwnerId::batch(42));
-            panic!("boom");
-        });
-        assert!(r.is_err());
-        assert_eq!(OwnerId::me(), me, "impersonation leaked across a panic");
     }
 }

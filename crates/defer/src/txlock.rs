@@ -65,15 +65,7 @@ impl TxLock {
     /// * Held by another thread: the transaction blocks via `retry` (the
     ///   paper's `spin(); retry`), re-executing once the owner releases.
     pub fn acquire(&self, tx: &mut Tx) -> StmResult<()> {
-        self.acquire_as(tx, OwnerId::me())
-    }
-
-    /// Acquire the lock within a transaction on behalf of `me` — usually
-    /// the calling thread, but for pooled deferrals the batch owner
-    /// (`OwnerId::batch`), so that a pool worker impersonating that owner
-    /// can run the operation and release. Reentrancy is judged against
-    /// `me`, preserving the same-transaction reentrant-acquire behavior.
-    pub(crate) fn acquire_as(&self, tx: &mut Tx, me: OwnerId) -> StmResult<()> {
+        let me = OwnerId::me();
         match tx.read(&self.state)? {
             None => {
                 // On the shared timeline (txtrace) this event marks the
@@ -118,22 +110,17 @@ impl TxLock {
     }
 
     /// Subscribe to the lock (`TxLock.Subscribe`): block (via `retry`) until
-    /// the lock is unheld or held by the calling context. Reading the state
+    /// the lock is unheld or held by the calling thread. Reading the state
     /// word puts it in the transaction's read set, so a subsequent
     /// acquisition by any other thread aborts this transaction — even after
-    /// `subscribe` returns, up to commit.
-    ///
-    /// "Held by the calling context" covers the calling thread (or the
-    /// impersonated batch owner, inside a pooled deferred op) *and* the
-    /// transaction's own batch owner: under the pooled executor an earlier
-    /// `atomic_defer` in this very transaction buffers the acquisition
-    /// under the batch owner, and a subscribe after it must not block the
+    /// `subscribe` returns, up to commit. "Held by the calling thread"
+    /// includes an acquisition an earlier `atomic_defer` in this very
+    /// transaction buffered, so a subscribe after it does not block the
     /// transaction on its own uncommitted write.
     pub fn subscribe(&self, tx: &mut Tx) -> StmResult<()> {
         let me = OwnerId::me();
-        let my_batch = tx.defer_batch_token_peek().map(OwnerId::batch);
         match tx.read(&self.state)? {
-            Some((o, _)) if o != me && Some(o) != my_batch => tx.retry(),
+            Some((o, _)) if o != me => tx.retry(),
             _ => {
                 tx.trace(EventKind::LockSubscribe, self.id());
                 Ok(())

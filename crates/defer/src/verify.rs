@@ -26,29 +26,27 @@
 //!   stop being produced (or observed), the subscription model proves
 //!   nothing.
 //!
-//! Four further models cover the pooled-executor hand-off, the holder's
-//! store release and multi-object deferral (the pool itself — OS threads,
-//! condvars — cannot run under the model scheduler, so the hand-off
-//! protocol is reconstructed from the same crate-internal pieces the pool
-//! path uses: `acquire_as` under a batch owner, and `impersonate` on the
-//! runner):
+//! Four further models cover the shrinking phase on the committing
+//! thread, the holder's store release and multi-object deferral. The
+//! shrinking-phase models rebuild `atomic_defer`'s post-commit step from
+//! its pieces so a mutant can reorder them: the committer acquires the
+//! lock in a transaction, and once `atomically` has returned — write-back
+//! and quiescence done, where `TxEnd` runs deferred ops — performs the
+//! two-step update and releases with `release_now`, all under its own
+//! `OwnerId`:
 //!
-//! * [`deferred_locks_span_thread_handoff`] — green. A committer acquires
-//!   the object's lock under a *batch owner*, atomically with its commit; a
-//!   separate worker thread impersonates that owner, performs the two-step
-//!   (torn-in-between) update, and only then releases with `release_now`
-//!   — one store, no transaction. Subscribing readers must never commit a
-//!   torn observation even though commit and operation happen on different
-//!   threads.
-//! * [`model_catches_release_before_op_done`] — regression. The worker
-//!   releases *before* running the op (the shrinking phase misordered —
-//!   exactly the bug an executor refactor could introduce), and the model
-//!   must observe a torn pair through a subscribing reader.
+//! * [`deferred_locks_span_commit_to_release`] — green. The lock is held
+//!   from the commit through the op's last store; the release is one
+//!   store, no transaction. Subscribing readers must never commit a torn
+//!   observation.
+//! * [`model_catches_release_before_op_done`] — regression. The committer
+//!   releases *before* running the op (the shrinking phase misordered),
+//!   and the model must observe a torn pair through a subscribing reader.
 //! * [`model_catches_release_by_non_holder`] — regression. The store
 //!   release is sound only because nobody but the holder writes a held
 //!   lock. A mutant `release_now` that skips the holder check, called by a
-//!   third thread while the worker is mid-op, frees the lock under the op;
-//!   the model must observe a torn pair.
+//!   third thread while the committer is mid-op, frees the lock under the
+//!   op; the model must observe a torn pair.
 //! * [`multi_object_defer_is_deadlock_free`] — two transactions defer over
 //!   the same two objects listed in opposite orders. With ordinary mutexes
 //!   this interleaving deadlocks; transactional acquisition aborts and
@@ -68,7 +66,6 @@ use ad_support::sync::atomic::{AtomicU64, Ordering};
 
 use crate::defer::atomic_defer;
 use crate::deferrable::{Defer, Deferrable};
-use crate::owner::{self, OwnerId};
 
 /// The shared object: two plain (facade) atomics a deferred operation
 /// updates non-atomically, one after the other. No `TVar`s on purpose —
@@ -170,100 +167,76 @@ fn model_catches_unsubscribed_read() {
     );
 }
 
-/// How the hand-off's shrinking phase runs.
+/// How the committer's shrinking phase runs.
 #[derive(Clone, Copy, PartialEq)]
 enum Shrink {
     /// Op, then the holder's `release_now`: the protocol.
     OpThenRelease,
     /// BUG (deliberate): the release completes before the op.
     ReleaseBeforeOp,
-    /// BUG (deliberate): mid-op, the committer — no longer the holder —
-    /// calls a `release_now` whose store path skips the holder check.
+    /// BUG (deliberate): mid-op, a third thread — not the holder — calls a
+    /// `release_now` whose store path skips the holder check.
     ForeignReleaseMidOp,
 }
 
-/// The pooled-executor hand-off, reconstructed from its crate-internal
-/// pieces: a committer acquires the object's lock under a batch owner
-/// (atomically with its commit, as `atomic_defer` does in pool mode), and a
-/// separate worker thread impersonates that owner to run the two-step
-/// update and release. The pool's queue/condvar machinery is replaced by a
-/// post-commit hand-off flag so the whole protocol runs under the model
-/// scheduler. The green variant must never show a torn pair to a
-/// subscribing reader; both buggy variants must.
-fn handoff_scenario(e: &mut Exec, shrink: Shrink) {
+/// `atomic_defer`'s commit and post-commit step, rebuilt from its pieces
+/// on one thread: acquire the object's lock atomically with a commit,
+/// then — after `atomically` returned, so write-back and quiescence are
+/// done, as in `run_post_commit` — run the two-step update and release.
+/// Running the op any earlier would be wrong (and the model catches it):
+/// between write-back and quiescence-end, a read-only transaction whose
+/// snapshot predates the acquisition can still be live. The green variant
+/// must never show a torn pair to a subscribing reader; both buggy
+/// variants must.
+fn shrink_scenario(e: &mut Exec, shrink: Shrink) {
     let rt = Arc::new(Runtime::new(TmConfig::stm()));
     let obj = Arc::new(Defer::new(Pair {
         a: AtomicU64::new(0),
         b: AtomicU64::new(0),
     }));
-    let batch = OwnerId::batch(1);
-
-    // The hand-off signal. Submission to the pool happens in
-    // `run_post_commit`, *after* `commit()` has returned — write-back AND
-    // quiescence both done. Modeling the hand-off as "worker sees the lock
-    // write-back" would be wrong (and the model catches it): between
-    // write-back and quiescence-end, a read-only transaction whose snapshot
-    // predates the acquisition can still be live, and running the op that
-    // early lets it observe the torn state. Quiescence is what retires
-    // those snapshots before any deferred op may run.
-    let handed_off = Arc::new(AtomicU64::new(0));
-    // Worker → committer: "half of the op is done" (1), and back: "the
-    // foreign release is done" (2). Used only by `ForeignReleaseMidOp`.
+    // Committer → foreign thread: "half of the op is done" (1), and back:
+    // "the foreign release is done" (2). Used only by
+    // `ForeignReleaseMidOp`.
     let mid_op = Arc::new(AtomicU64::new(0));
 
-    // Committer: the growing phase. The lock becomes owned by the batch —
-    // not this thread — at the commit point. The hand-off flag flips only
-    // once `atomically` has returned (post-quiescence), mirroring
-    // `run_post_commit`.
-    let (c_rt, c_obj, c_flag, c_mid) = (
-        Arc::clone(&rt),
-        Arc::clone(&obj),
-        Arc::clone(&handed_off),
-        Arc::clone(&mid_op),
-    );
+    // Committer: the growing phase, then the op and its release, all under
+    // this thread's `OwnerId`.
+    let (c_rt, c_obj, c_mid) = (Arc::clone(&rt), Arc::clone(&obj), Arc::clone(&mid_op));
     e.spawn(move || {
-        c_rt.atomically(|tx| c_obj.txlock().acquire_as(tx, batch));
-        c_flag.store(1, Ordering::SeqCst);
-        if shrink == Shrink::ForeignReleaseMidOp {
-            while c_mid.load(Ordering::SeqCst) == 0 {
-                yield_point();
-            }
-            c_obj.txlock().release_now_skipping_holder_check(&c_rt);
-            c_mid.store(2, Ordering::SeqCst);
-        }
-    });
-
-    // Worker: waits for the hand-off, then impersonates the batch owner
-    // for the op + release (the shrinking phase, on a different thread
-    // than the commit).
-    let (w_rt, w_obj, w_flag) = (Arc::clone(&rt), Arc::clone(&obj), handed_off);
-    e.spawn(move || {
-        while w_flag.load(Ordering::SeqCst) == 0 {
-            yield_point();
-        }
-        assert_eq!(w_obj.txlock().holder(), Some(batch));
-        let _scope = owner::impersonate(batch);
+        c_rt.atomically(|tx| c_obj.txlock().acquire(tx));
+        assert!(c_obj.txlock().held_by_me());
         match shrink {
             Shrink::OpThenRelease => {
-                two_step(&w_obj.locked(), || {});
-                w_obj.txlock().release_now(&w_rt);
+                two_step(&c_obj.locked(), || {});
+                c_obj.txlock().release_now(&c_rt);
             }
             Shrink::ReleaseBeforeOp => {
-                w_obj.txlock().release_now(&w_rt);
-                two_step(w_obj.peek_unsynchronized(), || {});
+                c_obj.txlock().release_now(&c_rt);
+                two_step(c_obj.peek_unsynchronized(), || {});
             }
             Shrink::ForeignReleaseMidOp => {
                 // The lock is taken from under the op: nothing is left for
-                // the worker to release.
-                two_step(w_obj.peek_unsynchronized(), || {
-                    mid_op.store(1, Ordering::SeqCst);
-                    while mid_op.load(Ordering::SeqCst) != 2 {
+                // the committer to release.
+                two_step(c_obj.peek_unsynchronized(), || {
+                    c_mid.store(1, Ordering::SeqCst);
+                    while c_mid.load(Ordering::SeqCst) != 2 {
                         yield_point();
                     }
                 });
             }
         }
     });
+
+    if shrink == Shrink::ForeignReleaseMidOp {
+        let (f_rt, f_obj) = (Arc::clone(&rt), Arc::clone(&obj));
+        e.spawn(move || {
+            while mid_op.load(Ordering::SeqCst) == 0 {
+                yield_point();
+            }
+            f_obj.txlock().release_now_skipping_holder_check(&f_rt);
+            mid_op.store(2, Ordering::SeqCst);
+        });
+    }
 
     // Reader: committed subscribing observations must never be torn.
     let (r_rt, r_obj) = (rt, obj);
@@ -283,29 +256,29 @@ fn handoff_scenario(e: &mut Exec, shrink: Shrink) {
     });
 }
 
-/// Green model: the lock stays held from the committer's commit through
-/// the worker's op completion, so the cross-thread hand-off is invisible
-/// to subscribers.
+/// Green model: the lock stays held from the commit through the op's
+/// completion, so the committer's post-commit update is invisible to
+/// subscribers.
 #[test]
-fn deferred_locks_span_thread_handoff() {
+fn deferred_locks_span_commit_to_release() {
     check(
-        "defer-locks-span-thread-handoff",
+        "defer-locks-span-commit-to-release",
         CheckOpts {
             seeds: 400,
             max_steps: 500_000,
         },
-        |e| handoff_scenario(e, Shrink::OpThenRelease),
+        |e| shrink_scenario(e, Shrink::OpThenRelease),
     );
 }
 
-/// Run a buggy hand-off and require the model to catch a torn pair.
+/// Run a buggy shrinking phase and require the model to catch a torn pair.
 fn expect_torn_pair(shrink: Shrink, what: &str) {
     let violation = check_expect_violation(
         CheckOpts {
             seeds: 400,
             max_steps: 500_000,
         },
-        |e| handoff_scenario(e, shrink),
+        |e| shrink_scenario(e, shrink),
     );
     let (seed, msg) = violation
         .unwrap_or_else(|| panic!("the {what} variant no longer exposes a torn pair; re-tune"));
@@ -315,7 +288,7 @@ fn expect_torn_pair(shrink: Shrink, what: &str) {
     );
 }
 
-/// Regression model: a worker that releases before finishing the op
+/// Regression model: a committer that releases before finishing the op
 /// exposes the torn state, and the model must catch it.
 #[test]
 fn model_catches_release_before_op_done() {
@@ -364,7 +337,7 @@ fn multi_object_defer_is_deadlock_free() {
                             atomic_defer(tx, &[&*ox, &*oy], op)
                         }
                     });
-                    // Inline executor: the op ran before `atomically`
+                    // The op ran on this thread before `atomically`
                     // returned, with both locks held.
                     assert!(x.peek_unsynchronized().load(Ordering::SeqCst) >= 1);
                     assert!(y.peek_unsynchronized().load(Ordering::SeqCst) >= 1);

@@ -85,5 +85,5 @@ pub use store::{CommitStep, Durability, KvConfig, KvStore, WriteBatch};
 pub use wal::{SyncPolicy, Wal, WalStats, WAL_APPEND, WAL_FSYNC};
 
 // Re-exported so connection-facing callers (`ad-net`) can name the handle
-// `commit` / `write_batch_async` return without depending on `ad-defer`.
+// `commit` returns without depending on `ad-defer`.
 pub use ad_defer::DeferHandle;

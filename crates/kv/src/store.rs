@@ -89,7 +89,7 @@ pub enum Durability {
     Durable {
         /// WAL file path (created if absent, recovered if present).
         path: PathBuf,
-        /// Group-commit or fsync-per-commit.
+        /// The WAL flush policy (group commit).
         sync: SyncPolicy,
     },
 }
@@ -429,9 +429,9 @@ impl KvStore {
     /// and continue appending after it.
     pub fn open(config: KvConfig) -> io::Result<KvStore> {
         match &config.durability {
-            Durability::Volatile => Ok(Self::bare(&config, TmConfig::stm(), &BTreeMap::new())),
-            Durability::Durable { path, sync } => {
-                Self::open_on(&config, *sync, Arc::new(FileDisk::new(path)))
+            Durability::Volatile => Ok(Self::bare(&config, &BTreeMap::new())),
+            Durability::Durable { path, .. } => {
+                Self::open_on(&config, Arc::new(FileDisk::new(path)))
             }
         }
     }
@@ -441,28 +441,17 @@ impl KvStore {
     /// for byte-exact crash images ([`MemDisk::crash_image`]).
     pub fn open_on_disk(
         config: &KvConfig,
-        sync: SyncPolicy,
+        _sync: SyncPolicy,
         disk: MemDisk,
     ) -> (KvStore, RecoveryReport) {
-        let store = Self::open_on(config, sync, Arc::new(disk)).expect("MemDisk open");
+        let store = Self::open_on(config, Arc::new(disk)).expect("MemDisk open");
         let report = store.recovery.clone().expect("durable open has a report");
         (store, report)
     }
 
-    fn open_on(config: &KvConfig, sync: SyncPolicy, disk: Arc<dyn Disk>) -> io::Result<KvStore> {
-        let (wal, t) = Wal::open(Arc::clone(&disk), sync)?;
-        // Under SyncPolicy::Async the store's runtime gets a pooled
-        // deferred executor: commits return after write-back + quiescence
-        // and the WAL append (including the group-commit leader's fsync)
-        // runs on a pool worker while the shard locks are held by the
-        // transaction's batch owner. Every other policy keeps the default
-        // inline executor — the deferred fsync blocks the committer, which
-        // is exactly the ack-after-durability contract of `write_batch`.
-        let tm_cfg = match sync {
-            SyncPolicy::Async => TmConfig::stm().with_defer_pool(4, 256),
-            _ => TmConfig::stm(),
-        };
-        let mut store = Self::bare(config, tm_cfg, &t.base);
+    fn open_on(config: &KvConfig, disk: Arc<dyn Disk>) -> io::Result<KvStore> {
+        let (wal, t) = Wal::open(Arc::clone(&disk))?;
+        let mut store = Self::bare(config, &t.base);
 
         // The WAL suffix replays transactionally, one record per
         // transaction — deterministic replay, monotonic versions.
@@ -540,7 +529,7 @@ impl KvStore {
     }
 
     /// A store with no durable tier whose buckets hold `base`.
-    fn bare(config: &KvConfig, tm_cfg: TmConfig, base: &KeyMap) -> KvStore {
+    fn bare(config: &KvConfig, base: &KeyMap) -> KvStore {
         let (shards, buckets_per_shard) = (config.shards, config.buckets_per_shard);
         assert!(shards >= 1 && buckets_per_shard >= 1);
         // Bulk-load straight into the buckets: the store is not yet
@@ -553,7 +542,7 @@ impl KvStore {
             bucket_data[si][bi].push((Arc::clone(k), TVar::new(Arc::clone(v))));
         }
         KvStore {
-            rt: Arc::new(Runtime::new(tm_cfg)),
+            rt: Arc::new(Runtime::new(TmConfig::stm())),
             shards: bucket_data
                 .into_iter()
                 .map(|buckets| {
@@ -681,28 +670,13 @@ impl KvStore {
     }
 
     /// Apply an atomic multi-key batch: the plan `[Log(Local)]` (see
-    /// [`commit`](Self::commit)). With an inline executor (every policy
-    /// but [`SyncPolicy::Async`]), returns only after the batch's single
-    /// redo record is fsync-covered. Under `Async` it returns at commit,
-    /// with durability pending on the executor — the touched shards stay
-    /// locked from commit to durability either way, so no transaction
-    /// ever observes an acked-but-volatile (or partially applied) batch.
-    /// Use [`write_batch_async`](Self::write_batch_async) when the caller
-    /// needs to know when durability lands.
+    /// [`commit`](Self::commit)). Returns only after the batch's single
+    /// redo record is fsync-covered: the deferred append runs on this
+    /// thread before the commit returns. The touched shards stay locked
+    /// from commit to durability, so no transaction ever observes an
+    /// acked-but-volatile (or partially applied) batch.
     pub fn write_batch(&self, batch: &WriteBatch) {
         self.run_commit(batch, &[CommitStep::Log(RedoKind::Local)], false);
-    }
-
-    /// Like [`write_batch`](Self::write_batch), but returns a handle
-    /// tracking the batch's deferred durability work: `Some(handle)` for a
-    /// durable store ([`DeferHandle::wait`] blocks until the redo record's
-    /// covering fsync returned; `poll`/`is_done` check without blocking),
-    /// `None` when there is nothing to wait for (volatile store or empty
-    /// batch). Most useful under [`SyncPolicy::Async`], where commit and
-    /// durability are decoupled; with an inline executor the returned
-    /// handle is already complete.
-    pub fn write_batch_async(&self, batch: &WriteBatch) -> Option<DeferHandle<()>> {
-        self.commit(batch, &[CommitStep::Log(RedoKind::Local)])
     }
 
     /// **The** commit pipeline — every mutation of the store is a call of
@@ -817,23 +791,11 @@ impl KvStore {
         Some(WriteBatch::from_ops(pending.remove(i).ops))
     }
 
-    /// Block until `handle` (from [`commit`](Self::commit) or
-    /// [`write_batch_async`](Self::write_batch_async)) resolves,
-    /// i.e. until that batch's redo record is fsync-covered. Connection
-    /// handlers use this as the ack gate: respond to the client only after
-    /// `wait_durable` returns (see `ad-net` and PROTOCOL.md §6).
-    pub fn wait_durable(&self, handle: &DeferHandle<()>) {
-        handle.wait(&self.rt);
-    }
-
-    /// Block until every deferred durability operation issued so far has
-    /// completed and everything they logged is on disk. With an inline
-    /// executor the first half is a no-op (writes are durable at ack) and
-    /// the second writes out any [`CommitStep::LogUnforced`] record still
-    /// pending; under [`SyncPolicy::Async`] this is the barrier a caller
-    /// uses before e.g. reporting a checkpoint.
+    /// Make everything logged so far durable: writes out any
+    /// [`CommitStep::LogUnforced`] record still pending (every other
+    /// record was durable before its commit returned). A no-op on a
+    /// volatile store.
     pub fn sync(&self) {
-        self.rt.drain_deferred();
         if let Some(d) = &self.durable {
             d.wal.flush(&self.rt);
         }
@@ -947,11 +909,6 @@ impl KvStore {
         self.durable.as_ref().map(|d| d.ckpt.stats())
     }
 
-    /// The WAL's sync policy, or `None` for a volatile store.
-    pub fn sync_policy(&self) -> Option<SyncPolicy> {
-        self.durable.as_ref().map(|d| d.wal.sync_policy())
-    }
-
     /// The checkpoint policy the store was opened with, or `None` for a
     /// volatile store.
     pub fn ckpt_policy(&self) -> Option<CkptPolicy> {
@@ -991,8 +948,8 @@ mod tests {
     use super::*;
     use crate::disk::WAL_BASE;
 
-    fn open_mem(sync: SyncPolicy, disk: &MemDisk) -> (KvStore, RecoveryReport) {
-        KvStore::open_on_disk(&KvConfig::default(), sync, disk.clone())
+    fn open_mem(disk: &MemDisk) -> (KvStore, RecoveryReport) {
+        KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::GroupCommit, disk.clone())
     }
 
     fn written(disk: &MemDisk) -> Vec<u8> {
@@ -1094,7 +1051,7 @@ mod tests {
     #[test]
     fn durable_put_is_synced_before_ack() {
         let mem = MemDisk::new();
-        let (store, report) = open_mem(SyncPolicy::GroupCommit, &mem);
+        let (store, report) = open_mem(&mem);
         assert_eq!(report.records, 0);
         store.put("k", b"v");
         // The ack contract: by the time put() returned, the record is in
@@ -1108,7 +1065,7 @@ mod tests {
     #[test]
     fn reopen_recovers_committed_state() {
         let mem = MemDisk::new();
-        let (store, _) = open_mem(SyncPolicy::GroupCommit, &mem);
+        let (store, _) = open_mem(&mem);
         store.put("a", b"1");
         store.write_batch(&WriteBatch::new().put("b", b"2").put("c", b"3"));
         store.delete("a");
@@ -1116,7 +1073,7 @@ mod tests {
         drop(store);
 
         let image = mem.crash_image(mem.journal_len(), 0, true);
-        let (reopened, report) = open_mem(SyncPolicy::GroupCommit, &image);
+        let (reopened, report) = open_mem(&image);
         assert_eq!(report.records, 3);
         assert!(!report.torn());
         assert_eq!(reopened.dump(), before);
@@ -1154,7 +1111,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.wal");
 
-        let cfg = KvConfig::durable(&path, SyncPolicy::PerCommit);
+        let cfg = KvConfig::durable(&path, SyncPolicy::GroupCommit);
         let store = KvStore::open(cfg.clone()).unwrap();
         store.put("a", b"1");
         store.put("b", b"2");
@@ -1199,20 +1156,22 @@ mod tests {
     }
 
     #[test]
-    fn async_handles_resolve_and_stats_json_is_balanced() {
+    fn commit_handles_resolve_at_return_and_stats_json_is_balanced() {
         let mem = MemDisk::new();
-        let (store, _) = open_mem(SyncPolicy::GroupCommit, &mem);
+        let (store, _) = open_mem(&mem);
+        let log = [CommitStep::Log(RedoKind::Local)];
+        // The committing thread runs its own deferred fsync, so the
+        // handle is complete by the time `commit` returns.
         let h = store
-            .write_batch_async(&WriteBatch::new().put("k", b"v"))
+            .commit(&WriteBatch::new().put("k", b"v"), &log)
             .expect("durable put yields a handle");
-        store.wait_durable(&h);
+        assert!(h.is_done());
         assert!(!mem.synced(WAL_BASE).is_empty());
         let h = store
-            .write_batch_async(&WriteBatch::new().delete("k"))
+            .commit(&WriteBatch::new().delete("k"), &log)
             .expect("durable delete yields a handle");
-        store.wait_durable(&h);
+        assert!(h.is_done());
         assert!(store.is_empty());
-        assert_eq!(store.sync_policy(), Some(SyncPolicy::GroupCommit));
 
         let j = store.stats_json();
         for key in [
@@ -1227,11 +1186,11 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
 
         let volatile = KvStore::open(KvConfig::volatile()).unwrap();
-        assert_eq!(volatile.sync_policy(), None);
         assert!(volatile
-            .write_batch_async(&WriteBatch::new().put("k", b"v"))
+            .commit(&WriteBatch::new().put("k", b"v"), &log)
             .is_none());
         assert!(volatile.stats_json().contains("\"wal\":null"));
+        volatile.sync(); // no log to flush: a no-op
     }
 
     #[test]
@@ -1240,7 +1199,7 @@ mod tests {
             rows.iter().map(|(k, _)| &**k).collect()
         }
         let mem = MemDisk::new();
-        let (store, _) = open_mem(SyncPolicy::Async, &mem);
+        let (store, _) = open_mem(&mem);
         let store = Arc::new(store);
         // The batch below touches "r1" and "r9" and leaves a key between
         // them alone, on a shard of its own: once "r1" is out of the
@@ -1256,11 +1215,14 @@ mod tests {
         let durable = written(&mem).len();
 
         // One batch takes "r1" out of the range and puts "r9" into it; its
-        // transaction commits, its fsync is held.
+        // transaction commits, and its committer waits in the held fsync.
         mem.hold_syncs();
-        let h = store
-            .write_batch_async(&WriteBatch::new().delete("r1").put("r9", b"9"))
-            .expect("durable handle");
+        let writer = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || {
+                store.write_batch(&WriteBatch::new().delete("r1").put("r9", b"9"));
+            })
+        };
         spin_until("the record is written", || written(&mem).len() > durable);
         assert_eq!(mem.synced(WAL_BASE).len(), durable, "fsync is held");
 
@@ -1280,7 +1242,7 @@ mod tests {
         assert!(rx.try_recv().is_err(), "scan returned under a held fsync");
 
         mem.release_syncs();
-        store.wait_durable(&h);
+        writer.join().unwrap();
         assert_eq!(keys(&rx.recv().unwrap()), [&mid]);
         assert_eq!(keys(&rx.recv().unwrap()), [&mid, "r9"]);
         scanner.join().unwrap();
@@ -1313,7 +1275,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_noop_and_logs_nothing() {
         let mem = MemDisk::new();
-        let (store, _) = open_mem(SyncPolicy::PerCommit, &mem);
+        let (store, _) = open_mem(&mem);
         store.write_batch(&WriteBatch::new());
         assert!(written(&mem).is_empty());
         assert_eq!(store.wal_stats().unwrap().records, 0);

@@ -33,11 +33,11 @@ use ad_support::model::{check, check_expect_violation, CheckOpts, Exec};
 
 use crate::disk::{Disk, MemDisk, WAL_BASE};
 use crate::recover::{encode_redo, scan, ScanEnd};
-use crate::wal::{frame_record, SyncPolicy, Wal};
+use crate::wal::{frame_record, Wal};
 
 fn group_commit_scenario(e: &mut Exec) {
     let mem = MemDisk::new();
-    let wal = Wal::new(Arc::new(mem.clone()), SyncPolicy::GroupCommit, 1).expect("MemDisk");
+    let wal = Wal::new(Arc::new(mem.clone()), 1).expect("MemDisk");
     let wal = Arc::new(wal);
     let rt = Arc::new(Runtime::new(TmConfig::stm()));
 

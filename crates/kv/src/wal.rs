@@ -26,19 +26,17 @@
 //! the shards it touched are still locked. It is [`Wal::append`] — take a
 //! sequence number, frame the record into the pending buffer — followed by
 //! `Wal::sync_locked`; an *unforced* append stops after the first half
-//! and its record rides whichever batch is written next. Under
-//! [`SyncPolicy::GroupCommit`] concurrent callers frame their records into
-//! one shared pending buffer; the first to need durability becomes the
+//! and its record rides whichever batch is written next. Concurrent
+//! callers frame their records into one shared pending buffer; the first to need durability becomes the
 //! *leader*, takes the whole buffer, writes it as a single `write` +
 //! `fsync`, and wakes the others — so N concurrently-committing
 //! transactions cost one fsync, not N. Records enter the buffer in
 //! `seq` order under the state lock, which also means WAL order agrees
 //! with commit order for any two transactions that touched a common shard
-//! (their deferred appends are serialized by the shard's `TxLock`).
-//! [`SyncPolicy::PerCommit`] is the ablation baseline: every append pays
-//! its own write + fsync, fully serialized.
+//! (their deferred appends are serialized by the shard's `TxLock`). A lone
+//! appender's batch is its own record: one write + fsync per record.
 //!
-//! Either way a batch is written *by position*, right after the last
+//! A batch is written *by position*, right after the last
 //! record, into zeros the log wrote there earlier: when a batch shorter
 //! than [`PREALLOC_CHUNK`] would run past the segment's end, the leader
 //! first zero-fills one more chunk. So only about one batch per chunk
@@ -69,8 +67,8 @@ use crate::recover::{recover_two_tier, TwoTier};
 pub static WAL_APPEND: AppEvent = AppEvent::new("wal_append", "bytes");
 
 /// Trace event: a WAL fsync batch completed; `arg` = the number of records
-/// the batch made durable (1 under fsync-per-commit; >1 means group commit
-/// coalesced concurrent transactions into one sync).
+/// the batch made durable (>1 means group commit coalesced concurrent
+/// transactions into one sync).
 pub static WAL_FSYNC: AppEvent = AppEvent::new("wal_fsync", "records");
 
 /// Frame magic: `b"ADKV"` little-endian.
@@ -88,22 +86,13 @@ pub const MAX_PAYLOAD: usize = 1 << 28;
 /// were not measured).
 pub const PREALLOC_CHUNK: usize = 64 << 10;
 
-/// When the WAL calls `fsync`.
+/// When the WAL calls `fsync`. Group commit is the one policy; the type
+/// stays so that configurations name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Coalesce concurrently-committing transactions into one write +
-    /// fsync (the default).
+    /// fsync (module docs, "Group commit").
     GroupCommit,
-    /// One write + fsync per record, fully serialized — the baseline that
-    /// group commit is measured against.
-    PerCommit,
-    /// Group commit on a pooled deferred executor: the WAL side behaves
-    /// exactly like [`SyncPolicy::GroupCommit`] (the blocking
-    /// `append_durable` call simply runs on a pool worker, which becomes
-    /// the group-commit leader), but the *store* built with this policy
-    /// acks writes at commit and exposes durability through handles —
-    /// see `KvStore::write_batch_async`.
-    Async,
 }
 
 /// Frame one record (header + payload) into `out`; returns the framed
@@ -243,7 +232,6 @@ pub struct Wal {
     segments: Mutex<Segments>,
     state: Mutex<WalState>,
     durable_cv: Condvar,
-    sync_policy: SyncPolicy,
     counters: WalCounters,
 }
 
@@ -252,20 +240,15 @@ impl Wal {
     /// 1 for a new log, `last_recovered_seq + 1` when nothing on the disk
     /// can be appended to. `Wal::open` is the entry point that first
     /// recovers what the disk already holds.
-    pub fn new(disk: Arc<dyn Disk>, sync_policy: SyncPolicy, next_seq: u64) -> io::Result<Wal> {
+    pub fn new(disk: Arc<dyn Disk>, next_seq: u64) -> io::Result<Wal> {
         let name = segment_name(next_seq);
         let active = disk.create(&name)?;
         disk.sync_dir()?;
         let segments = Segments::fresh(active, name);
-        Ok(Self::resume(disk, sync_policy, next_seq, segments))
+        Ok(Self::resume(disk, next_seq, segments))
     }
 
-    fn resume(
-        disk: Arc<dyn Disk>,
-        sync_policy: SyncPolicy,
-        next_seq: u64,
-        segments: Segments,
-    ) -> Wal {
+    fn resume(disk: Arc<dyn Disk>, next_seq: u64, segments: Segments) -> Wal {
         assert!(next_seq >= 1);
         Wal {
             disk,
@@ -278,7 +261,6 @@ impl Wal {
                 leader_active: false,
             }),
             durable_cv: Condvar::new(),
-            sync_policy,
             counters: WalCounters::default(),
         }
     }
@@ -291,7 +273,7 @@ impl Wal {
     /// Appends resume on the chain's last segment, right after its last
     /// record and into the zero tail it may have, or on a fresh segment
     /// named for the next sequence number when none survives.
-    pub(crate) fn open(disk: Arc<dyn Disk>, sync_policy: SyncPolicy) -> io::Result<(Wal, TwoTier)> {
+    pub(crate) fn open(disk: Arc<dyn Disk>) -> io::Result<(Wal, TwoTier)> {
         let mut segs: Vec<(u64, String)> = disk
             .list()?
             .into_iter()
@@ -333,18 +315,13 @@ impl Wal {
                     old,
                     ..Segments::fresh(file, name)
                 };
-                Self::resume(disk, sync_policy, t.next_seq, segments)
+                Self::resume(disk, t.next_seq, segments)
             }
             // Fresh store, or recovery discarded every segment: start a
             // new contiguous one.
-            None => Self::new(disk, sync_policy, t.next_seq)?,
+            None => Self::new(disk, t.next_seq)?,
         };
         Ok((wal, t))
-    }
-
-    /// The configured sync policy.
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync_policy
     }
 
     /// Append `payload` as the next record and block until it is durable:
@@ -410,11 +387,6 @@ impl Wal {
                 // A leader's batch is in flight; it may or may not
                 // include `seq`. Wait for durable_seq to move.
                 self.durable_cv.wait(&mut st);
-            } else if self.sync_policy == SyncPolicy::PerCommit {
-                // Serial baseline: write + sync while holding the state
-                // lock (state → segments lock order, same as the group
-                // path's leader), so nobody frames behind this write.
-                self.write_pending(&mut st, rt);
             } else {
                 // Become leader: take everything framed so far (the
                 // caller's record plus any concurrent or unforced
@@ -434,7 +406,8 @@ impl Wal {
         st
     }
 
-    /// Write the pending buffer with the state lock held.
+    /// Write the pending buffer with the state lock held (rotation's
+    /// flush, which keeps anyone from framing behind it).
     fn write_pending(&self, st: &mut WalState, rt: &Runtime) {
         let batch = std::mem::take(&mut st.pending);
         let records = std::mem::take(&mut st.pending_records);
@@ -524,8 +497,8 @@ impl Wal {
             let mut next = self.disk.create(&name)?;
             next.sync()?;
             self.disk.sync_dir()?;
-            // The old segment's bytes were already synced per append
-            // policy; a final sync is belt-and-braces before we stop
+            // The old segment's bytes were already synced by their
+            // batches; a final sync is belt-and-braces before we stop
             // writing it.
             seg.active.sync()?;
             let prev = std::mem::replace(&mut *seg, Segments::fresh(next, name));
@@ -604,8 +577,8 @@ mod tests {
     use crate::disk::{MemDisk, WAL_BASE};
     use ad_stm::{Runtime, TmConfig};
 
-    fn wal_on(disk: &MemDisk, sync: SyncPolicy, next_seq: u64) -> Wal {
-        Wal::new(Arc::new(disk.clone()), sync, next_seq).unwrap()
+    fn wal_on(disk: &MemDisk, next_seq: u64) -> Wal {
+        Wal::new(Arc::new(disk.clone()), next_seq).unwrap()
     }
 
     fn read(disk: &MemDisk, name: &str) -> Option<Vec<u8>> {
@@ -631,7 +604,7 @@ mod tests {
     #[test]
     fn append_durable_syncs_before_returning() {
         let disk = MemDisk::new();
-        let wal = wal_on(&disk, SyncPolicy::GroupCommit, 1);
+        let wal = wal_on(&disk, 1);
         let rt = Runtime::new(TmConfig::stm());
         let seq = wal.append_durable(b"rec-1", &rt);
         assert_eq!(seq, 1);
@@ -645,9 +618,9 @@ mod tests {
     }
 
     #[test]
-    fn per_commit_pays_one_sync_per_record() {
+    fn a_lone_appender_pays_one_sync_per_record() {
         let disk = MemDisk::new();
-        let wal = wal_on(&disk, SyncPolicy::PerCommit, 1);
+        let wal = wal_on(&disk, 1);
         let rt = Runtime::new(TmConfig::stm());
         for i in 0..5u64 {
             assert_eq!(wal.append_durable(format!("r{i}").as_bytes(), &rt), i + 1);
@@ -666,7 +639,7 @@ mod tests {
         // least one multi-record batch.
         let disk = MemDisk::new();
         disk.set_sync_delay(std::time::Duration::from_millis(2));
-        let wal = Arc::new(wal_on(&disk, SyncPolicy::GroupCommit, 1));
+        let wal = Arc::new(wal_on(&disk, 1));
         let rt = Arc::new(Runtime::new(TmConfig::stm()));
         let threads = 8;
         let per = 10u64;
@@ -697,37 +670,35 @@ mod tests {
 
     #[test]
     fn an_unforced_append_writes_nothing_and_rides_the_next_batch() {
-        for sync in [SyncPolicy::PerCommit, SyncPolicy::GroupCommit] {
-            let disk = MemDisk::new();
-            let wal = wal_on(&disk, sync, 1);
-            let rt = Runtime::new(TmConfig::stm());
-            assert_eq!(wal.append(b"lazy", &rt), 1);
-            assert!(read(&disk, WAL_BASE).unwrap().is_empty(), "{sync:?}");
-            assert_eq!(wal.durable_seq(), 0);
-            let s = wal.stats();
-            // Not written, so not counted; never waited, so never timed.
-            assert_eq!((s.records, s.batches, s.bytes), (0, 0, 0));
-            assert_eq!(s.append_ns.count(), 0);
+        let disk = MemDisk::new();
+        let wal = wal_on(&disk, 1);
+        let rt = Runtime::new(TmConfig::stm());
+        assert_eq!(wal.append(b"lazy", &rt), 1);
+        assert!(read(&disk, WAL_BASE).unwrap().is_empty());
+        assert_eq!(wal.durable_seq(), 0);
+        let s = wal.stats();
+        // Not written, so not counted; never waited, so never timed.
+        assert_eq!((s.records, s.batches, s.bytes), (0, 0, 0));
+        assert_eq!(s.append_ns.count(), 0);
 
-            // The next forced append's batch carries it, in order.
-            assert_eq!(wal.append_durable(b"forced", &rt), 2);
-            assert_eq!(disk.sync_count(), 1, "{sync:?}: one write for both");
-            let mut both = Vec::new();
-            frame_record(&mut both, 1, b"lazy");
-            frame_record(&mut both, 2, b"forced");
-            assert_eq!(disk.synced(WAL_BASE), both);
-            assert_eq!(wal.durable_seq(), 2);
-            let s = wal.stats();
-            assert_eq!((s.records, s.batches), (2, 1), "counted once, when written");
-            assert_eq!(s.bytes, both.len() as u64);
-            assert_eq!(s.append_ns.count(), 1, "forced appends only");
-        }
+        // The next forced append's batch carries it, in order.
+        assert_eq!(wal.append_durable(b"forced", &rt), 2);
+        assert_eq!(disk.sync_count(), 1, "one write for both");
+        let mut both = Vec::new();
+        frame_record(&mut both, 1, b"lazy");
+        frame_record(&mut both, 2, b"forced");
+        assert_eq!(disk.synced(WAL_BASE), both);
+        assert_eq!(wal.durable_seq(), 2);
+        let s = wal.stats();
+        assert_eq!((s.records, s.batches), (2, 1), "counted once, when written");
+        assert_eq!(s.bytes, both.len() as u64);
+        assert_eq!(s.append_ns.count(), 1, "forced appends only");
     }
 
     #[test]
     fn sync_through_flush_and_rotate_write_pending_records() {
         let disk = MemDisk::new();
-        let wal = wal_on(&disk, SyncPolicy::GroupCommit, 1);
+        let wal = wal_on(&disk, 1);
         let rt = Runtime::new(TmConfig::stm());
         let seq = wal.append(b"one", &rt);
         drop(wal.sync_locked(wal.state.lock(), seq, &rt));
@@ -757,7 +728,7 @@ mod tests {
 
     #[test]
     fn seq_numbers_resume_after_recovery_point() {
-        let wal = wal_on(&MemDisk::new(), SyncPolicy::GroupCommit, 42);
+        let wal = wal_on(&MemDisk::new(), 42);
         let rt = Runtime::new(TmConfig::stm());
         assert_eq!(wal.durable_seq(), 41);
         assert_eq!(wal.append_durable(b"x", &rt), 42);
@@ -766,7 +737,7 @@ mod tests {
     #[test]
     fn rotation_moves_appends_to_a_new_segment_and_drop_frees_old() {
         let disk = MemDisk::new();
-        let wal = wal_on(&disk, SyncPolicy::GroupCommit, 1);
+        let wal = wal_on(&disk, 1);
         let rt = Runtime::new(TmConfig::stm());
         wal.append_durable(b"before-1", &rt);
         wal.append_durable(b"before-2", &rt);
@@ -792,7 +763,7 @@ mod tests {
     #[test]
     fn re_rotating_at_the_same_cut_reuses_the_active_segment() {
         let disk = MemDisk::new();
-        let wal = wal_on(&disk, SyncPolicy::GroupCommit, 1);
+        let wal = wal_on(&disk, 1);
         let rt = Runtime::new(TmConfig::stm());
         wal.append_durable(b"r1", &rt);
         assert_eq!(wal.rotate(&rt).unwrap(), 1);
@@ -816,7 +787,7 @@ mod tests {
     #[test]
     fn memdisk_crash_images_replay_the_journal() {
         let disk = MemDisk::new();
-        let wal = wal_on(&disk, SyncPolicy::GroupCommit, 1);
+        let wal = wal_on(&disk, 1);
         let rt = Runtime::new(TmConfig::stm());
         wal.append_durable(b"abc", &rt);
         let n = disk.journal_len();

@@ -69,7 +69,7 @@ struct History {
 
 fn run_history(steps: &[Step]) -> History {
     let disk = MemDisk::new();
-    let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, disk.clone());
+    let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disk.clone());
     let mut model: BTreeMap<String, Vec<u8>> = BTreeMap::new();
     let mut models = vec![model.clone()];
     let mut records = 0;
@@ -101,7 +101,7 @@ fn run_history(steps: &[Step]) -> History {
             Step::Ckpt => {
                 let report = store.checkpoint().expect("checkpoint");
                 assert!(report.performed, "scripted checkpoints have new data");
-                assert_eq!(report.cut, records, "PerCommit: cut == acked records");
+                assert_eq!(report.cut, records, "a lone writer: cut == acked records");
                 last_cut = report.cut;
                 // The published image is the *exact* state at its cut.
                 let published = disk.read(SNAP_CUR).unwrap().expect("published snapshot");
@@ -145,7 +145,7 @@ fn crash_matrix_across_checkpoint_boundaries() {
     let mut images = 0u64;
     let mut rename_truncate_window = 0u64;
     let mut check = |img: MemDisk| {
-        let (re, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, img.clone());
+        let (re, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, img.clone());
         let dump = re.dump();
         assert!(
             h.models.contains(&dump),
@@ -171,7 +171,7 @@ fn crash_matrix_across_checkpoint_boundaries() {
         re.checkpoint().expect("checkpoint on recovered image");
         re.put("zz-crash-probe", b"pc");
         drop(re);
-        let (re2, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, img);
+        let (re2, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, img);
         let mut dump2 = re2.dump();
         assert_eq!(
             dump2.remove("zz-crash-probe").as_deref(),
@@ -210,7 +210,7 @@ fn post_checkpoint_reopen_replays_only_the_suffix() {
     let h = run_history(&scripted());
     // Clean reopen (no crash): the snapshot supplies everything up to
     // the last cut; replay covers exactly the suffix.
-    let (re, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, h.disk.clone());
+    let (re, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, h.disk.clone());
     assert_eq!(report.snapshot_source, SnapshotSource::Current);
     assert_eq!(report.snapshot_cut, h.last_cut);
     assert_eq!(report.replayed, h.records - h.last_cut);
@@ -224,7 +224,7 @@ fn post_checkpoint_reopen_replays_only_the_suffix() {
     assert!(ck.performed);
     assert!(ck.cut > h.last_cut);
     drop(re);
-    let (re2, r2) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, h.disk.clone());
+    let (re2, r2) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, h.disk.clone());
     assert_eq!(r2.replayed, 0, "everything is under the new snapshot");
     assert_eq!(
         re2.get("post").as_deref(),
@@ -236,7 +236,7 @@ fn post_checkpoint_reopen_replays_only_the_suffix() {
 #[test]
 fn checkpoint_bounds_the_live_log() {
     let disk = MemDisk::new();
-    let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, disk.clone());
+    let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disk.clone());
     for i in 0..50 {
         store.put(&format!("k{i:03}"), &[i as u8; 64]);
     }
@@ -262,7 +262,7 @@ fn checkpoint_bounds_the_live_log() {
 #[test]
 fn checkpoint_with_nothing_new_is_skipped() {
     let disk = MemDisk::new();
-    let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, disk);
+    let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disk);
     store.put("k", b"v");
     assert!(store.checkpoint().unwrap().performed);
     let again = store.checkpoint().unwrap();
@@ -280,59 +280,54 @@ fn checkpoint_with_nothing_new_is_skipped() {
 #[test]
 fn a_checkpoint_with_an_unforced_decided_pending_never_loses_the_slice() {
     const GID: u64 = 9;
-    for sync in [SyncPolicy::PerCommit, SyncPolicy::GroupCommit] {
-        let disk = MemDisk::new();
-        let (store, _) = KvStore::open_on_disk(&cfg(), sync, disk.clone());
-        store.put("seed", b"s");
-        store.commit(
-            &WriteBatch::new().put("slice", b"v"),
-            &[
-                CommitStep::Log(RedoKind::Prepare { gid: GID }),
-                CommitStep::LogUnforced(RedoKind::Decided { gid: GID }),
-            ],
-        );
-        assert_eq!(store.get("slice").as_deref(), Some(&b"v"[..]));
-        let before = disk.journal_len();
-        assert!(store.checkpoint().expect("checkpoint").performed);
-        let after = disk.journal_len();
-        drop(store);
+    let disk = MemDisk::new();
+    let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disk.clone());
+    store.put("seed", b"s");
+    store.commit(
+        &WriteBatch::new().put("slice", b"v"),
+        &[
+            CommitStep::Log(RedoKind::Prepare { gid: GID }),
+            CommitStep::LogUnforced(RedoKind::Decided { gid: GID }),
+        ],
+    );
+    assert_eq!(store.get("slice").as_deref(), Some(&b"v"[..]));
+    let before = disk.journal_len();
+    assert!(store.checkpoint().expect("checkpoint").performed);
+    let after = disk.journal_len();
+    drop(store);
 
-        let mut staged = 0;
-        let mut check = |img: MemDisk, what: String| {
-            let (re, report) = KvStore::open_on_disk(&cfg(), sync, img);
-            assert_eq!(re.get("seed").as_deref(), Some(&b"s"[..]), "{what}");
-            match (re.get("slice").as_deref(), report.pending_prepares) {
-                (Some(b"v"), 0) => {}
-                (None, 1) => {
-                    assert_eq!(re.pending_prepared_gids(), [GID], "{what}");
-                    staged += 1;
-                }
-                other => panic!("{what}: slice neither applied nor staged: {other:?}\n{report:?}"),
+    let mut staged = 0;
+    let mut check = |img: MemDisk, what: String| {
+        let (re, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, img);
+        assert_eq!(re.get("seed").as_deref(), Some(&b"s"[..]), "{what}");
+        match (re.get("slice").as_deref(), report.pending_prepares) {
+            (Some(b"v"), 0) => {}
+            (None, 1) => {
+                assert_eq!(re.pending_prepared_gids(), [GID], "{what}");
+                staged += 1;
             }
-        };
-        for ev in before..=after {
-            for synced_only in [false, true] {
-                check(
-                    disk.crash_image(ev, 0, synced_only),
-                    format!("{sync:?} event {ev} synced_only={synced_only}"),
-                );
-            }
-            for cut in 1..disk.event_append_len(ev).unwrap_or(0) {
-                check(
-                    disk.crash_image(ev, cut, false),
-                    format!("{sync:?} event {ev} byte {cut}"),
-                );
-            }
+            other => panic!("{what}: slice neither applied nor staged: {other:?}\n{report:?}"),
         }
-        assert!(
-            staged > 0,
-            "{sync:?}: the decided record was pending at the start"
-        );
-        // The end state needs no log at all: the slice is in the snapshot.
-        let (re, report) = KvStore::open_on_disk(&cfg(), sync, disk.clone());
-        assert_eq!((report.replayed, report.pending_prepares), (0, 0));
-        assert_eq!(re.get("slice").as_deref(), Some(&b"v"[..]));
+    };
+    for ev in before..=after {
+        for synced_only in [false, true] {
+            check(
+                disk.crash_image(ev, 0, synced_only),
+                format!("event {ev} synced_only={synced_only}"),
+            );
+        }
+        for cut in 1..disk.event_append_len(ev).unwrap_or(0) {
+            check(
+                disk.crash_image(ev, cut, false),
+                format!("event {ev} byte {cut}"),
+            );
+        }
     }
+    assert!(staged > 0, "the decided record was pending at the start");
+    // The end state needs no log at all: the slice is in the snapshot.
+    let (re, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disk.clone());
+    assert_eq!((report.replayed, report.pending_prepares), (0, 0));
+    assert_eq!(re.get("slice").as_deref(), Some(&b"v"[..]));
 }
 
 /// `CkptPolicy::Auto` under load. Nobody calls `checkpoint()` while the
@@ -447,7 +442,7 @@ fn a_checkpoint_refuses_a_damaged_closed_prefix_and_touches_nothing() {
     };
     for (what, damage) in damages {
         let disk = MemDisk::new();
-        let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, disk.clone());
+        let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disk.clone());
         store.put("a", b"1");
         store.checkpoint().expect("first checkpoint");
         store.put("b", b"2");
@@ -485,7 +480,7 @@ fn a_checkpoint_refuses_a_damaged_closed_prefix_and_touches_nothing() {
 #[test]
 fn corrupt_current_snapshot_falls_back_to_previous() {
     let disk = MemDisk::new();
-    let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, disk.clone());
+    let (store, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disk.clone());
     store.put("old", b"1");
     store.checkpoint().unwrap(); // -> snapshot #1 (becomes .prev later)
     store.put("new", b"2");
@@ -501,7 +496,7 @@ fn corrupt_current_snapshot_falls_back_to_previous() {
     let bytes = img.read("snapshot.cur").unwrap().unwrap();
     img.truncate("snapshot.cur", bytes.len() as u64 - 1)
         .unwrap();
-    let (re, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, img);
+    let (re, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, img);
     assert_eq!(report.snapshot_source, SnapshotSource::Previous);
     assert_eq!(report.snapshot_cut, 1);
     assert_eq!(re.get("old").as_deref(), Some(&b"1"[..]));

@@ -38,7 +38,7 @@ fn wal_script(disk: Arc<dyn Disk>) -> Vec<(&'static str, Listing)> {
         publish_snapshot(&*disk, &encode_snapshot(cut, [(&key, &value)])).unwrap();
     };
 
-    let wal = Wal::new(Arc::clone(&disk), SyncPolicy::PerCommit, 1).unwrap();
+    let wal = Wal::new(Arc::clone(&disk), 1).unwrap();
     wal.append_durable(b"one", &rt);
     wal.append_durable(b"two", &rt);
     stage("append+sync", &*disk);
@@ -107,14 +107,14 @@ fn store_layout_is_pinned_and_identical_on_both_disks() {
     };
     let dir = temp_dir("layout");
     let path = dir.join("store.wal");
-    let cfg = KvConfig::durable(&path, SyncPolicy::PerCommit).with_ckpt(CkptPolicy::Manual);
+    let cfg = KvConfig::durable(&path, SyncPolicy::GroupCommit).with_ckpt(CkptPolicy::Manual);
 
     let store = KvStore::open(cfg.clone()).unwrap();
     history(&store);
     let file_dump = store.dump();
     drop(store);
     let mem = MemDisk::new();
-    let (store, _) = KvStore::open_on_disk(&cfg, SyncPolicy::PerCommit, mem.clone());
+    let (store, _) = KvStore::open_on_disk(&cfg, SyncPolicy::GroupCommit, mem.clone());
     history(&store);
     assert_eq!(store.dump(), file_dump);
     drop(store);
@@ -137,7 +137,7 @@ fn store_layout_is_pinned_and_identical_on_both_disks() {
 
     // Reopen both: same recovery, same state, same files afterwards.
     let reopened = KvStore::open(cfg.clone()).unwrap();
-    let (re_mem, mem_report) = KvStore::open_on_disk(&cfg, SyncPolicy::PerCommit, mem.clone());
+    let (re_mem, mem_report) = KvStore::open_on_disk(&cfg, SyncPolicy::GroupCommit, mem.clone());
     assert_eq!(reopened.recovery_report(), Some(&mem_report));
     assert_eq!(mem_report.snapshot_cut, 3);
     assert_eq!(mem_report.replayed, 1);
@@ -150,7 +150,7 @@ fn store_layout_is_pinned_and_identical_on_both_disks() {
     // swept and nothing else created.
     let fresh = dir.join("fresh.wal");
     std::fs::write(dir.join("fresh.wal.ckpt.tmp"), b"half a snapshot").unwrap();
-    let store = KvStore::open(KvConfig::durable(&fresh, SyncPolicy::PerCommit)).unwrap();
+    let store = KvStore::open(KvConfig::durable(&fresh, SyncPolicy::GroupCommit)).unwrap();
     store.put("k", b"v");
     drop(store);
     assert_eq!(FileDisk::new(&fresh).list().unwrap(), ["wal"]);

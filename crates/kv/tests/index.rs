@@ -21,7 +21,7 @@ fn key(i: usize) -> String {
 }
 
 fn open(disk: &MemDisk) -> KvStore {
-    KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::PerCommit, disk.clone()).0
+    KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::GroupCommit, disk.clone()).0
 }
 
 fn apply(model: &mut Model, batch: &WriteBatch) {
@@ -153,8 +153,9 @@ fn scans_beside_structural_writes_see_whole_pairs_in_order() {
     let mem = MemDisk::new();
     let stores = [
         KvStore::open(KvConfig::volatile()).expect("volatile store"),
-        // Deferred appends on a pool: shard locks stay held past commit.
-        KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::Async, mem).0,
+        // Durable: a writer's shard locks stay held past its commit,
+        // through its deferred append.
+        KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::GroupCommit, mem).0,
     ];
     for store in &stores {
         let done = AtomicBool::new(false);

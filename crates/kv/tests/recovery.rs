@@ -16,8 +16,8 @@ use ad_kv::wal::frame_record;
 use ad_kv::{Disk, KvConfig, KvStore, MemDisk, RecoveryReport, SyncPolicy, Wal, WriteBatch};
 use ad_stm::{Runtime, TmConfig};
 
-fn open(sync: SyncPolicy, disk: &MemDisk) -> (KvStore, RecoveryReport) {
-    KvStore::open_on_disk(&KvConfig::default(), sync, disk.clone())
+fn open(disk: &MemDisk) -> (KvStore, RecoveryReport) {
+    KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::GroupCommit, disk.clone())
 }
 
 /// Everything written to the WAL so far (synced or not), the zero fill
@@ -100,7 +100,7 @@ fn history() -> Vec<Ops> {
 fn every_crash_point_recovers_exactly_a_committed_prefix() {
     let batches = history();
     let mem = MemDisk::new();
-    let (store, _) = open(SyncPolicy::GroupCommit, &mem);
+    let (store, _) = open(&mem);
     for ops in &batches {
         store.write_batch(&batch_of(ops));
     }
@@ -119,7 +119,7 @@ fn every_crash_point_recovers_exactly_a_committed_prefix() {
     );
     for (cut, image) in images {
         let file = image.read(WAL_BASE).unwrap().unwrap_or_default();
-        let (recovered, report) = open(SyncPolicy::GroupCommit, &image);
+        let (recovered, report) = open(&image);
         let n = report.records as usize;
         assert!(n <= batches.len(), "cut={cut}: recovered too many records");
         assert_eq!(
@@ -162,10 +162,7 @@ fn every_byte_cut_followed_by_zeros_recovers_what_the_bare_cut_does() {
         ends.push(stream.len());
     }
     let recover = |image: &[u8]| {
-        let (store, report) = open(
-            SyncPolicy::GroupCommit,
-            &MemDisk::with_file(WAL_BASE, image),
-        );
+        let (store, report) = open(&MemDisk::with_file(WAL_BASE, image));
         (store.dump(), report)
     };
     let mut completed_by_zeros = 0;
@@ -208,11 +205,11 @@ fn crash_never_yields_a_partial_batch() {
         ("k3".into(), Some(b"v3".to_vec())),
     ];
     let mem = MemDisk::new();
-    let (store, _) = open(SyncPolicy::GroupCommit, &mem);
+    let (store, _) = open(&mem);
     store.write_batch(&batch_of(&batch));
 
     for (cut, image) in byte_cuts(&mem) {
-        let (recovered, _) = open(SyncPolicy::GroupCommit, &image);
+        let (recovered, _) = open(&image);
         let dump = recovered.dump();
         assert!(
             dump.is_empty() || dump.len() == 3,
@@ -252,7 +249,7 @@ fn fixture_torn_tail_mid_record() {
     assert_eq!(report.valid_bytes as usize, intact);
     assert!(report.torn());
 
-    let (store, rep) = open(SyncPolicy::GroupCommit, &MemDisk::with_file(WAL_BASE, &log));
+    let (store, rep) = open(&MemDisk::with_file(WAL_BASE, &log));
     assert_eq!(rep.records, 2);
     assert_eq!(store.len(), 2);
     assert_eq!(store.get("c"), None);
@@ -285,7 +282,7 @@ fn fixture_corrupt_record_drops_suffix() {
     assert_eq!(records.len(), 1);
     assert_eq!(report.end, ScanEnd::BadChecksum);
 
-    let (store, _) = open(SyncPolicy::GroupCommit, &MemDisk::with_file(WAL_BASE, &log));
+    let (store, _) = open(&MemDisk::with_file(WAL_BASE, &log));
     assert_eq!(store.dump().keys().collect::<Vec<_>>(), vec!["a"]);
 }
 
@@ -294,7 +291,7 @@ fn fixture_corrupt_record_drops_suffix() {
 #[test]
 fn crash_between_group_commit_batches_is_clean() {
     let mem = MemDisk::new();
-    let wal = Wal::new(std::sync::Arc::new(mem.clone()), SyncPolicy::GroupCommit, 1);
+    let wal = Wal::new(std::sync::Arc::new(mem.clone()), 1);
     let wal = std::sync::Arc::new(wal.unwrap());
     let rt = std::sync::Arc::new(Runtime::new(TmConfig::stm()));
     std::thread::scope(|s| {
@@ -353,7 +350,7 @@ fn crash_mid_batch_keeps_whole_record_prefix() {
 #[test]
 fn acked_writes_survive_any_loss_of_unsynced_tail() {
     let mem = MemDisk::new();
-    let (store, _) = open(SyncPolicy::GroupCommit, &mem);
+    let (store, _) = open(&mem);
     let mut acked = Vec::new();
     for i in 0..10u32 {
         let key = format!("key{i:02}");
@@ -364,36 +361,12 @@ fn acked_writes_survive_any_loss_of_unsynced_tail() {
     // durable prefix; emulate by recovering from synced() + junk.
     let mut image = mem.synced(WAL_BASE);
     image.extend_from_slice(b"\xde\xad\xbe\xef torn garbage");
-    let (recovered, report) = open(
-        SyncPolicy::GroupCommit,
-        &MemDisk::with_file(WAL_BASE, &image),
-    );
+    let (recovered, report) = open(&MemDisk::with_file(WAL_BASE, &image));
     assert!(report.torn());
     let dump = recovered.dump();
     for key in &acked {
         assert!(dump.contains_key(key), "acked write {key} lost");
     }
-}
-
-/// Same history under PerCommit: identical recovery semantics (the sync
-/// policy changes batching, never the on-disk format or the contract).
-#[test]
-fn per_commit_history_recovers_identically() {
-    let batches = history();
-    let mem = MemDisk::new();
-    let (store, _) = open(SyncPolicy::PerCommit, &mem);
-    for ops in &batches {
-        store.write_batch(&batch_of(ops));
-    }
-    let expected = store.dump();
-    assert_eq!(expected, model(&batches, batches.len()));
-
-    let (recovered, report) = open(
-        SyncPolicy::PerCommit,
-        &mem.crash_image(mem.journal_len(), 0, true),
-    );
-    assert_eq!(report.records as usize, batches.len());
-    assert_eq!(recovered.dump(), expected);
 }
 
 /// Everything an observer can ask a store about its contents, plus what
@@ -444,7 +417,7 @@ fn replaying_the_same_log_twice_gives_the_same_store() {
     const BEFORE_CKPT: usize = 3;
 
     let mem = MemDisk::new();
-    let (store, _) = open(SyncPolicy::GroupCommit, &mem);
+    let (store, _) = open(&mem);
     for (i, ops) in batches.iter().enumerate() {
         if i == BEFORE_CKPT {
             assert!(store.checkpoint().expect("checkpoint").performed);
@@ -457,7 +430,7 @@ fn replaying_the_same_log_twice_gives_the_same_store() {
 
     let image = || mem.crash_image(mem.journal_len(), 0, true);
     let (first_disk, second_disk) = (image(), image());
-    let (first, report) = open(SyncPolicy::GroupCommit, &first_disk);
+    let (first, report) = open(&first_disk);
     assert_eq!(report.snapshot_cut, BEFORE_CKPT as u64);
     assert_eq!(report.replayed, (batches.len() - BEFORE_CKPT) as u64);
     assert_eq!(report.last_seq, batches.len() as u64);
@@ -466,11 +439,11 @@ fn replaying_the_same_log_twice_gives_the_same_store() {
     assert_eq!(first_seen.0, live);
     assert_eq!(first_seen.2, live.len());
 
-    let (second, report) = open(SyncPolicy::GroupCommit, &second_disk);
+    let (second, report) = open(&second_disk);
     assert_eq!(observe(&second, report), first_seen, "two opens disagree");
 
     drop(first);
-    let (again, report) = open(SyncPolicy::GroupCommit, &first_disk);
+    let (again, report) = open(&first_disk);
     assert_eq!(
         observe(&again, report),
         first_seen,

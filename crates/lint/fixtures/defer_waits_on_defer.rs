@@ -1,5 +1,5 @@
 //! Fixture: deferred ops synchronizing with other deferred work — the
-//! static half of the single-worker self-deadlock caveat (DESIGN.md §10).
+//! static half of the self-wait caveat (DESIGN.md §10).
 //! Four sites must be flagged as `defer-waits-on-defer`: a handle wait, a
 //! path-position `wait_all`, a `store.sync()`, and a re-entrant
 //! `atomically`. Waiting *outside* any deferred closure is fine.

@@ -11,9 +11,9 @@
 //!   belong in deferred ops or `synchronized` sections, not in the
 //!   retryable path.
 //! * A deferred operation runs *after* its transaction commits: it must
-//!   not capture the `Tx`, must be `Send`-shaped (pool execution), must
-//!   not panic (a panicking op poisons its whole batch), and must not
-//!   wait on other deferred work (single-worker self-deadlock).
+//!   not capture the `Tx`, must not panic (the panic unwinds out of the
+//!   committer's `atomically` after the commit), and must not wait on
+//!   other deferred work (self-deadlock on the committing thread).
 //! * Deferrals must be registered before the transaction's first write
 //!   (defer-before-first-write, the ordering the KV commit protocol
 //!   relies on).
@@ -69,8 +69,8 @@ mod scope;
 
 pub use rules::{
     ALL_RULES, RULE_BLOCKING_IN_ATOMIC, RULE_CROSS_RUNTIME, RULE_DEFER_AFTER_WRITE,
-    RULE_DEFER_CAPTURES_TX, RULE_DEFER_WAITS, RULE_DIRECT_ACCESS, RULE_NON_SEND_CAPTURE,
-    RULE_PANIC_IN_DEFERRED, RULE_RAW_ATOMIC, RULE_SEQCST,
+    RULE_DEFER_CAPTURES_TX, RULE_DEFER_WAITS, RULE_DIRECT_ACCESS, RULE_PANIC_IN_DEFERRED,
+    RULE_RAW_ATOMIC, RULE_SEQCST,
 };
 
 /// One violation.
@@ -367,46 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn non_send_shapes_in_deferred_closure_are_flagged() {
-        let src = "
-            fn f(o: Defer<Obj>, n: Rc<u64>) {
-                atomically(|tx| {
-                    atomic_defer(tx, &[&o.clone()], move || {
-                        let _ = Rc::strong_count(&n);
-                        let p = 0usize as *mut u64;
-                        let q = p as *const u64;
-                        drop(q);
-                    })
-                });
-            }
-        ";
-        let f = scan_source("crates/demo/src/lib.rs", src);
-        assert_eq!(rules_of(&f), vec![RULE_NON_SEND_CAPTURE; 3]);
-        assert_eq!(f[0].line, 5);
-    }
-
-    #[test]
-    fn non_send_shapes_outside_deferred_closures_are_fine() {
-        // `Rc` in ordinary code, in an atomic closure, or in the defer
-        // call's argument list (before the closure) is not this rule's
-        // business — only the deferred op itself crosses threads. And a
-        // multiplication is not a raw-pointer type.
-        let src = "
-            fn f(o: Defer<Obj>, n: Rc<u64>, k: usize) {
-                let _ = Rc::strong_count(&n);
-                atomically(|tx| {
-                    let m = Rc::clone(&n);
-                    atomic_defer_tracked(tx, &[&o.clone()], move || {
-                        let _ = k * 2;
-                    })
-                });
-            }
-        ";
-        let f = scan_source("crates/demo/src/lib.rs", src);
-        assert_eq!(rules_of(&f), Vec::<&str>::new());
-    }
-
-    #[test]
     fn tracked_defer_threshold_is_two_commas() {
         let src = "
             fn f(o: Defer<Obj>) {
@@ -529,7 +489,7 @@ mod tests {
     #[test]
     fn nested_transaction_inside_deferred_op_is_checked_again() {
         // A deferred op that opens its own transaction is (a) a
-        // self-deadlock hazard on a single-worker pool — the new
+        // self-wait hazard on the committing thread — the
         // defer-waits-on-defer rule — and (b) once inside the nested
         // atomic closure, the atomic rules apply again.
         let src = "

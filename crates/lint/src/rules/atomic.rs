@@ -87,7 +87,7 @@ pub fn cross_runtime_entry_msg(entry: &str, host: &str, other: &str) -> String {
 /// store-specific names only: generic container methods (`get`, `insert`)
 /// must not match.
 pub fn cross_runtime_store(name: &str) -> Option<String> {
-    const STORE_ENTRY: &[&str] = &["write_batch", "write_batch_async", "commit", "get_many"];
+    const STORE_ENTRY: &[&str] = &["write_batch", "commit", "get_many"];
     STORE_ENTRY.contains(&name).then(|| {
         format!(
             "store entry point `.{name}(...)` inside an atomic closure: it \

@@ -1,5 +1,5 @@
 //! Rules that bind *deferred-op* closures: `defer-captures-tx`,
-//! `non-send-capture`, `panic-in-deferred`, and `defer-waits-on-defer`.
+//! `panic-in-deferred`, and `defer-waits-on-defer`.
 
 /// The deferred closure references the transaction (a binding resolved to
 /// `Tx`, or the `Tx` type itself).
@@ -9,26 +9,6 @@ pub fn captures_tx_msg() -> String {
         .to_string()
 }
 
-/// Non-`Send` type names mentioned inside a deferred closure.
-pub fn non_send_ident(name: &str) -> Option<String> {
-    matches!(name, "Rc" | "RefCell").then(|| {
-        format!(
-            "deferred closure mentions `{name}`, which is not Send: deferred \
-             operations may run on a pool worker thread; use Arc (and \
-             Mutex/atomics for interior mutability) instead"
-        )
-    })
-}
-
-/// Raw-pointer type `*const T` / `*mut T` in a deferred closure.
-pub fn raw_pointer_msg(kw: &str) -> String {
-    format!(
-        "raw pointer type `*{kw} _` in a deferred closure: deferred \
-         operations may run on a pool worker thread and their captures \
-         must be Send; pass an owning handle (Arc) instead"
-    )
-}
-
 /// Panicking method calls in a deferred closure. Exact names only:
 /// `unwrap_or`/`unwrap_or_else`/`expect_err` and friends do not panic on
 /// the hot path and must not match.
@@ -36,9 +16,9 @@ pub fn panic_method(name: &str) -> Option<String> {
     matches!(name, "unwrap" | "expect").then(|| {
         format!(
             "`.{name}(...)` in a deferred closure: a panicking deferred op \
-             poisons its whole post-commit batch — later ops are skipped \
-             (locks still release; DESIGN.md §10). Handle the error, or \
-             annotate if aborting the batch is the intended policy"
+             unwinds out of its committer's `atomically` after the \
+             transaction committed (DESIGN.md §10). Handle the error, or \
+             annotate if failing the committer is the intended policy"
         )
     })
 }
@@ -52,10 +32,10 @@ pub fn panic_macro(name: &str) -> Option<String> {
     )
     .then(|| {
         format!(
-            "`{name}!` in a deferred closure: a panicking deferred op poisons \
-             its whole post-commit batch — later ops are skipped (locks still \
-             release; DESIGN.md §10). Handle the error, or annotate if \
-             aborting the batch is the intended policy"
+            "`{name}!` in a deferred closure: a panicking deferred op unwinds \
+             out of its committer's `atomically` after the transaction \
+             committed (DESIGN.md §10). Handle the error, or annotate if \
+             failing the committer is the intended policy"
         )
     })
 }
@@ -64,10 +44,11 @@ pub fn panic_macro(name: &str) -> Option<String> {
 pub fn wait_method(name: &str) -> Option<String> {
     matches!(name, "wait" | "wait_all" | "sync").then(|| {
         format!(
-            "`{name}` inside a deferred closure waits on deferred work: on a \
-             single-worker pool the waited-on op can be queued *behind* this \
-             one and never run — self-deadlock (DESIGN.md §10). Deferred ops \
-             must not synchronize with other deferred ops"
+            "`{name}` inside a deferred closure waits on deferred work while \
+             this op holds its locks: an op queued *behind* this one on the \
+             committing thread never runs until it returns — self-deadlock \
+             (DESIGN.md §10). Deferred ops must not synchronize with other \
+             deferred ops"
         )
     })
 }
@@ -76,8 +57,9 @@ pub fn wait_method(name: &str) -> Option<String> {
 pub fn reentry_msg(entry: &str) -> String {
     format!(
         "`{entry}` inside a deferred closure re-enters the runtime: the \
-         nested transaction can park the pool worker (retry/irrevocability) \
-         while ops queued behind it — possibly its own dependencies — never \
-         run (DESIGN.md §10). Hand the work to a non-worker thread instead"
+         nested transaction can park the committing thread \
+         (retry/irrevocability) while ops queued behind it — possibly its \
+         own dependencies — never run (DESIGN.md §10). Hand the work to \
+         another thread instead"
     )
 }

@@ -6,9 +6,8 @@
 //! | `direct-access-in-atomic` | atomic | `TVar::load/store`, `update_locked`, `peek_unsynchronized` bypassing the transaction |
 //! | `blocking-in-atomic` | `atomically` only | fsync/socket/lock/recv/sleep — blocking calls in a *retryable* closure |
 //! | `defer-captures-tx` | deferred | the deferred closure references the (dead-after-commit) transaction |
-//! | `non-send-capture` | deferred | `Rc`/`RefCell`/raw-pointer shapes that cannot cross to a pool worker |
-//! | `panic-in-deferred` | deferred | `unwrap`/`expect`/`panic!`/`assert!` — a panicking op poisons its whole batch (DESIGN.md §10) |
-//! | `defer-waits-on-defer` | deferred | waiting on deferred results (or re-entering a transaction) from inside a deferred op — single-worker self-deadlock (DESIGN.md §10) |
+//! | `panic-in-deferred` | deferred | `unwrap`/`expect`/`panic!`/`assert!` — a panicking op unwinds out of its committer's `atomically` (DESIGN.md §10) |
+//! | `defer-waits-on-defer` | deferred | waiting on deferred results (or re-entering a transaction) from inside a deferred op — the self-wait (DESIGN.md §10) |
 //! | `defer-after-write` | atomic | `atomic_defer*` lexically after the first `tx.write` (DESIGN.md §9 ordering) |
 //! | `cross-runtime-access` | atomic | entering another runtime's transaction, or a store entry point (own runtime, own transaction) from inside a live atomic closure (DESIGN.md §14) |
 //! | `seqcst-outside-allowlist` | any | `Ordering::SeqCst` outside the audited fence core |
@@ -25,13 +24,6 @@ pub const RULE_DIRECT_ACCESS: &str = "direct-access-in-atomic";
 /// Rule: the deferred closure of an `atomic_defer*` call captures a
 /// binding resolved to the transaction (or mentions the `Tx` type).
 pub const RULE_DEFER_CAPTURES_TX: &str = "defer-captures-tx";
-/// Rule: the deferred closure of an `atomic_defer*` call mentions a
-/// non-`Send` shape — `Rc`, `RefCell`, or a raw-pointer type. Deferred
-/// operations may run on a pool worker thread (`DeferExecCfg::Pool`); the
-/// `Send` bound catches direct captures, but `unsafe impl Send` wrappers
-/// and pointer laundering compile fine — the lint keeps the contract
-/// visible lexically either way.
-pub const RULE_NON_SEND_CAPTURE: &str = "non-send-capture";
 /// Rule: `Ordering::SeqCst` outside the fence-disciplined allowlist.
 pub const RULE_SEQCST: &str = "seqcst-outside-allowlist";
 /// Rule: raw `std::sync::atomic` outside the allowlist (use the
@@ -44,11 +36,12 @@ pub const RULE_RAW_ATOMIC: &str = "raw-atomic";
 pub const RULE_BLOCKING_IN_ATOMIC: &str = "blocking-in-atomic";
 /// Rule: a deferred closure waits on deferred results (`DeferHandle::wait`
 /// / `wait_all` / `store.sync()`) or re-enters a transaction — the static
-/// half of the single-worker self-deadlock caveat (DESIGN.md §10 i).
+/// half of the self-wait caveat (DESIGN.md §10 i).
 pub const RULE_DEFER_WAITS: &str = "defer-waits-on-defer";
 /// Rule: a deferred closure can panic (`unwrap`/`expect`/`panic!`/
-/// `assert!`). A panicking deferred op poisons its whole post-commit
-/// batch: later ops in the batch are skipped, though locks still release
+/// `assert!`). A panicking deferred op releases its locks, the rest of
+/// its batch still runs, and the panic then unwinds out of the
+/// committer's `atomically` — after the transaction committed
 /// (DESIGN.md §10 ii).
 pub const RULE_PANIC_IN_DEFERRED: &str = "panic-in-deferred";
 /// Rule: an `atomic_defer*` call lexically after the first `tx.write` in
@@ -73,7 +66,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_DIRECT_ACCESS,
     RULE_BLOCKING_IN_ATOMIC,
     RULE_DEFER_CAPTURES_TX,
-    RULE_NON_SEND_CAPTURE,
     RULE_PANIC_IN_DEFERRED,
     RULE_DEFER_WAITS,
     RULE_DEFER_AFTER_WRITE,
@@ -87,7 +79,6 @@ pub const ALL_RULES: &[&str] = &[
 /// fire (everything else was already reported at the binding site).
 pub const DEFER_RULES: &[&str] = &[
     RULE_DEFER_CAPTURES_TX,
-    RULE_NON_SEND_CAPTURE,
     RULE_PANIC_IN_DEFERRED,
     RULE_DEFER_WAITS,
 ];

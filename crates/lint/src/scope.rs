@@ -365,17 +365,6 @@ impl Analyzer<'_> {
                 }
             }
 
-            // Raw-pointer types in deferred closures: `*const T`/`*mut T`.
-            if n.is_punct('*') && self.innermost() == Some(RegionKind::DeferOp) {
-                if let Some(kw @ ("const" | "mut")) = nodes.get(i + 1).and_then(Node::ident) {
-                    self.push(
-                        n.line(),
-                        rules::RULE_NON_SEND_CAPTURE,
-                        rules::deferred::raw_pointer_msg(kw),
-                    );
-                }
-            }
-
             // Bare identifier uses.
             if let Some(name) = n.ident() {
                 let is_field = prev.is_some_and(|p| p.is_punct('.'));
@@ -397,17 +386,14 @@ impl Analyzer<'_> {
 
     /// Region-independent and deferred-region identifier rules.
     fn check_ident(&mut self, name: &str, line: usize, nodes: &[Node], i: usize) {
-        if self.innermost() == Some(RegionKind::DeferOp) {
-            if self.resolve(name) == Some(Binding::Tx) || name == "Tx" {
-                self.push(
-                    line,
-                    rules::RULE_DEFER_CAPTURES_TX,
-                    rules::deferred::captures_tx_msg(),
-                );
-            }
-            if let Some(msg) = rules::deferred::non_send_ident(name) {
-                self.push(line, rules::RULE_NON_SEND_CAPTURE, msg);
-            }
+        if self.innermost() == Some(RegionKind::DeferOp)
+            && (self.resolve(name) == Some(Binding::Tx) || name == "Tx")
+        {
+            self.push(
+                line,
+                rules::RULE_DEFER_CAPTURES_TX,
+                rules::deferred::captures_tx_msg(),
+            );
         }
         if name == "SeqCst" && !self.atomics_allowed {
             self.push(line, rules::RULE_SEQCST, rules::ordering::seqcst_msg());

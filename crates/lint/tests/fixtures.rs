@@ -8,8 +8,8 @@ use std::path::Path;
 
 use ad_lint::{
     scan_tree, RULE_BLOCKING_IN_ATOMIC, RULE_CROSS_RUNTIME, RULE_DEFER_AFTER_WRITE,
-    RULE_DEFER_CAPTURES_TX, RULE_DEFER_WAITS, RULE_DIRECT_ACCESS, RULE_NON_SEND_CAPTURE,
-    RULE_PANIC_IN_DEFERRED, RULE_RAW_ATOMIC, RULE_SEQCST,
+    RULE_DEFER_CAPTURES_TX, RULE_DEFER_WAITS, RULE_DIRECT_ACCESS, RULE_PANIC_IN_DEFERRED,
+    RULE_RAW_ATOMIC, RULE_SEQCST,
 };
 
 fn fixture(name: &str) -> Vec<&'static str> {
@@ -33,16 +33,6 @@ fn defer_captures_tx_fixture_is_rejected() {
     assert_eq!(
         fixture("defer_captures_tx.rs"),
         vec![RULE_DEFER_CAPTURES_TX; 2]
-    );
-}
-
-#[test]
-fn non_send_capture_fixture_is_rejected() {
-    // Rc, RefCell, `*mut`, `*const` — and the final, allow-annotated Rc
-    // use must be suppressed.
-    assert_eq!(
-        fixture("non_send_capture.rs"),
-        vec![RULE_NON_SEND_CAPTURE; 4]
     );
 }
 

@@ -186,7 +186,7 @@ fn nested_fn_does_not_inherit_the_atomic_region() {
 #[test]
 fn defer_argument_list_is_outside_the_deferred_region() {
     // `&[&o.clone()]` and the `tx` argument sit in the *call's* argument
-    // list, not in the deferred closure: no captures-tx, no non-send.
+    // list, not in the deferred closure: no captures-tx.
     let src = "
         fn f(o: Defer<Obj>, n: Rc<u64>) {
             atomically(|tx| {

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p ad-net --bin ad-kv-server -- \
-//!     --wal /tmp/ad.wal --sync group --workers 8
+//!     --wal /tmp/ad.wal --workers 8
 //! ```
 //!
 //! Flags:
@@ -14,8 +14,7 @@
 //!   volatile (no durability, mutating requests ack immediately). With
 //!   it the store checkpoints itself every 8 MiB of log, so neither the
 //!   log nor a restart's replay grows without bound (DESIGN.md §13).
-//! * `--sync group|percommit|async` — WAL sync policy when `--wal` is
-//!   given (default `group`). See DESIGN.md §9.
+//!   Concurrent writes share fsyncs (group commit, DESIGN.md §9).
 //! * `--shards N` — store shard count (default 16, at least 1).
 //! * `--trace` — enable the runtime event ring (OBSERVABILITY.md); the
 //!   STATS opcode then returns filled histograms.
@@ -45,19 +44,9 @@ fn main() {
         eprintln!("--shards: expected a count of at least 1");
         std::process::exit(2);
     }
-    let sync = match arg_value("--sync").as_deref() {
-        None | Some("group") => SyncPolicy::GroupCommit,
-        Some("percommit") => SyncPolicy::PerCommit,
-        Some("async") => SyncPolicy::Async,
-        Some(other) => {
-            eprintln!("unknown --sync {other:?} (expected group|percommit|async)");
-            std::process::exit(2);
-        }
-    };
-
     let (config, mode) = match arg_value("--wal") {
         Some(path) => (
-            KvConfig::durable(path, sync).with_ckpt(CkptPolicy::Auto {
+            KvConfig::durable(path, SyncPolicy::GroupCommit).with_ckpt(CkptPolicy::Auto {
                 wal_bytes: CKPT_WAL_MIB << 20,
             }),
             format!("durable: ack implies fsynced, checkpoint every {CKPT_WAL_MIB} MiB of log"),

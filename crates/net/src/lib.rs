@@ -2,8 +2,8 @@
 //!
 //! The store's "ack ⇒ durable" contract (DESIGN.md §9), extended across a
 //! socket: a TCP server whose response to a mutating request is written
-//! only after that request's deferred WAL fsync resolved, while the
-//! touched shards' `TxLock`s are still held by the batch owner. Between
+//! only after that request's deferred WAL fsync ran, with the touched
+//! shards' `TxLock`s held from the commit until then. Between
 //! commit and ack no other transaction — local or arriving over another
 //! connection — can observe the not-yet-durable state, so the wire
 //! protocol inherits the paper's 2PL argument unchanged (DESIGN.md §12).
@@ -16,7 +16,7 @@
 //! "Network counters").
 //!
 //! One binary ships with the crate: `ad-kv-server` — serve a store over
-//! TCP (`--addr`, `--workers`, `--wal`, `--sync`; README "Serving the KV
+//! TCP (`--addr`, `--workers`, `--wal`; README "Serving the KV
 //! store"). Load is generated, and the server measured, by `benchmark/`'s
 //! `net_update` and `net_read` workloads; the wire contract is gated by
 //! `tests/server.rs`.

@@ -14,22 +14,21 @@
 //!   every worker is busy and the queue is full, new connections wait in
 //!   the kernel backlog instead of accumulating server-side state
 //!   (DESIGN.md §12.3).
-//! * **Durability under load** — mutating requests run through the store's
-//!   deferred-executor pipeline; under `SyncPolicy::Async` a saturated
-//!   defer pool degrades to inline execution on the committing thread
-//!   (`try_submit` fallback, DESIGN.md §10), which here means the
-//!   connection handler slows down — exactly the client that generated
-//!   the load.
+//! * **Durability under load** — a mutating request's deferred WAL append
+//!   runs on the handler thread that committed it (DESIGN.md §10), so a
+//!   slow or saturated log slows down exactly the connection that
+//!   generated the load; group commit lets concurrent handlers share one
+//!   fsync.
 //!
 //! ## The ack gate
 //!
-//! PUT/DEL/BATCH run [`KvStore::write_batch_async`]: commit returns with
-//! the touched shards' `TxLock`s still held by the batch owner, and the
-//! handler blocks on the returned `DeferHandle` before writing the
-//! response. The response bytes therefore cannot reach the socket until
-//! the redo record's covering fsync returned — "acked ⇒ durable" as a
-//! *wire* property (PROTOCOL.md §6). The handler marks the moment with an
-//! [`ACK_AFTER_DURABLE`] trace event, which
+//! PUT/DEL/BATCH run [`KvStore::write_batch`], which returns only after
+//! the batch's deferred append and its covering fsync ran on this
+//! thread, with the touched shards' `TxLock`s held from the commit until
+//! then. The response bytes therefore cannot reach the socket until the
+//! redo record is durable — "acked ⇒ durable" as a *wire* property
+//! (PROTOCOL.md §6). On a durable store the handler marks the moment with
+//! an [`ACK_AFTER_DURABLE`] trace event, which
 //! `tests/server.rs::every_ack_follows_its_wal_append_on_the_wire` checks
 //! against the `wal_append` timeline.
 
@@ -55,9 +54,9 @@ use crate::stats::{NetStats, NetStatsSnapshot};
 const READ_TICK: Duration = Duration::from_millis(250);
 
 /// Trace event: the server emitted a client acknowledgement *after* the
-/// request's deferred durability work resolved (between
-/// `DeferHandle::wait` returning and the response bytes being written);
-/// `arg` = the request id being acked. On a merged timeline every one of
+/// request's deferred durability work ran (between `write_batch`
+/// returning and the response bytes being written); `arg` = the request
+/// id being acked. On a merged timeline every one of
 /// these must causally follow the `wal_fsync` that covered the request's
 /// redo record — the wire-level restatement of the store's "ack ⇒ durable"
 /// contract, asserted by `tests/server.rs`.
@@ -85,6 +84,8 @@ impl Default for ServerConfig {
 
 struct Inner {
     store: Arc<KvStore>,
+    /// Does the store have a WAL (so a write's ack follows an fsync)?
+    durable: bool,
     stats: Arc<NetStats>,
     shutdown: AtomicBool,
     addr: SocketAddr,
@@ -108,6 +109,7 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let inner = Arc::new(Inner {
+            durable: store.wal_stats().is_some(),
             store,
             stats: Arc::new(NetStats::default()),
             shutdown: AtomicBool::new(false),
@@ -246,9 +248,9 @@ fn serve(inner: &Inner, frame: &Frame) -> Response {
     let store = &inner.store;
     match request {
         Request::Get { key } => Response::Value(store.get(&key).map(|v| v.to_vec())),
-        Request::Put { key, value } => write(store, frame.req_id, vec![(key, Some(value))]),
-        Request::Del { key } => write(store, frame.req_id, vec![(key, None)]),
-        Request::Batch { ops } => write(store, frame.req_id, ops),
+        Request::Put { key, value } => write(inner, frame.req_id, vec![(key, Some(value))]),
+        Request::Del { key } => write(inner, frame.req_id, vec![(key, None)]),
+        Request::Batch { ops } => write(inner, frame.req_id, ops),
         Request::Sync => {
             store.sync();
             Response::Synced
@@ -261,15 +263,15 @@ fn serve(inner: &Inner, frame: &Frame) -> Response {
     }
 }
 
-/// Every mutating request is one batch through the ack gate: commit, then
-/// block until the batch's redo record is fsync-covered, then mark the
-/// timeline. No handle (volatile store or empty batch) means no durability
-/// to wait for.
-fn write(store: &KvStore, req_id: u32, ops: ad_kv::RedoOps) -> Response {
+/// Every mutating request is one batch through the ack gate: commit and
+/// run the deferred append and fsync, then mark the timeline. A volatile
+/// store or an empty batch has no durability to mark.
+fn write(inner: &Inner, req_id: u32, ops: ad_kv::RedoOps) -> Response {
     let count = ops.len() as u32;
-    if let Some(h) = store.write_batch_async(&WriteBatch::from_ops(ops)) {
-        store.wait_durable(&h);
-        store
+    inner.store.write_batch(&WriteBatch::from_ops(ops));
+    if inner.durable && count > 0 {
+        inner
+            .store
             .runtime()
             .trace_app(&ACK_AFTER_DURABLE, u64::from(req_id));
     }

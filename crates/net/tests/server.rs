@@ -102,10 +102,14 @@ fn put_ack_implies_synced_wal_bytes() {
 /// them mutations. Checks the request accounting and that every mutation
 /// produced exactly one `ack_after_durable` and at least one WAL record;
 /// returns the server-side timeline for the ordering check.
-fn traced_session(sync: SyncPolicy) -> Trace {
+fn traced_session() -> Trace {
     const CONNS: u64 = 2;
     const PUTS: usize = 10;
-    let (store, _) = KvStore::open_on_disk(&KvConfig::default(), sync, MemDisk::new());
+    let (store, _) = KvStore::open_on_disk(
+        &KvConfig::default(),
+        SyncPolicy::GroupCommit,
+        MemDisk::new(),
+    );
     let store = Arc::new(store);
     store.runtime().set_tracing(true);
     let server = Server::start(Arc::clone(&store), "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -161,12 +165,12 @@ fn traced_session(sync: SyncPolicy) -> Trace {
 
 /// Ack-after-durable as a wire property (PROTOCOL.md §6): on every
 /// handler thread the *k*-th `ack_after_durable` has at least *k*
-/// `wal_append`s before it — the inline executor runs a request's append
-/// on the thread that then acks it, so an ack emitted before its commit
+/// `wal_append`s before it — a request's append runs on the thread that
+/// then acks it, so an ack emitted before its commit
 /// shows up as an ack with too few appends behind it.
 #[test]
 fn every_ack_follows_its_wal_append_on_the_wire() {
-    let trace = traced_session(SyncPolicy::GroupCommit);
+    let trace = traced_session();
     if trace.dropped > 0 {
         return; // the ring wrapped: counts were checked, order is unknowable
     }
@@ -189,14 +193,6 @@ fn every_ack_follows_its_wal_append_on_the_wire() {
             );
         }
     }
-}
-
-/// The same session under `SyncPolicy::Async`: appends run on defer-pool
-/// workers, so only the counts are checked — one ack per mutation, never
-/// more acks than WAL records.
-#[test]
-fn async_acks_are_counted_one_per_mutation() {
-    traced_session(SyncPolicy::Async);
 }
 
 /// The server keeps answering — reads *and* durable writes — while a

@@ -108,11 +108,7 @@ impl ShardRouter {
     /// On a store opened with [`CkptPolicy::Auto`]: a per-store background
     /// checkpoint can truncate a decision record another shard's staged
     /// slice still needs (DESIGN.md §14.4) — routed stores checkpoint only
-    /// through [`ShardRouter::checkpoint_all`]. On a store opened with
-    /// [`SyncPolicy::Async`]: its commit plans run on the defer pool, so
-    /// `commit` returning says nothing — a coordinator would ack a batch
-    /// no participant staged, and a participant's worker would answer a
-    /// barrier with a slice still staged (DESIGN.md §14.4).
+    /// through [`ShardRouter::checkpoint_all`].
     pub fn from_stores(stores: Vec<Arc<KvStore>>) -> ShardRouter {
         assert!(!stores.is_empty(), "a router needs at least one shard");
         assert!(stores.len() <= u16::MAX as usize, "shard ids are u16");
@@ -122,12 +118,6 @@ impl ShardRouter {
                 "shard {s} was opened with CkptPolicy::Auto: a background checkpoint could \
                  truncate a decision record a staged slice still needs (DESIGN.md §14.4); \
                  open routed stores with CkptPolicy::Manual and use checkpoint_all"
-            );
-            assert!(
-                store.sync_policy() != Some(SyncPolicy::Async),
-                "shard {s} was opened with SyncPolicy::Async: a commit plan must have run to \
-                 its end when `commit` returns — that return is the coordinator's ack and the \
-                 worker's licence to answer a barrier (DESIGN.md §14.4)"
             );
         }
 
@@ -497,16 +487,6 @@ mod tests {
             MemDisk::new(),
         );
         ShardRouter::from_stores(vec![Arc::new(manual), Arc::new(auto)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "SyncPolicy::Async")]
-    fn async_stores_are_refused() {
-        let open = |sync| KvStore::open_on_disk(&KvConfig::volatile(), sync, MemDisk::new()).0;
-        ShardRouter::from_stores(vec![
-            Arc::new(open(SyncPolicy::GroupCommit)),
-            Arc::new(open(SyncPolicy::Async)),
-        ]);
     }
 
     #[test]

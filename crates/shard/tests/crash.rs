@@ -65,7 +65,7 @@ fn key_on(router: &ShardRouter, prefix: &str, want: usize) -> String {
 fn acked_cross_shard_batches_survive_every_aligned_crash() {
     const SHARDS: usize = 3;
     let disks: Vec<MemDisk> = (0..SHARDS).map(|_| MemDisk::new()).collect();
-    let (router, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::PerCommit, &disks);
+    let (router, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &disks);
 
     // Pre-resolve one key per shard so the script below is stable under
     // the hash partition.
@@ -128,7 +128,7 @@ fn acked_cross_shard_batches_survive_every_aligned_crash() {
                 .zip(lens)
                 .map(|(d, &len)| d.crash_image(len, 0, synced_only))
                 .collect();
-            let (re, reports) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::PerCommit, &imgs);
+            let (re, reports) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
             assert_eq!(
                 &re.dump(),
                 want,
@@ -216,8 +216,8 @@ const GID: u64 = 1; // coordinator shard 0 in the high bits, seq 1
 fn build_window() -> Window {
     let disk_a = MemDisk::new();
     let disk_b = MemDisk::new();
-    let (sa, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, disk_a.clone());
-    let (sb, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, disk_b.clone());
+    let (sa, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disk_a.clone());
+    let (sb, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disk_b.clone());
     let sb = Arc::new(sb);
 
     // Independent local writes so recovery always has unrelated state
@@ -282,7 +282,7 @@ fn build_window() -> Window {
 /// and return the merged dump.
 fn recover(coord: &MemDisk, part: &MemDisk) -> BTreeMap<String, Vec<u8>> {
     let imgs = [coord.clone(), part.clone()];
-    let (re, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::PerCommit, &imgs);
+    let (re, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
     re.dump()
 }
 
@@ -322,7 +322,7 @@ fn an_acked_batch_whose_participant_decided_was_never_written_recovers_whole() {
     );
     for synced_only in [true, false] {
         let part = w.part_live.crash_image(w.part_released, 0, synced_only);
-        let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, part.clone());
+        let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, part.clone());
         assert_eq!(report.pending_prepares, 1, "synced_only={synced_only}");
         assert_eq!(solo.get("cross-b"), None, "standalone: presumed abort");
         drop(solo);
@@ -344,7 +344,7 @@ fn a_torn_write_carrying_the_unforced_decided_and_a_later_record_recovers_whole(
     let mut pending = [0, 0];
     for cut in 0..=len {
         let part = w.part_live.crash_image(w.part_relog_ev, cut, false);
-        let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, part.clone());
+        let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, part.clone());
         pending[report.pending_prepares as usize] += 1;
         // `later-b` was acked after the batch: never without it.
         if solo.get("later-b").is_some() {
@@ -392,7 +392,7 @@ fn killed_coordinator_before_decision_presumes_abort() {
 fn reconciliation_relogs_so_the_next_recovery_is_self_contained() {
     let w = build_window();
     let imgs = [w.coord_after.clone(), w.part_staged.clone()];
-    let (re, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::PerCommit, &imgs);
+    let (re, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
     // The window placed its keys at the store level, so read them store
     // level too (the router's hash partition is irrelevant here).
     assert_eq!(
@@ -414,7 +414,7 @@ fn reconciliation_relogs_so_the_next_recovery_is_self_contained() {
     // So the participant's disk alone — no coordinator evidence — now
     // recovers the slice. (A store outside a router replays the same
     // records.)
-    let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::PerCommit, imgs[1].clone());
+    let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, imgs[1].clone());
     assert_eq!(report.pending_prepares, 0);
     assert_eq!(
         solo.get("cross-b").as_deref(),
@@ -427,7 +427,7 @@ fn reconciliation_relogs_so_the_next_recovery_is_self_contained() {
 fn aborted_prepare_does_not_block_later_writes_or_recoveries() {
     let w = build_window();
     let imgs = [w.coord_before.clone(), w.part_staged.clone()];
-    let (re, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::PerCommit, &imgs);
+    let (re, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
     assert_eq!(re.store(1).get("cross-b"), None);
     // The stale prepare record lingers in the participant's WAL but the
     // store keeps working: new writes land, and another recovery still
@@ -435,7 +435,7 @@ fn aborted_prepare_does_not_block_later_writes_or_recoveries() {
     re.put("after-abort", b"ok");
     re.sync();
     drop(re);
-    let (re2, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::PerCommit, &imgs);
+    let (re2, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
     assert_eq!(re2.get("after-abort").as_deref(), Some(&b"ok"[..]));
     assert_eq!(
         re2.store(1).get("cross-b"),
@@ -486,69 +486,68 @@ fn a_clean_close_is_self_contained_and_a_crash_reports_its_pending_prepare() {
 #[test]
 fn checkpoint_all_forces_every_wal_before_any_shard_truncates() {
     const SHARDS: usize = 3;
-    for sync in [SyncPolicy::PerCommit, SyncPolicy::GroupCommit] {
-        let disks: Vec<MemDisk> = (0..SHARDS).map(|_| MemDisk::new()).collect();
-        let (router, _) = ShardRouter::open_on_disks(&cfg(), sync, &disks);
-        let keys: Vec<String> = (0..SHARDS).map(|s| key_on(&router, "k", s)).collect();
-        // Every shard coordinates once and participates once; the last
-        // batch leaves an unwritten `Decided` on shards 1 and 2 whose only
-        // durable twin is in the log shard 0 checkpoints first.
-        for (round, touched) in [vec![1, 2], vec![0, 2], vec![0, 1, 2]].iter().enumerate() {
-            let mut batch = WriteBatch::new();
-            for &s in touched {
-                batch = batch.put(&keys[s], [round as u8]);
-            }
-            router.write_batch(&batch);
+    let disks: Vec<MemDisk> = (0..SHARDS).map(|_| MemDisk::new()).collect();
+    let (router, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &disks);
+    let keys: Vec<String> = (0..SHARDS).map(|s| key_on(&router, "k", s)).collect();
+    // Every shard coordinates once and participates once; the last
+    // batch leaves an unwritten `Decided` on shards 1 and 2 whose only
+    // durable twin is in the log shard 0 checkpoints first.
+    for (round, touched) in [vec![1, 2], vec![0, 2], vec![0, 1, 2]].iter().enumerate() {
+        let mut batch = WriteBatch::new();
+        for &s in touched {
+            batch = batch.put(&keys[s], [round as u8]);
         }
-        router.quiesce();
-        let model = router.dump();
-        let before: Vec<usize> = disks.iter().map(MemDisk::journal_len).collect();
-        router.checkpoint_all().expect("checkpoint_all");
-        drop(router);
-
-        // The disk events of the checkpoint, all disks, in the order they
-        // happened: crash before each of them, and inside each append.
-        let stamps: Vec<Vec<u64>> = disks.iter().map(MemDisk::event_stamps).collect();
-        let mut instants: Vec<u64> = (0..SHARDS)
-            .flat_map(|d| stamps[d][before[d]..].iter().copied())
-            .collect();
-        instants.sort_unstable();
-        assert!(
-            instants.len() > 6 * SHARDS,
-            "flush + rotate + publish + drop on every shard"
-        );
-        let mut images = 0;
-        // (`u64::MAX`: after the last of them.)
-        for &t in instants.iter().chain([&u64::MAX]) {
-            let lens: Vec<usize> = stamps
-                .iter()
-                .map(|s| s.partition_point(|&s| s < t))
-                .collect();
-            let next = (0..SHARDS)
-                .find(|&d| stamps[d].get(lens[d]) == Some(&t))
-                .unwrap_or(0);
-            let len = disks[next].event_append_len(lens[next]).unwrap_or(0);
-            for cut in [0, 1, len / 2, len.saturating_sub(1)] {
-                for synced_only in [false, true] {
-                    let imgs: Vec<MemDisk> = (0..SHARDS)
-                        .map(|d| {
-                            let bytes = if d == next { cut.min(len) } else { 0 };
-                            disks[d].crash_image(lens[d], bytes, synced_only)
-                        })
-                        .collect();
-                    let (re, reports) = ShardRouter::open_on_disks(&cfg(), sync, &imgs);
-                    assert_eq!(
-                        re.dump(),
-                        model,
-                        "{sync:?}: crash at {lens:?} (+{cut} bytes on disk {next}), \
-                         synced_only={synced_only}\nreports: {reports:?}"
-                    );
-                    images += 1;
-                }
-            }
-        }
-        assert!(images > 100, "matrix too small: {images}");
+        router.write_batch(&batch);
     }
+    router.quiesce();
+    let model = router.dump();
+    let before: Vec<usize> = disks.iter().map(MemDisk::journal_len).collect();
+    router.checkpoint_all().expect("checkpoint_all");
+    drop(router);
+
+    // The disk events of the checkpoint, all disks, in the order they
+    // happened: crash before each of them, and inside each append.
+    let stamps: Vec<Vec<u64>> = disks.iter().map(MemDisk::event_stamps).collect();
+    let mut instants: Vec<u64> = (0..SHARDS)
+        .flat_map(|d| stamps[d][before[d]..].iter().copied())
+        .collect();
+    instants.sort_unstable();
+    assert!(
+        instants.len() > 6 * SHARDS,
+        "flush + rotate + publish + drop on every shard"
+    );
+    let mut images = 0;
+    // (`u64::MAX`: after the last of them.)
+    for &t in instants.iter().chain([&u64::MAX]) {
+        let lens: Vec<usize> = stamps
+            .iter()
+            .map(|s| s.partition_point(|&s| s < t))
+            .collect();
+        let next = (0..SHARDS)
+            .find(|&d| stamps[d].get(lens[d]) == Some(&t))
+            .unwrap_or(0);
+        let len = disks[next].event_append_len(lens[next]).unwrap_or(0);
+        for cut in [0, 1, len / 2, len.saturating_sub(1)] {
+            for synced_only in [false, true] {
+                let imgs: Vec<MemDisk> = (0..SHARDS)
+                    .map(|d| {
+                        let bytes = if d == next { cut.min(len) } else { 0 };
+                        disks[d].crash_image(lens[d], bytes, synced_only)
+                    })
+                    .collect();
+                let (re, reports) =
+                    ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
+                assert_eq!(
+                    re.dump(),
+                    model,
+                    "crash at {lens:?} (+{cut} bytes on disk {next}), \
+                     synced_only={synced_only}\nreports: {reports:?}"
+                );
+                images += 1;
+            }
+        }
+    }
+    assert!(images > 100, "matrix too small: {images}");
 }
 
 // ---------------------------------------------------------------------------

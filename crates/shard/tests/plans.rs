@@ -114,7 +114,7 @@ fn parked_reader(store: &Arc<KvStore>) -> Receiver<Option<Arc<[u8]>>> {
 fn run(row: &Row) {
     let name = row.name;
     let open =
-        |disk: MemDisk| KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::PerCommit, disk);
+        |disk: MemDisk| KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::GroupCommit, disk);
     let disk = MemDisk::new();
     if row.staged {
         // A participant that stopped after its prepare.

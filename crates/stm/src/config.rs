@@ -52,41 +52,6 @@ impl Default for HtmConfig {
     }
 }
 
-/// Where deferred operations run after commit (DESIGN.md §10).
-///
-/// Atomicity of a deferred op is guaranteed by two-phase locking — its
-/// `TxLock`s are acquired atomically with the commit and released only when
-/// the op completes — *not* by which thread executes it. That makes the
-/// execution venue a pluggable policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeferExecCfg {
-    /// Run deferred ops in commit order on the committing thread, before
-    /// `atomically` returns. The default: zero infrastructure, and the
-    /// caller observes synchronous completion (an acked op is done).
-    Inline,
-    /// Hand each committed batch to a bounded-queue worker pool
-    /// (`ad_support::pool`). The committing thread returns right after
-    /// write-back + quiescence; a worker runs the ops and releases their
-    /// `TxLock`s on completion, preserving the 2PL shrinking phase. When
-    /// the queue is full, the committer runs the batch inline instead of
-    /// blocking (counted in `defer_inline_fallbacks`): under saturation
-    /// the executor degrades to inline cost rather than stacking
-    /// queue-wait on top of it (DESIGN.md §10 "Backpressure").
-    Pool {
-        /// Worker threads (clamped to at least 1).
-        workers: usize,
-        /// Bounded queue capacity in batches (clamped to at least 1).
-        queue_cap: usize,
-    },
-}
-
-impl DeferExecCfg {
-    /// True when deferred ops are offloaded to a worker pool.
-    pub fn is_pool(&self) -> bool {
-        matches!(self, DeferExecCfg::Pool { .. })
-    }
-}
-
 /// Complete policy configuration for a [`Runtime`](crate::Runtime).
 #[derive(Debug, Clone, Copy)]
 pub struct TmConfig {
@@ -109,9 +74,6 @@ pub struct TmConfig {
     /// Smaller rings cost less memory per thread, larger ones survive
     /// longer gaps between `Runtime::take_trace` calls. Default 16384.
     pub trace_ring_events: usize,
-    /// Where deferred operations run after commit: inline on the committing
-    /// thread (default) or offloaded to a bounded worker pool.
-    pub defer_exec: DeferExecCfg,
 }
 
 impl TmConfig {
@@ -125,7 +87,6 @@ impl TmConfig {
             retry_policy: RetryPolicy::Spin,
             max_backoff_spins: 1 << 14,
             trace_ring_events: 1 << 14,
-            defer_exec: DeferExecCfg::Inline,
         }
     }
 
@@ -139,7 +100,6 @@ impl TmConfig {
             retry_policy: RetryPolicy::Spin,
             max_backoff_spins: 1 << 10,
             trace_ring_events: 1 << 14,
-            defer_exec: DeferExecCfg::Inline,
         }
     }
 
@@ -177,19 +137,6 @@ impl TmConfig {
         self
     }
 
-    /// Builder-style switch to the worker-pool deferred-op executor.
-    /// `workers`/`queue_cap` are clamped to at least 1 at pool creation.
-    pub fn with_defer_pool(mut self, workers: usize, queue_cap: usize) -> Self {
-        self.defer_exec = DeferExecCfg::Pool { workers, queue_cap };
-        self
-    }
-
-    /// Builder-style override of the deferred-op executor.
-    pub fn with_defer_exec(mut self, exec: DeferExecCfg) -> Self {
-        self.defer_exec = exec;
-        self
-    }
-
     /// True when running as simulated HTM.
     pub fn is_htm(&self) -> bool {
         matches!(self.mode, Mode::HtmSim(_))
@@ -212,11 +159,6 @@ mod tests {
         assert_eq!(c.serialize_after, 100);
         assert!(c.quiesce);
         assert!(!c.is_htm());
-        assert_eq!(
-            c.defer_exec,
-            DeferExecCfg::Inline,
-            "Inline must stay the default"
-        );
     }
 
     #[test]
@@ -234,19 +176,11 @@ mod tests {
             .with_quiesce(true)
             .with_retry_policy(RetryPolicy::Park)
             .with_htm_capacity(1024)
-            .with_trace_ring(256)
-            .with_defer_pool(2, 32);
+            .with_trace_ring(256);
         assert_eq!(c.serialize_after, 5);
         assert!(c.quiesce);
         assert_eq!(c.retry_policy, RetryPolicy::Park);
         assert_eq!(c.trace_ring_events, 256);
-        assert_eq!(
-            c.defer_exec,
-            DeferExecCfg::Pool {
-                workers: 2,
-                queue_cap: 32
-            }
-        );
         match c.mode {
             Mode::HtmSim(h) => assert_eq!(h.capacity_bytes, 1024),
             _ => panic!("expected HTM mode"),

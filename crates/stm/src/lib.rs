@@ -97,7 +97,7 @@ mod var;
 #[cfg(all(test, loom))]
 mod verify;
 
-pub use config::{DeferExecCfg, HtmConfig, Mode, RetryPolicy, TmConfig};
+pub use config::{HtmConfig, Mode, RetryPolicy, TmConfig};
 pub use error::{StmError, StmResult};
 pub use runtime::{atomically, in_transaction, synchronized, Runtime};
 pub use stats::{StatsReport, StatsSnapshot};

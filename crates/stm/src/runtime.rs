@@ -3,6 +3,7 @@
 //! execution.
 
 use ad_support::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 
 use crate::clock;
@@ -73,12 +74,6 @@ pub(crate) struct RtInner {
     /// toggle that also gates the optional hot-path timing (commit latency,
     /// backoff). One relaxed load per attempt when off.
     sink: TraceSink,
-    /// The worker pool behind [`DeferExecCfg::Pool`]; `None` under the
-    /// default `Inline` executor. Not built under `--cfg loom` (the pool
-    /// spawns real OS threads; the executor hand-off protocol is modeled
-    /// directly in the `verify` suites instead).
-    #[cfg(not(loom))]
-    defer_pool: Option<ad_support::pool::Pool>,
 }
 
 /// A TM runtime: a policy configuration plus the machinery (activity
@@ -100,24 +95,12 @@ pub struct Runtime {
 impl Runtime {
     /// Create a runtime with the given policy configuration.
     pub fn new(cfg: TmConfig) -> Self {
-        #[cfg(loom)]
-        assert!(
-            !cfg.defer_exec.is_pool(),
-            "DeferExecCfg::Pool spawns OS threads and is not available under --cfg loom"
-        );
         Runtime {
             inner: Arc::new(RtInner {
                 id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
                 cfg,
                 registry: Arc::new(Registry::default()),
                 sink: TraceSink::new(cfg.trace_ring_events),
-                #[cfg(not(loom))]
-                defer_pool: match cfg.defer_exec {
-                    crate::config::DeferExecCfg::Inline => None,
-                    crate::config::DeferExecCfg::Pool { workers, queue_cap } => {
-                        Some(ad_support::pool::Pool::new(workers, queue_cap))
-                    }
-                },
             }),
         }
     }
@@ -463,82 +446,41 @@ impl Runtime {
         }
     }
 
-    /// Hand one committed transaction's post-commit work to the configured
-    /// executor — the tail of the paper's `TxEnd` (Listing 1). Runs with no
-    /// locks held (the serial flag, if it was ours, is cleared). `slot` is
-    /// the committing thread's, for the inline executor's counts.
+    /// Run one committed transaction's post-commit work — the tail of the
+    /// paper's `TxEnd` (Listing 1): its deferred operations in call order,
+    /// then its deferred frees, here on the committing thread, after
+    /// write-back and quiescence and before `atomically` returns. Runs with
+    /// no locks held (the serial flag, if it was ours, is cleared), so a
+    /// deferred operation may start transactions of its own. Ops of
+    /// different transactions that share a `TxLock` serialize in
+    /// lock-acquisition order: the later committer's acquisition conflicts
+    /// until the earlier op releases. Counts into the committing thread's
+    /// `slot`.
     ///
-    /// `Inline` (default): the batch runs here, on the committing thread, in
-    /// commit order, before `atomically` returns. `Pool`: the batch is
-    /// queued to the worker pool and `atomically` returns immediately; a
-    /// worker runs the ops and their closing `TxLock` releases. If the
-    /// pool's bounded queue is full, the batch falls back to running inline
-    /// — blocking the committer on a saturated pool would only add
-    /// queue-wait latency on top of work it could already be doing itself
-    /// (the `defer_inline_fallbacks` counter reports how often). Wherever
-    /// it runs, the ops of one transaction run sequentially in call order,
-    /// and ops of different transactions that share a `TxLock` serialize in
-    /// lock-acquisition order — the later committer's lock acquisition
-    /// conflicts until the earlier batch releases — so the fallback running
-    /// ahead of still-queued batches cannot reorder conflicting ops.
+    /// A panicking op does not strand the ops queued behind it: they belong
+    /// to a committed transaction, and each holds locks only its own run
+    /// releases. The batch runs to its end and the first panic then
+    /// resumes, out of `atomically`.
     fn run_post_commit(&self, output: CommitOutput, slot: &ActivitySlot) {
         if output.is_empty() {
-            // The common no-defer transaction never touches the executor.
+            // The common no-defer transaction never touches the batch.
             return;
         }
-        #[cfg(not(loom))]
-        if let Some(pool) = &self.inner.defer_pool {
-            let obs = self.inner.sink.enabled();
-            let t_submit = if obs {
-                Some(crate::trace::now_ns())
-            } else {
-                None
-            };
-            let rt = self.clone();
-            let job = Box::new(move || {
-                if let Some(t0) = t_submit {
-                    let waited = crate::trace::now_ns().saturating_sub(t0);
-                    rt.stats_ref().on_defer_queue_wait(waited);
-                }
-                let local = rt.inner.registry.local(rt.inner.id);
-                rt.run_batch(output, &local.slot);
-            });
-            match pool.try_submit(job) {
-                Ok(depth) => {
-                    self.stats_ref().on_defer_offload();
-                    if obs {
-                        self.trace_event(EventKind::DeferOffload, depth as u64);
-                    }
-                }
-                Err(job) => {
-                    // Queue full: degrade to inline execution.
-                    self.stats_ref().on_defer_inline_fallback();
-                    job();
-                }
-            }
-            return;
-        }
-        self.run_batch(output, slot);
-    }
-
-    /// Execute one committed batch: deferred operations in call order, then
-    /// deferred frees. Called on the committing thread (`Inline`) or on a
-    /// pool worker (`Pool`); deferred operations may start transactions of
-    /// their own in either venue (workers are ordinary threads with no
-    /// transaction in flight). Counts into the running thread's `slot`.
-    fn run_batch(&self, output: CommitOutput, slot: &ActivitySlot) {
         let CommitOutput {
             actions,
             drops,
             enqueue_ts,
         } = output;
         let obs = self.inner.sink.enabled();
+        let mut panicked = None;
         for (i, action) in actions.into_iter().enumerate() {
             slot.counters.bump(Hot::DeferredOps);
             if obs {
                 self.trace_event(EventKind::DeferExecStart, i as u64);
             }
-            action(self);
+            if let Err(panic) = catch_unwind(AssertUnwindSafe(|| action(self))) {
+                panicked.get_or_insert(panic);
+            }
             if obs {
                 self.trace_event(EventKind::DeferExecEnd, i as u64);
                 // Queue-to-completion: enqueue inside the transaction →
@@ -552,101 +494,23 @@ impl Runtime {
             }
         }
         drop(drops);
-    }
-
-    /// Block until every deferred-op batch handed to the `Pool` executor so
-    /// far has completed (ops run, locks released). A no-op under `Inline`,
-    /// where `atomically` only returns after its batch ran. Useful at
-    /// shutdown and in tests/benchmarks that need an "all quiet" point;
-    /// per-operation completion is better served by an `ad-defer`
-    /// `DeferHandle`.
-    pub fn drain_deferred(&self) {
-        #[cfg(not(loom))]
-        if let Some(pool) = &self.inner.defer_pool {
-            pool.drain();
+        if let Some(panic) = panicked {
+            resume_unwind(panic);
         }
     }
 
-    /// Deferred-op batches currently queued or running on the `Pool`
-    /// executor (always 0 under `Inline`).
-    pub fn deferred_pending(&self) -> usize {
-        #[cfg(not(loom))]
-        if let Some(pool) = &self.inner.defer_pool {
-            return pool.pending();
-        }
-        0
-    }
-
-    /// Would blocking on deferred work from the calling thread risk the
-    /// single-worker self-deadlock of DESIGN.md §10 (i)? True exactly when
-    /// this thread is the *sole* worker of this runtime's `Pool` executor:
-    /// whatever it waits for is queued behind the batch it is running and
-    /// can never be dispatched. Always false under `Inline` (no workers)
-    /// and with two or more workers (another worker can serve the queue).
-    pub fn defer_wait_would_self_deadlock(&self) -> bool {
-        #[cfg(not(loom))]
-        if let Some(pool) = &self.inner.defer_pool {
-            return pool.wait_would_self_deadlock();
-        }
-        false
-    }
-
-    /// Record a detected self-wait hazard (see
-    /// [`Runtime::defer_wait_would_self_deadlock`]): bump the
-    /// `defer_self_wait_hazards` counter, emit a `DeferSelfWaitHazard`
-    /// trace event carrying the pool's queue depth, and — in debug builds —
-    /// panic via `debug_assert!` so tests and dev runs fail loudly instead
-    /// of hanging. Returns whether the hazard was present (callers may use
-    /// this to degrade, e.g. drain inline instead of blocking).
-    ///
-    /// `ad-defer`'s `DeferHandle::wait`/`wait_all` call this before
-    /// blocking; it is public so other blocking-on-deferred-work paths can
-    /// reuse the same detection.
-    pub fn check_defer_self_wait(&self) -> bool {
-        if !self.defer_wait_would_self_deadlock() {
-            return false;
-        }
-        self.stats_ref().on_defer_self_wait_hazard();
-        #[cfg(not(loom))]
-        {
-            let depth = self
-                .inner
-                .defer_pool
-                .as_ref()
-                .map_or(0, |p| p.queue_len() as u64);
-            self.trace_event(EventKind::DeferSelfWaitHazard, depth);
-        }
-        debug_assert!(
-            false,
-            "DeferHandle wait on the runtime's only defer-pool worker: the \
-             waited-on op may be queued behind this job and can never run \
-             (self-deadlock, DESIGN.md §10). Size the pool with >= 2 workers \
-             or complete the dependency before this op."
-        );
-        true
-    }
-
-    /// Would blocking on *this* runtime's deferred work from the calling
-    /// thread tie up a worker of some **other** pool? True when the caller
-    /// is a pool worker but not one of this runtime's own — the
-    /// cross-runtime wait hazard of DESIGN.md §14: runtime A's worker
-    /// blocking on runtime B's `DeferHandle` occupies a thread A may
-    /// itself be waiting on, and with symmetric traffic the two pools can
-    /// starve each other. Unlike the single-worker self-wait this is not
-    /// necessarily a deadlock (ad-shard's ascending-shard prepare order
-    /// bounds it), so it is reported, not asserted.
+    /// Would blocking on this runtime's deferred work from the calling
+    /// thread tie up a worker of an `ad_support::pool` (ad-net's connection
+    /// workers)? That is the cross-runtime wait hazard of DESIGN.md §14: a
+    /// worker blocking on another runtime's `DeferHandle` occupies a thread
+    /// its own pool may be waiting on, and with symmetric traffic the pools
+    /// can starve each other. It is not necessarily a deadlock (ad-shard's
+    /// ascending-shard prepare order bounds it), so it is reported, not
+    /// asserted.
     pub fn defer_wait_is_remote_from_worker(&self) -> bool {
         #[cfg(not(loom))]
         {
-            if !ad_support::pool::Pool::current_thread_is_any_worker() {
-                return false;
-            }
-            if let Some(pool) = &self.inner.defer_pool {
-                if pool.current_thread_is_worker() {
-                    return false; // own-pool worker: the self-wait check owns this case
-                }
-            }
-            true
+            ad_support::pool::Pool::current_thread_is_any_worker()
         }
         #[cfg(loom)]
         false
@@ -656,8 +520,7 @@ impl Runtime {
     /// [`Runtime::defer_wait_is_remote_from_worker`]): bump the
     /// `defer_remote_wait_hazards` counter and emit a
     /// `DeferRemoteWaitHazard` trace event carrying this (the waited-on)
-    /// runtime's id. No `debug_assert!`, unlike
-    /// [`Runtime::check_defer_self_wait`] — a bounded remote wait is legal
+    /// runtime's id. No `debug_assert!`: a bounded remote wait is legal
     /// (it is exactly how ad-shard's coordinator blocks for participant
     /// acks); the counter and event exist so an embedding can audit where
     /// its pools block on each other. Returns whether the hazard was

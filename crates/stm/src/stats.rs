@@ -78,9 +78,6 @@ pub struct Stats {
     hot: [AtomicU64; HOT],
     pub(crate) serializations: AtomicU64,
     pub(crate) serial_commits: AtomicU64,
-    pub(crate) defer_offloads: AtomicU64,
-    pub(crate) defer_inline_fallbacks: AtomicU64,
-    pub(crate) defer_self_wait_hazards: AtomicU64,
     pub(crate) defer_remote_wait_hazards: AtomicU64,
     /// The latency histograms, boxed as one block: keeping `Stats`
     /// counter-sized preserves the cache layout of the fields around it
@@ -89,7 +86,7 @@ pub struct Stats {
     hists: Box<LatencyHists>,
 }
 
-/// The five latency histograms (see the field docs for when each fills).
+/// The four latency histograms (see the field docs for when each fills).
 #[derive(Default)]
 struct LatencyHists {
     /// Commit latency (begin of the committing attempt → commit done), ns.
@@ -104,10 +101,6 @@ struct LatencyHists {
     /// Deferred operation queue-to-completion (enqueue inside the
     /// transaction → post-commit execution finished), ns. Toggle-gated.
     defer: Histogram,
-    /// Executor queue wait under `DeferExecCfg::Pool` (batch submitted by
-    /// the committing thread → a worker picked it up), ns. Toggle-gated;
-    /// always empty under the `Inline` executor.
-    queue_wait: Histogram,
 }
 
 macro_rules! bump {
@@ -125,9 +118,6 @@ impl Stats {
     bump! {
         on_serialization => serializations,
         on_serial_commit => serial_commits,
-        on_defer_offload => defer_offloads,
-        on_defer_inline_fallback => defer_inline_fallbacks,
-        on_defer_self_wait_hazard => defer_self_wait_hazards,
         on_defer_remote_wait_hazard => defer_remote_wait_hazards,
     }
 
@@ -158,11 +148,6 @@ impl Stats {
         self.hists.defer.record(ns);
     }
 
-    #[inline]
-    pub(crate) fn on_defer_queue_wait(&self, ns: u64) {
-        self.hists.queue_wait.record(ns);
-    }
-
     /// Copy the counters out — the runtime's own, without the live
     /// threads' (`Registry::snapshot` adds those). (`quiesce_waits`/
     /// `quiesce_ns` are derived from the quiescence histogram, which
@@ -182,9 +167,6 @@ impl Stats {
             quiesce_waits: q.count(),
             quiesce_ns: q.sum(),
             deferred_ops: hot(Hot::DeferredOps),
-            defer_offloads: self.defer_offloads.load(Ordering::Relaxed),
-            defer_inline_fallbacks: self.defer_inline_fallbacks.load(Ordering::Relaxed),
-            defer_self_wait_hazards: self.defer_self_wait_hazards.load(Ordering::Relaxed),
             defer_remote_wait_hazards: self.defer_remote_wait_hazards.load(Ordering::Relaxed),
             validation_extends: hot(Hot::ValidationExtends),
         }
@@ -198,7 +180,6 @@ impl Stats {
             quiesce_wait_ns: self.hists.quiesce.snapshot(),
             retry_backoff_ns: self.hists.backoff.snapshot(),
             defer_queue_to_done_ns: self.hists.defer.snapshot(),
-            defer_queue_wait_ns: self.hists.queue_wait.snapshot(),
         }
     }
 
@@ -208,9 +189,6 @@ impl Stats {
         for c in self.hot.iter().chain([
             &self.serializations,
             &self.serial_commits,
-            &self.defer_offloads,
-            &self.defer_inline_fallbacks,
-            &self.defer_self_wait_hazards,
             &self.defer_remote_wait_hazards,
         ]) {
             c.store(0, Ordering::Relaxed);
@@ -219,7 +197,6 @@ impl Stats {
         self.hists.quiesce.reset();
         self.hists.backoff.reset();
         self.hists.defer.reset();
-        self.hists.queue_wait.reset();
     }
 }
 
@@ -249,23 +226,8 @@ pub struct StatsSnapshot {
     pub quiesce_ns: u64,
     /// Post-commit deferred operations executed.
     pub deferred_ops: u64,
-    /// Deferred-op batches handed to the `Pool` executor instead of running
-    /// inline (0 under the default `Inline` executor).
-    pub defer_offloads: u64,
-    /// Deferred-op batches that found the `Pool` executor's queue full and
-    /// ran inline on the committing thread instead (backpressure fallback;
-    /// a nonzero rate means the pool's workers are saturated).
-    pub defer_inline_fallbacks: u64,
-    /// Times a `DeferHandle::wait`/`wait_all` was entered on the sole
-    /// worker of the runtime's own deferred-op pool — the self-deadlock
-    /// hazard of DESIGN.md §10 (i): the waited-on op may be queued behind
-    /// the very job doing the waiting, and no other worker exists to run
-    /// it. Any nonzero value is a bug in the embedding application (the
-    /// static rule `defer-waits-on-defer` catches the lexical cases;
-    /// this counter is the runtime backstop).
-    pub defer_self_wait_hazards: u64,
     /// Times a `DeferHandle::wait`/`wait_all` on this runtime's deferred
-    /// work was entered from a worker thread of a *different* pool — the
+    /// work was entered from an `ad_support::pool` worker thread — the
     /// cross-runtime wait hazard of DESIGN.md §14: the wait ties up a
     /// thread the other runtime may itself be waiting on. Not necessarily
     /// a bug (ad-shard's coordinator legally blocks for participant acks
@@ -316,9 +278,6 @@ impl StatsSnapshot {
             quiesce_waits: self.quiesce_waits - earlier.quiesce_waits,
             quiesce_ns: self.quiesce_ns - earlier.quiesce_ns,
             deferred_ops: self.deferred_ops - earlier.deferred_ops,
-            defer_offloads: self.defer_offloads - earlier.defer_offloads,
-            defer_inline_fallbacks: self.defer_inline_fallbacks - earlier.defer_inline_fallbacks,
-            defer_self_wait_hazards: self.defer_self_wait_hazards - earlier.defer_self_wait_hazards,
             defer_remote_wait_hazards: self.defer_remote_wait_hazards
                 - earlier.defer_remote_wait_hazards,
             validation_extends: self.validation_extends - earlier.validation_extends,
@@ -333,8 +292,7 @@ impl StatsSnapshot {
              \"aborts_conflict\":{},\"aborts_capacity\":{},\
              \"aborts_unsupported\":{},\"retries\":{},\"serializations\":{},\
              \"quiesce_waits\":{},\"quiesce_ns\":{},\"deferred_ops\":{},\
-             \"defer_offloads\":{},\"defer_inline_fallbacks\":{},\
-             \"defer_self_wait_hazards\":{},\"defer_remote_wait_hazards\":{},\
+             \"defer_remote_wait_hazards\":{},\
              \"validation_extends\":{}}}",
             self.starts,
             self.commits,
@@ -347,9 +305,6 @@ impl StatsSnapshot {
             self.quiesce_waits,
             self.quiesce_ns,
             self.deferred_ops,
-            self.defer_offloads,
-            self.defer_inline_fallbacks,
-            self.defer_self_wait_hazards,
             self.defer_remote_wait_hazards,
             self.validation_extends,
         )
@@ -365,9 +320,7 @@ impl fmt::Display for StatsSnapshot {
             f,
             "counters[commits={} serial_commits={} aborts={} (aborts_conflict={} \
              aborts_capacity={} aborts_unsupported={}) retries={} serializations={} \
-             quiesce_waits={} deferred_ops={} defer_offloads={} \
-             defer_inline_fallbacks={} defer_self_wait_hazards={} \
-             defer_remote_wait_hazards={} \
+             quiesce_waits={} deferred_ops={} defer_remote_wait_hazards={} \
              validation_extends={}] \
              durations[quiesce_ns={} ({:.1}ms)]",
             self.total_commits(),
@@ -380,9 +333,6 @@ impl fmt::Display for StatsSnapshot {
             self.serializations,
             self.quiesce_waits,
             self.deferred_ops,
-            self.defer_offloads,
-            self.defer_inline_fallbacks,
-            self.defer_self_wait_hazards,
             self.defer_remote_wait_hazards,
             self.validation_extends,
             self.quiesce_ns,
@@ -407,10 +357,6 @@ pub struct StatsReport {
     /// Deferred-op enqueue → execution-complete in nanoseconds (toggle
     /// required).
     pub defer_queue_to_done_ns: HistogramSnapshot,
-    /// Executor queue wait under `DeferExecCfg::Pool` — batch submission by
-    /// the committing thread → worker pickup — in nanoseconds (toggle
-    /// required; always empty under `Inline`).
-    pub defer_queue_wait_ns: HistogramSnapshot,
 }
 
 impl StatsReport {
@@ -420,14 +366,12 @@ impl StatsReport {
         format!(
             "{{\"counters\":{},\"histograms\":{{\
              \"commit_latency_ns\":{},\"quiesce_wait_ns\":{},\
-             \"retry_backoff_ns\":{},\"defer_queue_to_done_ns\":{},\
-             \"defer_queue_wait_ns\":{}}}}}",
+             \"retry_backoff_ns\":{},\"defer_queue_to_done_ns\":{}}}}}",
             self.counters.to_json(),
             self.commit_latency_ns.to_json(),
             self.quiesce_wait_ns.to_json(),
             self.retry_backoff_ns.to_json(),
             self.defer_queue_to_done_ns.to_json(),
-            self.defer_queue_wait_ns.to_json(),
         )
     }
 
@@ -448,9 +392,6 @@ impl StatsReport {
             defer_queue_to_done_ns: self
                 .defer_queue_to_done_ns
                 .delta_since(&earlier.defer_queue_to_done_ns),
-            defer_queue_wait_ns: self
-                .defer_queue_wait_ns
-                .delta_since(&earlier.defer_queue_wait_ns),
         }
     }
 
@@ -470,9 +411,6 @@ impl StatsReport {
         c.quiesce_waits += o.quiesce_waits;
         c.quiesce_ns += o.quiesce_ns;
         c.deferred_ops += o.deferred_ops;
-        c.defer_offloads += o.defer_offloads;
-        c.defer_inline_fallbacks += o.defer_inline_fallbacks;
-        c.defer_self_wait_hazards += o.defer_self_wait_hazards;
         c.defer_remote_wait_hazards += o.defer_remote_wait_hazards;
         c.validation_extends += o.validation_extends;
         self.commit_latency_ns.merge(&other.commit_latency_ns);
@@ -480,7 +418,6 @@ impl StatsReport {
         self.retry_backoff_ns.merge(&other.retry_backoff_ns);
         self.defer_queue_to_done_ns
             .merge(&other.defer_queue_to_done_ns);
-        self.defer_queue_wait_ns.merge(&other.defer_queue_wait_ns);
     }
 }
 
@@ -490,15 +427,10 @@ impl fmt::Display for StatsReport {
         writeln!(f, "  commit_latency_ns:        {}", self.commit_latency_ns)?;
         writeln!(f, "  quiesce_wait_ns:          {}", self.quiesce_wait_ns)?;
         writeln!(f, "  retry_backoff_ns:         {}", self.retry_backoff_ns)?;
-        writeln!(
+        write!(
             f,
             "  defer_queue_to_done_ns:   {}",
             self.defer_queue_to_done_ns
-        )?;
-        write!(
-            f,
-            "  defer_queue_wait_ns:      {}",
-            self.defer_queue_wait_ns
         )
     }
 }
@@ -582,12 +514,12 @@ mod tests {
         s.on_unsupported();
         s.on_quiesce(500);
         s.on_commit_latency(700);
-        s.on_defer_offload();
-        s.on_defer_queue_wait(900);
+        s.on_defer_remote_wait_hazard();
+        s.on_defer_latency(900);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
         assert_eq!(s.report().commit_latency_ns.count(), 0);
-        assert_eq!(s.report().defer_queue_wait_ns.count(), 0);
+        assert_eq!(s.report().defer_queue_to_done_ns.count(), 0);
     }
 
     #[test]
@@ -621,19 +553,17 @@ mod tests {
     }
 
     #[test]
-    fn report_collects_all_five_histograms() {
+    fn report_collects_all_four_histograms() {
         let s = Stats::default();
         s.on_commit_latency(1_000);
         s.on_quiesce(2_000);
         s.on_backoff(3_000);
         s.on_defer_latency(4_000);
-        s.on_defer_queue_wait(5_000);
         let r = s.report();
         assert_eq!(r.commit_latency_ns.count(), 1);
         assert_eq!(r.quiesce_wait_ns.count(), 1);
         assert_eq!(r.retry_backoff_ns.count(), 1);
         assert_eq!(r.defer_queue_to_done_ns.count(), 1);
-        assert_eq!(r.defer_queue_wait_ns.count(), 1);
         assert_eq!(r.counters.quiesce_waits, 1);
         assert_eq!(r.counters.quiesce_ns, 2_000);
     }
@@ -653,10 +583,6 @@ mod tests {
             "\"quiesce_wait_ns\"",
             "\"retry_backoff_ns\"",
             "\"defer_queue_to_done_ns\"",
-            "\"defer_queue_wait_ns\"",
-            "\"defer_offloads\":0",
-            "\"defer_inline_fallbacks\":0",
-            "\"defer_self_wait_hazards\":0",
             "\"defer_remote_wait_hazards\":0",
             "\"validation_extends\":0",
         ] {

@@ -221,36 +221,18 @@ core_events! {
     LockAcquire = 12, "lock_acquire";
     /// The runner backed off after a failed attempt; `arg` = nanoseconds.
     Backoff = 13, "backoff";
-    /// A committed transaction's deferred-op batch was handed to the
-    /// `Pool` executor instead of running inline (`DeferExecCfg::Pool`);
-    /// `arg` = the executor queue depth at submission (batches already
-    /// waiting — a persistent non-zero depth means the workers are not
-    /// keeping up and commits are about to feel backpressure). Emitted by
-    /// the committing thread; the matching `defer_exec_start`/`_end` pair
-    /// appears on the worker's timeline row.
-    DeferOffload = 16, "defer_offload";
     /// A snapshot extension succeeded: the whole read set revalidated at a
     /// fresher timestamp; `arg` = the new read version.
     ValidationExtend = 18, "validation_extend";
-    /// A `DeferHandle::wait`/`wait_all` was entered on the sole worker of
-    /// this runtime's own deferred-op pool — the self-deadlock hazard of
-    /// DESIGN.md §10 (i): the waited-on op may be queued behind the job
-    /// doing the waiting. `arg` = the pool's queue depth at the wait (jobs
-    /// that can never be dispatched while this one blocks). Emitted (with
-    /// the `defer_self_wait_hazards` counter bump) just before the wait
-    /// blocks; in debug builds a `debug_assert!` fires as well.
-    DeferSelfWaitHazard = 20, "defer_self_wait_hazard";
-    /// A `DeferHandle::wait`/`wait_all` was entered on a worker thread of
-    /// a *different* runtime's deferred-op pool — the cross-runtime cousin
-    /// of [`EventKind::DeferSelfWaitHazard`] (DESIGN.md §14): a shard
-    /// coordinator's worker blocking on a remote shard's handle ties up a
-    /// thread the remote runtime may itself be waiting on, and with
-    /// symmetric traffic the two pools can deadlock against each other.
-    /// `arg` = the waited-on runtime's id. Emitted (with the
-    /// `defer_remote_wait_hazards` counter bump) just before the wait
-    /// blocks; unlike the self-wait hazard it does not `debug_assert!`,
-    /// because ad-shard's ascending-shard prepare order makes a bounded
-    /// remote wait legal — the event is for audit, not prohibition.
+    /// A `DeferHandle::wait`/`wait_all` on this runtime's deferred work was
+    /// entered on an `ad_support::pool` worker thread (DESIGN.md §14): a
+    /// worker blocking on another runtime's handle ties up a thread that
+    /// runtime may itself be waiting on, and with symmetric traffic two
+    /// pools can starve each other. `arg` = the waited-on runtime's id.
+    /// Emitted (with the `defer_remote_wait_hazards` counter bump) just
+    /// before the wait blocks. It does not `debug_assert!`, because
+    /// ad-shard's ascending-shard prepare order makes a bounded remote wait
+    /// legal — the event is for audit, not prohibition.
     DeferRemoteWaitHazard = 24, "defer_remote_wait_hazard";
 }
 
@@ -336,9 +318,6 @@ impl fmt::Display for TraceEvent {
             ),
             EventKind::QuiesceExit | EventKind::Backoff => {
                 write!(f, " waited={:.1}us", self.arg as f64 / 1e3)
-            }
-            EventKind::DeferOffload | EventKind::DeferSelfWaitHazard => {
-                write!(f, " queue_depth={}", self.arg)
             }
             EventKind::DeferRemoteWaitHazard => write!(f, " remote_runtime={}", self.arg),
             EventKind::App(event) => write!(f, " {}={}", event.arg_label, self.arg),
@@ -586,7 +565,6 @@ impl Trace {
                 },
                 _ => {
                     let label = match e.kind {
-                        EventKind::DeferOffload => "queue_depth",
                         EventKind::App(event) => event.arg_label,
                         _ => "arg",
                     };
@@ -1041,9 +1019,7 @@ mod tests {
             EventKind::LockSubscribe,
             EventKind::LockAcquire,
             EventKind::Backoff,
-            EventKind::DeferOffload,
             EventKind::ValidationExtend,
-            EventKind::DeferSelfWaitHazard,
             EventKind::DeferRemoteWaitHazard,
             EventKind::App(&TEST_APPEND),
         ] {

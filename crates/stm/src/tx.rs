@@ -76,7 +76,7 @@ pub(crate) struct CommitOutput {
 
 impl CommitOutput {
     /// True when there is no post-commit work at all — the common
-    /// no-defer transaction, which must never touch the executor.
+    /// no-defer transaction, which skips the post-commit step.
     pub(crate) fn is_empty(&self) -> bool {
         self.actions.is_empty() && self.drops.is_empty()
     }
@@ -195,13 +195,6 @@ pub struct Tx<'rt> {
     /// Observability toggle, cached at attempt start so per-event checks
     /// are a register test, not an atomic load.
     obs: bool,
-    /// Whether this runtime offloads deferred ops to the worker pool,
-    /// cached at attempt start (see [`Tx::defer_batch_token`]).
-    cfg_defer_pool: bool,
-    /// Lazily allocated batch token (see [`Tx::defer_batch_token`]); `None`
-    /// until the first deferred op asks for it, so transactions that never
-    /// defer pay nothing.
-    defer_token: Option<u64>,
     /// The thread's slot in this runtime, and quiescence's slot list.
     local: &'rt Local,
     /// The attempt's epoch pin: every read borrows its value under it.
@@ -242,8 +235,6 @@ impl<'rt> Tx<'rt> {
             footprint: 0,
             serial_wrote: false,
             obs,
-            cfg_defer_pool: cfg.defer_exec.is_pool(),
-            defer_token: None,
             local,
             pin,
         }
@@ -438,45 +429,6 @@ impl<'rt> Tx<'rt> {
                 .trace_event(crate::trace::EventKind::DeferEnqueue, idx);
         }
         self.bufs.post_commit.push(f);
-    }
-
-    /// The deferred-op *batch token* for this transaction attempt, or
-    /// `None` when the runtime runs deferred ops inline.
-    ///
-    /// Under the `Pool` executor a deferred op's `TxLock`s are held by the
-    /// *batch*, not by the committing OS thread: the committing thread
-    /// acquires them under this token at commit and a worker (impersonating
-    /// the token) releases them when the op completes. The token is
-    /// process-unique and lazily allocated once per transaction attempt, so
-    /// every deferred op of one transaction shares it (their lock sets may
-    /// overlap reentrantly) and transactions that never defer pay nothing.
-    ///
-    /// The value is namespaced by the caller (`ad-defer` maps it into the
-    /// high half of its owner-id space); this method only guarantees
-    /// process-uniqueness and per-attempt stability.
-    pub fn defer_batch_token(&mut self) -> Option<u64> {
-        if !self.cfg_defer_pool {
-            return None;
-        }
-        Some(*self.defer_token.get_or_insert_with(|| {
-            use ad_support::sync::atomic::{AtomicU64, Ordering};
-            static NEXT_DEFER_TOKEN: AtomicU64 = AtomicU64::new(1);
-            NEXT_DEFER_TOKEN.fetch_add(1, Ordering::Relaxed)
-        }))
-    }
-
-    /// The batch token this transaction has already allocated via
-    /// [`defer_batch_token`](Self::defer_batch_token), without allocating
-    /// one. Lock implementations use this to recognize an owner value the
-    /// transaction itself buffered under its batch owner — e.g. a
-    /// subscribe after an `atomic_defer` on the same object must treat
-    /// "held by my own batch" as "held by me", or the transaction would
-    /// block on its own uncommitted acquisition.
-    pub fn defer_batch_token_peek(&self) -> Option<u64> {
-        if !self.cfg_defer_pool {
-            return None;
-        }
-        self.defer_token
     }
 
     /// Queue a value to be dropped after all post-commit actions have run —

@@ -29,10 +29,8 @@
 //!   scheduler, instrumented primitives, poison registry) backing the
 //!   `--cfg loom` face of [`sync`] and the `verify` model suites.
 //! * [`pool`] — a bounded-queue worker pool (blocking submit, panic
-//!   isolation, drain), the execution substrate for the `ad-stm` `Pool`
-//!   deferred-op executor. Not built under `--cfg loom`: it spawns real OS
-//!   threads, and the executor models exercise the hand-off protocol
-//!   directly with model threads instead.
+//!   isolation), the `ad-net` server's connection executor. Not built
+//!   under `--cfg loom`: it spawns real OS threads.
 //! * [`tsc`] — a coarse, cheap monotonic nanosecond source (calibrated
 //!   x86 `rdtsc` with an `Instant` fallback) for hot-path trace
 //!   timestamps (a `quanta`-style stand-in).

@@ -142,7 +142,7 @@ fn moved_events_rendering_is_pinned_to_the_parent() {
 /// client layer's identifier or a retired policy arm.
 #[test]
 fn bottom_crates_name_no_client_layer() {
-    const BANNED: [&str; 8] = [
+    const BANNED: [&str; 11] = [
         "Wal",
         "Ckpt",
         "NetAck",
@@ -151,6 +151,9 @@ fn bottom_crates_name_no_client_layer() {
         "ShardRelease",
         "Sloppy",
         "AutoPool",
+        "DeferExecCfg",
+        "DeferOffload",
+        "DeferSelfWaitHazard",
     ];
     /// Does `line` use `word` as a CamelCase word — `Wal`, `WalAppend`,
     /// but not `Wall` or `Walk`?

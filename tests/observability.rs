@@ -9,7 +9,9 @@
 //!   `defer_exec_start` → `defer_exec_end`, with enqueue/exec indices
 //!   matching.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use ad_defer::{atomic_defer, Defer};
@@ -102,14 +104,20 @@ fn defer_events_are_ordered_per_committed_transaction() {
                     break;
                 }
                 let slot = i % counters.len();
+                let ran = Arc::new(AtomicBool::new(false));
                 rt.atomically(|tx| {
                     let v = tx.read(&counters[slot])?;
                     tx.write(&counters[slot], v + 1)?;
-                    let sink2 = sink.clone();
+                    let (sink2, ran2) = (sink.clone(), Arc::clone(&ran));
                     atomic_defer(tx, &[&sink], move || {
                         sink2.locked().applied.fetch_add(1, Ordering::Relaxed);
+                        ran2.store(true, Ordering::Relaxed);
                     })
                 });
+                assert!(
+                    ran.load(Ordering::Relaxed),
+                    "`atomically` returned before its deferred op ran"
+                );
             });
         }
     });
@@ -125,15 +133,33 @@ fn defer_events_are_ordered_per_committed_transaction() {
     let trace = rt.take_trace();
     assert_eq!(trace.dropped, 0, "ring overflow would break the check");
 
+    // Each op's `defer_exec_*` events come from the thread that emitted its
+    // `defer_enqueue`: the committing thread runs its own deferred ops.
+    let threads_of = |kind: EventKind| -> BTreeSet<u32> {
+        trace
+            .events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| e.thread)
+            .collect()
+    };
+    assert_eq!(
+        threads_of(EventKind::DeferExecStart),
+        threads_of(EventKind::DeferEnqueue),
+        "a deferred op ran off its committing thread:\n{}",
+        trace.render()
+    );
+
     let mut execs_seen = 0u64;
-    let threads: std::collections::BTreeSet<u32> = trace.events.iter().map(|e| e.thread).collect();
+    let threads: BTreeSet<u32> = trace.events.iter().map(|e| e.thread).collect();
     for t in threads {
         // Deferred actions run post-commit on the thread that committed, so
         // the lifecycle is checkable per-thread: walk the stream keeping the
-        // indices enqueued by the currently open transaction; a commit
-        // transfers them to the expected-exec queue; exec events must drain
-        // that queue in order. (An aborted attempt re-begins before its
-        // retry, clearing its enqueues — their deferred ops never run.)
+        // indices enqueued by the currently open transaction; a commit —
+        // emitted once write-back and quiescence are done — transfers them
+        // to the expected-exec queue; exec events must drain that queue in
+        // order. (An aborted attempt re-begins before its retry, clearing
+        // its enqueues — their deferred ops never run.)
         let mut open_tx: Vec<u64> = Vec::new();
         let mut expected: std::collections::VecDeque<u64> = Default::default();
         let mut started: Option<u64> = None;
@@ -168,109 +194,6 @@ fn defer_events_are_ordered_per_committed_transaction() {
             expected.is_empty() && started.is_none(),
             "thread {t} committed deferred ops that never executed"
         );
-    }
-    assert_eq!(execs_seen, OPS as u64, "every committed op must execute");
-}
-
-#[test]
-fn defer_events_are_ordered_under_pool_executor() {
-    const OPS: usize = 48;
-    const THREADS: usize = 2;
-
-    let rt = Runtime::new(TmConfig::stm().with_defer_pool(2, 64));
-    rt.set_tracing(true);
-
-    struct Sink {
-        applied: AtomicU64,
-    }
-    let counters: Vec<TVar<u64>> = (0..2).map(|_| TVar::new(0)).collect();
-    let sink = Defer::new(Sink {
-        applied: AtomicU64::new(0),
-    });
-
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..THREADS {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= OPS {
-                    break;
-                }
-                let slot = i % counters.len();
-                rt.atomically(|tx| {
-                    let v = tx.read(&counters[slot])?;
-                    tx.write(&counters[slot], v + 1)?;
-                    let sink2 = sink.clone();
-                    atomic_defer(tx, &[&sink], move || {
-                        sink2.locked().applied.fetch_add(1, Ordering::Relaxed);
-                    })
-                });
-            });
-        }
-    });
-    // Pool execution is asynchronous w.r.t. the committing threads.
-    rt.drain_deferred();
-    assert_eq!(
-        sink.peek_unsynchronized().applied.load(Ordering::Relaxed),
-        OPS as u64
-    );
-
-    let report = rt.snapshot_stats();
-    assert_eq!(report.counters.deferred_ops, OPS as u64);
-    // One batch per transaction, every one offloaded to the pool.
-    assert_eq!(report.counters.defer_offloads, OPS as u64);
-    assert_eq!(report.defer_queue_to_done_ns.count(), OPS as u64);
-    assert_eq!(report.defer_queue_wait_ns.count(), OPS as u64);
-
-    let trace = rt.take_trace();
-    assert_eq!(trace.dropped, 0, "ring overflow would break the check");
-
-    let offloads = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::DeferOffload)
-        .count();
-    assert_eq!(offloads, OPS, "one defer_offload event per committed batch");
-
-    // Ops must run on pool workers, never on a committing thread: the
-    // thread sets emitting enqueues and execs are disjoint.
-    let enqueue_threads: std::collections::BTreeSet<u32> = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::DeferEnqueue)
-        .map(|e| e.thread)
-        .collect();
-    let exec_threads: std::collections::BTreeSet<u32> = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == EventKind::DeferExecStart)
-        .map(|e| e.thread)
-        .collect();
-    assert!(
-        enqueue_threads.is_disjoint(&exec_threads),
-        "a deferred op ran on a committing thread under the pool executor:\n{}",
-        trace.render()
-    );
-
-    // Per worker thread, exec start/end pair up in order with matching
-    // queue indices (ops of one batch run in call order on one worker).
-    let mut execs_seen = 0u64;
-    for &t in &exec_threads {
-        let mut started: Option<u64> = None;
-        for e in trace.thread_events(t) {
-            match e.kind {
-                EventKind::DeferExecStart => {
-                    assert!(started.is_none(), "nested deferred execution");
-                    started = Some(e.arg);
-                }
-                EventKind::DeferExecEnd => {
-                    assert_eq!(started.take(), Some(e.arg), "unpaired exec_end");
-                    execs_seen += 1;
-                }
-                _ => {}
-            }
-        }
-        assert!(started.is_none(), "worker {t} left an exec span open");
     }
     assert_eq!(execs_seen, OPS as u64, "every committed op must execute");
 }

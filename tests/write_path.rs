@@ -17,7 +17,7 @@ fn open(disk: &MemDisk) -> KvStore {
 }
 
 fn open_with(config: &KvConfig, disk: &MemDisk) -> KvStore {
-    KvStore::open_on_disk(config, SyncPolicy::PerCommit, disk.clone()).0
+    KvStore::open_on_disk(config, SyncPolicy::GroupCommit, disk.clone()).0
 }
 
 /// `dump()` of a store, after checking that its key index — what
