@@ -166,7 +166,7 @@ impl Index {
 
     /// The directory's and every leaf's identity and version (`TVar`'s
     /// `Debug`): two equal strings mean nothing in the index was written.
-    #[cfg(test)]
+    #[cfg(all(test, not(loom)))]
     pub(crate) fn versions(&self) -> String {
         let leaves: Vec<_> = self.dir.load().iter().map(|e| e.leaf.clone()).collect();
         format!("{:?} {leaves:?}", self.dir)

@@ -34,30 +34,22 @@ use crate::wal::{HEADER_LEN, MAGIC, MAX_PAYLOAD};
 /// a delete.
 pub type RedoOps = Vec<(String, Option<Vec<u8>>)>;
 
-/// What a redo record *means* to replay — the cross-shard commit protocol
-/// (DESIGN.md §14) adds two staged kinds to the original single-shard one.
+/// What a redo record *means* to replay. Both kinds apply their ops
+/// unconditionally; a cross-shard record (DESIGN.md §14) also names its
+/// batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RedoKind {
-    /// A single-shard transaction's writes: applied unconditionally.
+    /// A single-shard transaction's writes.
     Local,
-    /// One shard's staged slice of a cross-shard batch, durable before
-    /// the participant acked. Replay **never** applies a prepare
-    /// directly: its data becomes real only through a later
-    /// [`RedoKind::Decided`] record with the same `gid` (written by this
-    /// shard once it learned the outcome), or through recovery-time
-    /// reconciliation when some shard's log proves the gid committed.
-    /// An unresolvable prepare is presumed aborted.
-    Prepare {
+    /// One shard's slice of cross-shard batch `gid`. On the batch's
+    /// coordinator it is the batch's commit point and carries a *rider*
+    /// ([`RedoRecord::rider`]): the other shards' slices, which this crate
+    /// stores and hands back at recovery without reading them. On a
+    /// participant it is the echo that makes the shard's own log hold its
+    /// slice.
+    Decided {
         /// Global cross-shard transaction id; the coordinator's shard
         /// index lives in the high 16 bits.
-        gid: u64,
-    },
-    /// A decided slice of cross-shard batch `gid`: applied exactly like
-    /// [`RedoKind::Local`], and additionally *proof of commit* — a
-    /// `Decided` record for `gid` anywhere in the cluster resolves every
-    /// shard's matching prepare.
-    Decided {
-        /// Global cross-shard transaction id (see [`RedoKind::Prepare`]).
         gid: u64,
     },
 }
@@ -67,7 +59,7 @@ impl RedoKind {
     pub fn gid(&self) -> Option<u64> {
         match self {
             RedoKind::Local => None,
-            RedoKind::Prepare { gid } | RedoKind::Decided { gid } => Some(*gid),
+            RedoKind::Decided { gid } => Some(*gid),
         }
     }
 }
@@ -79,11 +71,14 @@ pub struct RedoRecord {
     pub seq: u64,
     /// The writing transaction's id (diagnostic; not required for replay).
     pub txid: u64,
-    /// Replay semantics: unconditional, staged, or decided (cross-shard).
+    /// A single-shard or a cross-shard record.
     pub kind: RedoKind,
     /// The writes, in application order: `Some(value)` is a put, `None`
     /// a delete.
     pub ops: RedoOps,
+    /// The bytes a [`RedoKind::Decided`] record carries behind its ops for
+    /// the layer above (`ad-shard`'s rider); empty for every other record.
+    pub rider: Vec<u8>,
 }
 
 /// Why the scan stopped where it did.
@@ -145,13 +140,6 @@ pub struct RecoveryReport {
     /// `seq > snapshot_cut`. Always `<= records` — a post-checkpoint
     /// reopen replays only the WAL suffix, not full history.
     pub replayed: u64,
-    /// Cross-shard slices this log stages ([`RedoKind::Prepare`]) without
-    /// a [`RedoKind::Decided`] of its own — parked, not applied. Nonzero
-    /// after a crash that lost a participant's unforced `Decided`: the
-    /// shard router resolves them against the other shards' logs, and a
-    /// store left standalone presumes them aborted. Filled in by
-    /// [`KvStore::open`](crate::KvStore::open); a bare scan reports 0.
-    pub pending_prepares: u64,
 }
 
 impl RecoveryReport {
@@ -167,10 +155,12 @@ pub fn encode_redo(txid: u64, ops: &[(String, Option<Vec<u8>>)]) -> Vec<u8> {
 }
 
 /// Encode a redo payload:
-/// `kind: u8 | [gid: u64 when kind != 0] | txid: u64 | nops: u32 | ops*`,
-/// each op `klen: u32 | key | tag: u8 (0 delete, 1 put) | [vlen: u32 | value]`.
-/// Kind bytes: 0 [`RedoKind::Local`], 1 [`RedoKind::Prepare`],
-/// 2 [`RedoKind::Decided`].
+/// `kind: u8 | [gid: u64 when Decided] | txid: u64 | ops | [rider]`, with
+/// `ops` as [`encode_ops`] writes them and a `Decided` record's rider the
+/// rest of the payload — appended by the caller, who knows it only when
+/// the record is logged. Kind bytes: 0 [`RedoKind::Local`], 2
+/// [`RedoKind::Decided`]. (1 was a staged cross-shard slice; no reader
+/// for logs that hold one is kept.)
 pub fn encode_record(kind: RedoKind, txid: u64, ops: &[(String, Option<Vec<u8>>)]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         21 + ops
@@ -180,16 +170,19 @@ pub fn encode_record(kind: RedoKind, txid: u64, ops: &[(String, Option<Vec<u8>>)
     );
     match kind {
         RedoKind::Local => out.push(0),
-        RedoKind::Prepare { gid } => {
-            out.push(1);
-            out.extend_from_slice(&gid.to_le_bytes());
-        }
         RedoKind::Decided { gid } => {
             out.push(2);
             out.extend_from_slice(&gid.to_le_bytes());
         }
     }
     out.extend_from_slice(&txid.to_le_bytes());
+    encode_ops(&mut out, ops);
+    out
+}
+
+/// Append `ops` to `out`: `nops: u32 | ops*`, each op
+/// `klen: u32 | key | tag: u8 (0 delete, 1 put) | [vlen: u32 | value]`.
+pub fn encode_ops(out: &mut Vec<u8>, ops: &[(String, Option<Vec<u8>>)]) {
     out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     for (key, value) in ops {
         out.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -203,55 +196,76 @@ pub fn encode_record(kind: RedoKind, txid: u64, ops: &[(String, Option<Vec<u8>>)
             None => out.push(0),
         }
     }
-    out
 }
 
-/// Decode a redo payload produced by [`encode_record`]. `None` on any structural
-/// error (recovery treats that record as the torn tail).
-pub fn decode_redo(payload: &[u8]) -> Option<(RedoKind, u64, RedoOps)> {
-    fn take<'a>(b: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
-        if b.len() < n {
-            return None;
-        }
-        let (head, tail) = b.split_at(n);
-        *b = tail;
-        Some(head)
+/// Take `n` bytes off the front of `b`, `None` if it is shorter.
+fn take<'a>(b: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    if b.len() < n {
+        return None;
     }
+    let (head, tail) = b.split_at(n);
+    *b = tail;
+    Some(head)
+}
 
-    let mut b = payload;
-    let kind = match take(&mut b, 1)?[0] {
-        0 => RedoKind::Local,
-        tag @ (1 | 2) => {
-            let gid = u64::from_le_bytes(take(&mut b, 8)?.try_into().ok()?);
-            if tag == 1 {
-                RedoKind::Prepare { gid }
-            } else {
-                RedoKind::Decided { gid }
-            }
-        }
-        _ => return None,
-    };
-    let txid = u64::from_le_bytes(take(&mut b, 8)?.try_into().ok()?);
-    let nops = u32::from_le_bytes(take(&mut b, 4)?.try_into().ok()?) as usize;
+/// Take a little-endian `u32` off the front of `b`.
+pub fn take_u32(b: &mut &[u8]) -> Option<u32> {
+    Some(u32::from_le_bytes(take(b, 4)?.try_into().ok()?))
+}
+
+/// Take a little-endian `u64` off the front of `b`.
+pub fn take_u64(b: &mut &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(take(b, 8)?.try_into().ok()?))
+}
+
+/// Decode one op list written by [`encode_ops`] off the front of `b`;
+/// `None` on any structural error.
+pub fn decode_ops(b: &mut &[u8]) -> Option<RedoOps> {
+    let nops = take_u32(b)? as usize;
     let mut ops = Vec::with_capacity(nops.min(1024));
     for _ in 0..nops {
-        let klen = u32::from_le_bytes(take(&mut b, 4)?.try_into().ok()?) as usize;
-        let key = String::from_utf8(take(&mut b, klen)?.to_vec()).ok()?;
-        let tag = take(&mut b, 1)?[0];
-        let value = match tag {
+        let klen = take_u32(b)? as usize;
+        let key = String::from_utf8(take(b, klen)?.to_vec()).ok()?;
+        let value = match take(b, 1)?[0] {
             0 => None,
             1 => {
-                let vlen = u32::from_le_bytes(take(&mut b, 4)?.try_into().ok()?) as usize;
-                Some(take(&mut b, vlen)?.to_vec())
+                let vlen = take_u32(b)? as usize;
+                Some(take(b, vlen)?.to_vec())
             }
             _ => return None,
         };
         ops.push((key, value));
     }
-    if !b.is_empty() {
-        return None; // trailing garbage inside a checksummed frame
-    }
-    Some((kind, txid, ops))
+    Some(ops)
+}
+
+/// Decode a redo payload produced by [`encode_record`] (plus, for a
+/// `Decided` record, its rider) into a record numbered `seq`. `None` on
+/// any structural error (recovery treats that record as the torn tail).
+pub fn decode_redo(seq: u64, payload: &[u8]) -> Option<RedoRecord> {
+    let mut b = payload;
+    let kind = match take(&mut b, 1)?[0] {
+        0 => RedoKind::Local,
+        2 => RedoKind::Decided {
+            gid: take_u64(&mut b)?,
+        },
+        _ => return None,
+    };
+    let txid = take_u64(&mut b)?;
+    let ops = decode_ops(&mut b)?;
+    let rider = match kind {
+        RedoKind::Decided { .. } => b.to_vec(),
+        // Trailing garbage inside a checksummed frame.
+        RedoKind::Local if !b.is_empty() => return None,
+        RedoKind::Local => Vec::new(),
+    };
+    Some(RedoRecord {
+        seq,
+        txid,
+        kind,
+        ops,
+        rider,
+    })
 }
 
 /// Scan `bytes` as a WAL image: return the decoded records of the longest
@@ -299,17 +313,12 @@ pub fn scan(bytes: &[u8], first_seq: u64) -> (Vec<RedoRecord>, RecoveryReport) {
             end = ScanEnd::BadSequence;
             break;
         }
-        let Some((kind, txid, rec_ops)) = decode_redo(payload) else {
+        let Some(record) = decode_redo(seq, payload) else {
             end = ScanEnd::BadPayload;
             break;
         };
-        ops += rec_ops.len() as u64;
-        records.push(RedoRecord {
-            seq,
-            txid,
-            kind,
-            ops: rec_ops,
-        });
+        ops += record.ops.len() as u64;
+        records.push(record);
         expect_seq += 1;
         off += HEADER_LEN + len;
     }
@@ -327,7 +336,6 @@ pub fn scan(bytes: &[u8], first_seq: u64) -> (Vec<RedoRecord>, RecoveryReport) {
         snapshot_keys: 0,
         snapshot_source: SnapshotSource::None,
         replayed: records.len() as u64,
-        pending_prepares: 0,
     };
     (records, report)
 }
@@ -365,15 +373,10 @@ pub(crate) struct TwoTier {
 impl TwoTier {
     /// The committed state as of `report.last_seq`: `base` with `records`
     /// replayed over it, the way [`KvStore::open`](crate::KvStore::open)
-    /// replays them into the buckets — a [`RedoKind::Prepare`] is never
-    /// applied, its slice becomes real only through the
-    /// [`RedoKind::Decided`] record that carries it again.
+    /// replays them into the buckets — a record's own ops, never its rider.
     pub fn into_image(self) -> KeyMap {
         let mut image = self.base;
         for rec in self.records {
-            if matches!(rec.kind, RedoKind::Prepare { .. }) {
-                continue;
-            }
             for (key, value) in rec.ops {
                 match value {
                     Some(v) => image.insert(Arc::from(key), Arc::from(v)),
@@ -489,7 +492,6 @@ pub(crate) fn recover_two_tier(
         snapshot_keys: base.len() as u64,
         snapshot_source: source,
         replayed,
-        pending_prepares: 0,
     };
     TwoTier {
         base,
@@ -525,54 +527,57 @@ mod tests {
             (String::new(), Some(Vec::new())),
         ];
         let enc = encode_redo(99, &ops);
-        assert_eq!(decode_redo(&enc), Some((RedoKind::Local, 99, ops)));
+        let rec = decode_redo(4, &enc).expect("decodes");
+        assert_eq!((rec.seq, rec.txid, rec.kind), (4, 99, RedoKind::Local));
+        assert_eq!((rec.ops, rec.rider), (ops, Vec::new()));
     }
 
+    /// A `Decided` record's rider is whatever follows its ops, handed back
+    /// byte for byte; an empty one is a record without.
     #[test]
-    fn cross_shard_kinds_roundtrip_with_gid() {
+    fn a_decided_record_carries_its_gid_and_its_rider() {
         let ops = vec![("k".to_string(), Some(b"v".to_vec()))];
         let gid = (3u64 << 48) | 7;
-        let enc = encode_record(RedoKind::Prepare { gid }, 5, &ops);
-        assert_eq!(
-            decode_redo(&enc),
-            Some((RedoKind::Prepare { gid }, 5, ops.clone()))
-        );
-        let enc = encode_record(RedoKind::Decided { gid }, 5, &ops);
-        assert_eq!(decode_redo(&enc), Some((RedoKind::Decided { gid }, 5, ops)));
-        assert_eq!(RedoKind::Prepare { gid }.gid(), Some(gid));
+        for rider in [&b""[..], b"\0", b"any bytes at all"] {
+            let mut enc = encode_record(RedoKind::Decided { gid }, 5, &ops);
+            enc.extend_from_slice(rider);
+            let rec = decode_redo(1, &enc).expect("decodes");
+            assert_eq!((rec.kind, rec.txid), (RedoKind::Decided { gid }, 5));
+            assert_eq!((rec.ops, &rec.rider[..]), (ops.clone(), rider));
+        }
+        assert_eq!(RedoKind::Decided { gid }.gid(), Some(gid));
         assert_eq!(RedoKind::Local.gid(), None);
     }
 
     #[test]
     fn decode_rejects_truncation_and_garbage() {
+        let ops = [("k".to_string(), Some(b"v".to_vec()))];
         for enc in [
-            encode_redo(1, &[("k".to_string(), Some(b"v".to_vec()))]),
-            encode_record(
-                RedoKind::Prepare { gid: 9 },
-                1,
-                &[("k".to_string(), Some(b"v".to_vec()))],
-            ),
-            encode_record(
-                RedoKind::Decided { gid: 9 },
-                1,
-                &[("k".to_string(), Some(b"v".to_vec()))],
-            ),
+            encode_redo(1, &ops),
+            encode_record(RedoKind::Decided { gid: 9 }, 1, &ops),
         ] {
             for cut in 0..enc.len() {
-                assert_eq!(decode_redo(&enc[..cut]), None, "accepted prefix {cut}");
+                assert!(
+                    decode_redo(1, &enc[..cut]).is_none(),
+                    "accepted prefix {cut}"
+                );
             }
-            let mut trailing = enc.clone();
-            trailing.push(0);
-            assert_eq!(decode_redo(&trailing), None);
         }
-        let enc = encode_redo(1, &[("k".to_string(), Some(b"v".to_vec()))]);
+        // Bytes past a local record's ops are garbage, not a rider.
+        let enc = encode_redo(1, &ops);
+        let mut trailing = enc.clone();
+        trailing.push(0);
+        assert!(decode_redo(1, &trailing).is_none());
         let mut bad_tag = enc.clone();
         let tag_pos = 1 + 8 + 4 + 4 + 1; // kind + txid + nops + klen + "k"
         bad_tag[tag_pos] = 7;
-        assert_eq!(decode_redo(&bad_tag), None);
-        let mut bad_kind = enc;
-        bad_kind[0] = 9;
-        assert_eq!(decode_redo(&bad_kind), None);
+        assert!(decode_redo(1, &bad_tag).is_none());
+        // Kind 1 was a staged slice: no reader for it is kept.
+        for kind in [1, 9] {
+            let mut bad_kind = encode_record(RedoKind::Decided { gid: 9 }, 1, &ops);
+            bad_kind[0] = kind;
+            assert!(decode_redo(1, &bad_kind).is_none(), "kind {kind}");
+        }
     }
 
     #[test]
@@ -755,15 +760,13 @@ mod tests {
     #[test]
     fn two_tier_replays_only_the_suffix() {
         // Snapshot at cut 2; suffix segment carries 3..=5, the last one a
-        // staged slice nothing decides.
+        // coordinator's record whose rider holds another shard's slice.
         let mut seg = record(3, 3, &[("c", Some(b"3"))]);
         seg.extend(record(4, 4, &[("a", None)]));
-        let staged = [("staged".to_string(), Some(b"s".to_vec()))];
-        frame_record(
-            &mut seg,
-            5,
-            &encode_record(RedoKind::Prepare { gid: 9 }, 5, &staged),
-        );
+        let own = [("d".to_string(), Some(b"4".to_vec()))];
+        let mut decided = encode_record(RedoKind::Decided { gid: 9 }, 5, &own);
+        encode_ops(&mut decided, &[("rider".to_string(), Some(b"r".to_vec()))]);
+        frame_record(&mut seg, 5, &decided);
         let cur = snap(2, &[("a", b"1"), ("b", b"2")]);
         let t = recover_two_tier(Some(&cur), None, &[(3, seg)]);
         assert_eq!(t.report.snapshot_cut, 2);
@@ -774,10 +777,11 @@ mod tests {
         assert_eq!(t.base.len(), 2);
         assert_eq!(t.next_seq, 6);
         assert_eq!(t.active, Some(0));
-        // The image at seq 5: the put and the delete applied, the prepare not.
+        assert!(!t.records[2].rider.is_empty());
+        // The image at seq 5: every record's own ops applied, the rider not.
         let image = t.into_image();
         let keys: Vec<&str> = image.keys().map(|k| &**k).collect();
-        assert_eq!(keys, ["b", "c"]);
+        assert_eq!(keys, ["b", "c", "d"]);
     }
 
     #[test]

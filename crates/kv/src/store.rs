@@ -60,9 +60,11 @@
 //! `[Log(Local)]`: append the redo record and block until its covering
 //! fsync returns, so [`KvStore::write_batch`] acks only durable writes.
 //! The cross-shard protocol (`ad-shard`) is three longer plans over the
-//! same step kinds, one of which ends in a log step that does not wait.
+//! same step kinds: one logs a record that carries a rider of bytes it
+//! computes when the step runs, and one ends in a log step that does not
+//! wait.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -76,7 +78,7 @@ use ad_support::sync::{Condvar, Mutex};
 use crate::checkpoint::{Checkpointer, CkptPolicy, CkptReport, CkptStats};
 use crate::disk::{Disk, FileDisk, MemDisk};
 use crate::index::{Index, KeyDelta};
-use crate::recover::{encode_record, KeyMap, RecoveryReport, RedoKind, RedoRecord};
+use crate::recover::{encode_record, KeyMap, RecoveryReport, RedoKind};
 use crate::wal::{SyncPolicy, Wal, WalStats};
 
 /// Whether (and how) the store persists writes.
@@ -193,11 +195,16 @@ impl WriteBatch {
 
     /// Build a batch from decoded redo ops — the shape cross-shard
     /// slices travel in (`ad-shard` transport frames, recovered
-    /// [`RedoRecord`]s).
+    /// [`RedoRecord`](crate::RedoRecord)s).
     pub fn from_ops(ops: crate::recover::RedoOps) -> Self {
         WriteBatch { ops }
     }
 }
+
+/// Bytes a [`CommitStep::LogRider`] record carries for the layer above,
+/// computed when the step runs. Shareable across the re-executions of a
+/// transaction body, like a [`CommitStep::Call`].
+pub type Rider = Arc<dyn Fn() -> Vec<u8> + Send + Sync>;
 
 /// One step of a commit plan — see [`KvStore::commit`]. Steps run in
 /// order, once, after the transaction committed, while the `TxLock` of
@@ -205,20 +212,30 @@ impl WriteBatch {
 #[derive(Clone)]
 pub enum CommitStep {
     /// Encode the batch as a record of this kind, append it to the WAL and
-    /// block for its covering fsync. Recovery replays a
-    /// [`RedoKind::Local`] or [`RedoKind::Decided`] record; a
-    /// [`RedoKind::Prepare`] record only stages the batch — durable, never
-    /// replayed. A volatile store has no log, so there the step is
-    /// nothing.
+    /// block for its covering fsync. Recovery replays the record's ops. A
+    /// volatile store has no log, so there the step is nothing.
     Log(RedoKind),
+    /// [`Log`](Self::Log) of a [`RedoKind::Decided`] record for `gid` that
+    /// also carries the bytes `rider` returns, called when the step runs —
+    /// after the steps before it, which may be what decides them. Recovery
+    /// replays the record's ops, never the rider, and hands the rider back
+    /// unread ([`KvStore::take_recovered_decided`]).
+    LogRider {
+        /// Global cross-shard transaction id.
+        gid: u64,
+        /// The record's tail, computed when the step runs.
+        rider: Rider,
+    },
     /// [`Log`](Self::Log) without the wait: the record takes its place in
     /// the WAL's order, but the step returns before any fsync — the record
-    /// is written with the next batch on this log, a checkpoint, or the
-    /// store's drop. Only for a record a crash can afford to lose because
-    /// its content is durable elsewhere: a participant's
-    /// [`RedoKind::Decided`], whose [`RedoKind::Prepare`] is in this log
-    /// and whose decision is in the coordinator's (`ad-shard`, DESIGN.md
-    /// §14).
+    /// is written with the next batch on this log, a checkpoint, the
+    /// store's drop, or once the log holds [`PREALLOC_CHUNK`] of unwritten
+    /// records. Only for a record a crash can afford to lose because its
+    /// content is durable elsewhere: a participant's [`RedoKind::Decided`]
+    /// echo of a slice its coordinator's record carries (`ad-shard`,
+    /// DESIGN.md §14).
+    ///
+    /// [`PREALLOC_CHUNK`]: crate::wal::PREALLOC_CHUNK
     LogUnforced(RedoKind),
     /// Run a callback. It may block (on a peer, a channel): the shard
     /// locks wait with it. `Arc<dyn Fn>` because the transaction body may
@@ -240,6 +257,7 @@ enum Lowered {
     Append {
         log: Arc<DurableTier>,
         payload: Vec<u8>,
+        rider: Option<Rider>,
         forced: bool,
     },
     Call(Arc<dyn Fn() + Send + Sync>),
@@ -255,8 +273,16 @@ fn run_steps(rt: Arc<Runtime>, plan: Arc<[Lowered]>) -> impl FnOnce() + Send + '
                 Lowered::Append {
                     log,
                     payload,
+                    rider,
                     forced,
-                } => log.append(payload, *forced, &rt),
+                } => match rider {
+                    None => log.append(payload, *forced, &rt),
+                    Some(rider) => {
+                        let mut record = payload.clone();
+                        record.extend_from_slice(&rider());
+                        log.append(&record, *forced, &rt);
+                    }
+                },
                 Lowered::Call(f) => f(),
             }
         }
@@ -394,14 +420,10 @@ pub struct KvStore {
     ckpt_worker: Option<(std::thread::JoinHandle<()>, Arc<CkptSignal>)>,
     next_txid: AtomicU64,
     recovery: Option<RecoveryReport>,
-    /// Cross-shard slices staged in the recovered log whose outcome this
-    /// log alone cannot prove: awaiting reconciliation against the other
-    /// shards' logs (`ad-shard`), else presumed aborted. Never applied.
-    pending_prepares: Mutex<Vec<RedoRecord>>,
-    /// gids this shard's recovered log proves committed (it contains a
-    /// [`RedoKind::Decided`] record for them) — the evidence the
-    /// reconciliation pass consults to resolve *other* shards' prepares.
-    recovered_decided: Vec<u64>,
+    /// Every [`RedoKind::Decided`] record of the recovered log, as
+    /// `(gid, rider)` in log order, until the sharding layer takes them
+    /// ([`take_recovered_decided`](KvStore::take_recovered_decided)).
+    recovered_decided: Mutex<Vec<(u64, Vec<u8>)>>,
 }
 
 impl Drop for KvStore {
@@ -454,42 +476,21 @@ impl KvStore {
         let mut store = Self::bare(config, &t.base);
 
         // The WAL suffix replays transactionally, one record per
-        // transaction — deterministic replay, monotonic versions.
-        //
-        // Cross-shard records (DESIGN.md §14): a Decided record anywhere
-        // in this log proves its gid committed; a Prepare record is
-        // *never* replayed directly — its data becomes real only through
-        // a matching Decided record (same log, or appended by
-        // reconciliation). Prepares still lacking a local decision after
-        // replay are parked for the sharding layer; standalone opens
-        // presume them aborted.
-        let decided: HashSet<u64> = t
-            .records
-            .iter()
-            .filter_map(|r| match r.kind {
-                RedoKind::Decided { gid } => Some(gid),
-                _ => None,
-            })
-            .collect();
+        // transaction — deterministic replay, monotonic versions. A
+        // cross-shard record replays its own ops; its gid and rider are
+        // kept for the sharding layer (DESIGN.md §14.3).
         let mut max_txid = 0;
-        for rec in &t.records {
+        let mut decided = Vec::new();
+        for rec in t.records {
             max_txid = max_txid.max(rec.txid);
-            if matches!(rec.kind, RedoKind::Prepare { .. }) {
-                continue;
-            }
             let placed = store.place(&rec.ops);
             store.rt.atomically(|tx| store.apply_batch(tx, &placed));
+            if let RedoKind::Decided { gid } = rec.kind {
+                decided.push((gid, rec.rider));
+            }
         }
-        let pending: Vec<RedoRecord> = t
-            .records
-            .into_iter()
-            .filter(|r| matches!(r.kind, RedoKind::Prepare { gid } if !decided.contains(&gid)))
-            .collect();
-        let mut report = t.report;
-        report.pending_prepares = pending.len() as u64;
-        store.pending_prepares = Mutex::new(pending);
-        store.recovered_decided = decided.into_iter().collect();
-        store.recovered_decided.sort_unstable();
+        let report = t.report;
+        store.recovered_decided = Mutex::new(decided);
         // txids are diagnostic, but keep them monotonic across
         // checkpointed restarts (snapshotted records' txids are gone;
         // the cut bounds them because txids are handed out per batch).
@@ -560,8 +561,7 @@ impl KvStore {
             ckpt_worker: None,
             next_txid: AtomicU64::new(1),
             recovery: None,
-            pending_prepares: Mutex::new(Vec::new()),
-            recovered_decided: Vec::new(),
+            recovered_decided: Mutex::new(Vec::new()),
         }
     }
 
@@ -721,7 +721,16 @@ impl KvStore {
                     self.durable.as_ref().map(|d| Lowered::Append {
                         log: Arc::clone(d),
                         payload: encode_record(*kind, txid, &batch.ops),
+                        rider: None,
                         forced: matches!(step, CommitStep::Log(_)),
+                    })
+                }
+                CommitStep::LogRider { gid, rider } => {
+                    self.durable.as_ref().map(|d| Lowered::Append {
+                        log: Arc::clone(d),
+                        payload: encode_record(RedoKind::Decided { gid: *gid }, txid, &batch.ops),
+                        rider: Some(Arc::clone(rider)),
+                        forced: true,
                     })
                 }
             })
@@ -759,36 +768,12 @@ impl KvStore {
             .collect()
     }
 
-    /// gids of cross-shard slices staged in this store's recovered log
-    /// that its own log cannot prove committed. The sharding layer
-    /// resolves each against the other shards' logs
-    /// ([`take_prepared`](Self::take_prepared)); a store opened standalone
-    /// leaves them parked — presumed aborted, never applied.
-    pub fn pending_prepared_gids(&self) -> Vec<u64> {
-        self.pending_prepares
-            .lock()
-            .iter()
-            .filter_map(|r| r.kind.gid())
-            .collect()
-    }
-
-    /// gids this store's recovered log proves committed (a
-    /// [`RedoKind::Decided`] record survives for them). Reconciliation
-    /// evidence for *other* shards' pending prepares.
-    pub fn recovered_decided_gids(&self) -> &[u64] {
-        &self.recovered_decided
-    }
-
-    /// Remove the recovered pending prepare of `gid` and return its staged
-    /// batch (`None` if there is none). The caller either commits the
-    /// batch with a [`RedoKind::Decided`] log step — some shard's log
-    /// proves the gid committed — or drops it: presumed abort. The staged
-    /// record stays in the WAL but is never applied, and is gone after the
-    /// next checkpoint.
-    pub fn take_prepared(&self, gid: u64) -> Option<WriteBatch> {
-        let mut pending = self.pending_prepares.lock();
-        let i = pending.iter().position(|r| r.kind.gid() == Some(gid))?;
-        Some(WriteBatch::from_ops(pending.remove(i).ops))
+    /// Take every [`RedoKind::Decided`] record the recovered log holds, as
+    /// `(gid, rider)` in log order — the rider empty for a record logged
+    /// without one. The sharding layer reconciles shards from them
+    /// (DESIGN.md §14.3); a second call returns nothing.
+    pub fn take_recovered_decided(&self) -> Vec<(u64, Vec<u8>)> {
+        std::mem::take(&mut *self.recovered_decided.lock())
     }
 
     /// Make everything logged so far durable: writes out any

@@ -26,7 +26,8 @@
 //! the shards it touched are still locked. It is [`Wal::append`] — take a
 //! sequence number, frame the record into the pending buffer — followed by
 //! `Wal::sync_locked`; an *unforced* append stops after the first half
-//! and its record rides whichever batch is written next. Concurrent
+//! and its record rides whichever batch is written next — or, once a
+//! chunk of them is pending, writes the batch itself. Concurrent
 //! callers frame their records into one shared pending buffer; the first to need durability becomes the
 //! *leader*, takes the whole buffer, writes it as a single `write` +
 //! `fsync`, and wakes the others — so N concurrently-committing
@@ -346,15 +347,23 @@ impl Wal {
     }
 
     /// Unforced append: assign the next sequence number, frame `payload`
-    /// into the pending buffer and return — nothing is written. The record
-    /// reaches the disk with the next batch anyone writes on this log (a
-    /// leader takes the whole buffer), so every later durable record
-    /// implies it; [`rotate`](Self::rotate) and [`flush`](Self::flush)
-    /// write it out themselves. For records whose loss a crash can repair
-    /// from elsewhere — a participant's `Decided` echo of a decision that
-    /// is durable on its coordinator.
+    /// into the pending buffer and return — nothing is written, unless
+    /// the buffer now holds [`PREALLOC_CHUNK`] or more: then it is written
+    /// out as a group-commit batch before the call returns, so a log that
+    /// only ever takes unforced appends holds at most a chunk in memory.
+    /// Otherwise the record reaches the disk with the next batch anyone
+    /// writes on this log (a leader takes the whole buffer), so every
+    /// later durable record implies it; [`rotate`](Self::rotate) and
+    /// [`flush`](Self::flush) write it out themselves. For records whose
+    /// loss a crash can repair from elsewhere — a participant's `Decided`
+    /// echo of a slice its coordinator's durable record carries.
     pub fn append(&self, payload: &[u8], rt: &Runtime) -> u64 {
-        self.frame(&mut self.state.lock(), payload, rt)
+        let mut st = self.state.lock();
+        let seq = self.frame(&mut st, payload, rt);
+        if st.pending.len() >= PREALLOC_CHUNK {
+            drop(self.sync_locked(st, seq, rt));
+        }
+        seq
     }
 
     /// Make every record appended so far durable; returns the highest
@@ -466,10 +475,10 @@ impl Wal {
     /// highest durable sequence, which is also the highest *assigned* one:
     /// every record framed before the cut is in pre-rotation segments,
     /// durable, and every later record lands in the new segment. (Without
-    /// the flush an unforced record could sit in memory above the cut
-    /// while the checkpoint truncates the records it supersedes — a
-    /// `Decided` above, its `Prepare` below.) The old segments survive
-    /// until [`Wal::drop_rotated`].
+    /// the flush an unforced record could sit in memory above the cut: a
+    /// participant's echo whose slice the snapshot at the cut then lacks,
+    /// and which a crash would leave to its coordinator's record alone.)
+    /// The old segments survive until [`Wal::drop_rotated`].
     ///
     /// Idempotent at the cut: when appends already go to the segment named
     /// for `cut + 1` (it then holds no records — the cut is quiescent, so
@@ -693,6 +702,31 @@ mod tests {
         assert_eq!((s.records, s.batches), (2, 1), "counted once, when written");
         assert_eq!(s.bytes, both.len() as u64);
         assert_eq!(s.append_ns.count(), 1, "forced appends only");
+    }
+
+    /// A log that only ever takes unforced appends keeps less than a
+    /// chunk of them in memory: the append that fills the chunk writes
+    /// the whole buffer out as one batch, itself included.
+    #[test]
+    fn unforced_appends_write_themselves_out_once_a_chunk_is_pending() {
+        let disk = MemDisk::new();
+        let wal = wal_on(&disk, 1);
+        let rt = Runtime::new(TmConfig::stm());
+        let payload = vec![7u8; 1000];
+        let framed = HEADER_LEN + payload.len();
+        let per_chunk = PREALLOC_CHUNK.div_ceil(framed) as u64;
+        for seq in 1..per_chunk {
+            assert_eq!(wal.append(&payload, &rt), seq);
+        }
+        assert_eq!((wal.durable_seq(), disk.sync_count()), (0, 0));
+        wal.append(&payload, &rt);
+        assert_eq!(wal.durable_seq(), per_chunk, "the filling append wrote all");
+        assert_eq!(wal.stats().batches, 1);
+        assert_eq!(disk.synced(WAL_BASE).len(), per_chunk as usize * framed);
+        assert!(wal.state.lock().pending.is_empty());
+        // The next one waits again.
+        wal.append(&payload, &rt);
+        assert_eq!(wal.durable_seq(), per_chunk);
     }
 
     #[test]

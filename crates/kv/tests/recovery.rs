@@ -392,8 +392,8 @@ fn observe(store: &KvStore, report: RecoveryReport) -> Observed {
 /// 200-key batch, and a checkpoint in the middle so recovery is snapshot +
 /// suffix — one synced crash image taken twice; two independent opens
 /// agree on every observation and on the whole [`RecoveryReport`]
-/// (`records`, `replayed`, `snapshot_cut`, `last_seq`, `pending_prepares`
-/// among its fields), and a close + reopen of the first changes nothing.
+/// (`records`, `replayed`, `snapshot_cut`, `last_seq` among its fields),
+/// and a close + reopen of the first changes nothing.
 #[test]
 fn replaying_the_same_log_twice_gives_the_same_store() {
     let wide: Ops = (0..200u8)
@@ -434,7 +434,6 @@ fn replaying_the_same_log_twice_gives_the_same_store() {
     assert_eq!(report.snapshot_cut, BEFORE_CKPT as u64);
     assert_eq!(report.replayed, (batches.len() - BEFORE_CKPT) as u64);
     assert_eq!(report.last_seq, batches.len() as u64);
-    assert_eq!(report.pending_prepares, 0);
     let first_seen = observe(&first, report);
     assert_eq!(first_seen.0, live);
     assert_eq!(first_seen.2, live.len());

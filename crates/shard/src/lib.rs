@@ -14,34 +14,34 @@
 //! with a [`plan`]: a list of steps that a single deferred operation runs
 //! in order, the slice's shard locks held from the commit until the last
 //! step returns. The coordinator's plan is one *prepare* step per remote
-//! participant (ascending shard order), the *decision* record, and a
-//! *release* step. Each prepare pushes the participant's slice onto that
-//! shard's job queue — the in-process hop: one FIFO and one worker per
-//! shard, and a one-shot gate for each answer, opened directly by the
-//! side that gives it — and blocks until the participant acks — and a
-//! participant, whose own plan starts by staging the slice in its own WAL
-//! ([`ad_kv::RedoKind::Prepare`]), acks only after that record is
-//! fsynced, with its own shard locks held. The decision step appends the
-//! coordinator's gid-tagged [`ad_kv::RedoKind::Decided`] record — the
-//! commit point of the whole batch — and the release step opens every
-//! participant's release gate; each participant then appends its slice
-//! as decided — *unforced*: the record rides that shard's next fsync —
-//! and its plan ends. Two fsyncs are on a batch's path, the prepares' and the
-//! decision's, and every lock hold ends at the second. Locks are held
+//! participant (ascending shard order), its *record*, a wait for the last
+//! ack, and a *release* step. Each prepare pushes the participant's slice
+//! onto that shard's job queue — the in-process hop: one FIFO and one
+//! worker per shard, and a one-shot gate for each answer, opened directly
+//! by the side that gives it — taking a position in that FIFO, and blocks
+//! until the participant acks, except the last, whose ack is awaited
+//! after the record. A participant commits the slice with its own shard
+//! locks held, acks, and waits for the release. The coordinator's record
+//! is a gid-tagged [`ad_kv::RedoKind::Decided`] that holds the whole
+//! batch: its own slice, and in a *rider* every participant's slice with
+//! its shard and FIFO position. Its fsync — the batch's one — is the
+//! commit point; the last hop runs while it is in flight. The release
+//! step opens every participant's release gate; each participant then
+//! appends its slice as its own `Decided` echo — *unforced*: the record
+//! rides that shard's next fsync — and its plan ends. Locks are held
 //! everywhere from commit to release: **a reader on any shard can never
 //! observe a partial cross-shard batch**, and when the coordinator's call
-//! returns, the batch is durable on every shard — as a staged slice in
-//! each participant's log plus the decision in the coordinator's.
+//! returns, the batch is durable — all of it, in the coordinator's log.
 //!
-//! Crashes recover by presumed abort: a staged slice whose gid no
-//! surviving log proves decided is never applied; one whose gid any log
-//! proves decided is applied — which is how a participant that crashed
-//! before its own decided record reached the disk, the normal state
-//! shortly after an ack, gets its slice back
-//! ([`ShardRouter::from_stores`] reconciles; see DESIGN.md §14 for the
-//! killed-coordinator / killed-participant matrix).
+//! A batch is committed if and only if its coordinator's record is
+//! durable. [`ShardRouter::from_stores`] reconciles after a crash: a slice
+//! a surviving coordinator's record carries and its shard's log has lost
+//! is re-applied there, in the shard's FIFO order (DESIGN.md §14.3).
 //! [`ShardRouter::checkpoint_all`] forces every shard's log before any
-//! shard truncates one, so the decision never exists only in memory.
+//! shard truncates one, so no coordinator's record is truncated while a
+//! slice it carries exists only in memory. A routed shard opened on its
+//! own after a crash replays only its own log and can miss un-echoed
+//! slices without any report.
 //!
 //! ## Why it cannot deadlock
 //!
@@ -57,7 +57,8 @@
 //! merges the per-runtime rings with [`ad_stm::Trace::merge`] so one
 //! cross-shard commit renders as a single timeline tagged `r<id>.t<n>`,
 //! with `shard_prepare` / `shard_ack` / `shard_release` instants on
-//! both sides. [`ShardRouter::stats`] merges the runtimes' counters.
+//! both sides. [`ShardRouter::stats`] merges the runtimes' counters, and
+//! [`ShardRouter::reapplied_slices`] counts the slices recovery re-applied.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -67,8 +68,8 @@ pub mod router;
 mod transport;
 
 /// Loom-style model of the hold-until-all-ack invariant: a coordinator
-/// and participants exchanging prepare/ack/release while an observer
-/// tries to catch a partially visible batch. Compiled only under
+/// and a participant exchanging prepare/ack/record/release while an
+/// observer tries to catch a partially visible batch. Compiled only under
 /// `RUSTFLAGS="--cfg loom"` test builds — see VERIFICATION.md.
 #[cfg(all(test, loom))]
 mod verify;

@@ -22,14 +22,13 @@ use crate::transport::{Gate, Job, JobQueue};
 /// id's low bits.
 pub static SHARD_PREPARE: AppEvent = AppEvent::new("shard_prepare", "gid");
 
-/// Trace event: a participant acknowledged a prepare as durable on its
-/// shard; `arg` = the global batch id's low bits. On a merged timeline
-/// this must causally follow the participant's `wal_fsync` covering the
-/// prepare record.
+/// Trace event: a participant acknowledged a prepare — its slice is
+/// committed on its shard and its locks held; `arg` = the global batch
+/// id's low bits.
 pub static SHARD_ACK: AppEvent = AppEvent::new("shard_ack", "gid");
 
 /// Trace event: the coordinator released a cross-shard batch after every
-/// participant acked (commit record durable); `arg` = the global batch
+/// participant acked and its record is durable; `arg` = the global batch
 /// id's low bits. Participant-side locks are held until their runtime
 /// observes this — the hold-until-all-ack invariant.
 pub static SHARD_RELEASE: AppEvent = AppEvent::new("shard_release", "gid");
@@ -44,8 +43,9 @@ const GID_SEQ_MASK: u64 = (1 << 48) - 1;
 ///
 /// Reads and single-shard batches go straight to the owning store and
 /// cost exactly what they cost unsharded. A batch spanning shards picks
-/// the lowest touched shard as coordinator and pays one prepare/ack
-/// round trip per remote participant plus the decision fsync.
+/// the lowest touched shard as coordinator and pays one fsync, its
+/// record's, plus a prepare/ack round trip per remote participant — the
+/// last one overlapping the fsync.
 pub struct ShardRouter {
     stores: Vec<Arc<KvStore>>,
     /// `queues[s]` feeds `workers[s]`, which runs shard `s`'s participant
@@ -53,10 +53,13 @@ pub struct ShardRouter {
     queues: Vec<Arc<JobQueue>>,
     /// Readers: in-flight cross-shard commits. Writer:
     /// [`ShardRouter::checkpoint_all`], which must not truncate a
-    /// decision record some shard's staged slice still depends on.
+    /// coordinator's record some shard's un-echoed slice still depends on.
     ckpt_gate: RwLock<()>,
     next_seq: AtomicU64,
     workers: Vec<JoinHandle<()>>,
+    /// Slices [`from_stores`](Self::from_stores) re-applied from a
+    /// coordinator's record because their shard's log had lost them.
+    reapplied: u64,
 }
 
 impl ShardRouter {
@@ -78,15 +81,11 @@ impl ShardRouter {
     /// Open shard `i` on `disks[i]` (two-tier recovery per shard), then
     /// reconcile cross-shard outcomes across all of them — the crash
     /// recovery entry point for byte-level [`MemDisk`] images.
-    pub fn open_on_disks(
-        cfg: &KvConfig,
-        sync: SyncPolicy,
-        disks: &[MemDisk],
-    ) -> (ShardRouter, Vec<RecoveryReport>) {
+    pub fn open_on_disks(cfg: &KvConfig, disks: &[MemDisk]) -> (ShardRouter, Vec<RecoveryReport>) {
         let mut stores = Vec::with_capacity(disks.len());
         let mut reports = Vec::with_capacity(disks.len());
         for disk in disks {
-            let (store, report) = KvStore::open_on_disk(cfg, sync, disk.clone());
+            let (store, report) = KvStore::open_on_disk(cfg, SyncPolicy::GroupCommit, disk.clone());
             stores.push(Arc::new(store));
             reports.push(report);
         }
@@ -95,20 +94,30 @@ impl ShardRouter {
 
     /// Assemble a router over already-opened stores.
     ///
-    /// Reconciliation runs first: every shard's pending prepares are
-    /// checked against the union of all shards' decided gids — a gid
-    /// any surviving log proves committed is applied (and re-logged as
-    /// decided, so the *next* recovery needs no cross-shard evidence);
-    /// everything else is presumed aborted and never applied. The gid
-    /// sequence resumes above every gid seen in any log, so a lingering
-    /// aborted prepare can never collide with a fresh transaction.
+    /// Reconciliation runs first (DESIGN.md §14.3). A cross-shard batch is
+    /// committed if and only if its coordinator's record is durable, and
+    /// that record carries every participant's slice. So every slice a
+    /// surviving coordinator's record carries whose shard's log holds no
+    /// `Decided` of that gid — a participant echo a crash lost — is
+    /// re-applied on its shard, in the order of its position in that
+    /// shard's job FIFO, with the forced [`plan::resolve`] plan: the
+    /// *next* recovery finds it in the shard's own log. Each queue's
+    /// positions resume above the highest any record names, and the gid
+    /// sequence above every gid seen, so nothing recovered can be mistaken
+    /// for something new.
+    ///
+    /// A store opened on its own replays only its own log: a routed shard
+    /// opened standalone after a crash can miss its un-echoed slices, and
+    /// nothing reports it.
     ///
     /// # Panics
     ///
     /// On a store opened with [`CkptPolicy::Auto`]: a per-store background
-    /// checkpoint can truncate a decision record another shard's staged
-    /// slice still needs (DESIGN.md §14.4) — routed stores checkpoint only
-    /// through [`ShardRouter::checkpoint_all`].
+    /// checkpoint can truncate a coordinator's record another shard's
+    /// un-echoed slice still needs (DESIGN.md §14.4) — routed stores
+    /// checkpoint only through [`ShardRouter::checkpoint_all`]. On a
+    /// coordinator's record whose rider does not decode or names a shard
+    /// this router lacks: the logs are not this router's.
     pub fn from_stores(stores: Vec<Arc<KvStore>>) -> ShardRouter {
         assert!(!stores.is_empty(), "a router needs at least one shard");
         assert!(stores.len() <= u16::MAX as usize, "shard ids are u16");
@@ -116,33 +125,46 @@ impl ShardRouter {
             assert!(
                 !matches!(store.ckpt_policy(), Some(CkptPolicy::Auto { .. })),
                 "shard {s} was opened with CkptPolicy::Auto: a background checkpoint could \
-                 truncate a decision record a staged slice still needs (DESIGN.md §14.4); \
-                 open routed stores with CkptPolicy::Manual and use checkpoint_all"
+                 truncate a coordinator's record an un-echoed slice still needs (DESIGN.md \
+                 §14.4); open routed stores with CkptPolicy::Manual and use checkpoint_all"
             );
         }
 
-        let mut decided: HashSet<u64> = HashSet::new();
+        // (shard, gid) of every `Decided` record, and every slice a
+        // coordinator's record carries, as (shard, pos, gid, ops).
+        let mut logged: HashSet<(usize, u64)> = HashSet::new();
+        let mut carried: Vec<(usize, u64, u64, ad_kv::RedoOps)> = Vec::new();
+        let mut next_pos = vec![0u64; stores.len()];
         let mut max_seen = 0u64;
-        for store in &stores {
-            for &gid in store.recovered_decided_gids() {
-                decided.insert(gid);
+        for (s, store) in stores.iter().enumerate() {
+            for (gid, rider) in store.take_recovered_decided() {
                 max_seen = max_seen.max(gid & GID_SEQ_MASK);
-            }
-            for gid in store.pending_prepared_gids() {
-                max_seen = max_seen.max(gid & GID_SEQ_MASK);
+                logged.insert((s, gid));
+                let slices = plan::decode_rider(&rider).unwrap_or_else(|| {
+                    panic!("shard {s}: the rider of gid {gid:#x} does not decode")
+                });
+                for slice in slices {
+                    assert!(
+                        slice.shard < stores.len(),
+                        "shard {s}: gid {gid:#x} names shard {} of {}",
+                        slice.shard,
+                        stores.len()
+                    );
+                    next_pos[slice.shard] = next_pos[slice.shard].max(slice.pos + 1);
+                    carried.push((slice.shard, slice.pos, gid, slice.ops));
+                }
             }
         }
-        for store in &stores {
-            for gid in store.pending_prepared_gids() {
-                let staged = store.take_prepared(gid).expect("listed as pending");
-                if decided.contains(&gid) {
-                    store.commit(&staged, &plan::resolve(gid));
-                }
-                // Otherwise presumed aborted: the staged slice is dropped.
-            }
+        carried.retain(|(shard, _, gid, _)| !logged.contains(&(*shard, *gid)));
+        // A shard applied its slices in FIFO order, whoever coordinated
+        // them; gid order would put a later batch's write first.
+        carried.sort_unstable_by_key(|&(shard, pos, ..)| (shard, pos));
+        let reapplied = carried.len() as u64;
+        for (shard, _, gid, ops) in carried {
+            stores[shard].commit(&WriteBatch::from_ops(ops), &plan::resolve(gid));
         }
 
-        let queues: Vec<Arc<JobQueue>> = stores.iter().map(|_| JobQueue::new()).collect();
+        let queues: Vec<Arc<JobQueue>> = next_pos.into_iter().map(JobQueue::new).collect();
         let workers = stores
             .iter()
             .zip(&queues)
@@ -158,7 +180,15 @@ impl ShardRouter {
             ckpt_gate: RwLock::new(()),
             next_seq: AtomicU64::new(max_seen + 1),
             workers,
+            reapplied,
         }
+    }
+
+    /// Slices [`from_stores`](Self::from_stores) re-applied when it
+    /// assembled this router: participant echoes a crash lost, recovered
+    /// from their coordinators' records. 0 after a clean close.
+    pub fn reapplied_slices(&self) -> u64 {
+        self.reapplied
     }
 
     /// The shard owning `key`.
@@ -214,9 +244,10 @@ impl ShardRouter {
 
     /// Apply an atomic multi-key batch across shards. A batch touching
     /// one shard commits exactly like [`KvStore::write_batch`]. A batch
-    /// spanning shards runs the 2-phase protocol: when this returns,
-    /// every slice is durable on its shard, and at no point could any
-    /// reader anywhere observe some slices without the others.
+    /// spanning shards runs the 2-phase protocol: when this returns, the
+    /// coordinator's record — the whole batch — is durable, and at no
+    /// point could any reader anywhere observe some slices without the
+    /// others.
     pub fn write_batch(&self, batch: &WriteBatch) {
         let mut slices: BTreeMap<usize, ad_kv::RedoOps> = BTreeMap::new();
         for (k, v) in batch.ops() {
@@ -244,38 +275,77 @@ impl ShardRouter {
         };
         let mut it = slices.into_iter();
         let (coord, coord_ops) = it.next().expect("nonempty");
+        let parts: Vec<(usize, ad_kv::RedoOps)> = it.collect();
         let store = &self.stores[coord];
+        // Each participant's FIFO position, stored by its prepare and read
+        // by the rider when the record is logged; its ops encoded now,
+        // outside the transaction.
+        let positions: Arc<Vec<AtomicU64>> =
+            Arc::new(parts.iter().map(|_| AtomicU64::new(0)).collect());
+        let encoded: Vec<(usize, Vec<u8>)> = parts
+            .iter()
+            .map(|(p, ops)| (*p, plan::encode_slice_ops(ops)))
+            .collect();
+        let rider: ad_kv::Rider = {
+            let positions = Arc::clone(&positions);
+            Arc::new(move || {
+                let mut out = Vec::new();
+                for (i, (p, ops)) in encoded.iter().enumerate() {
+                    plan::encode_slice(&mut out, *p, positions[i].load(Ordering::Relaxed), ops);
+                }
+                out
+            })
+        };
+        let rt = Arc::clone(store.runtime());
+        let last = parts.len() - 1;
+        let mut last_acked = None;
         let mut releases: Vec<Arc<Gate>> = Vec::new();
-        let prepares: Vec<Callback> = it
-            .map(|(p, ops)| {
-                let (queue, ops, rt) = (
-                    Arc::clone(&self.queues[p]),
-                    Arc::new(ops),
-                    Arc::clone(store.runtime()),
-                );
+        let prepares: Vec<Callback> = parts
+            .into_iter()
+            .enumerate()
+            .map(|(i, (p, ops))| {
                 let (acked, released) = (Gate::new(), Gate::new());
+                if i == last {
+                    last_acked = Some(Arc::clone(&acked));
+                }
                 releases.push(Arc::clone(&released));
+                let (queue, positions, rt) = (
+                    Arc::clone(&self.queues[p]),
+                    Arc::clone(&positions),
+                    Arc::clone(&rt),
+                );
                 Arc::new(move || {
                     rt.trace_app(&SHARD_PREPARE, gid);
-                    queue.push(Job::Prepare {
+                    let pos = queue.push(Job::Prepare {
                         gid,
-                        ops: (*ops).clone(),
+                        ops: ops.clone(),
                         acked: Arc::clone(&acked),
                         released: Arc::clone(&released),
                     });
-                    acked.wait();
-                    rt.trace_app(&SHARD_ACK, gid);
+                    positions[i].store(pos, Ordering::Relaxed);
+                    // The last ack is awaited after the record, so that
+                    // hop overlaps the fsync.
+                    if i != last {
+                        acked.wait();
+                        rt.trace_app(&SHARD_ACK, gid);
+                    }
                 }) as Callback
             })
             .collect();
-        let rt = Arc::clone(store.runtime());
+        let wait_last_ack: Callback = {
+            let (acked, rt) = (last_acked.expect("a participant"), Arc::clone(&rt));
+            Arc::new(move || {
+                acked.wait();
+                rt.trace_app(&SHARD_ACK, gid);
+            })
+        };
         let release_all: Callback = Arc::new(move || {
             rt.trace_app(&SHARD_RELEASE, gid);
             releases.iter().for_each(|released| released.open());
         });
         store.commit(
             &WriteBatch::from_ops(coord_ops),
-            &plan::coordinator(gid, prepares, release_all),
+            &plan::coordinator(gid, prepares, rider, wait_last_ack, release_all),
         );
     }
 
@@ -316,14 +386,13 @@ impl ShardRouter {
     }
 
     /// Checkpoint every shard at a cross-shard-quiescent point: new
-    /// cross-shard commits are gated out, a barrier drains every
-    /// shard's staged-but-unreleased slices, **every** shard's WAL is
-    /// forced, and only then does **any** shard snapshot and truncate.
-    /// Without the quiesce, a coordinator could truncate the decision
-    /// record a participant's staged slice still needs at its next
-    /// recovery; without the flush-all it could truncate the only durable
-    /// `Decided` of a gid whose participant still holds its own in memory
-    /// (DESIGN.md §14.4).
+    /// cross-shard commits are gated out, a barrier drains every shard's
+    /// unreleased slices, **every** shard's WAL is forced, and only then
+    /// does **any** shard snapshot and truncate. Without the quiesce or
+    /// the flush-all, a coordinator could truncate the only durable copy
+    /// of a participant's slice — its own record's rider — while that
+    /// participant's echo is still unappended or only in memory (DESIGN.md
+    /// §14.4).
     pub fn checkpoint_all(&self) -> io::Result<Vec<CkptReport>> {
         let _gate = self.ckpt_gate.write();
         self.quiesce();
@@ -380,8 +449,8 @@ impl ShardRouter {
 
 /// A shard's one worker: the participant side of every batch that
 /// touches `store` from another coordinator. It blocks inside `commit`
-/// for the prepare→release window, which serializes staged slices per
-/// shard; acks and releases never pass through `queue`.
+/// for the prepare→release window, which serializes slices per shard in
+/// FIFO order; acks and releases never pass through `queue`.
 fn participate(store: &KvStore, queue: &JobQueue) {
     loop {
         match queue.pop_blocking() {

@@ -4,8 +4,11 @@
 //! Each shard has **one** unbounded FIFO of [`Job`]s and **one** worker
 //! (spawned by the router) consuming it. The worker runs the participant
 //! side of a prepare and may block for that gid's whole prepare→release
-//! window, which serializes staged slices per shard — exactly the
-//! exclusion the participant's shard locks would enforce anyway.
+//! window, which serializes slices per shard — exactly the exclusion the
+//! participant's shard locks would enforce anyway. So a job's *position*
+//! in its FIFO, taken under the queue's lock at push, is the order in
+//! which the shard applies the slices it is sent: the coordinator's
+//! record names it, and recovery re-applies lost slices by it.
 //!
 //! Nothing travels back through a queue. Whoever will wait creates a
 //! [`Gate`] and sends it along; the other side opens it directly: the
@@ -56,17 +59,18 @@ impl Gate {
 
 /// One unit of work for a shard's worker.
 pub(crate) enum Job {
-    /// Stage this slice of batch `gid` durably, open `acked`, hold the
-    /// slice invisible until `released` opens, then expose it.
+    /// Commit this slice of batch `gid`, open `acked`, hold the slice
+    /// invisible until `released` opens, then expose it.
     Prepare {
         /// Global cross-shard transaction id (coordinator shard in the
         /// high 16 bits).
         gid: u64,
         /// The participant's slice, in application order.
         ops: RedoOps,
-        /// Opened by the participant: the slice is staged durably.
+        /// Opened by the participant: the slice is committed, its locks
+        /// held.
         acked: Arc<Gate>,
-        /// Opened by the coordinator: the decision for `gid` is durable.
+        /// Opened by the coordinator: its record for `gid` is durable.
         released: Arc<Gate>,
     },
     /// Drain marker: `drained` opens only after every earlier job on this
@@ -78,27 +82,43 @@ pub(crate) enum Job {
 
 /// A shard's unbounded job FIFO: any number of senders, one consumer.
 pub(crate) struct JobQueue {
-    jobs: Mutex<VecDeque<Job>>,
+    jobs: Mutex<Fifo>,
     cv: Condvar,
 }
 
+struct Fifo {
+    jobs: VecDeque<Job>,
+    /// The position the next push takes.
+    next_pos: u64,
+}
+
 impl JobQueue {
-    pub(crate) fn new() -> Arc<JobQueue> {
+    /// A queue whose first push takes position `first_pos`.
+    pub(crate) fn new(first_pos: u64) -> Arc<JobQueue> {
         Arc::new(JobQueue {
-            jobs: Mutex::new(VecDeque::new()),
+            jobs: Mutex::new(Fifo {
+                jobs: VecDeque::new(),
+                next_pos: first_pos,
+            }),
             cv: Condvar::new(),
         })
     }
 
-    pub(crate) fn push(&self, job: Job) {
-        self.jobs.lock().push_back(job);
+    /// Queue `job` and return its position: jobs leave in position order.
+    pub(crate) fn push(&self, job: Job) -> u64 {
+        let mut g = self.jobs.lock();
+        let pos = g.next_pos;
+        g.next_pos += 1;
+        g.jobs.push_back(job);
+        drop(g);
         self.cv.notify_one();
+        pos
     }
 
     pub(crate) fn pop_blocking(&self) -> Job {
         let mut g = self.jobs.lock();
         loop {
-            if let Some(job) = g.pop_front() {
+            if let Some(job) = g.jobs.pop_front() {
                 return job;
             }
             self.cv.wait(&mut g);
@@ -117,19 +137,21 @@ mod tests {
         gate.wait();
     }
 
-    /// What `checkpoint_all`'s barrier rests on.
+    /// What `checkpoint_all`'s barrier and recovery's re-apply order
+    /// rest on.
     #[test]
-    fn jobs_leave_in_the_order_they_were_pushed() {
-        let q = JobQueue::new();
-        q.push(Job::Prepare {
+    fn jobs_leave_in_the_order_of_the_positions_they_took() {
+        let q = JobQueue::new(5);
+        let prepare = q.push(Job::Prepare {
             gid: 7,
             ops: vec![("k".into(), None)],
             acked: Gate::new(),
             released: Gate::new(),
         });
-        q.push(Job::Barrier {
+        let barrier = q.push(Job::Barrier {
             drained: Gate::new(),
         });
+        assert_eq!((prepare, barrier), (5, 6));
         assert!(matches!(q.pop_blocking(), Job::Prepare { gid: 7, .. }));
         assert!(matches!(q.pop_blocking(), Job::Barrier { .. }));
     }

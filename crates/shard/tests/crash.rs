@@ -12,20 +12,21 @@
 //!    the model at that cut: an acked batch is durable on *every*
 //!    shard, with no partial cross-shard state.
 //!
-//! 2. **Killed-coordinator / killed-participant windows** — the store
-//!    level primitives stage a real prepare on one disk while the
-//!    coordinator's decision is either withheld, torn mid-append, or
-//!    completed, producing the exact mid-protocol disk images a crash
-//!    leaves behind (including byte-level cuts inside the decision record
-//!    and inside the later write that carries the participant's unforced
-//!    `Decided`). Recovery must apply the batch everywhere when any
-//!    surviving log proves it decided, and nowhere otherwise. A
-//!    participant whose `Decided` never reached its disk is the *normal*
-//!    image right after an ack, not a race.
+//! 2. **Mid-protocol windows** — the store level primitives run one batch
+//!    with the router's plans while the coordinator's record is withheld,
+//!    torn mid-append, or durable, producing the exact mid-protocol disk
+//!    images a crash leaves behind (including byte-level cuts inside the
+//!    record and inside the later write that carries the participant's
+//!    unforced `Decided` echo). Recovery must apply the batch everywhere
+//!    exactly when the coordinator's record survives. A participant whose
+//!    echo never reached its disk is the *normal* image right after an
+//!    ack, not a race; so is a crash during the reconciliation that
+//!    re-applies it.
 //!
-//! 3. **Checkpoints** — a crash at every disk event of
-//!    `checkpoint_all`, all disks cut at the same instant: every shard's
-//!    WAL is forced before any shard truncates.
+//! 3. **Closing and checkpoints** — a clean close leaves every log
+//!    self-contained; a crash at every disk event of `checkpoint_all`,
+//!    all disks cut at the same instant, loses nothing: every shard's WAL
+//!    is forced before any shard truncates.
 //!
 //! 4. **Concurrent readers** — while cross-shard batches commit, a
 //!    reader hammering both shards must never observe one key of a
@@ -40,6 +41,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use ad_kv::disk::WAL_BASE;
 use ad_kv::recover::scan;
 use ad_kv::{CkptPolicy, KvConfig, KvStore, MemDisk, RedoKind, SyncPolicy, WriteBatch};
+use ad_shard::plan::{encode_slice, encode_slice_ops};
 use ad_shard::{plan, ShardRouter};
 
 fn cfg() -> KvConfig {
@@ -65,7 +67,7 @@ fn key_on(router: &ShardRouter, prefix: &str, want: usize) -> String {
 fn acked_cross_shard_batches_survive_every_aligned_crash() {
     const SHARDS: usize = 3;
     let disks: Vec<MemDisk> = (0..SHARDS).map(|_| MemDisk::new()).collect();
-    let (router, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &disks);
+    let (router, _) = ShardRouter::open_on_disks(&cfg(), &disks);
 
     // Pre-resolve one key per shard so the script below is stable under
     // the hash partition.
@@ -128,7 +130,7 @@ fn acked_cross_shard_batches_survive_every_aligned_crash() {
                 .zip(lens)
                 .map(|(d, &len)| d.crash_image(len, 0, synced_only))
                 .collect();
-            let (re, reports) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
+            let (re, reports) = ShardRouter::open_on_disks(&cfg(), &imgs);
             assert_eq!(
                 &re.dump(),
                 want,
@@ -186,28 +188,26 @@ fn last_append(d: &MemDisk) -> usize {
         .expect("disk has at least one append")
 }
 
-/// Mid-protocol disk images for gid 1: the participant has staged and
-/// acked its slice; the coordinator's images are taken before, during
-/// (torn), and after its decision record.
+/// Mid-protocol disk images for gid 1, coordinated by shard 0 with shard
+/// 1 as its participant: the coordinator's images are taken before,
+/// during (torn), and after its record; the participant's echo is
+/// appended but written only with a later local put.
 struct Window {
-    /// Participant disk, synced prefix, taken after ack but before
-    /// release: exactly what a killed participant leaves behind.
-    part_staged: MemDisk,
     /// Live participant disk.
     part_live: MemDisk,
     /// Its journal length when the participant's plan had ended — locks
-    /// released, `Decided` appended but never written.
+    /// released, `Decided` echo appended but never written.
     part_released: usize,
     /// Journal index of the participant's next write, which carries that
-    /// `Decided` followed by the record of a later local put.
+    /// echo followed by the record of a later local put.
     part_relog_ev: usize,
-    /// Coordinator disk before the decision was ever attempted.
+    /// Coordinator disk before its record was ever attempted.
     coord_before: MemDisk,
-    /// Coordinator disk with the decision record durable.
+    /// Coordinator disk with its record durable.
     coord_after: MemDisk,
-    /// Live coordinator disk (for byte cuts into the decision append).
+    /// Live coordinator disk (for byte cuts into the record's append).
     coord_live: MemDisk,
-    /// Journal index on the coordinator where the decision append sits.
+    /// Journal index on the coordinator where the record's append sits.
     coord_decision_ev: usize,
 }
 
@@ -227,18 +227,18 @@ fn build_window() -> Window {
 
     let coord_before = disk_a.crash_image(disk_a.journal_len(), 0, true);
 
-    // Participant side on its own thread: stage the slice durably, ack,
-    // park until release.
-    let acked = Gate::new();
-    let release = Gate::new();
+    // Participant side on its own thread, as the shard's worker runs it
+    // once the coordinator's prepare has pushed the slice: commit, ack,
+    // park until release, append the echo.
+    let slice_b = vec![("cross-b".to_string(), Some(b"vb".to_vec()))];
+    let (pushed, acked, release) = (Gate::new(), Gate::new(), Gate::new());
     let part = {
-        let sb = Arc::clone(&sb);
-        let acked = Arc::clone(&acked);
-        let release = Arc::clone(&release);
+        let (sb, ops) = (Arc::clone(&sb), slice_b.clone());
+        let (pushed, acked, release) = (pushed.clone(), acked.clone(), release.clone());
         std::thread::spawn(move || {
-            let batch = WriteBatch::new().put("cross-b", b"vb");
+            pushed.wait();
             sb.commit(
-                &batch,
+                &WriteBatch::from_ops(ops),
                 &plan::participant(
                     GID,
                     Arc::new(move || acked.open()),
@@ -247,16 +247,20 @@ fn build_window() -> Window {
             );
         })
     };
-    acked.wait();
-    let part_staged = disk_b.crash_image(disk_b.journal_len(), 0, true);
 
-    // Coordinator side: the participant already staged and acked, so
-    // its prepare callback is a no-op; release opens the gate.
-    let rel = Arc::clone(&release);
-    let prepare: plan::Callback = Arc::new(|| {});
+    // Coordinator side, with the router's plan: the rider names the
+    // participant's slice at position 0 of shard 1's FIFO.
+    let mut rider = Vec::new();
+    encode_slice(&mut rider, 1, 0, &encode_slice_ops(&slice_b));
     sa.commit(
         &WriteBatch::new().put("cross-a", b"va"),
-        &plan::coordinator(GID, [prepare], Arc::new(move || rel.open())),
+        &plan::coordinator(
+            GID,
+            [Arc::new(move || pushed.open()) as plan::Callback],
+            Arc::new(move || rider.clone()),
+            Arc::new(move || acked.wait()),
+            Arc::new(move || release.open()),
+        ),
     );
     let coord_decision_ev = last_append(&disk_a);
     let coord_after = disk_a.crash_image(disk_a.journal_len(), 0, true);
@@ -267,7 +271,6 @@ fn build_window() -> Window {
 
     drop(sa);
     Window {
-        part_staged,
         part_live: disk_b,
         part_released,
         part_relog_ev,
@@ -278,12 +281,20 @@ fn build_window() -> Window {
     }
 }
 
-/// Reopen a (coordinator, participant) image pair through the router
-/// and return the merged dump.
-fn recover(coord: &MemDisk, part: &MemDisk) -> BTreeMap<String, Vec<u8>> {
+impl Window {
+    /// The participant disk with nothing of the batch on it: the image
+    /// of any crash before its echo was written.
+    fn part_without_echo(&self) -> MemDisk {
+        self.part_live.crash_image(self.part_released, 0, true)
+    }
+}
+
+/// Reopen a (coordinator, participant) image pair through the router;
+/// return the merged dump and the number of slices it re-applied.
+fn recover(coord: &MemDisk, part: &MemDisk) -> (BTreeMap<String, Vec<u8>>, u64) {
     let imgs = [coord.clone(), part.clone()];
-    let (re, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
-    re.dump()
+    let (re, _) = ShardRouter::open_on_disks(&cfg(), &imgs);
+    (re.dump(), re.reapplied_slices())
 }
 
 /// All-or-none on the cross-shard pair, seeds always intact.
@@ -294,154 +305,165 @@ fn assert_atomic(dump: &BTreeMap<String, Vec<u8>>, expect_present: bool) {
         assert_eq!(a, Some(&b"va"[..]), "coordinator slice missing: {dump:?}");
         assert_eq!(b, Some(&b"vb"[..]), "participant slice missing: {dump:?}");
     } else {
-        assert_eq!(a, None, "undecided coordinator slice surfaced: {dump:?}");
-        assert_eq!(b, None, "undecided participant slice surfaced: {dump:?}");
+        assert_eq!(a, None, "uncommitted coordinator slice surfaced: {dump:?}");
+        assert_eq!(b, None, "uncommitted participant slice surfaced: {dump:?}");
     }
     assert_eq!(dump.get("seed-a").map(|v| v.as_slice()), Some(&b"sa"[..]));
     assert_eq!(dump.get("seed-b").map(|v| v.as_slice()), Some(&b"sb"[..]));
 }
 
 #[test]
-fn killed_participant_after_ack_recovers_the_whole_batch() {
-    let w = build_window();
-    // The participant died holding only its staged prepare; the
-    // coordinator's decision record is durable. Reconciliation must
-    // prove the gid decided and apply the slice on the participant.
-    assert_atomic(&recover(&w.coord_after, &w.part_staged), true);
-}
-
-#[test]
 fn an_acked_batch_whose_participant_decided_was_never_written_recovers_whole() {
     let w = build_window();
     // The participant's plan has ended and its locks are released; its
-    // `Decided` is in memory only. This is what every crash shortly after
-    // an ack looks like, whether or not unsynced bytes survive.
+    // echo is in memory only. This is what every crash shortly after an
+    // ack looks like, whether or not unsynced bytes survive.
     assert_eq!(
         w.part_released, w.part_relog_ev,
-        "the participant wrote nothing between its prepare and its next commit"
+        "the participant wrote nothing between its seed and its next commit"
     );
     for synced_only in [true, false] {
         let part = w.part_live.crash_image(w.part_released, 0, synced_only);
+        // Standalone, the shard misses its slice and nothing says so.
         let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, part.clone());
-        assert_eq!(report.pending_prepares, 1, "synced_only={synced_only}");
-        assert_eq!(solo.get("cross-b"), None, "standalone: presumed abort");
+        assert_eq!(solo.get("cross-b"), None, "synced_only={synced_only}");
+        assert_eq!(report.records, 1, "the seed alone");
         drop(solo);
-        assert_atomic(&recover(&w.coord_after, &part), true);
+        let (dump, reapplied) = recover(&w.coord_after, &part);
+        assert_atomic(&dump, true);
+        assert_eq!(reapplied, 1, "re-applied from the coordinator's record");
     }
 }
 
 #[test]
 fn a_torn_write_carrying_the_unforced_decided_and_a_later_record_recovers_whole() {
     let w = build_window();
-    // One append holds the participant's `Decided` and then the record of
+    // One append holds the participant's echo and then the record of
     // `later-b`. Cut it at every byte: the scan keeps whole records only,
-    // so the cut leaves neither, the `Decided` alone, or both — and the
-    // batch is whole in each, from this log or from the coordinator's.
+    // so the cut leaves neither, the echo alone, or both — and the batch
+    // is whole in each, from this log or from the coordinator's.
     let len = w
         .part_live
         .event_append_len(w.part_relog_ev)
         .expect("an append");
-    let mut pending = [0, 0];
+    let mut echoed = [0, 0];
     for cut in 0..=len {
         let part = w.part_live.crash_image(w.part_relog_ev, cut, false);
-        let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, part.clone());
-        pending[report.pending_prepares as usize] += 1;
+        let (solo, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, part.clone());
+        let echo = !solo.take_recovered_decided().is_empty();
+        assert_eq!(solo.get("cross-b").is_some(), echo, "cut {cut}");
+        echoed[usize::from(echo)] += 1;
         // `later-b` was acked after the batch: never without it.
         if solo.get("later-b").is_some() {
-            assert_eq!(
-                report.pending_prepares, 0,
-                "cut {cut}: later record, no decided"
-            );
+            assert!(echo, "cut {cut}: later record, no echo");
             assert_eq!(cut, len, "cut {cut}: a torn record was replayed");
         }
         drop(solo);
-        let dump = recover(&w.coord_after, &part);
+        let (dump, reapplied) = recover(&w.coord_after, &part);
         assert_atomic(&dump, true);
+        assert_eq!(reapplied, u64::from(!echo), "cut {cut}");
         assert_eq!(dump.contains_key("later-b"), cut == len, "cut {cut}");
     }
     assert!(
-        pending[0] > 1 && pending[1] > 1,
-        "cuts on both sides of the decided record: {pending:?}"
+        echoed[0] > 1 && echoed[1] > 1,
+        "cuts on both sides of the echo: {echoed:?}"
     );
 }
 
+/// A batch is committed if and only if its coordinator's record is
+/// durable: before it, or at any byte cut inside its append, the batch is
+/// on no shard; whole, it is on every shard.
 #[test]
-fn killed_coordinator_before_decision_presumes_abort() {
+fn a_batch_is_committed_exactly_when_its_coordinators_record_is_durable() {
     let w = build_window();
-    // The coordinator died before its decision record: no surviving log
-    // proves the gid committed, so the staged slice must never apply.
-    assert_atomic(&recover(&w.coord_before, &w.part_staged), false);
+    let part = w.part_without_echo();
+    let (dump, reapplied) = recover(&w.coord_before, &part);
+    assert_atomic(&dump, false);
+    assert_eq!(reapplied, 0);
 
-    // Torn decision: byte-level cuts inside the coordinator's decision
-    // append. A torn decided record is no decision.
     let len = w
         .coord_live
         .event_append_len(w.coord_decision_ev)
-        .expect("decision event is an append");
-    for cut in [1, len / 2, len - 1] {
+        .expect("the record's event is an append");
+    for cut in 0..len {
         let coord = w.coord_live.crash_image(w.coord_decision_ev, cut, false);
-        assert_atomic(&recover(&coord, &w.part_staged), false);
+        let (dump, reapplied) = recover(&coord, &part);
+        assert_atomic(&dump, false);
+        assert_eq!(reapplied, 0, "cut {cut}");
     }
-    // The full decision append flips the outcome: same participant
-    // image, now the batch applies everywhere.
+    // The whole append flips the outcome: same participant image, now
+    // the batch applies everywhere.
     let coord = w.coord_live.crash_image(w.coord_decision_ev + 1, 0, false);
-    assert_atomic(&recover(&coord, &w.part_staged), true);
+    assert_atomic(&recover(&coord, &part).0, true);
 }
 
 #[test]
 fn reconciliation_relogs_so_the_next_recovery_is_self_contained() {
     let w = build_window();
-    let imgs = [w.coord_after.clone(), w.part_staged.clone()];
-    let (re, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
+    let imgs = [w.coord_after.clone(), w.part_without_echo()];
+    let (re, _) = ShardRouter::open_on_disks(&cfg(), &imgs);
     // The window placed its keys at the store level, so read them store
     // level too (the router's hash partition is irrelevant here).
     assert_eq!(
         re.store(1).get("cross-b").as_deref(),
         Some(&b"vb"[..]),
-        "first recovery resolved the staged slice"
+        "first recovery re-applied the lost slice"
     );
-    // The participant re-logged its slice as decided during the first
-    // recovery — forced, unlike a live participant's: the record is in
-    // the synced prefix while the router is still open.
+    // The participant re-logged its slice during the first recovery —
+    // forced, unlike a live participant's echo: the record is in the
+    // synced prefix while the router is still open.
     let synced = scan(&imgs[1].synced(WAL_BASE), 1).0;
     assert!(
         synced
             .iter()
             .any(|r| r.kind == RedoKind::Decided { gid: GID }),
-        "resolution did not force its decided record"
+        "reconciliation did not force its echo"
     );
     drop(re);
     // So the participant's disk alone — no coordinator evidence — now
-    // recovers the slice. (A store outside a router replays the same
-    // records.)
-    let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, imgs[1].clone());
-    assert_eq!(report.pending_prepares, 0);
+    // recovers the slice, and a second router re-applies nothing.
+    let (solo, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, imgs[1].clone());
     assert_eq!(
         solo.get("cross-b").as_deref(),
         Some(&b"vb"[..]),
-        "second, stand-alone recovery lost the resolved slice"
+        "second, stand-alone recovery lost the re-applied slice"
     );
+    drop(solo);
+    let (dump, reapplied) = recover(&imgs[0], &imgs[1]);
+    assert_atomic(&dump, true);
+    assert_eq!(reapplied, 0);
 }
 
+/// Reconciliation writes too: a crash at any of its disk events, cut
+/// inside its appends or not, recovers the same store.
 #[test]
-fn aborted_prepare_does_not_block_later_writes_or_recoveries() {
+fn a_crash_during_reconciliation_recovers_the_same_store() {
     let w = build_window();
-    let imgs = [w.coord_before.clone(), w.part_staged.clone()];
-    let (re, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
-    assert_eq!(re.store(1).get("cross-b"), None);
-    // The stale prepare record lingers in the participant's WAL but the
-    // store keeps working: new writes land, and another recovery still
-    // presumes abort rather than resurrecting the slice.
-    re.put("after-abort", b"ok");
-    re.sync();
-    drop(re);
-    let (re2, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
-    assert_eq!(re2.get("after-abort").as_deref(), Some(&b"ok"[..]));
-    assert_eq!(
-        re2.store(1).get("cross-b"),
-        None,
-        "aborted slice resurrected"
-    );
+    // The participant's log without the echo, written afresh so that its
+    // journal holds its whole history (an image's starts at the image).
+    let part = MemDisk::new();
+    KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, part.clone())
+        .0
+        .put("seed-b", b"sb");
+    let before = part.journal_len();
+    let (dump, reapplied) = recover(&w.coord_after, &part);
+    assert_atomic(&dump, true);
+    assert_eq!(reapplied, 1);
+    let mut images = 0;
+    for ev in before..=part.journal_len() {
+        for cut in [0, 1, part.event_append_len(ev).unwrap_or(1) - 1] {
+            for synced_only in [false, true] {
+                let img = part.crash_image(ev, cut, synced_only);
+                assert_eq!(
+                    recover(&w.coord_after, &img).0,
+                    dump,
+                    "event {ev} +{cut} bytes, synced_only={synced_only}"
+                );
+                images += 1;
+            }
+        }
+    }
+    assert!(images >= 6, "reconciliation wrote nothing: {images}");
 }
 
 // ---------------------------------------------------------------------------
@@ -449,49 +471,48 @@ fn aborted_prepare_does_not_block_later_writes_or_recoveries() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn a_clean_close_is_self_contained_and_a_crash_reports_its_pending_prepare() {
+fn a_clean_close_is_self_contained_and_a_crash_leaves_the_slice_to_its_coordinator() {
     let disks = [MemDisk::new(), MemDisk::new()];
-    let (router, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &disks);
+    let (router, _) = ShardRouter::open_on_disks(&cfg(), &disks);
     let (a, b) = (key_on(&router, "a", 0), key_on(&router, "b", 1));
     router.write_batch(&WriteBatch::new().put(&a, b"1").put(&b, b"1"));
+    router.quiesce();
     let whole = BTreeMap::from([(a, b"1".to_vec()), (b.clone(), b"1".to_vec())]);
 
-    // Crash right after the ack, unsynced bytes lost: the participant has
-    // its prepare and no decision of its own, and says so.
+    // Crash right after the ack, unsynced bytes lost: the participant's
+    // log holds nothing of the batch — standalone, the slice is missing
+    // and nothing reports it; the router re-applies it.
     let imgs: Vec<MemDisk> = disks
         .iter()
         .map(|d| d.crash_image(d.journal_len(), 0, true))
         .collect();
     let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, imgs[1].clone());
-    assert_eq!(report.pending_prepares, 1);
-    assert_eq!(solo.get(&b), None, "standalone: presumed abort, reported");
+    assert_eq!((solo.get(&b), report.records), (None, 0));
     drop(solo);
-    let (re, reports) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
-    assert_eq!(
-        reports.iter().map(|r| r.pending_prepares).sum::<u64>(),
-        1,
-        "one staged slice to resolve"
-    );
-    assert_eq!(re.dump(), whole, "resolved against the coordinator's log");
+    let (re, _) = ShardRouter::open_on_disks(&cfg(), &imgs);
+    assert_eq!(re.reapplied_slices(), 1, "one lost echo");
+    assert_eq!(re.dump(), whole, "re-applied from the coordinator's record");
     drop(re);
 
-    // A clean close writes the pending record out: the participant's disk
-    // reopens on its own, nothing parked, nothing lost.
+    // A clean close writes the pending echo out: the participant's disk
+    // reopens on its own, nothing lost, nothing to re-apply.
     drop(router);
-    let (solo, report) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disks[1].clone());
-    assert_eq!(report.pending_prepares, 0);
+    let (solo, _) = KvStore::open_on_disk(&cfg(), SyncPolicy::GroupCommit, disks[1].clone());
     assert_eq!(solo.get(&b).as_deref(), Some(&b"1"[..]));
+    drop(solo);
+    let (re, _) = ShardRouter::open_on_disks(&cfg(), &disks);
+    assert_eq!((re.dump(), re.reapplied_slices()), (whole, 0));
 }
 
 #[test]
 fn checkpoint_all_forces_every_wal_before_any_shard_truncates() {
     const SHARDS: usize = 3;
     let disks: Vec<MemDisk> = (0..SHARDS).map(|_| MemDisk::new()).collect();
-    let (router, _) = ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &disks);
+    let (router, _) = ShardRouter::open_on_disks(&cfg(), &disks);
     let keys: Vec<String> = (0..SHARDS).map(|s| key_on(&router, "k", s)).collect();
     // Every shard coordinates once and participates once; the last
-    // batch leaves an unwritten `Decided` on shards 1 and 2 whose only
-    // durable twin is in the log shard 0 checkpoints first.
+    // batch leaves an unwritten echo on shards 1 and 2 whose slices only
+    // the record shard 0 checkpoints first carries.
     for (round, touched) in [vec![1, 2], vec![0, 2], vec![0, 1, 2]].iter().enumerate() {
         let mut batch = WriteBatch::new();
         for &s in touched {
@@ -535,8 +556,7 @@ fn checkpoint_all_forces_every_wal_before_any_shard_truncates() {
                         disks[d].crash_image(lens[d], bytes, synced_only)
                     })
                     .collect();
-                let (re, reports) =
-                    ShardRouter::open_on_disks(&cfg(), SyncPolicy::GroupCommit, &imgs);
+                let (re, reports) = ShardRouter::open_on_disks(&cfg(), &imgs);
                 assert_eq!(
                     re.dump(),
                     model,

@@ -13,9 +13,8 @@
 //!    is exposed when the plan ends but reaches the disk only with the
 //!    store's next write, here a `sync`;
 //! 2. a store reopened from the synced bytes — what a crash at this step
-//!    leaves — shows the batch only once a `Local` or `Decided` record is
-//!    among them, and after `Prepare` alone reports exactly one pending
-//!    prepare;
+//!    leaves — shows the batch exactly when one of its records is among
+//!    them, and hands back the rider of the coordinator's;
 //! 3. a concurrent `get` of the touched key, already parked on the shard
 //!    lock, has not returned — it returns only after the *last* step;
 //! 4. `Call` steps run in submission order.
@@ -31,8 +30,10 @@ use ad_shard::plan::{self, Callback};
 const GID: u64 = 7;
 const KEY: &str = "k";
 const VALUE: &[u8] = b"v";
+/// What the coordinator's rider returns; the store neither reads nor
+/// checks it.
+const RIDER: &[u8] = b"the other slices";
 
-const PREPARE: RedoKind = RedoKind::Prepare { gid: GID };
 const DECIDED: RedoKind = RedoKind::Decided { gid: GID };
 
 struct Row {
@@ -40,11 +41,8 @@ struct Row {
     /// Build the plan; each call of the argument yields the next parked
     /// callback.
     build: fn(&mut dyn FnMut() -> Callback) -> Vec<CommitStep>,
-    /// The store opens on a log that already holds the batch staged under
-    /// [`GID`], and the batch committed is the one taken from it.
-    staged: bool,
-    /// Kinds of the records the plan appends, in order.
-    wal: &'static [RedoKind],
+    /// The records the plan appends, in order: kind and rider.
+    wal: &'static [(RedoKind, &'static [u8])],
     /// Number of `Call` steps.
     calls: usize,
 }
@@ -53,35 +51,42 @@ const TABLE: &[Row] = &[
     Row {
         name: "plain",
         build: |_| vec![CommitStep::Log(RedoKind::Local)],
-        staged: false,
-        wal: &[RedoKind::Local],
+        wal: &[(RedoKind::Local, b"")],
         calls: 0,
     },
     Row {
         name: "coordinator",
-        build: |cb| plan::coordinator(GID, [cb(), cb()], cb()),
-        staged: false,
-        wal: &[DECIDED],
-        calls: 3,
+        build: |cb| {
+            let rider = std::sync::Arc::new(|| RIDER.to_vec());
+            plan::coordinator(GID, [cb(), cb()], rider, cb(), cb())
+        },
+        wal: &[(DECIDED, RIDER)],
+        calls: 4,
     },
     Row {
         name: "participant",
         build: |cb| plan::participant(GID, cb(), cb()),
-        staged: false,
-        wal: &[PREPARE, DECIDED],
+        wal: &[(DECIDED, b"")],
         calls: 2,
     },
     Row {
         name: "resolve",
         build: |_| plan::resolve(GID),
-        staged: true,
-        wal: &[DECIDED],
+        wal: &[(DECIDED, b"")],
         calls: 0,
     },
 ];
 
+fn records(wal: &[u8]) -> Vec<(RedoKind, Vec<u8>)> {
+    scan(wal, 1)
+        .0
+        .into_iter()
+        .map(|r| (r.kind, r.rider))
+        .collect()
+}
+
 fn kinds(wal: &[u8]) -> Vec<RedoKind> {
-    scan(wal, 1).0.iter().map(|r| r.kind).collect()
+    records(wal).into_iter().map(|r| r.0).collect()
 }
 
 fn written(disk: &MemDisk) -> Vec<u8> {
@@ -116,23 +121,8 @@ fn run(row: &Row) {
     let open =
         |disk: MemDisk| KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::GroupCommit, disk);
     let disk = MemDisk::new();
-    if row.staged {
-        // A participant that stopped after its prepare.
-        let (crashed, _) = open(disk.clone());
-        crashed.commit(
-            &WriteBatch::new().put(KEY, VALUE),
-            &[CommitStep::Log(PREPARE)],
-        );
-    }
     let store = Arc::new(open(disk.clone()).0);
-    let batch = if row.staged {
-        store
-            .take_prepared(GID)
-            .expect("the staged slice is pending")
-    } else {
-        WriteBatch::new().put(KEY, VALUE)
-    };
-    let already = kinds(&written(&disk)).len();
+    let batch = WriteBatch::new().put(KEY, VALUE);
 
     // Every Call step reports its number, then parks until told to go.
     let (entered_tx, entered_rx) = channel::<usize>();
@@ -168,9 +158,11 @@ fn run(row: &Row) {
                 assert_eq!(n, calls, "{name}: Call steps run in submission order");
                 calls += 1;
             }
-            CommitStep::Log(_) => spin_until("the record is written", || {
-                written(&disk).len() > disk.synced(WAL_BASE).len()
-            }),
+            CommitStep::Log(_) | CommitStep::LogRider { .. } => {
+                spin_until("the record is written", || {
+                    written(&disk).len() > disk.synced(WAL_BASE).len()
+                })
+            }
             // Nothing to park in; what the step did and did not do is
             // checked once the plan has ended.
             CommitStep::LogUnforced(kind) => {
@@ -186,27 +178,35 @@ fn run(row: &Row) {
             reader.try_recv().is_err(),
             "{name}: get returned during step {i}"
         );
+        let synced = records(&disk.synced(WAL_BASE));
         assert_eq!(
-            kinds(&disk.synced(WAL_BASE))[already..],
+            kinds(&disk.synced(WAL_BASE)),
             logged,
             "{name}: durable records at step {i}"
         );
-        let synced = kinds(&disk.synced(WAL_BASE));
-        let (crashed, report) = open(disk.crash_image(disk.journal_len(), 0, true));
+        let (crashed, _) = open(disk.crash_image(disk.journal_len(), 0, true));
         assert_eq!(
             crashed.get(KEY).is_some(),
-            synced.iter().any(|k| *k != PREPARE),
+            !synced.is_empty(),
             "{name}: a crash at step {i} after {synced:?}"
         );
+        let riders: Vec<(u64, Vec<u8>)> = synced
+            .iter()
+            .filter_map(|(kind, rider)| Some((kind.gid()?, rider.clone())))
+            .collect();
         assert_eq!(
-            report.pending_prepares,
-            u64::from(synced == [PREPARE]),
-            "{name}: pending prepares of a crash at step {i} after {synced:?}"
+            crashed.take_recovered_decided(),
+            riders,
+            "{name}: recovered decided records at step {i}"
         );
         match step {
             CommitStep::Call(_) => go_tx.send(()).unwrap(),
             CommitStep::Log(kind) => {
                 logged.push(*kind);
+                disk.release_syncs();
+            }
+            CommitStep::LogRider { gid, .. } => {
+                logged.push(RedoKind::Decided { gid: *gid });
                 disk.release_syncs();
             }
             CommitStep::LogUnforced(_) => unreachable!("skipped above"),
@@ -224,18 +224,15 @@ fn run(row: &Row) {
     // The plan is over and its locks are released: the forced records are
     // durable, an unforced one is still only in memory.
     assert_eq!(
-        kinds(&written(&disk))[already..],
+        kinds(&written(&disk)),
         logged,
         "{name}: records written when the plan ended"
     );
     store.sync();
     logged.append(&mut unforced);
-    assert_eq!(
-        kinds(&disk.synced(WAL_BASE))[already..],
-        *row.wal,
-        "{name}: WAL kinds"
-    );
-    assert_eq!(logged, row.wal, "{name}: log steps");
+    let want: Vec<(RedoKind, Vec<u8>)> = row.wal.iter().map(|(k, r)| (*k, r.to_vec())).collect();
+    assert_eq!(records(&disk.synced(WAL_BASE)), want, "{name}: WAL records");
+    assert_eq!(logged, kinds(&disk.synced(WAL_BASE)), "{name}: log steps");
 }
 
 #[test]

@@ -64,7 +64,7 @@ impl ContentionManager {
         self.failures >= self.serialize_after
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(all(test, not(loom)))]
     pub(crate) fn failures(&self) -> u32 {
         self.failures
     }

@@ -299,7 +299,7 @@ impl Registry {
         }
     }
 
-    #[cfg(test)]
+    #[cfg(all(test, not(loom)))]
     pub(crate) fn slot_count(&self) -> usize {
         self.slots.lock().len()
     }

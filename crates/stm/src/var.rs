@@ -204,7 +204,7 @@ impl VarCore {
         }
     }
 
-    #[cfg(test)]
+    #[cfg(all(test, not(loom)))]
     pub(crate) fn force_version_for_test(&self, v: u64) {
         self.version.store(v, Ordering::SeqCst);
     }

@@ -110,10 +110,10 @@ fn every_crash_image_of_a_checkpointed_history_is_a_committed_prefix() {
 }
 
 /// Cross-shard batches through the router, crashes of both shards, and a
-/// reconcile by `from_stores`: acked batches are whole on every shard, a
-/// slice staged without any durable decision is dropped everywhere, and a
-/// participant's own `Decided` — which it never forces — is needed by
-/// nobody, before, during or after a checkpoint.
+/// reconcile by `from_stores`: a batch is committed exactly when its
+/// coordinator's record is durable, an acked batch is whole on every
+/// shard, and a participant's own `Decided` echo — which it never forces —
+/// is needed by nobody, before, during or after a checkpoint.
 #[test]
 fn cross_shard_batches_survive_a_crash_and_reconcile_whole() {
     let disks = [MemDisk::new(), MemDisk::new()];
@@ -126,90 +126,173 @@ fn cross_shard_batches_survive_a_crash_and_reconcile_whole() {
     };
     let lens = || -> Vec<usize> { disks.iter().map(MemDisk::journal_len).collect() };
     let (a, b) = (key_on(0, "a"), key_on(1, "b"));
+    let opened = lens();
     router.write_batch(&WriteBatch::new().put(a.as_str(), "1").put(b.as_str(), "1"));
+    router.quiesce();
     // Journal lengths with the first batch acked: the aligned crash point.
     let acked = lens();
     router.write_batch(&WriteBatch::new().put(a.as_str(), "2").put(b.as_str(), "2"));
     router.quiesce();
     let whole: Model = router.dump();
-    // Both batches acked, the participant's plan over: its second `Decided`
-    // is in memory, and the first went to disk inside the second
-    // `Prepare`'s write.
+    // Both batches acked, the participant's plans over: both its echoes
+    // are in memory, and its log has not been written at all.
     let ends = lens();
+    assert_eq!(ends[1], opened[1], "the participant writes nothing");
     router.checkpoint_all().expect("checkpoint_all");
     let ckpt = lens();
     drop(router);
 
-    // Pessimistic images, one cut per disk: the slices the participant's
-    // log stages without a decision of its own, and the dump once the
-    // router reconciled.
+    // Pessimistic images, one cut per disk: the dump once the router
+    // reconciled, and how many lost echoes it re-applied.
     let reopen = |cuts: &[usize]| {
         let stores: Vec<Arc<KvStore>> = disks
             .iter()
             .zip(cuts)
             .map(|(d, &cut)| Arc::new(open(&d.crash_image(cut, 0, true))))
             .collect();
-        let pending = stores[1].pending_prepared_gids();
-        let reported = stores[1]
-            .recovery_report()
-            .expect("durable")
-            .pending_prepares;
-        assert_eq!(pending.len() as u64, reported, "cuts {cuts:?}");
         let router = ShardRouter::from_stores(stores.clone());
         // Reconciliation went through the stores' commit pipeline.
         for store in &stores {
             dump_checked(store, &format!("cuts {cuts:?}"));
         }
-        (router.dump(), pending)
+        (router.dump(), router.reapplied_slices())
     };
     let first: Model = [(a.clone(), b"1".to_vec()), (b.clone(), b"1".to_vec())].into();
-    let (dump, gid1) = reopen(&acked);
     assert_eq!(
-        (dump, gid1.len()),
+        reopen(&acked),
         (first.clone(), 1),
         "crash after the first ack"
     );
-    let (dump, gid2) = reopen(&ends);
     assert_eq!(
-        (dump, gid2.len()),
-        (whole.clone(), 1),
+        reopen(&ends),
+        (whole.clone(), 2),
         "crash after the second ack"
-    );
-    assert_ne!(
-        gid1, gid2,
-        "the first batch's decided record rode the second prepare"
     );
     assert_eq!(
         reopen(&ckpt),
-        (whole.clone(), vec![]),
+        (whole.clone(), 0),
         "crash after the checkpoint"
     );
 
-    // The coordinator logs its decision only after the participant staged
-    // durably. So the crash states that can occur are: coordinator without
-    // the decision and participant anywhere up to staged — presumed abort —
-    // or coordinator with it and participant at least staged — the batch
-    // on both shards. The participant's own decided record is in neither
-    // description: no cut needs it. Both keys always move together.
-    let staged = (acked[1]..=ends[1])
-        .find(|&part| reopen(&[acked[0], part]).1 == gid2)
-        .expect("the second prepare becomes durable");
-    for part in acked[1]..=ends[1] {
+    // Between the acks, the coordinator's second record decides: the
+    // participant's log is empty throughout, and both keys always move
+    // together.
+    let decided = (acked[0]..=ends[0])
+        .find(|&coord| reopen(&[coord, ends[1]]).0 == whole)
+        .expect("the second record becomes durable");
+    for coord in acked[0]..=ends[0] {
+        let want = if coord < decided { &first } else { &whole };
         assert_eq!(
-            reopen(&[acked[0], part]).0,
-            first,
-            "undecided, cuts ({}, {part})",
-            acked[0]
+            &reopen(&[coord, ends[1]]).0,
+            want,
+            "cuts ({coord}, {})",
+            ends[1]
         );
     }
-    // ... on through the participant's flush and its whole checkpoint,
-    // while the coordinator still holds the decision in its log.
-    for part in staged..=ckpt[1] {
+    // Flush all, then truncate any: through the whole checkpoint, the
+    // participant's slices are in its own log or in the coordinator's.
+    for part in ends[1]..=ckpt[1] {
         assert_eq!(
             reopen(&[ends[0], part]).0,
             whole,
-            "decided, cuts ({}, {part})",
+            "cuts ({}, {part})",
             ends[0]
         );
     }
+    for coord in ends[0]..=ckpt[0] {
+        assert_eq!(
+            reopen(&[coord, ckpt[1]]).0,
+            whole,
+            "cuts ({coord}, {})",
+            ckpt[1]
+        );
+    }
+}
+
+/// The recovery rules with more than one coordinator. Shard 2 takes two
+/// slices of one key: the first from a batch shard 1 coordinates, the
+/// second from one shard 0 coordinates — so gid order (shard 0's gids are
+/// the smaller) is the opposite of the order shard 2 applied them in. A
+/// crash that loses both of shard 2's echoes must bring back the second
+/// value: recovery re-applies lost slices in their shard's FIFO order.
+/// And at every byte cut of the second coordinator's record before it is
+/// durable, no shard shows any of that batch.
+#[test]
+fn lost_echoes_come_back_in_fifo_order_and_a_torn_record_commits_nothing() {
+    const SHARDS: usize = 3;
+    let disks: Vec<MemDisk> = (0..SHARDS).map(|_| MemDisk::new()).collect();
+    let router = ShardRouter::from_stores(disks.iter().map(|d| Arc::new(open(d))).collect());
+    let key = |shard: usize| {
+        (0..)
+            .map(|i| format!("k{i}"))
+            .find(|k| router.shard_of(k) == shard)
+            .expect("some key lands on every shard")
+    };
+    let k: Vec<String> = (0..SHARDS).map(key).collect();
+    let opened = disks[2].journal_len();
+    router.write_batch(
+        &WriteBatch::new()
+            .put(k[1].as_str(), "first")
+            .put(k[2].as_str(), "first"),
+    );
+    router.write_batch(
+        &WriteBatch::new()
+            .put(k[0].as_str(), "second")
+            .put(k[2].as_str(), "second"),
+    );
+    router.quiesce();
+    let whole = router.dump();
+    assert_eq!(whole[&k[2]], b"second");
+    let images = |lens: &[usize]| -> Vec<MemDisk> {
+        disks
+            .iter()
+            .zip(lens)
+            .map(|(d, &len)| d.crash_image(len, 0, true))
+            .collect()
+    };
+    let acked: Vec<usize> = disks.iter().map(MemDisk::journal_len).collect();
+    // Shard 0's only write: the zero fill and its record, then the sync.
+    let record = (0..acked[0])
+        .rev()
+        .find(|&ev| disks[0].event_append_len(ev).is_some())
+        .expect("shard 0 wrote its record");
+    assert_eq!(
+        acked[2], opened,
+        "both of shard 2's echoes are only in memory"
+    );
+    drop(router);
+
+    let reopen = |imgs: &[MemDisk]| {
+        let router = ShardRouter::from_stores(imgs.iter().map(|d| Arc::new(open(d))).collect());
+        (router.dump(), router.reapplied_slices())
+    };
+    assert_eq!(
+        open(&images(&acked)[2]).get(&k[2]),
+        None,
+        "shard 2's log lost both"
+    );
+    assert_eq!(
+        reopen(&images(&acked)),
+        (whole.clone(), 2),
+        "re-applied in FIFO order"
+    );
+
+    // Shard 0's record is the second batch's commit point. Cut inside its
+    // append: the batch is nowhere, the first batch whole.
+    let first: Model = [
+        (k[1].clone(), b"first".to_vec()),
+        (k[2].clone(), b"first".to_vec()),
+    ]
+    .into();
+    let len = disks[0].event_append_len(record).expect("an append");
+    // (Reconciliation writes to the disks it opens: fresh images each time.)
+    let torn = |events: usize, cut: usize| {
+        let mut imgs = images(&acked);
+        imgs[0] = disks[0].crash_image(events, cut, false);
+        reopen(&imgs)
+    };
+    for cut in 0..len {
+        assert_eq!(torn(record, cut), (first.clone(), 1), "byte {cut} of {len}");
+    }
+    assert_eq!(torn(record + 1, 0), (whole, 2), "the whole record");
 }
