@@ -70,24 +70,8 @@ impl<T: Any + Send + Sync + Clone> DeferHandle<T> {
     /// `atomically` returns, so for it the result is already published and
     /// `wait` returns immediately; another thread may block here until the
     /// committer's op finishes.
-    ///
-    /// Calling this from a worker of an `ad_support::pool` (an ad-net
-    /// connection worker, say) is the cross-runtime hazard of DESIGN.md
-    /// §14, detected via [`Runtime::check_defer_remote_wait`] — counted and
-    /// traced on the waited-on runtime, but not asserted: bounded waits on
-    /// another runtime's deferred work are how ad-shard's 2-phase commit
-    /// blocks for acks.
     pub fn wait(&self, rt: &Runtime) -> T {
-        if !self.is_ready() {
-            rt.check_defer_remote_wait();
-        }
         rt.atomically(|tx| self.get(tx))
-    }
-
-    /// Non-blocking completion check: `Some(result)` once the deferred
-    /// operation has finished, `None` while it is still queued or running.
-    pub fn poll(&self) -> Option<T> {
-        self.peek()
     }
 
     /// Block the calling thread until *every* handle has a result, and
@@ -100,23 +84,8 @@ impl<T: Any + Send + Sync + Clone> DeferHandle<T> {
     /// `retry` watch list — which covers every handle's cell — wakes as
     /// publications land, and commits once the last one is in. Handles
     /// that are already complete cost one transactional read each.
-    ///
-    /// The remote-wait check of [`wait`](DeferHandle::wait) applies here
-    /// too.
     pub fn wait_all(rt: &Runtime, handles: &[DeferHandle<T>]) -> Vec<T> {
-        if handles.iter().any(|h| !h.is_ready()) {
-            rt.check_defer_remote_wait();
-        }
         rt.atomically(|tx| handles.iter().map(|h| h.get(tx)).collect())
-    }
-
-    /// Has the deferred operation completed? Alias of [`is_ready`]
-    /// (`is_ready` reads as "result available", `is_done` as "work
-    /// finished" — both are the same instant under the deferral locks).
-    ///
-    /// [`is_ready`]: DeferHandle::is_ready
-    pub fn is_done(&self) -> bool {
-        self.is_ready()
     }
 }
 
@@ -180,24 +149,6 @@ where
         publish.cell.locked().value.store(Some(result));
     })?;
     Ok(handle)
-}
-
-/// Like [`atomic_defer`](crate::atomic_defer), but returns a
-/// [`DeferHandle<()>`] tracking the operation's *completion* (rather than a
-/// result). The committing thread gets it back already complete; the
-/// handle is for *other* threads and later transactions, which can
-/// [`wait`](DeferHandle::wait) on it — or [`poll`](DeferHandle::poll) /
-/// [`is_done`](DeferHandle::is_done) — when they need the deferred effect
-/// (an fsync, say) to have happened.
-pub fn atomic_defer_tracked<F>(
-    tx: &mut Tx,
-    objs: &[&dyn Deferrable],
-    op: F,
-) -> StmResult<DeferHandle<()>>
-where
-    F: FnOnce() + Send + 'static,
-{
-    atomic_defer_with_result(tx, objs, op)
 }
 
 #[cfg(all(test, not(loom)))]
@@ -310,21 +261,19 @@ mod tests {
     }
 
     #[test]
-    fn wait_and_poll_track_an_op_still_running_on_its_committer() {
+    fn wait_and_peek_track_an_op_still_running_on_its_committer() {
         let rt = Runtime::new(TmConfig::stm());
         let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
         let (handle, committer) = pending_handle(&rt, 9, move || {
             go_rx.recv().unwrap();
         });
-        assert_eq!(handle.poll(), None, "the op has not run yet");
-        assert!(!handle.is_done());
+        assert_eq!(handle.peek(), None, "the op has not run yet");
+        assert!(!handle.is_ready());
         go_tx.send(()).unwrap();
         assert_eq!(handle.wait(&rt), 9);
-        assert!(handle.is_done());
-        assert_eq!(handle.poll(), Some(9));
+        assert!(handle.is_ready());
+        assert_eq!(handle.peek(), Some(9));
         committer.join().unwrap();
-        // A plain thread's wait is not a remote-wait hazard.
-        assert_eq!(rt.stats().defer_remote_wait_hazards, 0);
     }
 
     #[test]
@@ -350,7 +299,7 @@ mod tests {
         });
         let results = DeferHandle::wait_all(&rt, &handles);
         assert_eq!(results, vec![0, 10, 20, 30]);
-        assert!(handles.iter().all(DeferHandle::is_done));
+        assert!(handles.iter().all(DeferHandle::is_ready));
         releaser.join().unwrap();
         for c in committers {
             c.join().unwrap();
@@ -362,42 +311,6 @@ mod tests {
         let rt = Runtime::new(TmConfig::stm());
         let none: Vec<DeferHandle<u32>> = Vec::new();
         assert_eq!(DeferHandle::wait_all(&rt, &none), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn remote_wait_from_other_pools_worker_is_counted_not_asserted() {
-        // The cross-runtime shape (DESIGN.md §14): a worker of an
-        // `ad_support::pool` blocks on a handle whose progress belongs to
-        // runtime B. That is legal — B's committer resolves the handle —
-        // but it is the remote-wait hazard: counted and traced on B, never
-        // asserted. B's op holds its result back until the count shows, so
-        // the worker's wait is certain to find the handle unresolved.
-        let rt_b = Runtime::new(TmConfig::stm());
-        let rt_seen = rt_b.clone();
-        let (b_handle, committer) = pending_handle(&rt_b, 11, move || {
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            while rt_seen.stats().defer_remote_wait_hazards == 0
-                && std::time::Instant::now() < deadline
-            {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        });
-
-        let pool = ad_support::pool::Pool::new(1, 1);
-        let (got_tx, got_rx) = std::sync::mpsc::channel();
-        let (rt_b2, mut job) = (rt_b.clone(), Some(b_handle.clone()));
-        pool.accept_loop(
-            move || job.take(),
-            move |bh: DeferHandle<u64>| {
-                got_tx.send(bh.wait(&rt_b2)).unwrap();
-            },
-        );
-        assert_eq!(got_rx.recv_timeout(Duration::from_secs(20)).unwrap(), 11);
-        committer.join().unwrap();
-        assert_eq!(rt_b.stats().defer_remote_wait_hazards, 1);
-        // A submitter-thread wait never counts as a remote hazard.
-        assert_eq!(b_handle.wait(&rt_b), 11);
-        assert_eq!(rt_b.stats().defer_remote_wait_hazards, 1);
     }
 
     #[test]

@@ -70,6 +70,6 @@ mod verify;
 pub use condvar::TxCondvar;
 pub use defer::{atomic_defer, atomic_defer_unordered};
 pub use deferrable::{Defer, Deferrable, LockedRef};
-pub use handle::{atomic_defer_tracked, atomic_defer_with_result, DeferHandle};
+pub use handle::{atomic_defer_with_result, DeferHandle};
 pub use owner::OwnerId;
 pub use txlock::{TxLock, LOCK_RELEASE};

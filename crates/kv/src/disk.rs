@@ -258,9 +258,9 @@ fn past_end(off: u64, len: u64) -> io::Error {
 /// One durability-relevant operation on a [`MemDisk`], journaled so
 /// tests can rebuild the disk as of any prefix — byte-exact crash
 /// images across checkpoint boundaries. Metadata operations (create,
-/// rename, delete) are treated as atomic and durable because the
-/// protocols fsync the directory after each one. `Write` is data at
-/// `off` (an append writes at the file's end); `Zeros` is a
+/// rename, delete, truncate) are treated as atomic and durable because
+/// the protocols fsync the directory or the file after each one. `Write`
+/// is data at `off` (an append writes at the file's end); `Zeros` is a
 /// [`DiskFile::zero_extend`] of `len` bytes.
 #[derive(Debug, Clone)]
 enum DiskEvent {
@@ -275,6 +275,10 @@ enum DiskEvent {
     },
     Sync {
         file: String,
+    },
+    Truncate {
+        file: String,
+        len: usize,
     },
     Create {
         file: String,
@@ -323,6 +327,9 @@ enum Gate {
 
 #[derive(Default)]
 struct MemDiskInner {
+    /// The files the disk started with — an image's, or
+    /// [`MemDisk::with_file`]'s: what the journal replays onto.
+    base: BTreeMap<String, MemFile>,
     files: BTreeMap<String, MemFile>,
     journal: Vec<DiskEvent>,
     /// `stamps[i]`: when `journal[i]` happened, on a clock shared by every
@@ -362,6 +369,14 @@ impl MemDiskInner {
                 if let Some(f) = self.files.get_mut(file) {
                     f.synced_len = f.data_len;
                     f.synced_size = f.written.len();
+                }
+            }
+            DiskEvent::Truncate { file, len } => {
+                if let Some(f) = self.files.get_mut(file) {
+                    f.written.truncate(*len);
+                    f.data_len = f.data_len.min(*len);
+                    f.synced_len = f.synced_len.min(*len);
+                    f.synced_size = f.synced_size.min(*len);
                 }
             }
             DiskEvent::Rename { from, to } => {
@@ -427,14 +442,23 @@ impl MemDisk {
     /// them data — the starting point for hand-built or hand-corrupted
     /// recovery images.
     pub fn with_file(name: &str, bytes: &[u8]) -> Self {
-        let disk = Self::new();
         let file = MemFile {
             written: bytes.to_vec(),
             data_len: bytes.len(),
             synced_len: bytes.len(),
             synced_size: bytes.len(),
         };
-        disk.inner.state.lock().files.insert(name.to_string(), file);
+        Self::starting_with(BTreeMap::from([(name.to_string(), file)]))
+    }
+
+    /// A disk whose files are `files` and whose journal is empty.
+    fn starting_with(files: BTreeMap<String, MemFile>) -> Self {
+        let disk = Self::new();
+        {
+            let mut g = disk.inner.state.lock();
+            g.base = files.clone();
+            g.files = files;
+        }
         disk
     }
 
@@ -505,25 +529,32 @@ impl MemDisk {
     /// (the pessimistic image: unsynced writes never reached the platter);
     /// otherwise unsynced bytes survive (the optimistic image). Metadata
     /// operations are always durable — the protocols fsync the directory
-    /// after each. The journal covers operations since this disk was
-    /// created empty: recovery's torn-tail truncation is not journaled,
-    /// so take images of the disk a history ran on, not of an image.
+    /// after each. The journal replays onto the files the disk started
+    /// with, so an image of an image — one recovery has cut since — is
+    /// rebuilt as exactly as an image of the disk a history ran on.
     pub fn crash_image(&self, events: usize, partial_bytes: usize, synced_only: bool) -> MemDisk {
-        let journal = self.inner.state.lock().journal.clone();
-        let img = Self::new();
-        {
-            let mut g = img.inner.state.lock();
-            for ev in journal.iter().take(events) {
-                g.apply(ev, None);
-            }
-            if let Some(ev @ DiskEvent::Write { .. }) = journal.get(events) {
-                g.apply(ev, Some(partial_bytes));
-            }
-            if synced_only {
-                g.files.values_mut().for_each(MemFile::drop_unsynced);
-            }
+        let g = self.inner.state.lock();
+        let mut img = MemDiskInner {
+            files: g.base.clone(),
+            ..MemDiskInner::default()
+        };
+        for ev in g.journal.iter().take(events) {
+            img.apply(ev, None);
         }
-        img
+        if let Some(ev @ DiskEvent::Write { .. }) = g.journal.get(events) {
+            img.apply(ev, Some(partial_bytes));
+        }
+        drop(g);
+        // What survived the crash is on the medium: all of it is durable,
+        // and it is what the image's own journal replays onto.
+        for f in img.files.values_mut() {
+            if synced_only {
+                f.drop_unsynced();
+            }
+            f.synced_len = f.data_len;
+            f.synced_size = f.written.len();
+        }
+        Self::starting_with(img.files)
     }
 
     /// Hold all snapshot publishes: a checkpoint reaching its publish
@@ -676,12 +707,13 @@ impl Disk for MemDisk {
 
     fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
         let mut g = self.inner.state.lock();
-        let f = g.files.get_mut(name).ok_or_else(|| not_found(name))?;
-        let len = len as usize;
-        f.written.truncate(len);
-        f.data_len = f.data_len.min(len);
-        f.synced_len = f.synced_len.min(len);
-        f.synced_size = f.synced_size.min(len);
+        if !g.files.contains_key(name) {
+            return Err(not_found(name));
+        }
+        g.record(DiskEvent::Truncate {
+            file: name.to_string(),
+            len: len as usize,
+        });
         Ok(())
     }
 
@@ -782,5 +814,41 @@ mod tests {
         assert_eq!(torn.written(WAL_BASE), b"rec1re");
         assert_eq!(mem.event_append_len(synced), Some(4));
         assert_eq!(mem.event_append_len(synced + 1), None, "a fill is not data");
+    }
+
+    #[test]
+    fn an_image_of_an_image_replays_onto_the_image_as_taken() {
+        use crate::{KvConfig, KvStore, SyncPolicy};
+        let files = |d: &MemDisk| format!("{:?}", d.inner.state.lock().files);
+        let open = |d: &MemDisk| {
+            KvStore::open_on_disk(&KvConfig::default(), SyncPolicy::GroupCommit, d.clone()).0
+        };
+        let mem = MemDisk::new();
+        let store = open(&mem);
+        store.put("a", b"1");
+        let before_b = mem.journal_len();
+        store.put("b", b"2");
+        drop(store);
+
+        // Torn half-way through the second record.
+        let ev = (before_b..mem.journal_len())
+            .find(|&i| mem.event_append_len(i).is_some())
+            .expect("the second put writes a record");
+        let image = mem.crash_image(ev, mem.event_append_len(ev).unwrap() / 2, false);
+        let taken = files(&image);
+        let store = open(&image);
+        assert_ne!(files(&image), taken, "recovery cut the torn tail");
+        store.put("c", b"3");
+        drop(store);
+
+        for synced_only in [false, true] {
+            assert_eq!(files(&image.crash_image(0, 0, synced_only)), taken);
+        }
+        let now = image.crash_image(image.journal_len(), 0, false);
+        assert_eq!(files(&now), files(&image));
+        let reopened = open(&now);
+        assert_eq!(reopened.get("a").as_deref(), Some(&b"1"[..]));
+        assert_eq!(reopened.get("b"), None);
+        assert_eq!(reopened.get("c").as_deref(), Some(&b"3"[..]));
     }
 }

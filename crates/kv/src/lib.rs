@@ -83,7 +83,3 @@ pub use disk::{Disk, DiskFile, FileDisk, MemDisk};
 pub use recover::{RecoveryReport, RedoKind, RedoOps, RedoRecord, ScanEnd, SnapshotSource};
 pub use store::{CommitStep, Durability, KvConfig, KvStore, Rider, WriteBatch};
 pub use wal::{SyncPolicy, Wal, WalStats, WAL_APPEND, WAL_FSYNC};
-
-// Re-exported so connection-facing callers (`ad-net`) can name the handle
-// `commit` returns without depending on `ad-defer`.
-pub use ad_defer::DeferHandle;

@@ -69,7 +69,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ad_defer::{atomic_defer, atomic_defer_tracked, Defer, DeferHandle, Deferrable};
+use ad_defer::{atomic_defer, Defer, Deferrable};
 use ad_stm::{Runtime, StmResult, TVar, TmConfig, Tx};
 use ad_support::hash::{fnv1a64, mix64};
 use ad_support::sync::atomic::{AtomicU64, Ordering};
@@ -676,7 +676,7 @@ impl KvStore {
     /// from commit to durability, so no transaction ever observes an
     /// acked-but-volatile (or partially applied) batch.
     pub fn write_batch(&self, batch: &WriteBatch) {
-        self.run_commit(batch, &[CommitStep::Log(RedoKind::Local)], false);
+        self.commit(batch, &[CommitStep::Log(RedoKind::Local)]);
     }
 
     /// **The** commit pipeline — every mutation of the store is a call of
@@ -691,22 +691,13 @@ impl KvStore {
     /// step has run — it returns only values of transactions whose commit
     /// has completed, log records included.
     ///
-    /// Returns a handle tracking the deferred operation, or `None` when
-    /// nothing was deferred: an empty batch touches no shard and runs no
-    /// step, and on a volatile store a plan of only [`CommitStep::Log`]
-    /// steps has nothing to do after the commit.
-    pub fn commit(&self, batch: &WriteBatch, steps: &[CommitStep]) -> Option<DeferHandle<()>> {
-        self.run_commit(batch, steps, true)
-    }
-
-    fn run_commit(
-        &self,
-        batch: &WriteBatch,
-        steps: &[CommitStep],
-        tracked: bool,
-    ) -> Option<DeferHandle<()>> {
+    /// The steps run on the calling thread before `commit` returns, so
+    /// there is nothing left to wait for. An empty batch touches no shard
+    /// and runs no step; on a volatile store a plan of only
+    /// [`CommitStep::Log`] steps defers nothing.
+    pub fn commit(&self, batch: &WriteBatch, steps: &[CommitStep]) {
         if batch.ops.is_empty() {
-            return None;
+            return;
         }
         let txid = self.next_txid.fetch_add(1, Ordering::Relaxed);
         let placed = self.place(&batch.ops);
@@ -743,19 +734,12 @@ impl KvStore {
             // the TxLocks, but must precede data writes: if the contention
             // manager escalates this transaction to irrevocable, blocking
             // lock acquisition after an eager write would be fatal).
-            let mut handle = None;
             if let Some((plan, locks)) = &deferred {
                 let refs: Vec<&dyn Deferrable> =
                     locks.iter().map(|s| s as &dyn Deferrable).collect();
-                let op = run_steps(Arc::clone(&self.rt), Arc::clone(plan));
-                if tracked {
-                    handle = Some(atomic_defer_tracked(tx, &refs, op)?);
-                } else {
-                    atomic_defer(tx, &refs, op)?;
-                }
+                atomic_defer(tx, &refs, run_steps(Arc::clone(&self.rt), Arc::clone(plan)))?;
             }
-            self.apply_batch(tx, &placed)?;
-            Ok(handle)
+            self.apply_batch(tx, &placed)
         })
     }
 
@@ -1141,21 +1125,17 @@ mod tests {
     }
 
     #[test]
-    fn commit_handles_resolve_at_return_and_stats_json_is_balanced() {
+    fn commit_is_durable_at_return_and_stats_json_is_balanced() {
         let mem = MemDisk::new();
         let (store, _) = open_mem(&mem);
         let log = [CommitStep::Log(RedoKind::Local)];
         // The committing thread runs its own deferred fsync, so the
-        // handle is complete by the time `commit` returns.
-        let h = store
-            .commit(&WriteBatch::new().put("k", b"v"), &log)
-            .expect("durable put yields a handle");
-        assert!(h.is_done());
-        assert!(!mem.synced(WAL_BASE).is_empty());
-        let h = store
-            .commit(&WriteBatch::new().delete("k"), &log)
-            .expect("durable delete yields a handle");
-        assert!(h.is_done());
+        // record is durable by the time `commit` returns.
+        store.commit(&WriteBatch::new().put("k", b"v"), &log);
+        let synced = mem.synced(WAL_BASE);
+        assert!(!synced.is_empty());
+        store.commit(&WriteBatch::new().delete("k"), &log);
+        assert!(mem.synced(WAL_BASE).len() > synced.len());
         assert!(store.is_empty());
 
         let j = store.stats_json();
@@ -1171,9 +1151,8 @@ mod tests {
         assert_eq!(j.matches('{').count(), j.matches('}').count());
 
         let volatile = KvStore::open(KvConfig::volatile()).unwrap();
-        assert!(volatile
-            .commit(&WriteBatch::new().put("k", b"v"), &log)
-            .is_none());
+        volatile.commit(&WriteBatch::new().put("k", b"v"), &log);
+        assert_eq!(volatile.get("k").as_deref(), Some(&b"v"[..]));
         assert!(volatile.stats_json().contains("\"wal\":null"));
         volatile.sync(); // no log to flush: a no-op
     }

@@ -367,11 +367,11 @@ mod tests {
     }
 
     #[test]
-    fn tracked_defer_threshold_is_two_commas() {
+    fn with_result_defer_threshold_is_two_commas() {
         let src = "
             fn f(o: Defer<Obj>) {
                 atomically(|tx| {
-                    atomic_defer_tracked(tx, &[&o.clone()], move || {
+                    atomic_defer_with_result(tx, &[&o.clone()], move || {
                         tx.commit();
                     })
                 });

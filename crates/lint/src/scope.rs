@@ -510,10 +510,7 @@ impl Analyzer<'_> {
                     recv_tx_name.as_deref(),
                 );
             }
-            "atomic_defer"
-            | "atomic_defer_with_result"
-            | "atomic_defer_tracked"
-            | "atomic_defer_unordered" => {
+            "atomic_defer" | "atomic_defer_with_result" | "atomic_defer_unordered" => {
                 if let Some(r) = self.regions.last() {
                     if r.kind != RegionKind::DeferOp {
                         if let Some(w) = r.write_line {

@@ -8,8 +8,8 @@
 //! Flags:
 //!
 //! * `--addr HOST:PORT` — bind address (default `127.0.0.1:4790`).
-//! * `--workers N` — connection-handler workers, i.e. the maximum number
-//!   of concurrent connections (default 4).
+//! * `--workers N` — the maximum number of concurrent connections, each
+//!   served on its own thread (default 4).
 //! * `--wal PATH` — write-ahead log file; without it the store is
 //!   volatile (no durability, mutating requests ack immediately). With
 //!   it the store checkpoints itself every 8 MiB of log, so neither the
@@ -68,18 +68,11 @@ fn main() {
         store.runtime().set_tracing(true);
     }
 
-    let server = Server::start(
-        store,
-        addr.as_str(),
-        ServerConfig {
-            workers,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("binding {addr}: {e}");
-        std::process::exit(1);
-    });
+    let server =
+        Server::start(store, addr.as_str(), ServerConfig { workers }).unwrap_or_else(|e| {
+            eprintln!("binding {addr}: {e}");
+            std::process::exit(1);
+        });
     println!(
         "ad-kv-server listening on {} ({workers} workers, {mode})",
         server.local_addr(),

@@ -3,7 +3,7 @@
 //! One request in flight at a time (the protocol allows pipelining via
 //! `req_id`; this client doesn't use it — `benchmark/`'s net workloads get
 //! their concurrency from connection count instead, which also matches how the
-//! server allocates one worker per connection). Every method maps a
+//! server runs one thread per connection). Every method maps a
 //! protocol error onto `io::ErrorKind::InvalidData` so callers can treat
 //! "broken peer" and "broken pipe" uniformly.
 

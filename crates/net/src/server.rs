@@ -1,19 +1,19 @@
-//! The `ad-kv` network server: a pool-driven accept loop whose connection
+//! The `ad-kv` network server: one thread per connection, whose
 //! handlers turn wire requests into store transactions — and whose acks
 //! for mutating requests are written **only after the request's deferred
 //! durability work resolved**.
 //!
 //! ## Threading model
 //!
-//! One dedicated accept thread drives [`ad_support::pool::Pool::accept_loop`]
-//! over a `TcpListener`; each accepted connection becomes a pool job that
-//! owns the socket until the client disconnects (thread-per-connection,
-//! bounded by the worker count). Backpressure composes from two layers:
+//! One dedicated accept thread takes connections off a `TcpListener` and
+//! runs each on a thread of its own that owns the socket until the
+//! client disconnects. Backpressure composes from two layers:
 //!
-//! * **Connection admission** — the accept loop's blocking submit: when
-//!   every worker is busy and the queue is full, new connections wait in
-//!   the kernel backlog instead of accumulating server-side state
-//!   (DESIGN.md §12.3).
+//! * **Connection admission** — at most [`ServerConfig::workers`]
+//!   connections are served at once. The accept thread waits for a free
+//!   slot *before* it calls `accept`, so excess connections wait in the
+//!   kernel backlog instead of accumulating server-side state (DESIGN.md
+//!   §12.3). A handler frees its slot when it returns or panics.
 //! * **Durability under load** — a mutating request's deferred WAL append
 //!   runs on the handler thread that committed it (DESIGN.md §10), so a
 //!   slow or saturated log slows down exactly the connection that
@@ -40,8 +40,8 @@ use std::time::Duration;
 
 use ad_kv::{KvStore, WriteBatch};
 use ad_stm::AppEvent;
-use ad_support::pool::Pool;
 use ad_support::sync::atomic::{AtomicBool, Ordering};
+use ad_support::sync::{Condvar, Mutex};
 use ad_support::tsc;
 
 use crate::frame::{Decoder, Frame, VERSION};
@@ -65,20 +65,15 @@ pub static ACK_AFTER_DURABLE: AppEvent = AppEvent::new("ack_after_durable", "req
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Connection-handler workers (= maximum concurrent connections).
+    /// Maximum concurrent connections, each served on its own thread
+    /// (clamped to at least 1). Further connections wait in the kernel
+    /// backlog until one closes.
     pub workers: usize,
-    /// Accepted-but-unhandled connections the pool queue may hold before
-    /// the accept loop itself blocks (kernel backlog takes over from
-    /// there).
-    pub queue_cap: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        ServerConfig {
-            workers: 4,
-            queue_cap: 64,
-        }
+        ServerConfig { workers: 4 }
     }
 }
 
@@ -89,9 +84,24 @@ struct Inner {
     stats: Arc<NetStats>,
     shutdown: AtomicBool,
     addr: SocketAddr,
+    /// Connections being served; the accept thread waits on `freed`
+    /// while it is at the cap.
+    busy: Mutex<usize>,
+    freed: Condvar,
 }
 
-/// A running `ad-kv` server. Dropping it stops accepting, lets in-flight
+/// A served connection's slot: dropping it — the handler returned or
+/// panicked — frees the slot and wakes the accept thread.
+struct Slot(Arc<Inner>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        *self.0.busy.lock() -= 1;
+        self.0.freed.notify_one();
+    }
+}
+
+/// A running `ad-kv` server. Dropping it stops accepting, lets open
 /// connections wind down (handlers notice shutdown within one read tick,
 /// 250 ms), and joins every thread.
 pub struct Server {
@@ -101,7 +111,7 @@ pub struct Server {
 
 impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
-    /// serving `store` with `config.workers` connection handlers.
+    /// serving `store`, at most `config.workers` connections at a time.
     pub fn start(
         store: Arc<KvStore>,
         addr: impl ToSocketAddrs,
@@ -114,34 +124,15 @@ impl Server {
             stats: Arc::new(NetStats::default()),
             shutdown: AtomicBool::new(false),
             addr: listener.local_addr()?,
+            busy: Mutex::new(0),
+            freed: Condvar::new(),
         });
         let accept = {
             let inner = Arc::clone(&inner);
+            let cap = config.workers.max(1);
             std::thread::Builder::new()
                 .name("ad-net-accept".into())
-                .spawn(move || {
-                    // The pool lives on the accept thread: when the loop
-                    // ends (shutdown), dropping it joins the handlers.
-                    let pool = Pool::new(config.workers, config.queue_cap.max(1));
-                    let next_inner = Arc::clone(&inner);
-                    pool.accept_loop(
-                        move || loop {
-                            if next_inner.shutdown.load(Ordering::Relaxed) {
-                                return None;
-                            }
-                            match listener.accept() {
-                                Ok((stream, _)) => {
-                                    next_inner.stats.on_accept();
-                                    return Some(stream);
-                                }
-                                // Transient accept errors (EMFILE, aborted
-                                // handshake) should not kill the server.
-                                Err(_) => continue,
-                            }
-                        },
-                        move |stream| handle_connection(stream, &inner),
-                    );
-                })?
+                .spawn(move || accept_loop(&listener, &inner, cap))?
         };
         Ok(Server {
             inner,
@@ -173,6 +164,52 @@ impl Drop for Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
+    }
+}
+
+/// The accept thread: take a slot, then a connection, and serve it on a
+/// thread of its own; on shutdown, join every handler.
+fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>, cap: usize) {
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    loop {
+        {
+            let mut busy = inner.busy.lock();
+            while *busy >= cap {
+                inner.freed.wait(&mut busy);
+            }
+            *busy += 1;
+        }
+        let slot = Slot(Arc::clone(inner));
+        let stream = loop {
+            if inner.shutdown.load(Ordering::Relaxed) {
+                break None;
+            }
+            // Transient accept errors (EMFILE, aborted handshake) should
+            // not kill the server.
+            if let Ok((stream, _)) = listener.accept() {
+                break Some(stream);
+            }
+        };
+        // A stream accepted after shutdown is `Drop`'s wake-up connection.
+        let Some(stream) = stream.filter(|_| !inner.shutdown.load(Ordering::Relaxed)) else {
+            break;
+        };
+        inner.stats.on_accept();
+        // A finished handler's result is dropped unread, as the joins
+        // below drop theirs: its slot is already free, and a panic in it
+        // was printed by the panic hook and ended only that connection.
+        handlers.retain(|h| !h.is_finished());
+        // A refused spawn drops the closure, and with it the stream and
+        // the slot: that client sees its connection close.
+        let spawned = std::thread::Builder::new()
+            .name("ad-net-conn".into())
+            .spawn(move || handle_connection(stream, &slot.0));
+        if let Ok(handle) = spawned {
+            handlers.push(handle);
+        }
+    }
+    for h in handlers {
+        let _ = h.join();
     }
 }
 

@@ -305,6 +305,54 @@ fn killed_connection_after_full_batch_releases_locks() {
     assert!(!medium.synced("wal").is_empty());
 }
 
+/// `workers` caps the connections served at once: with one worker, a
+/// second client waits in the kernel backlog, unanswered, until the first
+/// disconnects. Dropping the server with a connection still open returns
+/// once its handler notices the shutdown, within a few read ticks.
+#[test]
+fn a_connection_beyond_the_worker_cap_is_served_once_one_closes() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    let store = Arc::new(KvStore::open(KvConfig::volatile()).unwrap());
+    let server = Server::start(store, "127.0.0.1:0", ServerConfig { workers: 1 }).unwrap();
+    let addr = server.local_addr();
+
+    let mut first = Client::connect(addr).unwrap();
+    first.put("k", b"v").unwrap();
+
+    let (tx, rx) = mpsc::channel();
+    let second = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        let got = c.get("k").unwrap();
+        tx.send((got, c)).unwrap();
+    });
+    assert_eq!(
+        rx.recv_timeout(Duration::from_millis(500)).err(),
+        Some(mpsc::RecvTimeoutError::Timeout),
+        "the second connection was served while the first held the only worker"
+    );
+    assert_eq!(server.stats().net_accepts, 1);
+
+    drop(first);
+    let (got, open) = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the second connection is served once the first closes");
+    assert_eq!(got.as_deref(), Some(&b"v"[..]));
+    second.join().unwrap();
+    assert_eq!(server.stats().net_accepts, 2);
+
+    // `open` is still connected: its handler sits in a 250 ms read tick.
+    let t0 = Instant::now();
+    drop(server);
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "dropping the server took {:?}",
+        t0.elapsed()
+    );
+    drop(open);
+}
+
 /// Unknown opcode: answered with `ERR_UNKNOWN_OPCODE` (status error, not
 /// a structural one) and the connection stays usable.
 #[test]

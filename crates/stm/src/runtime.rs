@@ -499,43 +499,6 @@ impl Runtime {
         }
     }
 
-    /// Would blocking on this runtime's deferred work from the calling
-    /// thread tie up a worker of an `ad_support::pool` (ad-net's connection
-    /// workers)? That is the cross-runtime wait hazard of DESIGN.md §14: a
-    /// worker blocking on another runtime's `DeferHandle` occupies a thread
-    /// its own pool may be waiting on, and with symmetric traffic the pools
-    /// can starve each other. It is not necessarily a deadlock (ad-shard's
-    /// ascending-shard prepare order bounds it), so it is reported, not
-    /// asserted.
-    pub fn defer_wait_is_remote_from_worker(&self) -> bool {
-        #[cfg(not(loom))]
-        {
-            ad_support::pool::Pool::current_thread_is_any_worker()
-        }
-        #[cfg(loom)]
-        false
-    }
-
-    /// Record a detected cross-runtime wait hazard (see
-    /// [`Runtime::defer_wait_is_remote_from_worker`]): bump the
-    /// `defer_remote_wait_hazards` counter and emit a
-    /// `DeferRemoteWaitHazard` trace event carrying this (the waited-on)
-    /// runtime's id. No `debug_assert!`: a bounded remote wait is legal
-    /// (it is exactly how ad-shard's coordinator blocks for participant
-    /// acks); the counter and event exist so an embedding can audit where
-    /// its pools block on each other. Returns whether the hazard was
-    /// present.
-    pub fn check_defer_remote_wait(&self) -> bool {
-        if !self.defer_wait_is_remote_from_worker() {
-            return false;
-        }
-        self.stats_ref().on_defer_remote_wait_hazard();
-        if self.inner.sink.enabled() {
-            self.trace_event(EventKind::DeferRemoteWaitHazard, self.inner.id);
-        }
-        true
-    }
-
     /// Internal identifier (stable for the lifetime of the runtime).
     pub fn id(&self) -> u64 {
         self.inner.id

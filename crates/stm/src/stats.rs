@@ -78,7 +78,6 @@ pub struct Stats {
     hot: [AtomicU64; HOT],
     pub(crate) serializations: AtomicU64,
     pub(crate) serial_commits: AtomicU64,
-    pub(crate) defer_remote_wait_hazards: AtomicU64,
     /// The latency histograms, boxed as one block: keeping `Stats`
     /// counter-sized preserves the cache layout of the fields around it
     /// (embedding the histograms inline measurably slowed uninstrumented
@@ -118,7 +117,6 @@ impl Stats {
     bump! {
         on_serialization => serializations,
         on_serial_commit => serial_commits,
-        on_defer_remote_wait_hazard => defer_remote_wait_hazards,
     }
 
     /// Add a departing thread's counts to the runtime's own.
@@ -167,7 +165,7 @@ impl Stats {
             quiesce_waits: q.count(),
             quiesce_ns: q.sum(),
             deferred_ops: hot(Hot::DeferredOps),
-            defer_remote_wait_hazards: self.defer_remote_wait_hazards.load(Ordering::Relaxed),
+            defer_remote_wait_hazards: 0,
             validation_extends: hot(Hot::ValidationExtends),
         }
     }
@@ -186,11 +184,11 @@ impl Stats {
     /// Zero the runtime's own counters and histograms (between benchmark
     /// phases; `Runtime::reset_stats` also resets every live thread's).
     pub fn reset(&self) {
-        for c in self.hot.iter().chain([
-            &self.serializations,
-            &self.serial_commits,
-            &self.defer_remote_wait_hazards,
-        ]) {
+        for c in self
+            .hot
+            .iter()
+            .chain([&self.serializations, &self.serial_commits])
+        {
             c.store(0, Ordering::Relaxed);
         }
         self.hists.commit.reset();
@@ -226,14 +224,9 @@ pub struct StatsSnapshot {
     pub quiesce_ns: u64,
     /// Post-commit deferred operations executed.
     pub deferred_ops: u64,
-    /// Times a `DeferHandle::wait`/`wait_all` on this runtime's deferred
-    /// work was entered from an `ad_support::pool` worker thread — the
-    /// cross-runtime wait hazard of DESIGN.md §14: the wait ties up a
-    /// thread the other runtime may itself be waiting on. Not necessarily
-    /// a bug (ad-shard's coordinator legally blocks for participant acks
-    /// this way, bounded by its ascending-shard prepare order), but a
-    /// nonzero value is where to look when two runtimes' pools starve
-    /// each other.
+    /// Retired: always 0. Kept only because `benchmark/` still reads it
+    /// (`shard.remote_wait_hazards`); no code path counts anything here,
+    /// and it is in neither the JSON nor the `Display` form.
     pub defer_remote_wait_hazards: u64,
     /// Successful snapshot extensions (a read witnessed a version above
     /// `rv` and the whole read set revalidated at a fresher timestamp).
@@ -278,8 +271,7 @@ impl StatsSnapshot {
             quiesce_waits: self.quiesce_waits - earlier.quiesce_waits,
             quiesce_ns: self.quiesce_ns - earlier.quiesce_ns,
             deferred_ops: self.deferred_ops - earlier.deferred_ops,
-            defer_remote_wait_hazards: self.defer_remote_wait_hazards
-                - earlier.defer_remote_wait_hazards,
+            defer_remote_wait_hazards: 0,
             validation_extends: self.validation_extends - earlier.validation_extends,
         }
     }
@@ -292,7 +284,6 @@ impl StatsSnapshot {
              \"aborts_conflict\":{},\"aborts_capacity\":{},\
              \"aborts_unsupported\":{},\"retries\":{},\"serializations\":{},\
              \"quiesce_waits\":{},\"quiesce_ns\":{},\"deferred_ops\":{},\
-             \"defer_remote_wait_hazards\":{},\
              \"validation_extends\":{}}}",
             self.starts,
             self.commits,
@@ -305,7 +296,6 @@ impl StatsSnapshot {
             self.quiesce_waits,
             self.quiesce_ns,
             self.deferred_ops,
-            self.defer_remote_wait_hazards,
             self.validation_extends,
         )
     }
@@ -320,8 +310,7 @@ impl fmt::Display for StatsSnapshot {
             f,
             "counters[commits={} serial_commits={} aborts={} (aborts_conflict={} \
              aborts_capacity={} aborts_unsupported={}) retries={} serializations={} \
-             quiesce_waits={} deferred_ops={} defer_remote_wait_hazards={} \
-             validation_extends={}] \
+             quiesce_waits={} deferred_ops={} validation_extends={}] \
              durations[quiesce_ns={} ({:.1}ms)]",
             self.total_commits(),
             self.serial_commits,
@@ -333,7 +322,6 @@ impl fmt::Display for StatsSnapshot {
             self.serializations,
             self.quiesce_waits,
             self.deferred_ops,
-            self.defer_remote_wait_hazards,
             self.validation_extends,
             self.quiesce_ns,
             self.quiesce_ns as f64 / 1e6,
@@ -411,7 +399,6 @@ impl StatsReport {
         c.quiesce_waits += o.quiesce_waits;
         c.quiesce_ns += o.quiesce_ns;
         c.deferred_ops += o.deferred_ops;
-        c.defer_remote_wait_hazards += o.defer_remote_wait_hazards;
         c.validation_extends += o.validation_extends;
         self.commit_latency_ns.merge(&other.commit_latency_ns);
         self.quiesce_wait_ns.merge(&other.quiesce_wait_ns);
@@ -514,7 +501,6 @@ mod tests {
         s.on_unsupported();
         s.on_quiesce(500);
         s.on_commit_latency(700);
-        s.on_defer_remote_wait_hazard();
         s.on_defer_latency(900);
         s.reset();
         assert_eq!(s.snapshot(), StatsSnapshot::default());
@@ -583,7 +569,6 @@ mod tests {
             "\"quiesce_wait_ns\"",
             "\"retry_backoff_ns\"",
             "\"defer_queue_to_done_ns\"",
-            "\"defer_remote_wait_hazards\":0",
             "\"validation_extends\":0",
         ] {
             assert!(j.contains(key), "missing {key} in {j}");

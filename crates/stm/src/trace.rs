@@ -224,16 +224,6 @@ core_events! {
     /// A snapshot extension succeeded: the whole read set revalidated at a
     /// fresher timestamp; `arg` = the new read version.
     ValidationExtend = 18, "validation_extend";
-    /// A `DeferHandle::wait`/`wait_all` on this runtime's deferred work was
-    /// entered on an `ad_support::pool` worker thread (DESIGN.md §14): a
-    /// worker blocking on another runtime's handle ties up a thread that
-    /// runtime may itself be waiting on, and with symmetric traffic two
-    /// pools can starve each other. `arg` = the waited-on runtime's id.
-    /// Emitted (with the `defer_remote_wait_hazards` counter bump) just
-    /// before the wait blocks. It does not `debug_assert!`, because
-    /// ad-shard's ascending-shard prepare order makes a bounded remote wait
-    /// legal — the event is for audit, not prohibition.
-    DeferRemoteWaitHazard = 24, "defer_remote_wait_hazard";
 }
 
 impl EventKind {
@@ -319,7 +309,6 @@ impl fmt::Display for TraceEvent {
             EventKind::QuiesceExit | EventKind::Backoff => {
                 write!(f, " waited={:.1}us", self.arg as f64 / 1e3)
             }
-            EventKind::DeferRemoteWaitHazard => write!(f, " remote_runtime={}", self.arg),
             EventKind::App(event) => write!(f, " {}={}", event.arg_label, self.arg),
             _ => write!(f, " arg={}", self.arg),
         }
@@ -1020,7 +1009,6 @@ mod tests {
             EventKind::LockAcquire,
             EventKind::Backoff,
             EventKind::ValidationExtend,
-            EventKind::DeferRemoteWaitHazard,
             EventKind::App(&TEST_APPEND),
         ] {
             let code = k.code();

@@ -28,9 +28,6 @@
 //! * [`model`] — a vendored loom-style concurrency model checker (token
 //!   scheduler, instrumented primitives, poison registry) backing the
 //!   `--cfg loom` face of [`sync`] and the `verify` model suites.
-//! * [`pool`] — a bounded-queue worker pool (blocking submit, panic
-//!   isolation), the `ad-net` server's connection executor. Not built
-//!   under `--cfg loom`: it spawns real OS threads.
 //! * [`tsc`] — a coarse, cheap monotonic nanosecond source (calibrated
 //!   x86 `rdtsc` with an `Instant` fallback) for hot-path trace
 //!   timestamps (a `quanta`-style stand-in).
@@ -57,8 +54,6 @@ pub mod crit;
 pub mod hash;
 pub mod hist;
 pub mod model;
-#[cfg(not(loom))]
-pub mod pool;
 pub mod prng;
 pub mod sync;
 pub mod tsc;

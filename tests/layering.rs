@@ -139,10 +139,11 @@ fn moved_events_rendering_is_pinned_to_the_parent() {
 }
 
 /// `ad-stm` and `ad-support` sit below every client; neither may regain a
-/// client layer's identifier or a retired policy arm.
+/// client layer's identifier, a retired policy arm or a check on whose
+/// thread a caller runs (`RemoteWaitHazard`).
 #[test]
 fn bottom_crates_name_no_client_layer() {
-    const BANNED: [&str; 11] = [
+    const BANNED: [&str; 12] = [
         "Wal",
         "Ckpt",
         "NetAck",
@@ -154,6 +155,7 @@ fn bottom_crates_name_no_client_layer() {
         "DeferExecCfg",
         "DeferOffload",
         "DeferSelfWaitHazard",
+        "RemoteWaitHazard",
     ];
     /// Does `line` use `word` as a CamelCase word — `Wal`, `WalAppend`,
     /// but not `Wall` or `Walk`?
