@@ -33,6 +33,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use ad_stm::{StmResult, Tx};
 
+use crate::class::{sample_hold, LockClass, DEFERRABLE_LOCKS};
 use crate::deferrable::Deferrable;
 use crate::txlock::TxLock;
 
@@ -78,16 +79,36 @@ pub fn atomic_defer<F>(tx: &mut Tx, objs: &[&dyn Deferrable], op: F) -> StmResul
 where
     F: FnOnce() + Send + 'static,
 {
+    atomic_defer_as(tx, &DEFERRABLE_LOCKS, objs, op)
+}
+
+/// [`atomic_defer`], holding the locks in `class`: each lock's hold, from
+/// the commit to its release after `op`, is a `txlock_hold_ns` sample of
+/// `class` (for one op in [`HOLD_SAMPLE_EVERY`] per thread), and a
+/// transaction blocked on one of them records its wait in `class` (module
+/// docs of [`crate::class`]).
+///
+/// [`HOLD_SAMPLE_EVERY`]: crate::class::HOLD_SAMPLE_EVERY
+pub fn atomic_defer_as<F>(
+    tx: &mut Tx,
+    class: &'static LockClass,
+    objs: &[&dyn Deferrable],
+    op: F,
+) -> StmResult<()>
+where
+    F: FnOnce() + Send + 'static,
+{
     // Growing phase: acquire every lock inside the transaction, owned by
     // the committing thread, which also runs `op`. A lock held by another
     // owner makes the whole transaction retry — "use transaction to
     // acquire locks without deadlock" (Listing 1).
     let mut locks: Vec<TxLock> = Vec::with_capacity(objs.len());
     for obj in objs {
-        obj.txlock().acquire(tx)?;
+        obj.txlock().acquire_as(tx, class)?;
         locks.push(obj.txlock().clone());
     }
     tx.defer_post_commit(Box::new(move |rt| {
+        let held_since = sample_hold().then(ad_stm::committed_at_ns);
         // A panicking operation must not leak its locks forever — that
         // would wedge every later subscriber. Release first, then let the
         // panic propagate out of `atomically`.
@@ -95,8 +116,15 @@ where
         // Shrinking phase: release this operation's locks. Reentrancy means
         // an object shared with a later deferred operation stays held until
         // that operation's own release.
+        let held = locks.len();
         for lock in locks {
             lock.release_now(rt);
+        }
+        if let Some(since) = held_since {
+            let hold_ns = ad_support::tsc::now_ns().saturating_sub(since);
+            for _ in 0..held {
+                class.hold_hist().record(hold_ns);
+            }
         }
         if let Err(panic) = outcome {
             resume_unwind(panic);

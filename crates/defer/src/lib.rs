@@ -23,6 +23,9 @@
 //!   operation; at commit the locks become visible atomically with the
 //!   transaction's writes, the operation runs, then its locks are released
 //!   (Listing 1). The correctness argument is two-phase locking (§4.1).
+//! * [`LockClass`] — what deferral costs, per kind of holder: each lock's
+//!   hold from commit to release and the time transactions spend blocked
+//!   on it ([`class`]).
 //! * [`io`] — the paper's use cases as library types: deferred logging,
 //!   ordered durable output, and a bounded file-descriptor pool.
 //!
@@ -53,6 +56,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod class;
 mod condvar;
 mod defer;
 mod deferrable;
@@ -67,8 +71,9 @@ mod txlock;
 #[cfg(all(test, loom))]
 mod verify;
 
+pub use class::{txlock_stats_json, LockClass, DEFERRABLE_LOCKS, HOLD_SAMPLE_EVERY};
 pub use condvar::TxCondvar;
-pub use defer::{atomic_defer, atomic_defer_unordered};
+pub use defer::{atomic_defer, atomic_defer_as, atomic_defer_unordered};
 pub use deferrable::{Defer, Deferrable, LockedRef};
 pub use handle::{atomic_defer_with_result, DeferHandle};
 pub use owner::OwnerId;

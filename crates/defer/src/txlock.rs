@@ -26,10 +26,14 @@
 //!
 //! The paper allows either layout — "the owner and depth fields need not
 //! be packed into a single machine word" — and packing makes an
-//! acquisition one read and one write of the word subscribers read.
+//! acquisition one read and one write of the word subscribers read. The
+//! word also carries the holder's [`LockClass`], so a transaction that
+//! blocks on a held lock records its wait in the holder's class
+//! (`txlock_blocked_ns`, [`crate::class`]).
 
 use ad_stm::{AppEvent, EventKind, Runtime, StmResult, TVar, Tx};
 
+use crate::class::{LockClass, DEFERRABLE_LOCKS};
 use crate::owner::OwnerId;
 
 /// Trace event of the shrinking phase: the holder stored its release;
@@ -37,8 +41,9 @@ use crate::owner::OwnerId;
 /// and shows only as that transaction's `commit`.
 pub static LOCK_RELEASE: AppEvent = AppEvent::new("lock_release", "lock");
 
-/// `None` = unheld; `Some((owner, depth))` with `depth >= 1` = held.
-type State = Option<(OwnerId, u32)>;
+/// `None` = unheld; `Some((owner, depth, class))` with `depth >= 1` =
+/// held, in the class its first acquisition named.
+type State = Option<(OwnerId, u32, &'static LockClass)>;
 
 /// A transaction-friendly, reentrant mutex (paper Listing 2). Cloning
 /// produces another handle to the same lock.
@@ -65,6 +70,13 @@ impl TxLock {
     /// * Held by another thread: the transaction blocks via `retry` (the
     ///   paper's `spin(); retry`), re-executing once the owner releases.
     pub fn acquire(&self, tx: &mut Tx) -> StmResult<()> {
+        self.acquire_as(tx, &DEFERRABLE_LOCKS)
+    }
+
+    /// [`acquire`](Self::acquire), holding the lock in `class` — the class
+    /// a transaction blocked on it records its wait in. A reentrant
+    /// acquisition keeps the class of the first.
+    pub fn acquire_as(&self, tx: &mut Tx, class: &'static LockClass) -> StmResult<()> {
         let me = OwnerId::me();
         match tx.read(&self.state)? {
             None => {
@@ -72,10 +84,10 @@ impl TxLock {
                 // *buffered* acquisition; it becomes real at the enclosing
                 // Commit event.
                 tx.trace(EventKind::LockAcquire, self.id());
-                tx.write(&self.state, Some((me, 1)))
+                tx.write(&self.state, Some((me, 1, class)))
             }
-            Some((o, d)) if o == me => tx.write(&self.state, Some((me, d + 1))),
-            Some(_) => tx.retry(),
+            Some((o, d, c)) if o == me => tx.write(&self.state, Some((me, d + 1, c))),
+            Some((_, _, holder)) => tx.retry_timed(holder.blocked_hist()),
         }
     }
 
@@ -90,18 +102,18 @@ impl TxLock {
     pub fn release(&self, tx: &mut Tx) -> StmResult<()> {
         let me = OwnerId::me();
         match tx.read(&self.state)? {
-            Some((o, d)) if o == me => tx.write(&self.state, released(me, d)),
+            Some((o, d, c)) if o == me => tx.write(&self.state, released(me, d, c)),
             other => {
                 // Report what this attempt saw, to diagnose a lock that
                 // seems to have two owners. The depth comes from a second
                 // read of the word, kept as a result: a conflict on it is
                 // printed, not retried.
-                let depth = tx.read(&self.state).map(|s| s.map_or(0, |(_, d)| d));
+                let depth = tx.read(&self.state).map(|s| s.map_or(0, |(_, d, _)| d));
                 panic!(
                     "TxLock::release by {me} but lock is held by {:?}: \
                      releasing a lock you do not hold (lock {}, read version {}, \
                      depth read {depth:?})",
-                    other.map(|(o, _)| o),
+                    other.map(|(o, ..)| o),
                     self.id(),
                     tx.read_version(),
                 )
@@ -120,7 +132,7 @@ impl TxLock {
     pub fn subscribe(&self, tx: &mut Tx) -> StmResult<()> {
         let me = OwnerId::me();
         match tx.read(&self.state)? {
-            Some((o, _)) if o != me => tx.retry(),
+            Some((o, _, holder)) if o != me => tx.retry_timed(holder.blocked_hist()),
             _ => {
                 tx.trace(EventKind::LockSubscribe, self.id());
                 Ok(())
@@ -158,9 +170,9 @@ impl TxLock {
     /// inside a transaction.
     pub fn release_now(&self, rt: &Runtime) {
         if !ad_stm::in_transaction() {
-            if let Some((o, d)) = self.state.load() {
+            if let Some((o, d, c)) = self.state.load() {
                 if o == OwnerId::me() {
-                    return self.store_release(rt, o, d);
+                    return self.store_release(rt, o, d, c);
                 }
             }
         }
@@ -171,15 +183,15 @@ impl TxLock {
     /// wakes `retry` waiters. A subscriber either read the old word (and
     /// waits, or fails validation) or reads the new one with the deferred
     /// operation's effects already published.
-    fn store_release(&self, rt: &Runtime, holder: OwnerId, depth: u32) {
-        self.state.store(released(holder, depth));
+    fn store_release(&self, rt: &Runtime, holder: OwnerId, depth: u32, class: &'static LockClass) {
+        self.state.store(released(holder, depth, class));
         rt.trace_app(&LOCK_RELEASE, self.id());
     }
 
     /// Non-transactional snapshot of the owner (diagnostics; immediately
     /// stale).
     pub fn holder(&self) -> Option<OwnerId> {
-        self.state.load().map(|(o, _)| o)
+        self.state.load().map(|(o, ..)| o)
     }
 
     /// Does the calling thread hold this lock (committed state)?
@@ -189,7 +201,7 @@ impl TxLock {
 
     /// Current reentrancy depth (committed state; diagnostics).
     pub fn depth(&self) -> u32 {
-        self.state.load().map_or(0, |(_, d)| d)
+        self.state.load().map_or(0, |(_, d, _)| d)
     }
 
     /// Run `f` as a lock-based critical section: acquire, run, release.
@@ -211,9 +223,10 @@ impl TxLock {
     }
 }
 
-/// The state after `holder` releases one level of a depth-`depth` hold.
-fn released(holder: OwnerId, depth: u32) -> State {
-    (depth > 1).then(|| (holder, depth - 1))
+/// The state after `holder` releases one level of a depth-`depth` hold in
+/// `class`.
+fn released(holder: OwnerId, depth: u32, class: &'static LockClass) -> State {
+    (depth > 1).then_some((holder, depth - 1, class))
 }
 
 impl Default for TxLock {
@@ -237,8 +250,8 @@ impl TxLock {
     /// with the holder check skipped, so whoever calls it releases the
     /// lock (verify.rs must catch the torn state this exposes).
     pub(crate) fn release_now_skipping_holder_check(&self, rt: &Runtime) {
-        if let Some((o, d)) = self.state.load() {
-            self.store_release(rt, o, d);
+        if let Some((o, d, c)) = self.state.load() {
+            self.store_release(rt, o, d, c);
         }
     }
 }

@@ -69,20 +69,23 @@ pub fn segment_first_seq(name: &str) -> Option<u64> {
 /// An open file written by position — what the WAL keeps for its active
 /// segment, so a group-commit batch costs one `write_at` and one `sync`
 /// with no lookup by name. None of the writes is durable before
-/// [`DiskFile::sync`].
-pub trait DiskFile: Send {
+/// [`DiskFile::sync`]. Every method takes `&self`: the WAL writes under
+/// its segments lock and syncs with no lock held, on a handle it shares
+/// (module docs of [`crate::wal`], "Group commit").
+pub trait DiskFile: Send + Sync {
     /// Write `data` at the end of the file.
-    fn append(&mut self, data: &[u8]) -> io::Result<()>;
+    fn append(&self, data: &[u8]) -> io::Result<()>;
     /// Write `data` at byte `off`, which must not lie past the end of the
     /// file: over what is there, and growing the file where it runs past
     /// the end.
-    fn write_at(&mut self, off: u64, data: &[u8]) -> io::Result<()>;
+    fn write_at(&self, off: u64, data: &[u8]) -> io::Result<()>;
     /// Grow the file by `len` zero bytes, written as data — real blocks,
     /// not a hole — so a later `write_at` into them changes no file size
     /// and its sync commits no metadata.
-    fn zero_extend(&mut self, len: u64) -> io::Result<()>;
-    /// Block until every written byte is durable.
-    fn sync(&mut self) -> io::Result<()>;
+    fn zero_extend(&self, len: u64) -> io::Result<()>;
+    /// Block until every byte written before the call began is durable.
+    /// Writes that land while it runs may or may not be covered.
+    fn sync(&self) -> io::Result<()>;
 }
 
 /// File primitives over one flat directory. Metadata changes (`create`,
@@ -148,36 +151,41 @@ static ZEROS: [u8; PREALLOC_CHUNK] = [0; PREALLOC_CHUNK];
 
 /// An open file and its length. Every write names its offset (`pwrite`);
 /// the fd is never `O_APPEND`, on which Linux `pwrite` ignores the offset
-/// and appends.
+/// and appends. `len` is only read and written by writers, whom the WAL
+/// serializes; a concurrent `sync` does not touch it.
 struct FileHandle {
     file: File,
-    len: u64,
+    len: AtomicU64,
 }
 
 impl DiskFile for FileHandle {
-    fn append(&mut self, data: &[u8]) -> io::Result<()> {
-        self.write_at(self.len, data)
+    fn append(&self, data: &[u8]) -> io::Result<()> {
+        self.write_at(self.len.load(Ordering::Relaxed), data)
     }
 
-    fn write_at(&mut self, off: u64, data: &[u8]) -> io::Result<()> {
-        if off > self.len {
-            return Err(past_end(off, self.len));
+    fn write_at(&self, off: u64, data: &[u8]) -> io::Result<()> {
+        let len = self.len.load(Ordering::Relaxed);
+        if off > len {
+            return Err(past_end(off, len));
         }
         self.file.write_all_at(data, off)?;
-        self.len = self.len.max(off + data.len() as u64);
+        self.len
+            .store(len.max(off + data.len() as u64), Ordering::Relaxed);
         Ok(())
     }
 
-    fn zero_extend(&mut self, len: u64) -> io::Result<()> {
-        let end = self.len + len;
-        while self.len < end {
-            let n = (end - self.len).min(ZEROS.len() as u64) as usize;
-            self.write_at(self.len, &ZEROS[..n])?;
+    fn zero_extend(&self, len: u64) -> io::Result<()> {
+        let mut at = self.len.load(Ordering::Relaxed);
+        let end = at + len;
+        while at < end {
+            let n = (end - at).min(ZEROS.len() as u64) as usize;
+            self.write_at(at, &ZEROS[..n])?;
+            at += n as u64;
         }
         Ok(())
     }
 
-    fn sync(&mut self) -> io::Result<()> {
+    fn sync(&self) -> io::Result<()> {
         self.file.sync_data()
     }
 }
@@ -217,12 +225,15 @@ impl Disk for FileDisk {
             .truncate(true)
             .write(true)
             .open(self.path(name))?;
-        Ok(Box::new(FileHandle { file, len: 0 }))
+        Ok(Box::new(FileHandle {
+            file,
+            len: AtomicU64::new(0),
+        }))
     }
 
     fn open_append(&self, name: &str) -> io::Result<Box<dyn DiskFile>> {
         let file = OpenOptions::new().write(true).open(self.path(name))?;
-        let len = file.metadata()?.len();
+        let len = AtomicU64::new(file.metadata()?.len());
         Ok(Box::new(FileHandle { file, len }))
     }
 
@@ -261,7 +272,9 @@ fn past_end(off: u64, len: u64) -> io::Error {
 /// rename, delete, truncate) are treated as atomic and durable because
 /// the protocols fsync the directory or the file after each one. `Write`
 /// is data at `off` (an append writes at the file's end); `Zeros` is a
-/// [`DiskFile::zero_extend`] of `len` bytes.
+/// [`DiskFile::zero_extend`] of `len` bytes; `Sync` is journaled when the
+/// sync returns and makes durable what was written when it began: the
+/// file's data length and size then.
 #[derive(Debug, Clone)]
 enum DiskEvent {
     Write {
@@ -275,6 +288,8 @@ enum DiskEvent {
     },
     Sync {
         file: String,
+        data_len: usize,
+        size: usize,
     },
     Truncate {
         file: String,
@@ -337,10 +352,11 @@ struct MemDiskInner {
     stamps: Vec<u64>,
     /// Test affordances: while `held[gate]`, operations reaching that gate
     /// block (`waiting[gate]` counts them); every sync first sleeps
-    /// `sync_delay`.
+    /// `sync_delay`; the next `failing_syncs` syncs to begin fail.
     held: [bool; 2],
     waiting: [u64; 2],
     sync_delay: Duration,
+    failing_syncs: u64,
 }
 
 impl MemDiskInner {
@@ -365,10 +381,16 @@ impl MemDiskInner {
                     f.written.resize(f.written.len() + len, 0);
                 }
             }
-            DiskEvent::Sync { file } => {
+            DiskEvent::Sync {
+                file,
+                data_len,
+                size,
+            } => {
+                // Two syncs may overlap and return in either order; what
+                // is durable only grows.
                 if let Some(f) = self.files.get_mut(file) {
-                    f.synced_len = f.data_len;
-                    f.synced_size = f.written.len();
+                    f.synced_len = f.synced_len.max(*data_len);
+                    f.synced_size = f.synced_size.max(*size);
                 }
             }
             DiskEvent::Truncate { file, len } => {
@@ -586,6 +608,19 @@ impl MemDisk {
         self.inner.gate_cv.notify_all();
     }
 
+    /// Syncs now blocked on the gate [`MemDisk::hold_syncs`] closed.
+    pub fn syncs_waiting(&self) -> u64 {
+        self.inner.state.lock().waiting[Gate::Sync as usize]
+    }
+
+    /// Make the next `n` file syncs to begin fail with an I/O error once
+    /// they pass the gate and the delay, having made nothing durable — a
+    /// writeback error, which Linux reports to one `fsync` only: a sync
+    /// that began later and overlaps the failed one may still succeed.
+    pub fn fail_syncs(&self, n: u64) {
+        self.inner.state.lock().failing_syncs += n;
+    }
+
     /// Make every file sync take at least `delay` — a slow platter, so
     /// concurrent appenders pile up behind the group-commit leader.
     pub fn set_sync_delay(&self, delay: Duration) {
@@ -639,11 +674,11 @@ impl MemHandle {
 }
 
 impl DiskFile for MemHandle {
-    fn append(&mut self, data: &[u8]) -> io::Result<()> {
+    fn append(&self, data: &[u8]) -> io::Result<()> {
         self.record(|len| Ok(self.write_event(len, data)))
     }
 
-    fn write_at(&mut self, off: u64, data: &[u8]) -> io::Result<()> {
+    fn write_at(&self, off: u64, data: &[u8]) -> io::Result<()> {
         self.record(|len| {
             if off > len as u64 {
                 return Err(past_end(off, len as u64));
@@ -652,7 +687,7 @@ impl DiskFile for MemHandle {
         })
     }
 
-    fn zero_extend(&mut self, len: u64) -> io::Result<()> {
+    fn zero_extend(&self, len: u64) -> io::Result<()> {
         self.record(|_| {
             Ok(DiskEvent::Zeros {
                 file: self.name.clone(),
@@ -661,11 +696,30 @@ impl DiskFile for MemHandle {
         })
     }
 
-    fn sync(&mut self) -> io::Result<()> {
+    fn sync(&self) -> io::Result<()> {
+        // What the sync covers is fixed when it begins, before the gate
+        // and the delay: a write that lands meanwhile is not in it.
+        let (data_len, size, fails) = {
+            let mut g = self.disk.inner.state.lock();
+            let f = g
+                .files
+                .get(&self.name)
+                .ok_or_else(|| not_found(&self.name))?;
+            let (data_len, size) = (f.data_len, f.written.len());
+            let fails = g.failing_syncs > 0;
+            g.failing_syncs -= u64::from(fails);
+            (data_len, size, fails)
+        };
         self.disk.await_gate(Gate::Sync);
         let delay = self.disk.inner.state.lock().sync_delay;
         if !delay.is_zero() {
             std::thread::sleep(delay);
+        }
+        if fails {
+            return Err(io::Error::other(format!(
+                "injected sync failure on `{}`",
+                self.name
+            )));
         }
         let mut g = self.disk.inner.state.lock();
         if !g.files.contains_key(&self.name) {
@@ -673,6 +727,8 @@ impl DiskFile for MemHandle {
         }
         g.record(DiskEvent::Sync {
             file: self.name.clone(),
+            data_len,
+            size,
         });
         Ok(())
     }
@@ -751,13 +807,13 @@ mod tests {
     /// One script of appends, positional writes, zero fills and a sync
     /// on `disk`'s file `wal`; returns the file's bytes after it.
     fn script(disk: &dyn Disk) -> Vec<u8> {
-        let mut f = disk.create(WAL_BASE).unwrap();
+        let f = disk.create(WAL_BASE).unwrap();
         f.append(b"abcdef").unwrap();
         f.sync().unwrap();
         // A second handle on the same file: its writes land where they
         // say, not at the end — on an `O_APPEND` fd Linux `pwrite`
         // would append them.
-        let mut g = disk.open_append(WAL_BASE).unwrap();
+        let g = disk.open_append(WAL_BASE).unwrap();
         g.write_at(2, b"XY").unwrap();
         assert_eq!(disk.read(WAL_BASE).unwrap().unwrap(), b"abXYef");
         g.zero_extend(10).unwrap();
@@ -793,7 +849,7 @@ mod tests {
     #[test]
     fn a_memdisk_crash_image_keeps_the_synced_zero_fill_and_drops_unsynced_writes() {
         let mem = MemDisk::new();
-        let mut f = mem.create(WAL_BASE).unwrap();
+        let f = mem.create(WAL_BASE).unwrap();
         f.zero_extend(8).unwrap();
         f.write_at(0, b"rec1").unwrap();
         f.sync().unwrap();
@@ -814,6 +870,47 @@ mod tests {
         assert_eq!(torn.written(WAL_BASE), b"rec1re");
         assert_eq!(mem.event_append_len(synced), Some(4));
         assert_eq!(mem.event_append_len(synced + 1), None, "a fill is not data");
+    }
+
+    /// A sync makes durable what was written before it began: a write
+    /// that lands while it is held is not covered, and of two overlapping
+    /// syncs the later one's coverage stands whichever returns first.
+    #[test]
+    fn a_sync_covers_only_what_was_written_before_it_began() {
+        let mem = MemDisk::new();
+        let f: Arc<dyn DiskFile> = Arc::from(mem.create(WAL_BASE).unwrap());
+        let held_sync = |waiting: u64| {
+            let f = Arc::clone(&f);
+            let sync = std::thread::spawn(move || f.sync().unwrap());
+            while mem.syncs_waiting() < waiting {
+                std::thread::yield_now();
+            }
+            sync
+        };
+        f.write_at(0, b"rec1").unwrap();
+        mem.hold_syncs();
+        let early = held_sync(1);
+        f.write_at(4, b"rec2").unwrap();
+        mem.release_syncs();
+        early.join().unwrap();
+        assert_eq!(mem.synced(WAL_BASE), b"rec1");
+
+        mem.hold_syncs();
+        let first = held_sync(1);
+        f.write_at(8, b"rec3").unwrap();
+        let second = held_sync(2);
+        mem.release_syncs();
+        first.join().unwrap();
+        second.join().unwrap();
+        assert_eq!(mem.synced(WAL_BASE), b"rec1rec2rec3");
+
+        // A failing sync makes nothing durable.
+        f.write_at(12, b"rec4").unwrap();
+        mem.fail_syncs(1);
+        assert!(f.sync().is_err());
+        assert_eq!(mem.synced(WAL_BASE), b"rec1rec2rec3");
+        f.sync().unwrap();
+        assert_eq!(mem.synced(WAL_BASE), b"rec1rec2rec3rec4");
     }
 
     #[test]

@@ -81,5 +81,5 @@ pub use checkpoint::{
 };
 pub use disk::{Disk, DiskFile, FileDisk, MemDisk};
 pub use recover::{RecoveryReport, RedoKind, RedoOps, RedoRecord, ScanEnd, SnapshotSource};
-pub use store::{CommitStep, Durability, KvConfig, KvStore, Rider, WriteBatch};
+pub use store::{CommitStep, Durability, KvConfig, KvStore, Rider, WriteBatch, SHARD_LOCKS};
 pub use wal::{SyncPolicy, Wal, WalStats, WAL_APPEND, WAL_FSYNC};

@@ -69,7 +69,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use ad_defer::{atomic_defer, Defer, Deferrable};
+use ad_defer::{atomic_defer_as, Defer, Deferrable, LockClass};
 use ad_stm::{Runtime, StmResult, TVar, TmConfig, Tx};
 use ad_support::hash::{fnv1a64, mix64};
 use ad_support::sync::atomic::{AtomicU64, Ordering};
@@ -205,6 +205,12 @@ impl WriteBatch {
 /// computed when the step runs. Shareable across the re-executions of a
 /// transaction body, like a [`CommitStep::Call`].
 pub type Rider = Arc<dyn Fn() -> Vec<u8> + Send + Sync>;
+
+/// The class a store's shard `TxLock`s are held in by
+/// [`KvStore::commit`]: its `txlock_hold_ns` and `txlock_blocked_ns`
+/// ([`ad_defer::class`]) are what durable writes cost the readers of
+/// their shards.
+pub static SHARD_LOCKS: LockClass = LockClass::new("store_shard");
 
 /// One step of a commit plan — see [`KvStore::commit`]. Steps run in
 /// order, once, after the transaction committed, while the `TxLock` of
@@ -694,8 +700,16 @@ impl KvStore {
     /// The steps run on the calling thread before `commit` returns, so
     /// there is nothing left to wait for. An empty batch touches no shard
     /// and runs no step; on a volatile store a plan of only
-    /// [`CommitStep::Log`] steps defers nothing.
+    /// [`CommitStep::Log`] steps defers nothing. The shard locks are held
+    /// in [`SHARD_LOCKS`].
     pub fn commit(&self, batch: &WriteBatch, steps: &[CommitStep]) {
+        self.commit_as(&SHARD_LOCKS, batch, steps);
+    }
+
+    /// [`commit`](Self::commit), holding the shard locks in `class` — for
+    /// a layer above whose plans hold them for reasons of its own (a
+    /// cross-shard batch waits on its peers).
+    pub fn commit_as(&self, class: &'static LockClass, batch: &WriteBatch, steps: &[CommitStep]) {
         if batch.ops.is_empty() {
             return;
         }
@@ -737,7 +751,12 @@ impl KvStore {
             if let Some((plan, locks)) = &deferred {
                 let refs: Vec<&dyn Deferrable> =
                     locks.iter().map(|s| s as &dyn Deferrable).collect();
-                atomic_defer(tx, &refs, run_steps(Arc::clone(&self.rt), Arc::clone(plan)))?;
+                atomic_defer_as(
+                    tx,
+                    class,
+                    &refs,
+                    run_steps(Arc::clone(&self.rt), Arc::clone(plan)),
+                )?;
             }
             self.apply_batch(tx, &placed)
         })
@@ -885,16 +904,18 @@ impl KvStore {
     }
 
     /// One JSON object with everything a monitoring endpoint wants:
-    /// `{"shards":..,"keys":..,"wal":{..}|null,"ckpt":{..}|null,"stm":{..}}`
-    /// — the WAL counters ([`Wal::stats_json`]), the checkpoint
-    /// counters ([`CkptStats::to_json`], `null` when the store has no
-    /// checkpoint tier), and the runtime's full stats report
-    /// ([`ad_stm::StatsReport::to_json`]). This is the payload of the
-    /// `ad-net` STATS response (PROTOCOL.md §5.6), kept here so library
-    /// embedders and the wire protocol serve identical schemas.
+    /// `{"shards":..,"keys":..,"wal":{..}|null,"ckpt":{..}|null,"stm":{..},
+    /// "txlocks":{..}}` — the WAL counters ([`Wal::stats_json`]), the
+    /// checkpoint counters ([`CkptStats::to_json`], `null` when the store
+    /// has no checkpoint tier), the runtime's full stats report
+    /// ([`ad_stm::StatsReport::to_json`]), and every lock class's hold and
+    /// blocked histograms, process-wide ([`ad_defer::txlock_stats_json`]).
+    /// This is the payload of the `ad-net` STATS response (PROTOCOL.md
+    /// §5.6), kept here so library embedders and the wire protocol serve
+    /// identical schemas.
     pub fn stats_json(&self) -> String {
         format!(
-            "{{\"shards\":{},\"keys\":{},\"wal\":{},\"ckpt\":{},\"stm\":{}}}",
+            "{{\"shards\":{},\"keys\":{},\"wal\":{},\"ckpt\":{},\"stm\":{},\"txlocks\":{}}}",
             self.shards.len(),
             self.len(),
             self.durable
@@ -903,6 +924,7 @@ impl KvStore {
             self.ckpt_stats()
                 .map_or_else(|| "null".to_string(), |c| c.to_json()),
             self.rt.snapshot_stats().to_json(),
+            ad_defer::txlock_stats_json(),
         )
     }
 

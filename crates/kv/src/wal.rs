@@ -27,15 +27,40 @@
 //! sequence number, frame the record into the pending buffer — followed by
 //! `Wal::sync_locked`; an *unforced* append stops after the first half
 //! and its record rides whichever batch is written next — or, once a
-//! chunk of them is pending, writes the batch itself. Concurrent
-//! callers frame their records into one shared pending buffer; the first to need durability becomes the
-//! *leader*, takes the whole buffer, writes it as a single `write` +
-//! `fsync`, and wakes the others — so N concurrently-committing
-//! transactions cost one fsync, not N. Records enter the buffer in
-//! `seq` order under the state lock, which also means WAL order agrees
-//! with commit order for any two transactions that touched a common shard
-//! (their deferred appends are serialized by the shard's `TxLock`). A lone
-//! appender's batch is its own record: one write + fsync per record.
+//! chunk of them is pending, writes the batch itself. Records enter the
+//! buffer in `seq` order under the state lock, which also means WAL order
+//! agrees with commit order for any two transactions that touched a common
+//! shard (their deferred appends are serialized by the shard's `TxLock`).
+//!
+//! The first appender to need durability becomes a *leader*: it takes the
+//! whole buffer — its own record and every concurrent or unforced one —
+//! and carries it through two stages.
+//!
+//! 1. **Write.** One leader at a time, under the segments lock: the batch
+//!    goes to the end of the log (below), and `written_seq` moves to its
+//!    last record. Batches are written in `seq` order.
+//! 2. **Sync.** With no WAL lock held, on a handle shared with the
+//!    segments. The next leader may write its batch, and sync it, while
+//!    this sync is still in flight.
+//!
+//! A sync covers every byte written before it began, so when a leader's
+//! sync returns, its batch and every batch written before it are durable.
+//! `durable_seq` passes the batches in the order they were written, each
+//! once its own sync has returned; a batch whose sync returns first waits
+//! for the one ahead of it, whose sync alone would report that batch's
+//! writeback error. N concurrently-committing transactions cost one
+//! fsync, not N, and a record that arrives while a sync is in flight is
+//! written at once instead of queueing behind that sync. At most
+//! [`MAX_SYNCS_IN_FLIGHT`] syncs run at once: a later appender waits, and
+//! its record coalesces into the next batch. A lone appender's batch is
+//! its own record: one write + fsync per record.
+//!
+//! **Fail-stop.** A failed zero fill, write or sync poisons the log, under
+//! its state lock, before the leader panics. `durable_seq` never passes
+//! the failed batch, even when a later sync that overlapped it succeeds
+//! (Linux reports a writeback error to one `fsync` only), and every waiter
+//! and every later appender panics with the first error instead of
+//! waiting for a batch that will never be durable.
 //!
 //! A batch is written *by position*, right after the last
 //! record, into zeros the log wrote there earlier: when a batch shorter
@@ -49,6 +74,7 @@
 //! recovery's prefix rule expects. Appends resume right after the last
 //! record, in the zeros a reopen finds there.
 
+use std::collections::VecDeque;
 use std::io;
 use std::sync::Arc;
 use std::time::Instant;
@@ -86,6 +112,15 @@ pub const MAX_PAYLOAD: usize = 1 << 28;
 /// (EXPERIMENTS.md, "A group-commit fsync is data-only"; other sizes
 /// were not measured).
 pub const PREALLOC_CHUNK: usize = 64 << 10;
+/// Syncs a log lets run at once (module docs, "Group commit"): one in
+/// flight and one more whose batch was written while it ran. A depth of 1
+/// is the one-leader-at-a-time protocol this replaced; on `shard_cross`,
+/// 2 raised `throughput_refdisk_ops_s` by 8 % (12 of 12 pairs) and cut
+/// `wal.queue_wait_us` from 27 µs to 5 µs. With no bound, every appender
+/// that arrives during a sync starts one of its own and nothing is left
+/// to coalesce: `group_commit_coalesces_through_the_store` failed in 2 of
+/// 6 runs (EXPERIMENTS.md, "A WAL batch's sync overlaps the next batch").
+pub const MAX_SYNCS_IN_FLIGHT: usize = 2;
 
 /// When the WAL calls `fsync`. Group commit is the one policy; the type
 /// stays so that configurations name it.
@@ -109,7 +144,7 @@ pub fn frame_record(out: &mut Vec<u8>, seq: u64, payload: &[u8]) -> usize {
 }
 
 /// Group-commit state shared by all appenders (guarded by one mutex; the
-/// condvar wakes waiters when `durable_seq` advances).
+/// condvar wakes waiters when a stage ends).
 struct WalState {
     /// Framed records awaiting the next batch write.
     pending: Vec<u8>,
@@ -117,10 +152,27 @@ struct WalState {
     pending_records: u64,
     /// Next sequence number to assign (first record is seq 1).
     next_seq: u64,
+    /// Highest sequence number written to the log, synced or not.
+    written_seq: u64,
     /// Highest sequence number known durable.
     durable_seq: u64,
-    /// A leader is currently writing + syncing a batch.
-    leader_active: bool,
+    /// A leader is in the write stage.
+    writing: bool,
+    /// The batches whose syncs are in flight, in the order they were
+    /// written: each one's last seq, and whether its sync has returned.
+    syncing: VecDeque<(u64, bool)>,
+    /// The first I/O error: once set, nothing is written or made durable
+    /// again, and every appender and waiter panics with it.
+    failed: Option<String>,
+}
+
+impl WalState {
+    /// Panic with the first error if the log has failed.
+    fn check(&self) {
+        if let Some(e) = &self.failed {
+            panic!("{e}");
+        }
+    }
 }
 
 /// Cumulative WAL counters and latency histograms (all relaxed:
@@ -137,6 +189,8 @@ struct WalCounters {
     fsync_ns: Histogram,
     /// Batches whose sync also grew the file.
     extends: AtomicU64,
+    /// Batches whose sync began while another was in flight.
+    overlapped: AtomicU64,
 }
 
 /// A snapshot of the WAL's counters ([`Wal::stats`]), serializable with
@@ -184,11 +238,11 @@ impl WalStats {
 }
 
 /// The files the log spans: the open handle of the active segment (so a
-/// batch is one `write_at` + one `sync`, no lookup by name), where in it
-/// the next batch goes, and the rotated-out segments awaiting
-/// [`Wal::drop_rotated`].
+/// batch is one `write_at` + one `sync`, no lookup by name; a leader syncs
+/// its own clone of it), where in it the next batch goes, and the
+/// rotated-out segments awaiting [`Wal::drop_rotated`].
 struct Segments {
-    active: Box<dyn DiskFile>,
+    active: Arc<dyn DiskFile>,
     active_name: String,
     /// The end of the active segment's last record: where the next batch
     /// is written.
@@ -203,7 +257,7 @@ struct Segments {
 impl Segments {
     fn fresh(active: Box<dyn DiskFile>, active_name: String) -> Self {
         Segments {
-            active,
+            active: Arc::from(active),
             active_name,
             write_off: 0,
             len: 0,
@@ -258,8 +312,11 @@ impl Wal {
                 pending: Vec::new(),
                 pending_records: 0,
                 next_seq,
+                written_seq: next_seq - 1,
                 durable_seq: next_seq - 1,
-                leader_active: false,
+                writing: false,
+                syncing: VecDeque::with_capacity(MAX_SYNCS_IN_FLIGHT),
+                failed: None,
             }),
             durable_cv: Condvar::new(),
             counters: WalCounters::default(),
@@ -375,6 +432,7 @@ impl Wal {
     }
 
     fn frame(&self, st: &mut WalState, payload: &[u8], rt: &Runtime) -> u64 {
+        st.check();
         let seq = st.next_seq;
         st.next_seq += 1;
         let framed = frame_record(&mut st.pending, seq, payload);
@@ -391,76 +449,142 @@ impl Wal {
         seq: u64,
         rt: &Runtime,
     ) -> MutexGuard<'a, WalState> {
-        while st.durable_seq < seq {
-            if st.leader_active {
-                // A leader's batch is in flight; it may or may not
-                // include `seq`. Wait for durable_seq to move.
+        loop {
+            st.check();
+            if st.durable_seq >= seq {
+                return st;
+            }
+            if st.written_seq >= seq || st.writing || st.syncing.len() >= MAX_SYNCS_IN_FLIGHT {
+                // `seq` is written and a sync carries it, or the write
+                // stage or the sync slots are taken: wait for a stage to
+                // end.
                 self.durable_cv.wait(&mut st);
             } else {
-                // Become leader: take everything framed so far (the
-                // caller's record plus any concurrent or unforced
-                // appenders'), write and sync it as one batch.
-                st.leader_active = true;
-                let batch = std::mem::take(&mut st.pending);
-                let records = std::mem::take(&mut st.pending_records);
-                let batch_hi = st.next_seq - 1;
-                drop(st);
-                self.write_batch(&batch, records, rt);
-                st = self.state.lock();
-                st.durable_seq = batch_hi;
-                st.leader_active = false;
-                self.durable_cv.notify_all();
+                st = self.lead(st, rt);
             }
         }
-        st
     }
 
-    /// Write the pending buffer with the state lock held (rotation's
-    /// flush, which keeps anyone from framing behind it).
-    fn write_pending(&self, st: &mut WalState, rt: &Runtime) {
+    /// Carry everything framed so far — the caller's record plus any
+    /// concurrent or unforced appenders' — through both stages as one
+    /// batch (module docs, "Group commit").
+    fn lead<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, WalState>,
+        rt: &Runtime,
+    ) -> MutexGuard<'a, WalState> {
+        st.writing = true;
         let batch = std::mem::take(&mut st.pending);
         let records = std::mem::take(&mut st.pending_records);
-        self.write_batch(&batch, records, rt);
-        st.durable_seq = st.next_seq - 1;
-    }
+        let batch_hi = st.next_seq - 1;
+        drop(st);
 
-    /// One framed batch to the active segment: a write right after its
-    /// last record — after zero-filling a chunk first if a short batch
-    /// would run past the end (module docs, "Group commit") — and the
-    /// covering fsync, then the accounting: records and bytes are counted
-    /// here, when they are written, however they were appended. An I/O
-    /// error is fatal — the caller holds shard locks for records it can no
-    /// longer make durable.
-    fn write_batch(&self, batch: &[u8], records: u64, rt: &Runtime) {
         let started = Instant::now();
-        let extends = {
-            let mut seg = self.segments.lock();
-            let end = seg.write_off + batch.len() as u64;
-            let extends = end > seg.len;
-            if extends && batch.len() < PREALLOC_CHUNK {
-                seg.active
-                    .zero_extend(PREALLOC_CHUNK as u64)
-                    .expect("WAL zero fill failed");
-                seg.len += PREALLOC_CHUNK as u64;
-            }
-            let off = seg.write_off;
-            seg.active.write_at(off, batch).expect("WAL write failed");
-            seg.active.sync().expect("WAL fsync failed");
-            seg.write_off = end;
-            seg.len = seg.len.max(end);
-            extends
+        let written = self.write_batch(&batch);
+        st = self.state.lock();
+        st.writing = false;
+        let (file, extends) = match written {
+            Ok(w) => w,
+            Err(e) => self.fail(&mut st, "write", e),
         };
+        st.written_seq = batch_hi;
+        if !st.syncing.is_empty() {
+            self.counters.overlapped.fetch_add(1, Ordering::Relaxed);
+        }
+        st.syncing.push_back((batch_hi, false));
+        // The write stage is free: the next leader may write behind us.
+        self.durable_cv.notify_all();
+        drop(st);
+
+        let synced = file.sync();
+        st = self.state.lock();
+        if let Err(e) = synced {
+            self.fail(&mut st, "fsync", e);
+        }
+        st.syncing
+            .iter_mut()
+            .find(|(hi, _)| *hi == batch_hi)
+            .expect("a batch stays queued until its own sync returns")
+            .1 = true;
+        self.pass_synced(&mut st);
+        #[cfg(all(test, loom))]
+        if crate::verify::DURABLE_MARK_PAST_SYNC.with(std::cell::Cell::get) {
+            // DELIBERATELY BUGGY for `verify`'s mutant: the mark jumps to
+            // whatever is written by now, past the batch this sync covers.
+            st.durable_seq = st.durable_seq.max(st.written_seq);
+        }
+        self.durable_cv.notify_all();
+
         self.counters
             .fsync_ns
             .record(started.elapsed().as_nanos() as u64);
         if extends {
             self.counters.extends.fetch_add(1, Ordering::Relaxed);
         }
+        self.count_batch(batch.len(), records, rt);
+        st
+    }
+
+    /// Advance `durable_seq` over the batches at the head of the sync
+    /// queue whose syncs have returned, in the order they were written.
+    /// A failed batch stays at the head, so nothing passes it.
+    fn pass_synced(&self, st: &mut WalState) {
+        while let Some(&(hi, true)) = st.syncing.front() {
+            st.durable_seq = st.durable_seq.max(hi);
+            st.syncing.pop_front();
+        }
+    }
+
+    /// Poison the log with `e` (the first error stays), wake every
+    /// waiter so that it panics too, and panic.
+    fn fail(&self, st: &mut WalState, stage: &str, e: io::Error) -> ! {
+        let first = st
+            .failed
+            .get_or_insert_with(|| format!("WAL {stage} failed: {e}"));
+        self.durable_cv.notify_all();
+        panic!("{first}");
+    }
+
+    /// Write the pending buffer and sync it with the state lock held
+    /// (rotation's flush, which keeps anyone from framing behind it; no
+    /// other stage is running).
+    fn write_pending(&self, st: &mut WalState, rt: &Runtime) {
+        let batch = std::mem::take(&mut st.pending);
+        let records = std::mem::take(&mut st.pending_records);
+        if let Err(e) = self.write_batch(&batch).and_then(|(file, _)| file.sync()) {
+            self.fail(st, "flush", e);
+        }
+        st.written_seq = st.next_seq - 1;
+        st.durable_seq = st.written_seq;
+        self.count_batch(batch.len(), records, rt);
+    }
+
+    /// The write stage: one framed batch to the active segment, right
+    /// after its last record — after zero-filling a chunk first if a short
+    /// batch would run past the end (module docs). Returns the handle to
+    /// sync and whether the batch grew the file.
+    fn write_batch(&self, batch: &[u8]) -> io::Result<(Arc<dyn DiskFile>, bool)> {
+        let mut seg = self.segments.lock();
+        let end = seg.write_off + batch.len() as u64;
+        let extends = end > seg.len;
+        if extends && batch.len() < PREALLOC_CHUNK {
+            seg.active.zero_extend(PREALLOC_CHUNK as u64)?;
+            seg.len += PREALLOC_CHUNK as u64;
+        }
+        seg.active.write_at(seg.write_off, batch)?;
+        seg.write_off = end;
+        seg.len = seg.len.max(end);
+        Ok((Arc::clone(&seg.active), extends))
+    }
+
+    /// Count a durable batch: records and bytes are counted here, when
+    /// their batch is synced, however they were appended.
+    fn count_batch(&self, bytes: usize, records: u64, rt: &Runtime) {
         self.counters.records.fetch_add(records, Ordering::Relaxed);
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .bytes
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            .fetch_add(bytes as u64, Ordering::Relaxed);
         rt.trace_app(&WAL_FSYNC, records);
     }
 
@@ -469,8 +593,8 @@ impl Wal {
         self.state.lock().durable_seq
     }
 
-    /// Rotate the log at a quiescent cut: waits out any in-flight group
-    /// leader, writes out whatever is still pending, then starts a fresh
+    /// Rotate the log at a quiescent cut: waits out the writer and every
+    /// sync in flight, writes out whatever is still pending, then starts a fresh
     /// segment whose first record will be `cut + 1`. Returns the cut — the
     /// highest durable sequence, which is also the highest *assigned* one:
     /// every record framed before the cut is in pre-rotation segments,
@@ -489,10 +613,16 @@ impl Wal {
     /// retried after a failed publish with no intervening appends.
     pub fn rotate(&self, rt: &Runtime) -> io::Result<u64> {
         let mut st = self.state.lock();
-        // Wait out an in-flight leader, then flush with the lock held:
+        // Wait out the leaders in flight, then flush with the lock held:
         // nobody frames until the new segment is in place, so the cut is
-        // exact and nothing is pending at it.
-        while st.leader_active {
+        // exact and nothing is pending at it. A failed log has no cut.
+        loop {
+            if let Some(e) = &st.failed {
+                return Err(io::Error::other(e.clone()));
+            }
+            if !st.writing && st.syncing.is_empty() {
+                break;
+            }
             self.durable_cv.wait(&mut st);
         }
         if st.pending_records > 0 {
@@ -503,7 +633,7 @@ impl Wal {
         // state → segments lock order, same as the append paths.
         let mut seg = self.segments.lock();
         if seg.active_name != name {
-            let mut next = self.disk.create(&name)?;
+            let next = self.disk.create(&name)?;
             next.sync()?;
             self.disk.sync_dir()?;
             // The old segment's bytes were already synced by their
@@ -563,6 +693,12 @@ impl Wal {
         }
     }
 
+    /// Batches whose sync began while another batch's sync was in flight
+    /// (module docs, "Group commit").
+    pub fn overlapped(&self) -> u64 {
+        self.counters.overlapped.load(Ordering::Relaxed)
+    }
+
     /// Batches whose sync also grew the active segment: the ones that
     /// zero-filled a chunk first or were a chunk long — about one per
     /// [`PREALLOC_CHUNK`] of log.
@@ -570,13 +706,17 @@ impl Wal {
         self.counters.extends.load(Ordering::Relaxed)
     }
 
-    /// [`WalStats::to_json`] with `"extends"` ([`Wal::extends`]) added: a
-    /// count kept out of [`WalStats`], whose fields callers construct by
-    /// name.
+    /// [`WalStats::to_json`] with `"extends"` ([`Wal::extends`]) and
+    /// `"overlapped"` ([`Wal::overlapped`]) added: counts kept out of
+    /// [`WalStats`], whose fields callers construct by name.
     pub fn stats_json(&self) -> String {
         let mut json = self.stats().to_json();
         json.pop(); // the closing brace
-        format!("{json},\"extends\":{}}}", self.extends())
+        format!(
+            "{json},\"extends\":{},\"overlapped\":{}}}",
+            self.extends(),
+            self.overlapped()
+        )
     }
 }
 
@@ -592,6 +732,36 @@ mod tests {
 
     fn read(disk: &MemDisk, name: &str) -> Option<Vec<u8>> {
         disk.read(name).unwrap()
+    }
+
+    /// Wait for `cond`, failing the test after a deadline instead of
+    /// hanging it.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// An `append_durable` of `payload` on a thread of its own.
+    fn spawn_append(
+        wal: &Arc<Wal>,
+        rt: &Arc<Runtime>,
+        payload: &'static [u8],
+    ) -> std::thread::JoinHandle<u64> {
+        let (wal, rt) = (Arc::clone(wal), Arc::clone(rt));
+        std::thread::spawn(move || wal.append_durable(payload, &rt))
+    }
+
+    /// Join `h` by a deadline; its panic message, if it panicked.
+    fn join<T>(h: std::thread::JoinHandle<T>) -> Result<T, String> {
+        wait_until("an appender to return or panic", || h.is_finished());
+        h.join().map_err(|p| {
+            p.downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "a non-string panic".into())
+        })
     }
 
     #[test]
@@ -675,6 +845,76 @@ mod tests {
         // All bytes are durable.
         assert_eq!(disk.synced(WAL_BASE), disk.written(WAL_BASE));
         assert_eq!(wal.durable_seq(), threads * per);
+    }
+
+    /// Eight appenders behind held syncs: two syncs in flight — the first
+    /// batch's and the one written while it ran — and never a third; the
+    /// other six records wait and go out as one batch.
+    #[test]
+    fn at_most_two_syncs_run_at_once_and_the_rest_coalesce() {
+        let disk = MemDisk::new();
+        let wal = Arc::new(wal_on(&disk, 1));
+        let rt = Arc::new(Runtime::new(TmConfig::stm()));
+        disk.hold_syncs();
+        let mut appenders = vec![spawn_append(&wal, &rt, b"first")];
+        wait_until("the first sync", || disk.syncs_waiting() == 1);
+        appenders.push(spawn_append(&wal, &rt, b"second"));
+        wait_until("an overlapping sync", || disk.syncs_waiting() == 2);
+        assert_eq!(wal.overlapped(), 1);
+        for _ in 0..6 {
+            appenders.push(spawn_append(&wal, &rt, b"later"));
+        }
+        wait_until("every record framed", || wal.state.lock().next_seq == 9);
+        // Time for a third leader to start the sync it must not start.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(disk.syncs_waiting(), MAX_SYNCS_IN_FLIGHT as u64);
+        assert_eq!(wal.durable_seq(), 0, "nothing is durable behind held syncs");
+
+        disk.release_syncs();
+        for h in appenders {
+            join(h).unwrap();
+        }
+        let s = wal.stats();
+        assert_eq!((s.records, s.batches), (8, 3));
+        assert!((1..=2).contains(&wal.overlapped()));
+        assert_eq!(disk.synced(WAL_BASE), disk.written(WAL_BASE));
+        assert_eq!(wal.durable_seq(), 8);
+    }
+
+    /// A's sync fails; B's, which began while A's was in flight, succeeds
+    /// and covers A's bytes on the disk — the error went to A's sync
+    /// alone. B is still not acked, `durable_seq` never passes A's batch,
+    /// and a third appender panics with A's error instead of hanging.
+    #[test]
+    fn a_failed_sync_is_never_passed_and_stops_every_appender() {
+        let disk = MemDisk::new();
+        let wal = Arc::new(wal_on(&disk, 1));
+        let rt = Arc::new(Runtime::new(TmConfig::stm()));
+        disk.hold_syncs();
+        disk.fail_syncs(1);
+        let a = spawn_append(&wal, &rt, b"a");
+        wait_until("A's sync", || disk.syncs_waiting() == 1);
+        let b = spawn_append(&wal, &rt, b"b");
+        wait_until("B's sync", || disk.syncs_waiting() == 2);
+        disk.release_syncs();
+
+        let first = "WAL fsync failed: injected sync failure";
+        let a_err = join(a).expect_err("A's sync failed");
+        assert!(a_err.starts_with(first), "{a_err}");
+        let b_err = join(b).expect_err("B is not acked");
+        assert!(b_err.starts_with(first), "{b_err}");
+        assert_eq!(wal.durable_seq(), 0, "durable_seq passed the failed batch");
+        assert_eq!(
+            disk.synced(WAL_BASE).len(),
+            2 * (HEADER_LEN + 1),
+            "B's sync succeeded"
+        );
+
+        let c_err = join(spawn_append(&wal, &rt, b"c")).expect_err("the log has failed");
+        assert!(c_err.starts_with(first), "{c_err}");
+        let e = wal.rotate(&rt).expect_err("a failed log has no cut");
+        assert!(e.to_string().starts_with(first), "{e}");
+        assert_eq!(wal.durable_seq(), 0);
     }
 
     #[test]

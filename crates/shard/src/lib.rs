@@ -74,4 +74,4 @@ mod transport;
 #[cfg(all(test, loom))]
 mod verify;
 
-pub use router::{ShardRouter, SHARD_ACK, SHARD_PREPARE, SHARD_RELEASE};
+pub use router::{ShardRouter, ROUTER_LOCKS, SHARD_ACK, SHARD_PREPARE, SHARD_RELEASE};

@@ -6,6 +6,7 @@ use std::io;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use ad_defer::LockClass;
 use ad_kv::{
     CkptPolicy, CkptReport, KvConfig, KvStore, MemDisk, RecoveryReport, SyncPolicy, WriteBatch,
 };
@@ -32,6 +33,13 @@ pub static SHARD_ACK: AppEvent = AppEvent::new("shard_ack", "gid");
 /// id's low bits. Participant-side locks are held until their runtime
 /// observes this — the hold-until-all-ack invariant.
 pub static SHARD_RELEASE: AppEvent = AppEvent::new("shard_release", "gid");
+
+/// The class a cross-shard batch holds its shards' `TxLock`s in, on the
+/// coordinator and on every participant, from each slice's commit until
+/// its release: `txlock_hold_ns` and `txlock_blocked_ns`
+/// ([`ad_defer::class`]) of 2PC. A single-shard batch is its store's
+/// ([`ad_kv::SHARD_LOCKS`]).
+pub static ROUTER_LOCKS: LockClass = LockClass::new("router");
 
 /// Low 48 bits of a gid: the per-router sequence. The high 16 bits name
 /// the coordinator shard, so recovery can say who held the decision.
@@ -343,7 +351,8 @@ impl ShardRouter {
             rt.trace_app(&SHARD_RELEASE, gid);
             releases.iter().for_each(|released| released.open());
         });
-        store.commit(
+        store.commit_as(
+            &ROUTER_LOCKS,
             &WriteBatch::from_ops(coord_ops),
             &plan::coordinator(gid, prepares, rider, wait_last_ack, release_all),
         );
@@ -463,7 +472,8 @@ fn participate(store: &KvStore, queue: &JobQueue) {
                 let rt = store.runtime();
                 let (ack_rt, rel_rt) = (Arc::clone(rt), Arc::clone(rt));
                 rt.trace_app(&SHARD_PREPARE, gid);
-                store.commit(
+                store.commit_as(
+                    &ROUTER_LOCKS,
                     &WriteBatch::from_ops(ops),
                     &plan::participant(
                         gid,
@@ -529,6 +539,7 @@ mod tests {
         let a = keys_on(&router, 0, 1).remove(0);
         let b = keys_on(&router, 1, 1).remove(0);
         let c = keys_on(&router, 2, 1).remove(0);
+        let holds = ROUTER_LOCKS.hold().count();
         router.write_batch(
             &WriteBatch::new()
                 .put(a.as_str(), b"A")
@@ -538,6 +549,10 @@ mod tests {
         assert_eq!(router.get(&a).as_deref(), Some(&b"A"[..]));
         assert_eq!(router.get(&b).as_deref(), Some(&b"B"[..]));
         assert_eq!(router.get(&c).as_deref(), Some(&b"C"[..]));
+        // One hold per shard lock, the coordinator's and each
+        // participant's, all in the router's class (other tests may add
+        // theirs).
+        assert!(ROUTER_LOCKS.hold().count() >= holds + 3);
         // And a follow-up cross-shard batch over the same keys (delete
         // half) also lands atomically.
         router.write_batch(&WriteBatch::new().delete(a.as_str()).put(c.as_str(), b"C2"));

@@ -11,6 +11,7 @@
 //! committer that writes one of them. The difference between the two is an
 //! ablation benchmark (`ablation_retry`).
 
+use ad_support::hist::Histogram;
 use ad_support::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::Thread;
@@ -54,11 +55,17 @@ impl Waiter {
 /// observed and the versions it observed them at.
 pub(crate) struct WatchList {
     entries: Vec<(Arc<VarCore>, u64)>,
+    /// Where the wait is recorded, if the transaction asked for it
+    /// (`Tx::retry_timed`).
+    pub(crate) parked: Option<&'static Histogram>,
 }
 
 impl WatchList {
     pub(crate) fn new(entries: Vec<(Arc<VarCore>, u64)>) -> Self {
-        WatchList { entries }
+        WatchList {
+            entries,
+            parked: None,
+        }
     }
 
     /// Give the entry vector back (the runner recycles its capacity into

@@ -36,6 +36,8 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::sync::Arc;
 
+use ad_support::hist::Histogram;
+
 use crate::clock;
 use crate::config::Mode;
 use crate::error::{StmError, StmResult};
@@ -199,6 +201,9 @@ pub struct Tx<'rt> {
     local: &'rt Local,
     /// The attempt's epoch pin: every read borrows its value under it.
     pin: &'rt EpochGuard,
+    /// Where [`retry_timed`](Self::retry_timed) asked the wait to be
+    /// recorded.
+    retry_parked: Option<&'static Histogram>,
 }
 
 impl<'rt> Tx<'rt> {
@@ -237,6 +242,7 @@ impl<'rt> Tx<'rt> {
             obs,
             local,
             pin,
+            retry_parked: None,
         }
     }
 
@@ -349,6 +355,16 @@ impl<'rt> Tx<'rt> {
     /// Harris et al.'s `retry` (paper §2). Typed as returning any `T` so it
     /// can tail a closure of any result type.
     pub fn retry<T>(&mut self) -> StmResult<T> {
+        Err(StmError::Retry)
+    }
+
+    /// [`retry`](Self::retry), and record into `parked` how long this
+    /// thread then waits for its read set to change, in ns — for a caller
+    /// that knows what it is blocked on: `ad-defer` records a transaction
+    /// parked on a held `TxLock` into the holder's lock class. Costs
+    /// nothing unless the transaction does retry.
+    pub fn retry_timed<T>(&mut self, parked: &'static Histogram) -> StmResult<T> {
+        self.retry_parked = Some(parked);
         Err(StmError::Retry)
     }
 
@@ -506,7 +522,9 @@ impl<'rt> Tx<'rt> {
     /// set out of the descriptor (no clone); the runner hands the vector
     /// back via [`TxBuffers::recycle_watch`] after the wait.
     pub(crate) fn watch_list(&mut self) -> WatchList {
-        WatchList::new(self.bufs.reads.take_entries())
+        let mut watch = WatchList::new(self.bufs.reads.take_entries());
+        watch.parked = self.retry_parked;
+        watch
     }
 
     pub(crate) fn serial_wrote(&self) -> bool {
