@@ -5,9 +5,12 @@
 //! §1, step 4). That is the paper's trade — no irrevocability, at the
 //! price of a lock hold — and it is two numbers:
 //!
-//! * `txlock_hold_ns`: commit → release, one sample per lock a deferred
-//!   operation releases, for one deferred operation in
-//!   [`HOLD_SAMPLE_EVERY`] per thread;
+//! * `txlock_hold_ns`: the start of a deferred operation → its release,
+//!   one sample per lock it releases, for one deferred operation in
+//!   [`HOLD_SAMPLE_EVERY`] per thread. A transaction's post-commit work
+//!   starts with its first deferred operation, so that operation's hold
+//!   runs from the commit; a later one in the same transaction leaves out
+//!   the time the earlier ones ran;
 //! * `txlock_blocked_ns`: the time a transaction spent parked in `retry`
 //!   on a held `TxLock`, subscribing or acquiring — one sample per wait,
 //!   recorded in the class of the holder it waited for.
@@ -85,7 +88,8 @@ impl LockClass {
         })
     }
 
-    /// `txlock_hold_ns`: commit → release of each lock held in this class.
+    /// `txlock_hold_ns`: start of the deferred operation → release of each
+    /// lock held in this class.
     pub fn hold(&'static self) -> HistogramSnapshot {
         self.hists().hold.snapshot()
     }

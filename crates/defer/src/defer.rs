@@ -83,7 +83,7 @@ where
 }
 
 /// [`atomic_defer`], holding the locks in `class`: each lock's hold, from
-/// the commit to its release after `op`, is a `txlock_hold_ns` sample of
+/// the start of `op` to its release after it, is a `txlock_hold_ns` sample of
 /// `class` (for one op in [`HOLD_SAMPLE_EVERY`] per thread), and a
 /// transaction blocked on one of them records its wait in `class` (module
 /// docs of [`crate::class`]).
@@ -108,7 +108,9 @@ where
         locks.push(obj.txlock().clone());
     }
     tx.defer_post_commit(Box::new(move |rt| {
-        let held_since = sample_hold().then(ad_stm::committed_at_ns);
+        // The hold is timed from here: for a transaction's first deferred
+        // op, its commit. A later op leaves out the earlier ones' time.
+        let held_since = sample_hold().then(ad_support::tsc::now_ns);
         // A panicking operation must not leak its locks forever — that
         // would wedge every later subscriber. Release first, then let the
         // panic propagate out of `atomically`.

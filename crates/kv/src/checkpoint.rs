@@ -172,7 +172,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Option<(u64, KeyMap)> {
 /// the old current to the previous slot — **the** publish protocol of the
 /// module docs, steps 1–4, for every disk. Never writes in place.
 pub fn publish_snapshot(disk: &dyn Disk, bytes: &[u8]) -> io::Result<()> {
-    let tmp = disk.create(SNAP_TMP)?;
+    let mut tmp = disk.create(SNAP_TMP)?;
     tmp.append(bytes)?;
     tmp.sync()?;
     drop(tmp);

@@ -69,23 +69,31 @@ pub fn segment_first_seq(name: &str) -> Option<u64> {
 /// An open file written by position — what the WAL keeps for its active
 /// segment, so a group-commit batch costs one `write_at` and one `sync`
 /// with no lookup by name. None of the writes is durable before
-/// [`DiskFile::sync`]. Every method takes `&self`: the WAL writes under
-/// its segments lock and syncs with no lock held, on a handle it shares
-/// (module docs of [`crate::wal`], "Group commit").
-pub trait DiskFile: Send + Sync {
+/// [`DiskFile::sync`].
+///
+/// Each handle is an open file of its own (on a [`FileDisk`], its own
+/// open file description), and a failed writeback is reported to the
+/// next `sync` of *every* handle on the file that was open when it
+/// happened — Linux keeps the error cursor per open file, so of two
+/// overlapping syncs on one handle only the first to check would see it.
+/// The WAL syncs each in-flight batch on a handle of its own (module docs
+/// of [`crate::wal`], "Group commit").
+pub trait DiskFile: Send {
     /// Write `data` at the end of the file.
-    fn append(&self, data: &[u8]) -> io::Result<()>;
+    fn append(&mut self, data: &[u8]) -> io::Result<()>;
     /// Write `data` at byte `off`, which must not lie past the end of the
     /// file: over what is there, and growing the file where it runs past
     /// the end.
-    fn write_at(&self, off: u64, data: &[u8]) -> io::Result<()>;
+    fn write_at(&mut self, off: u64, data: &[u8]) -> io::Result<()>;
     /// Grow the file by `len` zero bytes, written as data — real blocks,
     /// not a hole — so a later `write_at` into them changes no file size
     /// and its sync commits no metadata.
-    fn zero_extend(&self, len: u64) -> io::Result<()>;
-    /// Block until every byte written before the call began is durable.
-    /// Writes that land while it runs may or may not be covered.
-    fn sync(&self) -> io::Result<()>;
+    fn zero_extend(&mut self, len: u64) -> io::Result<()>;
+    /// Block until every byte written to the file, through any handle,
+    /// before the call began is durable. Writes that land while it runs
+    /// may or may not be covered. Fails if a writeback of the file failed
+    /// since this handle's last sync (or its opening).
+    fn sync(&mut self) -> io::Result<()>;
 }
 
 /// File primitives over one flat directory. Metadata changes (`create`,
@@ -151,41 +159,36 @@ static ZEROS: [u8; PREALLOC_CHUNK] = [0; PREALLOC_CHUNK];
 
 /// An open file and its length. Every write names its offset (`pwrite`);
 /// the fd is never `O_APPEND`, on which Linux `pwrite` ignores the offset
-/// and appends. `len` is only read and written by writers, whom the WAL
-/// serializes; a concurrent `sync` does not touch it.
+/// and appends.
 struct FileHandle {
     file: File,
-    len: AtomicU64,
+    len: u64,
 }
 
 impl DiskFile for FileHandle {
-    fn append(&self, data: &[u8]) -> io::Result<()> {
-        self.write_at(self.len.load(Ordering::Relaxed), data)
+    fn append(&mut self, data: &[u8]) -> io::Result<()> {
+        self.write_at(self.len, data)
     }
 
-    fn write_at(&self, off: u64, data: &[u8]) -> io::Result<()> {
-        let len = self.len.load(Ordering::Relaxed);
-        if off > len {
-            return Err(past_end(off, len));
+    fn write_at(&mut self, off: u64, data: &[u8]) -> io::Result<()> {
+        if off > self.len {
+            return Err(past_end(off, self.len));
         }
         self.file.write_all_at(data, off)?;
-        self.len
-            .store(len.max(off + data.len() as u64), Ordering::Relaxed);
+        self.len = self.len.max(off + data.len() as u64);
         Ok(())
     }
 
-    fn zero_extend(&self, len: u64) -> io::Result<()> {
-        let mut at = self.len.load(Ordering::Relaxed);
-        let end = at + len;
-        while at < end {
-            let n = (end - at).min(ZEROS.len() as u64) as usize;
-            self.write_at(at, &ZEROS[..n])?;
-            at += n as u64;
+    fn zero_extend(&mut self, len: u64) -> io::Result<()> {
+        let end = self.len + len;
+        while self.len < end {
+            let n = (end - self.len).min(ZEROS.len() as u64) as usize;
+            self.write_at(self.len, &ZEROS[..n])?;
         }
         Ok(())
     }
 
-    fn sync(&self) -> io::Result<()> {
+    fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
     }
 }
@@ -225,15 +228,12 @@ impl Disk for FileDisk {
             .truncate(true)
             .write(true)
             .open(self.path(name))?;
-        Ok(Box::new(FileHandle {
-            file,
-            len: AtomicU64::new(0),
-        }))
+        Ok(Box::new(FileHandle { file, len: 0 }))
     }
 
     fn open_append(&self, name: &str) -> io::Result<Box<dyn DiskFile>> {
         let file = OpenOptions::new().write(true).open(self.path(name))?;
-        let len = AtomicU64::new(file.metadata()?.len());
+        let len = file.metadata()?.len();
         Ok(Box::new(FileHandle { file, len }))
     }
 
@@ -313,13 +313,15 @@ enum DiskEvent {
 /// then zeros. A sync makes the data and the length durable; the WAL
 /// writes only past the synced data, into zeros, so an image that loses
 /// the unsynced writes is the synced data zero-filled to the synced
-/// length.
+/// length. `wb_errors` counts failed writebacks ([`MemDisk::fail_syncs`]):
+/// a handle's sync fails while the count is past the one it last saw.
 #[derive(Debug, Default, Clone)]
 struct MemFile {
     written: Vec<u8>,
     data_len: usize,
     synced_len: usize,
     synced_size: usize,
+    wb_errors: u64,
 }
 
 impl MemFile {
@@ -351,10 +353,14 @@ struct MemDiskInner {
     /// `MemDisk` of the process.
     stamps: Vec<u64>,
     /// Test affordances: while `held[gate]`, operations reaching that gate
-    /// block (`waiting[gate]` counts them); every sync first sleeps
-    /// `sync_delay`; the next `failing_syncs` syncs to begin fail.
+    /// block, each under a ticket (`waiting[gate]`, in arrival order)
+    /// until the gate opens or its ticket is in `let_through`; every sync
+    /// first sleeps `sync_delay`; the next `failing_syncs` syncs to pass
+    /// the gate fail their writeback.
     held: [bool; 2],
-    waiting: [u64; 2],
+    waiting: [Vec<u64>; 2],
+    tickets: u64,
+    let_through: Vec<u64>,
     sync_delay: Duration,
     failing_syncs: u64,
 }
@@ -469,6 +475,7 @@ impl MemDisk {
             data_len: bytes.len(),
             synced_len: bytes.len(),
             synced_size: bytes.len(),
+            wb_errors: 0,
         };
         Self::starting_with(BTreeMap::from([(name.to_string(), file)]))
     }
@@ -593,7 +600,7 @@ impl MemDisk {
 
     /// True while at least one publish is blocked on the gate.
     pub fn publish_blocked(&self) -> bool {
-        self.inner.state.lock().waiting[Gate::Publish as usize] > 0
+        !self.inner.state.lock().waiting[Gate::Publish as usize].is_empty()
     }
 
     /// Hold every file sync: an append reaching its fsync blocks — bytes
@@ -610,13 +617,27 @@ impl MemDisk {
 
     /// Syncs now blocked on the gate [`MemDisk::hold_syncs`] closed.
     pub fn syncs_waiting(&self) -> u64 {
-        self.inner.state.lock().waiting[Gate::Sync as usize]
+        self.inner.state.lock().waiting[Gate::Sync as usize].len() as u64
     }
 
-    /// Make the next `n` file syncs to begin fail with an I/O error once
-    /// they pass the gate and the delay, having made nothing durable — a
-    /// writeback error, which Linux reports to one `fsync` only: a sync
-    /// that began later and overlaps the failed one may still succeed.
+    /// Let the held sync that reached the gate last through, the others
+    /// staying held — so a test picks the order overlapping syncs finish
+    /// in.
+    pub fn release_latest_sync(&self) {
+        let mut g = self.inner.state.lock();
+        if let Some(&ticket) = g.waiting[Gate::Sync as usize].last() {
+            g.let_through.push(ticket);
+        }
+        self.inner.gate_cv.notify_all();
+    }
+
+    /// Make the writeback of each of the next `n` file syncs to pass the
+    /// gate and the delay fail: it makes nothing durable, and it fails the
+    /// next sync of every handle on the file open then — that sync's own
+    /// and any other's, overlapping or later, as the per-open-file error
+    /// cursor of Linux reports it ([`DiskFile`]). A handle whose sync has
+    /// seen the error syncs again as usual (the data it lost is not
+    /// modelled).
     pub fn fail_syncs(&self, n: u64) {
         self.inner.state.lock().failing_syncs += n;
     }
@@ -630,18 +651,24 @@ impl MemDisk {
     fn await_gate(&self, gate: Gate) {
         let mut g = self.inner.state.lock();
         if g.held[gate as usize] {
-            g.waiting[gate as usize] += 1;
-            while g.held[gate as usize] {
+            g.tickets += 1;
+            let ticket = g.tickets;
+            g.waiting[gate as usize].push(ticket);
+            while g.held[gate as usize] && !g.let_through.contains(&ticket) {
                 self.inner.gate_cv.wait(&mut g);
             }
-            g.waiting[gate as usize] -= 1;
+            g.waiting[gate as usize].retain(|&t| t != ticket);
+            g.let_through.retain(|&t| t != ticket);
         }
     }
 
-    fn handle(&self, name: &str) -> Box<dyn DiskFile> {
+    /// A handle on `name`, which the caller has checked is there; it has
+    /// seen every writeback error so far.
+    fn handle(&self, g: &MemDiskInner, name: &str) -> Box<dyn DiskFile> {
         Box::new(MemHandle {
             disk: self.clone(),
             name: name.to_string(),
+            seen_errors: g.files.get(name).map_or(0, |f| f.wb_errors),
         })
     }
 }
@@ -649,6 +676,8 @@ impl MemDisk {
 struct MemHandle {
     disk: MemDisk,
     name: String,
+    /// The file's `wb_errors` as of this handle's opening or last sync.
+    seen_errors: u64,
 }
 
 impl MemHandle {
@@ -674,11 +703,11 @@ impl MemHandle {
 }
 
 impl DiskFile for MemHandle {
-    fn append(&self, data: &[u8]) -> io::Result<()> {
+    fn append(&mut self, data: &[u8]) -> io::Result<()> {
         self.record(|len| Ok(self.write_event(len, data)))
     }
 
-    fn write_at(&self, off: u64, data: &[u8]) -> io::Result<()> {
+    fn write_at(&mut self, off: u64, data: &[u8]) -> io::Result<()> {
         self.record(|len| {
             if off > len as u64 {
                 return Err(past_end(off, len as u64));
@@ -687,7 +716,7 @@ impl DiskFile for MemHandle {
         })
     }
 
-    fn zero_extend(&self, len: u64) -> io::Result<()> {
+    fn zero_extend(&mut self, len: u64) -> io::Result<()> {
         self.record(|_| {
             Ok(DiskEvent::Zeros {
                 file: self.name.clone(),
@@ -696,34 +725,36 @@ impl DiskFile for MemHandle {
         })
     }
 
-    fn sync(&self) -> io::Result<()> {
+    fn sync(&mut self) -> io::Result<()> {
         // What the sync covers is fixed when it begins, before the gate
         // and the delay: a write that lands meanwhile is not in it.
-        let (data_len, size, fails) = {
-            let mut g = self.disk.inner.state.lock();
+        let (data_len, size) = {
+            let g = self.disk.inner.state.lock();
             let f = g
                 .files
                 .get(&self.name)
                 .ok_or_else(|| not_found(&self.name))?;
-            let (data_len, size) = (f.data_len, f.written.len());
-            let fails = g.failing_syncs > 0;
-            g.failing_syncs -= u64::from(fails);
-            (data_len, size, fails)
+            (f.data_len, f.written.len())
         };
         self.disk.await_gate(Gate::Sync);
         let delay = self.disk.inner.state.lock().sync_delay;
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
-        if fails {
+        let mut g = self.disk.inner.state.lock();
+        let fails = g.failing_syncs > 0;
+        g.failing_syncs -= u64::from(fails);
+        let f = g
+            .files
+            .get_mut(&self.name)
+            .ok_or_else(|| not_found(&self.name))?;
+        f.wb_errors += u64::from(fails);
+        if f.wb_errors != self.seen_errors {
+            self.seen_errors = f.wb_errors;
             return Err(io::Error::other(format!(
                 "injected sync failure on `{}`",
                 self.name
             )));
-        }
-        let mut g = self.disk.inner.state.lock();
-        if !g.files.contains_key(&self.name) {
-            return Err(not_found(&self.name));
         }
         g.record(DiskEvent::Sync {
             file: self.name.clone(),
@@ -748,17 +779,19 @@ impl Disk for MemDisk {
         if name == SNAP_TMP {
             self.await_gate(Gate::Publish);
         }
-        self.inner.state.lock().record(DiskEvent::Create {
+        let mut g = self.inner.state.lock();
+        g.record(DiskEvent::Create {
             file: name.to_string(),
         });
-        Ok(self.handle(name))
+        Ok(self.handle(&g, name))
     }
 
     fn open_append(&self, name: &str) -> io::Result<Box<dyn DiskFile>> {
-        if !self.inner.state.lock().files.contains_key(name) {
+        let g = self.inner.state.lock();
+        if !g.files.contains_key(name) {
             return Err(not_found(name));
         }
-        Ok(self.handle(name))
+        Ok(self.handle(&g, name))
     }
 
     fn truncate(&self, name: &str, len: u64) -> io::Result<()> {
@@ -807,13 +840,13 @@ mod tests {
     /// One script of appends, positional writes, zero fills and a sync
     /// on `disk`'s file `wal`; returns the file's bytes after it.
     fn script(disk: &dyn Disk) -> Vec<u8> {
-        let f = disk.create(WAL_BASE).unwrap();
+        let mut f = disk.create(WAL_BASE).unwrap();
         f.append(b"abcdef").unwrap();
         f.sync().unwrap();
         // A second handle on the same file: its writes land where they
         // say, not at the end — on an `O_APPEND` fd Linux `pwrite`
         // would append them.
-        let g = disk.open_append(WAL_BASE).unwrap();
+        let mut g = disk.open_append(WAL_BASE).unwrap();
         g.write_at(2, b"XY").unwrap();
         assert_eq!(disk.read(WAL_BASE).unwrap().unwrap(), b"abXYef");
         g.zero_extend(10).unwrap();
@@ -849,7 +882,7 @@ mod tests {
     #[test]
     fn a_memdisk_crash_image_keeps_the_synced_zero_fill_and_drops_unsynced_writes() {
         let mem = MemDisk::new();
-        let f = mem.create(WAL_BASE).unwrap();
+        let mut f = mem.create(WAL_BASE).unwrap();
         f.zero_extend(8).unwrap();
         f.write_at(0, b"rec1").unwrap();
         f.sync().unwrap();
@@ -872,45 +905,72 @@ mod tests {
         assert_eq!(mem.event_append_len(synced + 1), None, "a fill is not data");
     }
 
+    /// A sync of `mem`'s `wal` on a handle of its own and a thread of its
+    /// own, blocked at the held gate (the `waiting`th there) on return.
+    fn held_sync(mem: &MemDisk, waiting: u64) -> std::thread::JoinHandle<io::Result<()>> {
+        let mut h = mem.open_append(WAL_BASE).unwrap();
+        let sync = std::thread::spawn(move || h.sync());
+        while mem.syncs_waiting() < waiting {
+            std::thread::yield_now();
+        }
+        sync
+    }
+
     /// A sync makes durable what was written before it began: a write
     /// that lands while it is held is not covered, and of two overlapping
     /// syncs the later one's coverage stands whichever returns first.
     #[test]
     fn a_sync_covers_only_what_was_written_before_it_began() {
         let mem = MemDisk::new();
-        let f: Arc<dyn DiskFile> = Arc::from(mem.create(WAL_BASE).unwrap());
-        let held_sync = |waiting: u64| {
-            let f = Arc::clone(&f);
-            let sync = std::thread::spawn(move || f.sync().unwrap());
-            while mem.syncs_waiting() < waiting {
-                std::thread::yield_now();
-            }
-            sync
-        };
+        let mut f = mem.create(WAL_BASE).unwrap();
         f.write_at(0, b"rec1").unwrap();
         mem.hold_syncs();
-        let early = held_sync(1);
+        let early = held_sync(&mem, 1);
         f.write_at(4, b"rec2").unwrap();
         mem.release_syncs();
-        early.join().unwrap();
+        early.join().unwrap().unwrap();
         assert_eq!(mem.synced(WAL_BASE), b"rec1");
 
         mem.hold_syncs();
-        let first = held_sync(1);
+        let first = held_sync(&mem, 1);
         f.write_at(8, b"rec3").unwrap();
-        let second = held_sync(2);
+        let second = held_sync(&mem, 2);
+        mem.release_latest_sync();
+        second.join().unwrap().unwrap();
+        assert_eq!(mem.syncs_waiting(), 1, "the earlier sync is still held");
         mem.release_syncs();
-        first.join().unwrap();
-        second.join().unwrap();
+        first.join().unwrap().unwrap();
         assert_eq!(mem.synced(WAL_BASE), b"rec1rec2rec3");
+    }
 
-        // A failing sync makes nothing durable.
-        f.write_at(12, b"rec4").unwrap();
+    /// A failed writeback makes nothing durable and fails the next sync
+    /// of every handle open when it happened — also when another handle's
+    /// overlapping sync met it first — then each handle syncs as usual.
+    #[test]
+    fn a_writeback_error_fails_every_open_handles_next_sync() {
+        let mem = MemDisk::new();
+        let mut f = mem.create(WAL_BASE).unwrap();
+        f.write_at(0, b"rec1").unwrap();
+        mem.hold_syncs();
+        let earlier = held_sync(&mem, 1);
+        let later = held_sync(&mem, 2);
         mem.fail_syncs(1);
+        mem.release_latest_sync();
+        assert!(later.join().unwrap().is_err(), "its own writeback failed");
+        mem.release_syncs();
+        assert!(
+            earlier.join().unwrap().is_err(),
+            "met by the other sync first"
+        );
+        assert!(mem.synced(WAL_BASE).is_empty());
+        assert_eq!(mem.sync_count(), 0);
+
+        // The writer's handle has not synced since: it fails once too.
         assert!(f.sync().is_err());
-        assert_eq!(mem.synced(WAL_BASE), b"rec1rec2rec3");
         f.sync().unwrap();
-        assert_eq!(mem.synced(WAL_BASE), b"rec1rec2rec3rec4");
+        assert_eq!(mem.synced(WAL_BASE), b"rec1");
+        let mut opened_after = mem.open_append(WAL_BASE).unwrap();
+        opened_after.sync().unwrap();
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! 2. **Crash images are whole-record prefixes** — the synced prefix
 //!    always scans cleanly (no torn record, contiguous sequence numbers).
 //!    A leader writes its batch under the segments lock, in `seq` order,
-//!    and syncs it with no lock held, so the next leader may write while
-//!    that sync is in flight; a sync covers only what was written before
+//!    and syncs it with no lock held, on a sync handle of its own, so the
+//!    next leader may write while that sync is in flight; a sync covers only what was written before
 //!    it began (`MemDisk` takes the length at entry), and the durable mark
 //!    passes a batch only once that batch's own sync, and every earlier
 //!    one, has returned.
@@ -136,8 +136,8 @@ fn model_catches_durable_mark_past_its_sync() {
 
 fn buggy_ack_scenario(e: &mut Exec) {
     let mem = MemDisk::new();
-    let writer = mem.create(WAL_BASE).expect("MemDisk");
-    let flusher = mem.open_append(WAL_BASE).expect("MemDisk");
+    let mut writer = mem.create(WAL_BASE).expect("MemDisk");
+    let mut flusher = mem.open_append(WAL_BASE).expect("MemDisk");
 
     // BUG (deliberate): write the record, then ack — leaving the fsync to
     // a background flusher, as a naive "async durability" WAL would.

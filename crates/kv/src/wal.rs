@@ -39,9 +39,10 @@
 //! 1. **Write.** One leader at a time, under the segments lock: the batch
 //!    goes to the end of the log (below), and `written_seq` moves to its
 //!    last record. Batches are written in `seq` order.
-//! 2. **Sync.** With no WAL lock held, on a handle shared with the
-//!    segments. The next leader may write its batch, and sync it, while
-//!    this sync is still in flight.
+//! 2. **Sync.** With no WAL lock held, on a sync handle of the active
+//!    segment that the leader took in the write stage. The next leader may
+//!    write its batch, and sync it on another handle, while this sync is
+//!    still in flight.
 //!
 //! A sync covers every byte written before it began, so when a leader's
 //! sync returns, its batch and every batch written before it are durable.
@@ -55,12 +56,18 @@
 //! its record coalesces into the next batch. A lone appender's batch is
 //! its own record: one write + fsync per record.
 //!
-//! **Fail-stop.** A failed zero fill, write or sync poisons the log, under
-//! its state lock, before the leader panics. `durable_seq` never passes
-//! the failed batch, even when a later sync that overlapped it succeeds
-//! (Linux reports a writeback error to one `fsync` only), and every waiter
-//! and every later appender panics with the first error instead of
-//! waiting for a batch that will never be durable.
+//! **Fail-stop.** Linux reports a failed writeback once per open file: of
+//! two overlapping `fsync`s through one file descriptor, only the first
+//! to check sees it, and the other may return `Ok` for bytes that were
+//! lost. So the segment is opened once more per sync slot, and each sync
+//! in flight runs on a handle of its own, last synced before its batch
+//! was written: a writeback error in its batch fails it, whichever sync
+//! met the error first ([`DiskFile`]). A failed zero fill, write or sync
+//! poisons the log, under its state lock, before the leader panics.
+//! `durable_seq` never passes the failed batch, nor moves at all once the
+//! log has failed, and every waiter and every later appender panics with
+//! the first error instead of waiting for a batch that will never be
+//! durable.
 //!
 //! A batch is written *by position*, right after the last
 //! record, into zeros the log wrote there earlier: when a batch shorter
@@ -114,12 +121,16 @@ pub const MAX_PAYLOAD: usize = 1 << 28;
 pub const PREALLOC_CHUNK: usize = 64 << 10;
 /// Syncs a log lets run at once (module docs, "Group commit"): one in
 /// flight and one more whose batch was written while it ran. A depth of 1
-/// is the one-leader-at-a-time protocol this replaced; on `shard_cross`,
-/// 2 raised `throughput_refdisk_ops_s` by 8 % (12 of 12 pairs) and cut
-/// `wal.queue_wait_us` from 27 µs to 5 µs. With no bound, every appender
-/// that arrives during a sync starts one of its own and nothing is left
-/// to coalesce: `group_commit_coalesces_through_the_store` failed in 2 of
-/// 6 runs (EXPERIMENTS.md, "A WAL batch's sync overlaps the next batch").
+/// is the one-leader-at-a-time protocol this replaced. Measured against
+/// it on `shard_cross` (2 cores, alternating 10 s pairs): depth 2 read the
+/// higher `throughput_refdisk_ops_s` in all 32 pairs run, by a median of
+/// +9.7 % over the first 22 — a gap inside the interquartile range of
+/// depth 1's runs — and +18.5 % over the last 10; `wal.queue_wait_us`
+/// fell from 27 µs to 5 µs. With no bound,
+/// every appender that arrives during a sync starts one of its own and
+/// nothing is left to coalesce: `group_commit_coalesces_through_the_store`
+/// failed in 2 of 6 runs (EXPERIMENTS.md, "A WAL batch's sync overlaps the
+/// next batch"). Each slot costs the active segment one more open file.
 pub const MAX_SYNCS_IN_FLIGHT: usize = 2;
 
 /// When the WAL calls `fsync`. Group commit is the one policy; the type
@@ -237,12 +248,19 @@ impl WalStats {
     }
 }
 
-/// The files the log spans: the open handle of the active segment (so a
-/// batch is one `write_at` + one `sync`, no lookup by name; a leader syncs
-/// its own clone of it), where in it the next batch goes, and the
-/// rotated-out segments awaiting [`Wal::drop_rotated`].
+/// The files the log spans: the open handles of the active segment (so a
+/// batch is one `write_at` + one `sync`, no lookup by name), where in it
+/// the next batch goes, and the rotated-out segments awaiting
+/// [`Wal::drop_rotated`].
 struct Segments {
-    active: Arc<dyn DiskFile>,
+    /// The handle batches are written through.
+    active: Box<dyn DiskFile>,
+    /// The idle sync handles of the active segment, opened with it: one
+    /// per sync that may be in flight, each its own open file, so a
+    /// writeback error fails every sync that overlaps it ([`DiskFile`]).
+    /// A leader takes one in the write stage and puts it back when its
+    /// sync returns.
+    syncers: Vec<Box<dyn DiskFile>>,
     active_name: String,
     /// The end of the active segment's last record: where the next batch
     /// is written.
@@ -255,14 +273,18 @@ struct Segments {
 }
 
 impl Segments {
-    fn fresh(active: Box<dyn DiskFile>, active_name: String) -> Self {
-        Segments {
-            active: Arc::from(active),
+    fn fresh(disk: &dyn Disk, active: Box<dyn DiskFile>, active_name: String) -> io::Result<Self> {
+        let syncers = (0..MAX_SYNCS_IN_FLIGHT)
+            .map(|_| disk.open_append(&active_name))
+            .collect::<io::Result<_>>()?;
+        Ok(Segments {
+            active,
+            syncers,
             active_name,
             write_off: 0,
             len: 0,
             old: Vec::new(),
-        }
+        })
     }
 }
 
@@ -299,7 +321,7 @@ impl Wal {
         let name = segment_name(next_seq);
         let active = disk.create(&name)?;
         disk.sync_dir()?;
-        let segments = Segments::fresh(active, name);
+        let segments = Segments::fresh(&*disk, active, name)?;
         Ok(Self::resume(disk, next_seq, segments))
     }
 
@@ -371,7 +393,7 @@ impl Wal {
                     write_off,
                     len,
                     old,
-                    ..Segments::fresh(file, name)
+                    ..Segments::fresh(&*disk, file, name)?
                 };
                 Self::resume(disk, t.next_seq, segments)
             }
@@ -496,11 +518,14 @@ impl Wal {
         self.durable_cv.notify_all();
         drop(st);
 
-        let synced = file.sync();
+        let synced = self.sync_batch(file);
         st = self.state.lock();
         if let Err(e) = synced {
             self.fail(&mut st, "fsync", e);
         }
+        // Another batch's failure stops this one too: nothing is made
+        // durable once the log has failed.
+        st.check();
         st.syncing
             .iter_mut()
             .find(|(hi, _)| *hi == batch_hi)
@@ -551,7 +576,10 @@ impl Wal {
     fn write_pending(&self, st: &mut WalState, rt: &Runtime) {
         let batch = std::mem::take(&mut st.pending);
         let records = std::mem::take(&mut st.pending_records);
-        if let Err(e) = self.write_batch(&batch).and_then(|(file, _)| file.sync()) {
+        if let Err(e) = self
+            .write_batch(&batch)
+            .and_then(|(file, _)| self.sync_batch(file))
+        {
             self.fail(st, "flush", e);
         }
         st.written_seq = st.next_seq - 1;
@@ -561,9 +589,9 @@ impl Wal {
 
     /// The write stage: one framed batch to the active segment, right
     /// after its last record — after zero-filling a chunk first if a short
-    /// batch would run past the end (module docs). Returns the handle to
-    /// sync and whether the batch grew the file.
-    fn write_batch(&self, batch: &[u8]) -> io::Result<(Arc<dyn DiskFile>, bool)> {
+    /// batch would run past the end (module docs). Returns the sync handle
+    /// the batch is to be synced on and whether the batch grew the file.
+    fn write_batch(&self, batch: &[u8]) -> io::Result<(Box<dyn DiskFile>, bool)> {
         let mut seg = self.segments.lock();
         let end = seg.write_off + batch.len() as u64;
         let extends = end > seg.len;
@@ -571,10 +599,23 @@ impl Wal {
             seg.active.zero_extend(PREALLOC_CHUNK as u64)?;
             seg.len += PREALLOC_CHUNK as u64;
         }
-        seg.active.write_at(seg.write_off, batch)?;
+        let write_off = seg.write_off;
+        seg.active.write_at(write_off, batch)?;
         seg.write_off = end;
         seg.len = seg.len.max(end);
-        Ok((Arc::clone(&seg.active), extends))
+        // A leader writes only while fewer than `MAX_SYNCS_IN_FLIGHT`
+        // batches await their syncs, each holding one handle.
+        let file = seg.syncers.pop().expect("a sync handle per sync slot");
+        Ok((file, extends))
+    }
+
+    /// The sync stage, with no WAL lock held: sync `file` and put it back
+    /// among the idle sync handles — before the leader frees its sync
+    /// slot, so the next leader finds one.
+    fn sync_batch(&self, mut file: Box<dyn DiskFile>) -> io::Result<()> {
+        let synced = file.sync();
+        self.segments.lock().syncers.push(file);
+        synced
     }
 
     /// Count a durable batch: records and bytes are counted here, when
@@ -633,14 +674,15 @@ impl Wal {
         // state → segments lock order, same as the append paths.
         let mut seg = self.segments.lock();
         if seg.active_name != name {
-            let next = self.disk.create(&name)?;
+            let mut next = self.disk.create(&name)?;
             next.sync()?;
             self.disk.sync_dir()?;
             // The old segment's bytes were already synced by their
             // batches; a final sync is belt-and-braces before we stop
             // writing it.
             seg.active.sync()?;
-            let prev = std::mem::replace(&mut *seg, Segments::fresh(next, name));
+            let next = Segments::fresh(&*self.disk, next, name)?;
+            let prev = std::mem::replace(&mut *seg, next);
             seg.old = prev.old;
             seg.old.push((prev.active_name, prev.write_off));
         }
@@ -881,21 +923,37 @@ mod tests {
         assert_eq!(wal.durable_seq(), 8);
     }
 
-    /// A's sync fails; B's, which began while A's was in flight, succeeds
-    /// and covers A's bytes on the disk — the error went to A's sync
-    /// alone. B is still not acked, `durable_seq` never passes A's batch,
-    /// and a third appender panics with A's error instead of hanging.
-    #[test]
-    fn a_failed_sync_is_never_passed_and_stops_every_appender() {
-        let disk = MemDisk::new();
-        let wal = Arc::new(wal_on(&disk, 1));
+    /// A's and B's syncs in flight at once, on a held disk.
+    fn two_overlapping_syncs(
+        disk: &MemDisk,
+    ) -> (
+        Arc<Wal>,
+        Arc<Runtime>,
+        std::thread::JoinHandle<u64>,
+        std::thread::JoinHandle<u64>,
+    ) {
+        let wal = Arc::new(wal_on(disk, 1));
         let rt = Arc::new(Runtime::new(TmConfig::stm()));
         disk.hold_syncs();
-        disk.fail_syncs(1);
         let a = spawn_append(&wal, &rt, b"a");
         wait_until("A's sync", || disk.syncs_waiting() == 1);
         let b = spawn_append(&wal, &rt, b"b");
         wait_until("B's sync", || disk.syncs_waiting() == 2);
+        (wal, rt, a, b)
+    }
+
+    /// A's sync fails; B's, which began while A's was in flight, has
+    /// already succeeded and covers A's bytes on the disk — the error came
+    /// after it. B is still not acked, `durable_seq` never passes A's
+    /// batch, and a third appender panics with A's error instead of
+    /// hanging.
+    #[test]
+    fn a_failed_sync_is_never_passed_and_stops_every_appender() {
+        let disk = MemDisk::new();
+        let (wal, rt, a, b) = two_overlapping_syncs(&disk);
+        disk.release_latest_sync();
+        wait_until("B's sync to return", || disk.sync_count() == 1);
+        disk.fail_syncs(1);
         disk.release_syncs();
 
         let first = "WAL fsync failed: injected sync failure";
@@ -915,6 +973,29 @@ mod tests {
         let e = wal.rotate(&rt).expect_err("a failed log has no cut");
         assert!(e.to_string().starts_with(first), "{e}");
         assert_eq!(wal.durable_seq(), 0);
+    }
+
+    /// The writeback of A's bytes fails while B's overlapping sync runs,
+    /// and B's sync meets the error first. A's sync, on a handle of its
+    /// own, reports it too: nothing is acked and nothing on the disk is
+    /// durable. (Were both synced through one open file, the error would
+    /// go to B's sync alone, and A's would return `Ok` for bytes that
+    /// were lost.)
+    #[test]
+    fn an_error_the_later_sync_meets_first_fails_the_earlier_sync_too() {
+        let disk = MemDisk::new();
+        let (wal, _rt, a, b) = two_overlapping_syncs(&disk);
+        disk.fail_syncs(1);
+        disk.release_latest_sync();
+        let first = "WAL fsync failed: injected sync failure";
+        let b_err = join(b).expect_err("B's sync failed");
+        assert!(b_err.starts_with(first), "{b_err}");
+        disk.release_syncs();
+        let a_err = join(a).expect_err("A is not acked");
+        assert!(a_err.starts_with(first), "{a_err}");
+        assert_eq!(wal.durable_seq(), 0);
+        assert_eq!(disk.sync_count(), 0, "a sync returned Ok");
+        assert!(disk.synced(WAL_BASE).is_empty());
     }
 
     #[test]

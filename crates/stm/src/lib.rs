@@ -99,7 +99,7 @@ mod verify;
 
 pub use config::{HtmConfig, Mode, RetryPolicy, TmConfig};
 pub use error::{StmError, StmResult};
-pub use runtime::{atomically, committed_at_ns, in_transaction, synchronized, Runtime};
+pub use runtime::{atomically, in_transaction, synchronized, Runtime};
 pub use stats::{StatsReport, StatsSnapshot};
 pub use trace::{AppEvent, ContentionEntry, ContentionReport, EventKind, Trace, TraceEvent};
 pub use tx::{PostCommitFn, Tx};

@@ -26,20 +26,6 @@ thread_local! {
     /// refuses it loudly. Nesting is *flat*: nested atomic
     /// blocks simply use the enclosing `Tx`.
     static IN_TRANSACTION: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-
-    /// When the post-commit work now running on this thread began
-    /// ([`committed_at_ns`]).
-    static COMMITTED_AT_NS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Inside a post-commit action ([`Tx::defer_post_commit`]): the
-/// [`ad_support::tsc::now_ns`] reading taken when its transaction's
-/// post-commit work began, right after the commit — from here on the
-/// `TxLock`s the transaction acquired are held, so `ad-defer` times a
-/// lock hold from it. Elsewhere, the value of the last post-commit action
-/// this thread ran (0 before any).
-pub fn committed_at_ns() -> u64 {
-    COMMITTED_AT_NS.with(std::cell::Cell::get)
 }
 
 /// Is the calling thread inside a transaction attempt (any runtime)?
@@ -490,17 +476,9 @@ impl Runtime {
             enqueue_ts,
         } = output;
         let obs = self.inner.sink.enabled();
-        let committed = if actions.is_empty() {
-            0
-        } else {
-            crate::trace::now_ns()
-        };
         let mut panicked = None;
         for (i, action) in actions.into_iter().enumerate() {
             slot.counters.bump(Hot::DeferredOps);
-            // Per action: an earlier one may have run a transaction of its
-            // own and left its stamp.
-            COMMITTED_AT_NS.with(|c| c.set(committed));
             if obs {
                 self.trace_event(EventKind::DeferExecStart, i as u64);
             }

@@ -389,6 +389,7 @@ impl<'rt> Tx<'rt> {
     ) -> StmResult<T> {
         if self.mode == ExecMode::Serial {
             let wrote_before = self.serial_wrote;
+            let parked_before = self.retry_parked;
             return match first(self) {
                 Err(StmError::Retry) => {
                     assert!(
@@ -396,17 +397,21 @@ impl<'rt> Tx<'rt> {
                         "or_else: first branch wrote before retrying in an \
                          irrevocable transaction"
                     );
+                    self.retry_parked = parked_before;
                     second(self)
                 }
                 other => other,
             };
         }
-        // Snapshot the transaction's buffered effects; reads are kept.
+        // Snapshot the transaction's buffered effects; reads are kept. So
+        // is what the wait is recorded in: a park is `second`'s to time.
         let write_snapshot = self.bufs.write_set.clone();
         let post_commit_len = self.bufs.post_commit.len();
         let drops_len = self.bufs.drops.len();
+        let parked_before = self.retry_parked;
         match first(self) {
             Err(StmError::Retry) => {
+                self.retry_parked = parked_before;
                 self.bufs.write_set = write_snapshot;
                 self.bufs.post_commit.truncate(post_commit_len);
                 self.bufs.post_commit_ts.truncate(post_commit_len);

@@ -185,3 +185,39 @@ fn or_else_read_your_writes_across_branches() {
     assert_eq!(got, 10);
     assert_eq!(v.load(), 10);
 }
+
+/// A first branch that retries on a timed wait (`retry_timed`) and is
+/// abandoned leaves nothing to time: the park belongs to the second
+/// branch, which times it only if it asks to.
+#[test]
+fn an_abandoned_timed_retry_does_not_time_the_second_branchs_wait() {
+    use ad_support::hist::Histogram;
+    for second_timed in [false, true] {
+        let first: &'static Histogram = Box::leak(Box::default());
+        let second: &'static Histogram = Box::leak(Box::default());
+        let b: TVar<Option<u32>> = TVar::new(None);
+        let b2 = b.clone();
+        let waiter = thread::spawn(move || {
+            atomically(|tx| {
+                let b = b2.clone();
+                tx.or_else(
+                    |tx| tx.retry_timed(first),
+                    move |tx| match tx.read(&b)? {
+                        Some(x) => Ok(x),
+                        None if second_timed => tx.retry_timed(second),
+                        None => tx.retry(),
+                    },
+                )
+            })
+        });
+        thread::sleep(Duration::from_millis(30));
+        atomically(|tx| tx.write(&b, Some(5)));
+        assert_eq!(waiter.join().unwrap(), 5);
+        assert_eq!(
+            first.snapshot().count(),
+            0,
+            "the abandoned branch timed the park"
+        );
+        assert_eq!(second.snapshot().count(), u64::from(second_timed));
+    }
+}
