@@ -1,8 +1,5 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * **retry policy** — the paper's spin-and-re-execute retry vs the
-//!   parking retry it wishes the TMTS provided (§6.1 attributes Figure 2's
-//!   defer overhead partly to spin retry);
 //! * **quiescence** — the cost Figure 1 is about;
 //! * **serialization threshold** — GCC's serialize-after-N contention
 //!   policy (cf. Diegues et al. [4]);
@@ -13,59 +10,13 @@ use ad_support::crit::{criterion_group, criterion_main, Criterion};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use ad_stm::{RetryPolicy, Runtime, TVar, TmConfig};
+use ad_stm::{Runtime, TVar, TmConfig};
 
 fn bench_config() -> Criterion {
     Criterion::default()
         .sample_size(10)
         .measurement_time(std::time::Duration::from_millis(900))
         .warm_up_time(std::time::Duration::from_millis(300))
-}
-
-/// Ping-pong between two threads through a TVar, so every transaction
-/// blocks in `retry` once per round: measures the retry wake-up path.
-fn retry_policy_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_retry");
-    for (name, policy) in [("spin", RetryPolicy::Spin), ("park", RetryPolicy::Park)] {
-        group.bench_function(name, |b| {
-            b.iter_custom(|iters| {
-                let rt = Runtime::new(TmConfig::stm().with_retry_policy(policy));
-                let token = TVar::new(0u8); // 0 = ping's turn, 1 = pong's turn
-                let stop = Arc::new(AtomicBool::new(false));
-
-                let rt2 = rt.clone();
-                let token2 = token.clone();
-                let stop2 = Arc::clone(&stop);
-                let pong = std::thread::spawn(move || {
-                    while !stop2.load(Ordering::Relaxed) {
-                        rt2.atomically(|tx| {
-                            if tx.read(&token2)? != 1 {
-                                return tx.retry();
-                            }
-                            tx.write(&token2, 0)
-                        });
-                    }
-                });
-
-                let start = std::time::Instant::now();
-                for _ in 0..iters {
-                    rt.atomically(|tx| {
-                        if tx.read(&token)? != 0 {
-                            return tx.retry();
-                        }
-                        tx.write(&token, 1)
-                    });
-                }
-                let elapsed = start.elapsed();
-                stop.store(true, Ordering::Relaxed);
-                // Unblock pong if it is waiting for its turn.
-                token.store(1);
-                pong.join().unwrap();
-                elapsed
-            })
-        });
-    }
-    group.finish();
 }
 
 /// One writer committing while a second thread runs longish read
@@ -172,6 +123,6 @@ fn htm_capacity_ablation(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = bench_config();
-    targets = retry_policy_ablation, quiescence_ablation, serialize_threshold_ablation, htm_capacity_ablation
+    targets = quiescence_ablation, serialize_threshold_ablation, htm_capacity_ablation
 }
 criterion_main!(benches);

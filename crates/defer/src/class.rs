@@ -11,7 +11,7 @@
 //!   starts with its first deferred operation, so that operation's hold
 //!   runs from the commit; a later one in the same transaction leaves out
 //!   the time the earlier ones ran;
-//! * `txlock_blocked_ns`: the time a transaction spent parked in `retry`
+//! * `txlock_blocked_ns`: the time a transaction spent waiting in `retry`
 //!   on a held `TxLock`, subscribing or acquiring — one sample per wait,
 //!   recorded in the class of the holder it waited for.
 //!
@@ -47,7 +47,7 @@ struct Hists {
 /// hold's, and its count an eighth of them. Timing every hold — two clock
 /// reads and a histogram shared by every committing thread — cost
 /// `defer_io` about 5 % of its throughput (EXPERIMENTS.md, "Lock hold and
-/// blocked time"); waits are always timed, as each already parks.
+/// blocked time"); waits are always timed, as each already spins.
 pub const HOLD_SAMPLE_EVERY: u32 = 8;
 
 /// Does the calling thread time the hold of the deferred operation it is
@@ -94,7 +94,7 @@ impl LockClass {
         self.hists().hold.snapshot()
     }
 
-    /// `txlock_blocked_ns`: each wait of a transaction parked on a lock
+    /// `txlock_blocked_ns`: each wait of a transaction blocked on a lock
     /// held in this class.
     pub fn blocked(&'static self) -> HistogramSnapshot {
         self.hists().blocked.snapshot()

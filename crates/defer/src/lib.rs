@@ -60,7 +60,6 @@ pub mod class;
 mod condvar;
 mod defer;
 mod deferrable;
-mod handle;
 pub mod io;
 mod owner;
 mod txlock;
@@ -75,6 +74,5 @@ pub use class::{txlock_stats_json, LockClass, DEFERRABLE_LOCKS, HOLD_SAMPLE_EVER
 pub use condvar::TxCondvar;
 pub use defer::{atomic_defer, atomic_defer_as, atomic_defer_unordered};
 pub use deferrable::{Defer, Deferrable, LockedRef};
-pub use handle::{atomic_defer_with_result, DeferHandle};
 pub use owner::OwnerId;
 pub use txlock::{TxLock, LOCK_RELEASE};

@@ -367,21 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn with_result_defer_threshold_is_two_commas() {
-        let src = "
-            fn f(o: Defer<Obj>) {
-                atomically(|tx| {
-                    atomic_defer_with_result(tx, &[&o.clone()], move || {
-                        tx.commit();
-                    })
-                });
-            }
-        ";
-        let f = scan_source("crates/demo/src/lib.rs", src);
-        assert_eq!(rules_of(&f), vec![RULE_DEFER_CAPTURES_TX]);
-    }
-
-    #[test]
     fn seqcst_flagged_outside_allowlist_only() {
         let src = "fn f(a: AtomicU64) { a.load(Ordering::SeqCst); }";
         assert_eq!(
@@ -599,11 +584,11 @@ mod tests {
     #[test]
     fn defer_waiting_on_defer_is_flagged() {
         let src = "
-            fn f(h: DeferHandle<u64>, store: Store) {
+            fn f(store: Store) {
                 atomically(|tx| {
                     atomic_defer_unordered(tx, move || {
-                        let _ = h.wait(&rt);
                         store.sync();
+                        rt.atomically(|tx2| Ok(()));
                     })
                 });
             }

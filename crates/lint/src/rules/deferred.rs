@@ -40,9 +40,9 @@ pub fn panic_macro(name: &str) -> Option<String> {
     })
 }
 
-/// Waiting on deferred results from inside a deferred op.
+/// Waiting on deferred work from inside a deferred op.
 pub fn wait_method(name: &str) -> Option<String> {
-    matches!(name, "wait" | "wait_all" | "sync").then(|| {
+    (name == "sync").then(|| {
         format!(
             "`{name}` inside a deferred closure waits on deferred work while \
              this op holds its locks: an op queued *behind* this one on the \

@@ -34,9 +34,9 @@ pub const RULE_RAW_ATOMIC: &str = "raw-atomic";
 /// deferred op (run once, post-commit, under the held TxLocks) or in a
 /// `synchronized` irrevocable section.
 pub const RULE_BLOCKING_IN_ATOMIC: &str = "blocking-in-atomic";
-/// Rule: a deferred closure waits on deferred results (`DeferHandle::wait`
-/// / `wait_all` / `store.sync()`) or re-enters a transaction — the static
-/// half of the self-wait caveat (DESIGN.md §10 i).
+/// Rule: a deferred closure waits on deferred work (`store.sync()`) or
+/// re-enters a transaction — the static half of the self-wait caveat
+/// (DESIGN.md §10 i).
 pub const RULE_DEFER_WAITS: &str = "defer-waits-on-defer";
 /// Rule: a deferred closure can panic (`unwrap`/`expect`/`panic!`/
 /// `assert!`). A panicking deferred op releases its locks, the rest of

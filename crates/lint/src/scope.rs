@@ -358,7 +358,7 @@ impl Analyzer<'_> {
                     } else {
                         None
                     };
-                    self.walk_call(name, n.line(), args, is_method, receiver, prev);
+                    self.walk_call(name, n.line(), args, is_method, receiver);
                     prev = Some(&nodes[i + 1]);
                     i += 2;
                     continue;
@@ -420,7 +420,6 @@ impl Analyzer<'_> {
         args: &Group,
         is_method: bool,
         receiver: Option<&Node>,
-        prev: Option<&Node>,
     ) {
         // A method receiver that resolves to the transaction threads it
         // into closure arguments: `tx.or_else(|tx| ...)` combinators.
@@ -457,15 +456,6 @@ impl Analyzer<'_> {
                 }
                 if let Some(msg) = rules::deferred::panic_method(name) {
                     self.push(line, rules::RULE_PANIC_IN_DEFERRED, msg);
-                }
-            }
-        } else {
-            // Path-position waits: `DeferHandle::wait_all(rt, hs)`.
-            if self.innermost() == Some(RegionKind::DeferOp)
-                && prev.is_some_and(|p| p.is_punct(':'))
-            {
-                if let Some(msg) = rules::deferred::wait_method(name) {
-                    self.push(line, rules::RULE_DEFER_WAITS, msg);
                 }
             }
         }
@@ -510,7 +500,7 @@ impl Analyzer<'_> {
                     recv_tx_name.as_deref(),
                 );
             }
-            "atomic_defer" | "atomic_defer_with_result" | "atomic_defer_unordered" => {
+            "atomic_defer" | "atomic_defer_unordered" => {
                 if let Some(r) = self.regions.last() {
                     if r.kind != RegionKind::DeferOp {
                         if let Some(w) = r.write_line {

@@ -60,11 +60,11 @@ fn blocking_in_atomic_fixture_is_rejected() {
 
 #[test]
 fn defer_waits_on_defer_fixture_is_rejected() {
-    // handle wait, path-position wait_all, store.sync(), re-entrant
-    // atomically — the post-commit wait outside any deferred op is clean.
+    // store.sync() and a re-entrant atomically — the post-commit wait
+    // outside any deferred op is clean.
     assert_eq!(
         fixture("defer_waits_on_defer.rs"),
-        vec![RULE_DEFER_WAITS; 4]
+        vec![RULE_DEFER_WAITS; 2]
     );
 }
 

@@ -1,24 +1,11 @@
 //! Runtime policy configuration.
 //!
 //! A [`TmConfig`] captures the knobs the paper's evaluation varies: STM vs
-//! (simulated) HTM execution, the contention manager's serialization
-//! threshold (GCC defaults: 100 for STM, 2 for HTM — paper §2), whether
-//! writers quiesce for privatization safety (§2), and how `retry` waits
-//! (§4.2).
-
-/// How a transaction waits after `retry`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryPolicy {
-    /// Abort and poll the read set's versions, spinning/yielding — the
-    /// paper's implementation ("aborting and immediately retrying, instead
-    /// of de-scheduling the transaction", §6.1). Default, used for all
-    /// figure reproductions.
-    Spin,
-    /// Park the thread on the read set and let the next conflicting
-    /// committer unpark it — the "efficient retry" the paper wishes the C++
-    /// TMTS provided. Exercised by the `ablation_retry` bench.
-    Park,
-}
+//! (simulated) HTM execution and its capacity, the contention manager's
+//! serialization threshold (GCC defaults: 100 for STM, 2 for HTM — paper
+//! §2), and whether writers quiesce for privatization safety (§2). `retry`
+//! has one meaning, the paper's (§4.2): abort, then spin and yield until a
+//! version in the read set moves (`retry.rs`).
 
 /// Execution mode: real STM or simulated best-effort HTM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,16 +25,30 @@ pub struct HtmConfig {
     /// [`Capacity`](crate::StmError::Capacity) abort. Models the L1-bounded write set of
     /// real best-effort HTM. Default 32 KiB.
     pub capacity_bytes: u64,
+}
+
+impl HtmConfig {
     /// Footprint charged per distinct transactional variable accessed
-    /// (models one cache line per word-sized location). Default 64.
-    pub bytes_per_access: u64,
+    /// (models one cache line per word-sized location).
+    pub const ACCESS_BYTES: u64 = 64;
 }
 
 impl Default for HtmConfig {
     fn default() -> Self {
         HtmConfig {
             capacity_bytes: 32 * 1024,
-            bytes_per_access: 64,
+        }
+    }
+}
+
+impl Mode {
+    /// Upper bound on contention-manager backoff spins (exponential from
+    /// 64): a short ceiling for simulated HTM, whose serial fallback comes
+    /// after two attempts, a long one for STM.
+    pub(crate) fn backoff_ceiling(&self) -> u32 {
+        match self {
+            Mode::Stm => 1 << 14,
+            Mode::HtmSim(_) => 1 << 10,
         }
     }
 }
@@ -64,29 +65,16 @@ pub struct TmConfig {
     /// that started earlier). Required for privatization safety in the C++
     /// TMTS model; switchable here for the quiescence ablation.
     pub quiesce: bool,
-    /// How `retry` waits.
-    pub retry_policy: RetryPolicy,
-    /// Upper bound on contention-manager backoff spins (exponential from 64).
-    pub max_backoff_spins: u32,
-    /// Capacity, in events, of each thread's trace ring (rounded up to a
-    /// power of two, minimum 2). Older events are overwritten once the ring
-    /// wraps between drains; `Trace::dropped` counts the overwritten ones.
-    /// Smaller rings cost less memory per thread, larger ones survive
-    /// longer gaps between `Runtime::take_trace` calls. Default 16384.
-    pub trace_ring_events: usize,
 }
 
 impl TmConfig {
     /// GCC-libitm-like STM defaults: serialize after 100 attempts, quiesce
-    /// on, spin retry.
+    /// on.
     pub fn stm() -> Self {
         TmConfig {
             mode: Mode::Stm,
             serialize_after: 100,
             quiesce: true,
-            retry_policy: RetryPolicy::Spin,
-            max_backoff_spins: 1 << 14,
-            trace_ring_events: 1 << 14,
         }
     }
 
@@ -97,9 +85,6 @@ impl TmConfig {
             mode: Mode::HtmSim(HtmConfig::default()),
             serialize_after: 2,
             quiesce: false,
-            retry_policy: RetryPolicy::Spin,
-            max_backoff_spins: 1 << 10,
-            trace_ring_events: 1 << 14,
         }
     }
 
@@ -115,25 +100,12 @@ impl TmConfig {
         self
     }
 
-    /// Builder-style override of the retry policy.
-    pub fn with_retry_policy(mut self, p: RetryPolicy) -> Self {
-        self.retry_policy = p;
-        self
-    }
-
     /// Builder-style override of the simulated HTM capacity (no-op in STM
     /// mode).
     pub fn with_htm_capacity(mut self, bytes: u64) -> Self {
         if let Mode::HtmSim(ref mut h) = self.mode {
             h.capacity_bytes = bytes;
         }
-        self
-    }
-
-    /// Builder-style override of the per-thread trace ring capacity (in
-    /// events; rounded up to a power of two, minimum 2, at ring creation).
-    pub fn with_trace_ring(mut self, events: usize) -> Self {
-        self.trace_ring_events = events;
         self
     }
 
@@ -159,6 +131,7 @@ mod tests {
         assert_eq!(c.serialize_after, 100);
         assert!(c.quiesce);
         assert!(!c.is_htm());
+        assert_eq!(c.mode.backoff_ceiling(), 1 << 14);
     }
 
     #[test]
@@ -167,6 +140,7 @@ mod tests {
         assert_eq!(c.serialize_after, 2);
         assert!(!c.quiesce);
         assert!(c.is_htm());
+        assert_eq!(c.mode.backoff_ceiling(), 1 << 10);
     }
 
     #[test]
@@ -174,13 +148,9 @@ mod tests {
         let c = TmConfig::htm()
             .with_serialize_after(5)
             .with_quiesce(true)
-            .with_retry_policy(RetryPolicy::Park)
-            .with_htm_capacity(1024)
-            .with_trace_ring(256);
+            .with_htm_capacity(1024);
         assert_eq!(c.serialize_after, 5);
         assert!(c.quiesce);
-        assert_eq!(c.retry_policy, RetryPolicy::Park);
-        assert_eq!(c.trace_ring_events, 256);
         match c.mode {
             Mode::HtmSim(h) => assert_eq!(h.capacity_bytes, 1024),
             _ => panic!("expected HTM mode"),

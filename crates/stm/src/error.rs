@@ -13,8 +13,8 @@ use std::fmt;
 pub enum StmError {
     /// The closure observed a state from which it cannot make progress and
     /// asks to be re-executed once some location in its read set changes
-    /// (Harris et al.'s `retry`). How the wait happens is decided by the
-    /// runtime's [`RetryPolicy`](crate::config::RetryPolicy).
+    /// (Harris et al.'s `retry`). The runner spins, then yields, until one
+    /// of the read versions moves (paper §4.2).
     Retry,
     /// The speculative snapshot is no longer consistent: another transaction
     /// committed a conflicting update. The runtime backs off and re-executes.

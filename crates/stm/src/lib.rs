@@ -9,9 +9,9 @@
 //!   ([`TVar`]): invisible reads with commit-time validation and snapshot
 //!   extension, lazy versioning, per-variable version locks, and a global
 //!   version clock (TL2).
-//! * **`retry` condition synchronization** (Harris et al.) with two wait
-//!   policies: the paper's spin-and-re-execute and an efficient
-//!   parking-based variant.
+//! * **`retry` condition synchronization** (Harris et al.), waiting as the
+//!   paper does: spin, then yield, until a version in the read set moves,
+//!   then re-execute.
 //! * **Irrevocability** ([`Runtime::synchronized`], [`Tx::require_irrevocable`]):
 //!   serial execution — the transaction runs alone in its runtime — used
 //!   for operations that cannot be rolled back (I/O) and by the contention
@@ -97,7 +97,7 @@ mod var;
 #[cfg(all(test, loom))]
 mod verify;
 
-pub use config::{HtmConfig, Mode, RetryPolicy, TmConfig};
+pub use config::{HtmConfig, Mode, TmConfig};
 pub use error::{StmError, StmResult};
 pub use runtime::{atomically, in_transaction, synchronized, Runtime};
 pub use stats::{StatsReport, StatsSnapshot};

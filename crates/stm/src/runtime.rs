@@ -8,7 +8,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::clock;
 use crate::cm::ContentionManager;
-use crate::config::{RetryPolicy, TmConfig};
+use crate::config::TmConfig;
 use crate::error::{StmError, StmResult};
 use crate::registry::{ActivitySlot, Local, Registry};
 use crate::stats::{Hot, Stats, StatsReport, StatsSnapshot};
@@ -100,7 +100,7 @@ impl Runtime {
                 id: NEXT_RUNTIME_ID.fetch_add(1, Ordering::Relaxed),
                 cfg,
                 registry: Arc::new(Registry::default()),
-                sink: TraceSink::new(cfg.trace_ring_events),
+                sink: TraceSink::default(),
             }),
         }
     }
@@ -245,7 +245,7 @@ impl Runtime {
 
     fn run<T>(&self, mut f: impl FnMut(&mut Tx) -> StmResult<T>, start_serial: bool) -> T {
         let cfg = self.inner.cfg;
-        let mut cm = ContentionManager::new(cfg.serialize_after, cfg.max_backoff_spins);
+        let mut cm = ContentionManager::new(cfg.serialize_after, cfg.mode.backoff_ceiling());
         let local = self.inner.registry.local(self.inner.id);
         let counters = &local.slot.counters;
         let mut counted_serialization = false;
@@ -307,16 +307,13 @@ impl Runtime {
                 }
                 AttemptOutcome::Waiting(watch) => {
                     counters.bump(Hot::Retries);
-                    // Safe point before a potentially long park, so this
+                    // Safe point before a potentially long wait, so this
                     // thread's retired values from earlier commits are not
-                    // stranded while it sleeps.
+                    // stranded while it spins.
                     crate::snapshot::flush();
-                    let parked = watch.parked.map(|h| (h, crate::trace::now_ns()));
-                    match cfg.retry_policy {
-                        RetryPolicy::Spin => watch.wait_spin(),
-                        RetryPolicy::Park => watch.wait_park(),
-                    }
-                    if let Some((h, t0)) = parked {
+                    let blocked = watch.blocked.map(|h| (h, crate::trace::now_ns()));
+                    watch.wait_spin();
+                    if let Some((h, t0)) = blocked {
                         h.record(crate::trace::now_ns().saturating_sub(t0));
                     }
                     bufs.recycle_watch(watch);

@@ -37,12 +37,13 @@ use ad_support::sync::Mutex;
 
 use crate::fxhash::FxHashMap;
 
-/// Default ring capacity per thread, in events (see
-/// `TmConfig::trace_ring_events` for the runtime override). 2^14 events
-/// ≈ 393 KiB per traced thread; at a few million events/s this holds the
-/// most recent few milliseconds of very hot threads and the entire run of
-/// realistic ones.
-pub(crate) const DEFAULT_RING_CAP: usize = 1 << 14;
+/// Ring capacity per thread, in events (a power of two, so the slot index
+/// is a mask of the head counter). 2^14 events ≈ 393 KiB per traced
+/// thread; at a few million events/s this holds the most recent few
+/// milliseconds of very hot threads and the entire run of realistic ones.
+/// Older events are overwritten once a ring wraps between drains, and
+/// [`Trace::dropped`] counts them.
+pub(crate) const RING_EVENTS: usize = 1 << 14;
 
 /// An application-level trace event, described by the crate that emits
 /// it: declare one `static` per event and pass it to
@@ -700,15 +701,12 @@ pub(crate) struct TraceBuf {
 }
 
 impl TraceBuf {
-    /// `capacity` is rounded up to a power of two (minimum 2) so the ring
-    /// index stays a mask of the monotone head counter.
-    fn new(runtime: u64, thread: u32, capacity: usize) -> Arc<TraceBuf> {
-        let cap = capacity.max(2).next_power_of_two();
+    fn new(runtime: u64, thread: u32) -> Arc<TraceBuf> {
         Arc::new(TraceBuf {
             runtime,
             thread,
             head: AtomicU64::new(0),
-            slots: (0..cap)
+            slots: (0..RING_EVENTS)
                 .map(|_| Slot {
                     seq: AtomicU64::new(0),
                     ts: AtomicU64::new(0),
@@ -788,31 +786,18 @@ impl TraceBuf {
     }
 }
 
-/// Per-runtime trace state: the enable flag, the configured per-thread
-/// ring capacity, and every thread's ring.
+/// Per-runtime trace state: the enable flag and every thread's ring.
 pub(crate) struct TraceSink {
     enabled: AtomicBool,
     next_thread: AtomicU32,
-    /// Per-thread ring capacity in events (already a power of two ≥ 2);
-    /// applied to each ring as it registers.
-    ring_cap: usize,
     bufs: Mutex<Vec<Arc<TraceBuf>>>,
 }
 
 impl Default for TraceSink {
     fn default() -> Self {
-        TraceSink::new(DEFAULT_RING_CAP)
-    }
-}
-
-impl TraceSink {
-    /// Create a sink whose per-thread rings hold `ring_cap` events
-    /// (rounded up to a power of two, minimum 2).
-    pub(crate) fn new(ring_cap: usize) -> Self {
         TraceSink {
             enabled: AtomicBool::new(false),
             next_thread: AtomicU32::new(0),
-            ring_cap: ring_cap.max(2).next_power_of_two(),
             bufs: Mutex::new(Vec::new()),
         }
     }
@@ -858,11 +843,8 @@ impl TraceSink {
                     }
                 }
                 let buf = cache.map.entry(runtime_id).or_insert_with(|| {
-                    let buf = TraceBuf::new(
-                        runtime_id,
-                        self.next_thread.fetch_add(1, Ordering::Relaxed),
-                        self.ring_cap,
-                    );
+                    let buf =
+                        TraceBuf::new(runtime_id, self.next_thread.fetch_add(1, Ordering::Relaxed));
                     self.bufs.lock().push(Arc::clone(&buf));
                     buf
                 });
@@ -914,55 +896,19 @@ mod tests {
     fn ring_wrap_reports_drops() {
         let sink = TraceSink::default();
         sink.set_enabled(true);
-        let n = (DEFAULT_RING_CAP + 100) as u64;
+        let n = (RING_EVENTS + 100) as u64;
         for i in 0..n {
             sink.push(9002, now_ns(), EventKind::ReadSetGrow, i);
         }
         let t = sink.take();
-        assert_eq!(t.events.len(), DEFAULT_RING_CAP);
-        assert_eq!(t.dropped, n - DEFAULT_RING_CAP as u64);
+        assert_eq!(t.events.len(), RING_EVENTS);
+        assert_eq!(t.dropped, n - RING_EVENTS as u64);
         // The survivors are the newest events, in order.
         let min_seq = t.events.iter().map(|e| e.seq).min().unwrap();
-        assert_eq!(min_seq, n - DEFAULT_RING_CAP as u64 + 1);
-    }
-
-    #[test]
-    fn tiny_ring_reports_dropped_exactly() {
-        // A configured 4-event ring receiving 10 events keeps the newest 4
-        // and reports the other 6 dropped — the runtime-configurable ring
-        // size must not break the drop accounting.
-        let sink = TraceSink::new(4);
-        sink.set_enabled(true);
-        for i in 0..10 {
-            sink.push(9005, now_ns(), EventKind::ReadSetGrow, i);
-        }
-        let t = sink.take();
-        assert_eq!(t.events.len(), 4);
-        assert_eq!(t.dropped, 6);
-        let seqs: Vec<u64> = t.events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![7, 8, 9, 10]);
-        let args: Vec<u64> = t.events.iter().map(|e| e.arg).collect();
-        assert_eq!(args, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn ring_capacity_rounds_up_to_power_of_two() {
-        // Requesting 3 events rounds the ring up to 4: pushing 4 must not
-        // drop anything, pushing a 5th drops exactly one.
-        let sink = TraceSink::new(3);
-        sink.set_enabled(true);
-        for i in 0..4 {
-            sink.push(9006, now_ns(), EventKind::Begin, i);
-        }
-        let t = sink.take();
-        assert_eq!(t.events.len(), 4);
-        assert_eq!(t.dropped, 0);
-        for i in 0..5 {
-            sink.push(9006, now_ns(), EventKind::Begin, i);
-        }
-        let t = sink.take();
-        assert_eq!(t.events.len(), 4);
-        assert_eq!(t.dropped, 1);
+        assert_eq!(min_seq, n - RING_EVENTS as u64 + 1);
+        let mut args: Vec<u64> = t.events.iter().map(|e| e.arg).collect();
+        args.sort_unstable();
+        assert_eq!(args, (100..n).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1170,19 +1116,19 @@ mod tests {
 
     #[test]
     fn merge_sums_dropped() {
-        let a = TraceSink::new(4);
+        let a = TraceSink::default();
         a.set_enabled(true);
-        for i in 0..10 {
+        for i in 0..RING_EVENTS as u64 + 6 {
             a.push(5, now_ns(), EventKind::ReadSetGrow, i);
         }
-        let b = TraceSink::new(4);
+        let b = TraceSink::default();
         b.set_enabled(true);
-        for i in 0..7 {
+        for i in 0..RING_EVENTS as u64 + 3 {
             b.push(6, now_ns(), EventKind::ReadSetGrow, i);
         }
         let m = Trace::merge([a.take(), b.take()]);
         assert_eq!(m.dropped, 6 + 3, "both runtimes' lost overflow");
-        assert_eq!(m.events.len(), 4 + 4, "both rings' survivors");
+        assert_eq!(m.events.len(), 2 * RING_EVENTS, "both rings' survivors");
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::sync::Arc;
 use ad_support::hist::Histogram;
 
 use crate::clock;
-use crate::config::Mode;
+use crate::config::{HtmConfig, Mode};
 use crate::error::{StmError, StmResult};
 use crate::fxhash::FxHashSet;
 use crate::registry::Local;
@@ -203,7 +203,7 @@ pub struct Tx<'rt> {
     pin: &'rt EpochGuard,
     /// Where [`retry_timed`](Self::retry_timed) asked the wait to be
     /// recorded.
-    retry_parked: Option<&'static Histogram>,
+    retry_blocked: Option<&'static Histogram>,
 }
 
 impl<'rt> Tx<'rt> {
@@ -242,7 +242,7 @@ impl<'rt> Tx<'rt> {
             obs,
             local,
             pin,
-            retry_parked: None,
+            retry_blocked: None,
         }
     }
 
@@ -358,13 +358,13 @@ impl<'rt> Tx<'rt> {
         Err(StmError::Retry)
     }
 
-    /// [`retry`](Self::retry), and record into `parked` how long this
+    /// [`retry`](Self::retry), and record into `blocked` how long this
     /// thread then waits for its read set to change, in ns — for a caller
     /// that knows what it is blocked on: `ad-defer` records a transaction
-    /// parked on a held `TxLock` into the holder's lock class. Costs
+    /// blocked on a held `TxLock` into the holder's lock class. Costs
     /// nothing unless the transaction does retry.
-    pub fn retry_timed<T>(&mut self, parked: &'static Histogram) -> StmResult<T> {
-        self.retry_parked = Some(parked);
+    pub fn retry_timed<T>(&mut self, blocked: &'static Histogram) -> StmResult<T> {
+        self.retry_blocked = Some(blocked);
         Err(StmError::Retry)
     }
 
@@ -389,7 +389,7 @@ impl<'rt> Tx<'rt> {
     ) -> StmResult<T> {
         if self.mode == ExecMode::Serial {
             let wrote_before = self.serial_wrote;
-            let parked_before = self.retry_parked;
+            let blocked_before = self.retry_blocked;
             return match first(self) {
                 Err(StmError::Retry) => {
                     assert!(
@@ -397,21 +397,21 @@ impl<'rt> Tx<'rt> {
                         "or_else: first branch wrote before retrying in an \
                          irrevocable transaction"
                     );
-                    self.retry_parked = parked_before;
+                    self.retry_blocked = blocked_before;
                     second(self)
                 }
                 other => other,
             };
         }
         // Snapshot the transaction's buffered effects; reads are kept. So
-        // is what the wait is recorded in: a park is `second`'s to time.
+        // is what the wait is recorded in: a wait is `second`'s to time.
         let write_snapshot = self.bufs.write_set.clone();
         let post_commit_len = self.bufs.post_commit.len();
         let drops_len = self.bufs.drops.len();
-        let parked_before = self.retry_parked;
+        let blocked_before = self.retry_blocked;
         match first(self) {
             Err(StmError::Retry) => {
-                self.retry_parked = parked_before;
+                self.retry_blocked = blocked_before;
                 self.bufs.write_set = write_snapshot;
                 self.bufs.post_commit.truncate(post_commit_len);
                 self.bufs.post_commit_ts.truncate(post_commit_len);
@@ -487,7 +487,7 @@ impl<'rt> Tx<'rt> {
     fn charge_var_access(&mut self, id: usize) -> StmResult<()> {
         if let Mode::HtmSim(h) = self.cfg_mode {
             if self.bufs.footprint_vars.insert(id) {
-                self.footprint += h.bytes_per_access;
+                self.footprint += HtmConfig::ACCESS_BYTES;
                 if self.footprint > h.capacity_bytes {
                     return Err(StmError::Capacity);
                 }
@@ -528,7 +528,7 @@ impl<'rt> Tx<'rt> {
     /// back via [`TxBuffers::recycle_watch`] after the wait.
     pub(crate) fn watch_list(&mut self) -> WatchList {
         let mut watch = WatchList::new(self.bufs.reads.take_entries());
-        watch.parked = self.retry_parked;
+        watch.blocked = self.retry_blocked;
         watch
     }
 
@@ -629,8 +629,7 @@ impl<'rt> Tx<'rt> {
         }
 
         // Phase 4: write back and release, stamping wv. (The Arc clone per
-        // entry is a refcount bump, not an allocation; `entries` is cleared
-        // after the waiter wakeups below.)
+        // entry is a refcount bump, not an allocation.)
         for (_, core, val) in entries.iter() {
             core.write_back(val.clone(), wv);
         }
@@ -640,13 +639,9 @@ impl<'rt> Tx<'rt> {
         // prevents two quiescing writers from waiting on each other).
         self.local.slot.end();
 
-        // Phase 5: wake retry-waiters watching the written variables.
-        for (_, core, _) in entries.iter() {
-            core.wake_waiters();
-        }
         entries.clear();
 
-        // Phase 6: quiesce (privatization safety, paper §2) — wait for all
+        // Phase 5: quiesce (privatization safety, paper §2) — wait for all
         // transactions that started before wv. Simulated HTM skips this:
         // hardware transactions are never observed mid-cleanup.
         if self.cfg_quiesce {

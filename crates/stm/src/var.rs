@@ -11,22 +11,21 @@
 //!   version seqlock and reclaimed via epochs (see `snapshot.rs`). Readers
 //!   take a consistent (version-stable) snapshot by borrowing the value
 //!   under an epoch pin — no lock, no refcount, no shared write at all.
-//! * a waiter list supports parking-based `retry`.
+//!
+//! Nothing else: a `retry` waiter polls `version`, so no variable keeps a
+//! list of who waits on it.
 //!
 //! Values must be `Clone`: a read hands the transaction its own copy. For
 //! large payloads, store `Arc<T>` inside the `TVar` so clones are cheap —
 //! this mirrors the paper's advice that deferrable buffers be encapsulated
 //! behind handles.
 
-use ad_support::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use ad_support::sync::atomic::{AtomicU64, Ordering};
 use std::any::Any;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use ad_support::sync::Mutex;
-
 use crate::clock;
-use crate::retry::Waiter;
 use crate::snapshot::{EpochGuard, Pinned, SnapshotCell};
 
 /// Type-erased committed value.
@@ -44,11 +43,6 @@ pub(crate) struct VarCore {
     /// The committed value: a lock-free atomic pointer, paired with
     /// `version` by the seqlock read protocol in [`read`](Self::read).
     value: SnapshotCell,
-    /// Threads parked in `retry` watching this variable.
-    waiters: Mutex<Vec<Arc<Waiter>>>,
-    /// Fast-path flag so commits skip the `waiters` mutex entirely when
-    /// nobody is parked (the overwhelmingly common case).
-    has_waiters: AtomicBool,
 }
 
 impl VarCore {
@@ -56,8 +50,6 @@ impl VarCore {
         Arc::new(VarCore {
             version: AtomicU64::new(clock::now()),
             value: SnapshotCell::new(initial),
-            waiters: Mutex::new(Vec::new()),
-            has_waiters: AtomicBool::new(false),
         })
     }
 
@@ -170,38 +162,7 @@ impl VarCore {
         let wv = clock::tick();
         debug_assert!(wv > pre);
         self.write_back(val, wv);
-        self.wake_waiters();
         wv
-    }
-
-    pub(crate) fn register_waiter(&self, w: Arc<Waiter>) {
-        let mut guard = self.waiters.lock();
-        guard.push(w);
-        self.has_waiters.store(true, Ordering::Release);
-    }
-
-    /// Wake (and drop) every registered waiter. Called after a commit that
-    /// wrote this variable.
-    ///
-    /// The `has_waiters` pre-check means a committer racing with a
-    /// registration can miss a waiter that registered just after the check
-    /// (a store-load race that acquire/release cannot close). That is
-    /// benign: `wait_park` rechecks the watched versions after registering
-    /// — our version bump is already published by then in the common case —
-    /// and its bounded `park_timeout` recheck closes the residual window
-    /// within a millisecond.
-    pub(crate) fn wake_waiters(&self) {
-        if !self.has_waiters.load(Ordering::Acquire) {
-            return;
-        }
-        let drained: Vec<Arc<Waiter>> = {
-            let mut guard = self.waiters.lock();
-            self.has_waiters.store(false, Ordering::Relaxed);
-            std::mem::take(&mut *guard)
-        };
-        for w in drained {
-            w.wake();
-        }
     }
 
     #[cfg(all(test, not(loom)))]
@@ -252,8 +213,8 @@ impl<T: Any + Send + Sync + Clone> TVar<T> {
 
     /// Non-transactional write. Follows the version-lock protocol and bumps
     /// the global clock, so concurrent transactions that read this variable
-    /// detect the change (their validation fails) and `retry`-waiters are
-    /// woken — exactly the behaviour deferred operations rely on when they
+    /// detect the change (their validation fails) and `retry`-waiters see
+    /// it — exactly the behaviour deferred operations rely on when they
     /// update fields of a locked deferrable object.
     pub fn store(&self, v: T) {
         self.core.direct_write(new_value(v));
@@ -430,6 +391,13 @@ mod tests {
         stamps.dedup();
         let dups = total - stamps.len();
         assert_eq!(dups, 0, "{dups} duplicate stamps");
+    }
+
+    #[test]
+    fn a_var_core_is_two_words() {
+        // The version word and the value pointer, and nothing else: no
+        // variable carries a list of the transactions waiting on it.
+        assert_eq!(std::mem::size_of::<VarCore>(), 16);
     }
 
     #[test]

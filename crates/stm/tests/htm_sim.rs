@@ -48,7 +48,7 @@ fn footprint_overflow_aborts_then_serializes() {
 
 #[test]
 fn many_distinct_vars_overflow_capacity() {
-    // bytes_per_access defaults to 64; capacity 640 bytes = 10 vars.
+    // Each variable costs `HtmConfig::ACCESS_BYTES` (64); capacity 640 bytes = 10 vars.
     let rt = htm_rt(640);
     let vars: Vec<TVar<u32>> = (0..32).map(TVar::new).collect();
     rt.atomically(|tx| {

@@ -292,29 +292,6 @@ fn retry_blocks_until_condition_holds() {
 }
 
 #[test]
-fn retry_with_park_policy_blocks_until_condition_holds() {
-    let rt = Runtime::new(TmConfig::stm().with_retry_policy(ad_stm::RetryPolicy::Park));
-    let flag = TVar::new(false);
-
-    let rt2 = rt.clone();
-    let f2 = flag.clone();
-    let consumer = thread::spawn(move || {
-        rt2.atomically(|tx| {
-            if !tx.read(&f2)? {
-                return tx.retry();
-            }
-            Ok(())
-        });
-    });
-
-    thread::sleep(Duration::from_millis(50));
-    rt.atomically(|tx| tx.write(&flag, true));
-    consumer.join().unwrap();
-    let stats = rt.stats();
-    assert!(stats.retries >= 1);
-}
-
-#[test]
 fn synchronized_runs_irrevocably() {
     let rt = Runtime::new(TmConfig::stm());
     let v = TVar::new(0u32);
@@ -657,42 +634,37 @@ fn panicking_transaction_does_not_wedge_the_runtime() {
 }
 
 #[test]
-fn configured_tiny_trace_ring_reports_drops() {
-    // `TmConfig::with_trace_ring` must actually size the per-thread rings:
-    // a 4-event ring cannot hold the ~3 events per committed transaction
-    // of this loop, so the drained trace must report drops, while a
-    // default-sized runtime tracing the same workload reports none.
-    let tiny = Runtime::new(TmConfig::stm().with_trace_ring(4));
-    tiny.set_tracing(true);
+fn overflowing_the_trace_ring_reports_drops() {
+    // Each thread's ring holds 16 384 events. Every traced transaction
+    // records at least a `begin` and a `commit`, so 20 000 of them between
+    // two drains overflow it: the drained trace keeps at most the ring's
+    // worth and counts the rest as dropped. A short run drops nothing.
+    const RING_EVENTS: usize = 1 << 14;
+    const TXNS: u64 = 20_000;
+    let rt = Runtime::new(TmConfig::stm());
+    rt.set_tracing(true);
     let v = TVar::new(0u64);
-    for _ in 0..50 {
-        let v2 = v.clone();
-        tiny.atomically(move |tx| {
-            let x = tx.read(&v2)?;
-            tx.write(&v2, x + 1)
+    for _ in 0..TXNS {
+        rt.atomically(|tx| {
+            let x = tx.read(&v)?;
+            tx.write(&v, x + 1)
         });
     }
-    let t = tiny.take_trace();
-    assert!(
-        t.dropped > 0,
-        "a 4-event ring kept all events of 50 transactions"
-    );
-    assert!(!t.events.is_empty());
+    let t = rt.take_trace();
+    assert!(t.dropped > 0, "{TXNS} transactions fit one ring");
+    assert!(t.events.len() <= RING_EVENTS, "{} events", t.events.len());
+    assert!(t.events.len() as u64 + t.dropped >= 2 * TXNS);
 
-    let roomy = Runtime::new(TmConfig::stm());
-    roomy.set_tracing(true);
-    let w = TVar::new(0u64);
     for _ in 0..50 {
-        let w2 = w.clone();
-        roomy.atomically(move |tx| {
-            let x = tx.read(&w2)?;
-            tx.write(&w2, x + 1)
+        rt.atomically(|tx| {
+            let x = tx.read(&v)?;
+            tx.write(&v, x + 1)
         });
     }
-    let t = roomy.take_trace();
+    let t = rt.take_trace();
     assert_eq!(t.dropped, 0);
-    assert_eq!(v.load(), 50);
-    assert_eq!(w.load(), 50);
+    assert!(!t.events.is_empty());
+    assert_eq!(v.load(), TXNS + 50);
 }
 
 #[test]

@@ -109,15 +109,6 @@ fn deferral_is_serializable_under_stress_htm() {
 }
 
 #[test]
-fn deferral_is_serializable_with_parking_retry() {
-    stress(
-        &Runtime::new(TmConfig::stm().with_retry_policy(ad_stm::RetryPolicy::Park)),
-        3,
-        200,
-    );
-}
-
-#[test]
 fn two_phase_locking_across_two_objects() {
     // A deferred op updates two deferrable objects; observers must see them
     // change together.
